@@ -18,7 +18,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, InvalidParameterError, NonconvergenceError
-from .numerics import unit_sphere_area
+from .numerics import csv_lines, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
 
 _THREADS = 1
@@ -141,9 +141,8 @@ class AxiField:
         with open(path, "w") as fh:
             fh.write(f"# n={self.n} ns={len(self.s)} nt={len(self.t)}\n")
             fh.write("s,t,u\n")
-            for i, si in enumerate(self.s):
-                for j, tj in enumerate(self.t):
-                    fh.write(f"{si:.17g},{tj:.17g},{self.values[i, j]:.17g}\n")
+            S, T = np.meshgrid(self.s, self.t, indexing="ij")
+            fh.write(csv_lines(S.ravel(), T.ravel(), self.values.ravel()))
 
     def save_binary(self, path) -> None:
         """Header: int32 n, ns, nt; float64 hs, ht, s_min, t_min; then row-major float64."""
@@ -232,46 +231,31 @@ def _assemble_laplacian(grid: GridSpec):
     """
     s, _ = grid.axes()
     hs, ht = grid.hs, grid.ht
-    n = grid.n
+    n, ns, nt = grid.n, grid.ns, grid.nt
     mask = _unknown_mask(grid)
-    index = -np.ones((grid.ns, grid.nt), dtype=int)
-    index[mask] = np.arange(int(mask.sum()))
-
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals = [], [], []
-    ns, nt = grid.ns, grid.nt
-
-    def add(i, j, ii, jj, w):
-        if mask[ii, jj]:
-            rows.append(index[i, j])
-            cols.append(index[ii, jj])
-            vals.append(w)
-        else:
-            brows.append(index[i, j])
-            bcols.append(ii * nt + jj)
-            bvals.append(w)
-
-    for i in range(ns):
-        for j in range(nt):
-            if not mask[i, j]:
-                continue
-            if i == 0:
-                cs_p = (n - 1) * 2.0 / hs**2
-                add(i, j, i, j, -cs_p)
-                add(i, j, i + 1, j, cs_p)
-            else:
-                cw = 1.0 / hs**2 - (n - 2) / (2.0 * hs * s[i])
-                ce = 1.0 / hs**2 + (n - 2) / (2.0 * hs * s[i])
-                add(i, j, i - 1, j, cw)
-                add(i, j, i + 1, j, ce)
-                add(i, j, i, j, -2.0 / hs**2)
-            add(i, j, i, j - 1, 1.0 / ht**2)
-            add(i, j, i, j + 1, 1.0 / ht**2)
-            add(i, j, i, j, -2.0 / ht**2)
-
     m = int(mask.sum())
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    B = sp.csr_matrix((bvals, (brows, bcols)), shape=(m, ns * nt))
+    index = -np.ones((ns, nt), dtype=int)
+    index[mask] = np.arange(m)
+    i, j = np.nonzero(mask)
+    axis = i == 0
+    cs_p = (n - 1) * 2.0 / hs**2
+    drift = (n - 2) / (2.0 * hs * np.where(axis, 1.0, s[i]))  # not used on the axis
+    # (row node, neighbour node, weight); the axis column reflects its
+    # west arm onto the east one, and the two diagonal terms sum in the CSR
+    rows = np.arange(m)
+    off = ~axis
+    terms = [
+        (rows, i, j, np.where(axis, -cs_p, -2.0 / hs**2)),
+        (rows[off], i[off] - 1, j[off], (1.0 / hs**2 - drift)[off]),
+        (rows, i + 1, j, np.where(axis, cs_p, 1.0 / hs**2 + drift)),
+        (rows, i, j - 1, np.full(m, 1.0 / ht**2)),
+        (rows, i, j + 1, np.full(m, 1.0 / ht**2)),
+        (rows, i, j, np.full(m, -2.0 / ht**2)),
+    ]
+    r, ii, jj, w = (np.concatenate(parts) for parts in zip(*terms))
+    inner = mask[ii, jj]
+    L = sp.csr_matrix((w[inner], (r[inner], index[ii, jj][inner])), shape=(m, m))
+    B = sp.csr_matrix((w[~inner], (r[~inner], (ii * nt + jj)[~inner])), shape=(m, ns * nt))
     return L, B, mask
 
 

@@ -158,3 +158,14 @@ def unit_sphere_area(d: int) -> float:
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+
+
+def csv_lines(*columns) -> str:
+    """Comma-separated rows of equal-length columns, every value as ``%.17g``.
+
+    One format string covers the whole table, so a large field costs one
+    formatting call rather than one per row; ``%.17g`` round-trips float64.
+    """
+    flat = np.column_stack(columns).ravel().tolist()
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (line * (len(flat) // len(columns))) % tuple(flat)

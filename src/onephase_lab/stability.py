@@ -190,43 +190,25 @@ def assemble_operator(u: AxiField, beta: ReactionTerm, axis_dirichlet: bool = Fa
     index[mask] = np.arange(m)
 
     w_s, w_t = _edge_weights(u)
-    rows, cols, vals = [], [], []
-
-    def edge(ia, ja, ib, jb, w):
-        a, b = index[ia, ja], index[ib, jb]
-        if a >= 0:
-            rows.append(a)
-            cols.append(a)
-            vals.append(w)
-        if b >= 0:
-            rows.append(b)
-            cols.append(b)
-            vals.append(w)
-        if a >= 0 and b >= 0:
-            rows.append(a)
-            cols.append(b)
-            vals.append(-w)
-            rows.append(b)
-            cols.append(a)
-            vals.append(-w)
-
-    hs2, ht2 = u.hs**2, u.ht**2
-    for i in range(ns - 1):
-        for j in range(nt):
-            if mask[i, j] or mask[i + 1, j]:
-                edge(i, j, i + 1, j, w_s[i, j] / hs2)
-    for i in range(ns):
-        for j in range(nt - 1):
-            if mask[i, j] or mask[i, j + 1]:
-                edge(i, j, i, j + 1, w_t[i, j] / ht2)
-
+    es = np.zeros((ns + 1, nt))  # es[i] weights the s-edge from i - 1 to i
+    es[1:-1] = w_s / u.hs**2
+    et = np.zeros((ns, nt + 1))  # et[:, j] weights the t-edge from j - 1 to j
+    et[:, 1:-1] = w_t / u.ht**2
     weights = node_weights(u)
     pot = 0.5 * np.asarray(beta.deriv(u.values)) * weights
-    idx = index[mask]
-    rows.extend(idx.tolist())
-    cols.extend(idx.tolist())
-    vals.extend(pot[mask].tolist())
-
+    i, j = np.nonzero(mask)
+    row = np.arange(m)
+    # the diagonal sums its edges in the order s-, s+, t-, t+, then the potential
+    diag = es[i, j] + es[i + 1, j] + et[i, j] + et[i, j + 1] + pot[i, j]
+    rows, cols, vals = [row], [row], [diag]
+    padded = np.pad(index, 1, constant_values=-1)
+    for di, dj, w in ((-1, 0, es[i, j]), (1, 0, es[i + 1, j]), (0, -1, et[i, j]), (0, 1, et[i, j + 1])):
+        nb = padded[i + 1 + di, j + 1 + dj]
+        inner = nb >= 0
+        rows.append(row[inner])
+        cols.append(nb[inner])
+        vals.append(-w[inner])
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
     return A, weights[mask], mask
 
@@ -503,9 +485,8 @@ class LogCutoff:
 def log_cutoff_2d(R: float, grid) -> LogCutoff:
     """Planar logarithmic cutoff: 1 inside radius 1, log-linear out to R.
 
-    The companion value is the exact-in-quadrature Dirichlet energy
-    int |grad eta|^2 = 2 pi / log R, computed by a radial rule in log r
-    (where the integrand is constant).
+    The companion value is the continuum Dirichlet energy of the cutoff,
+    int |grad eta|^2 = int_1^R (1 / (r log R))^2 2 pi r dr = 2 pi / log R.
     """
     if R <= 1.0:
         raise InvalidParameterError("R must exceed 1")
@@ -516,10 +497,4 @@ def log_cutoff_2d(R: float, grid) -> LogCutoff:
     logR = math.log(R)
     vals = np.where(r < 1.0, 1.0, np.where(r < R, (logR - np.log(np.maximum(r, 1.0))) / logR, 0.0))
     f = _AF(n=grid.n, s=s, t=t, values=vals)
-
-    # int_1^R (1/(r log R))^2 2 pi r dr, in rho = log r
-    rho = np.linspace(0.0, logR, 2049)
-    integrand = 2.0 * math.pi / logR**2 * np.ones_like(rho)
-    h = rho[1] - rho[0]
-    simpson = h / 3.0 * (integrand[0] + integrand[-1] + 4.0 * integrand[1::2].sum() + 2.0 * integrand[2:-1:2].sum())
-    return LogCutoff(field=f, grad_energy=float(simpson))
+    return LogCutoff(field=f, grad_energy=2.0 * math.pi / logR)

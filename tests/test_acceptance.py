@@ -273,4 +273,16 @@ def test_criterion_11_log_cutoff_law():
     elapsed = time.perf_counter() - t0
     assert max(rels) <= 1e-3
     assert elapsed < 1.0
-    report(f"criterion 11 PASS: log-cutoff law, worst relative error {max(rels):.2e}")
+    # the grid Dirichlet energy of the returned field itself approaches the law
+    law = math.pi  # 2 pi / log R at R = e^2
+    grid_rels = []
+    for h_inv in (8, 16, 32, 64):
+        fine = GridSpec(n=2, s_max=8.0, t_min=-8.0, t_max=8.0, ns=8 * h_inv + 1, nt=16 * h_inv + 1)
+        dirichlet = energy(log_cutoff_2d(math.e**2, fine).field, one_phase=True).dirichlet
+        grid_rels.append(abs(dirichlet - law) / law)
+    assert all(a > b for a, b in zip(grid_rels, grid_rels[1:]))
+    assert grid_rels[-1] <= 2e-3
+    report(
+        f"criterion 11 PASS: log-cutoff law, worst relative error {max(rels):.2e}; grid energy "
+        + " -> ".join(f"{r:.2e}" for r in grid_rels)
+    )

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
+    _assemble_laplacian,
     apply_axisym_laplacian,
     blow_down,
     energy,
@@ -260,6 +262,79 @@ def test_threaded_stencil_matches_sequential():
     finally:
         set_thread_count(1)
     assert np.array_equal(np.nan_to_num(seq), np.nan_to_num(par))
+
+
+def _loop_laplacian(grid):
+    """The per-node assembly loop, kept as the reference of _assemble_laplacian."""
+    s, _ = grid.axes()
+    hs, ht, n, ns, nt = grid.hs, grid.ht, grid.n, grid.ns, grid.nt
+    mask = np.zeros((ns, nt), dtype=bool)
+    mask[1:-1, 1:-1] = True
+    if grid.s_min == 0.0:
+        mask[0, 1:-1] = True
+    index = -np.ones((ns, nt), dtype=int)
+    index[mask] = np.arange(int(mask.sum()))
+    rows, cols, vals, brows, bcols, bvals = [], [], [], [], [], []
+
+    def add(i, j, ii, jj, w):
+        if mask[ii, jj]:
+            rows.append(index[i, j]), cols.append(index[ii, jj]), vals.append(w)
+        else:
+            brows.append(index[i, j]), bcols.append(ii * nt + jj), bvals.append(w)
+
+    for i in range(ns):
+        for j in range(nt):
+            if not mask[i, j]:
+                continue
+            if i == 0:
+                cs_p = (n - 1) * 2.0 / hs**2
+                add(i, j, i, j, -cs_p)
+                add(i, j, i + 1, j, cs_p)
+            else:
+                add(i, j, i - 1, j, 1.0 / hs**2 - (n - 2) / (2.0 * hs * s[i]))
+                add(i, j, i + 1, j, 1.0 / hs**2 + (n - 2) / (2.0 * hs * s[i]))
+                add(i, j, i, j, -2.0 / hs**2)
+            add(i, j, i, j - 1, 1.0 / ht**2)
+            add(i, j, i, j + 1, 1.0 / ht**2)
+            add(i, j, i, j, -2.0 / ht**2)
+    m = int(mask.sum())
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    B = sp.csr_matrix((bvals, (brows, bcols)), shape=(m, ns * nt))
+    return L, B, mask
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("s_min", [0.0, 0.4])
+def test_assembled_laplacian_is_the_stencil(n, s_min):
+    g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=21, nt=17)
+    L, B, mask = _assemble_laplacian(g)
+    L0, B0, mask0 = _loop_laplacian(g)
+    assert_same_csr(L, L0)
+    assert_same_csr(B, B0)
+    assert np.array_equal(mask, mask0)
+    u = np.random.default_rng(n).standard_normal((g.ns, g.nt))
+    s, t = g.axes()
+    lap = apply_axisym_laplacian(AxiField(n=n, s=s, t=t, values=u)).values[mask]
+    got = L @ u[mask] + B @ u.ravel()
+    assert np.max(np.abs(got - lap)) <= 1e-12 * np.max(np.abs(lap))
+
+
+def test_field_csv_bytes_match_per_row_format(tmp_path):
+    g = GridSpec(n=3, s_max=1.0, t_min=-0.5, t_max=1.5, ns=7, nt=5)
+    f = AxiField.from_function(g, lambda s, t: np.exp(s * t) / 3.0 - 0.25 * t)
+    f.values[2, 3] = -0.0
+    f.save_csv(tmp_path / "f.csv")
+    rows = "".join(
+        f"{si:.17g},{tj:.17g},{f.values[i, j]:.17g}\n" for i, si in enumerate(f.s) for j, tj in enumerate(f.t)
+    )
+    expected = f"# n=3 ns=7 nt=5\ns,t,u\n{rows}"
+    assert (tmp_path / "f.csv").read_bytes() == expected.encode()
 
 
 def test_field_csv_and_binary_roundtrip(tmp_path):

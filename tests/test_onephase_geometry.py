@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,11 +10,14 @@ from onephase_lab.axisym_field import AxiField, GridSpec
 from onephase_lab.errors import (
     CurvatureSingularityError,
     GeometryMismatchError,
+    NonconvergenceError,
     PreconditionViolationError,
 )
 from onephase_lab.numerics import smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
 from onephase_lab.onephase_geometry import (
     Generator,
+    _masked_system,
+    crossing_fractions,
     curvature_of_revolution,
     extract_graph_boundary,
     gradient_magnitude_identity,
@@ -156,6 +160,24 @@ def test_strip_neck_normal_identity_analytic():
     assert np.max(np.abs(lhs - b.mean_curv * u_s)) < 1e-7
 
 
+def test_strip_neck_inversion_is_pointwise():
+    # each node stops at its own round-off floor: a subset of the grid
+    # evaluates to the same bits as the whole grid
+    neck = StripNeckExact()
+    s, t = np.linspace(1.0, 3.3, 93), np.linspace(-1.0, 1.0, 81)
+    full = neck.u(s[:, None], t[None, :])
+    assert np.array_equal(neck.u(s[::7, None], t[None, ::5]), full[::7, ::5])
+    i, j = np.unravel_index(np.arange(0, full.size, 41), full.shape)
+    single = [neck.u(s[a], t[b]) for a, b in zip(i, j)]
+    assert np.array_equal(single, full[i, j])
+
+
+def test_strip_neck_inversion_failure_names_its_numbers():
+    neck = StripNeckExact(newton_steps=2)
+    with pytest.raises(NonconvergenceError, match=r"after 2 Newton steps \(residual [0-9.e+-]+, threshold 1e-11\)"):
+        neck.u(np.array([2.0, 2.5]), np.array([0.1, -0.4]))
+
+
 def test_sphere_shell_boundary_conditions():
     for n in (2, 3, 4, 5):
         shell = SphereShellExact(n=n, r0=1.0)
@@ -168,6 +190,154 @@ def test_sphere_shell_boundary_conditions():
 
 
 # ---------------------------------------------------------------- masked solve
+
+
+def _loop_masked_system(grid, level_fn, boundary_fn, theta_floor=1e-9):
+    """The per-node Shortley-Weller loop with scalar bisection, kept as the
+    reference of the vectorized assembly: returns (A, rhs, border data)."""
+    s, t = grid.axes()
+    hs, ht, n = grid.hs, grid.ht, grid.n
+    S, T = np.meshgrid(s, t, indexing="ij")
+    level = np.asarray(level_fn(S, T), dtype=float)
+    pos = level > 0.0
+    border = np.zeros_like(pos)
+    border[0, :] = border[-1, :] = True
+    border[:, 0] = border[:, -1] = True
+    if grid.s_min == 0.0:
+        border[0, 1:-1] = False
+    g = np.zeros((grid.ns, grid.nt))
+    g[border & pos] = np.asarray(boundary_fn(S, T), dtype=float)[border & pos]
+    unknown = pos & ~border
+    m = int(unknown.sum())
+    index = -np.ones((grid.ns, grid.nt), dtype=int)
+    index[unknown] = np.arange(m)
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(m)
+
+    def theta(i0, j0, i1, j1):
+        a, b = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            sm = s[i0] + mid * (s[i1] - s[i0])
+            tm = t[j0] + mid * (t[j1] - t[j0])
+            if float(level_fn(np.array([sm]), np.array([tm]))[0]) > 0.0:
+                a = mid
+            else:
+                b = mid
+        return max(0.5 * (a + b), theta_floor)
+
+    def arm(row, ii, jj, w):
+        if not pos[ii, jj]:
+            return
+        if unknown[ii, jj]:
+            rows.append(row), cols.append(index[ii, jj]), vals.append(w)
+        else:
+            rhs[row] -= w * g[ii, jj]
+
+    for i, j in zip(*np.nonzero(unknown)):
+        row = index[i, j]
+        if grid.s_min == 0.0 and i == 0:
+            if pos[i + 1, j]:
+                c = 2.0 * (n - 1) / hs**2
+            else:
+                c = 2.0 * (n - 1) / (theta(i, j, i + 1, j) ** 2 * hs**2)
+            rows.append(row), cols.append(row), vals.append(-c)
+            arm(row, i + 1, j, c)
+        else:
+            th_m = 1.0 if pos[i - 1, j] else theta(i, j, i - 1, j)
+            th_p = 1.0 if pos[i + 1, j] else theta(i, j, i + 1, j)
+            fac = (n - 2) / s[i]
+            cc = -2.0 / (th_m * th_p * hs**2)
+            dc = (th_p - th_m) / (th_m * th_p * hs)
+            rows.append(row), cols.append(row), vals.append(cc + fac * dc)
+            cm = 2.0 / (th_m * (th_m + th_p) * hs**2)
+            dm = -th_p / (th_m * (th_m + th_p) * hs)
+            arm(row, i - 1, j, cm + fac * dm)
+            cp = 2.0 / (th_p * (th_m + th_p) * hs**2)
+            dp = th_m / (th_p * (th_m + th_p) * hs)
+            arm(row, i + 1, j, cp + fac * dp)
+        th_m = 1.0 if pos[i, j - 1] else theta(i, j, i, j - 1)
+        th_p = 1.0 if pos[i, j + 1] else theta(i, j, i, j + 1)
+        rows.append(row), cols.append(row), vals.append(-2.0 / (th_m * th_p * ht**2))
+        arm(row, i, j - 1, 2.0 / (th_m * (th_m + th_p) * ht**2))
+        arm(row, i, j + 1, 2.0 / (th_p * (th_m + th_p) * ht**2))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m)), rhs, g
+
+
+_NECK = StripNeckExact()
+_SHELL3 = SphereShellExact(n=3, r0=1.0)
+
+
+@pytest.mark.parametrize(
+    "grid, level_fn, boundary_fn",
+    [
+        (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33), _NECK.level, _NECK.u),
+        (GridSpec(n=3, s_max=2.2, t_min=-2.2, t_max=2.2, ns=36, nt=71), _SHELL3.level, _SHELL3.u),
+        # a ball around the axis: one axis node has a cut s+ arm
+        (
+            GridSpec(n=4, s_max=1.5, t_min=-1.5, t_max=1.5, ns=13, nt=25),
+            lambda s, t: 1.03 - np.hypot(s, t - 0.1) - 0.2 * s * s,
+            lambda s, t: np.exp(s) * np.cos(t),
+        ),
+    ],
+    ids=["neck", "shell-n3-axis", "ball-n4-axis"],
+)
+def test_masked_system_matches_loop_reference(grid, level_fn, boundary_fn):
+    A, rhs, g, unknown, pos = _masked_system(grid, level_fn, boundary_fn, 1e-9)
+    A0, rhs0, g0 = _loop_masked_system(grid, level_fn, boundary_fn)
+    assert A.shape == A0.shape
+    assert np.array_equal(A.indptr, A0.indptr) and np.array_equal(A.indices, A0.indices)
+    assert np.array_equal(A.data, A0.data)
+    assert np.array_equal(rhs, rhs0)
+    assert np.array_equal(g, g0)
+
+
+@pytest.mark.parametrize(
+    "n, s_min, level",
+    [
+        (2, 0.5, lambda s, t: s - (1.1 + 1.0 / 48.0)),
+        (2, 0.5, lambda s, t: (0.3 + 1.0 / 48.0) - t + 0.0 * s),
+        (3, 0.0, lambda s, t: t - (-0.2 - 1.0 / 40.0) + 0.0 * s),
+    ],
+    ids=["n2-radial-cut", "n2-axial-cut", "n3-axis-axial-cut"],
+)
+def test_masked_solve_exact_on_cut_linear_fields(n, s_min, level):
+    # Shortley-Weller arms are exact on fields linear along them; each cut
+    # sits between grid nodes, so every crossing goes through the bisection
+    g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=25, nt=33)
+    sol = solve_harmonic_masked(g, level, level)
+    s, t = g.axes()
+    exact = np.maximum(level(s[:, None], t[None, :]), 0.0)
+    assert np.max(np.abs(sol.field.values - exact)) <= 1e-12
+
+
+def test_crossing_fractions_match_neck_closed_form():
+    neck = StripNeckExact()
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=75, nt=65)
+    s, t = g.axes()
+    pos = neck.level(s[:, None], t[None, :]) > 0.0
+    edges = []
+    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        i, j = np.nonzero(pos[1:-1, 1:-1])
+        i, j = i + 1, j + 1
+        cut = ~pos[i + di, j + dj]
+        edges.append((s[i[cut]], t[j[cut]], s[i[cut] + di], t[j[cut] + dj]))
+    s0, t0, s1, t1 = (np.concatenate(x) for x in zip(*edges))
+    theta = crossing_fractions(neck.level, s0, t0, s1, t1)
+    assert len(theta) > 50 and np.any(t0 != t1) and np.any(s0 != s1)
+    sc, tc = s0 + theta * (s1 - s0), t0 + theta * (t1 - t0)
+    assert np.max(np.abs(sc - (math.pi / 2.0 + np.cosh(tc)))) <= 1e-14
+
+
+def test_boundary_csv_bytes_match_per_row_format(tmp_path):
+    tg = np.linspace(-0.6, 0.6, 7)
+    b = curvature_of_revolution(StripNeckExact().boundary_generator(tg), n=2, positive_side="below")
+    b.save_csv(tmp_path / "b.csv")
+    rows = "".join(
+        f"{b.t[k]:.17g},{b.s[k]:.17g},{b.mean_curv[k]:.17g},{b.normals[k, 0]:.17g},{b.normals[k, 1]:.17g}\n"
+        for k in range(len(tg))
+    )
+    assert (tmp_path / "b.csv").read_bytes() == ("t,s,H,nu_s,nu_t\n" + rows).encode()
 
 
 def test_masked_solve_second_order_strip_neck():

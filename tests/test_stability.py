@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from onephase_lab.errors import InvalidParameterError, NonconvergenceError
 from onephase_lab.reaction_terms import make_polynomial_beta
 from onephase_lab.stability import (
     StabilityProbe,
+    _edge_weights,
     admissible_alpha,
     assemble_operator,
     epsilon_schedule,
@@ -80,6 +82,50 @@ def test_form_matches_assembled_matrix(beta, layer_profile):
     x = xi_vals[mask]
     q_matrix = float(x @ (A @ x))
     assert abs(q_direct - q_matrix) < 1e-8 * (1.0 + abs(q_direct))
+
+
+def _loop_operator(u, beta, axis_dirichlet):
+    """The per-edge assembly loop, kept as the reference of assemble_operator."""
+    ns, nt = u.values.shape
+    mask = np.zeros((ns, nt), dtype=bool)
+    mask[1:-1, 1:-1] = True
+    if u.has_axis and not axis_dirichlet:
+        mask[0, 1:-1] = True
+    index = -np.ones((ns, nt), dtype=int)
+    m = int(mask.sum())
+    index[mask] = np.arange(m)
+    w_s, w_t = _edge_weights(u)
+    rows, cols, vals = [], [], []
+
+    def edge(a, b, w):
+        for p, q, v in ((a, a, w), (b, b, w), (a, b, -w), (b, a, -w)):
+            if p >= 0 and q >= 0:
+                rows.append(p), cols.append(q), vals.append(v)
+
+    for i in range(ns - 1):
+        for j in range(nt):
+            if mask[i, j] or mask[i + 1, j]:
+                edge(index[i, j], index[i + 1, j], w_s[i, j] / u.hs**2)
+    for i in range(ns):
+        for j in range(nt - 1):
+            if mask[i, j] or mask[i, j + 1]:
+                edge(index[i, j], index[i, j + 1], w_t[i, j] / u.ht**2)
+    pot = 0.5 * np.asarray(beta.deriv(u.values)) * node_weights(u)
+    rows.extend(index[mask].tolist()), cols.extend(index[mask].tolist()), vals.extend(pot[mask].tolist())
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("s_min", [0.0, 0.3])
+@pytest.mark.parametrize("axis_dirichlet", [False, True])
+def test_assembled_operator_matches_loop_reference(beta, n, s_min, axis_dirichlet):
+    g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-2.0, t_max=2.0, ns=19, nt=23)
+    u = AxiField.from_function(g, lambda s, t: np.tanh(t + 0.3 * s) + 0.2 * np.cos(3.0 * s * t))
+    A, w, mask = assemble_operator(u, beta, axis_dirichlet=axis_dirichlet)
+    ref = _loop_operator(u, beta, axis_dirichlet)
+    assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+    assert np.array_equal(w, node_weights(u)[mask])
 
 
 def test_form_requires_matching_grids(beta):
