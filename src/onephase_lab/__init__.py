@@ -20,7 +20,6 @@ from .axisym_field import (
     lipschitz_monitor,
     max_principle_defect,
     residual_semilinear,
-    set_thread_count,
     solve_semilinear,
     solve_semilinear_1d,
 )

@@ -9,8 +9,7 @@ at s = 0 by its symmetric limit (n-1) u_ss through a ghost reflection.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,32 +17,8 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, InvalidParameterError, NonconvergenceError
-from .numerics import csv_lines, unit_sphere_area
+from .numerics import LU_ORDER, LUCounts, csv_lines, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
-
-_THREADS = 1
-
-
-def set_thread_count(k: int) -> None:
-    """Row-block data parallelism degree; 1 (default) is strictly sequential.
-
-    Results are independent of the thread count: worker blocks write disjoint
-    row ranges and all reductions happen afterwards in a fixed order.
-    """
-    global _THREADS
-    if k < 1:
-        raise InvalidParameterError("thread count must be >= 1")
-    _THREADS = int(k)
-
-
-def get_thread_count() -> int:
-    return _THREADS
-
-
-def _row_blocks(n_rows: int):
-    k = min(_THREADS, n_rows)
-    bounds = np.linspace(0, n_rows, k + 1).astype(int)
-    return [(bounds[i], bounds[i + 1]) for i in range(k) if bounds[i] < bounds[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -164,25 +139,6 @@ class AxiField:
         return cls(n=n, s=s0 + hs * np.arange(ns), t=t0 + ht * np.arange(nt), values=data.copy())
 
 
-def _laplacian_block(values, out, n, s, hs, ht, i_lo, i_hi, has_axis):
-    hs2, ht2 = hs * hs, ht * ht
-    lo = max(i_lo, 1)
-    hi = min(i_hi, values.shape[0] - 1)
-    if hi > lo or hi == lo:
-        u = values
-        for i in range(lo, hi):
-            row = u[i]
-            uss = (u[i + 1, 1:-1] - 2.0 * row[1:-1] + u[i - 1, 1:-1]) / hs2
-            us = (u[i + 1, 1:-1] - u[i - 1, 1:-1]) / (2.0 * hs)
-            utt = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / ht2
-            out[i, 1:-1] = uss + (n - 2) / s[i] * us + utt
-    if has_axis and i_lo == 0:
-        u0 = values[0]
-        uss0 = 2.0 * (values[1, 1:-1] - u0[1:-1]) / hs2
-        utt0 = (u0[2:] - 2.0 * u0[1:-1] + u0[:-2]) / ht2
-        out[0, 1:-1] = (n - 1) * uss0 + utt0
-
-
 def apply_axisym_laplacian(f: AxiField) -> AxiField:
     """Second-order discrete Laplacian; entries not computable are NaN.
 
@@ -192,18 +148,17 @@ def apply_axisym_laplacian(f: AxiField) -> AxiField:
     """
     if len(f.s) < 3 or len(f.t) < 3:
         raise InvalidParameterError("grid too small for the stencil")
-    out = np.full_like(f.values, np.nan)
-    blocks = _row_blocks(f.values.shape[0])
-    args = (f.values, out, f.n, f.s, f.hs, f.ht)
-    if len(blocks) == 1:
-        _laplacian_block(*args, 0, f.values.shape[0], f.has_axis)
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [
-                pool.submit(_laplacian_block, *args, lo, hi, f.has_axis) for lo, hi in blocks
-            ]
-            for fut in futures:
-                fut.result()
+    u, hs, ht = f.values, f.hs, f.ht
+    out = np.full_like(u, np.nan)
+    mid = u[1:-1, 1:-1]
+    uss = (u[2:, 1:-1] - 2.0 * mid + u[:-2, 1:-1]) / (hs * hs)
+    us = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * hs)
+    utt = (u[1:-1, 2:] - 2.0 * mid + u[1:-1, :-2]) / (ht * ht)
+    out[1:-1, 1:-1] = uss + ((f.n - 2) / f.s[1:-1])[:, None] * us + utt
+    if f.has_axis:
+        uss0 = 2.0 * (u[1, 1:-1] - u[0, 1:-1]) / (hs * hs)
+        utt0 = (u[0, 2:] - 2.0 * u[0, 1:-1] + u[0, :-2]) / (ht * ht)
+        out[0, 1:-1] = (f.n - 1) * uss0 + utt0
     return f.with_values(out)
 
 
@@ -261,13 +216,15 @@ def _assemble_laplacian(grid: GridSpec):
 
 @dataclass
 class SolveResult:
-    """Solver outcome: sup-norm residuals per accepted step and the damping
-    merit (residual 2-norm), which the backtracking makes strictly decreasing."""
+    """Solver outcome: sup-norm residuals per accepted step, the damping
+    merit (residual 2-norm), which the backtracking makes strictly decreasing,
+    and the LU factors of the Jacobians."""
 
     field: AxiField
     residuals: list[float]
     merits: list[float]
     iterations: int
+    factors: LUCounts
 
 
 def solve_semilinear(
@@ -283,8 +240,9 @@ def solve_semilinear(
     the outer boundary and the initial guess everywhere, or an AxiField on
     the same grid used the same way.  Each Newton step solves with the exact
     Jacobian Delta_h - beta'(u)/2 and backtracks (halving, Armijo margin
-    1e-4) until the sup-norm residual decreases; 50 failed halvings raise
-    ``NonconvergenceError`` carrying the last iterate.
+    1e-4) until the 2-norm merit decreases; 50 failed halvings, or ``max_iter``
+    steps without reaching ``tol``, raise ``NonconvergenceError`` carrying
+    the last iterate and the sup-norm residual trace.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -310,18 +268,19 @@ def solve_semilinear(
     merit = float(np.linalg.norm(res))
     history = [float(np.max(np.abs(res)))]
     merits = [merit]
+    factors = LUCounts()
     iterations = 0
     while history[-1] > tol:
         if iterations >= max_iter:
             u[mask] = vec
             raise NonconvergenceError(
-                f"Newton did not reach tol={tol:g} in {max_iter} iterations",
+                f"Newton did not reach tol={tol:g} in {max_iter} iterations "
+                f"(last sup residual {history[-1]:.3e})",
                 last=AxiField(n=grid.n, s=s, t=t, values=u),
                 trace=history,
             )
         J = L - sp.diags(0.5 * np.asarray(beta.deriv(vec)))
-        lu = splu(J.tocsc())
-        step = lu.solve(-res)
+        step = factors.record(splu(J.tocsc(), permc_spec=LU_ORDER)).solve(-res)
         lam = 1.0
         for _ in range(51):
             trial = vec + lam * step
@@ -333,7 +292,8 @@ def solve_semilinear(
         else:
             u[mask] = vec
             raise NonconvergenceError(
-                "Newton backtracking stagnated",
+                f"Newton backtracking stagnated at iteration {iterations + 1} "
+                f"(last sup residual {history[-1]:.3e})",
                 last=AxiField(n=grid.n, s=s, t=t, values=u),
                 trace=history,
             )
@@ -348,6 +308,7 @@ def solve_semilinear(
         residuals=history,
         merits=merits,
         iterations=iterations,
+        factors=factors,
     )
 
 
@@ -367,7 +328,9 @@ def solve_semilinear_1d(
     Dirichlet values ``left``/``right`` at the interval ends.  The tiling of
     the returned nodal values along s is an exact discrete solution of the
     full problem with one-dimensional data, which makes it the right far-field
-    model and the reference for s-independence checks.
+    model and the reference for s-independence checks.  Stagnated
+    backtracking, or ``max_iter`` damped Newton steps without reaching
+    ``tol``, raise ``NonconvergenceError`` carrying the sup-norm residual trace.
     """
     t = np.linspace(t_min, t_max, nt)
     ht = t[1] - t[0]
@@ -388,12 +351,16 @@ def solve_semilinear_1d(
     res = res_of(w)
     # damping decreases the smooth 2-norm; convergence is in the sup norm
     merit = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if float(np.max(np.abs(res))) <= tol:
-            v[1:-1] = w
-            return v
+    history = [float(np.max(np.abs(res)))]
+    while history[-1] > tol:
+        if len(history) > max_iter:
+            raise NonconvergenceError(
+                f"1D Newton did not reach tol={tol:g} in {max_iter} iterations "
+                f"(last sup residual {history[-1]:.3e})",
+                trace=history,
+            )
         J = sp.diags([off, main - 0.5 * np.asarray(beta.deriv(w)), off], offsets=[-1, 0, 1]).tocsc()
-        step = splu(J).solve(-res)
+        step = splu(J, permc_spec=LU_ORDER).solve(-res)
         lam = 1.0
         for _ in range(51):
             trial = w + lam * step
@@ -403,9 +370,15 @@ def solve_semilinear_1d(
                 break
             lam *= 0.5
         else:
-            raise NonconvergenceError("1D Newton backtracking stagnated", trace=[merit])
+            raise NonconvergenceError(
+                f"1D Newton backtracking stagnated at iteration {len(history)} "
+                f"(last sup residual {history[-1]:.3e})",
+                trace=history,
+            )
         w, res, merit = trial, trial_res, trial_merit
-    raise NonconvergenceError("1D Newton did not converge", trace=[merit])
+        history.append(float(np.max(np.abs(res))))
+    v[1:-1] = w
+    return v
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from .errors import LabError
 from .experiments import run
 
 
-def _load_config(config_path, experiment, out_dir, threads, **overrides) -> ExperimentConfig:
+def _load_config(config_path, experiment, out_dir, **overrides) -> ExperimentConfig:
     base = ExperimentConfig(experiment=experiment)
     if config_path is not None:
         cfg = parse_config(config_path, base=base)
@@ -23,8 +23,6 @@ def _load_config(config_path, experiment, out_dir, threads, **overrides) -> Expe
     fields = {}
     if out_dir is not None:
         fields["out_dir"] = out_dir
-    if threads is not None:
-        fields["threads"] = threads
     for key, value in overrides.items():
         if value is not None:
             fields[key] = value
@@ -46,7 +44,6 @@ def _execute(cfg: ExperimentConfig) -> None:
 def common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None, help="Config file (key=value sections)")(fn)
     fn = click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory for the run")(fn)
-    fn = click.option("--threads", type=int, default=None, help="Data-parallel threads (1 = bitwise deterministic)")(fn)
     return fn
 
 
@@ -59,9 +56,9 @@ def main():
 @main.command()
 @common_options
 @click.option("--a", "a", type=float, default=None, help="Anchor slope of the ramp")
-def profile(config_path, out_dir, threads, a):
+def profile(config_path, out_dir, a):
     """Shoot and classify a 1D transition profile."""
-    _execute(_load_config(config_path, "profile", out_dir, threads, a=a))
+    _execute(_load_config(config_path, "profile", out_dir, a=a))
 
 
 @main.command()
@@ -69,12 +66,10 @@ def profile(config_path, out_dir, threads, a):
 @click.option("--n", "n", type=int, default=None, help="Ambient dimension")
 @click.option("--boundary", "boundary_model", type=click.Choice(["profile", "affine", "catenoid"]), default=None)
 @click.option("--domain-study/--no-domain-study", "domain_study", default=None, help="Re-solve on a smaller domain and report the difference")
-def solve(config_path, out_dir, threads, n, boundary_model, domain_study):
+def solve(config_path, out_dir, n, boundary_model, domain_study):
     """Solve the axisymmetric semilinear equation on a truncated grid."""
     _execute(
-        _load_config(
-            config_path, "solve", out_dir, threads, n=n, boundary_model=boundary_model, domain_study=domain_study
-        )
+        _load_config(config_path, "solve", out_dir, n=n, boundary_model=boundary_model, domain_study=domain_study)
     )
 
 
@@ -83,13 +78,9 @@ def solve(config_path, out_dir, threads, n, boundary_model, domain_study):
 @click.option("--n", "n", type=int, default=None, help="Ambient dimension")
 @click.option("--boundary", "boundary_model", type=click.Choice(["profile", "affine", "catenoid"]), default=None)
 @click.option("--alpha", type=float, default=None, help="Decay exponent of the radial probe")
-def stability(config_path, out_dir, threads, n, boundary_model, alpha):
+def stability(config_path, out_dir, n, boundary_model, alpha):
     """Smallest Rayleigh quotient and radial-probe inequality checks."""
-    _execute(
-        _load_config(
-            config_path, "stability", out_dir, threads, n=n, boundary_model=boundary_model, alpha=alpha
-        )
-    )
+    _execute(_load_config(config_path, "stability", out_dir, n=n, boundary_model=boundary_model, alpha=alpha))
 
 
 @main.command()
@@ -97,44 +88,35 @@ def stability(config_path, out_dir, threads, n, boundary_model, alpha):
 @click.option("--preset", "onephase_preset", type=click.Choice(["strip_neck", "sphere"]), default=None)
 @click.option("--n", "n", type=int, default=None, help="Ambient dimension (sphere preset)")
 @click.option("--resolution", "onephase_resolution", type=int, default=None, help="Grid nodes per unit length")
-def onephase(config_path, out_dir, threads, onephase_preset, n, onephase_resolution):
+def onephase(config_path, out_dir, onephase_preset, n, onephase_resolution):
     """Masked harmonic solve plus interface curvature identities."""
-    _execute(
-        _load_config(
-            config_path,
-            "onephase",
-            out_dir,
-            threads,
-            onephase_preset=onephase_preset,
-            n=n,
-            onephase_resolution=onephase_resolution,
-        )
-    )
+    overrides = dict(onephase_preset=onephase_preset, n=n, onephase_resolution=onephase_resolution)
+    _execute(_load_config(config_path, "onephase", out_dir, **overrides))
 
 
 @main.command()
 @common_options
 @click.option("--epsilons", type=str, default=None, help="Comma-separated rescaling widths")
-def blowdown(config_path, out_dir, threads, epsilons):
+def blowdown(config_path, out_dir, epsilons):
     """Layer-energy versus sharp-energy gap along a shrinking width family."""
     eps = None if epsilons is None else tuple(float(x) for x in epsilons.split(",") if x.strip())
-    _execute(_load_config(config_path, "blowdown", out_dir, threads, epsilons=eps))
+    _execute(_load_config(config_path, "blowdown", out_dir, epsilons=eps))
 
 
 @main.command()
 @common_options
 @click.option("--dims", type=str, default=None, help="Comma-separated ambient dimensions")
-def window(config_path, out_dir, threads, dims):
+def window(config_path, out_dir, dims):
     """Admissible decay-exponent windows per dimension."""
     d = None if dims is None else tuple(int(x) for x in dims.split(",") if x.strip())
-    _execute(_load_config(config_path, "window", out_dir, threads, dims=d))
+    _execute(_load_config(config_path, "window", out_dir, dims=d))
 
 
 @main.command()
 @common_options
-def figure1(config_path, out_dir, threads):
+def figure1(config_path, out_dir):
     """Emit the three-panel profile gallery (ramp slope above, at, below 1)."""
-    _execute(_load_config(config_path, "figure1", out_dir, threads))
+    _execute(_load_config(config_path, "figure1", out_dir))
 
 
 if __name__ == "__main__":

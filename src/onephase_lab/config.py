@@ -30,7 +30,6 @@ class ExperimentConfig:
 
     experiment: str = "profile"
     out_dir: str = "runs/out"
-    threads: int = 1
     # reaction term
     reaction: str = "poly2"
     # 1D profile parameters
@@ -72,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         if self.n < 2:
             raise ConfigError("grid dimension n must be >= 2")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         for name, value in self.tolerances.items():
             if not (value > 0.0):
                 raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
@@ -91,7 +88,6 @@ class ExperimentConfig:
         lines = ["[experiment]"]
         lines.append(f"name = {self.experiment}")
         lines.append(f"out_dir = {self.out_dir}")
-        lines.append(f"threads = {self.threads}")
         lines.append("")
         lines.append("[reaction]")
         lines.append(f"kind = {self.reaction}")
@@ -201,7 +197,6 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
         cfg,
         experiment=_get(parser, "experiment", "name", str, cfg.experiment),
         out_dir=_get(parser, "experiment", "out_dir", str, cfg.out_dir),
-        threads=_get(parser, "experiment", "threads", int, cfg.threads),
         reaction=_get(parser, "reaction", "kind", str, cfg.reaction),
         a=_get(parser, "profile", "a", float, cfg.a),
         halfwidth=_get(parser, "profile", "halfwidth", float, cfg.halfwidth),

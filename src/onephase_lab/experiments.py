@@ -1,10 +1,10 @@
 """Named experiments binding the compute modules, with reproducible reports.
 
 Every experiment consumes an :class:`ExperimentConfig`, returns a report
-whose ``results`` block is bitwise reproducible from the echoed config in
-single-threaded mode, and writes its artifacts (JSON report plus CSV/plot
-data files) into one directory per run.  Wall-clock timings and provenance
-live in the ``meta`` block, outside the reproducible results.
+whose ``results`` block is bitwise reproducible from the echoed config, and
+writes its artifacts (JSON report plus CSV/plot data files) into one
+directory per run.  Wall-clock timings, solver counters and provenance live
+in the ``meta`` block, outside the reproducible results.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .axisym_field import (
     lipschitz_monitor,
     max_principle_defect,
     residual_semilinear,
-    set_thread_count,
     solve_semilinear,
     solve_semilinear_1d,
 )
@@ -64,6 +63,7 @@ class ExperimentReport:
     config_hash: str
     version: str = __version__
     timings: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,6 +73,7 @@ class ExperimentReport:
                 "version": self.version,
                 "config_hash": self.config_hash,
                 "timings": self.timings,
+                "counters": self.counters,
             },
             "config": self.config_text,
         }
@@ -128,7 +129,13 @@ def boundary_data(cfg: ExperimentConfig, beta):
     return lambda s, t: prof.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)
 
 
-def _run_profile(cfg: ExperimentConfig, outputs: dict):
+def _count_factors(counters: dict, *factors) -> None:
+    """Record the LU factors of a run's 2D solves in its ``meta.counters``."""
+    counters["lu_factorizations"] = sum(f.factorizations for f in factors)
+    counters["lu_fill_nnz"] = max(f.fill_nnz for f in factors)
+
+
+def _run_profile(cfg: ExperimentConfig, outputs: dict, counters: dict):
     beta = resolve_reaction(cfg.reaction)
     prof = shoot(beta, cfg.a, cfg.halfwidth, cfg.step)
     from .profile1d import classify, convexity_defect, first_integral_spread
@@ -153,7 +160,7 @@ def _run_profile(cfg: ExperimentConfig, outputs: dict):
     }
 
 
-def _run_figure1(cfg: ExperimentConfig, outputs: dict):
+def _run_figure1(cfg: ExperimentConfig, outputs: dict, counters: dict):
     """The three-panel profile gallery: ramp slopes above, at, and below 1."""
     beta = resolve_reaction(cfg.reaction)
     from .profile1d import classify
@@ -173,7 +180,7 @@ def _run_figure1(cfg: ExperimentConfig, outputs: dict):
     return {"panels": panels}
 
 
-def _run_window(cfg: ExperimentConfig, outputs: dict):
+def _run_window(cfg: ExperimentConfig, outputs: dict, counters: dict):
     rows = {}
     for n in cfg.dims:
         window = admissible_alpha(n)
@@ -193,7 +200,7 @@ def _run_window(cfg: ExperimentConfig, outputs: dict):
     return {"admissible_alpha": rows}
 
 
-def _run_solve(cfg: ExperimentConfig, outputs: dict):
+def _run_solve(cfg: ExperimentConfig, outputs: dict, counters: dict):
     beta = resolve_reaction(cfg.reaction)
     grid = _grid(cfg)
     data = boundary_data(cfg, beta)
@@ -245,20 +252,26 @@ def _run_solve(cfg: ExperimentConfig, outputs: dict):
             "sub_extents": [s_lo, s_hi, t_lo, t_hi],
             "max_interior_difference": diff,
         }
+        _count_factors(counters, res.factors, res2.factors)
+    else:
+        _count_factors(counters, res.factors)
     outputs["field.csv"] = lambda path: f.save_csv(path)
     outputs["field.bin"] = lambda path: f.save_binary(path)
     return results
 
 
-def _run_stability(cfg: ExperimentConfig, outputs: dict):
+def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
     beta = resolve_reaction(cfg.reaction)
     grid = _grid(cfg)
     if cfg.boundary_model == "profile":
         f = tiled_layer_field(beta, grid)
+        newton = []
     else:
-        f = solve_semilinear(beta, grid, boundary_data(cfg, beta), tol=cfg.tolerances["newton"]).field
+        sol = solve_semilinear(beta, grid, boundary_data(cfg, beta), tol=cfg.tolerances["newton"])
+        f, newton = sol.field, [sol.factors]
 
     spectral = linearized_rayleigh_min(f, beta, tol=cfg.tolerances["eigen"])
+    _count_factors(counters, *newton, spectral.factors)
     outputs["spectral.json"] = lambda path: spectral.save_json(path)
     if spectral.eigenvector is not None:
         outputs["eigenvector.csv"] = lambda path: spectral.eigenvector.save_csv(path)
@@ -297,7 +310,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict):
     }
 
 
-def _run_blowdown(cfg: ExperimentConfig, outputs: dict):
+def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
     beta = resolve_reaction(cfg.reaction)
     eps_list = sorted(cfg.epsilons, reverse=True)
     if not eps_list:
@@ -350,7 +363,7 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict):
     }
 
 
-def _run_onephase(cfg: ExperimentConfig, outputs: dict):
+def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     if cfg.onephase_preset == "strip_neck":
         neck = StripNeckExact()
         h = 1.0 / cfg.onephase_resolution
@@ -392,6 +405,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict):
         sup_err = float(np.max(np.abs(sol.field.values - exact)))
         n_for_probe = cfg.n
 
+    _count_factors(counters, sol.factors)
     identity = normal_derivative_identity(boundary, sol.field)
 
     # interface stability form with the capped radial probe xi = u_s * eta
@@ -457,10 +471,10 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     and the computation finishes, so failed runs leave no partial files.
     """
     cfg.validate()
-    set_thread_count(cfg.threads)
     outputs: dict = {}
+    counters: dict = {}
     t0 = time.perf_counter()
-    results = _RUNNERS[cfg.experiment](cfg, outputs)
+    results = _RUNNERS[cfg.experiment](cfg, outputs, counters)
     elapsed = time.perf_counter() - t0
 
     report = ExperimentReport(
@@ -469,6 +483,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         config_text=cfg.canonical_text(),
         config_hash=cfg.config_hash(),
         timings={"run_seconds": elapsed},
+        counters=counters,
     )
 
     import os

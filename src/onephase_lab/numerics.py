@@ -1,10 +1,18 @@
-"""Small shared numerical kernels: quadrature and difference formulas."""
+"""Small shared numerical kernels: quadrature, difference formulas, sparse LU policy."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+# Column ordering of every sparse LU factor in the lab (``splu(A,
+# permc_spec=LU_ORDER)``): minimum degree on the pattern of A^T + A.  The
+# lab's matrices are 5-point grid stencils with a symmetric pattern, where it
+# leaves about half the fill of SuperLU's default COLAMD.  SuperLU keeps its
+# default partial pivoting, so unsymmetric Jacobians stay safe.
+LU_ORDER = "MMD_AT_PLUS_A"
 
 # 5-point Gauss-Legendre rule on [-1, 1]
 _GL5_NODES = np.array(
@@ -25,6 +33,20 @@ _GL5_WEIGHTS = np.array(
         0.236926885056189087514264040720,
     ]
 )
+
+
+@dataclass
+class LUCounts:
+    """Sparse LU factors a solve built, and the largest nnz(L + U) among them."""
+
+    factorizations: int = 0
+    fill_nnz: int = 0
+
+    def record(self, lu):
+        """Count the SuperLU factor ``lu`` and return it."""
+        self.factorizations += 1
+        self.fill_nnz = max(self.fill_nnz, int(lu.nnz))
+        return lu
 
 
 def simpson_refined(f, a: float, b: float, tol: float = 1e-12, max_doublings: int = 22) -> float:

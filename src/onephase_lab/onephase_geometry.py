@@ -31,7 +31,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
 )
-from .numerics import csv_lines, unit_sphere_area
+from .numerics import LU_ORDER, LUCounts, csv_lines, unit_sphere_area
 from .stability import us_derivative
 
 _AXIS_TOL = 1e-9
@@ -461,6 +461,7 @@ class MaskedSolveResult:
     field: AxiField
     residual: float
     unknowns: int
+    factors: LUCounts
 
 
 def crossing_fractions(level_fn, s0, t0, s1, t1, theta_floor: float = 1e-9) -> np.ndarray:
@@ -572,7 +573,8 @@ def solve_harmonic_masked(
     """
     s, t = grid.axes()
     A, rhs, values, unknown, pos = _masked_system(grid, level_fn, boundary_fn, theta_floor)
-    values[unknown] = splu(A.tocsc()).solve(rhs)
+    factors = LUCounts()
+    values[unknown] = factors.record(splu(A.tocsc(), permc_spec=LU_ORDER)).solve(rhs)
     out = AxiField(n=grid.n, s=s, t=t, values=values)
 
     from .axisym_field import apply_axisym_laplacian
@@ -580,4 +582,4 @@ def solve_harmonic_masked(
     mask = _positive_interior_mask(pos.astype(float))
     lap = apply_axisym_laplacian(out).values
     residual = float(np.nanmax(np.abs(np.where(mask, lap, 0.0)))) if mask.any() else float("nan")
-    return MaskedSolveResult(field=out, residual=residual, unknowns=A.shape[0])
+    return MaskedSolveResult(field=out, residual=residual, unknowns=A.shape[0], factors=factors)

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 
 from .axisym_field import AxiField, residual_semilinear
 from .errors import InvalidParameterError, NonconvergenceError
-from .numerics import smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
+from .numerics import LU_ORDER, LUCounts, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
 from .reaction_terms import ReactionTerm
 
 VERDICT_STABLE = "stable-on-grid"
@@ -75,6 +75,7 @@ class SpectralReport:
     eps_inner: float | None = None
     eigenvector: AxiField | None = None
     notes: tuple[str, ...] = ()
+    factors: LUCounts | None = None  # eigen-solves only; not part of the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,8 +256,9 @@ def linearized_rayleigh_min(
     trace = []
     it = 0
     converged = False
+    factors = LUCounts()
     for _stage in range(6):
-        lu = splu((B - shift * eye).tocsc())
+        lu = factors.record(splu((B - shift * eye).tocsc(), permc_spec=LU_ORDER))
         for _ in range(120):
             if it >= max_iter:
                 break
@@ -287,6 +289,7 @@ def linearized_rayleigh_min(
         form_rhs=lam * weighted_norm_sq(xi),
         iterations=it,
         eigenvector=xi,
+        factors=factors,
     )
 
 

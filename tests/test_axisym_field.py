@@ -1,6 +1,10 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from onephase_lab.axisym_field import (
     AxiField,
@@ -12,15 +16,17 @@ from onephase_lab.axisym_field import (
     lipschitz_monitor,
     max_principle_defect,
     residual_semilinear,
-    set_thread_count,
     solve_semilinear,
     solve_semilinear_1d,
 )
+from onephase_lab.config import ExperimentConfig
 from onephase_lab.errors import (
     DomainError,
     InvalidParameterError,
     NonconvergenceError,
 )
+from onephase_lab.experiments import boundary_data
+from onephase_lab.numerics import LU_ORDER
 from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
 from onephase_lab.reaction_terms import make_polynomial_beta, make_tabulated_term
 
@@ -145,6 +151,50 @@ def test_solver_nonconvergence_carries_last_iterate(beta):
     assert err.value.last.values.shape == (17, 17)
 
 
+def _last_sup_residual(message):
+    match = re.search(r"in 2 iterations \(last sup residual ([0-9.e+-]+)\)", message)
+    assert match, message
+    return float(match.group(1))
+
+
+def test_solver_nonconvergence_names_iterations_and_residual(beta):
+    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear(beta, g, lambda s, t: np.maximum(0.0, t) + 0.0 * s, tol=1e-12, max_iter=2)
+    trace = err.value.trace
+    assert len(trace) == 3 and trace[-1] > 1e-12
+    assert _last_sup_residual(str(err.value)) == float(f"{trace[-1]:.3e}")
+
+
+def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
+    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear_1d(beta, -3.0, 3.0, 65, left, right, max_iter=2)
+    trace = err.value.trace
+    assert len(trace) == 3 and trace[-1] > 1e-12
+    assert _last_sup_residual(str(err.value)) == float(f"{trace[-1]:.3e}")
+    # the trace holds sup norms: its first entry is the residual of the linear start
+    t = np.linspace(-3.0, 3.0, 65)
+    v = left + (right - left) * (t + 3.0) / 6.0
+    lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (t[1] - t[0]) ** 2
+    assert trace[0] == pytest.approx(np.max(np.abs(lap - 0.5 * beta.eval(v[1:-1]))), rel=1e-12)
+
+
+def test_newton_factors_hold_at_most_0_6_of_colamd_fill(beta):
+    # the 129^2 catenoid neck of the benchmark; measured 0.504
+    g = GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129)
+    data = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
+    res = solve_semilinear(beta, g, data)
+    L, _, mask = _assemble_laplacian(g)
+    s, t = g.axes()
+    vec = data(s[:, None], t[None, :])[mask]
+    J = (L - sp.diags(0.5 * beta.deriv(vec))).tocsc()
+    colamd = splu(J, permc_spec="COLAMD").nnz
+    assert res.factors.factorizations == res.iterations
+    assert splu(J, permc_spec=LU_ORDER).nnz <= 0.6 * colamd
+    assert res.factors.fill_nnz <= 0.6 * colamd
+
+
 def test_energy_piecewise_affine_exact():
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=33, nt=65)
     f = AxiField.from_function(g, lambda s, t: np.maximum(0.0, t))
@@ -251,17 +301,36 @@ def test_monitor_invariant_under_blow_down():
         assert max(vals) - min(vals) <= 1e-8
 
 
-def test_threaded_stencil_matches_sequential():
-    g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=65, nt=65)
-    f = AxiField.from_function(g, lambda s, t: np.exp(-(s**2) - t**2))
-    set_thread_count(1)
-    seq = apply_axisym_laplacian(f).values
-    try:
-        set_thread_count(4)
-        par = apply_axisym_laplacian(f).values
-    finally:
-        set_thread_count(1)
-    assert np.array_equal(np.nan_to_num(seq), np.nan_to_num(par))
+def _loop_apply_laplacian(f):
+    """The per-row loop, kept as the reference of apply_axisym_laplacian."""
+    u, n, s = f.values, f.n, f.s
+    hs2, ht2 = f.hs * f.hs, f.ht * f.ht
+    out = np.full_like(u, np.nan)
+    for i in range(1, u.shape[0] - 1):
+        row = u[i]
+        uss = (u[i + 1, 1:-1] - 2.0 * row[1:-1] + u[i - 1, 1:-1]) / hs2
+        us = (u[i + 1, 1:-1] - u[i - 1, 1:-1]) / (2.0 * f.hs)
+        utt = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / ht2
+        out[i, 1:-1] = uss + (n - 2) / s[i] * us + utt
+    if f.has_axis:
+        u0 = u[0]
+        uss0 = 2.0 * (u[1, 1:-1] - u0[1:-1]) / hs2
+        utt0 = (u0[2:] - 2.0 * u0[1:-1] + u0[:-2]) / ht2
+        out[0, 1:-1] = (n - 1) * uss0 + utt0
+    return out
+
+
+def test_laplacian_expression_matches_row_loop():
+    rng = np.random.default_rng(7)
+    for n, s_min, (ns, nt) in itertools.product((2, 3, 5), (0.0, 0.3), ((3, 3), (17, 9), (40, 65))):
+        g = GridSpec(n=n, s_min=s_min, s_max=1.7, t_min=-1.1, t_max=0.9, ns=ns, nt=nt)
+        f = AxiField.from_function(g, lambda s, t: np.exp(-(s**2) - t**2))
+        assert f.has_axis == (s_min == 0.0)
+        for values in (f.values, rng.standard_normal((ns, nt))):
+            lap = apply_axisym_laplacian(f.with_values(values)).values
+            ref = _loop_apply_laplacian(f.with_values(values))
+            assert np.array_equal(np.isnan(lap), np.isnan(ref))
+            assert lap.tobytes() == ref.tobytes()  # bit for bit, NaNs and signed zeros included
 
 
 def _loop_laplacian(grid):

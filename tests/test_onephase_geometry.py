@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from onephase_lab.errors import (
     NonconvergenceError,
     PreconditionViolationError,
 )
-from onephase_lab.numerics import smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
+from onephase_lab.numerics import LU_ORDER, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
 from onephase_lab.onephase_geometry import (
     Generator,
     _masked_system,
@@ -309,6 +310,18 @@ def test_masked_solve_exact_on_cut_linear_fields(n, s_min, level):
     s, t = g.axes()
     exact = np.maximum(level(s[:, None], t[None, :]), 0.0)
     assert np.max(np.abs(sol.field.values - exact)) <= 1e-12
+
+
+def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
+    # strip_neck at resolution 64, the smallest masked-refinement rung; measured 0.551
+    neck = StripNeckExact()
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
+    sol = solve_harmonic_masked(g, neck.level, neck.u)
+    A = _masked_system(g, neck.level, neck.u, 1e-9)[0].tocsc()
+    colamd = splu(A, permc_spec="COLAMD").nnz
+    assert sol.factors.factorizations == 1
+    assert splu(A, permc_spec=LU_ORDER).nnz <= 0.6 * colamd
+    assert sol.factors.fill_nnz <= 0.6 * colamd
 
 
 def test_crossing_fractions_match_neck_closed_form():
