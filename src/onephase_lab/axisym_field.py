@@ -227,6 +227,54 @@ class SolveResult:
     factors: LUCounts
 
 
+def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label):
+    """Damped Newton iteration on the unknown vector ``x``.
+
+    ``residual(x)`` returns the residual vector and ``jacobian(x)`` its
+    Jacobian as a CSC matrix.  Each step solves with the Jacobian's sparse
+    LU and backtracks (halving, Armijo margin 1e-4) until the residual
+    2-norm, the merit, decreases; convergence is judged in the sup norm.
+    Stagnated backtracking, or ``max_iter`` steps without reaching ``tol``,
+    raise ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
+    and the sup-norm trace.  Returns (finish(x), sup norms, merits, factors).
+    """
+    res = residual(x)
+    # damping decreases the smooth 2-norm; convergence is in the sup norm
+    merit = float(np.linalg.norm(res))
+    history = [float(np.max(np.abs(res)))]
+    merits = [merit]
+    factors = LUCounts()
+    while history[-1] > tol:
+        iterations = len(history) - 1
+        if iterations >= max_iter:
+            raise NonconvergenceError(
+                f"{label} did not reach tol={tol:g} in {max_iter} iterations "
+                f"(last sup residual {history[-1]:.3e})",
+                last=finish(x),
+                trace=history,
+            )
+        step = factors.record(splu(jacobian(x), permc_spec=LU_ORDER)).solve(-res)
+        lam = 1.0
+        for _ in range(51):
+            trial = x + lam * step
+            trial_res = residual(trial)
+            trial_merit = float(np.linalg.norm(trial_res))
+            if trial_merit <= (1.0 - 1e-4 * lam) * merit:
+                break
+            lam *= 0.5
+        else:
+            raise NonconvergenceError(
+                f"{label} backtracking stagnated at iteration {iterations + 1} "
+                f"(last sup residual {history[-1]:.3e})",
+                last=finish(x),
+                trace=history,
+            )
+        x, res, merit = trial, trial_res, trial_merit
+        history.append(float(np.max(np.abs(res))))
+        merits.append(merit)
+    return finish(x), history, merits, factors
+
+
 def solve_semilinear(
     beta: ReactionTerm,
     grid: GridSpec,
@@ -262,52 +310,21 @@ def solve_semilinear(
     def residual_vec(vec):
         return L @ vec + bc_part - 0.5 * np.asarray(beta.eval(vec))
 
-    vec = u[mask]
-    res = residual_vec(vec)
-    # damping decreases the smooth 2-norm; convergence is in the sup norm
-    merit = float(np.linalg.norm(res))
-    history = [float(np.max(np.abs(res)))]
-    merits = [merit]
-    factors = LUCounts()
-    iterations = 0
-    while history[-1] > tol:
-        if iterations >= max_iter:
-            u[mask] = vec
-            raise NonconvergenceError(
-                f"Newton did not reach tol={tol:g} in {max_iter} iterations "
-                f"(last sup residual {history[-1]:.3e})",
-                last=AxiField(n=grid.n, s=s, t=t, values=u),
-                trace=history,
-            )
-        J = L - sp.diags(0.5 * np.asarray(beta.deriv(vec)))
-        step = factors.record(splu(J.tocsc(), permc_spec=LU_ORDER)).solve(-res)
-        lam = 1.0
-        for _ in range(51):
-            trial = vec + lam * step
-            trial_res = residual_vec(trial)
-            trial_merit = float(np.linalg.norm(trial_res))
-            if trial_merit <= (1.0 - 1e-4 * lam) * merit:
-                break
-            lam *= 0.5
-        else:
-            u[mask] = vec
-            raise NonconvergenceError(
-                f"Newton backtracking stagnated at iteration {iterations + 1} "
-                f"(last sup residual {history[-1]:.3e})",
-                last=AxiField(n=grid.n, s=s, t=t, values=u),
-                trace=history,
-            )
-        vec, res, merit = trial, trial_res, trial_merit
-        history.append(float(np.max(np.abs(res))))
-        merits.append(merit)
-        iterations += 1
+    def jacobian(vec):
+        return (L - sp.diags(0.5 * np.asarray(beta.deriv(vec)))).tocsc()
 
-    u[mask] = vec
+    def finish(vec):
+        u[mask] = vec
+        return AxiField(n=grid.n, s=s, t=t, values=u)
+
+    field, history, merits, factors = _damped_newton(
+        u[mask], residual_vec, jacobian, finish, tol, max_iter, "Newton"
+    )
     return SolveResult(
-        field=AxiField(n=grid.n, s=s, t=t, values=u),
+        field=field,
         residuals=history,
         merits=merits,
-        iterations=iterations,
+        iterations=len(history) - 1,
         factors=factors,
     )
 
@@ -330,11 +347,15 @@ def solve_semilinear_1d(
     full problem with one-dimensional data, which makes it the right far-field
     model and the reference for s-independence checks.  Stagnated
     backtracking, or ``max_iter`` damped Newton steps without reaching
-    ``tol``, raise ``NonconvergenceError`` carrying the sup-norm residual trace.
+    ``tol``, raise ``NonconvergenceError`` carrying the last iterate and the
+    sup-norm residual trace.
     """
     t = np.linspace(t_min, t_max, nt)
     ht = t[1] - t[0]
-    v = left + (right - left) * (t - t_min) / (t_max - t_min)
+    if init is None:
+        v = left + (right - left) * (t - t_min) / (t_max - t_min)
+    else:
+        v = np.asarray(init(t) if callable(init) else init, dtype=float).copy()
     v[0], v[-1] = left, right
     m = nt - 2
     main = -2.0 / ht**2 * np.ones(m)
@@ -344,41 +365,47 @@ def solve_semilinear_1d(
         lap = (np.concatenate((w[1:], [right])) - 2.0 * w + np.concatenate(([left], w[:-1]))) / ht**2
         return lap - 0.5 * np.asarray(beta.eval(w))
 
-    if init is not None:
-        v = np.asarray(init(t) if callable(init) else init, dtype=float).copy()
-        v[0], v[-1] = left, right
-    w = v[1:-1].copy()
-    res = res_of(w)
-    # damping decreases the smooth 2-norm; convergence is in the sup norm
-    merit = float(np.linalg.norm(res))
-    history = [float(np.max(np.abs(res)))]
-    while history[-1] > tol:
-        if len(history) > max_iter:
-            raise NonconvergenceError(
-                f"1D Newton did not reach tol={tol:g} in {max_iter} iterations "
-                f"(last sup residual {history[-1]:.3e})",
-                trace=history,
-            )
-        J = sp.diags([off, main - 0.5 * np.asarray(beta.deriv(w)), off], offsets=[-1, 0, 1]).tocsc()
-        step = splu(J, permc_spec=LU_ORDER).solve(-res)
-        lam = 1.0
-        for _ in range(51):
-            trial = w + lam * step
-            trial_res = res_of(trial)
-            trial_merit = float(np.linalg.norm(trial_res))
-            if trial_merit <= (1.0 - 1e-4 * lam) * merit:
-                break
-            lam *= 0.5
-        else:
-            raise NonconvergenceError(
-                f"1D Newton backtracking stagnated at iteration {len(history)} "
-                f"(last sup residual {history[-1]:.3e})",
-                trace=history,
-            )
-        w, res, merit = trial, trial_res, trial_merit
-        history.append(float(np.max(np.abs(res))))
-    v[1:-1] = w
-    return v
+    def jacobian(w):
+        return sp.diags([off, main - 0.5 * np.asarray(beta.deriv(w)), off], offsets=[-1, 0, 1]).tocsc()
+
+    def finish(w):
+        v[1:-1] = w
+        return v
+
+    return _damped_newton(v[1:-1].copy(), res_of, jacobian, finish, tol, max_iter, "1D Newton")[0]
+
+
+def _cell_gradient_sq(f: AxiField) -> np.ndarray:
+    """Squared gradient of the bilinear interpolant at the cell centers."""
+    u = f.values
+    du_s = (u[1:, :] - u[:-1, :]) / f.hs
+    du_t = (u[:, 1:] - u[:, :-1]) / f.ht
+    grad_s = 0.5 * (du_s[:, 1:] + du_s[:, :-1])
+    grad_t = 0.5 * (du_t[1:, :] + du_t[:-1, :])
+    return grad_s**2 + grad_t**2
+
+
+def _cell_measure(f: AxiField) -> np.ndarray:
+    """Cylindrical cell measures |S^(n-2)| s_mid^(n-2) hs ht, one row per cell column."""
+    s_mid = 0.5 * (f.s[1:] + f.s[:-1])
+    w = unit_sphere_area(f.n - 2) * s_mid ** (f.n - 2)
+    return f.hs * f.ht * w[:, None]
+
+
+def _centered_gradient(f: AxiField) -> tuple[np.ndarray, np.ndarray]:
+    """Centered differences (u_s, u_t) at the nodes.
+
+    Entries whose stencil does not fit are NaN, except that u_s is 0 on the
+    axis column (the field is even in s).
+    """
+    u = f.values
+    gs = np.full_like(u, np.nan)
+    gt = np.full_like(u, np.nan)
+    gs[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * f.hs)
+    gt[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * f.ht)
+    if f.has_axis:
+        gs[0, :] = 0.0
+    return gs, gt
 
 
 @dataclass(frozen=True)
@@ -417,21 +444,11 @@ def energy(
         raise InvalidParameterError("epsilon is required with a reaction term")
 
     u = f.values
-    hs, ht = f.hs, f.ht
-    du_s = (u[1:, :] - u[:-1, :]) / hs
-    du_t = (u[:, 1:] - u[:, :-1]) / ht
-    grad_s = 0.5 * (du_s[:, 1:] + du_s[:, :-1])
-    grad_t = 0.5 * (du_t[1:, :] + du_t[:-1, :])
+    gradsq = _cell_gradient_sq(f)
+    cell = _cell_measure(f) if weighted else np.full((len(f.s) - 1, 1), f.hs * f.ht)
     center = 0.25 * (u[1:, 1:] + u[:-1, 1:] + u[1:, :-1] + u[:-1, :-1])
 
-    if weighted:
-        s_mid = 0.5 * (f.s[1:] + f.s[:-1])
-        w = unit_sphere_area(f.n - 2) * s_mid ** (f.n - 2)
-    else:
-        w = np.ones(len(f.s) - 1)
-    cell = hs * ht * w[:, None]
-
-    dirichlet = float(np.sum(np.sum((grad_s**2 + grad_t**2) * cell, axis=1)))
+    dirichlet = float(np.sum(np.sum(gradsq * cell, axis=1)))
     if one_phase:
         pot_density = (center > threshold).astype(float)
     else:
@@ -485,11 +502,7 @@ def blow_down(
 
 def lipschitz_monitor(f: AxiField) -> float:
     """Sup over interior nodes of the centered-difference gradient magnitude."""
-    u = f.values
-    gs = np.zeros_like(u)
-    gt = np.zeros_like(u)
-    gs[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * f.hs)
-    gt[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * f.ht)
+    gs, gt = _centered_gradient(f)
     if f.has_axis:
         mag = np.hypot(gs[:-1, 1:-1], gt[:-1, 1:-1])  # axis column included, u_s = 0 there
     else:

@@ -10,7 +10,6 @@ in the ``meta`` block, outside the reproducible results.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -49,7 +48,6 @@ from .stability import (
     admissible_alpha,
     epsilon_schedule,
     linearized_rayleigh_min,
-    log_cutoff_2d,
     probe_inequality,
     us_derivative,
 )

@@ -92,13 +92,6 @@ def gl5_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def geometric_edges(a: float, b: float, n: int) -> np.ndarray:
-    """Panel edges from a to b with geometrically growing widths."""
-    if a <= 0:
-        raise ValueError("geometric_edges needs a > 0")
-    return np.geomspace(a, b, n + 1)
-
-
 def gl5_points_rows(edges_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise panel Gauss-Legendre: edges (m, k) -> nodes/weights (m, 5(k-1))."""
     lo = edges_rows[:, :-1]

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
-from .axisym_field import AxiField, GridSpec
+from .axisym_field import AxiField, GridSpec, _cell_gradient_sq, _cell_measure, _centered_gradient
 from .errors import (
     CurvatureSingularityError,
     GeometryMismatchError,
@@ -32,7 +32,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .numerics import LU_ORDER, LUCounts, csv_lines, unit_sphere_area
-from .stability import us_derivative
+from .stability import _require_vanishing_border, us_derivative
 
 _AXIS_TOL = 1e-9
 
@@ -274,12 +274,7 @@ def normal_derivative_identity(
 
     # |grad u| = 1 on the interface, gauged with three inward samples so the
     # check's own extrapolation error stays below the curvature-driven signal
-    gs = np.full_like(u.values, np.nan)
-    gt = np.full_like(u.values, np.nan)
-    gs[1:-1, :] = (u.values[2:, :] - u.values[:-2, :]) / (2.0 * u.hs)
-    gt[:, 1:-1] = (u.values[:, 2:] - u.values[:, :-2]) / (2.0 * u.ht)
-    if u.has_axis:
-        gs[0, :] = 0.0
+    gs, gt = _centered_gradient(u)
     gs_i = _interp(u.with_values(np.nan_to_num(gs)))
     gt_i = _interp(u.with_values(np.nan_to_num(gt)))
     d3 = d2 + 1.5 * h
@@ -339,14 +334,7 @@ def onephase_stability_form(
     """
     if not u.same_grid(xi):
         raise InvalidParameterError("field and test function live on different grids")
-    border = max(
-        float(np.max(np.abs(xi.values[0, :]))) if not xi.has_axis else 0.0,
-        float(np.max(np.abs(xi.values[-1, :]))),
-        float(np.max(np.abs(xi.values[:, 0]))),
-        float(np.max(np.abs(xi.values[:, -1]))),
-    )
-    if border > 1e-12 * (1.0 + float(np.max(np.abs(xi.values)))):
-        raise InvalidParameterError("test function must vanish on the outer boundary")
+    _require_vanishing_border(xi, 1e-12)
     _check_harmonic(u)
 
     pts = np.stack((boundary.s, boundary.t), axis=1)
@@ -358,7 +346,6 @@ def onephase_stability_form(
     # interface trace of xi by inward extrapolation: nodal values in the
     # two-cell band around the interface see the gradient jump of u, so the
     # trace is rebuilt from samples taken inside the clean zone
-    h = max(u.hs, u.ht)
     d1, d2 = 2.5 * h, 4.0 * h
     m_in = -boundary.normals
     xi_i = _interp(xi)
@@ -371,20 +358,11 @@ def onephase_stability_form(
     # nodal values of xi built from centered stencils are contaminated in a
     # two-cell band around the interface (the gradient of u jumps across it),
     # so the band is dropped; its continuum contribution is O(h).
-    v = xi.values
-    hs, ht = xi.hs, xi.ht
-    du_s = (v[1:, :] - v[:-1, :]) / hs
-    du_t = (v[:, 1:] - v[:, :-1]) / ht
-    grad_s = 0.5 * (du_s[:, 1:] + du_s[:, :-1])
-    grad_t = 0.5 * (du_t[1:, :] + du_t[:-1, :])
     core = _positive_interior_mask(u.values, depth=2)
     if u.has_axis:
         core[0, 1:-1] = core[1, 1:-1]
     cell_ok = core[1:, 1:] & core[:-1, 1:] & core[1:, :-1] & core[:-1, :-1]
-    s_mid = 0.5 * (xi.s[1:] + xi.s[:-1])
-    w = unit_sphere_area(xi.n - 2) * s_mid ** (xi.n - 2)
-    cell = hs * ht * w[:, None]
-    rhs = float(np.sum((grad_s**2 + grad_t**2) * cell_ok * cell))
+    rhs = float(np.sum(_cell_gradient_sq(xi) * cell_ok * _cell_measure(xi)))
     return OnePhaseFormReport(lhs=lhs, rhs=rhs)
 
 
@@ -395,13 +373,8 @@ def gradient_magnitude_identity(u: AxiField) -> AxiField:
     do not fit are NaN.  The defect decays at second order for smooth fields.
     """
     v = u.values
-    hs, ht = u.hs, u.ht
-    gs = np.full_like(v, np.nan)
-    gt = np.full_like(v, np.nan)
-    gs[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2.0 * hs)
-    gt[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * ht)
-    if u.has_axis:
-        gs[0, :] = 0.0
+    hs = u.hs
+    gs, gt = _centered_gradient(u)
 
     g2 = gs * gs + gt * gt
     lhs = np.full_like(v, np.nan)

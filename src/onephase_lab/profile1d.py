@@ -22,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     NonIntegrableTailError,
 )
-from .numerics import gl5_points
+from .numerics import gl5_points, nonuniform_second_derivative
 from .reaction_terms import ReactionTerm
 
 CASE_CONSTANT = "constant"
@@ -367,10 +367,7 @@ def first_integral_spread(profile: Profile1D, beta: ReactionTerm) -> float:
 
 def convexity_defect(profile: Profile1D) -> float:
     """Most negative divided second difference (0 for a convex profile)."""
-    xs, us = profile.xs, profile.us
-    hm = xs[1:-1] - xs[:-2]
-    hp = xs[2:] - xs[1:-1]
-    d2 = 2.0 * (us[:-2] / (hm * (hm + hp)) - us[1:-1] / (hm * hp) + us[2:] / (hp * (hm + hp)))
+    d2 = nonuniform_second_derivative(profile.xs, profile.us)[1:-1]
     return float(max(0.0, -np.min(d2)))
 
 

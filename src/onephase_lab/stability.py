@@ -43,7 +43,6 @@ class StabilityProbe:
     R: float
     eps_inner: float
     eps0: float = 0.1
-    cutoff_profile: str = "quintic"
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -52,8 +51,6 @@ class StabilityProbe:
             raise InvalidParameterError("need eps_inner < 1 < R")
         if self.eps_inner <= 0.0 or self.eps0 <= 0.0:
             raise InvalidParameterError("eps_inner and eps0 must be positive")
-        if self.cutoff_profile != "quintic":
-            raise InvalidParameterError("only the quintic outer cutoff is implemented")
 
 
 @dataclass
@@ -104,9 +101,17 @@ def node_weights(f: AxiField) -> np.ndarray:
     cells.  The sphere-area constant cancels in every Rayleigh quotient but
     makes the reported form values genuine integrals over the ambient space.
     """
-    s = f.s
-    hs, ht = f.hs, f.ht
-    m = f.n - 2
+    cs, ct = _column_weights(f)
+    return unit_sphere_area(f.n - 2) * cs[:, None] * ct[None, :]
+
+
+def _column_weights(f: AxiField) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column s^(n-2) hs and per-row ht node weights, without the sphere area.
+
+    Outer columns and the first/last rows take half cells; the axis column
+    takes the exact half-cell integral of s^(n-2).
+    """
+    s, hs, ht, m = f.s, f.hs, f.ht, f.n - 2
     cs = s**m * hs
     cs[-1] = s[-1] ** m * hs / 2.0
     if f.has_axis:
@@ -116,28 +121,34 @@ def node_weights(f: AxiField) -> np.ndarray:
     ct = np.full(len(f.t), ht)
     ct[0] = ht / 2.0
     ct[-1] = ht / 2.0
-    return unit_sphere_area(m) * cs[:, None] * ct[None, :]
+    return cs, ct
 
 
 def _edge_weights(f: AxiField):
     """Weights of s-edges and t-edges for the gradient part of the form."""
-    s = f.s
-    hs, ht = f.hs, f.ht
     m = f.n - 2
     area = unit_sphere_area(m)
-    s_mid = 0.5 * (s[1:] + s[:-1])
-    ct = np.full(len(f.t), ht)
-    ct[0] = ht / 2.0
-    ct[-1] = ht / 2.0
-    w_s = area * (s_mid**m * hs)[:, None] * ct[None, :]
-    cs = s**m * hs
-    cs[-1] = s[-1] ** m * hs / 2.0
-    if f.has_axis:
-        cs[0] = (hs / 2.0) ** (m + 1) / (m + 1)
-    else:
-        cs[0] = s[0] ** m * hs / 2.0
-    w_t = area * cs[:, None] * np.full(len(f.t) - 1, ht)[None, :]
+    cs, ct = _column_weights(f)
+    s_mid = 0.5 * (f.s[1:] + f.s[:-1])
+    w_s = area * (s_mid**m * f.hs)[:, None] * ct[None, :]
+    w_t = area * cs[:, None] * np.full(len(f.t) - 1, f.ht)[None, :]
     return w_s, w_t
+
+
+def _require_vanishing_border(xi: AxiField, rel_tol: float) -> None:
+    """Reject a test function that exceeds rel_tol (1 + max|xi|) on the outer boundary.
+
+    The outer boundary is every grid edge except the symmetry axis.
+    """
+    v = np.abs(xi.values)
+    border = max(
+        float(np.max(v[-1, :])),
+        float(np.max(v[:, 0])),
+        float(np.max(v[:, -1])),
+        0.0 if xi.has_axis else float(np.max(v[0, :])),
+    )
+    if border > rel_tol * (1.0 + float(np.max(v))):
+        raise InvalidParameterError("test function must vanish on the outer boundary")
 
 
 def quadratic_form(u: AxiField, xi: AxiField, beta: ReactionTerm) -> float:
@@ -149,14 +160,7 @@ def quadratic_form(u: AxiField, xi: AxiField, beta: ReactionTerm) -> float:
     """
     if not u.same_grid(xi):
         raise InvalidParameterError("field and test function live on different grids")
-    border = max(
-        float(np.max(np.abs(xi.values[-1, :]))),
-        float(np.max(np.abs(xi.values[:, 0]))),
-        float(np.max(np.abs(xi.values[:, -1]))),
-        0.0 if xi.has_axis else float(np.max(np.abs(xi.values[0, :]))),
-    )
-    if border > 1e-13 * (1.0 + float(np.max(np.abs(xi.values)))):
-        raise InvalidParameterError("test function must vanish on the outer boundary")
+    _require_vanishing_border(xi, 1e-13)
     return _raw_form(u, xi, beta)
 
 
@@ -393,69 +397,6 @@ def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> 
     )
 
 
-def polish_direction(
-    u: AxiField,
-    beta: ReactionTerm,
-    xi: AxiField,
-    steps: int = 50,
-    axis_dirichlet: bool = False,
-) -> SpectralReport:
-    """Deterministically lower the Rayleigh quotient starting from ``xi``.
-
-    Each step minimizes the quotient exactly over span{x, residual} (a 2x2
-    generalized eigenproblem), so the quotient is nonincreasing; finite grids
-    may need this to expose a negative direction that a raw test function
-    only reaches asymptotically.  The test function must vanish on the outer
-    boundary; nothing here assumes it is an eigenvector.
-    """
-    A, w, mask = assemble_operator(u, beta, axis_dirichlet=axis_dirichlet)
-    x = xi.values[mask].astype(float)
-    if not np.any(x):
-        raise InvalidParameterError("cannot polish the zero direction")
-
-    def pair(a, b):
-        return float(a @ (A @ b)), float(a @ (w * b))
-
-    qa, qm = pair(x, x)
-    lam = qa / qm
-    for _ in range(steps):
-        r = A @ x - lam * (w * x)
-        rn = np.linalg.norm(r)
-        if rn == 0.0:
-            break
-        r /= rn
-        # 2x2 generalized eigenproblem in span{x, r}
-        axx, mxx = pair(x, x)
-        axr, mxr = pair(x, r)
-        arr, mrr = pair(r, r)
-        Am = np.array([[axx, axr], [axr, arr]])
-        Mm = np.array([[mxx, mxr], [mxr, mrr]])
-        from scipy.linalg import eigh
-
-        vals, vecs = eigh(Am, Mm)
-        coef = vecs[:, 0]
-        x = coef[0] * x + coef[1] * r
-        x /= math.sqrt(max(pair(x, x)[1], 1e-300))
-        lam_new = vals[0]
-        if lam - lam_new <= 1e-14 * (1.0 + abs(lam)):
-            lam = lam_new
-            break
-        lam = lam_new
-
-    vals_field = np.zeros_like(u.values)
-    vals_field[mask] = x
-    out = u.with_values(vals_field)
-    verdict = VERDICT_UNSTABLE if lam < 0.0 else VERDICT_STABLE
-    return SpectralReport(
-        verdict=verdict,
-        rayleigh_min=lam,
-        form_lhs=_raw_form(u, out, beta),
-        form_rhs=lam * weighted_norm_sq(out),
-        iterations=steps,
-        eigenvector=out,
-    )
-
-
 def admissible_alpha(n: int) -> tuple[float, float] | None:
     """The open exponent window (max((n-2)/2, .), sqrt(n-2)), empty outside 2 < n < 6.
 
@@ -493,11 +434,9 @@ def log_cutoff_2d(R: float, grid) -> LogCutoff:
     """
     if R <= 1.0:
         raise InvalidParameterError("R must exceed 1")
-    from .axisym_field import AxiField as _AF
-
     s, t = grid.axes()
     r = np.hypot(s[:, None], t[None, :])
     logR = math.log(R)
     vals = np.where(r < 1.0, 1.0, np.where(r < R, (logR - np.log(np.maximum(r, 1.0))) / logR, 0.0))
-    f = _AF(n=grid.n, s=s, t=t, values=vals)
+    f = AxiField(n=grid.n, s=s, t=t, values=vals)
     return LogCutoff(field=f, grad_energy=2.0 * math.pi / logR)

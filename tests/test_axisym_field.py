@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -178,6 +179,45 @@ def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
     v = left + (right - left) * (t + 3.0) / 6.0
     lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (t[1] - t[0]) ** 2
     assert trace[0] == pytest.approx(np.max(np.abs(lap - 0.5 * beta.eval(v[1:-1]))), rel=1e-12)
+
+
+def _constant_deriv(beta, value):
+    """``beta`` with its derivative replaced: a wrong Jacobian that stalls the line search."""
+    return dataclasses.replace(beta, deriv=lambda v: np.full_like(np.asarray(v, dtype=float), value))
+
+
+def _stagnation(message):
+    match = re.search(r"backtracking stagnated at iteration (\d+) \(last sup residual ([0-9.e+-]+)\)", message)
+    assert match, message
+    return int(match.group(1)), float(match.group(2))
+
+
+def test_solver_backtracking_stagnation_carries_last_iterate(beta):
+    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear(_constant_deriv(beta, -1e3), g, lambda s, t: np.maximum(0.0, t) + 0.0 * s)
+    assert str(err.value).startswith("Newton backtracking")
+    trace = err.value.trace
+    assert _stagnation(str(err.value)) == (2, float(f"{trace[-1]:.3e}"))
+    assert len(trace) == 2  # one accepted step before the stall
+    last = err.value.last
+    assert last.values.shape == (17, 17)
+    # the carried iterate is the one whose residual closes the trace
+    assert residual_semilinear(last, beta) == pytest.approx(trace[-1], rel=1e-9)
+
+
+def test_1d_backtracking_stagnation_carries_trace(beta, layer_profile):
+    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear_1d(_constant_deriv(beta, -20.0), -3.0, 3.0, 65, left, right)
+    assert str(err.value).startswith("1D Newton backtracking")
+    trace = err.value.trace
+    assert _stagnation(str(err.value)) == (1, float(f"{trace[-1]:.3e}"))
+    assert len(trace) == 1  # the stall is at the first step
+    v = err.value.last
+    assert (v[0], v[-1]) == (left, right)
+    lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (6.0 / 64) ** 2
+    assert np.max(np.abs(lap - 0.5 * beta.eval(v[1:-1]))) == pytest.approx(trace[-1], rel=1e-12)
 
 
 def test_newton_factors_hold_at_most_0_6_of_colamd_fill(beta):

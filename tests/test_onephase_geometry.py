@@ -11,6 +11,7 @@ from onephase_lab.axisym_field import AxiField, GridSpec
 from onephase_lab.errors import (
     CurvatureSingularityError,
     GeometryMismatchError,
+    InvalidParameterError,
     NonconvergenceError,
     PreconditionViolationError,
 )
@@ -34,7 +35,7 @@ from onephase_lab.reference import (
     catenoid_generator,
     catenoid_mean_curvature,
 )
-from onephase_lab.stability import StabilityProbe, probe_inequality, us_derivative
+from onephase_lab.stability import StabilityProbe, probe_inequality, quadratic_form, us_derivative
 
 # ---------------------------------------------------------------- curvature
 
@@ -458,6 +459,38 @@ def test_interface_form_trivial_cases():
     assert rep2.lhs == 0.0  # flat interface
     assert rep2.rhs > 0.0
     assert rep2.verdict == "stable-on-grid"
+
+
+@pytest.mark.parametrize("form, rel", [("quadratic_form", 1e-13), ("onephase_stability_form", 1e-12)])
+@pytest.mark.parametrize("edge", ["outer", "bottom", "top"])
+@pytest.mark.parametrize("factor, rejected", [(1.1, True), (0.9, False)])
+def test_test_function_must_vanish_on_the_outer_boundary(beta, form, rel, edge, factor, rejected):
+    f, boundary = _ramp_field()
+    s, t = f.s, f.t
+    bump = np.sin(math.pi * s / 2.0)[:, None] ** 2 * np.sin(math.pi * (t + 1.0) / 2.0)[None, :] ** 2
+    # each form's threshold is rel * (1 + max|xi|); the bump peaks at 1
+    value = factor * rel * (1.0 + np.max(np.abs(bump)))
+    where = {"outer": (-1, slice(1, -1)), "bottom": (slice(1, -1), 0), "top": (slice(1, -1), -1)}[edge]
+    bump[where] = value
+    xi = f.with_values(bump)
+    evaluate = {
+        "quadratic_form": lambda: quadratic_form(f, xi, beta),
+        "onephase_stability_form": lambda: onephase_stability_form(boundary, f, xi),
+    }[form]
+    if rejected:
+        with pytest.raises(InvalidParameterError, match="vanish on the outer boundary"):
+            evaluate()
+    else:
+        evaluate()
+
+
+def test_test_function_may_be_nonzero_on_the_axis(beta):
+    f, boundary = _ramp_field()
+    s, t = f.s, f.t
+    xi = f.with_values((1.0 - (s / 2.0) ** 2)[:, None] * np.sin(math.pi * (t + 1.0) / 2.0)[None, :] ** 2)
+    assert f.has_axis and np.max(xi.values[0]) == 1.0
+    quadratic_form(f, xi, beta)
+    onephase_stability_form(boundary, f, xi)
 
 
 def _sphere_dual_path(n, r0, alpha, R, eps_inner, n_r_panels=120, n_th=28):
