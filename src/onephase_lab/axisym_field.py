@@ -427,14 +427,13 @@ def energy(
     epsilon: float | None = None,
     one_phase: bool = False,
     weighted: bool = True,
-    threshold: float = 0.0,
 ) -> EnergyBreakdown:
     """Midpoint-rule energy: gradient square plus layer potential or indicator.
 
     The quadrature is cell-based (gradient and field value taken at cell
     centers from the bilinear interpolant), which integrates piecewise-affine
     fields exactly.  With ``one_phase`` the potential is the measure of
-    {u > threshold}; otherwise it is the rescaled primitive at width
+    {u > 0}; otherwise it is the rescaled primitive at width
     ``epsilon`` (required).  With ``weighted`` the cylindrical measure
     s^(n-2) times the unit-sphere area is applied.
     """
@@ -450,7 +449,7 @@ def energy(
 
     dirichlet = float(np.sum(np.sum(gradsq * cell, axis=1)))
     if one_phase:
-        pot_density = (center > threshold).astype(float)
+        pot_density = (center > 0.0).astype(float)
     else:
         pot_density = np.asarray(rescale(beta, epsilon).primitive(center))
     potential = float(np.sum(np.sum(pot_density * cell, axis=1)))

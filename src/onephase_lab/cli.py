@@ -2,43 +2,42 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
+from dataclasses import replace
 
 import click
 
-from .config import ExperimentConfig, parse_config
+from .config import BOUNDARY_MODELS, ONEPHASE_PRESETS, ExperimentConfig, _parse_floats, _parse_ints, parse_config
 from .errors import LabError
 from .experiments import run
 
 
-def _load_config(config_path, experiment, out_dir, **overrides) -> ExperimentConfig:
-    base = ExperimentConfig(experiment=experiment)
-    if config_path is not None:
-        cfg = parse_config(config_path, base=base)
-        cfg = dataclasses.replace(cfg, experiment=experiment)
-    else:
-        cfg = base
-    fields = {}
-    if out_dir is not None:
-        fields["out_dir"] = out_dir
-    for key, value in overrides.items():
-        if value is not None:
-            fields[key] = value
-    if fields:
-        cfg = dataclasses.replace(cfg, **fields)
-    cfg.validate()
-    return cfg
-
-
-def _execute(cfg: ExperimentConfig) -> None:
+def _execute(config_path, experiment, out_dir, **flags) -> None:
+    """Load the config, apply the flags that were given, run, and report; lab errors exit cleanly."""
     try:
+        cfg = ExperimentConfig(experiment=experiment)
+        if config_path is not None:
+            cfg = replace(parse_config(config_path, base=cfg), experiment=experiment)
+        flags["out_dir"] = out_dir
+        cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
         report = run(cfg)
     except LabError as exc:
         raise click.ClickException(str(exc)) from exc
-    click.echo(f"{cfg.experiment}: wrote {cfg.out_dir}/report.json")
+    click.echo(f"{experiment}: wrote {cfg.out_dir}/report.json")
     click.echo(json.dumps(report.results, indent=2, default=str))
+
+
+def _list_of(parse):
+    """Click callback that parses a comma-separated flag with the config file's parser."""
+
+    def callback(ctx, param, value):
+        try:
+            return None if value is None else parse(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from exc
+
+    return callback
 
 
 def common_options(fn):
@@ -58,65 +57,62 @@ def main():
 @click.option("--a", "a", type=float, default=None, help="Anchor slope of the ramp")
 def profile(config_path, out_dir, a):
     """Shoot and classify a 1D transition profile."""
-    _execute(_load_config(config_path, "profile", out_dir, a=a))
+    _execute(config_path, "profile", out_dir, a=a)
 
 
 @main.command()
 @common_options
 @click.option("--n", "n", type=int, default=None, help="Ambient dimension")
-@click.option("--boundary", "boundary_model", type=click.Choice(["profile", "affine", "catenoid"]), default=None)
+@click.option("--boundary", "boundary_model", type=click.Choice(BOUNDARY_MODELS), default=None)
 @click.option("--domain-study/--no-domain-study", "domain_study", default=None, help="Re-solve on a smaller domain and report the difference")
 def solve(config_path, out_dir, n, boundary_model, domain_study):
     """Solve the axisymmetric semilinear equation on a truncated grid."""
+    _execute(config_path, "solve", out_dir, n=n, boundary_model=boundary_model, domain_study=domain_study)
+
+
+@main.command()
+@common_options
+@click.option("--n", "n", type=int, default=None, help="Ambient dimension")
+@click.option("--boundary", "boundary_model", type=click.Choice(BOUNDARY_MODELS), default=None)
+@click.option("--alpha", type=float, default=None, help="Decay exponent of the radial probe")
+def stability(config_path, out_dir, n, boundary_model, alpha):
+    """Smallest Rayleigh quotient and radial-probe inequality checks."""
+    _execute(config_path, "stability", out_dir, n=n, boundary_model=boundary_model, alpha=alpha)
+
+
+@main.command()
+@common_options
+@click.option("--preset", "onephase_preset", type=click.Choice(ONEPHASE_PRESETS), default=None)
+@click.option("--n", "n", type=int, default=None, help="Ambient dimension (sphere preset)")
+@click.option("--resolution", "onephase_resolution", type=int, default=None, help="Grid nodes per unit length")
+def onephase(config_path, out_dir, onephase_preset, n, onephase_resolution):
+    """Masked harmonic solve plus interface curvature identities."""
     _execute(
-        _load_config(config_path, "solve", out_dir, n=n, boundary_model=boundary_model, domain_study=domain_study)
+        config_path, "onephase", out_dir, onephase_preset=onephase_preset, n=n, onephase_resolution=onephase_resolution
     )
 
 
 @main.command()
 @common_options
-@click.option("--n", "n", type=int, default=None, help="Ambient dimension")
-@click.option("--boundary", "boundary_model", type=click.Choice(["profile", "affine", "catenoid"]), default=None)
-@click.option("--alpha", type=float, default=None, help="Decay exponent of the radial probe")
-def stability(config_path, out_dir, n, boundary_model, alpha):
-    """Smallest Rayleigh quotient and radial-probe inequality checks."""
-    _execute(_load_config(config_path, "stability", out_dir, n=n, boundary_model=boundary_model, alpha=alpha))
-
-
-@main.command()
-@common_options
-@click.option("--preset", "onephase_preset", type=click.Choice(["strip_neck", "sphere"]), default=None)
-@click.option("--n", "n", type=int, default=None, help="Ambient dimension (sphere preset)")
-@click.option("--resolution", "onephase_resolution", type=int, default=None, help="Grid nodes per unit length")
-def onephase(config_path, out_dir, onephase_preset, n, onephase_resolution):
-    """Masked harmonic solve plus interface curvature identities."""
-    overrides = dict(onephase_preset=onephase_preset, n=n, onephase_resolution=onephase_resolution)
-    _execute(_load_config(config_path, "onephase", out_dir, **overrides))
-
-
-@main.command()
-@common_options
-@click.option("--epsilons", type=str, default=None, help="Comma-separated rescaling widths")
+@click.option("--epsilons", callback=_list_of(_parse_floats), help="Comma-separated rescaling widths")
 def blowdown(config_path, out_dir, epsilons):
     """Layer-energy versus sharp-energy gap along a shrinking width family."""
-    eps = None if epsilons is None else tuple(float(x) for x in epsilons.split(",") if x.strip())
-    _execute(_load_config(config_path, "blowdown", out_dir, epsilons=eps))
+    _execute(config_path, "blowdown", out_dir, epsilons=epsilons)
 
 
 @main.command()
 @common_options
-@click.option("--dims", type=str, default=None, help="Comma-separated ambient dimensions")
+@click.option("--dims", callback=_list_of(_parse_ints), help="Comma-separated ambient dimensions")
 def window(config_path, out_dir, dims):
     """Admissible decay-exponent windows per dimension."""
-    d = None if dims is None else tuple(int(x) for x in dims.split(",") if x.strip())
-    _execute(_load_config(config_path, "window", out_dir, dims=d))
+    _execute(config_path, "window", out_dir, dims=dims)
 
 
 @main.command()
 @common_options
 def figure1(config_path, out_dir):
     """Emit the three-panel profile gallery (ramp slope above, at, below 1)."""
-    _execute(_load_config(config_path, "figure1", out_dir))
+    _execute(config_path, "figure1", out_dir)
 
 
 if __name__ == "__main__":

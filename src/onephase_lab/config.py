@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError
 
 EXPERIMENTS = ("profile", "solve", "stability", "onephase", "blowdown", "window", "figure1")
+BOUNDARY_MODELS = ("profile", "affine", "catenoid")
+ONEPHASE_PRESETS = ("strip_neck", "sphere")
 ENV_TOL_PREFIX = "ONEPHASE_LAB_TOL_"
 
 _DEFAULT_TOLERANCES = {
@@ -78,60 +80,22 @@ class ExperimentConfig:
             path = self.reaction[len("table:"):]
             if not os.path.exists(path):
                 raise ConfigError(f"reaction table file {path!r} does not exist")
-        if self.onephase_preset not in ("strip_neck", "sphere"):
+        if self.onephase_preset not in ONEPHASE_PRESETS:
             raise ConfigError(f"unknown one-phase preset {self.onephase_preset!r}")
-        if self.boundary_model not in ("profile", "affine", "catenoid"):
+        if self.boundary_model not in BOUNDARY_MODELS:
             raise ConfigError(f"unknown boundary model {self.boundary_model!r}")
 
     def canonical_text(self) -> str:
         """Normalized key=value rendering used for hashing and the report echo."""
-        lines = ["[experiment]"]
-        lines.append(f"name = {self.experiment}")
-        lines.append(f"out_dir = {self.out_dir}")
-        lines.append("")
-        lines.append("[reaction]")
-        lines.append(f"kind = {self.reaction}")
-        lines.append("")
-        lines.append("[profile]")
-        lines.append(f"a = {self.a!r}")
-        lines.append(f"halfwidth = {self.halfwidth!r}")
-        lines.append(f"step = {self.step!r}")
-        lines.append("")
-        lines.append("[grid]")
-        for key in ("n", "ns", "nt"):
-            lines.append(f"{key} = {getattr(self, key)}")
-        for key in ("s_min", "s_max", "t_min", "t_max"):
-            lines.append(f"{key} = {getattr(self, key)!r}")
-        lines.append("")
-        lines.append("[boundary]")
-        lines.append(f"model = {self.boundary_model}")
-        lines.append(f"slope = {self.boundary_slope!r}")
-        lines.append(f"offset = {self.boundary_offset!r}")
-        lines.append("")
-        lines.append("[probe]")
-        lines.append(f"alpha = {self.alpha!r}")
-        lines.append(f"R = {self.R!r}")
-        lines.append(f"eps_inner = {self.eps_inner!r}")
-        lines.append(f"eps0 = {self.eps0!r}")
-        lines.append("")
-        lines.append("[blowdown]")
-        lines.append("epsilons = " + ",".join(repr(e) for e in self.epsilons))
-        lines.append("")
-        lines.append("[window]")
-        lines.append("dims = " + ",".join(str(d) for d in self.dims))
-        lines.append("")
-        lines.append("[onephase]")
-        lines.append(f"preset = {self.onephase_preset}")
-        lines.append(f"resolution = {self.onephase_resolution}")
-        lines.append(f"r0 = {self.r0!r}")
-        lines.append("")
-        lines.append("[solve]")
-        lines.append(f"domain_study = {str(self.domain_study).lower()}")
-        lines.append("")
-        lines.append("[tolerances]")
-        for key in sorted(self.tolerances):
-            lines.append(f"{key} = {self.tolerances[key]!r}")
-        return "\n".join(lines) + "\n"
+        lines, section = [], None
+        for sec, key, name, _parse in _KEYS:
+            if sec != section:
+                lines += ["", f"[{sec}]"]
+                section = sec
+            lines.append(f"{key} = {_render(getattr(self, name))}")
+        lines += ["", "[tolerances]"]
+        lines += [f"{key} = {_render(self.tolerances[key])}" for key in sorted(self.tolerances)]
+        return "\n".join(lines[1:]) + "\n"
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
@@ -164,6 +128,48 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split(",") if x.strip())
 
 
+# (section, key, field, parser) of every config key, in canonical order
+_KEYS = (
+    ("experiment", "name", "experiment", str),
+    ("experiment", "out_dir", "out_dir", str),
+    ("reaction", "kind", "reaction", str),
+    ("profile", "a", "a", float),
+    ("profile", "halfwidth", "halfwidth", float),
+    ("profile", "step", "step", float),
+    ("grid", "n", "n", int),
+    ("grid", "ns", "ns", int),
+    ("grid", "nt", "nt", int),
+    ("grid", "s_min", "s_min", float),
+    ("grid", "s_max", "s_max", float),
+    ("grid", "t_min", "t_min", float),
+    ("grid", "t_max", "t_max", float),
+    ("boundary", "model", "boundary_model", str),
+    ("boundary", "slope", "boundary_slope", float),
+    ("boundary", "offset", "boundary_offset", float),
+    ("probe", "alpha", "alpha", float),
+    ("probe", "R", "R", float),
+    ("probe", "eps_inner", "eps_inner", float),
+    ("probe", "eps0", "eps0", float),
+    ("blowdown", "epsilons", "epsilons", _parse_floats),
+    ("window", "dims", "dims", _parse_ints),
+    ("onephase", "preset", "onephase_preset", str),
+    ("onephase", "resolution", "onephase_resolution", int),
+    ("onephase", "r0", "r0", float),
+    ("solve", "domain_study", "domain_study", _parse_bool),
+)
+
+
+def _render(value) -> str:
+    """One config value as canonical text: floats by repr, bools lower case, tuples comma-joined."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(_render(v) for v in value)
+    return str(value)
+
+
 def apply_env_overrides(tolerances: dict, environ=None) -> dict:
     env = os.environ if environ is None else environ
     out = dict(tolerances)
@@ -184,7 +190,7 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     semantic errors name the section and key.
     """
     cfg = base if base is not None else ExperimentConfig()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh, source=str(path))
@@ -194,33 +200,7 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
         raise ConfigError(f"config parse error: {exc}") from exc
 
     cfg = replace(
-        cfg,
-        experiment=_get(parser, "experiment", "name", str, cfg.experiment),
-        out_dir=_get(parser, "experiment", "out_dir", str, cfg.out_dir),
-        reaction=_get(parser, "reaction", "kind", str, cfg.reaction),
-        a=_get(parser, "profile", "a", float, cfg.a),
-        halfwidth=_get(parser, "profile", "halfwidth", float, cfg.halfwidth),
-        step=_get(parser, "profile", "step", float, cfg.step),
-        n=_get(parser, "grid", "n", int, cfg.n),
-        s_min=_get(parser, "grid", "s_min", float, cfg.s_min),
-        s_max=_get(parser, "grid", "s_max", float, cfg.s_max),
-        t_min=_get(parser, "grid", "t_min", float, cfg.t_min),
-        t_max=_get(parser, "grid", "t_max", float, cfg.t_max),
-        ns=_get(parser, "grid", "ns", int, cfg.ns),
-        nt=_get(parser, "grid", "nt", int, cfg.nt),
-        boundary_model=_get(parser, "boundary", "model", str, cfg.boundary_model),
-        boundary_slope=_get(parser, "boundary", "slope", float, cfg.boundary_slope),
-        boundary_offset=_get(parser, "boundary", "offset", float, cfg.boundary_offset),
-        alpha=_get(parser, "probe", "alpha", float, cfg.alpha),
-        R=_get(parser, "probe", "R", float, cfg.R),
-        eps_inner=_get(parser, "probe", "eps_inner", float, cfg.eps_inner),
-        eps0=_get(parser, "probe", "eps0", float, cfg.eps0),
-        epsilons=_get(parser, "blowdown", "epsilons", _parse_floats, cfg.epsilons),
-        dims=_get(parser, "window", "dims", _parse_ints, cfg.dims),
-        onephase_preset=_get(parser, "onephase", "preset", str, cfg.onephase_preset),
-        onephase_resolution=_get(parser, "onephase", "resolution", int, cfg.onephase_resolution),
-        r0=_get(parser, "onephase", "r0", float, cfg.r0),
-        domain_study=_get(parser, "solve", "domain_study", _parse_bool, cfg.domain_study),
+        cfg, **{name: _get(parser, sec, key, parse, getattr(cfg, name)) for sec, key, name, parse in _KEYS}
     )
     tolerances = dict(cfg.tolerances)
     if parser.has_section("tolerances"):

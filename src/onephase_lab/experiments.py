@@ -29,6 +29,7 @@ from .axisym_field import (
 )
 from .config import ExperimentConfig
 from .errors import ConfigError, LabError
+from .numerics import csv_lines
 from .onephase_geometry import (
     curvature_of_revolution,
     normal_derivative_identity,
@@ -345,11 +346,7 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
     def _write_csv(path):
         with open(path, "w") as fh:
             fh.write("epsilon,layer_energy,gap,sup_distance\n")
-            for r in rows:
-                fh.write(
-                    f"{r['epsilon']:.17g},{r['layer_energy']:.17g},{r['gap']:.17g},"
-                    f"{r['sup_distance_to_ramp']:.17g}\n"
-                )
+            fh.write(csv_lines([r["epsilon"] for r in rows], [r["layer_energy"] for r in rows], gaps, sups))
 
     outputs["blowdown.csv"] = _write_csv
     return {
@@ -362,46 +359,28 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
 
 
 def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
+    # the preset picks the exact reference, the dimension, the box and the interface samples
     if cfg.onephase_preset == "strip_neck":
-        neck = StripNeckExact()
-        h = 1.0 / cfg.onephase_resolution
-        s_lo, s_hi, t_lo, t_hi = 1.0, 3.3, -1.0, 1.0
-        grid = GridSpec(
-            n=2,
-            s_min=s_lo,
-            s_max=s_hi,
-            t_min=t_lo,
-            t_max=t_hi,
-            ns=int(round((s_hi - s_lo) / h)) + 1,
-            nt=int(round((t_hi - t_lo) / h)) + 1,
-        )
-        sol = solve_harmonic_masked(grid, neck.level, neck.u)
-        tg = np.linspace(-0.75, 0.75, 101)
-        boundary = curvature_of_revolution(
-            neck.boundary_generator(tg), n=2, positive_side=neck.positive_side
-        )
-        exact = neck.u(grid.axes()[0][:, None], grid.axes()[1][None, :])
-        sup_err = float(np.max(np.abs(sol.field.values - exact)))
-        n_for_probe = 2
+        ref, n, s_lo, s_hi, t_hi = StripNeckExact(), 2, 1.0, 3.3, 1.0
+        gen = ref.boundary_generator(np.linspace(-0.75, 0.75, 101))
     else:
-        shell = SphereShellExact(n=cfg.n, r0=cfg.r0)
-        h = 1.0 / cfg.onephase_resolution
-        ext = 2.2 * cfg.r0
-        grid = GridSpec(
-            n=cfg.n,
-            s_max=ext,
-            t_min=-ext,
-            t_max=ext,
-            ns=int(round(ext / h)) + 1,
-            nt=2 * int(round(ext / h)) + 1,
-        )
-        sol = solve_harmonic_masked(grid, shell.level, shell.u)
-        boundary = curvature_of_revolution(
-            shell.boundary_generator(257), n=cfg.n, positive_side=shell.positive_side
-        )
-        exact = shell.u(grid.axes()[0][:, None], grid.axes()[1][None, :])
-        sup_err = float(np.max(np.abs(sol.field.values - exact)))
-        n_for_probe = cfg.n
+        ref, n, s_lo = SphereShellExact(n=cfg.n, r0=cfg.r0), cfg.n, 0.0
+        s_hi = t_hi = 2.2 * cfg.r0
+        gen = ref.boundary_generator(257)
+    h = 1.0 / cfg.onephase_resolution
+    grid = GridSpec(
+        n=n,
+        s_min=s_lo,
+        s_max=s_hi,
+        t_min=-t_hi,
+        t_max=t_hi,
+        ns=int(round((s_hi - s_lo) / h)) + 1,
+        nt=2 * int(round(t_hi / h)) + 1,
+    )
+    sol = solve_harmonic_masked(grid, ref.level, ref.u)
+    boundary = curvature_of_revolution(gen, n=n, positive_side=ref.positive_side)
+    s, t = grid.axes()
+    sup_err = float(np.max(np.abs(sol.field.values - ref.u(s[:, None], t[None, :]))))
 
     _count_factors(counters, sol.factors)
     identity = normal_derivative_identity(boundary, sol.field)
@@ -443,7 +422,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
             "verdict": form.verdict,
         },
         "bulk_probe": {
-            "n": n_for_probe,
+            "n": n,
             "lhs": bulk.form_lhs,
             "rhs": bulk.form_rhs,
             "defect": bulk.form_rhs - bulk.form_lhs,

@@ -35,6 +35,11 @@ from .numerics import LU_ORDER, LUCounts, csv_lines, unit_sphere_area
 from .stability import _require_vanishing_border, us_derivative
 
 _AXIS_TOL = 1e-9
+# the interface trace of a nodal field is extrapolated from bilinear samples
+# taken these multiples of max(hs, ht) inside the positivity set
+_TRACE_OFFSETS = (2.5, 4.0)
+# smallest arm fraction of a cut edge in the Shortley-Weller stencil
+_THETA_FLOOR = 1e-9
 
 
 @dataclass
@@ -182,11 +187,11 @@ def _interp(field: AxiField):
     )
 
 
-def _positive_interior_mask(values: np.ndarray, depth: int = 2) -> np.ndarray:
-    """Positive-phase nodes at least ``depth`` cells from the zero phase and border."""
+def _positive_interior_mask(values: np.ndarray) -> np.ndarray:
+    """Positive-phase nodes at least two cells from the zero phase and border."""
     pos = values > 0.0
     core = pos.copy()
-    for _ in range(depth):
+    for _ in range(2):
         shrunk = core.copy()
         shrunk[1:, :] &= core[:-1, :]
         shrunk[:-1, :] &= core[1:, :]
@@ -198,7 +203,7 @@ def _positive_interior_mask(values: np.ndarray, depth: int = 2) -> np.ndarray:
     return core
 
 
-def _check_harmonic(u: AxiField, tol: float = 1e-6) -> None:
+def _check_harmonic(u: AxiField) -> None:
     from .axisym_field import apply_axisym_laplacian
 
     mask = _positive_interior_mask(u.values)
@@ -206,7 +211,7 @@ def _check_harmonic(u: AxiField, tol: float = 1e-6) -> None:
         raise PreconditionViolationError("positivity set too thin to verify harmonicity")
     lap = apply_axisym_laplacian(u).values
     res = float(np.nanmax(np.abs(np.where(mask, lap, 0.0))))
-    if res > tol:
+    if res > 1e-6:
         raise PreconditionViolationError(f"field is not harmonic in its positivity set (residual {res:.3e})")
 
 
@@ -223,15 +228,11 @@ class BoundaryIdentityReport:
     notes: tuple[str, ...] = ()
 
 
-def normal_derivative_identity(
-    boundary: RevolutionBoundary,
-    u: AxiField,
-    offsets: tuple[float, float] = (2.5, 4.0),
-) -> BoundaryIdentityReport:
+def normal_derivative_identity(boundary: RevolutionBoundary, u: AxiField) -> BoundaryIdentityReport:
     """Evaluate grad(u_s) . nu - H u_s along the interface by one-sided stencils.
 
     Values of u_s at the interface and its normal derivative are obtained
-    from two bilinear samples taken ``offsets`` * max(hs, ht) into the
+    from two bilinear samples taken 2.5 and 4 times max(hs, ht) into the
     positivity set and extrapolated to the boundary (second-order for the
     value, one-sided for the derivative, so the defect decays at first
     order).  Preconditions checked: u harmonic in {u > 0} (residual 1e-6),
@@ -243,7 +244,7 @@ def normal_derivative_identity(
     _check_harmonic(u)
 
     h = max(u.hs, u.ht)
-    d1, d2 = offsets[0] * h, offsets[1] * h
+    d1, d2 = _TRACE_OFFSETS[0] * h, _TRACE_OFFSETS[1] * h
     m = -boundary.normals  # into the positivity set
     p0 = np.stack((boundary.s, boundary.t), axis=1)
     p1 = p0 + d1 * m
@@ -346,7 +347,7 @@ def onephase_stability_form(
     # interface trace of xi by inward extrapolation: nodal values in the
     # two-cell band around the interface see the gradient jump of u, so the
     # trace is rebuilt from samples taken inside the clean zone
-    d1, d2 = 2.5 * h, 4.0 * h
+    d1, d2 = _TRACE_OFFSETS[0] * h, _TRACE_OFFSETS[1] * h
     m_in = -boundary.normals
     xi_i = _interp(xi)
     f1 = xi_i(pts + d1 * m_in)
@@ -358,7 +359,7 @@ def onephase_stability_form(
     # nodal values of xi built from centered stencils are contaminated in a
     # two-cell band around the interface (the gradient of u jumps across it),
     # so the band is dropped; its continuum contribution is O(h).
-    core = _positive_interior_mask(u.values, depth=2)
+    core = _positive_interior_mask(u.values)
     if u.has_axis:
         core[0, 1:-1] = core[1, 1:-1]
     cell_ok = core[1:, 1:] & core[:-1, 1:] & core[1:, :-1] & core[:-1, :-1]
@@ -388,10 +389,10 @@ def gradient_magnitude_identity(u: AxiField) -> AxiField:
     return u.with_values(lhs - rhs)
 
 
-def extract_graph_boundary(u: AxiField, level: float = 0.0, positive_side: str = "above"):
+def extract_graph_boundary(u: AxiField, positive_side: str = "above"):
     """Locate the zero level set as a graph s*(t) from one-sided slopes.
 
-    Returns (t, s*) arrays over the columns where {u > level} meets the other
+    Returns (t, s*) arrays over the columns where {u > 0} meets the other
     phase exactly once along the s-line.
     """
     if positive_side not in ("above", "below"):
@@ -400,7 +401,7 @@ def extract_graph_boundary(u: AxiField, level: float = 0.0, positive_side: str =
     v = u.values
     for j in range(len(u.t)):
         col = v[:, j]
-        pos = col > level
+        pos = col > 0.0
         changes = np.nonzero(pos[1:] != pos[:-1])[0]
         if len(changes) != 1:
             continue
@@ -413,7 +414,7 @@ def extract_graph_boundary(u: AxiField, level: float = 0.0, positive_side: str =
             slope = (col[k + 1] - col[k]) / u.hs
             if slope == 0.0:
                 continue
-            s_star = u.s[k] - (col[k] - level) / slope
+            s_star = u.s[k] - col[k] / slope
         else:
             k = i
             if k - 1 < 0:
@@ -421,7 +422,7 @@ def extract_graph_boundary(u: AxiField, level: float = 0.0, positive_side: str =
             slope = (col[k] - col[k - 1]) / u.hs
             if slope == 0.0:
                 continue
-            s_star = u.s[k] - (col[k] - level) / slope
+            s_star = u.s[k] - col[k] / slope
         ts.append(u.t[j])
         ss.append(float(s_star))
     if not ts:
@@ -437,13 +438,13 @@ class MaskedSolveResult:
     factors: LUCounts
 
 
-def crossing_fractions(level_fn, s0, t0, s1, t1, theta_floor: float = 1e-9) -> np.ndarray:
+def crossing_fractions(level_fn, s0, t0, s1, t1) -> np.ndarray:
     """Fractions along the edges (s0, t0) -> (s1, t1) where ``level_fn`` vanishes.
 
     Every edge starts in {level_fn > 0} and ends outside it.  All edges are
     bisected together: 60 steps, each one vectorized ``level_fn`` call on
     the edge midpoints.  Returns the midpoint of each final bracket, floored
-    at ``theta_floor``.
+    at 1e-9.
     """
     a = np.zeros(np.shape(s0))
     b = np.ones(np.shape(s0))
@@ -452,10 +453,10 @@ def crossing_fractions(level_fn, s0, t0, s1, t1, theta_floor: float = 1e-9) -> n
         inside = np.asarray(level_fn(s0 + mid * (s1 - s0), t0 + mid * (t1 - t0)), dtype=float) > 0.0
         a = np.where(inside, mid, a)
         b = np.where(inside, b, mid)
-    return np.maximum(0.5 * (a + b), theta_floor)
+    return np.maximum(0.5 * (a + b), _THETA_FLOOR)
 
 
-def _masked_system(grid: GridSpec, level_fn, boundary_fn, theta_floor: float):
+def _masked_system(grid: GridSpec, level_fn, boundary_fn):
     """Shortley-Weller system (A, rhs) on the unknown nodes of {level_fn > 0}.
 
     Also returns the grid values holding the border data (zero elsewhere),
@@ -493,7 +494,7 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn, theta_floor: float):
     cut = has_arm & ~pos[ii, jj]
     node = np.nonzero(cut)[1]
     th = np.ones((4, m))
-    th[cut] = crossing_fractions(level_fn, s[i[node]], t[j[node]], s[ii[cut]], t[jj[cut]], theta_floor)
+    th[cut] = crossing_fractions(level_fn, s[i[node]], t[j[node]], s[ii[cut]], t[jj[cut]])
     th_m, th_p, tt_m, tt_p = th
 
     # radial: second and first derivatives on the same three irregular points;
@@ -528,12 +529,7 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn, theta_floor: float):
     return A, rhs, g, unknown, pos
 
 
-def solve_harmonic_masked(
-    grid: GridSpec,
-    level_fn,
-    boundary_fn,
-    theta_floor: float = 1e-9,
-) -> MaskedSolveResult:
+def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveResult:
     """Dirichlet harmonic solve on {level_fn > 0} with the interface cut exactly.
 
     Nodes with level_fn <= 0 hold value 0; outer-box nodes in the positive
@@ -545,7 +541,7 @@ def solve_harmonic_masked(
     residual is the standard-stencil defect on nodes away from the cut.
     """
     s, t = grid.axes()
-    A, rhs, values, unknown, pos = _masked_system(grid, level_fn, boundary_fn, theta_floor)
+    A, rhs, values, unknown, pos = _masked_system(grid, level_fn, boundary_fn)
     factors = LUCounts()
     values[unknown] = factors.record(splu(A.tocsc(), permc_spec=LU_ORDER)).solve(rhs)
     out = AxiField(n=grid.n, s=s, t=t, values=values)

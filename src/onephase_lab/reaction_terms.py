@@ -43,9 +43,6 @@ class ReactionTerm:
     mass: float
     flags: frozenset = field(default_factory=frozenset)
 
-    def __call__(self, t):
-        return self.eval(t)
-
 
 @dataclass(frozen=True)
 class EpsilonScaling:

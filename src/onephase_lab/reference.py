@@ -153,9 +153,9 @@ class SphereShellExact:
         du = self.du_of_r(r)
         return du * s / rr, du * t / rr
 
-    def boundary_generator(self, n_samples: int = 513, theta_margin: float = 0.35) -> Generator:
-        """Arc of the sphere away from the poles, traversed north to south."""
-        theta = np.linspace(theta_margin, math.pi - theta_margin, n_samples)
+    def boundary_generator(self, n_samples: int = 513) -> Generator:
+        """Arc of the sphere 0.35 rad away from the poles, traversed north to south."""
+        theta = np.linspace(0.35, math.pi - 0.35, n_samples)
         return Generator.from_parametric(
             theta,
             self.r0 * np.sin(theta),
@@ -165,10 +165,6 @@ class SphereShellExact:
             dss=-self.r0 * np.sin(theta),
             dtt=-self.r0 * np.cos(theta),
         )
-
-    @property
-    def mean_curvature_value(self) -> float:
-        return (self.n - 1) / self.r0
 
     positive_side = "left"
 

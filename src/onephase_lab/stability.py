@@ -26,7 +26,6 @@ from .reaction_terms import ReactionTerm
 
 VERDICT_STABLE = "stable-on-grid"
 VERDICT_UNSTABLE = "unstable-direction-found"
-VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,13 @@ def _edge_weights(f: AxiField):
 
 
 def _require_vanishing_border(xi: AxiField, rel_tol: float) -> None:
-    """Reject a test function that exceeds rel_tol (1 + max|xi|) on the outer boundary.
+    """Reject a test function that is not finite, or exceeds rel_tol (1 + max|xi|) on the outer boundary.
 
     The outer boundary is every grid edge except the symmetry axis.
     """
     v = np.abs(xi.values)
+    if not np.all(np.isfinite(v)):
+        raise InvalidParameterError("test function must be finite")
     border = max(
         float(np.max(v[-1, :])),
         float(np.max(v[:, 0])),

@@ -1,16 +1,31 @@
 import json
 import math
 import os
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from onephase_lab import experiments
 from onephase_lab.cli import main
-from onephase_lab.config import ExperimentConfig, apply_env_overrides, parse_config
+from onephase_lab.config import (
+    BOUNDARY_MODELS,
+    ENV_TOL_PREFIX,
+    EXPERIMENTS,
+    ONEPHASE_PRESETS,
+    ExperimentConfig,
+    apply_env_overrides,
+    parse_config,
+)
 from onephase_lab.errors import ConfigError
 from onephase_lab.experiments import run
 from onephase_lab.stability import admissible_alpha
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture()
@@ -203,3 +218,91 @@ def test_onephase_command_strip_neck(tmp_path, runner):
     counters = _lu_counters(report, out, ["boundary.csv", "field.csv"])
     assert counters["lu_factorizations"] == 1
     assert counters["lu_fill_nnz"] >= res["masked_solve"]["unknowns"]
+
+
+def _clear_env_tolerances(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith(ENV_TOL_PREFIX):
+            monkeypatch.delenv(key)
+
+
+# value text that survives an INI line: no whitespace and no comment prefixes,
+# with "%" to catch interpolation
+_TEXT = st.text(alphabet="abcXYZ019_-./:%", max_size=12)
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from([-0.0, 1e-300, 1e300, -1.7976931348623157e308])
+_INTS = st.integers(-(10**12), 10**12)
+_BY_TYPE = {
+    "str": _TEXT,
+    "float": _FLOATS,
+    "int": _INTS,
+    "bool": st.booleans(),
+    "tuple[float, ...]": st.lists(_FLOATS, max_size=4).map(tuple),
+    "tuple[int, ...]": st.lists(_INTS, max_size=4).map(tuple),
+}
+_BY_FIELD = {
+    "experiment": st.sampled_from(EXPERIMENTS),
+    "reaction": _TEXT.filter(lambda r: not r.startswith("table:")),
+    "n": st.integers(2, 10**6),
+    "boundary_model": st.sampled_from(BOUNDARY_MODELS),
+    "onephase_preset": st.sampled_from(ONEPHASE_PRESETS),
+    "tolerances": st.fixed_dictionaries(
+        {key: st.floats(min_value=0.0, exclude_min=True) for key in ("newton", "eigen", "classify")}
+    ),
+}
+_CONFIGS = st.builds(
+    ExperimentConfig, **{f.name: _BY_FIELD.get(f.name, _BY_TYPE.get(f.type)) for f in fields(ExperimentConfig)}
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_CONFIGS, table=st.none() | _TEXT.filter(lambda name: "/" not in name))
+def test_canonical_text_round_trips_through_parse_config(tmp_path, monkeypatch, cfg, table):
+    _clear_env_tolerances(monkeypatch)
+    if table is not None:
+        path = tmp_path / f"beta{table}.csv"
+        path.write_text("")
+        cfg = replace(cfg, reaction=f"table:{path}")
+    path = tmp_path / "echo.cfg"
+    path.write_text(cfg.canonical_text())
+    back = parse_config(path)
+    assert back == cfg
+    assert back.config_hash() == cfg.config_hash()
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        (None, "d33523a4dae2bb7608953830eec9f59a7f9295e9c59551c376bd7cb1d51bc65b"),
+        ("onephase_strip_neck.cfg", "4e0e17be44418e14a6a9ad28e2e1fa61b4ef3847db622128323bdf8ad1bd57f3"),
+        ("profile_steep.cfg", "7d4c6f7fce005ad5cc35a505770eb2ee12568b9bee366be48a991d1de3892802"),
+        ("solve_neck_n3.cfg", "7a40dfe3407db0ce7a7723a04d450573d7ee2bde8eb1e4afc114afba6cb8676e"),
+        ("stability_n3.cfg", "d95102ebabb96b63d7525c5fdc875a5d065501afa7b8ee1ecaabfc3d6c269835"),
+    ],
+)
+def test_config_hashes_are_pinned(monkeypatch, name, digest):
+    _clear_env_tolerances(monkeypatch)
+    cfg = ExperimentConfig() if name is None else parse_config(CONFIGS / name)
+    assert cfg.config_hash() == digest
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--n", "1"],
+        ["blowdown", "--epsilons", "abc"],
+        ["window", "--dims", "x"],
+        ["solve", "--config", "missing.cfg"],
+    ],
+)
+def test_malformed_cli_input_exits_with_one_error_line(tmp_path, runner, args):
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    out = tmp_path / "never"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code != 0
+    assert "Error:" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+def test_every_experiment_has_a_runner():
+    assert set(EXPERIMENTS) == set(experiments._RUNNERS)

@@ -285,7 +285,7 @@ _SHELL3 = SphereShellExact(n=3, r0=1.0)
     ids=["neck", "shell-n3-axis", "ball-n4-axis"],
 )
 def test_masked_system_matches_loop_reference(grid, level_fn, boundary_fn):
-    A, rhs, g, unknown, pos = _masked_system(grid, level_fn, boundary_fn, 1e-9)
+    A, rhs, g, unknown, pos = _masked_system(grid, level_fn, boundary_fn)
     A0, rhs0, g0 = _loop_masked_system(grid, level_fn, boundary_fn)
     assert A.shape == A0.shape
     assert np.array_equal(A.indptr, A0.indptr) and np.array_equal(A.indices, A0.indices)
@@ -318,7 +318,7 @@ def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
     neck = StripNeckExact()
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
     sol = solve_harmonic_masked(g, neck.level, neck.u)
-    A = _masked_system(g, neck.level, neck.u, 1e-9)[0].tocsc()
+    A = _masked_system(g, neck.level, neck.u)[0].tocsc()
     colamd = splu(A, permc_spec="COLAMD").nnz
     assert sol.factors.factorizations == 1
     assert splu(A, permc_spec=LU_ORDER).nnz <= 0.6 * colamd
@@ -481,6 +481,26 @@ def test_test_function_must_vanish_on_the_outer_boundary(beta, form, rel, edge, 
         with pytest.raises(InvalidParameterError, match="vanish on the outer boundary"):
             evaluate()
     else:
+        evaluate()
+
+
+@pytest.mark.parametrize("form", ["quadratic_form", "onephase_stability_form"])
+@pytest.mark.parametrize("nan_at", [(-1, 3), (20, 20)])
+def test_test_function_must_be_finite(beta, form, nan_at):
+    # a NaN on the border compares false against the threshold; a NaN inside
+    # makes the threshold NaN, which would let the border value 1 through
+    f, boundary = _ramp_field()
+    s, t = f.s, f.t
+    bump = np.sin(math.pi * s / 2.0)[:, None] ** 2 * np.sin(math.pi * (t + 1.0) / 2.0)[None, :] ** 2
+    bump[nan_at] = np.nan
+    if nan_at != (-1, 3):
+        bump[-1, 3] = 1.0
+    xi = f.with_values(bump)
+    evaluate = {
+        "quadratic_form": lambda: quadratic_form(f, xi, beta),
+        "onephase_stability_form": lambda: onephase_stability_form(boundary, f, xi),
+    }[form]
+    with pytest.raises(InvalidParameterError, match="must be finite"):
         evaluate()
 
 
