@@ -336,13 +336,14 @@ def solve_semilinear_1d(
     nt: int,
     left: float,
     right: float,
+    init,
     tol: float = 1e-12,
     max_iter: int = 100,
-    init=None,
 ) -> np.ndarray:
     """Newton solve of the discrete two-point problem v_tt = beta(v)/2.
 
-    Dirichlet values ``left``/``right`` at the interval ends.  The tiling of
+    Dirichlet values ``left``/``right`` at the interval ends; ``init`` is the
+    starting guess, nt nodal values or a callable of the nodes.  The tiling of
     the returned nodal values along s is an exact discrete solution of the
     full problem with one-dimensional data, which makes it the right far-field
     model and the reference for s-independence checks.  Stagnated
@@ -352,10 +353,7 @@ def solve_semilinear_1d(
     """
     t = np.linspace(t_min, t_max, nt)
     ht = t[1] - t[0]
-    if init is None:
-        v = left + (right - left) * (t - t_min) / (t_max - t_min)
-    else:
-        v = np.asarray(init(t) if callable(init) else init, dtype=float).copy()
+    v = np.asarray(init(t) if callable(init) else init, dtype=float).copy()
     v[0], v[-1] = left, right
     m = nt - 2
     main = -2.0 / ht**2 * np.ones(m)

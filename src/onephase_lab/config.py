@@ -82,6 +82,12 @@ class ExperimentConfig:
                 raise ConfigError(f"reaction table file {path!r} does not exist")
         if self.onephase_preset not in ONEPHASE_PRESETS:
             raise ConfigError(f"unknown one-phase preset {self.onephase_preset!r}")
+        if self.onephase_resolution < 1:
+            raise ConfigError(f"one-phase resolution must be >= 1, got {self.onephase_resolution!r}")
+        if not self.epsilons:
+            raise ConfigError("blowdown needs a nonempty epsilon list")
+        if not all(eps > 0.0 for eps in self.epsilons):
+            raise ConfigError(f"blowdown epsilons must be positive, got {self.epsilons!r}")
         if self.boundary_model not in BOUNDARY_MODELS:
             raise ConfigError(f"unknown boundary model {self.boundary_model!r}")
 

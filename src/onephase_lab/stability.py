@@ -228,11 +228,12 @@ def linearized_rayleigh_min(
 ) -> SpectralReport:
     """Smallest Rayleigh quotient of the second variation at a solution.
 
-    Shifted inverse power iteration on the symmetrized generalized problem,
-    with the shift placed below a Gershgorin lower bound and a deterministic
-    all-ones start; the returned eigenpair satisfies the residual certificate
-    ||(B - lambda) x|| <= tol.  ``axis_dirichlet`` pins the axis column to
-    zero (useful for all-sides-Dirichlet reference problems).
+    Inverse power iteration on the symmetrized generalized problem with one
+    fixed shift, placed below the form's own lower bound min beta'(u)/2, and
+    a deterministic all-ones start; the returned eigenpair satisfies the
+    residual certificate ||(B - lambda) x|| <= tol.  ``axis_dirichlet`` pins
+    the axis column to zero (useful for all-sides-Dirichlet reference
+    problems).
     """
     res = residual_semilinear(u, beta)
     if res > 1e-6:
@@ -243,45 +244,34 @@ def linearized_rayleigh_min(
     D = sp.diags(d)
     B = (D @ A @ D).tocsr()
 
-    diag = B.diagonal()
-    offdiag = np.asarray(np.abs(B).sum(axis=1)).ravel() - np.abs(diag)
-    gersh = float(np.min(diag - offdiag))
-    shift = gersh - max(1e-8, 1e-3 * (1.0 + abs(gersh)))
-
-    # Inverse iteration in stages: once the residual certificate bounds the
-    # distance to the nearest eigenvalue, the shift is moved just below the
-    # current estimate (lam - 4*cert stays under the smallest eigenvalue),
-    # which makes the remaining iterations contract fast.  Deterministic:
-    # fixed start vector, fixed batch sizes, no randomness.
-    eye = sp.identity(B.shape[0], format="csr")
-    x = np.ones(B.shape[0])
-    x /= np.linalg.norm(x)
-    lam = float(x @ (B @ x))
-    cert = math.inf
-    trace = []
-    it = 0
-    converged = False
+    # The edge part of A is a sum of weighted squared differences, so every
+    # Rayleigh quotient of B is at least the smallest potential beta'(u)/2.
+    bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[mask]))
+    shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
+    # B - shift I is then a symmetric positive-definite Z-matrix (irreducible
+    # on the connected grid), whose inverse is entrywise positive: the ones
+    # start has weight on the positive ground state, and the iteration
+    # converges to the smallest eigenvalue, not merely the nearest one.
     factors = LUCounts()
-    for _stage in range(6):
-        lu = factors.record(splu((B - shift * eye).tocsc(), permc_spec=LU_ORDER))
-        for _ in range(120):
-            if it >= max_iter:
-                break
-            it += 1
-            y = lu.solve(x)
-            x = y / np.linalg.norm(y)
-            Bx = B @ x
-            lam = float(x @ Bx)
-            cert = float(np.linalg.norm(Bx - lam * x))
-            trace.append(lam)
-            if cert <= tol:
-                converged = True
-                break
-        if converged or it >= max_iter:
+    lu = factors.record(splu((B - shift * sp.identity(B.shape[0], format="csr")).tocsc(), permc_spec=LU_ORDER))
+    x = np.ones(B.shape[0]) / math.sqrt(B.shape[0])
+    trace = []
+    cert = math.inf
+    for it in range(1, max_iter + 1):
+        y = lu.solve(x)
+        x = y / np.linalg.norm(y)
+        Bx = B @ x
+        lam = float(x @ Bx)
+        cert = float(np.linalg.norm(Bx - lam * x))
+        trace.append(lam)
+        if cert <= tol:
             break
-        shift = lam - max(4.0 * cert, 1e-8 * (1.0 + abs(lam)))
-    if not converged:
-        raise NonconvergenceError("inverse iteration did not certify", trace=trace)
+    else:
+        raise NonconvergenceError(
+            f"inverse iteration did not certify after {max_iter} iterations "
+            f"(last residual {cert:.3e}, shift {shift:.6g})",
+            trace=trace,
+        )
 
     xi_vals = np.zeros_like(u.values)
     xi_vals[mask] = x * d

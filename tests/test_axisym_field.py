@@ -170,7 +170,9 @@ def test_solver_nonconvergence_names_iterations_and_residual(beta):
 def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear_1d(beta, -3.0, 3.0, 65, left, right, max_iter=2)
+        solve_semilinear_1d(
+            beta, -3.0, 3.0, 65, left, right, init=lambda t: left + (right - left) * (t + 3.0) / 6.0, max_iter=2
+        )
     trace = err.value.trace
     assert len(trace) == 3 and trace[-1] > 1e-12
     assert _last_sup_residual(str(err.value)) == float(f"{trace[-1]:.3e}")
@@ -209,7 +211,9 @@ def test_solver_backtracking_stagnation_carries_last_iterate(beta):
 def test_1d_backtracking_stagnation_carries_trace(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear_1d(_constant_deriv(beta, -20.0), -3.0, 3.0, 65, left, right)
+        solve_semilinear_1d(
+            _constant_deriv(beta, -20.0), -3.0, 3.0, 65, left, right, init=lambda t: left + (right - left) * (t + 3.0) / 6.0
+        )
     assert str(err.value).startswith("1D Newton backtracking")
     trace = err.value.trace
     assert _stagnation(str(err.value)) == (1, float(f"{trace[-1]:.3e}"))

@@ -245,6 +245,8 @@ _BY_FIELD = {
     "n": st.integers(2, 10**6),
     "boundary_model": st.sampled_from(BOUNDARY_MODELS),
     "onephase_preset": st.sampled_from(ONEPHASE_PRESETS),
+    "onephase_resolution": st.integers(1, 10**12),
+    "epsilons": st.lists(_FLOATS.filter(lambda eps: eps > 0.0), min_size=1, max_size=4).map(tuple),
     "tolerances": st.fixed_dictionaries(
         {key: st.floats(min_value=0.0, exclude_min=True) for key in ("newton", "eigen", "classify")}
     ),
@@ -301,6 +303,26 @@ def test_malformed_cli_input_exits_with_one_error_line(tmp_path, runner, args):
     assert result.exit_code != 0
     assert "Error:" in result.output
     assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["onephase", "--resolution", "0"],
+        ["onephase", "--resolution", "-4"],
+        ["blowdown", "--epsilons", "0"],
+        ["blowdown", "--epsilons", "0.5,-0.25"],
+        ["blowdown", "--epsilons", ""],
+    ],
+)
+def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args):
+    out = tmp_path / "never"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:")
     assert not out.exists()
 
 

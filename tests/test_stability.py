@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from onephase_lab.axisym_field import (
     AxiField,
@@ -190,6 +193,60 @@ def test_dirichlet_laplacian_oracle(beta):
     assert abs(rep.rayleigh_min - 2.0 * math.pi**2) < 0.02
 
 
+def test_negative_potential_dirichlet_oracle_is_unstable(beta):
+    # beta'(u)/2 = -k/2 everywhere shifts the Dirichlet spectrum down by k/2
+    g = GridSpec(n=2, s_max=1.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
+    z = AxiField.from_function(g, lambda s, t: 0.0 * s)
+    k = 50.0
+    dip = dataclasses.replace(
+        beta,
+        eval=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
+        deriv=lambda v: np.full_like(np.asarray(v, dtype=float), -k),
+    )
+    tol = 1e-10
+    rep = linearized_rayleigh_min(z, dip, tol=tol, axis_dirichlet=True)
+    h = g.hs
+    exact = 2.0 * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
+    assert abs(rep.rayleigh_min - (exact - k / 2.0)) < tol
+    assert rep.verdict == "unstable-direction-found"
+    assert rep.factors.factorizations == 1
+
+
+def _lowest_tridiagonal(diag, off, weight):
+    """Lowest eigenvalue of tridiag(off, diag, off) x = mu diag(weight) x."""
+    r = 1.0 / np.sqrt(weight)
+    low = eigh_tridiagonal(diag * r * r, off * r[:-1] * r[1:], eigvals_only=True, select="i", select_range=(0, 0))
+    return float(low[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("axis_dirichlet", [False, True])
+def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, axis_dirichlet):
+    # On an s-independent field the form is Ks (x) Mt + Ms (x) (Kt + P) against
+    # Ms (x) Mt, so its smallest eigenvalue is mu_s + mu_t exactly.
+    g = GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=129, nt=129)
+    u = tiled_layer(beta, layer_profile, g)
+    tol = 1e-8
+    rep = linearized_rayleigh_min(u, beta, tol=tol, axis_dirichlet=axis_dirichlet)
+
+    # mu_s: radial stiffness of the s-edges against the column weights cs,
+    # zero on the outer column and, with axis_dirichlet, on the axis column
+    m, hs, ht = n - 2, g.hs, g.ht
+    s = u.s
+    cs = s**m * hs
+    cs[0] = (hs / 2.0) ** (m + 1) / (m + 1)
+    edge = ((s[1:] + s[:-1]) / 2.0) ** m / hs
+    first = 1 if axis_dirichlet else 0
+    stiff = np.concatenate(([0.0], edge))
+    mu_s = _lowest_tridiagonal((stiff[:-1] + stiff[1:])[first:], -edge[first:-1], cs[first:-1])
+    # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
+    pot = 0.5 * beta.deriv(u.values[0, 1:-1])
+    mu_t = _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
+
+    assert abs(rep.rayleigh_min - (mu_s + mu_t)) <= tol
+    assert rep.factors.factorizations == 1
+
+
 def test_rayleigh_quotient_consistency(beta, layer_profile):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=49, nt=49)
     u = tiled_layer(beta, layer_profile, g)
@@ -244,6 +301,21 @@ def test_eigen_nonconvergence_trace(beta, layer_profile):
     with pytest.raises(NonconvergenceError) as err:
         linearized_rayleigh_min(u, beta, max_iter=2, tol=1e-14)
     assert len(err.value.trace) == 2
+
+
+def test_eigen_nonconvergence_names_count_residual_and_shift(beta, layer_profile):
+    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
+    u = tiled_layer(beta, layer_profile, g)
+    with pytest.raises(NonconvergenceError) as err:
+        linearized_rayleigh_min(u, beta, max_iter=3, tol=1e-14)
+    match = re.search(r"after (\d+) iterations \(last residual ([0-9.e+-]+), shift ([0-9.e+-]+)\)", str(err.value))
+    assert match, str(err.value)
+    assert int(match.group(1)) == len(err.value.trace) == 3
+    assert float(match.group(2)) > 1e-14
+    # the shift sits just below the form's lower bound min beta'(u)/2
+    _, _, mask = assemble_operator(u, beta)
+    bound = float(np.min(0.5 * beta.deriv(u.values)[mask]))
+    assert float(match.group(3)) == pytest.approx(bound - 1e-3 * (1.0 + abs(bound)), rel=1e-5)
 
 
 # ---------------------------------------------------------------- radial derivative
