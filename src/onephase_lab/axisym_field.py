@@ -178,11 +178,8 @@ def _unknown_mask(grid: GridSpec) -> np.ndarray:
 
 
 def _assemble_laplacian(grid: GridSpec):
-    """Sparse matrix of the stencil on unknown nodes plus boundary couplings.
-
-    Returns (L, B, mask) with L acting on unknowns and B on the full grid so
-    that Delta_h u = L u_unknown + B u_full for fields agreeing on the
-    boundary.
+    """(L, mask): L is the derivative of Delta_h u on the unknown nodes with
+    respect to the unknowns, the boundary values held fixed.
     """
     s, _ = grid.axes()
     hs, ht = grid.hs, grid.ht
@@ -210,8 +207,7 @@ def _assemble_laplacian(grid: GridSpec):
     r, ii, jj, w = (np.concatenate(parts) for parts in zip(*terms))
     inner = mask[ii, jj]
     L = sp.csr_matrix((w[inner], (r[inner], index[ii, jj][inner])), shape=(m, m))
-    B = sp.csr_matrix((w[~inner], (r[~inner], (ii * nt + jj)[~inner])), shape=(m, ns * nt))
-    return L, B, mask
+    return L, mask
 
 
 @dataclass
@@ -231,9 +227,12 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label):
     """Damped Newton iteration on the unknown vector ``x``.
 
     ``residual(x)`` returns the residual vector and ``jacobian(x)`` its
-    Jacobian as a CSC matrix.  Each step solves with the Jacobian's sparse
-    LU and backtracks (halving, Armijo margin 1e-4) until the residual
+    Jacobian as a CSC matrix.  Each step solves with a sparse LU of the
+    Jacobian and backtracks (halving, Armijo margin 1e-4) until the residual
     2-norm, the merit, decreases; convergence is judged in the sup norm.
+    After a step that cut the merit tenfold the LU is reused (a chord step);
+    a chord step failing at full length is redone with a fresh LU, so only a
+    fresh Jacobian can stagnate.
     Stagnated backtracking, or ``max_iter`` steps without reaching ``tol``,
     raise ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
     and the sup-norm trace.  Returns (finish(x), sup norms, merits, factors).
@@ -244,6 +243,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label):
     history = [float(np.max(np.abs(res)))]
     merits = [merit]
     factors = LUCounts()
+    lu = None
     while history[-1] > tol:
         iterations = len(history) - 1
         if iterations >= max_iter:
@@ -253,9 +253,12 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label):
                 last=finish(x),
                 trace=history,
             )
-        step = factors.record(splu(jacobian(x), permc_spec=LU_ORDER)).solve(-res)
+        fresh = lu is None
+        if fresh:
+            lu = factors.record(splu(jacobian(x), permc_spec=LU_ORDER))
+        step = lu.solve(-res)
         lam = 1.0
-        for _ in range(51):
+        for _ in range(51 if fresh else 1):
             trial = x + lam * step
             trial_res = residual(trial)
             trial_merit = float(np.linalg.norm(trial_res))
@@ -263,12 +266,16 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label):
                 break
             lam *= 0.5
         else:
+            if not fresh:
+                lu = None
+                continue
             raise NonconvergenceError(
                 f"{label} backtracking stagnated at iteration {iterations + 1} "
                 f"(last sup residual {history[-1]:.3e})",
                 last=finish(x),
                 trace=history,
             )
+        lu = lu if trial_merit <= 0.1 * merit else None
         x, res, merit = trial, trial_res, trial_merit
         history.append(float(np.max(np.abs(res))))
         merits.append(merit)
@@ -286,11 +293,14 @@ def solve_semilinear(
 
     ``boundary`` is either a vectorized callable g(s, t) supplying data on
     the outer boundary and the initial guess everywhere, or an AxiField on
-    the same grid used the same way.  Each Newton step solves with the exact
-    Jacobian Delta_h - beta'(u)/2 and backtracks (halving, Armijo margin
-    1e-4) until the 2-norm merit decreases; 50 failed halvings, or ``max_iter``
-    steps without reaching ``tol``, raise ``NonconvergenceError`` carrying
-    the last iterate and the sup-norm residual trace.
+    the same grid used the same way.  If both node counts are odd and the
+    every-other-node grid keeps 65 or more per direction, that grid is solved
+    first (recursively) and its bilinear prolongation is the start.  Each
+    level is a ``_damped_newton`` on Delta_h u - beta(u)/2, evaluated like
+    ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2; a level that
+    stagnates or misses ``tol`` in ``max_iter`` steps raises
+    ``NonconvergenceError`` with its last iterate and trace, naming the grid
+    if it is coarse.  ``factors`` counts all levels.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -303,30 +313,38 @@ def solve_semilinear(
         u = boundary.values.copy()
     if u.shape != (grid.ns, grid.nt):
         raise InvalidParameterError("boundary data shape does not match the grid")
+    return _solve_levels(beta, grid, u, tol, max_iter, "Newton")
 
-    L, B, mask = _assemble_laplacian(grid)
-    bc_part = B @ u.ravel()
+
+def _solve_levels(beta, grid, u, tol, max_iter, label) -> SolveResult:
+    """``solve_semilinear`` on the start ``u`` (modified in place), coarse levels first."""
+    L, mask = _assemble_laplacian(grid)
+    field, coarse = AxiField(grid.n, *grid.axes(), u), LUCounts()
+    if grid.ns % 2 == grid.nt % 2 == 1 and min(grid.ns, grid.nt) >= 129:
+        sub = replace(grid, ns=(grid.ns + 1) // 2, nt=(grid.nt + 1) // 2)
+        sub_label = f"Newton on the coarse {sub.ns}x{sub.nt} grid"
+        solved = _solve_levels(beta, sub, u[::2, ::2].copy(), tol, max_iter, sub_label)
+        c, p, coarse = solved.field.values, np.empty_like(u), solved.factors
+        p[::2, ::2] = c
+        p[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
+        p[:, 1::2] = 0.5 * (p[:, :-2:2] + p[:, 2::2])
+        u[mask] = p[mask]
 
     def residual_vec(vec):
-        return L @ vec + bc_part - 0.5 * np.asarray(beta.eval(vec))
+        u[mask] = vec
+        return apply_axisym_laplacian(field).values[mask] - 0.5 * np.asarray(beta.eval(vec))
 
     def jacobian(vec):
         return (L - sp.diags(0.5 * np.asarray(beta.deriv(vec)))).tocsc()
 
     def finish(vec):
         u[mask] = vec
-        return AxiField(n=grid.n, s=s, t=t, values=u)
+        return field
 
-    field, history, merits, factors = _damped_newton(
-        u[mask], residual_vec, jacobian, finish, tol, max_iter, "Newton"
-    )
-    return SolveResult(
-        field=field,
-        residuals=history,
-        merits=merits,
-        iterations=len(history) - 1,
-        factors=factors,
-    )
+    field, history, merits, factors = _damped_newton(u[mask], residual_vec, jacobian, finish, tol, max_iter, label)
+    factors.factorizations += coarse.factorizations
+    factors.fill_nnz = max(factors.fill_nnz, coarse.fill_nnz)
+    return SolveResult(field=field, residuals=history, merits=merits, iterations=len(history) - 1, factors=factors)
 
 
 def solve_semilinear_1d(

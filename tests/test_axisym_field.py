@@ -11,6 +11,7 @@ from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
     _assemble_laplacian,
+    _damped_newton,
     apply_axisym_laplacian,
     blow_down,
     energy,
@@ -229,14 +230,90 @@ def test_newton_factors_hold_at_most_0_6_of_colamd_fill(beta):
     g = GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129)
     data = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
     res = solve_semilinear(beta, g, data)
-    L, _, mask = _assemble_laplacian(g)
+    L, mask = _assemble_laplacian(g)
     s, t = g.axes()
     vec = data(s[:, None], t[None, :])[mask]
     J = (L - sp.diags(0.5 * beta.deriv(vec))).tocsc()
     colamd = splu(J, permc_spec="COLAMD").nnz
-    assert res.factors.factorizations == res.iterations
+    # measured: 2 factors on the 65^2 start level, 1 on 129^2 (chord steps after it)
+    assert res.factors.factorizations <= 3
     assert splu(J, permc_spec=LU_ORDER).nnz <= 0.6 * colamd
     assert res.factors.fill_nnz <= 0.6 * colamd
+
+
+def _neck(beta, nodes):
+    g = GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=nodes, nt=nodes)
+    return g, boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
+
+
+@pytest.mark.parametrize("nodes", [33, 129])
+def test_reported_residual_is_the_independent_one(beta, nodes):
+    # 33^2 has no coarse level, 129^2 starts from the 65^2 solution
+    res = solve_semilinear(beta, *_neck(beta, nodes))
+    assert res.residuals[-1] == residual_semilinear(res.field, beta)  # bitwise
+
+
+def test_neck_at_513_converges_with_few_factors(beta):
+    # the 513^2 catenoid neck used to cycle between 1.16e-10 and 1.31e-10 and
+    # raise after 40 factors; measured 4.8e-11 with 2 factors on the 65^2
+    # start level and 1 on each of 129^2, 257^2 and 513^2
+    res = solve_semilinear(beta, *_neck(beta, 513), tol=1e-10)
+    assert res.residuals[-1] <= 1e-10
+    assert res.factors.factorizations <= 5
+    assert residual_semilinear(res.field, beta) <= 1e-10
+
+
+@pytest.mark.parametrize("nodes", [129, 257])
+def test_coarse_level_nonconvergence_names_its_grid(beta, nodes):
+    # the coarsest level, 65^2, is solved first and fails first
+    g, data = _neck(beta, nodes)
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear(beta, g, data, max_iter=0)
+    message = str(err.value)
+    assert message.startswith("Newton on the coarse 65x65 grid did not reach tol=1e-10 in 0 iterations")
+    assert err.value.last.values.shape == (65, 65)
+    assert len(err.value.trace) == 1
+    assert residual_semilinear(err.value.last, beta) == err.value.trace[-1]
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear(_constant_deriv(beta, -1e3), g, data)
+    assert str(err.value).startswith("Newton on the coarse 65x65 grid backtracking stagnated")
+    assert err.value.last.values.shape == (65, 65)
+    assert _stagnation(str(err.value))[1] == float(f"{err.value.trace[-1]:.3e}")
+
+
+def test_top_level_nonconvergence_above_a_coarse_level_keeps_its_message(beta):
+    # the 65^2 level starts at its own solution and takes no step; the 129^2
+    # level then fails under the plain label
+    g, data = _neck(beta, 129)
+    coarse = solve_semilinear(beta, *_neck(beta, 65)).field
+    s, t = g.axes()
+    start = data(s[:, None], t[None, :])
+    start[::2, ::2] = coarse.values
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear(beta, g, AxiField(n=3, s=s, t=t, values=start), max_iter=0)
+    assert re.fullmatch(r"Newton did not reach tol=1e-10 in 0 iterations \(last sup residual [0-9.e+-]+\)", str(err.value))
+    assert err.value.last.values.shape == (129, 129)
+
+
+def test_failed_chord_step_is_redone_with_a_fresh_factor():
+    # x[0] is linear and dominates the start, so the first Newton step cuts the
+    # merit more than tenfold while x[1] (b^3 = 1 from b = 0.5) overshoots to
+    # 5/3; the chord step on the old factor then fails at full length and is
+    # redone with a factor taken at the same iterate
+    calls = []
+
+    def jacobian(x):
+        calls.append(x.copy())
+        return sp.csc_matrix(np.diag([1.0, 3.0 * x[1] ** 2]))
+
+    x, history, merits, factors = _damped_newton(
+        np.array([100.0, 0.5]), lambda x: np.array([x[0], x[1] ** 3 - 1.0]), jacobian, lambda x: x, 1e-12, 40, "test"
+    )
+    assert history[-1] <= 1e-12 and x == pytest.approx([0.0, 1.0])
+    assert calls[1][0] == 0.0 and calls[1][1] == pytest.approx(5.0 / 3.0)
+    assert history[1] == pytest.approx((5.0 / 3.0) ** 3 - 1.0)  # the failed chord step left no entry
+    assert all(b < a for a, b in zip(merits, merits[1:]))
+    assert factors.factorizations == len(calls) < len(history) - 1
 
 
 def test_energy_piecewise_affine_exact():
@@ -387,13 +464,11 @@ def _loop_laplacian(grid):
         mask[0, 1:-1] = True
     index = -np.ones((ns, nt), dtype=int)
     index[mask] = np.arange(int(mask.sum()))
-    rows, cols, vals, brows, bcols, bvals = [], [], [], [], [], []
+    rows, cols, vals = [], [], []
 
     def add(i, j, ii, jj, w):
-        if mask[ii, jj]:
+        if mask[ii, jj]:  # couplings to boundary nodes are not derivatives
             rows.append(index[i, j]), cols.append(index[ii, jj]), vals.append(w)
-        else:
-            brows.append(index[i, j]), bcols.append(ii * nt + jj), bvals.append(w)
 
     for i in range(ns):
         for j in range(nt):
@@ -411,9 +486,7 @@ def _loop_laplacian(grid):
             add(i, j, i, j + 1, 1.0 / ht**2)
             add(i, j, i, j, -2.0 / ht**2)
     m = int(mask.sum())
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    B = sp.csr_matrix((bvals, (brows, bcols)), shape=(m, ns * nt))
-    return L, B, mask
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m)), mask
 
 
 def assert_same_csr(a, b):
@@ -426,16 +499,36 @@ def assert_same_csr(a, b):
 @pytest.mark.parametrize("s_min", [0.0, 0.4])
 def test_assembled_laplacian_is_the_stencil(n, s_min):
     g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=21, nt=17)
-    L, B, mask = _assemble_laplacian(g)
-    L0, B0, mask0 = _loop_laplacian(g)
+    L, mask = _assemble_laplacian(g)
+    L0, mask0 = _loop_laplacian(g)
     assert_same_csr(L, L0)
-    assert_same_csr(B, B0)
     assert np.array_equal(mask, mask0)
-    u = np.random.default_rng(n).standard_normal((g.ns, g.nt))
+    # on a field that vanishes on the boundary the stencil is L alone
+    u = np.where(mask, np.random.default_rng(n).standard_normal((g.ns, g.nt)), 0.0)
     s, t = g.axes()
     lap = apply_axisym_laplacian(AxiField(n=n, s=s, t=t, values=u)).values[mask]
-    got = L @ u[mask] + B @ u.ravel()
+    got = L @ u[mask]
     assert np.max(np.abs(got - lap)) <= 1e-12 * np.max(np.abs(lap))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("s_min", [0.0, 0.4])
+def test_laplacian_matrix_is_the_derivative_of_the_stencil(n, s_min):
+    # the Newton residual is apply_axisym_laplacian(u)[mask] - beta(u)/2, and
+    # L is its stencil part's derivative: the stencil is linear, so a change d
+    # of the unknowns (boundary held fixed) moves it by exactly L d
+    g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=21, nt=17)
+    L, mask = _assemble_laplacian(g)
+    s, t = g.axes()
+    rng = np.random.default_rng(100 + n)
+    u = AxiField(n=n, s=s, t=t, values=rng.standard_normal((g.ns, g.nt)))
+    base = apply_axisym_laplacian(u).values[mask]
+    for scale in (1.0, 1e-3):
+        d = scale * rng.standard_normal(int(mask.sum()))
+        moved = u.values.copy()
+        moved[mask] += d
+        step = apply_axisym_laplacian(u.with_values(moved)).values[mask] - base
+        assert np.max(np.abs(step - L @ d)) <= 1e-12 * np.max(np.abs(base))
 
 
 def test_field_csv_bytes_match_per_row_format(tmp_path):

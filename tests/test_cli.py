@@ -178,8 +178,10 @@ def test_solve_command_with_domain_study(tmp_path, runner):
     assert report["results"]["domain_study"]["max_interior_difference"] < 0.05
     assert (out / "field.bin").exists()
     counters = _lu_counters(report, out, ["field.csv", "field.bin"])
-    # one factor per Newton step, on the grid and on the domain-study subgrid
-    assert counters["lu_factorizations"] > report["results"]["solve"]["newton_iterations"] > 0
+    # one factor on the grid and one on the domain-study subgrid; the later
+    # Newton steps are chord steps on those factors
+    assert counters["lu_factorizations"] == 2
+    assert report["results"]["solve"]["newton_iterations"] > 0
     assert counters["lu_fill_nnz"] >= 32 * 31  # at least the unknowns of the 33^2 grid
 
 
