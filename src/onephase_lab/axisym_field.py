@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DomainError, InvalidParameterError, NonconvergenceError
 from .numerics import LU_ORDER, LUCounts, csv_lines, unit_sphere_area
@@ -214,7 +216,8 @@ def _assemble_laplacian(grid: GridSpec):
 class SolveResult:
     """Solver outcome: sup-norm residuals per accepted step, the damping
     merit (residual 2-norm), which the backtracking makes strictly decreasing,
-    and the LU factors of the Jacobians."""
+    the LU factors of the coarsest level's Jacobians and the GMRES iterations
+    of the finer levels."""
 
     field: AxiField
     residuals: list[float]
@@ -223,19 +226,36 @@ class SolveResult:
     factors: LUCounts
 
 
-def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label):
+# GMRES on the levels above the coarsest: relative tolerance (atol = 0),
+# restart length and restart cycles.  Its preconditioner is one V-cycle
+# whose damped line-Jacobi sweeps have weight SMOOTH_OMEGA.
+KRYLOV_RTOL, KRYLOV_RESTART, KRYLOV_MAXITER = 1e-6, 30, 10
+SMOOTH_OMEGA = 0.8
+
+
+def _lu(J, counts: LUCounts):
+    """A sparse LU of ``J`` in the lab's column ordering, counted in ``counts``."""
+    return counts.record(splu(J.tocsc(), permc_spec=LU_ORDER))
+
+
+def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_lu):
     """Damped Newton iteration on the unknown vector ``x``.
 
     ``residual(x)`` returns the residual vector and ``jacobian(x)`` its
-    Jacobian as a CSC matrix.  Each step solves with a sparse LU of the
-    Jacobian and backtracks (halving, Armijo margin 1e-4) until the residual
-    2-norm, the merit, decreases; convergence is judged in the sup norm.
-    After a step that cut the merit tenfold the LU is reused (a chord step);
-    a chord step failing at full length is redone with a fresh LU, so only a
-    fresh Jacobian can stagnate.
+    Jacobian as a sparse matrix.  ``factor(J, counts)`` returns an object
+    whose ``solve`` applies the inverse of J: a sparse LU by default, a
+    V-cycle preconditioned GMRES (``_KrylovSolve``) on the 2D levels above
+    the coarsest.  Each step backtracks (halving, Armijo margin 1e-4) until
+    the residual 2-norm, the merit, decreases strictly; a trial that leaves x
+    unchanged ends the backtracking as failed.  Convergence is judged in the
+    sup norm.  After a step that cut the merit tenfold the factor is
+    reused (a chord step); a chord step failing at full length is redone with
+    a fresh factor, so only a fresh Jacobian can stagnate.
     Stagnated backtracking, or ``max_iter`` steps without reaching ``tol``,
     raise ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
-    and the sup-norm trace.  Returns (finish(x), sup norms, merits, factors).
+    and the sup-norm trace; on a GMRES level the message also names the last
+    solve's iteration count and exit status.  Returns (finish(x), sup norms,
+    merits, factors).
     """
     res = residual(x)
     # damping decreases the smooth 2-norm; convergence is in the sup norm
@@ -244,42 +264,123 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label):
     merits = [merit]
     factors = LUCounts()
     lu = None
+
+    def failure(what, x):
+        message = f"{label} {what} (last sup residual {history[-1]:.3e})"
+        if factors.krylov_last is not None:
+            message += "; last GMRES solve: %d iterations, exit status %d" % factors.krylov_last
+        return NonconvergenceError(message, last=finish(x), trace=history)
+
     while history[-1] > tol:
         iterations = len(history) - 1
         if iterations >= max_iter:
-            raise NonconvergenceError(
-                f"{label} did not reach tol={tol:g} in {max_iter} iterations "
-                f"(last sup residual {history[-1]:.3e})",
-                last=finish(x),
-                trace=history,
-            )
+            raise failure(f"did not reach tol={tol:g} in {max_iter} iterations", x)
         fresh = lu is None
         if fresh:
-            lu = factors.record(splu(jacobian(x), permc_spec=LU_ORDER))
+            lu = factor(jacobian(x), factors)
         step = lu.solve(-res)
-        lam = 1.0
+        lam, accepted = 1.0, False
         for _ in range(51 if fresh else 1):
             trial = x + lam * step
+            if np.array_equal(trial, x):
+                break  # the step is below round-off, and so is every shorter one
             trial_res = residual(trial)
             trial_merit = float(np.linalg.norm(trial_res))
-            if trial_merit <= (1.0 - 1e-4 * lam) * merit:
+            # strictly lower: at lam ~ 1e-12 the Armijo margin rounds away
+            if trial_merit < merit and trial_merit <= (1.0 - 1e-4 * lam) * merit:
+                accepted = True
                 break
             lam *= 0.5
-        else:
+        if not accepted:
             if not fresh:
                 lu = None
                 continue
-            raise NonconvergenceError(
-                f"{label} backtracking stagnated at iteration {iterations + 1} "
-                f"(last sup residual {history[-1]:.3e})",
-                last=finish(x),
-                trace=history,
-            )
+            raise failure(f"backtracking stagnated at iteration {iterations + 1}", x)
         lu = lu if trial_merit <= 0.1 * merit else None
         x, res, merit = trial, trial_res, trial_merit
         history.append(float(np.max(np.abs(res))))
         merits.append(merit)
     return finish(x), history, merits, factors
+
+
+def _prolong(c: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of every-other-node values ``c`` to the full grid."""
+    p = np.empty((2 * c.shape[0] - 1, 2 * c.shape[1] - 1))
+    p[::2, ::2] = c
+    p[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
+    p[:, 1::2] = 0.5 * (p[:, :-2:2] + p[:, 2::2])
+    return p
+
+
+def _restrict(r: np.ndarray, axis: bool) -> np.ndarray:
+    """Full weighting of ``r`` onto the every-other-node grid; with ``axis``
+    the first row is weighed with its mirror image u(-hs) = u(hs)."""
+
+    def weigh(a, mirror):
+        c = 0.5 * a[::2]
+        c[1:] += 0.25 * a[1::2]
+        c[:-1] += 0.25 * a[1::2]
+        if mirror:
+            c[0] += 0.25 * a[1]
+        return c
+
+    return weigh(weigh(r, axis).T, False).T
+
+
+class _KrylovSolve:
+    """GMRES on a fine-level Jacobian ``J``, preconditioned by one V-cycle.
+
+    The cycle does one damped line-Jacobi sweep along s (each grid line
+    solved with its tridiagonal part of J), restricts the residual to the
+    coarser level by full weighting, applies that level's final ``coarse``
+    cycle (its LU solve at the coarsest level), prolongates the correction
+    bilinearly and ends with a sweep along t.  Line sweeps keep the cycle
+    effective where one direction's couplings dominate: along s near the
+    axis at large n and when ht exceeds hs, along t when hs exceeds ht.
+    GMRES iterations go to ``counts``.
+    """
+
+    def __init__(self, J, counts: LUCounts, mask, coarse_mask, coarse):
+        self.J, self.counts, self.mask, self.coarse_mask, self.coarse = J, counts, mask, coarse_mask, coarse
+        m = J.shape[0]
+        # unknowns in row-major (s, t) order; "F" lays the s-lines out contiguously
+        self.shape = (m // (mask.shape[1] - 2), mask.shape[1] - 2)
+        self.lines = []
+        for offset, order in ((self.shape[1], "F"), (1, "C")):
+            up, lo = np.zeros(m), np.zeros(m)
+            up[:-offset], lo[:-offset] = J.diagonal(offset), J.diagonal(-offset)
+            up, diag, lo = (a.reshape(self.shape).ravel(order) for a in (up, J.diagonal(), lo))
+            self.lines.append((order, dgttrf(lo[:-1], diag, up[:-1])[:5]))
+        self.M = LinearOperator(J.shape, matvec=self.cycle, dtype=float)
+
+    def _sweep(self, r, order, factor):
+        """The damped line-Jacobi correction for the residual ``r``."""
+        d = dgttrs(*factor, r.reshape(self.shape).ravel(order))[0]
+        return SMOOTH_OMEGA * d.reshape(self.shape, order=order).ravel()
+
+    def cycle(self, b):
+        x = self._sweep(b, *self.lines[0])
+        r = np.zeros(self.mask.shape)
+        r[self.mask] = b - self.J @ x
+        e = np.zeros(self.coarse_mask.shape)
+        e[self.coarse_mask] = self.coarse(_restrict(r, self.mask[0].any())[self.coarse_mask])
+        x += _prolong(e)[self.mask]
+        return x + self._sweep(b - self.J @ x, *self.lines[1])
+
+    def solve(self, b):
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x, info = gmres(
+            self.J, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART, maxiter=KRYLOV_MAXITER,
+            M=self.M, callback=count, callback_type="pr_norm",
+        )
+        self.counts.krylov_iterations += iterations
+        self.counts.krylov_last = (iterations, info)
+        return x
 
 
 def solve_semilinear(
@@ -293,14 +394,16 @@ def solve_semilinear(
 
     ``boundary`` is either a vectorized callable g(s, t) supplying data on
     the outer boundary and the initial guess everywhere, or an AxiField on
-    the same grid used the same way.  If both node counts are odd and the
+    the same grid used the same way.  While both node counts are odd and the
     every-other-node grid keeps 65 or more per direction, that grid is solved
-    first (recursively) and its bilinear prolongation is the start.  Each
+    first and its bilinear prolongation is the start of the finer one.  Each
     level is a ``_damped_newton`` on Delta_h u - beta(u)/2, evaluated like
-    ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2; a level that
-    stagnates or misses ``tol`` in ``max_iter`` steps raises
-    ``NonconvergenceError`` with its last iterate and trace, naming the grid
-    if it is coarse.  ``factors`` counts all levels.
+    ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2.  Only the
+    coarsest level factors its Jacobian (sparse LU); every finer level solves
+    its Newton systems with GMRES preconditioned by one V-cycle over the
+    coarser levels.  A level that stagnates or misses ``tol`` in ``max_iter``
+    steps raises ``NonconvergenceError`` with its last iterate and trace,
+    naming the grid if it is coarse.  ``factors`` counts all levels.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -313,38 +416,56 @@ def solve_semilinear(
         u = boundary.values.copy()
     if u.shape != (grid.ns, grid.nt):
         raise InvalidParameterError("boundary data shape does not match the grid")
-    return _solve_levels(beta, grid, u, tol, max_iter, "Newton")
+    return _solve_levels(beta, grid, u, tol, max_iter)
 
 
-def _solve_levels(beta, grid, u, tol, max_iter, label) -> SolveResult:
-    """``solve_semilinear`` on the start ``u`` (modified in place), coarse levels first."""
-    L, mask = _assemble_laplacian(grid)
-    field, coarse = AxiField(grid.n, *grid.axes(), u), LUCounts()
-    if grid.ns % 2 == grid.nt % 2 == 1 and min(grid.ns, grid.nt) >= 129:
-        sub = replace(grid, ns=(grid.ns + 1) // 2, nt=(grid.nt + 1) // 2)
-        sub_label = f"Newton on the coarse {sub.ns}x{sub.nt} grid"
-        solved = _solve_levels(beta, sub, u[::2, ::2].copy(), tol, max_iter, sub_label)
-        c, p, coarse = solved.field.values, np.empty_like(u), solved.factors
-        p[::2, ::2] = c
-        p[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
-        p[:, 1::2] = 0.5 * (p[:, :-2:2] + p[:, 2::2])
-        u[mask] = p[mask]
+class _Level:
+    """One grid of the nested solve: Delta_h u - beta(u)/2 on the unknowns of
+    ``values`` (boundary values held fixed) and its Jacobian."""
 
-    def residual_vec(vec):
-        u[mask] = vec
-        return apply_axisym_laplacian(field).values[mask] - 0.5 * np.asarray(beta.eval(vec))
+    def __init__(self, beta, grid: GridSpec, values: np.ndarray):
+        self.beta = beta
+        self.L, self.mask = _assemble_laplacian(grid)
+        self.field = AxiField(grid.n, *grid.axes(), values)
 
-    def jacobian(vec):
-        return (L - sp.diags(0.5 * np.asarray(beta.deriv(vec)))).tocsc()
+    def residual(self, vec):
+        self.field.values[self.mask] = vec
+        return apply_axisym_laplacian(self.field).values[self.mask] - 0.5 * np.asarray(self.beta.eval(vec))
 
-    def finish(vec):
-        u[mask] = vec
-        return field
+    def jacobian(self, vec):
+        return (self.L - sp.diags(0.5 * np.asarray(self.beta.deriv(vec)))).tocsr()
 
-    field, history, merits, factors = _damped_newton(u[mask], residual_vec, jacobian, finish, tol, max_iter, label)
-    factors.factorizations += coarse.factorizations
-    factors.fill_nnz = max(factors.fill_nnz, coarse.fill_nnz)
-    return SolveResult(field=field, residuals=history, merits=merits, iterations=len(history) - 1, factors=factors)
+    def finish(self, vec):
+        self.field.values[self.mask] = vec
+        return self.field
+
+
+def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
+    """``solve_semilinear`` on the start ``u`` (modified in place), coarsest level first."""
+    grids = [grid]
+    while grids[0].ns % 2 == grids[0].nt % 2 == 1 and min(grids[0].ns, grids[0].nt) >= 129:
+        grids.insert(0, replace(grids[0], ns=(grids[0].ns + 1) // 2, nt=(grids[0].nt + 1) // 2))
+    counts, coarse, cycle = LUCounts(), None, None
+    for k, g in enumerate(grids):
+        stride = 2 ** (len(grids) - 1 - k)
+        level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy())
+        mask, values = level.mask, level.field.values
+        if coarse is None:
+            factor = _lu
+        else:
+            values[mask] = _prolong(coarse.field.values)[mask]
+            factor = partial(_KrylovSolve, mask=mask, coarse_mask=coarse.mask, coarse=cycle)
+        label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
+        field, history, merits, factors = _damped_newton(
+            values[mask], level.residual, level.jacobian, level.finish, tol, max_iter, label, factor
+        )
+        counts.merge(factors)
+        if stride > 1:
+            # the next level's coarse correction: this level's Jacobian at its solution
+            final = factor(level.jacobian(values[mask]), counts)
+            cycle = final.solve if coarse is None else final.cycle
+        coarse = level
+    return SolveResult(field=field, residuals=history, merits=merits, iterations=len(history) - 1, factors=counts)
 
 
 def solve_semilinear_1d(
@@ -382,7 +503,7 @@ def solve_semilinear_1d(
         return lap - 0.5 * np.asarray(beta.eval(w))
 
     def jacobian(w):
-        return sp.diags([off, main - 0.5 * np.asarray(beta.deriv(w)), off], offsets=[-1, 0, 1]).tocsc()
+        return sp.diags([off, main - 0.5 * np.asarray(beta.deriv(w)), off], offsets=[-1, 0, 1])
 
     def finish(w):
         v[1:-1] = w

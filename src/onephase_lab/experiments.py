@@ -128,10 +128,13 @@ def boundary_data(cfg: ExperimentConfig, beta):
     return lambda s, t: prof.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)
 
 
-def _count_factors(counters: dict, *factors) -> None:
-    """Record the LU factors of a run's 2D solves in its ``meta.counters``."""
+def _count_factors(counters: dict, *factors, krylov: bool = False) -> None:
+    """Record the LU factors of a run's solves in its ``meta.counters``, and
+    with ``krylov`` (a 2D Newton solve ran) the GMRES iterations of its finer levels."""
     counters["lu_factorizations"] = sum(f.factorizations for f in factors)
     counters["lu_fill_nnz"] = max(f.fill_nnz for f in factors)
+    if krylov:
+        counters["krylov_iterations"] = sum(f.krylov_iterations for f in factors)
 
 
 def _run_profile(cfg: ExperimentConfig, outputs: dict, counters: dict):
@@ -251,9 +254,9 @@ def _run_solve(cfg: ExperimentConfig, outputs: dict, counters: dict):
             "sub_extents": [s_lo, s_hi, t_lo, t_hi],
             "max_interior_difference": diff,
         }
-        _count_factors(counters, res.factors, res2.factors)
+        _count_factors(counters, res.factors, res2.factors, krylov=True)
     else:
-        _count_factors(counters, res.factors)
+        _count_factors(counters, res.factors, krylov=True)
     outputs["field.csv"] = lambda path: f.save_csv(path)
     outputs["field.bin"] = lambda path: f.save_binary(path)
     return results
@@ -270,7 +273,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
         f, newton = sol.field, [sol.factors]
 
     spectral = linearized_rayleigh_min(f, beta, tol=cfg.tolerances["eigen"])
-    _count_factors(counters, *newton, spectral.factors)
+    _count_factors(counters, *newton, spectral.factors, krylov=bool(newton))
     outputs["spectral.json"] = lambda path: spectral.save_json(path)
     if spectral.eigenvector is not None:
         outputs["eigenvector.csv"] = lambda path: spectral.eigenvector.save_csv(path)

@@ -37,16 +37,26 @@ _GL5_WEIGHTS = np.array(
 
 @dataclass
 class LUCounts:
-    """Sparse LU factors a solve built, and the largest nnz(L + U) among them."""
+    """Sparse LU factors a solve built, the largest nnz(L + U) among them, and
+    the GMRES iterations of its preconditioned solves with the (iterations,
+    exit status) of the last one."""
 
     factorizations: int = 0
     fill_nnz: int = 0
+    krylov_iterations: int = 0
+    krylov_last: tuple[int, int] | None = None
 
     def record(self, lu):
         """Count the SuperLU factor ``lu`` and return it."""
         self.factorizations += 1
         self.fill_nnz = max(self.fill_nnz, int(lu.nnz))
         return lu
+
+    def merge(self, other: "LUCounts") -> None:
+        """Add the factors and GMRES iterations of ``other``."""
+        self.factorizations += other.factorizations
+        self.fill_nnz = max(self.fill_nnz, other.fill_nnz)
+        self.krylov_iterations += other.krylov_iterations
 
 
 def simpson_refined(f, a: float, b: float, tol: float = 1e-12, max_doublings: int = 22) -> float:

@@ -7,11 +7,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from onephase_lab import axisym_field
 from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
     _assemble_laplacian,
     _damped_newton,
+    _Level,
+    _prolong,
     apply_axisym_laplacian,
     blow_down,
     energy,
@@ -201,8 +204,10 @@ def test_solver_backtracking_stagnation_carries_last_iterate(beta):
         solve_semilinear(_constant_deriv(beta, -1e3), g, lambda s, t: np.maximum(0.0, t) + 0.0 * s)
     assert str(err.value).startswith("Newton backtracking")
     trace = err.value.trace
-    assert _stagnation(str(err.value)) == (2, float(f"{trace[-1]:.3e}"))
-    assert len(trace) == 2  # one accepted step before the stall
+    # the stall is at the first step: the wrong Jacobian's direction lowers
+    # the merit at no length (a null step of equal merit is not accepted)
+    assert _stagnation(str(err.value)) == (1, float(f"{trace[-1]:.3e}"))
+    assert len(trace) == 1
     last = err.value.last
     assert last.values.shape == (17, 17)
     # the carried iterate is the one whose residual closes the trace
@@ -225,21 +230,55 @@ def test_1d_backtracking_stagnation_carries_trace(beta, layer_profile):
     assert np.max(np.abs(lap - 0.5 * beta.eval(v[1:-1]))) == pytest.approx(trace[-1], rel=1e-12)
 
 
+def test_1d_solve_at_its_floor_stagnates_without_null_steps(beta, layer_profile):
+    # the tiled layer's 385-node axial solve has a round-off floor of 1.82e-12
+    # above tol = 1e-12.  A trial that does not lower the merit strictly is a
+    # failed one, so the solve stops with the stagnation error after a few
+    # steps; it used to accept trials equal to the iterate (the Armijo margin
+    # rounds away at lam ~ 1e-12) for 100 iterations, 4088 residual calls.
+    evaluated = []
+
+    def recorded(v):
+        evaluated.append(np.array(v, dtype=float))
+        return beta.eval(v)
+
+    t = np.linspace(-3.0, 3.0, 385)
+    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear_1d(
+            dataclasses.replace(beta, eval=recorded), -3.0, 3.0, 385, left, right, init=layer_profile.sample(t)
+        )
+    trace = err.value.trace
+    assert _stagnation(str(err.value)) == (len(trace), float(f"{trace[-1]:.3e}"))
+    assert len(trace) <= 5 and trace[-1] > 1e-12
+    # no residual evaluation repeats the trial before it; the sup norms may
+    # (1.819e-12 = 2^-39 twice: a step at the floor that lowers the 2-norm)
+    assert not any(np.array_equal(a, b) for a, b in zip(evaluated, evaluated[1:]))
+    assert len(evaluated) <= 60  # measured 27
+
+
+def _start_jacobian(beta, grid, data):
+    """Newton's Jacobian Delta_h - beta'(u)/2 at the data, on the unknowns of ``grid``."""
+    L, mask = _assemble_laplacian(grid)
+    s, t = grid.axes()
+    vec = data(s[:, None], t[None, :])[mask]
+    return (L - sp.diags(0.5 * beta.deriv(vec))).tocsc()
+
+
 def test_newton_factors_hold_at_most_0_6_of_colamd_fill(beta):
-    # the 129^2 catenoid neck of the benchmark; measured 0.504
+    # the 129^2 catenoid neck of the benchmark; only its 65^2 coarsest level
+    # is factored (measured 0.53 of COLAMD there, 0.504 on the 129^2 Jacobian)
     g = GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129)
     data = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
     res = solve_semilinear(beta, g, data)
-    L, mask = _assemble_laplacian(g)
-    s, t = g.axes()
-    vec = data(s[:, None], t[None, :])[mask]
-    J = (L - sp.diags(0.5 * beta.deriv(vec))).tocsc()
-    colamd = splu(J, permc_spec="COLAMD").nnz
-    # measured: 2 factors on the 65^2 start level, 1 on 129^2 (chord steps after it)
+    J = _start_jacobian(beta, g, data)
+    assert splu(J, permc_spec=LU_ORDER).nnz <= 0.6 * splu(J, permc_spec="COLAMD").nnz
+    coarse = _start_jacobian(beta, dataclasses.replace(g, ns=65, nt=65), data)
+    # measured: 2 factors for the Newton steps on 65^2 and 1 at its solution
+    # for the V-cycle; the 129^2 steps are GMRES solves
     assert res.factors.factorizations <= 3
-    assert splu(J, permc_spec=LU_ORDER).nnz <= 0.6 * colamd
-    assert res.factors.fill_nnz <= 0.6 * colamd
-
+    assert res.factors.fill_nnz <= 0.6 * splu(coarse, permc_spec="COLAMD").nnz
+    assert res.factors.krylov_iterations > 0
 
 def _neck(beta, nodes):
     g = GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=nodes, nt=nodes)
@@ -253,14 +292,60 @@ def test_reported_residual_is_the_independent_one(beta, nodes):
     assert res.residuals[-1] == residual_semilinear(res.field, beta)  # bitwise
 
 
-def test_neck_at_513_converges_with_few_factors(beta):
+def test_neck_at_513_converges_with_few_factors(beta, monkeypatch):
     # the 513^2 catenoid neck used to cycle between 1.16e-10 and 1.31e-10 and
-    # raise after 40 factors; measured 4.8e-11 with 2 factors on the 65^2
-    # start level and 1 on each of 129^2, 257^2 and 513^2
+    # raise after 40 factors; measured 4.9e-11 with 3 factors, all on the
+    # 65^2 coarsest level, and 52 GMRES iterations on 129^2, 257^2 and 513^2
+    factored = []
+    monkeypatch.setattr(axisym_field, "splu", lambda J, **kw: factored.append(J.shape) or splu(J, **kw))
     res = solve_semilinear(beta, *_neck(beta, 513), tol=1e-10)
     assert res.residuals[-1] <= 1e-10
-    assert res.factors.factorizations <= 5
     assert residual_semilinear(res.field, beta) <= 1e-10
+    coarsest = int(_assemble_laplacian(_neck(beta, 65)[0])[1].sum())
+    assert set(factored) == {(coarsest, coarsest)}
+    assert res.factors.factorizations == len(factored) <= 3
+    assert 0 < res.factors.krylov_iterations <= 70
+
+
+# n, s_min, t-extent (s-extent 3, so ht = 4 hs at 12) and boundary model:
+# every value of each appears, and n = 7 on the axis grid with ht = 4 hs, the
+# case point-Jacobi smoothing could not precondition; measured at most 37
+# GMRES iterations per solve (n = 5, t-extent 12)
+_KRYLOV_CASES = [
+    (2, 0.0, 12.0, "catenoid"),
+    (2, 0.5, 3.0, "profile"),
+    (3, 0.0, 3.0, "catenoid"),
+    (3, 0.5, 6.0, "affine"),
+    (3, 0.0, 12.0, "profile"),
+    (5, 0.0, 6.0, "profile"),
+    (5, 0.5, 12.0, "catenoid"),
+    (5, 0.0, 3.0, "affine"),
+    (7, 0.0, 12.0, "catenoid"),
+    (7, 0.0, 6.0, "affine"),
+    (7, 0.5, 12.0, "affine"),
+    (7, 0.5, 3.0, "profile"),
+]
+
+
+@pytest.mark.parametrize("n, s_min, extent, model", _KRYLOV_CASES)
+def test_krylov_level_matches_a_direct_lu_newton(beta, n, s_min, extent, model):
+    # the 129^2 level solved with V-cycle preconditioned GMRES against
+    # _damped_newton with sparse LU factors from the same start: the
+    # prolongation of the 65^2 solution
+    g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-extent / 2, t_max=extent / 2, ns=129, nt=129)
+    data = boundary_data(ExperimentConfig(boundary_model=model), beta)
+    tol = 1e-10
+    res = solve_semilinear(beta, g, data, tol=tol)
+    coarse = solve_semilinear(beta, dataclasses.replace(g, ns=65, nt=65), data, tol=tol).field
+    level = _Level(beta, g, AxiField.from_function(g, data).values)
+    level.field.values[level.mask] = _prolong(coarse.values)[level.mask]
+    ref, history, _, factors = _damped_newton(
+        level.field.values[level.mask], level.residual, level.jacobian, level.finish, tol, 40, "LU"
+    )
+    assert res.residuals[-1] <= tol and history[-1] <= tol
+    assert factors.factorizations > 0 and factors.krylov_iterations == 0
+    assert 0 < res.factors.krylov_iterations <= 60
+    assert np.max(np.abs(res.field.values - ref.values)) <= 1e-11
 
 
 @pytest.mark.parametrize("nodes", [129, 257])
@@ -293,6 +378,25 @@ def test_top_level_nonconvergence_above_a_coarse_level_keeps_its_message(beta):
         solve_semilinear(beta, g, AxiField(n=3, s=s, t=t, values=start), max_iter=0)
     assert re.fullmatch(r"Newton did not reach tol=1e-10 in 0 iterations \(last sup residual [0-9.e+-]+\)", str(err.value))
     assert err.value.last.values.shape == (129, 129)
+
+
+def test_krylov_level_nonconvergence_names_its_last_gmres_solve(beta):
+    # as above, but one step allowed: the 129^2 level takes one GMRES solve
+    g, data = _neck(beta, 129)
+    coarse = solve_semilinear(beta, *_neck(beta, 65)).field
+    s, t = g.axes()
+    start = data(s[:, None], t[None, :])
+    start[::2, ::2] = coarse.values
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear(beta, g, AxiField(n=3, s=s, t=t, values=start), max_iter=1)
+    match = re.fullmatch(
+        r"Newton did not reach tol=1e-10 in 1 iterations \(last sup residual ([0-9.e+-]+)\); "
+        r"last GMRES solve: (\d+) iterations, exit status 0",
+        str(err.value),
+    )
+    assert match, str(err.value)
+    assert float(match.group(1)) == float(f"{err.value.trace[-1]:.3e}")
+    assert 0 < int(match.group(2)) <= 30
 
 
 def test_failed_chord_step_is_redone_with_a_fresh_factor():

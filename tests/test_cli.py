@@ -10,9 +10,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from onephase_lab import experiments
+from onephase_lab import cli, experiments
 from onephase_lab.cli import main
 from onephase_lab.config import (
+    _KEYS,
     BOUNDARY_MODELS,
     ENV_TOL_PREFIX,
     EXPERIMENTS,
@@ -21,8 +22,8 @@ from onephase_lab.config import (
     apply_env_overrides,
     parse_config,
 )
-from onephase_lab.errors import ConfigError
-from onephase_lab.experiments import run
+from onephase_lab.errors import ConfigError, LabError
+from onephase_lab.experiments import ExperimentReport, run
 from onephase_lab.stability import admissible_alpha
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -121,13 +122,15 @@ def test_stale_threads_line_still_parses(tmp_path):
     assert "threads" not in cfg.canonical_text()
 
 
-def _lu_counters(report, out, artifacts):
-    """The run's LU counters, which live in ``meta`` and nowhere else."""
+def _lu_counters(report, out, artifacts, krylov=False):
+    """The run's LU (and, after a 2D Newton solve, GMRES) counters, which
+    live in ``meta`` and nowhere else."""
     counters = report["meta"]["counters"]
-    assert sorted(counters) == ["lu_factorizations", "lu_fill_nnz"]
-    assert "lu_" not in json.dumps(report["results"])
-    for name in artifacts:
-        assert b"lu_" not in (out / name).read_bytes()
+    assert sorted(counters) == ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz"]
+    for key in ("lu_", "krylov"):
+        assert key not in json.dumps(report["results"])
+        for name in artifacts:
+            assert key.encode() not in (out / name).read_bytes()
     return counters
 
 
@@ -177,10 +180,12 @@ def test_solve_command_with_domain_study(tmp_path, runner):
     assert "domain_study" in report["results"]
     assert report["results"]["domain_study"]["max_interior_difference"] < 0.05
     assert (out / "field.bin").exists()
-    counters = _lu_counters(report, out, ["field.csv", "field.bin"])
+    counters = _lu_counters(report, out, ["field.csv", "field.bin"], krylov=True)
     # one factor on the grid and one on the domain-study subgrid; the later
-    # Newton steps are chord steps on those factors
+    # Newton steps are chord steps on those factors.  Neither grid has a
+    # coarser level, so no GMRES solve runs.
     assert counters["lu_factorizations"] == 2
+    assert counters["krylov_iterations"] == 0
     assert report["results"]["solve"]["newton_iterations"] > 0
     assert counters["lu_fill_nnz"] >= 32 * 31  # at least the unknowns of the 33^2 grid
 
@@ -325,6 +330,76 @@ def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args
     assert isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:")
+    assert not out.exists()
+
+
+def test_krylov_iterations_are_counted_in_meta(tmp_path):
+    # 129^2 catenoid data: the 65^2 level is factored, the 129^2 one is solved by GMRES
+    for experiment, artifacts in (("solve", ["field.csv"]), ("stability", ["spectral.json"])):
+        out = tmp_path / experiment
+        cfg = ExperimentConfig(experiment=experiment, ns=129, nt=129, boundary_model="catenoid", out_dir=str(out))
+        report = json.loads(json.dumps(run(cfg).to_json_dict()))
+        counters = _lu_counters(report, out, artifacts, krylov=True)
+        assert counters["krylov_iterations"] > 0
+
+
+# config text: known sections and keys with arbitrary values, mixed with
+# arbitrary lines (no surrogates, which no file encoding can hold)
+_CHARS = st.characters(blacklist_categories=("Cs",))
+_CONFIG_LINES = st.one_of(
+    st.sampled_from(sorted({sec for sec, *_ in _KEYS} | {"tolerances"})).map(lambda sec: f"[{sec}]"),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from([key for _, key, *_ in _KEYS] + ["newton", "eigen", "classify"]),
+        st.text(_CHARS, max_size=12) | st.sampled_from(["nan", "-inf", "1e999", "0", "-1", "1,2", "true", "%(x)s"]),
+    ),
+    st.text(_CHARS, max_size=24),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CONFIG_LINES, max_size=10))
+def test_arbitrary_config_text_parses_or_raises_a_config_error(tmp_path, monkeypatch, lines):
+    _clear_env_tolerances(monkeypatch)
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg = parse_config(path)
+    except LabError:
+        return
+    cfg.validate()
+
+
+# argument lists: the commands, their own flags and arbitrary tokens
+_FLAGS = sorted({opt for cmd in main.commands.values() for p in cmd.params for opt in p.opts + p.secondary_opts})
+_TOKENS = st.one_of(
+    st.sampled_from([f for f in _FLAGS if f not in ("--out", "--config")]),
+    st.sampled_from(["nan", "inf", "-1", "0", "2", "1e999", "0.5,0.25", "", ",", "x", "--", "-h", "--version"]),
+    st.text(_CHARS.filter(lambda c: c != "\x00"), max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(main.commands) + ["nonsense"]), tokens=st.lists(_TOKENS, max_size=6))
+def test_arbitrary_cli_arguments_run_or_end_in_one_error_line(tmp_path, monkeypatch, runner, command, tokens):
+    # The runner is replaced by its validation step: the property is about
+    # the input path, and a valid but arbitrary grid can cost without bound.
+    def validated(cfg):
+        cfg.validate()
+        return ExperimentReport(experiment=cfg.experiment, results={}, config_text="", config_hash="")
+
+    monkeypatch.setattr(cli, "run", validated)
+    out = tmp_path / "never"
+    result = runner.invoke(main, [command, *tokens, "--out", str(out)])
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code != 0:
+        # click's usage hint, then one error message, which may quote a token
+        # holding a line break (so no splitlines: "\x1e" breaks lines there)
+        lines = result.output.split("\n")
+        first = next(i for i, line in enumerate(lines) if line.startswith("Error:"))
+        assert all(not line or line.startswith(("Usage:", "Try ")) for line in lines[:first]), result.output
+        assert not any(line.startswith("Error:") for line in lines[first + 1 :]), result.output
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import jn_zeros
 
 from onephase_lab.axisym_field import (
     AxiField,
@@ -219,6 +220,19 @@ def _lowest_tridiagonal(diag, off, weight):
     return float(low[0])
 
 
+def _radial_mu(n, s, axis_dirichlet=False):
+    """mu_s of the separable oracle: radial stiffness of the s-edges against
+    the column weights cs, zero on the outer column and, with
+    ``axis_dirichlet``, on the axis column."""
+    m, hs = n - 2, s[1] - s[0]
+    cs = s**m * hs
+    cs[0] = (hs / 2.0) ** (m + 1) / (m + 1)
+    edge = ((s[1:] + s[:-1]) / 2.0) ** m / hs
+    first = 1 if axis_dirichlet else 0
+    stiff = np.concatenate(([0.0], edge))
+    return _lowest_tridiagonal((stiff[:-1] + stiff[1:])[first:], -edge[first:-1], cs[first:-1])
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("axis_dirichlet", [False, True])
 def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, axis_dirichlet):
@@ -229,22 +243,23 @@ def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_pro
     tol = 1e-8
     rep = linearized_rayleigh_min(u, beta, tol=tol, axis_dirichlet=axis_dirichlet)
 
-    # mu_s: radial stiffness of the s-edges against the column weights cs,
-    # zero on the outer column and, with axis_dirichlet, on the axis column
-    m, hs, ht = n - 2, g.hs, g.ht
-    s = u.s
-    cs = s**m * hs
-    cs[0] = (hs / 2.0) ** (m + 1) / (m + 1)
-    edge = ((s[1:] + s[:-1]) / 2.0) ** m / hs
-    first = 1 if axis_dirichlet else 0
-    stiff = np.concatenate(([0.0], edge))
-    mu_s = _lowest_tridiagonal((stiff[:-1] + stiff[1:])[first:], -edge[first:-1], cs[first:-1])
+    mu_s, ht = _radial_mu(n, u.s, axis_dirichlet), g.ht
     # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
     pot = 0.5 * beta.deriv(u.values[0, 1:-1])
     mu_t = _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
 
     assert abs(rep.rayleigh_min - (mu_s + mu_t)) <= tol
     assert rep.factors.factorizations == 1
+
+
+@pytest.mark.parametrize("n, zero", [(3, jn_zeros(0, 1)[0]), (4, math.pi), (5, jn_zeros(1, 1)[0])])
+def test_radial_eigenvalue_converges_to_the_bessel_value_at_second_order(n, zero):
+    # mu_s is the radial Laplacian of R^(n-1) on the ball s < s_max with a
+    # Dirichlet rim: (j_{(n-3)/2,1} / s_max)^2; measured orders 2.00-2.04
+    s_max = 3.0
+    errors = [abs(_radial_mu(n, np.linspace(0.0, s_max, ns)) - (zero / s_max) ** 2) for ns in (65, 129, 257)]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.9, (errors, orders)
 
 
 def test_rayleigh_quotient_consistency(beta, layer_profile):
