@@ -42,7 +42,6 @@ from .profile1d import (
     unique_increasing_profile,
 )
 from .reaction_terms import (
-    EpsilonScaling,
     ReactionTerm,
     beta_from_profile,
     make_polynomial_beta,

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DomainError, InvalidParameterError, NonconvergenceError
-from .numerics import LU_ORDER, LUCounts, csv_lines, unit_sphere_area
+from .numerics import LU_ORDER, LUCounts, csv_lines, stencil_matrix, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
 
 
@@ -82,17 +82,6 @@ class AxiField:
     @property
     def has_axis(self) -> bool:
         return self.s[0] == 0.0
-
-    def grid(self) -> GridSpec:
-        return GridSpec(
-            n=self.n,
-            s_min=float(self.s[0]),
-            s_max=float(self.s[-1]),
-            t_min=float(self.t[0]),
-            t_max=float(self.t[-1]),
-            ns=len(self.s),
-            nt=len(self.t),
-        )
 
     def same_grid(self, other: "AxiField") -> bool:
         return (
@@ -171,11 +160,12 @@ def residual_semilinear(f: AxiField, beta: ReactionTerm) -> float:
     return float(np.nanmax(np.abs(r)))
 
 
-def _unknown_mask(grid: GridSpec) -> np.ndarray:
-    mask = np.zeros((grid.ns, grid.nt), dtype=bool)
+def _unknown_mask(shape, axis: bool) -> np.ndarray:
+    """The interior nodes of a grid of ``shape``, plus the s = 0 column's
+    interior when ``axis`` (the symmetry axis is solved for, not data)."""
+    mask = np.zeros(shape, dtype=bool)
     mask[1:-1, 1:-1] = True
-    if grid.s_min == 0.0:
-        mask[0, 1:-1] = True
+    mask[0, 1:-1] = axis
     return mask
 
 
@@ -184,44 +174,28 @@ def _assemble_laplacian(grid: GridSpec):
     respect to the unknowns, the boundary values held fixed.
     """
     s, _ = grid.axes()
-    hs, ht = grid.hs, grid.ht
-    n, ns, nt = grid.n, grid.ns, grid.nt
-    mask = _unknown_mask(grid)
-    m = int(mask.sum())
-    index = -np.ones((ns, nt), dtype=int)
-    index[mask] = np.arange(m)
-    i, j = np.nonzero(mask)
+    hs, ht, n = grid.hs, grid.ht, grid.n
+    mask = _unknown_mask((grid.ns, grid.nt), grid.s_min == 0.0)
+    i, _ = np.nonzero(mask)
+    m = len(i)
     axis = i == 0
+    # the axis column reflects its s- arm onto the s+ one
     cs_p = (n - 1) * 2.0 / hs**2
     drift = (n - 2) / (2.0 * hs * np.where(axis, 1.0, s[i]))  # not used on the axis
-    # (row node, neighbour node, weight); the axis column reflects its
-    # west arm onto the east one, and the two diagonal terms sum in the CSR
-    rows = np.arange(m)
-    off = ~axis
-    terms = [
-        (rows, i, j, np.where(axis, -cs_p, -2.0 / hs**2)),
-        (rows[off], i[off] - 1, j[off], (1.0 / hs**2 - drift)[off]),
-        (rows, i + 1, j, np.where(axis, cs_p, 1.0 / hs**2 + drift)),
-        (rows, i, j - 1, np.full(m, 1.0 / ht**2)),
-        (rows, i, j + 1, np.full(m, 1.0 / ht**2)),
-        (rows, i, j, np.full(m, -2.0 / ht**2)),
-    ]
-    r, ii, jj, w = (np.concatenate(parts) for parts in zip(*terms))
-    inner = mask[ii, jj]
-    L = sp.csr_matrix((w[inner], (r[inner], index[ii, jj][inner])), shape=(m, m))
-    return L, mask
+    diag = np.where(axis, -cs_p, -2.0 / hs**2) + -2.0 / ht**2
+    t_arm = np.full(m, 1.0 / ht**2)
+    arms = (1.0 / hs**2 - drift, np.where(axis, cs_p, 1.0 / hs**2 + drift), t_arm, t_arm)
+    return stencil_matrix(mask, diag, arms), mask
 
 
 @dataclass
 class SolveResult:
-    """Solver outcome: sup-norm residuals per accepted step, the damping
-    merit (residual 2-norm), which the backtracking makes strictly decreasing,
-    the LU factors of the coarsest level's Jacobians and the GMRES iterations
-    of the finer levels."""
+    """Solver outcome: sup-norm residuals per accepted step, the LU factors
+    of the coarsest level's Jacobians and the GMRES iterations of the finer
+    levels."""
 
     field: AxiField
     residuals: list[float]
-    merits: list[float]
     iterations: int
     factors: LUCounts
 
@@ -456,7 +430,7 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
             values[mask] = _prolong(coarse.field.values)[mask]
             factor = partial(_KrylovSolve, mask=mask, coarse_mask=coarse.mask, coarse=cycle)
         label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
-        field, history, merits, factors = _damped_newton(
+        field, history, _, factors = _damped_newton(
             values[mask], level.residual, level.jacobian, level.finish, tol, max_iter, label, factor
         )
         counts.merge(factors)
@@ -465,7 +439,7 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
             final = factor(level.jacobian(values[mask]), counts)
             cycle = final.solve if coarse is None else final.cycle
         coarse = level
-    return SolveResult(field=field, residuals=history, merits=merits, iterations=len(history) - 1, factors=counts)
+    return SolveResult(field=field, residuals=history, iterations=len(history) - 1, factors=counts)
 
 
 def solve_semilinear_1d(
@@ -487,8 +461,10 @@ def solve_semilinear_1d(
     full problem with one-dimensional data, which makes it the right far-field
     model and the reference for s-independence checks.  Stagnated
     backtracking, or ``max_iter`` damped Newton steps without reaching
-    ``tol``, raise ``NonconvergenceError`` carrying the last iterate and the
-    sup-norm residual trace.
+    ``tol``, return the last iterate when its sup residual is at or below the
+    round-off floor 4 eps max|v| / ht^2 of the grid, and otherwise raise
+    ``NonconvergenceError`` naming that floor and carrying the last iterate
+    and the sup-norm residual trace.
     """
     t = np.linspace(t_min, t_max, nt)
     ht = t[1] - t[0]
@@ -509,7 +485,13 @@ def solve_semilinear_1d(
         v[1:-1] = w
         return v
 
-    return _damped_newton(v[1:-1].copy(), res_of, jacobian, finish, tol, max_iter, "1D Newton")[0]
+    try:
+        return _damped_newton(v[1:-1].copy(), res_of, jacobian, finish, tol, max_iter, "1D Newton")[0]
+    except NonconvergenceError as err:
+        floor = 4.0 * np.finfo(float).eps * float(np.max(np.abs(err.last))) / ht**2
+        if err.trace[-1] <= floor:
+            return err.last
+        raise NonconvergenceError(f"{err}; round-off floor {floor:.3e}", last=err.last, trace=err.trace) from None
 
 
 def _cell_gradient_sq(f: AxiField) -> np.ndarray:
@@ -632,7 +614,7 @@ def blow_down(
         out = AxiField(n=target.n, s=s, t=t, values=epsilon * interp((S, T)))
     res = None
     if beta is not None:
-        res = residual_semilinear(out, rescale(beta, epsilon).term)
+        res = residual_semilinear(out, rescale(beta, epsilon))
     return BlowDownResult(field=out, residual=res)
 
 

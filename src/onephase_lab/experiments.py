@@ -50,7 +50,6 @@ from .stability import (
     epsilon_schedule,
     linearized_rayleigh_min,
     probe_inequality,
-    us_derivative,
 )
 
 
@@ -386,20 +385,14 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     _count_factors(counters, sol.factors)
     identity = normal_derivative_identity(boundary, sol.field)
 
-    # interface stability form with the capped radial probe xi = u_s * eta
-    from .stability import _eta_and_gradsq
-
-    probe = _probe(cfg)
-    eta, _ = _eta_and_gradsq(probe, sol.field)
-    c = us_derivative(sol.field).values
-    xi_vals = c * eta
+    # interface stability form with the bulk probe's xi = u_s * eta, its border zeroed
+    bulk = probe_inequality(sol.field, _probe(cfg), resolve_reaction(cfg.reaction))
+    xi_vals = bulk.eigenvector.values.copy()
     xi_vals[0, :] = 0.0
     xi_vals[-1, :] = 0.0
     xi_vals[:, 0] = 0.0
     xi_vals[:, -1] = 0.0
-    xi = sol.field.with_values(xi_vals)
-    form = onephase_stability_form(boundary, sol.field, xi)
-    bulk = probe_inequality(sol.field, probe, resolve_reaction(cfg.reaction))
+    form = onephase_stability_form(boundary, sol.field, sol.field.with_values(xi_vals))
 
     outputs["boundary.csv"] = lambda path: boundary.save_csv(path)
     outputs["field.csv"] = lambda path: sol.field.save_csv(path)

@@ -1,4 +1,5 @@
-"""Small shared numerical kernels: quadrature, difference formulas, sparse LU policy."""
+"""Small shared numerical kernels: quadrature, difference formulas, the 5-point
+stencil-to-CSR builder and the sparse LU policy."""
 
 from __future__ import annotations
 
@@ -6,6 +7,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+from .errors import InvalidParameterError
 
 # Column ordering of every sparse LU factor in the lab (``splu(A,
 # permc_spec=LU_ORDER)``): minimum degree on the pattern of A^T + A.  The
@@ -102,19 +106,6 @@ def gl5_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gl5_points_rows(edges_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise panel Gauss-Legendre: edges (m, k) -> nodes/weights (m, 5(k-1))."""
-    lo = edges_rows[:, :-1]
-    hi = edges_rows[:, 1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, :, None] + half[:, :, None] * _GL5_NODES[None, None, :]).reshape(
-        edges_rows.shape[0], -1
-    )
-    weights = (half[:, :, None] * _GL5_WEIGHTS[None, None, :]).reshape(edges_rows.shape[0], -1)
-    return nodes, weights
-
-
 def nonuniform_first_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """First derivative of samples ``y(x)``, second order on smooth grids.
 
@@ -181,8 +172,34 @@ def smoothstep_quintic_deriv(x):
 def unit_sphere_area(d: int) -> float:
     """Surface measure of the unit d-sphere embedded in R^(d+1)."""
     if d < 0:
-        raise ValueError("sphere dimension must be >= 0")
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+        raise InvalidParameterError("sphere dimension must be >= 0")
+    try:
+        return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    except OverflowError:
+        raise InvalidParameterError(f"the area of the unit {d}-sphere is not representable in floating point") from None
+
+
+def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms) -> sp.csr_matrix:
+    """CSR matrix of a 5-point stencil restricted to the ``unknown`` nodes of a grid.
+
+    Unknowns are numbered in row-major (``np.nonzero``) order.  ``diag``
+    holds one diagonal entry per unknown, ``arms`` the four arm weights
+    (s-, s+, t-, t+) per unknown.  An arm whose node lies off the grid or is
+    not an unknown is dropped; every other arm is stored, zero weights
+    included.  Each row lists its columns in ascending order: s-, t-, the
+    diagonal, t+, s+.
+    """
+    m = len(diag)
+    index = np.full((unknown.shape[0] + 2, unknown.shape[1] + 2), -1)
+    index[1:-1, 1:-1][unknown] = np.arange(m)
+    i, j = np.nonzero(unknown)
+    i, j = i + 1, j + 1
+    s_m, s_p, t_m, t_p = arms
+    cols = np.stack((index[i - 1, j], index[i, j - 1], index[i, j], index[i, j + 1], index[i + 1, j]), axis=1)
+    vals = np.stack((s_m, t_m, diag, t_p, s_p), axis=1)
+    keep = cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(m, m))
 
 
 def csv_lines(*columns) -> str:

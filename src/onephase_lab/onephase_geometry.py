@@ -20,18 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
-from .axisym_field import AxiField, GridSpec, _cell_gradient_sq, _cell_measure, _centered_gradient
+from .axisym_field import AxiField, GridSpec, _cell_gradient_sq, _cell_measure, _centered_gradient, _unknown_mask
 from .errors import (
     CurvatureSingularityError,
     GeometryMismatchError,
     InvalidParameterError,
     PreconditionViolationError,
 )
-from .numerics import LU_ORDER, LUCounts, csv_lines, unit_sphere_area
+from .numerics import LU_ORDER, LUCounts, csv_lines, stencil_matrix, unit_sphere_area
 from .stability import _require_vanishing_border, us_derivative
 
 _AXIS_TOL = 1e-9
@@ -467,11 +466,8 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn):
     S, T = np.meshgrid(s, t, indexing="ij")
     pos = np.asarray(level_fn(S, T), dtype=float) > 0.0
 
-    border = np.zeros_like(pos)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    if grid.s_min == 0.0:
-        border[0, 1:-1] = False  # the axis is a symmetry line, not data
+    # the axis is a symmetry line, not data
+    border = ~_unknown_mask(pos.shape, grid.s_min == 0.0)
     g = np.zeros((grid.ns, grid.nt))
     fill = border & pos
     g[fill] = np.asarray(boundary_fn(S[fill], T[fill]), dtype=float)
@@ -480,8 +476,6 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn):
     m = int(unknown.sum())
     if m == 0:
         raise InvalidParameterError("no unknown nodes inside the positivity set")
-    index = -np.ones((grid.ns, grid.nt), dtype=int)
-    index[unknown] = np.arange(m)
     i, j = np.nonzero(unknown)
     axis = i == 0  # row 0 holds unknowns only when it is the axis
 
@@ -517,14 +511,10 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn):
     )
     diag = np.where(axis, -c_axis, cc + fac * dc) + -2.0 / (tt_m * tt_p * ht**2)
 
-    live = has_arm & pos[ii, jj]
-    inner = live & unknown[ii, jj]
-    row = np.arange(m)
-    rows = np.concatenate((row, np.broadcast_to(row, (4, m))[inner]))
-    cols = np.concatenate((row, index[ii[inner], jj[inner]]))
-    A = sp.csr_matrix((np.concatenate((diag, weights[inner])), (rows, cols)), shape=(m, m))
+    A = stencil_matrix(unknown, diag, weights)
     rhs = np.zeros(m)
-    for term in np.where(live & ~inner, weights * g[ii, jj], 0.0):  # arms in order s-, s+, t-, t+
+    to_data = has_arm & pos[ii, jj] & ~unknown[ii, jj]
+    for term in np.where(to_data, weights * g[ii, jj], 0.0):  # arms in order s-, s+, t-, t+
         rhs -= term
     return A, rhs, g, unknown, pos
 

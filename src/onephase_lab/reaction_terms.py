@@ -44,40 +44,6 @@ class ReactionTerm:
     flags: frozenset = field(default_factory=frozenset)
 
 
-@dataclass(frozen=True)
-class EpsilonScaling:
-    """Thin-layer rescaling of a reaction term by a width ``epsilon``.
-
-    The scaled term evaluates to base(t/eps)/eps, so its support shrinks to
-    [0, eps] while the total mass is unchanged; the scaled primitive is
-    base_primitive(t/eps).
-    """
-
-    epsilon: float
-    base: ReactionTerm
-
-    @property
-    def term(self) -> ReactionTerm:
-        eps = self.epsilon
-        b = self.base
-        lo, hi = b.support
-        return ReactionTerm(
-            name=f"{b.name}@eps={eps:g}",
-            eval=lambda t: b.eval(np.asarray(t) / eps) / eps,
-            deriv=lambda t: b.deriv(np.asarray(t) / eps) / (eps * eps),
-            primitive=lambda t: b.primitive(np.asarray(t) / eps),
-            support=(lo * eps, hi * eps),
-            mass=b.mass,
-            flags=b.flags,
-        )
-
-    def eval(self, t):
-        return self.term.eval(t)
-
-    def primitive(self, t):
-        return self.term.primitive(t)
-
-
 def make_polynomial_beta(normalization: float = 1.0) -> ReactionTerm:
     """Quartic witness c*t^2(1-t)^2 on [0, 1] with integral ``normalization``.
 
@@ -240,11 +206,26 @@ def validate_a1(term: ReactionTerm, samples: int = 2001) -> A1Report:
     )
 
 
-def rescale(term: ReactionTerm, epsilon: float) -> EpsilonScaling:
-    """Width rescaling t -> t/eps with mass preserved; requires eps > 0."""
+def rescale(term: ReactionTerm, epsilon: float) -> ReactionTerm:
+    """Width rescaling t -> t/eps with mass preserved; requires eps > 0.
+
+    The scaled term evaluates to term(t/eps)/eps, so its support shrinks to
+    eps times the original while the total mass is unchanged; its primitive
+    is term.primitive(t/eps).
+    """
     if not (epsilon > 0.0):
         raise InvalidParameterError("epsilon must be positive")
-    return EpsilonScaling(epsilon=float(epsilon), base=term)
+    eps = float(epsilon)
+    lo, hi = term.support
+    return ReactionTerm(
+        name=f"{term.name}@eps={eps:g}",
+        eval=lambda t: term.eval(np.asarray(t) / eps) / eps,
+        deriv=lambda t: term.deriv(np.asarray(t) / eps) / (eps * eps),
+        primitive=lambda t: term.primitive(np.asarray(t) / eps),
+        support=(lo * eps, hi * eps),
+        mass=term.mass,
+        flags=term.flags,
+    )
 
 
 # |v'''/v'| beyond this at the decaying tail flags possible loss of C^1 at 0

@@ -19,9 +19,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .axisym_field import AxiField, residual_semilinear
+from .axisym_field import AxiField, _unknown_mask, residual_semilinear
 from .errors import InvalidParameterError, NonconvergenceError
-from .numerics import LU_ORDER, LUCounts, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
+from .numerics import (
+    LU_ORDER,
+    LUCounts,
+    smoothstep_quintic,
+    smoothstep_quintic_deriv,
+    stencil_matrix,
+    unit_sphere_area,
+)
 from .reaction_terms import ReactionTerm
 
 VERDICT_STABLE = "stable-on-grid"
@@ -187,14 +194,7 @@ def assemble_operator(u: AxiField, beta: ReactionTerm, axis_dirichlet: bool = Fa
     A x = lambda diag(w) x discretizes the Rayleigh quotient.
     """
     ns, nt = u.values.shape
-    mask = np.zeros((ns, nt), dtype=bool)
-    mask[1:-1, 1:-1] = True
-    if u.has_axis and not axis_dirichlet:
-        mask[0, 1:-1] = True
-    index = -np.ones((ns, nt), dtype=int)
-    m = int(mask.sum())
-    index[mask] = np.arange(m)
-
+    mask = _unknown_mask((ns, nt), u.has_axis and not axis_dirichlet)
     w_s, w_t = _edge_weights(u)
     es = np.zeros((ns + 1, nt))  # es[i] weights the s-edge from i - 1 to i
     es[1:-1] = w_s / u.hs**2
@@ -203,19 +203,9 @@ def assemble_operator(u: AxiField, beta: ReactionTerm, axis_dirichlet: bool = Fa
     weights = node_weights(u)
     pot = 0.5 * np.asarray(beta.deriv(u.values)) * weights
     i, j = np.nonzero(mask)
-    row = np.arange(m)
     # the diagonal sums its edges in the order s-, s+, t-, t+, then the potential
     diag = es[i, j] + es[i + 1, j] + et[i, j] + et[i, j + 1] + pot[i, j]
-    rows, cols, vals = [row], [row], [diag]
-    padded = np.pad(index, 1, constant_values=-1)
-    for di, dj, w in ((-1, 0, es[i, j]), (1, 0, es[i + 1, j]), (0, -1, et[i, j]), (0, 1, et[i, j + 1])):
-        nb = padded[i + 1 + di, j + 1 + dj]
-        inner = nb >= 0
-        rows.append(row[inner])
-        cols.append(nb[inner])
-        vals.append(-w[inner])
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    A = stencil_matrix(mask, diag, (-es[i, j], -es[i + 1, j], -et[i, j], -et[i, j + 1]))
     return A, weights[mask], mask
 
 
@@ -240,6 +230,8 @@ def linearized_rayleigh_min(
         raise InvalidParameterError(f"field does not solve the equation (residual {res:.3e})")
 
     A, w, mask = assemble_operator(u, beta, axis_dirichlet=axis_dirichlet)
+    if not np.all(w > 0.0):
+        raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
     d = 1.0 / np.sqrt(w)
     D = sp.diags(d)
     B = (D @ A @ D).tocsr()

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from onephase_lab import axisym_field
@@ -230,31 +232,86 @@ def test_1d_backtracking_stagnation_carries_trace(beta, layer_profile):
     assert np.max(np.abs(lap - 0.5 * beta.eval(v[1:-1]))) == pytest.approx(trace[-1], rel=1e-12)
 
 
-def test_1d_solve_at_its_floor_stagnates_without_null_steps(beta, layer_profile):
-    # the tiled layer's 385-node axial solve has a round-off floor of 1.82e-12
-    # above tol = 1e-12.  A trial that does not lower the merit strictly is a
-    # failed one, so the solve stops with the stagnation error after a few
-    # steps; it used to accept trials equal to the iterate (the Armijo margin
-    # rounds away at lam ~ 1e-12) for 100 iterations, 4088 residual calls.
-    evaluated = []
+def _sup_residual_1d(beta, v, ht):
+    lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / ht**2
+    return float(np.max(np.abs(lap - 0.5 * beta.eval(v[1:-1]))))
+
+
+def _floor_1d(v, ht):
+    """The round-off floor 4 eps max|v| / ht^2 of the three-point residual."""
+    return 4.0 * np.finfo(float).eps * float(np.max(np.abs(v))) / ht**2
+
+
+def test_1d_solve_at_its_floor_stagnates_without_null_steps(beta, layer_profile, monkeypatch):
+    # the tiled layer's 385-node axial solve stalls at 1.82e-12, above
+    # tol = 1e-12 but below the grid's round-off floor (1.09e-11).  A trial
+    # that does not lower the merit strictly is a failed one, so the Newton
+    # loop stops with the stagnation error after a few steps; it used to
+    # accept trials equal to the iterate (the Armijo margin rounds away at
+    # lam ~ 1e-12) for 100 iterations, 4088 residual calls.  The solve then
+    # returns the last iterate, whose residual is at the floor.
+    evaluated, raised = [], []
 
     def recorded(v):
         evaluated.append(np.array(v, dtype=float))
         return beta.eval(v)
 
+    def newton(*args, **kwargs):
+        try:
+            return _damped_newton(*args, **kwargs)
+        except NonconvergenceError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(axisym_field, "_damped_newton", newton)
     t = np.linspace(-3.0, 3.0, 385)
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
-    with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear_1d(
-            dataclasses.replace(beta, eval=recorded), -3.0, 3.0, 385, left, right, init=layer_profile.sample(t)
-        )
-    trace = err.value.trace
-    assert _stagnation(str(err.value)) == (len(trace), float(f"{trace[-1]:.3e}"))
+    v = solve_semilinear_1d(
+        dataclasses.replace(beta, eval=recorded), -3.0, 3.0, 385, left, right, init=layer_profile.sample(t)
+    )
+    (err,) = raised
+    trace = err.trace
+    assert _stagnation(str(err)) == (len(trace), float(f"{trace[-1]:.3e}"))
     assert len(trace) <= 5 and trace[-1] > 1e-12
+    assert v is err.last and (v[0], v[-1]) == (left, right)
+    ht = t[1] - t[0]
+    assert _sup_residual_1d(beta, v, ht) == pytest.approx(trace[-1], rel=1e-12)
+    assert trace[-1] <= _floor_1d(v, ht)
     # no residual evaluation repeats the trial before it; the sup norms may
     # (1.819e-12 = 2^-39 twice: a step at the floor that lowers the 2-norm)
     assert not any(np.array_equal(a, b) for a, b in zip(evaluated, evaluated[1:]))
     assert len(evaluated) <= 60  # measured 27
+
+
+def test_1d_solve_returns_at_its_floor_on_513_nodes(beta, layer_profile):
+    # stuck at 3.23e-12 > tol = 1e-12, a sixth of the floor; this used to raise
+    t = np.linspace(-3.0, 3.0, 513)
+    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
+    v = solve_semilinear_1d(beta, -3.0, 3.0, 513, left, right, init=layer_profile.sample(t))
+    assert (v[0], v[-1]) == (left, right)
+    assert 1e-12 < _sup_residual_1d(beta, v, t[1] - t[0]) <= _floor_1d(v, t[1] - t[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(nt=st.integers(min_value=65, max_value=2049), half_width=st.floats(min_value=1.5, max_value=9.0))
+def test_1d_solve_reaches_tol_or_its_floor(beta, layer_profile, nt, half_width):
+    # measured on nt 65-2049 x half-widths 1.5-9: the stuck residuals are
+    # 0.08-0.22 of the floor, and 34 of 50 such solves used to raise
+    t = np.linspace(-half_width, half_width, nt)
+    left, right = float(layer_profile.sample(-half_width)), float(layer_profile.sample(half_width))
+    v = solve_semilinear_1d(beta, -half_width, half_width, nt, left, right, init=layer_profile.sample(t))
+    ht = t[1] - t[0]
+    assert _sup_residual_1d(beta, v, ht) <= max(1e-12, _floor_1d(v, ht))
+
+
+def test_1d_nonconvergence_above_the_floor_names_it(beta, layer_profile):
+    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
+    with pytest.raises(NonconvergenceError) as err:
+        solve_semilinear_1d(
+            beta, -3.0, 3.0, 65, left, right, init=lambda t: left + (right - left) * (t + 3.0) / 6.0, max_iter=2
+        )
+    match = re.search(r"; round-off floor ([0-9.e+-]+)$", str(err.value))
+    assert match and float(match.group(1)) < err.value.trace[-1]
 
 
 def _start_jacobian(beta, grid, data):

@@ -321,6 +321,8 @@ def test_malformed_cli_input_exits_with_one_error_line(tmp_path, runner, args):
         ["blowdown", "--epsilons", "0"],
         ["blowdown", "--epsilons", "0.5,-0.25"],
         ["blowdown", "--epsilons", ""],
+        ["solve", "--n", "400"],
+        ["stability", "--n", "300"],
     ],
 )
 def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args):

@@ -515,7 +515,7 @@ def test_test_function_may_be_nonzero_on_the_axis(beta):
 
 def _sphere_dual_path(n, r0, alpha, R, eps_inner, n_r_panels=120, n_th=28):
     """Both defects of the interface form with xi = u_s * eta, by panel quadrature."""
-    from onephase_lab.numerics import gl5_points, gl5_points_rows
+    from onephase_lab.numerics import gl5_points
 
     cn = unit_sphere_area(n - 2)
     edges_r = np.concatenate(
@@ -528,7 +528,7 @@ def _sphere_dual_path(n, r0, alpha, R, eps_inner, n_r_panels=120, n_th=28):
     up_edges = th1[:, None] + (math.pi / 2 - th1)[:, None] * gfrac[None, :]
     lower = np.concatenate((cap_edges, up_edges[:, 1:]), axis=1)
     edges_th = np.concatenate((lower, (math.pi - lower[:, ::-1])[:, 1:]), axis=1)
-    th, w_th = gl5_points_rows(edges_th)
+    th, w_th = (np.array(rows) for rows in zip(*(gl5_points(edges) for edges in edges_th)))
 
     r = r_nodes[:, None]
     s = r * np.sin(th)

@@ -99,7 +99,7 @@ def test_rescale_primitive_consistency(eps, t):
     beta = make_polynomial_beta(1.0)
     scaled = rescale(beta, eps)
     assert scaled.primitive(t) == beta.primitive(t / eps)
-    assert scaled.term.support == (0.0, eps)
+    assert scaled.support == (0.0, eps)
 
 
 def test_rescale_rejects_nonpositive_epsilon(beta):
