@@ -95,6 +95,15 @@ class AxiField:
     def with_values(self, values: np.ndarray) -> "AxiField":
         return replace(self, values=values)
 
+    def sample(self, points) -> np.ndarray:
+        """Bilinear values at ``points``, continued linearly outside the grid.
+
+        ``points`` is an array of (s, t) pairs in its last axis, or a tuple
+        (s, t) of broadcastable coordinate arrays.
+        """
+        interp = RegularGridInterpolator((self.s, self.t), self.values, bounds_error=False, fill_value=None)
+        return interp(points)
+
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "AxiField":
         s, t = grid.axes()
@@ -609,9 +618,8 @@ def blow_down(
             or t[-1] / epsilon > f.t[-1] + pad
         ):
             raise DomainError("target grid reaches outside the rescaled source domain")
-        interp = RegularGridInterpolator((f.s, f.t), f.values, method="linear", bounds_error=False, fill_value=None)
         S, T = np.meshgrid(s / epsilon, t / epsilon, indexing="ij")
-        out = AxiField(n=target.n, s=s, t=t, values=epsilon * interp((S, T)))
+        out = AxiField(n=target.n, s=s, t=t, values=epsilon * f.sample((S, T)))
     res = None
     if beta is not None:
         res = residual_semilinear(out, rescale(beta, epsilon))
@@ -619,21 +627,15 @@ def blow_down(
 
 
 def lipschitz_monitor(f: AxiField) -> float:
-    """Sup over interior nodes of the centered-difference gradient magnitude."""
+    """Sup of the centered-difference gradient magnitude over the unknown
+    nodes (the axis column included, where u_s = 0)."""
     gs, gt = _centered_gradient(f)
-    if f.has_axis:
-        mag = np.hypot(gs[:-1, 1:-1], gt[:-1, 1:-1])  # axis column included, u_s = 0 there
-    else:
-        mag = np.hypot(gs[1:-1, 1:-1], gt[1:-1, 1:-1])
-    return float(np.max(mag))
+    inner = _unknown_mask(f.values.shape, f.has_axis)
+    return float(np.max(np.hypot(gs[inner], gt[inner])))
 
 
 def max_principle_defect(f: AxiField) -> float:
-    """How far the interior maximum exceeds the boundary maximum (<= 0 is clean)."""
-    interior = f.values[1:-1, 1:-1]
-    if f.has_axis:
-        interior = f.values[:-1, 1:-1]
-    boundary = np.concatenate(
-        (f.values[0, :] if not f.has_axis else f.values[-1, :], f.values[-1, :], f.values[:, 0], f.values[:, -1])
-    )
-    return float(np.max(interior) - np.max(boundary))
+    """How far the maximum over the unknown nodes exceeds the maximum over the
+    outer boundary (<= 0 is clean)."""
+    inner = _unknown_mask(f.values.shape, f.has_axis)
+    return float(np.max(f.values[inner]) - np.max(f.values[~inner]))

@@ -8,19 +8,29 @@ from dataclasses import replace
 
 import click
 
-from .config import BOUNDARY_MODELS, ONEPHASE_PRESETS, ExperimentConfig, _parse_floats, _parse_ints, parse_config
+from .config import (
+    BOUNDARY_MODELS,
+    ONEPHASE_PRESETS,
+    ExperimentConfig,
+    _parse_floats,
+    _parse_ints,
+    apply_env_overrides,
+    parse_config,
+)
 from .errors import LabError
 from .experiments import run
 
 
 def _execute(config_path, experiment, out_dir, **flags) -> None:
-    """Load the config, apply the flags that were given, run, and report; lab errors exit cleanly."""
+    """Load the config, apply the flags that were given and the environment's
+    tolerance overrides, run, and report; lab errors exit cleanly."""
     try:
         cfg = ExperimentConfig(experiment=experiment)
         if config_path is not None:
             cfg = replace(parse_config(config_path, base=cfg), experiment=experiment)
         flags["out_dir"] = out_dir
         cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
+        cfg = replace(cfg, tolerances=apply_env_overrides(cfg.tolerances))
         report = run(cfg)
     except LabError as exc:
         raise click.ClickException(str(exc)) from exc

@@ -1,8 +1,10 @@
 """Experiment configuration: line-oriented key=value files with sections.
 
-The configuration format is INI-style (diff-friendly, stdlib parser).  Every
-tolerance can be overridden by an environment variable with the uniform
-prefix ``ONEPHASE_LAB_TOL_`` (for example ``ONEPHASE_LAB_TOL_NEWTON=1e-8``).
+The configuration format is INI-style (diff-friendly, stdlib parser).  On
+the command line every tolerance can be overridden by an environment
+variable with the uniform prefix ``ONEPHASE_LAB_TOL_`` (for example
+``ONEPHASE_LAB_TOL_NEWTON=1e-8``), with or without a config file; see
+:func:`apply_env_overrides`.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ class ExperimentConfig:
         if self.n < 2:
             raise ConfigError("grid dimension n must be >= 2")
         for name, value in self.tolerances.items():
+            if name not in _DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance {name!r}; choose from {tuple(_DEFAULT_TOLERANCES)}")
             if not (value > 0.0):
                 raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
         if self.reaction.startswith("table:"):
@@ -177,6 +181,9 @@ def _render(value) -> str:
 
 
 def apply_env_overrides(tolerances: dict, environ=None) -> dict:
+    """``tolerances`` updated from the ``ONEPHASE_LAB_TOL_<NAME>`` variables of
+    ``environ`` (default ``os.environ``); names are lower-cased and checked
+    by :meth:`ExperimentConfig.validate`."""
     env = os.environ if environ is None else environ
     out = dict(tolerances)
     for key, raw in env.items():
@@ -212,6 +219,6 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     if parser.has_section("tolerances"):
         for key in parser.options("tolerances"):
             tolerances[key] = _get(parser, "tolerances", key, float, None)
-    cfg = replace(cfg, tolerances=apply_env_overrides(tolerances))
+    cfg = replace(cfg, tolerances=tolerances)
     cfg.validate()
     return cfg

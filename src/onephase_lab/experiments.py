@@ -10,6 +10,7 @@ in the ``meta`` block, outside the reproducible results.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ from . import __version__
 from .axisym_field import (
     AxiField,
     GridSpec,
+    _unknown_mask,
     blow_down,
     energy,
     lipschitz_monitor,
@@ -37,6 +39,10 @@ from .onephase_geometry import (
     solve_harmonic_masked,
 )
 from .profile1d import (
+    classify,
+    convexity_defect,
+    extend_to_nd,
+    first_integral_spread,
     save_profile_csv,
     save_profile_dat,
     shoot,
@@ -139,8 +145,6 @@ def _count_factors(counters: dict, *factors, krylov: bool = False) -> None:
 def _run_profile(cfg: ExperimentConfig, outputs: dict, counters: dict):
     beta = resolve_reaction(cfg.reaction)
     prof = shoot(beta, cfg.a, cfg.halfwidth, cfg.step)
-    from .profile1d import classify, convexity_defect, first_integral_spread
-
     rep = classify(prof, beta=beta, tol=cfg.tolerances["classify"])
     outputs["profile.csv"] = lambda path: save_profile_csv(prof, path)
     outputs["profile.dat"] = lambda path: save_profile_dat(prof, path)
@@ -164,8 +168,6 @@ def _run_profile(cfg: ExperimentConfig, outputs: dict, counters: dict):
 def _run_figure1(cfg: ExperimentConfig, outputs: dict, counters: dict):
     """The three-panel profile gallery: ramp slopes above, at, and below 1."""
     beta = resolve_reaction(cfg.reaction)
-    from .profile1d import classify
-
     panels = {}
     for name, a in (("case_i", 2.0), ("case_ii", 1.0), ("case_iii", 0.5)):
         prof = shoot(beta, a, cfg.halfwidth, cfg.step)
@@ -243,12 +245,9 @@ def _run_solve(cfg: ExperimentConfig, outputs: dict, counters: dict):
             nt=max(9, 2 * (grid.nt // 3) + 1),
         )
         res2 = solve_semilinear(beta, sub, data, tol=cfg.tolerances["newton"])
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator((f.s, f.t), f.values)
         s2, t2 = sub.axes()
         S2, T2 = np.meshgrid(s2[1:-1], t2[1:-1], indexing="ij")
-        diff = float(np.max(np.abs(interp((S2, T2)) - res2.field.values[1:-1, 1:-1])))
+        diff = float(np.max(np.abs(f.sample((S2, T2)) - res2.field.values[1:-1, 1:-1])))
         results["domain_study"] = {
             "sub_extents": [s_lo, s_hi, t_lo, t_hi],
             "max_interior_difference": diff,
@@ -316,8 +315,6 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
     eps_list = sorted(cfg.epsilons, reverse=True)
     span = max(2.0 / min(eps_list), 40.0)
     prof = unique_increasing_profile(beta, u_lo=1e-6, u_hi=span, n_samples=40001)
-    from .profile1d import extend_to_nd
-
     big = GridSpec(
         n=2, s_max=1.0 / min(eps_list), t_min=-span, t_max=span, ns=3, nt=4 * 40000 + 1
     )
@@ -388,10 +385,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     # interface stability form with the bulk probe's xi = u_s * eta, its border zeroed
     bulk = probe_inequality(sol.field, _probe(cfg), resolve_reaction(cfg.reaction))
     xi_vals = bulk.eigenvector.values.copy()
-    xi_vals[0, :] = 0.0
-    xi_vals[-1, :] = 0.0
-    xi_vals[:, 0] = 0.0
-    xi_vals[:, -1] = 0.0
+    xi_vals[~_unknown_mask(xi_vals.shape, sol.field.has_axis)] = 0.0
     form = onephase_stability_form(boundary, sol.field, sol.field.with_values(xi_vals))
 
     outputs["boundary.csv"] = lambda path: boundary.save_csv(path)
@@ -456,8 +450,6 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         timings={"run_seconds": elapsed},
         counters=counters,
     )
-
-    import os
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, writer in outputs.items():

@@ -106,37 +106,6 @@ def gl5_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def nonuniform_first_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """First derivative of samples ``y(x)``, second order on smooth grids.
-
-    Interior nodes use the three-point formula exact on quadratics; the
-    endpoints use one-sided three-point formulas.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = np.empty_like(y)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    d[1:-1] = (
-        -hp / (hm * (hm + hp)) * y[:-2]
-        + (hp - hm) / (hm * hp) * y[1:-1]
-        + hm / (hp * (hm + hp)) * y[2:]
-    )
-    h0, h1 = x[1] - x[0], x[2] - x[1]
-    d[0] = (
-        -(2 * h0 + h1) / (h0 * (h0 + h1)) * y[0]
-        + (h0 + h1) / (h0 * h1) * y[1]
-        - h0 / (h1 * (h0 + h1)) * y[2]
-    )
-    g0, g1 = x[-2] - x[-3], x[-1] - x[-2]
-    d[-1] = (
-        g1 / (g0 * (g0 + g1)) * y[-3]
-        - (g0 + g1) / (g0 * g1) * y[-2]
-        + (2 * g1 + g0) / (g1 * (g0 + g1)) * y[-1]
-    )
-    return d
-
-
 def nonuniform_second_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Second derivative of samples ``y(x)`` (three-point, interior only).
 

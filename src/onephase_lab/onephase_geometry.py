@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .axisym_field import AxiField, GridSpec, _cell_gradient_sq, _cell_measure, _centered_gradient, _unknown_mask
@@ -180,12 +179,6 @@ def surface_integral(boundary: RevolutionBoundary, values: np.ndarray) -> float:
     return float(np.sum(np.asarray(values) * w * boundary.dl))
 
 
-def _interp(field: AxiField):
-    return RegularGridInterpolator(
-        (field.s, field.t), field.values, method="linear", bounds_error=False, fill_value=None
-    )
-
-
 def _positive_interior_mask(values: np.ndarray) -> np.ndarray:
     """Positive-phase nodes at least two cells from the zero phase and border."""
     pos = values > 0.0
@@ -202,16 +195,42 @@ def _positive_interior_mask(values: np.ndarray) -> np.ndarray:
     return core
 
 
-def _check_harmonic(u: AxiField) -> None:
+def _harmonic_residual(u: AxiField, mask: np.ndarray) -> float:
+    """Sup of |Delta_h u| over the nodes of ``mask``."""
     from .axisym_field import apply_axisym_laplacian
 
+    lap = apply_axisym_laplacian(u).values
+    return float(np.nanmax(np.abs(np.where(mask, lap, 0.0))))
+
+
+def _check_harmonic(u: AxiField) -> None:
     mask = _positive_interior_mask(u.values)
     if not mask.any():
         raise PreconditionViolationError("positivity set too thin to verify harmonicity")
-    lap = apply_axisym_laplacian(u).values
-    res = float(np.nanmax(np.abs(np.where(mask, lap, 0.0))))
+    res = _harmonic_residual(u, mask)
     if res > 1e-6:
         raise PreconditionViolationError(f"field is not harmonic in its positivity set (residual {res:.3e})")
+
+
+def _require_on_zero_level(u: AxiField, points: np.ndarray, h: float) -> None:
+    """Reject interface ``points`` where u samples farther from 0 than one cell of slope."""
+    if float(np.max(np.abs(u.sample(points)))) > 2.0 * h * (1.0 + float(np.max(np.abs(u.values)))):
+        raise GeometryMismatchError("boundary does not track the zero level set within one cell")
+
+
+def _inward_trace(f: AxiField, points: np.ndarray, inward: np.ndarray, h: float):
+    """Interface value and inward slope of ``f`` at ``points``.
+
+    Two bilinear samples taken ``_TRACE_OFFSETS`` times h along the unit
+    directions ``inward`` are extrapolated back to the points (second order
+    for the value, one-sided for the slope).  Nodal values in the two-cell
+    band around the interface see the gradient jump of u, so the samples sit
+    inside the clean zone.
+    """
+    d1, d2 = _TRACE_OFFSETS[0] * h, _TRACE_OFFSETS[1] * h
+    f1 = f.sample(points + d1 * inward)
+    f2 = f.sample(points + d2 * inward)
+    return (d2 * f1 - d1 * f2) / (d2 - d1), (f2 - f1) / (d2 - d1)
 
 
 @dataclass
@@ -258,30 +277,17 @@ def normal_derivative_identity(boundary: RevolutionBoundary, u: AxiField) -> Bou
     if not inside.any():
         raise InvalidParameterError("no boundary sample has its stencil inside the grid")
 
-    u_interp = _interp(u)
-    bvals = u_interp(p0[inside])
-    if float(np.max(np.abs(bvals))) > 2.0 * h * (1.0 + float(np.max(np.abs(u.values)))):
-        raise GeometryMismatchError("boundary does not track the zero level set within one cell")
-
-    us_field = us_derivative(u)
-    us_interp = _interp(us_field)
-    f1 = us_interp(p1[inside])
-    f2 = us_interp(p2[inside])
-    us0 = (d2 * f1 - d1 * f2) / (d2 - d1)
-    dm = (f2 - f1) / (d2 - d1)
+    _require_on_zero_level(u, p0[inside], h)
+    us0, dm = _inward_trace(us_derivative(u), p0[inside], m[inside], h)
     lhs = -dm  # grad(u_s) . nu with nu = -m
     rhs = boundary.mean_curv[inside] * us0
 
     # |grad u| = 1 on the interface, gauged with three inward samples so the
     # check's own extrapolation error stays below the curvature-driven signal
-    gs, gt = _centered_gradient(u)
-    gs_i = _interp(u.with_values(np.nan_to_num(gs)))
-    gt_i = _interp(u.with_values(np.nan_to_num(gt)))
+    gs, gt = (u.with_values(np.nan_to_num(g)) for g in _centered_gradient(u))
     d3 = d2 + 1.5 * h
     p3 = p0 + d3 * m
-    mags = [
-        np.hypot(gs_i(p[inside]), gt_i(p[inside])) for p in (p1, p2, p3)
-    ]
+    mags = [np.hypot(gs.sample(p[inside]), gt.sample(p[inside])) for p in (p1, p2, p3)]
     w1 = d2 * d3 / ((d2 - d1) * (d3 - d1))
     w2 = d1 * d3 / ((d1 - d2) * (d3 - d2))
     w3 = d1 * d2 / ((d1 - d3) * (d2 - d3))
@@ -338,20 +344,9 @@ def onephase_stability_form(
     _check_harmonic(u)
 
     pts = np.stack((boundary.s, boundary.t), axis=1)
-    bvals = _interp(u)(pts)
     h = max(u.hs, u.ht)
-    if float(np.max(np.abs(bvals))) > 2.0 * h * (1.0 + float(np.max(np.abs(u.values)))):
-        raise GeometryMismatchError("boundary does not track the zero level set within one cell")
-
-    # interface trace of xi by inward extrapolation: nodal values in the
-    # two-cell band around the interface see the gradient jump of u, so the
-    # trace is rebuilt from samples taken inside the clean zone
-    d1, d2 = _TRACE_OFFSETS[0] * h, _TRACE_OFFSETS[1] * h
-    m_in = -boundary.normals
-    xi_i = _interp(xi)
-    f1 = xi_i(pts + d1 * m_in)
-    f2 = xi_i(pts + d2 * m_in)
-    xi_b = (d2 * f1 - d1 * f2) / (d2 - d1)
+    _require_on_zero_level(u, pts, h)
+    xi_b, _ = _inward_trace(xi, pts, -boundary.normals, h)
     lhs = surface_integral(boundary, boundary.mean_curv * xi_b**2)
 
     # Bulk quadrature over cells at least two nodes inside the positivity set:
@@ -535,10 +530,6 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     factors = LUCounts()
     values[unknown] = factors.record(splu(A.tocsc(), permc_spec=LU_ORDER)).solve(rhs)
     out = AxiField(n=grid.n, s=s, t=t, values=values)
-
-    from .axisym_field import apply_axisym_laplacian
-
-    mask = _positive_interior_mask(pos.astype(float))
-    lap = apply_axisym_laplacian(out).values
-    residual = float(np.nanmax(np.abs(np.where(mask, lap, 0.0)))) if mask.any() else float("nan")
+    mask = _positive_interior_mask(pos)
+    residual = _harmonic_residual(out, mask) if mask.any() else float("nan")
     return MaskedSolveResult(field=out, residual=residual, unknowns=A.shape[0], factors=factors)

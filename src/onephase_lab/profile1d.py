@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .axisym_field import AxiField
 from .errors import (
     DomainTruncationError,
     InconclusiveClassificationError,
@@ -339,14 +340,12 @@ def unique_increasing_profile(
     )
 
 
-def extend_to_nd(profile: Profile1D, direction, grid) -> "AxiField":
+def extend_to_nd(profile: Profile1D, direction, grid) -> AxiField:
     """Embed a 1D profile as a planar wave u(x) = profile(d . x) on a grid.
 
     ``direction`` is a 2-vector (d_s, d_t) in the half-plane; (0, 1) gives
     the axial embedding whose field depends on t only.
     """
-    from .axisym_field import AxiField  # local import to avoid a cycle
-
     d = np.asarray(direction, dtype=float)
     norm = float(np.hypot(d[0], d[1]))
     if norm == 0.0:

@@ -13,14 +13,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import InvalidParameterError, InversionError
-from .numerics import (
-    nonuniform_first_derivative,
-    nonuniform_second_derivative,
-    simpson_refined,
-)
+from .numerics import nonuniform_second_derivative, simpson_refined
 
 MASS_TOL = 1e-10
 
@@ -249,8 +245,6 @@ def beta_from_profile(profile) -> ReactionTerm:
     if profile.dus is not None:
         # beta(v) = d(v'^2)/dv; a spline derivative keeps the recovery
         # fourth-order in the sample spacing
-        from scipy.interpolate import CubicSpline
-
         dus = np.asarray(profile.dus, dtype=float)
         b = CubicSpline(us, dus * dus).derivative()(us)
         d2 = 0.5 * b
@@ -259,8 +253,8 @@ def beta_from_profile(profile) -> ReactionTerm:
         b = 2.0 * d2
 
     # tail smoothness: v'''/v' must vanish where the profile decays
-    slopes = profile.dus if profile.dus is not None else nonuniform_first_derivative(xs, us)
-    d3 = nonuniform_first_derivative(xs, d2)
+    slopes = profile.dus if profile.dus is not None else np.gradient(us, xs, edge_order=2)
+    d3 = np.gradient(d2, xs, edge_order=2)
     k = min(8, len(xs) // 10 + 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(d3[1:k] / slopes[1:k])

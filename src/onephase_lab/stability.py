@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .axisym_field import AxiField, _unknown_mask, residual_semilinear
+from .axisym_field import AxiField, _centered_gradient, _unknown_mask, residual_semilinear
 from .errors import InvalidParameterError, NonconvergenceError
 from .numerics import (
     LU_ORDER,
@@ -144,17 +144,13 @@ def _edge_weights(f: AxiField):
 def _require_vanishing_border(xi: AxiField, rel_tol: float) -> None:
     """Reject a test function that is not finite, or exceeds rel_tol (1 + max|xi|) on the outer boundary.
 
-    The outer boundary is every grid edge except the symmetry axis.
+    The outer boundary is every node that is not an unknown of the grid
+    (``_unknown_mask``): every grid edge except the symmetry axis.
     """
     v = np.abs(xi.values)
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("test function must be finite")
-    border = max(
-        float(np.max(v[-1, :])),
-        float(np.max(v[:, 0])),
-        float(np.max(v[:, -1])),
-        0.0 if xi.has_axis else float(np.max(v[0, :])),
-    )
+    border = float(np.max(v[~_unknown_mask(v.shape, xi.has_axis)]))
     if border > rel_tol * (1.0 + float(np.max(v))):
         raise InvalidParameterError("test function must vanish on the outer boundary")
 
@@ -286,12 +282,9 @@ def us_derivative(u: AxiField) -> AxiField:
         raise InvalidParameterError("need at least 3 radial nodes")
     v = u.values
     hs = u.hs
-    out = np.empty_like(v)
-    out[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2.0 * hs)
+    out, _ = _centered_gradient(u)
     # difference form of the one-sided stencils: exactly zero on constant data
-    if u.has_axis:
-        out[0, :] = 0.0
-    else:
+    if not u.has_axis:
         out[0, :] = (3.0 * (v[1, :] - v[0, :]) + (v[1, :] - v[2, :])) / (2.0 * hs)
     out[-1, :] = (3.0 * (v[-1, :] - v[-2, :]) + (v[-3, :] - v[-2, :])) / (2.0 * hs)
     return u.with_values(out)

@@ -17,6 +17,7 @@ from onephase_lab.axisym_field import (
     _damped_newton,
     _Level,
     _prolong,
+    _unknown_mask,
     apply_axisym_laplacian,
     blow_down,
     energy,
@@ -36,6 +37,7 @@ from onephase_lab.experiments import boundary_data
 from onephase_lab.numerics import LU_ORDER
 from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
 from onephase_lab.reaction_terms import make_polynomial_beta, make_tabulated_term
+from onephase_lab.stability import _require_vanishing_border
 
 
 def zero_term():
@@ -572,6 +574,40 @@ def test_lipschitz_monitor_on_layer_attained_above_one(beta, layer_profile):
     gt = (f.values[0, 2:] - f.values[0, :-2]) / (2 * g.ht)
     above = f.values[0, 1:-1] >= 1.0 + g.ht
     assert np.max(np.abs(gt[above] - 1.0)) < 1e-11
+
+
+@pytest.mark.parametrize("s_min", [0.0, 0.5])
+def test_a_spike_breaks_the_max_principle_and_passes_the_border_check_exactly_on_unknowns(s_min):
+    g = GridSpec(n=3, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=5, nt=6)
+    unknown = _unknown_mask((g.ns, g.nt), s_min == 0.0)
+    assert unknown[0, 1:-1].all() == (s_min == 0.0)
+    for i, j in itertools.product(range(g.ns), range(g.nt)):
+        spike = np.zeros((g.ns, g.nt))
+        spike[i, j] = 1.0
+        f = AxiField(g.n, *g.axes(), spike)
+        assert (max_principle_defect(f) > 0.0) == unknown[i, j], (i, j)
+        try:
+            _require_vanishing_border(f, 1e-13)
+            passed = True
+        except InvalidParameterError:
+            passed = False
+        assert passed == unknown[i, j], (i, j)
+
+
+def test_sample_is_bilinear_inside_the_grid_and_linear_outside(rng):
+    g = GridSpec(n=3, s_min=0.5, s_max=2.0, t_min=-1.0, t_max=1.5, ns=7, nt=9)
+    a, b, c, d = rng.uniform(-2.0, 2.0, 4)
+    f = AxiField.from_function(g, lambda s, t: a + b * s + c * t + d * s * t)
+    s, t = rng.uniform(0.5, 2.0, 200), rng.uniform(-1.0, 1.5, 200)
+    inside = f.sample(np.stack((s, t), axis=-1))
+    assert np.max(np.abs(inside - (a + b * s + c * t + d * s * t))) <= 1e-13
+    assert np.array_equal(f.sample((s, t)), inside)
+    # affine data continues past every edge and corner
+    affine = AxiField.from_function(g, lambda s, t: a + b * s + c * t)
+    s, t = rng.uniform(-1.0, 3.5, 400), rng.uniform(-2.5, 3.0, 400)
+    outside = (s < 0.5) | (s > 2.0) | (t < -1.0) | (t > 1.5)
+    assert outside.sum() > 200
+    assert np.max(np.abs(affine.sample((s, t)) - (a + b * s + c * t))) <= 1e-13
 
 
 def test_monitor_invariant_under_blow_down():

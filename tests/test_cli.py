@@ -114,6 +114,40 @@ def test_env_tolerance_override():
         apply_env_overrides({}, environ={"ONEPHASE_LAB_TOL_X": "zzz"})
 
 
+@pytest.mark.parametrize("with_config", [False, True])
+def test_env_tolerance_override_reaches_the_run_with_or_without_a_config(tmp_path, runner, monkeypatch, with_config):
+    _clear_env_tolerances(monkeypatch)
+    monkeypatch.setenv(ENV_TOL_PREFIX + "NEWTON", "1e-3")
+    out = tmp_path / "win"
+    args = ["window", "--out", str(out)]
+    if with_config:
+        path = tmp_path / "run.cfg"
+        path.write_text("[window]\ndims = 3\n")
+        args += ["--config", str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    echoed = json.loads((out / "report.json").read_text())["config"].splitlines()
+    assert "newton = 0.001" in echoed
+    assert "eigen = 1e-08" in echoed
+
+
+def test_unknown_tolerance_name_is_rejected_from_file_and_environment(tmp_path, runner, monkeypatch):
+    _clear_env_tolerances(monkeypatch)
+    path = tmp_path / "typo.cfg"
+    path.write_text("[tolerances]\nnewtn = 1e-3\n")
+    with pytest.raises(ConfigError, match="'newtn'"):
+        parse_config(path)
+    with pytest.raises(ConfigError, match="'newtn'"):
+        ExperimentConfig(tolerances={"newton": 1e-10, "newtn": 1e-3}).validate()
+    monkeypatch.setenv(ENV_TOL_PREFIX + "NEWTN", "1e-3")
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["window", "--out", str(out)])
+    assert result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and "'newtn'" in lines[0]
+    assert not out.exists()
+
+
 def test_stale_threads_line_still_parses(tmp_path):
     path = tmp_path / "old.cfg"
     path.write_text("[experiment]\nname = profile\nthreads = 4\n\n[profile]\na = 1.5\n")

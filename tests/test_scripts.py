@@ -1,0 +1,42 @@
+"""Smoke runs of the studies in ``scripts/``, each in its own process at small sizes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from onephase_lab.config import ENV_TOL_PREFIX
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, reports",
+    [
+        ("profile_gallery.py", ["--halfwidth", "10"], 1),
+        ("layer_energy_gap.py", ["--epsilons", "1,0.5"], 1),
+        ("stability_sweep.py", ["--dims", "3", "--nodes", "33"], 1),
+        # at resolution 16 the neck misses the |grad u| = 1 precondition
+        ("interface_identity_refinement.py", ["--resolutions", "24,32"], 2),
+    ],
+)
+def test_script_runs_and_writes_its_reports(tmp_path, script, args, reports):
+    env = {key: value for key, value in os.environ.items() if not key.startswith(ENV_TOL_PREFIX)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    found = sorted(out.rglob("report.json"))
+    assert len(found) == reports
+    for path in found:
+        assert json.loads(path.read_text())["results"]
