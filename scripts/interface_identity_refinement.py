@@ -7,10 +7,12 @@ interface; one-sided boundary stencils make the defect decay at first order.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from onephase_lab.config import ExperimentConfig
+from onephase_lab.errors import LabError
 from onephase_lab.experiments import run
 
 
@@ -43,4 +45,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except LabError as exc:
+        sys.exit(f"Error: {exc}")

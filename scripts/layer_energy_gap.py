@@ -7,8 +7,10 @@ sup-distance of the rescaled profile to the ramp.
 """
 
 import argparse
+import sys
 
 from onephase_lab.config import ExperimentConfig
+from onephase_lab.errors import LabError
 from onephase_lab.experiments import run
 
 
@@ -30,4 +32,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except LabError as exc:
+        sys.exit(f"Error: {exc}")

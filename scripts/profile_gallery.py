@@ -7,8 +7,10 @@ report under --out.
 
 import argparse
 import json
+import sys
 
 from onephase_lab.config import ExperimentConfig
+from onephase_lab.errors import LabError
 from onephase_lab.experiments import run
 
 
@@ -28,4 +30,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except LabError as exc:
+        sys.exit(f"Error: {exc}")

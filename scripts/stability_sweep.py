@@ -8,8 +8,10 @@ probed on a doubling cutoff schedule.
 """
 
 import argparse
+import sys
 
 from onephase_lab.config import ExperimentConfig
+from onephase_lab.errors import LabError
 from onephase_lab.experiments import run
 
 
@@ -40,4 +42,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except LabError as exc:
+        sys.exit(f"Error: {exc}")

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DomainError, InvalidParameterError, NonconvergenceError
-from .numerics import LU_ORDER, LUCounts, csv_lines, stencil_matrix, unit_sphere_area
+from .numerics import LU_ORDER, LUCounts, stencil_matrix, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
 
 
@@ -112,31 +112,30 @@ class AxiField:
         ).copy()
         return cls(n=grid.n, s=s, t=t, values=vals)
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# n={self.n} ns={len(self.s)} nt={len(self.t)}\n")
-            fh.write("s,t,u\n")
-            S, T = np.meshgrid(self.s, self.t, indexing="ij")
-            fh.write(csv_lines(S.ravel(), T.ravel(), self.values.ravel()))
-
     def save_binary(self, path) -> None:
-        """Header: int32 n, ns, nt; float64 hs, ht, s_min, t_min; then row-major float64."""
+        """AXIF block: b"AXIF", int32 n, ns, nt, then little-endian float64
+        s[ns], t[nt] and the values in row-major order.  Storing the axes
+        themselves makes ``load_binary`` return them bit for bit."""
         with open(path, "wb") as fh:
             fh.write(b"AXIF")
             fh.write(struct.pack("<iii", self.n, len(self.s), len(self.t)))
-            fh.write(struct.pack("<dddd", self.hs, self.ht, float(self.s[0]), float(self.t[0])))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
+            for arr in (self.s, self.t, self.values):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     @classmethod
     def load_binary(cls, path) -> "AxiField":
+        """Read a ``save_binary`` block, checking its size against its header."""
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != b"AXIF":
-                raise InvalidParameterError(f"{path}: not an AxiField binary block")
-            n, ns, nt = struct.unpack("<iii", fh.read(12))
-            hs, ht, s0, t0 = struct.unpack("<dddd", fh.read(32))
-            data = np.frombuffer(fh.read(8 * ns * nt), dtype="<f8").reshape(ns, nt)
-        return cls(n=n, s=s0 + hs * np.arange(ns), t=t0 + ht * np.arange(nt), values=data.copy())
+            blob = fh.read()
+        if len(blob) < 16 or blob[:4] != b"AXIF":
+            raise InvalidParameterError(f"{path}: not an AxiField binary block")
+        n, ns, nt = struct.unpack("<iii", blob[4:16])
+        if ns <= 0 or nt <= 0 or len(blob) - 16 != 8 * (ns + nt + ns * nt):
+            raise InvalidParameterError(
+                f"{path}: AXIF header ns={ns}, nt={nt} does not match its {len(blob) - 16} data bytes"
+            )
+        data = np.frombuffer(blob, dtype="<f8", offset=16).astype(float)
+        return cls(n=n, s=data[:ns], t=data[ns : ns + nt], values=data[ns + nt :].reshape(ns, nt))
 
 
 def apply_axisym_laplacian(f: AxiField) -> AxiField:

@@ -255,7 +255,6 @@ def _run_solve(cfg: ExperimentConfig, outputs: dict, counters: dict):
         _count_factors(counters, res.factors, res2.factors, krylov=True)
     else:
         _count_factors(counters, res.factors, krylov=True)
-    outputs["field.csv"] = lambda path: f.save_csv(path)
     outputs["field.bin"] = lambda path: f.save_binary(path)
     return results
 
@@ -273,8 +272,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
     spectral = linearized_rayleigh_min(f, beta, tol=cfg.tolerances["eigen"])
     _count_factors(counters, *newton, spectral.factors, krylov=bool(newton))
     outputs["spectral.json"] = lambda path: spectral.save_json(path)
-    if spectral.eigenvector is not None:
-        outputs["eigenvector.csv"] = lambda path: spectral.eigenvector.save_csv(path)
+    outputs["eigenvector.bin"] = lambda path: spectral.eigenvector.save_binary(path)
 
     probes = []
     base = _probe(cfg)
@@ -389,7 +387,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     form = onephase_stability_form(boundary, sol.field, sol.field.with_values(xi_vals))
 
     outputs["boundary.csv"] = lambda path: boundary.save_csv(path)
-    outputs["field.csv"] = lambda path: sol.field.save_csv(path)
+    outputs["field.bin"] = lambda path: sol.field.save_binary(path)
     return {
         "masked_solve": {
             "preset": cfg.onephase_preset,

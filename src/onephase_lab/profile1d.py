@@ -9,7 +9,6 @@ decaying to 0 on the left), or a < 1 (even well with an interior minimum).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -23,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     NonIntegrableTailError,
 )
-from .numerics import gl5_points, nonuniform_second_derivative
+from .numerics import csv_lines, gl5_points, nonuniform_second_derivative
 from .reaction_terms import ReactionTerm
 
 CASE_CONSTANT = "constant"
@@ -372,12 +371,10 @@ def convexity_defect(profile: Profile1D) -> float:
 
 def save_profile_csv(profile: Profile1D, path) -> None:
     """Write columns x, u, du."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u", "du"])
-        dus = profile.dus if profile.dus is not None else np.full_like(profile.xs, math.nan)
-        for row in zip(profile.xs, profile.us, dus):
-            writer.writerow([f"{v:.17g}" for v in row])
+    dus = profile.dus if profile.dus is not None else np.full_like(profile.xs, math.nan)
+    with open(path, "w") as fh:
+        fh.write("x,u,du\n")
+        fh.write(csv_lines(profile.xs, profile.us, dus))
 
 
 def save_profile_dat(profile: Profile1D, path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import InvalidParameterError, InversionError
-from .numerics import nonuniform_second_derivative, simpson_refined
+from .numerics import csv_lines, nonuniform_second_derivative, simpson_refined
 
 MASS_TOL = 1e-10
 
@@ -280,11 +280,9 @@ def save_reaction_csv(term: ReactionTerm, path, samples: int = 2001) -> None:
     """Write columns t, beta, beta_prime, Phi over the support."""
     lo, hi = term.support
     t = np.linspace(lo, hi, samples)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "beta", "beta_prime", "Phi"])
-        for row in zip(t, term.eval(t), term.deriv(t), term.primitive(t)):
-            writer.writerow([f"{v:.17g}" for v in row])
+    with open(path, "w") as fh:
+        fh.write("t,beta,beta_prime,Phi\n")
+        fh.write(csv_lines(t, term.eval(t), term.deriv(t), term.primitive(t)))
 
 
 def load_reaction_csv(path) -> ReactionTerm:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -728,32 +730,46 @@ def test_laplacian_matrix_is_the_derivative_of_the_stencil(n, s_min):
         assert np.max(np.abs(step - L @ d)) <= 1e-12 * np.max(np.abs(base))
 
 
-def test_field_csv_bytes_match_per_row_format(tmp_path):
+def test_field_binary_bytes_match_axif_layout(tmp_path):
     g = GridSpec(n=3, s_max=1.0, t_min=-0.5, t_max=1.5, ns=7, nt=5)
     f = AxiField.from_function(g, lambda s, t: np.exp(s * t) / 3.0 - 0.25 * t)
     f.values[2, 3] = -0.0
-    f.save_csv(tmp_path / "f.csv")
-    rows = "".join(
-        f"{si:.17g},{tj:.17g},{f.values[i, j]:.17g}\n" for i, si in enumerate(f.s) for j, tj in enumerate(f.t)
-    )
-    expected = f"# n=3 ns=7 nt=5\ns,t,u\n{rows}"
-    assert (tmp_path / "f.csv").read_bytes() == expected.encode()
+    f.save_binary(tmp_path / "f.bin")
+    values = [f.values[i, j] for i in range(7) for j in range(5)]
+    expected = b"AXIF" + struct.pack("<3i7d5d35d", 3, 7, 5, *f.s, *f.t, *values)
+    assert (tmp_path / "f.bin").read_bytes() == expected
+    back = AxiField.load_binary(tmp_path / "f.bin")
+    assert math.copysign(1.0, back.values[2, 3]) == -1.0
 
 
-def test_field_csv_and_binary_roundtrip(tmp_path):
-    g = GridSpec(n=4, s_max=1.0, t_min=-0.5, t_max=1.5, ns=9, nt=11)
-    f = AxiField.from_function(g, lambda s, t: s * t + 0.3)
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # the strip-neck masked solve at resolution 256 and the largest newton-neck rung
+        GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=590, nt=513),
+        GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=449, nt=449),
+    ],
+    ids=["masked-590x513", "neck-449x449"],
+)
+def test_field_binary_roundtrip_is_bit_exact(tmp_path, grid):
+    s, t = grid.axes()
+    f = AxiField(n=grid.n, s=s, t=t, values=np.random.default_rng(grid.ns).standard_normal((grid.ns, grid.nt)))
+    f.save_binary(tmp_path / "f.bin")
+    back = AxiField.load_binary(tmp_path / "f.bin")
+    assert back.n == grid.n
+    for got, want in ((back.s, s), (back.t, t), (back.values, f.values)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cut", ["truncated", "trailing", "magic"])
+def test_load_binary_rejects_a_block_that_disagrees_with_its_header(tmp_path, cut):
+    g = GridSpec(n=3, s_max=1.0, t_min=-0.5, t_max=1.5, ns=5, nt=5)
     path = tmp_path / "f.bin"
-    f.save_binary(path)
-    back = AxiField.load_binary(path)
-    assert back.n == 4
-    assert np.array_equal(back.values, f.values)
-    assert np.allclose(back.s, f.s) and np.allclose(back.t, f.t)
-    f.save_csv(tmp_path / "f.csv")
-    lines = (tmp_path / "f.csv").read_text().splitlines()
-    assert lines[0].startswith("# n=4")
-    assert lines[1] == "s,t,u"
-    assert len(lines) == 2 + 9 * 11
+    AxiField.from_function(g, lambda s, t: s + t).save_binary(path)
+    blob = path.read_bytes()
+    path.write_bytes({"truncated": blob[:-16], "trailing": blob + b"\0" * 8, "magic": b"AXIG" + blob[4:]}[cut])
+    with pytest.raises(InvalidParameterError, match=re.escape(str(path))):
+        AxiField.load_binary(path)
 
 
 def test_axis_symmetry_of_solved_fields(beta, layer_profile):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from onephase_lab import cli, experiments
+from onephase_lab.axisym_field import AxiField
 from onephase_lab.cli import main
 from onephase_lab.config import (
     _KEYS,
@@ -168,6 +169,16 @@ def _lu_counters(report, out, artifacts, krylov=False):
     return counters
 
 
+def _check_field_artifact(out, name, grid):
+    """``name`` is the run's one field artifact, in AXIF on the run's grid bit
+    for bit; the only text table any of these runs writes is ``boundary.csv``."""
+    f = AxiField.load_binary(out / name)
+    s, t = grid.axes()
+    assert f.n == grid.n and np.array_equal(f.s, s) and np.array_equal(f.t, t)
+    assert [p.name for p in out.glob("*.bin")] == [name]
+    assert {p.name for p in out.glob("*.csv")} <= {"boundary.csv"}
+
+
 def test_report_results_are_bitwise_reproducible(tmp_path):
     cfg1 = ExperimentConfig(experiment="profile", a=1.5, out_dir=str(tmp_path / "r1"))
     cfg2 = ExperimentConfig(experiment="profile", a=1.5, out_dir=str(tmp_path / "r2"))
@@ -213,8 +224,8 @@ def test_solve_command_with_domain_study(tmp_path, runner):
     assert report["results"]["solve"]["max_principle_defect"] <= 1e-10
     assert "domain_study" in report["results"]
     assert report["results"]["domain_study"]["max_interior_difference"] < 0.05
-    assert (out / "field.bin").exists()
-    counters = _lu_counters(report, out, ["field.csv", "field.bin"], krylov=True)
+    _check_field_artifact(out, "field.bin", experiments._grid(parse_config(cfg)))
+    counters = _lu_counters(report, out, ["field.bin"], krylov=True)
     # one factor on the grid and one on the domain-study subgrid; the later
     # Newton steps are chord steps on those factors.  Neither grid has a
     # coarser level, so no GMRES solve runs.
@@ -239,14 +250,21 @@ def test_stability_command_layer(tmp_path, runner):
     for row in report["results"]["probes"]:
         assert row["defect"] >= -1e-10
     assert (out / "spectral.json").exists()
-    assert (out / "eigenvector.csv").exists()
-    counters = _lu_counters(report, out, ["spectral.json", "eigenvector.csv"])
+    _check_field_artifact(out, "eigenvector.bin", experiments._grid(parse_config(cfg)))
+    counters = _lu_counters(report, out, ["spectral.json", "eigenvector.bin"])
     assert 1 <= counters["lu_factorizations"] <= 6  # one factor per shift stage
     assert counters["lu_fill_nnz"] >= 32 * 31
 
 
-def test_onephase_command_strip_neck(tmp_path, runner):
+def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     out = tmp_path / "op"
+    grids, solve = [], experiments.solve_harmonic_masked
+
+    def spy(grid, *args):
+        grids.append(grid)
+        return solve(grid, *args)
+
+    monkeypatch.setattr(experiments, "solve_harmonic_masked", spy)
     result = runner.invoke(
         main, ["onephase", "--preset", "strip_neck", "--resolution", "48", "--out", str(out)]
     )
@@ -256,7 +274,9 @@ def test_onephase_command_strip_neck(tmp_path, runner):
     assert res["masked_solve"]["sup_error_vs_exact"] < 1e-4
     assert res["normal_derivative_identity"]["max_defect"] < 0.2
     assert (out / "boundary.csv").exists()
-    counters = _lu_counters(report, out, ["boundary.csv", "field.csv"])
+    [grid] = grids
+    _check_field_artifact(out, "field.bin", grid)
+    counters = _lu_counters(report, out, ["boundary.csv", "field.bin"])
     assert counters["lu_factorizations"] == 1
     assert counters["lu_fill_nnz"] >= res["masked_solve"]["unknowns"]
 
@@ -371,10 +391,11 @@ def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args
 
 def test_krylov_iterations_are_counted_in_meta(tmp_path):
     # 129^2 catenoid data: the 65^2 level is factored, the 129^2 one is solved by GMRES
-    for experiment, artifacts in (("solve", ["field.csv"]), ("stability", ["spectral.json"])):
+    for experiment, artifacts in (("solve", ["field.bin"]), ("stability", ["spectral.json", "eigenvector.bin"])):
         out = tmp_path / experiment
         cfg = ExperimentConfig(experiment=experiment, ns=129, nt=129, boundary_model="catenoid", out_dir=str(out))
         report = json.loads(json.dumps(run(cfg).to_json_dict()))
+        _check_field_artifact(out, artifacts[-1], experiments._grid(cfg))
         counters = _lu_counters(report, out, artifacts, krylov=True)
         assert counters["krylov_iterations"] > 0
 

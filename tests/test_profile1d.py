@@ -22,6 +22,7 @@ from onephase_lab.profile1d import (
     extend_to_nd,
     first_integral_spread,
     mirror,
+    save_profile_csv,
     shoot,
     unique_increasing_profile,
 )
@@ -188,3 +189,16 @@ def test_sample_extrapolates_affinely(shot_cache):
     x_right = p.xs[-1] + 3.0
     expected = p.us[-1] + p.dus[-1] * 3.0
     assert abs(p.sample(x_right) - expected) < 1e-12
+
+
+def test_profile_csv_bytes(tmp_path):
+    # LF line ends, %.17g values, and a nan slope column when no slopes were sampled
+    prof = Profile1D(
+        xs=np.array([0.0, 0.1, -2.5e-300]), us=np.array([1.0 / 3.0, -0.0, 7.0]), dus=None,
+        slope_plus=0.0, slope_minus=0.0, turning_point=math.nan,
+        min_value=None, case_tag="unclassified",
+    )
+    save_profile_csv(prof, tmp_path / "profile.csv")
+    assert (tmp_path / "profile.csv").read_bytes() == (
+        b"x,u,du\n0,0.33333333333333331,nan\n0.10000000000000001,-0,nan\n-2.5e-300,7,nan\n"
+    )

@@ -13,6 +13,18 @@ from onephase_lab.config import ENV_TOL_PREFIX
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_script(script, out, args):
+    env = {key: value for key, value in os.environ.items() if not key.startswith(ENV_TOL_PREFIX)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args, reports",
     [
@@ -24,19 +36,20 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs_and_writes_its_reports(tmp_path, script, args, reports):
-    env = {key: value for key, value in os.environ.items() if not key.startswith(ENV_TOL_PREFIX)}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = _run_script(script, out, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     found = sorted(out.rglob("report.json"))
     assert len(found) == reports
     for path in found:
         assert json.loads(path.read_text())["results"]
+
+
+def test_script_ends_a_lab_error_in_one_error_line(tmp_path):
+    proc = _run_script("interface_identity_refinement.py", tmp_path / "out", ["--resolutions", "16"])
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:"), proc.stderr
+    assert "|grad u| deviates from 1" in lines[0]

@@ -540,5 +540,6 @@ def test_spectral_report_json_schema(tmp_path, beta, layer_profile):
     data = json.loads(path.read_text())
     assert set(data) == {"verdict", "rayleigh_min", "alpha", "R", "eps_inner", "lhs", "rhs", "iterations", "notes"}
     assert data["alpha"] == 0.7
-    rep.eigenvector.save_csv(tmp_path / "eig.csv")
-    assert (tmp_path / "eig.csv").exists()
+    rep.eigenvector.save_binary(tmp_path / "eig.bin")
+    back = AxiField.load_binary(tmp_path / "eig.bin")
+    assert back.same_grid(rep.eigenvector) and np.array_equal(back.values, rep.eigenvector.values)
