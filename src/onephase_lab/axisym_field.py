@@ -333,7 +333,6 @@ class _KrylovSolve:
             up[:-offset], lo[:-offset] = J.diagonal(offset), J.diagonal(-offset)
             up, diag, lo = (a.reshape(self.shape).ravel(order) for a in (up, J.diagonal(), lo))
             self.lines.append((order, dgttrf(lo[:-1], diag, up[:-1])[:5]))
-        self.M = LinearOperator(J.shape, matvec=self.cycle, dtype=float)
 
     def _sweep(self, r, order, factor):
         """The damped line-Jacobi correction for the residual ``r``."""
@@ -356,9 +355,11 @@ class _KrylovSolve:
             nonlocal iterations
             iterations += 1
 
+        # M is built per call: kept on self, its bound self.cycle would make a
+        # reference cycle that holds J and the coarse levels until a cyclic GC
         x, info = gmres(
             self.J, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART, maxiter=KRYLOV_MAXITER,
-            M=self.M, callback=count, callback_type="pr_norm",
+            M=LinearOperator(self.J.shape, matvec=self.cycle, dtype=float), callback=count, callback_type="pr_norm",
         )
         self.counts.krylov_iterations += iterations
         self.counts.krylov_last = (iterations, info)
@@ -422,21 +423,32 @@ class _Level:
         return self.field
 
 
+def _level_strides(ns: int, nt: int) -> list[int]:
+    """Node strides of the nested levels of an ns x nt grid, coarsest first: a
+    level has an every-other-node one below it while both its node counts are
+    odd and the halved grid keeps 65 or more nodes per direction."""
+    strides = [1]
+    while ns % 2 == nt % 2 == 1 and min(ns, nt) >= 129:
+        ns, nt, strides = (ns + 1) // 2, (nt + 1) // 2, [2 * strides[0], *strides]
+    return strides
+
+
+def _level_cycle(J, counts: LUCounts, mask, coarse):
+    """The preconditioner of the level with matrix ``J`` on the unknowns ``mask``: its LU
+    solve at the coarsest level (``coarse`` None), else one V-cycle over ``coarse = (mask, cycle)``."""
+    return _lu(J, counts).solve if coarse is None else _KrylovSolve(J, counts, mask, *coarse).cycle
+
+
 def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
     """``solve_semilinear`` on the start ``u`` (modified in place), coarsest level first."""
-    grids = [grid]
-    while grids[0].ns % 2 == grids[0].nt % 2 == 1 and min(grids[0].ns, grids[0].nt) >= 129:
-        grids.insert(0, replace(grids[0], ns=(grids[0].ns + 1) // 2, nt=(grids[0].nt + 1) // 2))
-    counts, coarse, cycle = LUCounts(), None, None
-    for k, g in enumerate(grids):
-        stride = 2 ** (len(grids) - 1 - k)
+    counts, coarse, below = LUCounts(), None, None
+    for stride in _level_strides(grid.ns, grid.nt):
+        g = replace(grid, ns=(grid.ns - 1) // stride + 1, nt=(grid.nt - 1) // stride + 1)
         level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy())
         mask, values = level.mask, level.field.values
-        if coarse is None:
-            factor = _lu
-        else:
-            values[mask] = _prolong(coarse.field.values)[mask]
-            factor = partial(_KrylovSolve, mask=mask, coarse_mask=coarse.mask, coarse=cycle)
+        if coarse is not None:
+            values[mask] = _prolong(below)[mask]
+        factor = _lu if coarse is None else partial(_KrylovSolve, mask=mask, coarse_mask=coarse[0], coarse=coarse[1])
         label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
         field, history, _, factors = _damped_newton(
             values[mask], level.residual, level.jacobian, level.finish, tol, max_iter, label, factor
@@ -444,9 +456,8 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
         counts.merge(factors)
         if stride > 1:
             # the next level's coarse correction: this level's Jacobian at its solution
-            final = factor(level.jacobian(values[mask]), counts)
-            cycle = final.solve if coarse is None else final.cycle
-        coarse = level
+            coarse = (mask, _level_cycle(level.jacobian(values[mask]), counts, mask, coarse))
+            below = values
     return SolveResult(field=field, residuals=history, iterations=len(history) - 1, factors=counts)
 
 
@@ -541,7 +552,6 @@ class EnergyBreakdown:
 
     dirichlet: float
     potential: float
-    measure_weight: bool
 
     @property
     def total(self) -> float:
@@ -580,7 +590,7 @@ def energy(
     else:
         pot_density = np.asarray(rescale(beta, epsilon).primitive(center))
     potential = float(np.sum(np.sum(pot_density * cell, axis=1)))
-    return EnergyBreakdown(dirichlet=dirichlet, potential=potential, measure_weight=weighted)
+    return EnergyBreakdown(dirichlet=dirichlet, potential=potential)
 
 
 @dataclass

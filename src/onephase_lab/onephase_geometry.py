@@ -240,8 +240,6 @@ class BoundaryIdentityReport:
     max_defect: float
     lhs: np.ndarray
     rhs: np.ndarray
-    sample_s: np.ndarray
-    sample_t: np.ndarray
     gradient_defect: float
     notes: tuple[str, ...] = ()
 
@@ -306,8 +304,6 @@ def normal_derivative_identity(boundary: RevolutionBoundary, u: AxiField) -> Bou
         max_defect=float(np.max(defect)),
         lhs=lhs,
         rhs=rhs,
-        sample_s=boundary.s[inside],
-        sample_t=boundary.t[inside],
         gradient_defect=gradient_defect,
         notes=tuple(notes),
     )

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .axisym_field import AxiField, _centered_gradient, _unknown_mask, residual_semilinear
+from .axisym_field import AxiField, _centered_gradient, _level_cycle, _level_strides, _unknown_mask, residual_semilinear
 from .errors import InvalidParameterError, NonconvergenceError
 from .numerics import (
-    LU_ORDER,
     LUCounts,
     smoothstep_quintic,
     smoothstep_quintic_deriv,
@@ -214,50 +214,52 @@ def linearized_rayleigh_min(
 ) -> SpectralReport:
     """Smallest Rayleigh quotient of the second variation at a solution.
 
-    Inverse power iteration on the symmetrized generalized problem with one
-    fixed shift, placed below the form's own lower bound min beta'(u)/2, and
-    a deterministic all-ones start; the returned eigenpair satisfies the
-    residual certificate ||(B - lambda) x|| <= tol.  ``axis_dirichlet`` pins
-    the axis column to zero (useful for all-sides-Dirichlet reference
-    problems).
+    LOBPCG on the symmetrized problem B = D A D, D = diag(w)^(-1/2), from the
+    all-ones start, preconditioned by the Newton solve's multilevel layer on
+    A - shift W with a shift below the form's lower bound min beta'(u)/2: one
+    V-cycle over u's every-other-node levels, one LU at the coarsest.  The
+    eigenpair is certified by its residual ||(B - lambda) x|| <= tol and by
+    one sign throughout x, which on the irreducible Z-matrix B only the ground
+    state has (Perron-Frobenius).  ``iterations`` counts LOBPCG steps;
+    ``axis_dirichlet`` pins the axis column to zero (useful for
+    all-sides-Dirichlet reference problems).
     """
     res = residual_semilinear(u, beta)
     if res > 1e-6:
         raise InvalidParameterError(f"field does not solve the equation (residual {res:.3e})")
 
-    A, w, mask = assemble_operator(u, beta, axis_dirichlet=axis_dirichlet)
-    if not np.all(w > 0.0):
-        raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
-    d = 1.0 / np.sqrt(w)
-    D = sp.diags(d)
-    B = (D @ A @ D).tocsr()
-
     # The edge part of A is a sum of weighted squared differences, so every
     # Rayleigh quotient of B is at least the smallest potential beta'(u)/2.
-    bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[mask]))
+    unknown = _unknown_mask(u.values.shape, u.has_axis and not axis_dirichlet)
+    bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[unknown]))
     shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
-    # B - shift I is then a symmetric positive-definite Z-matrix (irreducible
-    # on the connected grid), whose inverse is entrywise positive: the ones
-    # start has weight on the positive ground state, and the iteration
-    # converges to the smallest eigenvalue, not merely the nearest one.
-    factors = LUCounts()
-    lu = factors.record(splu((B - shift * sp.identity(B.shape[0], format="csr")).tocsc(), permc_spec=LU_ORDER))
-    x = np.ones(B.shape[0]) / math.sqrt(B.shape[0])
-    trace = []
-    cert = math.inf
-    for it in range(1, max_iter + 1):
-        y = lu.solve(x)
-        x = y / np.linalg.norm(y)
-        Bx = B @ x
-        lam = float(x @ Bx)
-        cert = float(np.linalg.norm(Bx - lam * x))
-        trace.append(lam)
-        if cert <= tol:
-            break
-    else:
+    factors, coarse = LUCounts(), None
+    for k in _level_strides(*u.values.shape):
+        f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
+        A, w, mask = assemble_operator(f, beta, axis_dirichlet=axis_dirichlet)
+        if not np.all(w > 0.0):
+            raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
+        # divided by the cell area, every level has the Newton Jacobian's scaling
+        cycle = _level_cycle(((A - shift * sp.diags(w)) / (f.hs * f.ht)).tocsr(), factors, mask, coarse)
+        coarse = (mask, cycle)
+    d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
+    B = (sp.diags(d) @ A @ sp.diags(d)).tocsr()
+    M = LinearOperator(B.shape, matvec=lambda y: sw * cycle(sw * y.ravel()), dtype=float)
+    with warnings.catch_warnings():
+        # the certificates below judge the result, not LOBPCG's own exit
+        warnings.simplefilter("ignore", UserWarning)
+        _, X, history = lobpcg(  # scipy's loop makes maxiter + 1 steps
+            B, np.ones((B.shape[0], 1)), M=M, tol=tol, maxiter=max_iter - 1, largest=False, retLambdaHistory=True
+        )
+    trace = [float(lam) for lam in history[1:-1]]  # without the start and the post-processing
+    x = X[:, 0] * np.sign(X[:, 0].sum()) / np.linalg.norm(X[:, 0])
+    Bx = B @ x
+    lam = float(x @ Bx)
+    cert = float(np.linalg.norm(Bx - lam * x))
+    if not (cert <= tol and np.all(x > 0.0)):
+        what = "the residual" if cert > tol else "one sign of the ground state"
         raise NonconvergenceError(
-            f"inverse iteration did not certify after {max_iter} iterations "
-            f"(last residual {cert:.3e}, shift {shift:.6g})",
+            f"LOBPCG did not certify {what} after {len(trace)} iterations (last residual {cert:.3e}, shift {shift:.6g})",
             trace=trace,
         )
 
@@ -270,7 +272,7 @@ def linearized_rayleigh_min(
         rayleigh_min=lam,
         form_lhs=_raw_form(u, xi, beta),
         form_rhs=lam * weighted_norm_sq(xi),
-        iterations=it,
+        iterations=len(trace),
         eigenvector=xi,
         factors=factors,
     )

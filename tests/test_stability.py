@@ -9,8 +9,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros
 
+from onephase_lab import stability
 from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
@@ -19,6 +21,7 @@ from onephase_lab.axisym_field import (
     solve_semilinear_1d,
 )
 from onephase_lab.errors import InvalidParameterError, NonconvergenceError
+from onephase_lab.numerics import LU_ORDER
 from onephase_lab.reaction_terms import make_polynomial_beta
 from onephase_lab.stability import (
     StabilityProbe,
@@ -233,12 +236,28 @@ def _radial_mu(n, s, axis_dirichlet=False):
     return _lowest_tridiagonal((stiff[:-1] + stiff[1:])[first:], -edge[first:-1], cs[first:-1])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def _coarsest_lu_fill(u, beta, axis_dirichlet):
+    """nnz(L + U) of the LU of (A - shift W) / (hs ht) on the 65^2
+    every-other-node level of ``u``, at the eigen solve's shift."""
+    _, _, mask = assemble_operator(u, beta, axis_dirichlet=axis_dirichlet)
+    bound = float(np.min(0.5 * beta.deriv(u.values)[mask]))
+    shift = bound - 1e-3 * (1.0 + abs(bound))
+    k = (len(u.s) - 1) // 64
+    c = AxiField(n=u.n, s=u.s[::k], t=u.t[::k], values=u.values[::k, ::k])
+    A, w, _ = assemble_operator(c, beta, axis_dirichlet=axis_dirichlet)
+    return splu(((A - shift * sp.diags(w)) / (c.hs * c.ht)).tocsc(), permc_spec=LU_ORDER).nnz
+
+
+# 129^2 has two levels and 257^2 three; both factor only the 65^2 one
+@pytest.mark.parametrize(
+    "n, ns", [pytest.param(3, 129, id="3"), pytest.param(4, 129, id="4"), pytest.param(5, 129, id="5"),
+              pytest.param(3, 257, id="3-257")]
+)
 @pytest.mark.parametrize("axis_dirichlet", [False, True])
-def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, axis_dirichlet):
+def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, axis_dirichlet):
     # On an s-independent field the form is Ks (x) Mt + Ms (x) (Kt + P) against
     # Ms (x) Mt, so its smallest eigenvalue is mu_s + mu_t exactly.
-    g = GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=129, nt=129)
+    g = GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=ns)
     u = tiled_layer(beta, layer_profile, g)
     tol = 1e-8
     rep = linearized_rayleigh_min(u, beta, tol=tol, axis_dirichlet=axis_dirichlet)
@@ -250,6 +269,7 @@ def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_pro
 
     assert abs(rep.rayleigh_min - (mu_s + mu_t)) <= tol
     assert rep.factors.factorizations == 1
+    assert rep.factors.fill_nnz == _coarsest_lu_fill(u, beta, axis_dirichlet)
 
 
 @pytest.mark.parametrize("n, zero", [(3, jn_zeros(0, 1)[0]), (4, math.pi), (5, jn_zeros(1, 1)[0])])
@@ -308,6 +328,22 @@ def test_eigen_requires_solved_field(beta):
     u = AxiField.from_function(g, lambda s, t: 0.5 + 0.0 * s)  # beta(1/2) != 0
     with pytest.raises(InvalidParameterError):
         linearized_rayleigh_min(u, beta)
+
+
+def test_sign_changing_eigenvector_is_not_certified(beta, layer_profile, monkeypatch):
+    # the second eigenpair passes the residual certificate but changes sign,
+    # so it cannot be the ground state of the irreducible Z-matrix B
+    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
+    u = tiled_layer(beta, layer_profile, g)
+    A, w, _ = assemble_operator(u, beta)
+    d = sp.diags(1.0 / np.sqrt(w))
+    lams, vecs = np.linalg.eigh((d @ A @ d).toarray())
+    # scipy's history: the start, one iteration, the post-processing
+    second = lambda *args, **kwargs: (lams[1:2], vecs[:, 1:2], [lams[0], lams[1], lams[1]])
+    monkeypatch.setattr(stability, "lobpcg", second)
+    with pytest.raises(NonconvergenceError, match="one sign") as err:
+        linearized_rayleigh_min(u, beta, tol=1e-9)
+    assert len(err.value.trace) == 1
 
 
 def test_eigen_nonconvergence_trace(beta, layer_profile):

@@ -1,7 +1,7 @@
 """The module-level names the benchmark tracer wraps must stay on the solve paths.
 
-``perfbench/tracer.py`` attributes time by replacing ``splu`` in the three
-solver modules and ``axisym_field.apply_axisym_laplacian`` from outside.  A
+``perfbench/tracer.py`` attributes time by replacing ``splu`` in the solver
+modules and ``axisym_field.apply_axisym_laplacian`` from outside.  A
 refactor that reaches these through another name still computes the right
 answer but leaves the layer silently unattributed; these tests fail instead.
 """
@@ -16,7 +16,6 @@ from onephase_lab.reference import StripNeckExact
 
 HOOKS = {
     "axisym_field.splu": (axisym_field, "splu"),
-    "stability.splu": (stability, "splu"),
     "onephase_geometry.splu": (onephase_geometry, "splu"),
     "axisym_field.apply_axisym_laplacian": (axisym_field, "apply_axisym_laplacian"),
 }
@@ -55,10 +54,13 @@ def test_newton_solves_factor_through_axisym_field_splu(calls, beta, layer_profi
     assert "axisym_field.splu" in hit
 
 
-def test_eigen_solve_factors_through_stability_splu(calls, beta):
+def test_eigen_solve_factors_once_through_axisym_field_splu(calls, beta):
+    # the eigen solve's one factor is the multilevel layer's coarsest LU
     u = tiled_layer_field(beta, GridSpec(n=3, s_max=2.0, t_min=-3.0, t_max=3.0, ns=9, nt=17))
+    before = calls["axisym_field.splu"]
     hit = _hooks_hit(calls, lambda: stability.linearized_rayleigh_min(u, beta, tol=1e-8))
-    assert {"stability.splu", "axisym_field.apply_axisym_laplacian"} <= hit
+    assert {"axisym_field.splu", "axisym_field.apply_axisym_laplacian"} <= hit
+    assert calls["axisym_field.splu"] - before == 1
 
 
 def test_masked_solve_reaches_splu_and_laplacian_hooks(calls):
