@@ -168,6 +168,8 @@ _KEYS = (
     ("solve", "domain_study", "domain_study", _parse_bool),
 )
 
+_SECTIONS = tuple(dict.fromkeys(sec for sec, *_ in _KEYS)) + ("tolerances",)
+
 
 def _render(value) -> str:
     """One config value as canonical text: floats by repr, bools lower case, tuples comma-joined."""
@@ -200,7 +202,8 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     """Read a config file into an :class:`ExperimentConfig`.
 
     Syntax errors carry the offending line numbers (from the stdlib parser);
-    semantic errors name the section and key.
+    semantic errors name the section and key.  An unknown section is an
+    error; an unknown key inside a known section is ignored.
     """
     cfg = base if base is not None else ExperimentConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
@@ -211,6 +214,9 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for sec in parser.sections():
+        if sec not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{sec}] in {str(path)!r}; choose from {_SECTIONS}")
 
     cfg = replace(
         cfg, **{name: _get(parser, sec, key, parse, getattr(cfg, name)) for sec, key, name, parse in _KEYS}

@@ -10,7 +10,7 @@ decaying to 0 on the left), or a < 1 (even well with an interior minimum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -39,35 +39,21 @@ CASE_II_SLOPE_TOL = 1e-8
 
 @dataclass
 class Profile1D:
-    """A sampled solution of u'' = beta(u)/2 on an interval.
-
-    ``slope_plus`` is the asymptotic slope of the growing ramp, ``slope_minus``
-    the magnitude of the opposite tail's slope, ``turning_point`` the abscissa
-    where u' changes sign (+-inf for monotone profiles) and ``min_value`` the
-    profile value there when finite.
-    """
+    """A sampled solution of u'' = beta(u)/2 on an interval: abscissae ``xs``,
+    values ``us`` and slopes ``dus``.  Its case, slopes, turning point and
+    minimum come from :func:`classify`."""
 
     xs: np.ndarray
     us: np.ndarray
-    dus: np.ndarray | None
-    slope_plus: float
-    slope_minus: float
-    turning_point: float
-    min_value: float | None
-    case_tag: str
+    dus: np.ndarray
 
     def sample(self, x):
         """Evaluate at arbitrary points; affine continuation beyond the ends."""
         x = np.asarray(x, dtype=float)
         interp = PchipInterpolator(self.xs, self.us, extrapolate=False)
         v = interp(np.clip(x, self.xs[0], self.xs[-1]))
-        if self.dus is not None:
-            lo_slope, hi_slope = float(self.dus[0]), float(self.dus[-1])
-        else:
-            lo_slope = float((self.us[1] - self.us[0]) / (self.xs[1] - self.xs[0]))
-            hi_slope = float((self.us[-1] - self.us[-2]) / (self.xs[-1] - self.xs[-2]))
-        v = np.where(x < self.xs[0], self.us[0] + lo_slope * (x - self.xs[0]), v)
-        v = np.where(x > self.xs[-1], self.us[-1] + hi_slope * (x - self.xs[-1]), v)
+        v = np.where(x < self.xs[0], self.us[0] + self.dus[0] * (x - self.xs[0]), v)
+        v = np.where(x > self.xs[-1], self.us[-1] + self.dus[-1] * (x - self.xs[-1]), v)
         return v
 
     def crossing(self, level: float) -> float:
@@ -97,6 +83,11 @@ class Profile1D:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """``slope_plus`` is the asymptotic slope of the growing ramp, ``slope_minus``
+    the magnitude of the opposite tail's slope, ``turning_point`` the abscissa
+    where u' changes sign (+-inf for monotone profiles) and ``min_value`` the
+    profile value there when finite."""
+
     case_tag: str
     slope_plus: float
     slope_minus: float
@@ -162,38 +153,19 @@ def shoot(
     us = np.concatenate((us_b[::-1][:-1], us_f))
     dus = np.concatenate((ws_b[::-1][:-1], ws_f))
 
-    prof = Profile1D(
-        xs=xs,
-        us=us,
-        dus=dus,
-        slope_plus=math.nan,
-        slope_minus=math.nan,
-        turning_point=math.nan,
-        min_value=None,
-        case_tag="unclassified",
-    )
-    report = classify(prof, beta=beta)
-    return replace(
-        prof,
-        slope_plus=report.slope_plus,
-        slope_minus=report.slope_minus,
-        turning_point=report.turning_point,
-        min_value=report.min_value,
-        case_tag=report.case_tag,
-    )
+    return Profile1D(xs=xs, us=us, dus=dus)
 
 
 def mirror(profile: Profile1D, about: float = 1.0) -> Profile1D:
     """The reflection x -> 2*about - x of a profile."""
-    return replace(
-        profile,
+    return Profile1D(
         xs=(2.0 * about - profile.xs)[::-1].copy(),
         us=profile.us[::-1].copy(),
-        dus=None if profile.dus is None else (-profile.dus)[::-1].copy(),
+        dus=(-profile.dus)[::-1].copy(),
     )
 
 
-def _tail_slope(xs, us, tol):
+def _tail_slope(xs, us):
     """Secant slope over a tail window plus its deviation from affinity."""
     x0, x1 = xs[0], xs[-1]
     u0, u1 = us[0], us[-1]
@@ -221,8 +193,8 @@ def classify(
         return ClassificationReport(CASE_CONSTANT, 0.0, 0.0, math.nan, None, None)
 
     k = max(3, len(xs) // 10)
-    right_slope, right_dev = _tail_slope(xs[-k:], us[-k:], tol)
-    left_slope, left_dev = _tail_slope(xs[:k], us[:k], tol)
+    right_slope, right_dev = _tail_slope(xs[-k:], us[-k:])
+    left_slope, left_dev = _tail_slope(xs[:k], us[:k])
     scale = 1.0 + max(abs(right_slope), abs(left_slope))
 
     def require_affine(dev, side):
@@ -238,15 +210,9 @@ def classify(
         require_affine(right_dev, "right")
         require_affine(left_dev, "left")
         # well: refine the turning point through the slope's zero crossing
-        if profile.dus is not None:
-            dus = profile.dus
-            j = imin if dus[imin] <= 0.0 else imin - 1
-            p = xs[j] - dus[j] * (xs[j + 1] - xs[j]) / (dus[j + 1] - dus[j])
-        else:
-            x3 = xs[imin - 1 : imin + 2]
-            u3 = us[imin - 1 : imin + 2]
-            c = np.polyfit(x3 - x3[1], u3, 2)
-            p = x3[1] - c[1] / (2.0 * c[0])
+        dus = profile.dus
+        j = imin if dus[imin] <= 0.0 else imin - 1
+        p = xs[j] - dus[j] * (xs[j + 1] - xs[j]) / (dus[j + 1] - dus[j])
         y0 = float(PchipInterpolator(xs, us)(p))
         a = right_slope
         defect = None
@@ -327,16 +293,7 @@ def unique_increasing_profile(
     us = np.concatenate((us, tops))
     dus = np.sqrt(np.clip(phi(us), 0.0, None))
 
-    return Profile1D(
-        xs=xs,
-        us=us,
-        dus=dus,
-        slope_plus=1.0,
-        slope_minus=0.0,
-        turning_point=-math.inf,
-        min_value=None,
-        case_tag=CASE_II,
-    )
+    return Profile1D(xs=xs, us=us, dus=dus)
 
 
 def extend_to_nd(profile: Profile1D, direction, grid) -> AxiField:
@@ -357,8 +314,6 @@ def extend_to_nd(profile: Profile1D, direction, grid) -> AxiField:
 
 def first_integral_spread(profile: Profile1D, beta: ReactionTerm) -> float:
     """Peak-to-peak variation of u'^2 - Phi(u), which is conserved exactly."""
-    if profile.dus is None:
-        raise InvalidParameterError("profile carries no slope samples")
     c = profile.dus**2 - beta.primitive(profile.us)
     return float(np.ptp(c))
 
@@ -371,10 +326,9 @@ def convexity_defect(profile: Profile1D) -> float:
 
 def save_profile_csv(profile: Profile1D, path) -> None:
     """Write columns x, u, du."""
-    dus = profile.dus if profile.dus is not None else np.full_like(profile.xs, math.nan)
     with open(path, "w") as fh:
         fh.write("x,u,du\n")
-        fh.write(csv_lines(profile.xs, profile.us, dus))
+        fh.write(csv_lines(profile.xs, profile.us, profile.dus))
 
 
 def save_profile_dat(profile: Profile1D, path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import InvalidParameterError, InversionError
-from .numerics import csv_lines, nonuniform_second_derivative, simpson_refined
+from .numerics import csv_lines, simpson_refined
 
 MASS_TOL = 1e-10
 
@@ -231,29 +231,23 @@ TAIL_RATIO_TOL = 1e-2
 def beta_from_profile(profile) -> ReactionTerm:
     """Recover the reaction term that a sampled convex transition solves.
 
-    A profile v with v'' = beta(v)/2 determines beta(t) = 2 v''(v^{-1}(t)).
-    When the profile carries slope samples the second derivative is taken as
-    d(v'^2)/dv (one numerical differentiation instead of two); otherwise it
-    falls back to second differences of v.  The recovered term is tabulated
-    on the profile's own value grid.
+    A profile v with v'' = beta(v)/2 determines beta(t) = 2 v''(v^{-1}(t)),
+    and the second derivative is taken from the slope samples as d(v'^2)/dv
+    (one numerical differentiation instead of two).  The recovered term is
+    tabulated on the profile's own value grid.
     """
     us = np.asarray(profile.us, dtype=float)
     xs = np.asarray(profile.xs, dtype=float)
+    slopes = np.asarray(profile.dus, dtype=float)
     if np.any(np.diff(us) <= 0.0):
         raise InversionError("profile values must be strictly increasing to invert")
 
-    if profile.dus is not None:
-        # beta(v) = d(v'^2)/dv; a spline derivative keeps the recovery
-        # fourth-order in the sample spacing
-        dus = np.asarray(profile.dus, dtype=float)
-        b = CubicSpline(us, dus * dus).derivative()(us)
-        d2 = 0.5 * b
-    else:
-        d2 = nonuniform_second_derivative(xs, us)
-        b = 2.0 * d2
+    # beta(v) = d(v'^2)/dv; a spline derivative keeps the recovery
+    # fourth-order in the sample spacing
+    b = CubicSpline(us, slopes * slopes).derivative()(us)
+    d2 = 0.5 * b
 
     # tail smoothness: v'''/v' must vanish where the profile decays
-    slopes = profile.dus if profile.dus is not None else np.gradient(us, xs, edge_order=2)
     d3 = np.gradient(d2, xs, edge_order=2)
     k = min(8, len(xs) // 10 + 2)
     with np.errstate(divide="ignore", invalid="ignore"):

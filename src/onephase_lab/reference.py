@@ -27,15 +27,14 @@ from .errors import NonconvergenceError
 from .onephase_geometry import Generator
 
 
+# cap on the Newton steps of the strip neck's conformal inversion; each node
+# stops earlier, once its residual reaches the round-off floor
+NEWTON_STEPS = 60
+
+
 @dataclass
 class StripNeckExact:
-    """Planar neck configuration with generator s = pi/2 + cosh t.
-
-    ``newton_steps`` caps the Newton steps of the conformal inversion; each
-    node stops earlier, once its residual reaches the round-off floor.
-    """
-
-    newton_steps: int = 60
+    """Planar neck configuration with generator s = pi/2 + cosh t."""
 
     def generator_s(self, t):
         return math.pi / 2.0 + np.cosh(t)
@@ -51,14 +50,14 @@ class StripNeckExact:
         A node stops once |w + sinh(w) - z| is within the round-off floor
         4 eps (1 + |z|), so its value does not depend on the nodes inverted
         with it.  Raises ``NonconvergenceError`` when a residual is above
-        1e-11 after at most ``newton_steps`` steps.
+        1e-11 after at most ``NEWTON_STEPS`` steps.
         """
         floor = 4.0 * np.finfo(float).eps * (1.0 + np.abs(z))
         w = 0.5 * z
-        for steps in range(self.newton_steps + 1):
+        for steps in range(NEWTON_STEPS + 1):
             F = w + np.sinh(w) - z
             active = np.abs(F) > floor
-            if steps == self.newton_steps or not active.any():
+            if steps == NEWTON_STEPS or not active.any():
                 break
             w = np.where(active, w - F / (1.0 + np.cosh(w)), w)
         res = np.max(np.abs(F)) if np.size(z) else 0.0

@@ -29,6 +29,7 @@ from onephase_lab.profile1d import (
     CASE_I,
     CASE_II,
     CASE_III,
+    classify,
     extend_to_nd,
     shoot,
     unique_increasing_profile,
@@ -54,11 +55,11 @@ def test_criterion_01_two_sided_slope_law():
     worst = 0.0
     for a in (1.1, 1.5, 2.0, 5.0):
         t0 = time.perf_counter()
-        p = shoot(BETA, a=a, domain_halfwidth=20.0, step=0.002)
+        rep = classify(shoot(BETA, a=a, domain_halfwidth=20.0, step=0.002), beta=BETA)
         elapsed = time.perf_counter() - t0
-        defect = abs(p.slope_plus**2 - p.slope_minus**2 - 1.0)
+        defect = abs(rep.slope_plus**2 - rep.slope_minus**2 - 1.0)
         worst = max(worst, defect)
-        assert p.case_tag == CASE_I
+        assert rep.case_tag == CASE_I
         assert defect <= 1e-6, f"a={a}: defect {defect:.3e}"
         assert elapsed < 1.0, f"a={a}: took {elapsed:.2f}s"
     report(f"criterion 1 PASS: two-sided slope law, worst |a^2-b^2-1| = {worst:.3e}")
@@ -72,7 +73,7 @@ def test_criterion_02_layer_slope_and_oracle_equivalence():
     assert slope_defect <= 1e-8
 
     shot = shoot(BETA, a=1.0, domain_halfwidth=25.0, step=0.002)
-    assert shot.case_tag == CASE_II
+    assert classify(shot, beta=BETA).case_tag == CASE_II
     shot_above = shot.us >= 1.0
     assert float(np.max(np.abs(shot.dus[shot_above] - 1.0))) <= 1e-8
 
@@ -92,13 +93,13 @@ def test_criterion_02_layer_slope_and_oracle_equivalence():
 
 def test_criterion_03_well_minimum_relation():
     t0 = time.perf_counter()
-    p = shoot(BETA, a=0.5, domain_halfwidth=20.0, step=0.002)
+    rep = classify(shoot(BETA, a=0.5, domain_halfwidth=20.0, step=0.002), beta=BETA)
     elapsed = time.perf_counter() - t0
-    assert p.case_tag == CASE_III
-    defect = abs(BETA.primitive(1.0) - BETA.primitive(p.min_value) - 0.25)
+    assert rep.case_tag == CASE_III
+    defect = abs(BETA.primitive(1.0) - BETA.primitive(rep.min_value) - 0.25)
     assert defect <= 1e-6
     assert elapsed < 1.0
-    report(f"criterion 3 PASS: well relation defect {defect:.3e} (y0 = {p.min_value:.8f})")
+    report(f"criterion 3 PASS: well relation defect {defect:.3e} (y0 = {rep.min_value:.8f})")
 
 
 def test_criterion_04_dimension_window_exact():

@@ -149,6 +149,51 @@ def test_unknown_tolerance_name_is_rejected_from_file_and_environment(tmp_path, 
     assert not out.exists()
 
 
+def test_unknown_config_section_is_rejected(tmp_path, runner):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[experiment]\nname = profile\n\n[gird]\nn = 5\n")
+    with pytest.raises(ConfigError, match=r"unknown config section \[gird\]"):
+        parse_config(path)
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["solve", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and "[gird]" in lines[0]
+    assert not out.exists()
+
+
+# a = 0.5 on [-1.5, 3.5]: the well's left tail is affine only to about 1e-4
+_SHORT_WELL = "[profile]\na = 0.5\nhalfwidth = 2.5\n"
+
+
+@pytest.mark.parametrize("source", ["config", "environment"])
+def test_classify_tolerance_governs_the_profile_run(tmp_path, runner, monkeypatch, source):
+    _clear_env_tolerances(monkeypatch)
+    path = tmp_path / "well.cfg"
+    if source == "config":
+        path.write_text(_SHORT_WELL + "\n[tolerances]\nclassify = 1e-3\n")
+    else:
+        path.write_text(_SHORT_WELL)
+        monkeypatch.setenv(ENV_TOL_PREFIX + "CLASSIFY", "1e-3")
+    out = tmp_path / "well"
+    result = runner.invoke(main, ["profile", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["shoot"]["case_tag"] == "case_iii"
+    assert "classify = 0.001" in report["config"].splitlines()
+
+
+def test_default_classify_tolerance_rejects_the_short_well(tmp_path, runner, monkeypatch):
+    _clear_env_tolerances(monkeypatch)
+    path = tmp_path / "well.cfg"
+    path.write_text(_SHORT_WELL)
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["profile", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    assert "left tail not affine within 1e-06" in result.output
+    assert not out.exists()
+
+
 def test_stale_threads_line_still_parses(tmp_path):
     path = tmp_path / "old.cfg"
     path.write_text("[experiment]\nname = profile\nthreads = 4\n\n[profile]\na = 1.5\n")

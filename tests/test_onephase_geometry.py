@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onephase_lab import reference
 from onephase_lab.axisym_field import AxiField, GridSpec
 from onephase_lab.errors import (
     CurvatureSingularityError,
@@ -174,8 +175,9 @@ def test_strip_neck_inversion_is_pointwise():
     assert np.array_equal(single, full[i, j])
 
 
-def test_strip_neck_inversion_failure_names_its_numbers():
-    neck = StripNeckExact(newton_steps=2)
+def test_strip_neck_inversion_failure_names_its_numbers(monkeypatch):
+    monkeypatch.setattr(reference, "NEWTON_STEPS", 2)
+    neck = StripNeckExact()
     with pytest.raises(NonconvergenceError, match=r"after 2 Newton steps \(residual [0-9.e+-]+, threshold 1e-11\)"):
         neck.u(np.array([2.0, 2.5]), np.array([0.1, -0.4]))
 

@@ -29,24 +29,25 @@ from onephase_lab.profile1d import (
 from onephase_lab.reaction_terms import make_polynomial_beta, make_tabulated_term
 
 
-def test_monotone_layer_from_unit_slope(shot_cache):
+def test_monotone_layer_from_unit_slope(beta, shot_cache):
     p = shot_cache(1.0, halfwidth=25.0)
-    assert p.case_tag == CASE_II
+    assert classify(p, beta=beta).case_tag == CASE_II
     assert np.all(np.diff(p.us) > 0)
     assert p.us[0] < 1e-3  # decays toward 0 on the left
     assert p.dus[0] < 1e-3
 
 
-def test_two_sided_ramp_slope_relation(shot_cache):
-    p = shot_cache(2.0)
-    assert p.case_tag == CASE_I
-    assert abs(p.slope_minus - math.sqrt(3.0)) < 1e-6
-    assert abs(p.slope_plus**2 - p.slope_minus**2 - 1.0) < 1e-6
+def test_two_sided_ramp_slope_relation(beta, shot_cache):
+    rep = classify(shot_cache(2.0), beta=beta)
+    assert rep.case_tag == CASE_I
+    assert abs(rep.slope_minus - math.sqrt(3.0)) < 1e-6
+    assert abs(rep.slope_plus**2 - rep.slope_minus**2 - 1.0) < 1e-6
 
 
 def test_well_minimum_against_bisection_oracle(beta, shot_cache):
     p = shot_cache(0.5)
-    assert p.case_tag == CASE_III
+    rep = classify(p, beta=beta)
+    assert rep.case_tag == CASE_III
     # oracle: the minimum satisfies primitive(1) - primitive(y0) = a^2
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -56,21 +57,25 @@ def test_well_minimum_against_bisection_oracle(beta, shot_cache):
         else:
             hi = mid
     y0_oracle = 0.5 * (lo + hi)
-    assert abs(p.min_value - y0_oracle) < 1e-6
+    assert abs(rep.min_value - y0_oracle) < 1e-6
     # evenness about the turning point
     d = np.linspace(0.1, 3.0, 57)
-    left = p.sample(p.turning_point - d)
-    right = p.sample(p.turning_point + d)
+    left = p.sample(rep.turning_point - d)
+    right = p.sample(rep.turning_point + d)
     assert np.max(np.abs(left - right)) < 1e-6
+
+
+def test_mirrored_well_is_classified_from_its_own_samples(beta, shot_cache):
+    rep = classify(shot_cache(0.5), beta=beta)
+    back = classify(mirror(shot_cache(0.5), 1.0), beta=beta)
+    assert back.case_tag == CASE_III
+    assert abs(back.turning_point - (2.0 - rep.turning_point)) < 1e-12
+    assert abs(back.min_value - rep.min_value) < 1e-12
 
 
 def test_constant_profile_classifies_as_constant(beta):
     x = np.linspace(-5, 5, 201)
-    prof = Profile1D(
-        xs=x, us=np.full_like(x, 2.0), dus=np.zeros_like(x),
-        slope_plus=0.0, slope_minus=0.0, turning_point=math.nan,
-        min_value=None, case_tag="unclassified",
-    )
+    prof = Profile1D(xs=x, us=np.full_like(x, 2.0), dus=np.zeros_like(x))
     assert classify(prof, beta=beta).case_tag == "constant"
 
 
@@ -126,8 +131,9 @@ def test_interior_support_gap_raises():
 
 
 def test_small_domain_is_inconclusive(beta):
+    p = shoot(beta, a=1.0 + 1e-7, domain_halfwidth=5.0, step=0.002)
     with pytest.raises(InconclusiveClassificationError):
-        shoot(beta, a=1.0 + 1e-7, domain_halfwidth=5.0, step=0.002)
+        classify(p, beta=beta)
 
 
 def test_step_size_guard(beta):
@@ -145,9 +151,10 @@ def test_reflection_is_exact_mirror(a):
     assert np.array_equal(reflected.us, mirrored.us)
     assert np.array_equal(reflected.dus, mirrored.dus)
     assert np.allclose(reflected.xs, mirrored.xs, rtol=0, atol=1e-12)
-    assert direct.case_tag == CASE_I
-    assert reflected.case_tag == CASE_I_REFLECTED
-    assert abs(reflected.slope_plus - direct.slope_plus) < 1e-12
+    direct_rep, reflected_rep = classify(direct, beta=beta), classify(reflected, beta=beta)
+    assert direct_rep.case_tag == CASE_I
+    assert reflected_rep.case_tag == CASE_I_REFLECTED
+    assert abs(reflected_rep.slope_plus - direct_rep.slope_plus) < 1e-12
 
 
 def test_extension_along_axis_is_t_only(layer_profile):
@@ -158,11 +165,7 @@ def test_extension_along_axis_is_t_only(layer_profile):
 
 def test_extension_of_constant_profile_is_constant():
     x = np.linspace(-5, 5, 101)
-    prof = Profile1D(
-        xs=x, us=np.full_like(x, 3.0), dus=np.zeros_like(x),
-        slope_plus=0.0, slope_minus=0.0, turning_point=math.nan,
-        min_value=None, case_tag="constant",
-    )
+    prof = Profile1D(xs=x, us=np.full_like(x, 3.0), dus=np.zeros_like(x))
     g = GridSpec(n=4, s_max=1.0, t_min=-1.0, t_max=1.0, ns=9, nt=9)
     f = extend_to_nd(prof, (0.3, 0.9), g)
     assert np.max(np.abs(f.values - 3.0)) == 0.0
@@ -192,13 +195,11 @@ def test_sample_extrapolates_affinely(shot_cache):
 
 
 def test_profile_csv_bytes(tmp_path):
-    # LF line ends, %.17g values, and a nan slope column when no slopes were sampled
+    # LF line ends and %.17g values in every column
     prof = Profile1D(
-        xs=np.array([0.0, 0.1, -2.5e-300]), us=np.array([1.0 / 3.0, -0.0, 7.0]), dus=None,
-        slope_plus=0.0, slope_minus=0.0, turning_point=math.nan,
-        min_value=None, case_tag="unclassified",
+        xs=np.array([0.0, 0.1, -2.5e-300]), us=np.array([1.0 / 3.0, -0.0, 7.0]), dus=np.array([0.5, 1e300, -0.0])
     )
     save_profile_csv(prof, tmp_path / "profile.csv")
     assert (tmp_path / "profile.csv").read_bytes() == (
-        b"x,u,du\n0,0.33333333333333331,nan\n0.10000000000000001,-0,nan\n-2.5e-300,7,nan\n"
+        b"x,u,du\n0,0.33333333333333331,0.5\n0.10000000000000001,-0,1.0000000000000001e+300\n-2.5e-300,7,-0\n"
     )

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -124,11 +123,7 @@ def test_recovery_mass_is_slope_energy_difference(layer_profile):
 
 def test_recovery_of_affine_ramp_is_zero():
     x = np.linspace(0.3, 1.4, 300)
-    prof = Profile1D(
-        xs=x, us=x.copy(), dus=np.ones_like(x),
-        slope_plus=1.0, slope_minus=1.0, turning_point=-math.inf,
-        min_value=None, case_tag="unclassified",
-    )
+    prof = Profile1D(xs=x, us=x.copy(), dus=np.ones_like(x))
     rec = beta_from_profile(prof)
     t = np.linspace(-0.5, 1.5, 201)
     assert np.max(np.abs(rec.eval(t))) < 1e-12
@@ -136,11 +131,7 @@ def test_recovery_of_affine_ramp_is_zero():
 
 def test_recovery_rejects_nonmonotone():
     x = np.linspace(-1, 1, 101)
-    prof = Profile1D(
-        xs=x, us=x**2, dus=2 * x,
-        slope_plus=2.0, slope_minus=2.0, turning_point=0.0,
-        min_value=0.0, case_tag="unclassified",
-    )
+    prof = Profile1D(xs=x, us=x**2, dus=2 * x)
     with pytest.raises(InversionError):
         beta_from_profile(prof)
 
@@ -148,11 +139,7 @@ def test_recovery_rejects_nonmonotone():
 def test_recovery_flags_rough_tail():
     # v = x^4 solves v'' = beta(v)/2 for beta(t) = 24 sqrt(t): not C^1 at 0
     x = np.linspace(0.3, 1.1, 400)
-    prof = Profile1D(
-        xs=x, us=x**4, dus=4 * x**3,
-        slope_plus=4.0, slope_minus=0.0, turning_point=-math.inf,
-        min_value=None, case_tag="unclassified",
-    )
+    prof = Profile1D(xs=x, us=x**4, dus=4 * x**3)
     rec = beta_from_profile(prof)
     assert "tail-third-derivative" in rec.flags
 
