@@ -43,7 +43,6 @@ from .profile1d import (
 )
 from .reaction_terms import (
     ReactionTerm,
-    beta_from_profile,
     make_polynomial_beta,
     rescale,
     resolve_reaction,

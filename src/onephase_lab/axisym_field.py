@@ -14,7 +14,6 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -99,10 +98,22 @@ class AxiField:
         """Bilinear values at ``points``, continued linearly outside the grid.
 
         ``points`` is an array of (s, t) pairs in its last axis, or a tuple
-        (s, t) of broadcastable coordinate arrays.
+        (s, t) of broadcastable coordinate arrays.  A point takes the cell
+        ``s[i] <= s < s[i+1]``, ``t[j] <= t < t[j+1]`` (the last cell also
+        its far edge; points off the grid the nearest edge cell) and the
+        weighted values of that cell's four corners.
         """
-        interp = RegularGridInterpolator((self.s, self.t), self.values, bounds_error=False, fill_value=None)
-        return interp(points)
+        if isinstance(points, tuple):
+            s, t = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
+        else:
+            points = np.asarray(points, dtype=float)
+            s, t = points[..., 0], points[..., 1]
+        i, ys = _cell(self.s, s)
+        j, yt = _cell(self.t, t)
+        nt, v = len(self.t), self.values.ravel()
+        k = i * nt + j  # the cell's lower-left corner in the flat values
+        zs, zt = 1.0 - ys, 1.0 - yt
+        return v[k] * zs * zt + v[k + 1] * zs * yt + v[k + nt] * ys * zt + v[k + nt + 1] * ys * yt
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "AxiField":
@@ -136,6 +147,13 @@ class AxiField:
             )
         data = np.frombuffer(blob, dtype="<f8", offset=16).astype(float)
         return cls(n=n, s=data[:ns], t=data[ns : ns + nt], values=data[ns + nt :].reshape(ns, nt))
+
+
+def _cell(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index i of the cell ``axis[i] <= x < axis[i+1]`` (clamped to the grid's
+    cells) and the fraction of the cell's width at which ``x`` lies."""
+    i = np.searchsorted(axis[1:-1], x, side="right")
+    return i, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
 def apply_axisym_laplacian(f: AxiField) -> AxiField:

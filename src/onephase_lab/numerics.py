@@ -1,5 +1,6 @@
-"""Small shared numerical kernels: quadrature, difference formulas, the 5-point
-stencil-to-CSR builder and the sparse LU policy."""
+"""Small shared numerical kernels: quadrature, difference formulas, monotone
+cubic interpolation, the 5-point stencil-to-CSR builder and the sparse LU
+policy."""
 
 from __future__ import annotations
 
@@ -122,6 +123,97 @@ def nonuniform_second_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d[0] = d[1]
     d[-1] = d[-2]
     return d
+
+
+def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone (Fritsch–Carlson) cubic through ``y(x)``.
+
+    An interior slope is 0 where the neighbouring secants differ in sign or
+    one vanishes, else their harmonic mean weighted by w1 = 2h_k + h_{k-1},
+    w2 = h_k + 2h_{k-1}.  Each end takes the one-sided three-point estimate,
+    set to 0 if its sign differs from the end secant's and capped at three
+    times that secant where the first two secants differ in sign.  Two nodes
+    give the secant at both.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        return np.array([m[0], m[0]])
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros(len(x))
+    d[1:-1] = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, whmean))
+
+    def end(h0, h1, m0, m1):
+        e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return e
+
+    d[0] = end(h[0], h[1], m[0], m[1])
+    d[-1] = end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+class Pchip:
+    """The piecewise Hermite cubic through ``y(x)`` with :func:`pchip_slopes`.
+
+    ``x`` must increase strictly.  On ``x[k] <= p < x[k+1]`` (the last piece
+    also takes ``p = x[-1]``) the cubic is c0 + c1 s + c2 s^2 + c3 s^3 in
+    s = p - x[k]; points outside [x[0], x[-1]] continue the end pieces.
+    ``derivative`` and ``antiderivative`` (the integral from x[0]) are exact
+    for the same pieces.  Every piece is summed from its lowest power up, in
+    the order of scipy's piecewise-polynomial evaluation, so the lab's results
+    stay where scipy's ``PchipInterpolator`` left them.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(self.x)
+        secant = np.diff(y) / h
+        d = pchip_slopes(self.x, y)
+        curl = (d[:-1] + d[1:] - 2.0 * secant) / h
+        self.c = (y[:-1], d[:-1], (secant - d[:-1]) / h - curl, curl / h)
+        # the integral up to each knot: every piece's terms added one by one
+        # onto the running total (cumsum adds strictly left to right)
+        terms = np.stack(self._terms(h, *self.c), axis=1)
+        self.integral = np.concatenate(([0.0], np.cumsum(terms.ravel())[3::4]))
+
+    def _piece(self, p):
+        p = np.asarray(p, dtype=float)
+        # searching the interior knots gives the clamped piece index directly
+        k = np.searchsorted(self.x[1:-1], p, side="right")
+        return k, p - self.x[k]
+
+    @staticmethod
+    def _terms(s, c0, c1, c2, c3):
+        """The four terms of a piece's integral from its left knot to s."""
+        s2 = s * s
+        s3 = s2 * s
+        return c0 * s, c1 / 2.0 * s2, c2 / 3.0 * s3, c3 / 4.0 * (s3 * s)
+
+    def __call__(self, p):
+        k, s = self._piece(p)
+        c0, c1, c2, c3 = (c[k] for c in self.c)
+        s2 = s * s
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+
+    def derivative(self, p):
+        k, s = self._piece(p)
+        _, c1, c2, c3 = (c[k] for c in self.c)
+        return c1 + 2.0 * c2 * s + 3.0 * c3 * (s * s)
+
+    def antiderivative(self, p):
+        k, s = self._piece(p)
+        t0, t1, t2, t3 = self._terms(s, *(c[k] for c in self.c))
+        return self.integral[k] + t0 + t1 + t2 + t3
 
 
 def smoothstep_quintic(x):

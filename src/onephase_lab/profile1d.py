@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .axisym_field import AxiField
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     InvalidParameterError,
     NonIntegrableTailError,
 )
-from .numerics import csv_lines, gl5_points, nonuniform_second_derivative
+from .numerics import Pchip, csv_lines, gl5_points, nonuniform_second_derivative
 from .reaction_terms import ReactionTerm
 
 CASE_CONSTANT = "constant"
@@ -50,8 +49,7 @@ class Profile1D:
     def sample(self, x):
         """Evaluate at arbitrary points; affine continuation beyond the ends."""
         x = np.asarray(x, dtype=float)
-        interp = PchipInterpolator(self.xs, self.us, extrapolate=False)
-        v = interp(np.clip(x, self.xs[0], self.xs[-1]))
+        v = Pchip(self.xs, self.us)(np.clip(x, self.xs[0], self.xs[-1]))
         v = np.where(x < self.xs[0], self.us[0] + self.dus[0] * (x - self.xs[0]), v)
         v = np.where(x > self.xs[-1], self.us[-1] + self.dus[-1] * (x - self.xs[-1]), v)
         return v
@@ -59,16 +57,15 @@ class Profile1D:
     def crossing(self, level: float) -> float:
         """Abscissa of the first upward crossing of ``level``.
 
-        The bracketing interval is found on the samples and the root refined
-        by bisection on the monotone cubic interpolant.
+        The bracketing interval is the first one with
+        ``us[k-1] < level <= us[k]``; the root is refined by bisection on the
+        monotone cubic interpolant.
         """
-        above = self.us >= level
-        if above.all() or (~above).all():
-            raise InvalidParameterError(f"profile never crosses level {level}")
-        idx = int(np.argmax(above)) if not above[0] else int(np.argmax(~above))
-        lo = max(idx - 3, 0)
-        hi = min(idx + 3, len(self.xs))
-        interp = PchipInterpolator(self.xs[lo:hi], self.us[lo:hi])
+        up = (self.us[:-1] < level) & (self.us[1:] >= level)
+        if not up.any():
+            raise InvalidParameterError(f"profile never crosses level {level} upward")
+        idx = int(np.argmax(up)) + 1
+        interp = Pchip(self.xs, self.us)
         a, b = float(self.xs[idx - 1]), float(self.xs[idx])
         fa = float(interp(a)) - level
         for _ in range(80):
@@ -213,7 +210,7 @@ def classify(
         dus = profile.dus
         j = imin if dus[imin] <= 0.0 else imin - 1
         p = xs[j] - dus[j] * (xs[j + 1] - xs[j]) / (dus[j + 1] - dus[j])
-        y0 = float(PchipInterpolator(xs, us)(p))
+        y0 = float(Pchip(xs, us)(p))
         a = right_slope
         defect = None
         if beta is not None:

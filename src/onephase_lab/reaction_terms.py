@@ -3,8 +3,7 @@
 A valid reaction term is nonnegative, C^1, supported on [0, 1] and has unit
 integral; its primitive rises from 0 to 1 across the support.  Terms come in
 two flavours: closed-form (the quartic polynomial witness) and tabulated
-(recovered from a sampled transition profile, or read from CSV), the latter
-backed by monotone cubic interpolation.
+(read from CSV), the latter backed by monotone cubic interpolation.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import InvalidParameterError, InversionError
-from .numerics import csv_lines, simpson_refined
+from .errors import InvalidParameterError
+from .numerics import Pchip, csv_lines, simpson_refined
 
 MASS_TOL = 1e-10
 
@@ -104,11 +102,9 @@ def make_tabulated_term(
         raise InvalidParameterError("need matching 1D knot arrays, length >= 4")
     if np.any(np.diff(t) <= 0):
         raise InvalidParameterError("knot abscissae must be strictly increasing")
-    interp = PchipInterpolator(t, np.maximum(b, 0.0), extrapolate=False)
-    dinterp = interp.derivative()
-    anti = interp.antiderivative()
+    interp = Pchip(t, np.maximum(b, 0.0))
     lo, hi = float(t[0]), float(t[-1])
-    total = float(anti(hi) - anti(lo))
+    total = float(interp.antiderivative(hi))
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
@@ -117,12 +113,12 @@ def make_tabulated_term(
 
     def _deriv(x):
         x = np.asarray(x, dtype=float)
-        v = dinterp(np.clip(x, lo, hi))
+        v = interp.derivative(np.clip(x, lo, hi))
         return np.where((x > lo) & (x < hi), v, 0.0)
 
     def _primitive(x):
         x = np.asarray(x, dtype=float)
-        v = anti(np.clip(x, lo, hi)) - anti(lo)
+        v = interp.antiderivative(np.clip(x, lo, hi))
         return np.where(x <= lo, 0.0, np.where(x >= hi, total, v))
 
     return ReactionTerm(
@@ -222,52 +218,6 @@ def rescale(term: ReactionTerm, epsilon: float) -> ReactionTerm:
         mass=term.mass,
         flags=term.flags,
     )
-
-
-# |v'''/v'| beyond this at the decaying tail flags possible loss of C^1 at 0
-TAIL_RATIO_TOL = 1e-2
-
-
-def beta_from_profile(profile) -> ReactionTerm:
-    """Recover the reaction term that a sampled convex transition solves.
-
-    A profile v with v'' = beta(v)/2 determines beta(t) = 2 v''(v^{-1}(t)),
-    and the second derivative is taken from the slope samples as d(v'^2)/dv
-    (one numerical differentiation instead of two).  The recovered term is
-    tabulated on the profile's own value grid.
-    """
-    us = np.asarray(profile.us, dtype=float)
-    xs = np.asarray(profile.xs, dtype=float)
-    slopes = np.asarray(profile.dus, dtype=float)
-    if np.any(np.diff(us) <= 0.0):
-        raise InversionError("profile values must be strictly increasing to invert")
-
-    # beta(v) = d(v'^2)/dv; a spline derivative keeps the recovery
-    # fourth-order in the sample spacing
-    b = CubicSpline(us, slopes * slopes).derivative()(us)
-    d2 = 0.5 * b
-
-    # tail smoothness: v'''/v' must vanish where the profile decays
-    d3 = np.gradient(d2, xs, edge_order=2)
-    k = min(8, len(xs) // 10 + 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(d3[1:k] / slopes[1:k])
-    flags = frozenset()
-    if np.any(~np.isfinite(ratio)) or np.max(ratio, initial=0.0) > TAIL_RATIO_TOL:
-        flags = frozenset({"tail-third-derivative"})
-
-    keep = us <= 1.0 + 1e-12
-    t_knots = us[keep]
-    b_knots = np.maximum(b[keep], 0.0)
-    if t_knots[0] > 0.0:
-        t_knots = np.concatenate(([0.0], t_knots))
-        b_knots = np.concatenate(([0.0], b_knots))
-    if t_knots[-1] < 1.0:
-        t_knots = np.concatenate((t_knots, [1.0]))
-        b_knots = np.concatenate((b_knots, [0.0]))
-    else:
-        b_knots[-1] = 0.0
-    return make_tabulated_term(t_knots, b_knots, name="from-profile", flags=flags)
 
 
 def save_reaction_csv(term: ReactionTerm, path, samples: int = 2001) -> None:

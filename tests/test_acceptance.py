@@ -34,7 +34,7 @@ from onephase_lab.profile1d import (
     shoot,
     unique_increasing_profile,
 )
-from onephase_lab.reaction_terms import beta_from_profile, make_polynomial_beta
+from onephase_lab.reaction_terms import make_polynomial_beta
 from onephase_lab.reference import SphereShellExact, StripNeckExact
 from onephase_lab.stability import (
     StabilityProbe,
@@ -43,6 +43,8 @@ from onephase_lab.stability import (
     log_cutoff_2d,
     probe_inequality,
 )
+
+from beta_recovery import beta_from_profile
 
 BETA = make_polynomial_beta(1.0)
 

@@ -301,6 +301,19 @@ def test_stability_command_layer(tmp_path, runner):
     assert counters["lu_fill_nnz"] >= 32 * 31
 
 
+def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner):
+    # near the axis the ground state is of size s^9, below LOBPCG's round-off
+    # of its largest entry; the certified eigenvector must still be positive
+    out = tmp_path / "stab20"
+    result = runner.invoke(main, ["stability", "--n", "20", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rayleigh = json.loads((out / "report.json").read_text())["results"]["rayleigh"]
+    assert rayleigh["verdict"] == "stable-on-grid"
+    assert abs(rayleigh["min"] - 18.55897098842118) <= 1e-9
+    eigenvector = AxiField.load_binary(out / "eigenvector.bin")
+    assert np.all(eigenvector.values[:, 1:-1][:-1] > 0.0)
+
+
 def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     out = tmp_path / "op"
     grids, solve = [], experiments.solve_harmonic_masked

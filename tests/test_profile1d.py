@@ -122,6 +122,19 @@ def test_layer_profile_first_integral_values(beta, layer_profile):
     assert layer_profile.dus[0] < 2e-2
 
 
+def test_crossing_of_a_well_is_the_upward_one(beta, shot_cache):
+    # the well starts above 0.8, falls to its minimum and rises through 0.8
+    # again right of the turning point
+    p = shot_cache(0.5)
+    rep = classify(p, beta=beta)
+    assert p.us[0] > 0.8 > rep.min_value
+    x = p.crossing(0.8)
+    assert x > rep.turning_point
+    assert abs(p.sample(x) - 0.8) < 1e-12
+    with pytest.raises(InvalidParameterError):
+        p.crossing(float(np.max(p.us)) + 1.0)
+
+
 def test_interior_support_gap_raises():
     knots = np.linspace(0.5, 1.0, 33)
     vals = np.sin(np.pi * (knots - 0.5) / 0.5) ** 2

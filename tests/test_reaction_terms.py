@@ -8,7 +8,6 @@ from onephase_lab.errors import InvalidParameterError, InversionError
 from onephase_lab.numerics import simpson_refined
 from onephase_lab.profile1d import Profile1D
 from onephase_lab.reaction_terms import (
-    beta_from_profile,
     load_reaction_csv,
     make_polynomial_beta,
     make_tabulated_term,
@@ -17,6 +16,8 @@ from onephase_lab.reaction_terms import (
     save_reaction_csv,
     validate_a1,
 )
+
+from beta_recovery import beta_from_profile
 
 
 def test_polynomial_coefficient_from_quadrature_oracle():

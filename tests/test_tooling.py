@@ -1,5 +1,6 @@
 """The test suite's own pytest configuration."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,45 @@ def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
+
+
+SRC = PYPROJECT.parent / "src"
+
+# Runs one tiny config per experiment family in a fresh interpreter and
+# prints every loaded module of the two scipy subpackages the lab leaves out.
+IMPORT_GUARD = '''
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+import onephase_lab
+from onephase_lab.cli import main
+
+tmp = Path(sys.argv[1])
+grid = "[grid]\\nn = 3\\ns_max = 2.0\\nt_min = -2.0\\nt_max = 2.0\\nns = 33\\nnt = 33\\n"
+for name in ("solve", "stability"):
+    (tmp / f"{name}.cfg").write_text(f"[experiment]\\nname = {name}\\n\\n" + grid)
+runs = (
+    ["profile", "--a", "0.5"],
+    ["solve", "--config", str(tmp / "solve.cfg")],
+    ["stability", "--config", str(tmp / "stability.cfg")],
+    ["onephase", "--preset", "strip_neck", "--resolution", "48"],
+)
+for args in runs:
+    result = CliRunner().invoke(main, [*args, "--out", str(tmp / args[0])])
+    assert result.exit_code == 0, (args, result.output)
+print(sorted(m for m in sys.modules if m.startswith(("scipy.interpolate", "scipy.optimize"))))
+'''
+
+
+def test_lab_runs_without_scipy_interpolate_or_optimize(tmp_path):
+    # scipy.interpolate (and the scipy.optimize it pulls in) cost about 0.3 s
+    # of every run's import; the lab's interpolants are numpy kernels
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout[-2000:]
