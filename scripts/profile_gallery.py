@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Shoot the three canonical 1D profiles and print their classification.
 
-Writes the plot-ready panels (ramp slope above, at, and below 1) and a JSON
-report under --out.
+Writes the panels (ramp slope above, at, and below 1) as x,u,du tables and a
+JSON report under --out.
 """
 
 import argparse
@@ -26,7 +26,7 @@ def main():
         defect = row["case_defect"]
         print(f"{name}: a = {row['a']:.9f}, b = {row['b']:.9f}, defect = {defect:.3e}")
     print(json.dumps(report.timings))
-    print(f"panels written to {args.out}/fig_case_*.dat")
+    print(f"panels written to {args.out}/fig_case_*.csv")
 
 
 if __name__ == "__main__":

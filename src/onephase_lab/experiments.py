@@ -2,7 +2,7 @@
 
 Every experiment consumes an :class:`ExperimentConfig`, returns a report
 whose ``results`` block is bitwise reproducible from the echoed config, and
-writes its artifacts (JSON report plus CSV/plot data files) into one
+writes its artifacts (JSON report plus CSV tables and binary fields) into one
 directory per run.  Wall-clock timings, solver counters and provenance live
 in the ``meta`` block, outside the reproducible results.
 """
@@ -44,7 +44,6 @@ from .profile1d import (
     extend_to_nd,
     first_integral_spread,
     save_profile_csv,
-    save_profile_dat,
     shoot,
     unique_increasing_profile,
 )
@@ -147,7 +146,6 @@ def _run_profile(cfg: ExperimentConfig, outputs: dict, counters: dict):
     prof = shoot(beta, cfg.a, cfg.halfwidth, cfg.step)
     rep = classify(prof, beta=beta, tol=cfg.tolerances["classify"])
     outputs["profile.csv"] = lambda path: save_profile_csv(prof, path)
-    outputs["profile.dat"] = lambda path: save_profile_dat(prof, path)
     return {
         "shoot": {
             "a_requested": cfg.a,
@@ -172,7 +170,7 @@ def _run_figure1(cfg: ExperimentConfig, outputs: dict, counters: dict):
     for name, a in (("case_i", 2.0), ("case_ii", 1.0), ("case_iii", 0.5)):
         prof = shoot(beta, a, cfg.halfwidth, cfg.step)
         rep = classify(prof, beta=beta, tol=cfg.tolerances["classify"])
-        outputs[f"fig_{name}.dat"] = (lambda p: lambda path: save_profile_dat(p, path))(prof)
+        outputs[f"fig_{name}.csv"] = (lambda p: lambda path: save_profile_csv(p, path))(prof)
         panels[name] = {
             "a": rep.slope_plus,
             "b": rep.slope_minus,
@@ -289,12 +287,12 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
                 "alpha": probe.alpha,
                 "R": probe.R,
                 "eps_inner": probe.eps_inner,
-                "lhs": rep.form_lhs,
-                "rhs": rep.form_rhs,
-                "defect": rep.form_rhs - rep.form_lhs,
+                "lhs": rep.lhs,
+                "rhs": rep.rhs,
+                "defect": rep.defect,
                 "cutoff_inside_grid": 2.0 * R <= r_box,
                 "verdict": rep.verdict,
-                "rayleigh_quotient": rep.rayleigh_min,
+                "rayleigh_quotient": rep.rayleigh,
             }
         )
     return {
@@ -382,7 +380,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
 
     # interface stability form with the bulk probe's xi = u_s * eta, its border zeroed
     bulk = probe_inequality(sol.field, _probe(cfg), resolve_reaction(cfg.reaction))
-    xi_vals = bulk.eigenvector.values.copy()
+    xi_vals = bulk.xi.values.copy()
     xi_vals[~_unknown_mask(xi_vals.shape, sol.field.has_axis)] = 0.0
     form = onephase_stability_form(boundary, sol.field, sol.field.with_values(xi_vals))
 
@@ -409,9 +407,9 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
         },
         "bulk_probe": {
             "n": n,
-            "lhs": bulk.form_lhs,
-            "rhs": bulk.form_rhs,
-            "defect": bulk.form_rhs - bulk.form_lhs,
+            "lhs": bulk.lhs,
+            "rhs": bulk.rhs,
+            "defect": bulk.defect,
         },
     }
 

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .numerics import LU_ORDER, LUCounts, csv_lines, stencil_matrix, unit_sphere_area
-from .stability import _require_vanishing_border, us_derivative
+from .stability import InequalityReport, _require_vanishing_border, us_derivative
 
 _AXIS_TOL = 1e-9
 # the interface trace of a nodal field is extrapolated from bilinear samples
@@ -309,25 +309,9 @@ def normal_derivative_identity(boundary: RevolutionBoundary, u: AxiField) -> Bou
     )
 
 
-@dataclass
-class OnePhaseFormReport:
-    """The two sides of the interface stability form int H xi^2 <= int |grad xi|^2."""
-
-    lhs: float
-    rhs: float
-
-    @property
-    def defect(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def verdict(self) -> str:
-        return "unstable-direction-found" if self.lhs > self.rhs else "stable-on-grid"
-
-
 def onephase_stability_form(
     boundary: RevolutionBoundary, u: AxiField, xi: AxiField
-) -> OnePhaseFormReport:
+) -> InequalityReport:
     """Surface term int H xi^2 over the interface vs int |grad xi|^2 over {u > 0}.
 
     The bulk integral is the cell-midpoint rule restricted to cells whose
@@ -354,7 +338,7 @@ def onephase_stability_form(
         core[0, 1:-1] = core[1, 1:-1]
     cell_ok = core[1:, 1:] & core[:-1, 1:] & core[1:, :-1] & core[:-1, :-1]
     rhs = float(np.sum(_cell_gradient_sq(xi) * cell_ok * _cell_measure(xi)))
-    return OnePhaseFormReport(lhs=lhs, rhs=rhs)
+    return InequalityReport(lhs=lhs, rhs=rhs)
 
 
 def gradient_magnitude_identity(u: AxiField) -> AxiField:

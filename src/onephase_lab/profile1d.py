@@ -10,7 +10,8 @@ decaying to 0 on the left), or a < 1 (even well with an interior minimum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,10 @@ CASE_CONSTANT = "constant"
 CASE_I = "case_i"
 CASE_II = "case_ii"
 CASE_III = "case_iii"
-CASE_I_REFLECTED = "case_i_reflected"
-CASE_II_REFLECTED = "case_ii_reflected"
+# a ramp on the left is classified as its mirror image, tagged with this suffix
+REFLECTED = "_reflected"
+CASE_I_REFLECTED = CASE_I + REFLECTED
+CASE_II_REFLECTED = CASE_II + REFLECTED
 
 # |a - 1| below this is treated as the exactly-critical slope; the monotone
 # layer is the unstable boundary between the two open cases
@@ -46,10 +49,16 @@ class Profile1D:
     us: np.ndarray
     dus: np.ndarray
 
+    @cached_property
+    def _interp(self) -> Pchip:
+        """The monotone cubic interpolant of the samples, built once (the
+        samples are not changed after construction)."""
+        return Pchip(self.xs, self.us)
+
     def sample(self, x):
         """Evaluate at arbitrary points; affine continuation beyond the ends."""
         x = np.asarray(x, dtype=float)
-        v = Pchip(self.xs, self.us)(np.clip(x, self.xs[0], self.xs[-1]))
+        v = self._interp(np.clip(x, self.xs[0], self.xs[-1]))
         v = np.where(x < self.xs[0], self.us[0] + self.dus[0] * (x - self.xs[0]), v)
         v = np.where(x > self.xs[-1], self.us[-1] + self.dus[-1] * (x - self.xs[-1]), v)
         return v
@@ -65,7 +74,7 @@ class Profile1D:
         if not up.any():
             raise InvalidParameterError(f"profile never crosses level {level} upward")
         idx = int(np.argmax(up)) + 1
-        interp = Pchip(self.xs, self.us)
+        interp = self._interp
         a, b = float(self.xs[idx - 1]), float(self.xs[idx])
         fa = float(interp(a)) - level
         for _ in range(80):
@@ -98,14 +107,12 @@ def shoot(
     a: float,
     domain_halfwidth: float,
     step: float,
-    reflect: bool = False,
 ) -> Profile1D:
     """Integrate u'' = beta(u)/2 from the anchor u(1) = 1, u'(1) = a.
 
     Classical fourth-order Runge-Kutta with fixed step, run backward and
-    forward from the anchor over [1 - H, 1 + H].  With ``reflect`` the mirror
-    solution through the anchor is produced by integrating with the opposite
-    slope sign; the result is the exact bitwise mirror of the direct run.
+    forward from the anchor over [1 - H, 1 + H].  The mirror solution through
+    the anchor is :func:`mirror` of this one.
     """
     if a <= 0.0:
         raise InvalidParameterError("anchor slope a must be positive")
@@ -142,9 +149,8 @@ def shoot(
             us[k + 1], ws[k + 1] = u, w
         return us, ws
 
-    w_anchor = -a if reflect else a
-    us_f, ws_f = integrate(1.0, 1.0, w_anchor)
-    us_b, ws_b = integrate(-1.0, 1.0, w_anchor)
+    us_f, ws_f = integrate(1.0, 1.0, a)
+    us_b, ws_b = integrate(-1.0, 1.0, a)
 
     xs = np.concatenate((1.0 - h * np.arange(n_steps, 0, -1), 1.0 + h * np.arange(n_steps + 1)))
     us = np.concatenate((us_b[::-1][:-1], us_f))
@@ -210,7 +216,7 @@ def classify(
         dus = profile.dus
         j = imin if dus[imin] <= 0.0 else imin - 1
         p = xs[j] - dus[j] * (xs[j + 1] - xs[j]) / (dus[j + 1] - dus[j])
-        y0 = float(Pchip(xs, us)(p))
+        y0 = float(profile._interp(p))
         a = right_slope
         defect = None
         if beta is not None:
@@ -218,29 +224,22 @@ def classify(
             defect = abs(a * a - gap)
         return ClassificationReport(CASE_III, a, abs(left_slope), float(p), y0, defect)
 
-    if us[-1] >= us[0]:
-        # ramp on the right; its affine window defines a
-        require_affine(right_dev, "right")
-        a = right_slope
-        if abs(a - 1.0) <= CASE_II_SLOPE_TOL:
-            # the opposite tail decays to 0 only algebraically: not checked for affinity
-            return ClassificationReport(CASE_II, a, 0.0, -math.inf, None, abs(a - 1.0))
-        if a > 1.0:
-            require_affine(left_dev, "left")
-            b = left_slope
-            return ClassificationReport(CASE_I, a, b, -math.inf, None, abs(a * a - b * b - 1.0))
-        raise InconclusiveClassificationError(
-            "monotone profile with ramp slope < 1: domain missed the turning point"
-        )
+    if us[-1] < us[0]:
+        # ramp on the left: classify the mirror image x -> -x, which negates
+        # abscissae and slopes exactly
+        rep = classify(mirror(profile, about=0.0), beta, tol)
+        return replace(rep, case_tag=rep.case_tag + REFLECTED, turning_point=-rep.turning_point)
 
-    require_affine(left_dev, "left")
-    a = -left_slope
+    # ramp on the right; its affine window defines a
+    require_affine(right_dev, "ramp")
+    a = right_slope
     if abs(a - 1.0) <= CASE_II_SLOPE_TOL:
-        return ClassificationReport(CASE_II_REFLECTED, a, 0.0, math.inf, None, abs(a - 1.0))
+        # the opposite tail decays to 0 only algebraically: not checked for affinity
+        return ClassificationReport(CASE_II, a, 0.0, -math.inf, None, abs(a - 1.0))
     if a > 1.0:
-        require_affine(right_dev, "right")
-        b = -right_slope
-        return ClassificationReport(CASE_I_REFLECTED, a, b, math.inf, None, abs(a * a - b * b - 1.0))
+        require_affine(left_dev, "opposite")
+        b = left_slope
+        return ClassificationReport(CASE_I, a, b, -math.inf, None, abs(a * a - b * b - 1.0))
     raise InconclusiveClassificationError(
         "monotone profile with ramp slope < 1: domain missed the turning point"
     )
@@ -326,10 +325,3 @@ def save_profile_csv(profile: Profile1D, path) -> None:
     with open(path, "w") as fh:
         fh.write("x,u,du\n")
         fh.write(csv_lines(profile.xs, profile.us, profile.dus))
-
-
-def save_profile_dat(profile: Profile1D, path) -> None:
-    """Write plot-ready two-column (x, u) data."""
-    with open(path, "w") as fh:
-        for x, u in zip(profile.xs, profile.us):
-            fh.write(f"{x:.17g} {u:.17g}\n")

@@ -9,7 +9,7 @@ two flavours: closed-form (the quartic polynomial witness) and tabulated
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class ReactionTerm:
     primitive: object
     support: tuple[float, float]
     mass: float
-    flags: frozenset = field(default_factory=frozenset)
 
 
 def make_polynomial_beta(normalization: float = 1.0) -> ReactionTerm:
@@ -89,7 +88,6 @@ def make_tabulated_term(
     knots_t: np.ndarray,
     knots_beta: np.ndarray,
     name: str = "table",
-    flags: frozenset = frozenset(),
 ) -> ReactionTerm:
     """Reaction term from samples (t, beta) via monotone cubic interpolation.
 
@@ -128,7 +126,6 @@ def make_tabulated_term(
         primitive=_primitive,
         support=(lo, hi),
         mass=total,
-        flags=flags,
     )
 
 
@@ -146,18 +143,6 @@ class A1Report:
     support_in_unit_interval: A1Clause
     c1_continuous: A1Clause
     unit_mass: A1Clause
-
-    @property
-    def all_passed(self) -> bool:
-        return all(
-            c.passed
-            for c in (
-                self.nonnegative,
-                self.support_in_unit_interval,
-                self.c1_continuous,
-                self.unit_mass,
-            )
-        )
 
 
 def validate_a1(term: ReactionTerm, samples: int = 2001) -> A1Report:
@@ -216,7 +201,6 @@ def rescale(term: ReactionTerm, epsilon: float) -> ReactionTerm:
         primitive=lambda t: term.primitive(np.asarray(t) / eps),
         support=(lo * eps, hi * eps),
         mass=term.mass,
-        flags=term.flags,
     )
 
 

@@ -166,26 +166,3 @@ class SphereShellExact:
         )
 
     positive_side = "left"
-
-
-def catenoid_generator(t_vals, scale: float = 1.0) -> Generator:
-    """The catenoid generator s = scale * cosh(t / scale) with exact derivatives."""
-    t_vals = np.asarray(t_vals, dtype=float)
-    return Generator.from_graph(
-        t_vals,
-        scale * np.cosh(t_vals / scale),
-        ds=np.sinh(t_vals / scale),
-        dss=np.cosh(t_vals / scale) / scale,
-    )
-
-
-def catenoid_mean_curvature(t_vals, n: int, scale: float = 1.0):
-    """Closed form (n-3)/(scale cosh^2) with the positivity set above the curve."""
-    c = np.cosh(np.asarray(t_vals, dtype=float) / scale)
-    return (n - 3) / (scale * c * c)
-
-
-def catenoid_curv_sq(t_vals, n: int, scale: float = 1.0):
-    """Closed form (n-1)/(scale cosh^2)^2 for the sum of squared curvatures."""
-    c = np.cosh(np.asarray(t_vals, dtype=float) / scale)
-    return (n - 1) / (scale * c * c) ** 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,38 +66,59 @@ class StabilityProbe:
             raise InvalidParameterError("eps_inner and eps0 must be positive")
 
 
+@dataclass(frozen=True)
+class InequalityReport:
+    """The two sides of a stability inequality lhs <= rhs.
+
+    Both forms of the paper's inequality report through it: the bulk radial
+    (n-2) int u_s^2 eta^2 / s^2 <= int u_s^2 |grad eta|^2 and the interface
+    int H xi^2 <= int |grad xi|^2, which grad(u_s) . nu = H u_s makes equal.
+    A negative ``defect`` (rhs - lhs) certifies that the tested direction
+    violates stability on the grid.
+    """
+
+    lhs: float
+    rhs: float
+
+    @property
+    def defect(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_UNSTABLE if self.lhs > self.rhs else VERDICT_STABLE
+
+
+@dataclass(frozen=True)
+class ProbeReport(InequalityReport):
+    """An inequality probe with its test direction ``xi`` and that direction's
+    Rayleigh quotient of the second variation."""
+
+    rayleigh: float
+    xi: AxiField
+    notes: tuple[str, ...] = ()
+
+
 @dataclass
 class SpectralReport:
-    """Outcome of a spectral or test-function probe.
-
-    For eigen-solves ``form_lhs`` is Q at the eigenvector and ``form_rhs``
-    the eigenvalue times its weighted norm (equal up to round-off); for
-    inequality probes they are the two sides of the tested inequality.
-    """
+    """Outcome of the eigen-solve: ``lhs`` is Q at the eigenvector and ``rhs``
+    the eigenvalue times its weighted norm (equal up to round-off)."""
 
     verdict: str
     rayleigh_min: float
-    form_lhs: float
-    form_rhs: float
+    lhs: float
+    rhs: float
     iterations: int
-    alpha: float | None = None
-    R: float | None = None
-    eps_inner: float | None = None
-    eigenvector: AxiField | None = None
-    notes: tuple[str, ...] = ()
-    factors: LUCounts | None = None  # eigen-solves only; not part of the JSON
+    eigenvector: AxiField
+    factors: LUCounts  # not part of the JSON
 
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "rayleigh_min": self.rayleigh_min,
-            "alpha": self.alpha,
-            "R": self.R,
-            "eps_inner": self.eps_inner,
-            "lhs": self.form_lhs,
-            "rhs": self.form_rhs,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
             "iterations": self.iterations,
-            "notes": list(self.notes),
         }
 
     def save_json(self, path) -> None:
@@ -286,8 +307,8 @@ def linearized_rayleigh_min(
     return SpectralReport(
         verdict=verdict,
         rayleigh_min=lam,
-        form_lhs=_raw_form(u, xi, beta),
-        form_rhs=lam * weighted_norm_sq(xi),
+        lhs=_raw_form(u, xi, beta),
+        rhs=lam * weighted_norm_sq(xi),
         iterations=len(trace),
         eigenvector=xi,
         factors=factors,
@@ -377,14 +398,14 @@ def _eta_and_gradsq(probe: StabilityProbe, f: AxiField):
     return eta, gradsq
 
 
-def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> SpectralReport:
+def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> ProbeReport:
     """Test (n-2) int u_s^2 eta^2 / s^2 <= int u_s^2 |grad eta|^2 on the grid.
 
-    A negative defect (rhs - lhs) certifies that xi = u_s eta violates
-    stability on this grid; the probe's own Rayleigh quotient of the second
-    variation is reported alongside.  Exponents alpha >= (n-1)/2 make the
-    uncapped weight non-integrable near the axis; the cap regularizes this,
-    so it is only noted.
+    A negative defect certifies that xi = u_s eta violates stability on this
+    grid; the probe's own Rayleigh quotient of the second variation is
+    reported alongside.  Exponents alpha >= (n-1)/2 make the uncapped weight
+    non-integrable near the axis; the cap regularizes this, so it is only
+    noted.
     """
     notes = []
     if probe.alpha >= (u.n - 1) / 2.0:
@@ -398,25 +419,11 @@ def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> 
         inv_s2 = np.where(s > 0.0, 1.0 / np.where(s > 0, s, 1.0) ** 2, 0.0)
     lhs = (u.n - 2) * float(np.sum(c * c * eta * eta * inv_s2 * w))
     rhs = float(np.sum(c * c * gradsq * w))
-    defect = rhs - lhs
 
     xi = u.with_values(c * eta)
     norm_sq = weighted_norm_sq(xi)
     rayleigh = _raw_form(u, xi, beta) / norm_sq if norm_sq > 0.0 else 0.0
-
-    verdict = VERDICT_UNSTABLE if defect < 0.0 else VERDICT_STABLE
-    return SpectralReport(
-        verdict=verdict,
-        rayleigh_min=rayleigh,
-        form_lhs=lhs,
-        form_rhs=rhs,
-        iterations=0,
-        alpha=probe.alpha,
-        R=probe.R,
-        eps_inner=probe.eps_inner,
-        eigenvector=xi,
-        notes=tuple(notes),
-    )
+    return ProbeReport(lhs=lhs, rhs=rhs, rayleigh=rayleigh, xi=xi, notes=tuple(notes))
 
 
 def admissible_alpha(n: int) -> tuple[float, float] | None:

@@ -15,13 +15,14 @@ from onephase_lab.reaction_terms import ReactionTerm, make_tabulated_term
 TAIL_RATIO_TOL = 1e-2
 
 
-def beta_from_profile(profile) -> ReactionTerm:
+def beta_from_profile(profile) -> tuple[ReactionTerm, frozenset]:
     """Recover the reaction term that a sampled convex transition solves.
 
     A profile v with v'' = beta(v)/2 determines beta(t) = 2 v''(v^{-1}(t)),
     and the second derivative is taken from the slope samples as d(v'^2)/dv
     (one numerical differentiation instead of two).  The recovered term is
-    tabulated on the profile's own value grid.
+    tabulated on the profile's own value grid and returned with its flags:
+    ``"tail-third-derivative"`` when the decaying tail may not be C^1.
     """
     us = np.asarray(profile.us, dtype=float)
     xs = np.asarray(profile.xs, dtype=float)
@@ -54,4 +55,4 @@ def beta_from_profile(profile) -> ReactionTerm:
         b_knots = np.concatenate((b_knots, [0.0]))
     else:
         b_knots[-1] = 0.0
-    return make_tabulated_term(t_knots, b_knots, name="from-profile", flags=flags)
+    return make_tabulated_term(t_knots, b_knots, name="from-profile"), flags

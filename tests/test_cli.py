@@ -55,22 +55,21 @@ def test_profile_command_reports_slope_law(tmp_path, runner):
     shoot = report["results"]["shoot"]
     assert shoot["case_tag"] == "case_i"
     assert shoot["case_defect"] <= 1e-6
-    assert (out / "profile.csv").exists()
-    assert (out / "profile.dat").exists()
+    assert sorted(os.listdir(out)) == ["profile.csv", "report.json"]
 
 
 def test_gallery_command_emits_three_panels(tmp_path, runner):
     out = tmp_path / "fig"
     result = runner.invoke(main, ["figure1", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    for name in ("fig_case_i.dat", "fig_case_ii.dat", "fig_case_iii.dat"):
-        assert (out / name).exists()
+    assert sorted(os.listdir(out)) == ["fig_case_i.csv", "fig_case_ii.csv", "fig_case_iii.csv", "report.json"]
     report = json.loads((out / "report.json").read_text())
     panels = report["results"]["panels"]
     assert panels["case_i"]["case_defect"] <= 1e-6
     assert abs(panels["case_ii"]["a"] - 1.0) <= 1e-8
     # the well panel is even about its minimum
-    data = np.loadtxt(out / "fig_case_iii.dat")
+    assert (out / "fig_case_iii.csv").read_text().startswith("x,u,du\n")
+    data = np.loadtxt(out / "fig_case_iii.csv", delimiter=",", skiprows=1)
     x, u = data[:, 0], data[:, 1]
     p = x[np.argmin(u)]
     interp = np.interp(p + (x - p), x, u)
@@ -444,6 +443,14 @@ def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args
     assert isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:")
+    assert not out.exists()
+
+
+def test_runaway_profile_exits_with_the_truncation_error(tmp_path, runner):
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["profile", "--a", "1e13", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == "Error: profile left the representable range\n"
     assert not out.exists()
 
 

@@ -29,13 +29,7 @@ from onephase_lab.onephase_geometry import (
     solve_harmonic_masked,
     surface_integral,
 )
-from onephase_lab.reference import (
-    SphereShellExact,
-    StripNeckExact,
-    catenoid_curv_sq,
-    catenoid_generator,
-    catenoid_mean_curvature,
-)
+from onephase_lab.reference import SphereShellExact, StripNeckExact
 from onephase_lab.stability import StabilityProbe, probe_inequality, quadratic_form, us_derivative
 
 # ---------------------------------------------------------------- curvature
@@ -71,9 +65,11 @@ def test_catenoid_minimal_in_three_dimensions():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_catenoid_closed_forms(n):
     t = np.linspace(-1.0, 1.0, 401)
-    b = curvature_of_revolution(catenoid_generator(t), n=n)
-    assert np.max(np.abs(b.mean_curv - catenoid_mean_curvature(t, n))) < 1e-13
-    assert np.max(np.abs(b.curv_sq - catenoid_curv_sq(t, n))) < 1e-13
+    # s = cosh t: H = (n-3)/cosh^2 t and |A|^2 = (n-1)/cosh^4 t, the positivity set above the curve
+    b = curvature_of_revolution(Generator.from_graph(t, np.cosh(t), ds=np.sinh(t), dss=np.cosh(t)), n=n)
+    c2 = np.cosh(t) ** 2
+    assert np.max(np.abs(b.mean_curv - (n - 3) / c2)) < 1e-13
+    assert np.max(np.abs(b.curv_sq - (n - 1) / c2**2)) < 1e-13
 
 
 def test_sphere_total_curvature_identity():
@@ -609,7 +605,7 @@ def test_dual_path_agreement_on_grid():
         xi = sol.field.with_values(xi_vals)
         form = onephase_stability_form(boundary, sol.field, xi)
         bulk = probe_inequality(sol.field, probe, make_polynomial_beta(1.0))
-        bulk_defect = bulk.form_rhs - bulk.form_lhs
+        bulk_defect = bulk.defect
         gaps.append(abs(form.defect - bulk_defect))
         bulk_errors.append(abs(bulk_defect - d_exact))
         # this tight cutoff does not certify instability: both paths agree

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from onephase_lab.axisym_field import GridSpec, residual_semilinear
 from onephase_lab.errors import (
+    DomainTruncationError,
     InconclusiveClassificationError,
     InvalidParameterError,
     NonIntegrableTailError,
@@ -15,6 +16,7 @@ from onephase_lab.profile1d import (
     CASE_I,
     CASE_I_REFLECTED,
     CASE_II,
+    CASE_II_REFLECTED,
     CASE_III,
     Profile1D,
     classify,
@@ -154,20 +156,36 @@ def test_step_size_guard(beta):
         shoot(beta, a=1.0, domain_halfwidth=5.0, step=0.5)
 
 
+def test_runaway_ramp_leaves_the_representable_range(beta):
+    with pytest.raises(DomainTruncationError, match="profile left the representable range"):
+        shoot(beta, a=1e13, domain_halfwidth=30.0, step=0.002)
+
+
 @settings(max_examples=12, deadline=None)
 @given(a=st.floats(min_value=1.2, max_value=4.0))
 def test_reflection_is_exact_mirror(a):
     beta = make_polynomial_beta(1.0)
     direct = shoot(beta, a=a, domain_halfwidth=8.0, step=0.01)
-    reflected = shoot(beta, a=a, domain_halfwidth=8.0, step=0.01, reflect=True)
-    mirrored = mirror(direct, about=1.0)
-    assert np.array_equal(reflected.us, mirrored.us)
-    assert np.array_equal(reflected.dus, mirrored.dus)
-    assert np.allclose(reflected.xs, mirrored.xs, rtol=0, atol=1e-12)
-    direct_rep, reflected_rep = classify(direct, beta=beta), classify(reflected, beta=beta)
+    # the mirror through the anchor is the solution with u(1) = 1, u'(1) = -a
+    through_anchor = mirror(direct, about=1.0)
+    k = len(direct.xs) // 2
+    assert (through_anchor.xs[k], through_anchor.us[k], through_anchor.dus[k]) == (1.0, 1.0, -a)
+    # negating x is exact, so the reflected report repeats the direct one bit for bit
+    direct_rep, reflected_rep = classify(direct, beta=beta), classify(mirror(direct, about=0.0), beta=beta)
     assert direct_rep.case_tag == CASE_I
     assert reflected_rep.case_tag == CASE_I_REFLECTED
-    assert abs(reflected_rep.slope_plus - direct_rep.slope_plus) < 1e-12
+    assert reflected_rep.turning_point == -direct_rep.turning_point == math.inf
+    assert reflected_rep.slope_plus == direct_rep.slope_plus
+    assert reflected_rep.slope_minus == direct_rep.slope_minus
+    assert reflected_rep.defect == direct_rep.defect
+
+
+def test_reflected_monotone_layer(beta, shot_cache):
+    direct = shot_cache(1.0, halfwidth=25.0)
+    direct_rep, rep = classify(direct, beta=beta), classify(mirror(direct, about=0.0), beta=beta)
+    assert rep.case_tag == CASE_II_REFLECTED
+    assert rep.turning_point == math.inf
+    assert (rep.slope_plus, rep.defect) == (direct_rep.slope_plus, direct_rep.defect)
 
 
 def test_extension_along_axis_is_t_only(layer_profile):

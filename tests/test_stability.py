@@ -24,6 +24,9 @@ from onephase_lab.errors import InvalidParameterError, NonconvergenceError
 from onephase_lab.numerics import LU_ORDER
 from onephase_lab.reaction_terms import make_polynomial_beta
 from onephase_lab.stability import (
+    VERDICT_STABLE,
+    VERDICT_UNSTABLE,
+    InequalityReport,
     StabilityProbe,
     _edge_weights,
     admissible_alpha,
@@ -415,8 +418,8 @@ def test_probe_on_axial_field_is_exactly_balanced(beta, layer_profile):
     g = GridSpec(n=4, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
     u = tiled_layer(beta, layer_profile, g)
     rep = probe_inequality(u, StabilityProbe(alpha=1.1, R=1.5, eps_inner=0.05), beta)
-    assert rep.form_lhs == 0.0
-    assert rep.form_rhs == 0.0
+    assert rep.lhs == 0.0
+    assert rep.rhs == 0.0
     assert rep.verdict == "stable-on-grid"
 
 
@@ -451,7 +454,7 @@ def test_probe_defect_matches_direct_quadrature(n, alpha, beta):
     with np.errstate(divide="ignore"):
         base = np.where(s > 0, c**2 * np.where(s > 0, s, 1.0) ** (-2 * alpha - 2) * w, 0.0)
     expected = (alpha**2 - (n - 2)) * float(np.sum(base))
-    defect = rep.form_rhs - rep.form_lhs
+    defect = rep.defect
     assert abs(defect - expected) < 1e-12 * (1.0 + abs(expected))
     assert defect < 0.0  # alpha inside the window certifies instability here
     assert rep.verdict == "unstable-direction-found"
@@ -469,7 +472,7 @@ def test_probe_alpha_zero_reduces_to_collar(beta):
     c = us_derivative(u).values
     w = node_weights(u)
     rhs_direct = float(np.sum(c**2 * gradsq * w))
-    assert abs(rep.form_rhs - rhs_direct) < 1e-13 * (1 + abs(rhs_direct))
+    assert abs(rep.rhs - rhs_direct) < 1e-13 * (1 + abs(rhs_direct))
     r = np.hypot(u.s[:, None], u.t[None, :])
     assert np.max(np.abs(np.where(r <= probe.R, gradsq, 0.0))) == 0.0
 
@@ -479,6 +482,13 @@ def test_probe_notes_nonintegrable_alpha(beta, layer_profile):
     u = tiled_layer(beta, layer_profile, g)
     rep = probe_inequality(u, StabilityProbe(alpha=1.3, R=1.5, eps_inner=0.05), beta)
     assert any("non-integrable" in note for note in rep.notes)
+
+
+def test_inequality_verdict_is_lhs_above_rhs():
+    assert InequalityReport(lhs=1.0, rhs=1.0).verdict == VERDICT_STABLE
+    above = InequalityReport(lhs=1.0 + 2.0**-52, rhs=1.0)
+    assert above.verdict == VERDICT_UNSTABLE
+    assert above.defect == -(2.0**-52)
 
 
 def test_probe_invalid_parameters():
@@ -570,12 +580,15 @@ def test_log_cutoff_energy_halves():
 def test_spectral_report_json_schema(tmp_path, beta, layer_profile):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
     u = tiled_layer(beta, layer_profile, g)
-    rep = probe_inequality(u, StabilityProbe(alpha=0.7, R=1.5, eps_inner=0.05), beta)
+    rep = linearized_rayleigh_min(u, beta, tol=1e-9)
     path = tmp_path / "spectral.json"
     rep.save_json(path)
     data = json.loads(path.read_text())
-    assert set(data) == {"verdict", "rayleigh_min", "alpha", "R", "eps_inner", "lhs", "rhs", "iterations", "notes"}
-    assert data["alpha"] == 0.7
+    assert list(data) == ["verdict", "rayleigh_min", "lhs", "rhs", "iterations"]
+    assert data == {
+        "verdict": rep.verdict, "rayleigh_min": rep.rayleigh_min, "lhs": rep.lhs, "rhs": rep.rhs,
+        "iterations": rep.iterations,
+    }
     rep.eigenvector.save_binary(tmp_path / "eig.bin")
     back = AxiField.load_binary(tmp_path / "eig.bin")
     assert back.same_grid(rep.eigenvector) and np.array_equal(back.values, rep.eigenvector.values)

@@ -36,7 +36,7 @@ def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
 
 SRC = PYPROJECT.parent / "src"
 
-# Runs one tiny config per experiment family in a fresh interpreter and
+# Runs every experiment once, on tiny configs, in a fresh interpreter and
 # prints every loaded module of the two scipy subpackages the lab leaves out.
 IMPORT_GUARD = '''
 import sys
@@ -53,6 +53,9 @@ for name in ("solve", "stability"):
     (tmp / f"{name}.cfg").write_text(f"[experiment]\\nname = {name}\\n\\n" + grid)
 runs = (
     ["profile", "--a", "0.5"],
+    ["figure1"],
+    ["window"],
+    ["blowdown"],
     ["solve", "--config", str(tmp / "solve.cfg")],
     ["stability", "--config", str(tmp / "stability.cfg")],
     ["onephase", "--preset", "strip_neck", "--resolution", "48"],
