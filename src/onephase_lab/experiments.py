@@ -132,13 +132,18 @@ def boundary_data(cfg: ExperimentConfig, beta):
     return lambda s, t: prof.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)
 
 
-def _count_factors(counters: dict, *factors, krylov: bool = False) -> None:
-    """Record the LU factors of a run's solves in its ``meta.counters``, and
-    with ``krylov`` (a 2D Newton solve ran) the GMRES iterations of its finer levels."""
+def _count_factors(counters: dict, *factors, krylov: bool = False, refined: bool = False) -> None:
+    """Record the LU factors of a run's solves in its ``meta.counters``, with
+    ``krylov`` (a 2D Newton solve ran) the GMRES iterations of its finer levels,
+    and with ``refined`` (the masked solve ran) the refinement steps of its
+    float32 factor and the final backward error."""
     counters["lu_factorizations"] = sum(f.factorizations for f in factors)
     counters["lu_fill_nnz"] = max(f.fill_nnz for f in factors)
     if krylov:
         counters["krylov_iterations"] = sum(f.krylov_iterations for f in factors)
+    if refined:
+        counters["lu_refinement_steps"] = sum(f.refinement_steps for f in factors)
+        counters["lu_backward_error"] = max(f.backward_error for f in factors)
 
 
 def _run_profile(cfg: ExperimentConfig, outputs: dict, counters: dict):
@@ -375,7 +380,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     s, t = grid.axes()
     sup_err = float(np.max(np.abs(sol.field.values - ref.u(s[:, None], t[None, :]))))
 
-    _count_factors(counters, sol.factors)
+    _count_factors(counters, sol.factors, refined=True)
     identity = normal_derivative_identity(boundary, sol.field)
 
     # interface stability form with the bulk probe's xi = u_s * eta, its border zeroed

@@ -218,12 +218,17 @@ def load_reaction_csv(path) -> ReactionTerm:
     t, b = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["t", "beta"]:
             raise InvalidParameterError(f"{path}: expected reaction CSV header")
         for row in reader:
-            t.append(float(row[0]))
-            b.append(float(row[1]))
+            try:
+                t.append(float(row[0]))
+                b.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise InvalidParameterError(
+                    f"{path}, line {reader.line_num}: expected numeric t and beta, got {row!r}"
+                ) from None
     return make_tabulated_term(np.array(t), np.array(b), name=f"table:{path}")
 
 

@@ -38,7 +38,7 @@ from onephase_lab.errors import (
 from onephase_lab.experiments import boundary_data
 from onephase_lab.numerics import LU_ORDER
 from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
-from onephase_lab.reaction_terms import make_polynomial_beta, make_tabulated_term
+from onephase_lab.reaction_terms import make_tabulated_term
 from onephase_lab.stability import _require_vanishing_border
 
 

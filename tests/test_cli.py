@@ -1,5 +1,4 @@
 import json
-import math
 import os
 from dataclasses import fields, replace
 from pathlib import Path
@@ -161,6 +160,20 @@ def test_unknown_config_section_is_rejected(tmp_path, runner):
     assert not out.exists()
 
 
+def test_malformed_reaction_table_exits_with_one_error_line(tmp_path, runner):
+    table = tmp_path / "bad.csv"
+    table.write_text("t,beta,beta_prime,Phi\n0,0,0,0\nabc,1,0,0\n")
+    path = tmp_path / "table.cfg"
+    path.write_text(f"[experiment]\nname = profile\n\n[reaction]\nkind = table:{table}\n")
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["profile", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and f"{table}, line 3" in lines[0]
+    assert not out.exists()
+
+
 # a = 0.5 on [-1.5, 3.5]: the well's left tail is affine only to about 1e-4
 _SHORT_WELL = "[profile]\na = 0.5\nhalfwidth = 2.5\n"
 
@@ -201,11 +214,13 @@ def test_stale_threads_line_still_parses(tmp_path):
     assert "threads" not in cfg.canonical_text()
 
 
-def _lu_counters(report, out, artifacts, krylov=False):
-    """The run's LU (and, after a 2D Newton solve, GMRES) counters, which
-    live in ``meta`` and nowhere else."""
+def _lu_counters(report, out, artifacts, krylov=False, refined=False):
+    """The run's LU (after a 2D Newton solve also GMRES, after the masked
+    solve also refinement) counters, which live in ``meta`` and nowhere else."""
     counters = report["meta"]["counters"]
-    assert sorted(counters) == ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz"]
+    expected = ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz"]
+    expected += ["lu_backward_error", "lu_refinement_steps"] * refined
+    assert sorted(counters) == sorted(expected)
     for key in ("lu_", "krylov"):
         assert key not in json.dumps(report["results"])
         for name in artifacts:
@@ -333,9 +348,11 @@ def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     assert (out / "boundary.csv").exists()
     [grid] = grids
     _check_field_artifact(out, "field.bin", grid)
-    counters = _lu_counters(report, out, ["boundary.csv", "field.bin"])
+    counters = _lu_counters(report, out, ["boundary.csv", "field.bin"], refined=True)
     assert counters["lu_factorizations"] == 1
     assert counters["lu_fill_nnz"] >= res["masked_solve"]["unknowns"]
+    assert 1 <= counters["lu_refinement_steps"] <= 10
+    assert 0.0 <= counters["lu_backward_error"] <= 6.0 * np.finfo(float).eps
 
 
 def _clear_env_tolerances(monkeypatch):

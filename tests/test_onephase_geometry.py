@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onephase_lab import reference
+from onephase_lab import onephase_geometry, reference
 from onephase_lab.axisym_field import AxiField, GridSpec
 from onephase_lab.errors import (
     CurvatureSingularityError,
@@ -16,10 +16,11 @@ from onephase_lab.errors import (
     NonconvergenceError,
     PreconditionViolationError,
 )
-from onephase_lab.numerics import LU_ORDER, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
+from onephase_lab.numerics import LU_ORDER, LUCounts, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
 from onephase_lab.onephase_geometry import (
     Generator,
     _masked_system,
+    _refined_solve,
     crossing_fractions,
     curvature_of_revolution,
     extract_graph_boundary,
@@ -321,6 +322,49 @@ def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
     assert sol.factors.factorizations == 1
     assert splu(A, permc_spec=LU_ORDER).nnz <= 0.6 * colamd
     assert sol.factors.fill_nnz <= 0.6 * colamd
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "grid, shape",
+    [
+        # strip_neck at resolution 64 and the n = 3 sphere preset at resolution 32
+        (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129), _NECK),
+        (GridSpec(n=3, s_max=2.2, t_min=-2.2, t_max=2.2, ns=71, nt=141), _SHELL3),
+    ],
+    ids=["neck-64", "shell-n3-32"],
+)
+def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape):
+    factored = []
+
+    def spy(A, **kwargs):
+        factored.append(A.dtype)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(onephase_geometry, "splu", spy)
+    sol = solve_harmonic_masked(grid, shape.level, shape.u)
+    assert factored == [np.float32]
+    A, rhs, _, unknown, _ = _masked_system(grid, shape.level, shape.u)
+    exact = splu(A.tocsc(), permc_spec=LU_ORDER).solve(rhs)
+    assert np.max(np.abs(sol.field.values[unknown] - exact)) <= 1e-12
+    assert sol.factors.factorizations == 1
+    assert 1 <= sol.factors.refinement_steps <= 10
+    assert sol.factors.backward_error <= 6.0 * _EPS
+
+
+def test_refinement_of_an_ill_conditioned_system_raises():
+    # condition number 1e9: a float32 factor (unit roundoff 6e-8) cannot refine it
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((40, 40)))
+    A = sp.csr_matrix(q @ np.diag(np.logspace(0, -9, 40)) @ q.T)
+    factors = LUCounts()
+    with pytest.raises(
+        NonconvergenceError, match=r"after \d+ steps \(backward error \d\.\d{3}e-\d+, floor 1\.332e-15\)"
+    ) as err:
+        _refined_solve(A, np.ones(40), factors)
+    assert err.value.trace[-1] > 6.0 * _EPS
+    assert factors.factorizations == 1 and factors.refinement_steps == 0
 
 
 def test_crossing_fractions_match_neck_closed_form():

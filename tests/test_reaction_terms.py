@@ -154,6 +154,14 @@ def test_reaction_csv_roundtrip(tmp_path, beta):
     assert abs(back.mass - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("row", ["abc,1,0,0", "0.5", "", "0.5,x,0,0"])
+def test_reaction_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,beta,beta_prime,Phi\n0,0,0,0\n{row}\n1,0,0,0\n")
+    with pytest.raises(InvalidParameterError, match="bad.csv, line 3:"):
+        load_reaction_csv(path)
+
+
 def test_resolve_reaction_names(tmp_path, beta):
     assert resolve_reaction("poly2").name == "poly2"
     path = tmp_path / "term.csv"

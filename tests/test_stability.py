@@ -22,7 +22,6 @@ from onephase_lab.axisym_field import (
 )
 from onephase_lab.errors import InvalidParameterError, NonconvergenceError
 from onephase_lab.numerics import LU_ORDER
-from onephase_lab.reaction_terms import make_polynomial_beta
 from onephase_lab.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,

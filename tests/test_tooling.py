@@ -1,5 +1,6 @@
-"""The test suite's own pytest configuration."""
+"""The test suite's own pytest configuration and the hygiene of the sources."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -77,3 +78,27 @@ def test_lab_runs_without_scipy_interpolate_or_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout[-2000:]
+
+
+def _unused_imports(path):
+    """(line, name) of every name ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to re-export them
+    root = PYPROJECT.parent
+    paths = [p for d in ("src", "tests", "scripts") for p in sorted((root / d).rglob("*.py")) if p.name != "__init__.py"]
+    assert len(paths) > 20
+    unused = [f"{p.relative_to(root)}:{line} {name}" for p in paths for line, name in _unused_imports(p)]
+    assert unused == []
