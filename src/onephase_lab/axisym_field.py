@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DomainError, InvalidParameterError, NonconvergenceError
-from .numerics import LU_ORDER, LUCounts, stencil_matrix, unit_sphere_area
+from .numerics import LU_OPTIONS, LUCounts, stencil_matrix, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
 
 
@@ -234,8 +234,8 @@ SMOOTH_OMEGA = 0.8
 
 
 def _lu(J, counts: LUCounts):
-    """A sparse LU of ``J`` in the lab's column ordering, counted in ``counts``."""
-    return counts.record(splu(J.tocsc(), permc_spec=LU_ORDER))
+    """A sparse LU of ``J`` with the lab's LU options, counted in ``counts``."""
+    return counts.record(splu(J.tocsc(), **LU_OPTIONS))
 
 
 def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_lu):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +27,19 @@ _DEFAULT_TOLERANCES = {
     "eigen": 1e-8,
     "classify": 1e-6,
 }
+
+
+# log of the smallest positive double: a quadrature weight below it is zero
+_LOG_TINY = math.log(math.ulp(0.0))
+
+
+def _log_axis_weight(n: int, hs: float, ht: float) -> float:
+    """log of |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2, the smallest node weight of
+    the second variation on a grid with an axis: the axis-column weight
+    (the exact half-cell integral of s^(n-2)) at a first or last row."""
+    m = n - 1
+    area = math.log(2.0) + m / 2.0 * math.log(math.pi) - math.lgamma(m / 2.0)
+    return area + m * math.log(hs / 2.0) - math.log(m) + math.log(ht / 2.0)
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,19 @@ class ExperimentConfig:
             raise ConfigError(f"blowdown epsilons must be positive, got {self.epsilons!r}")
         if self.boundary_model not in BOUNDARY_MODELS:
             raise ConfigError(f"unknown boundary model {self.boundary_model!r}")
+        if (
+            self.experiment == "stability"
+            and self.s_min == 0.0
+            and self.s_max > 0.0
+            and self.t_max > self.t_min
+            and min(self.ns, self.nt) > 1
+        ):
+            hs, ht = self.s_max / (self.ns - 1), (self.t_max - self.t_min) / (self.nt - 1)
+            if _log_axis_weight(self.n, hs, ht) < _LOG_TINY:
+                raise ConfigError(
+                    f"stability at n = {self.n} needs node weights s^(n-2) above zero, but on this grid "
+                    f"(hs = {hs:.6g}) the axis-column weight |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2 underflows"
+                )
 
     def canonical_text(self) -> str:
         """Normalized key=value rendering used for hashing and the report echo."""

@@ -30,7 +30,7 @@ from .errors import (
     NonconvergenceError,
     PreconditionViolationError,
 )
-from .numerics import LU_ORDER, LUCounts, csv_lines, stencil_matrix, unit_sphere_area
+from .numerics import LU_OPTIONS, LUCounts, csv_lines, stencil_matrix, unit_sphere_area
 from .stability import InequalityReport, _require_vanishing_border, us_derivative
 
 _AXIS_TOL = 1e-9
@@ -509,7 +509,7 @@ def _refined_solve(A, b: np.ndarray, factors: LUCounts) -> np.ndarray:
     the floor, or ``_REFINE_STEPS`` steps, raises NonconvergenceError.  The
     steps and the final omega are recorded in ``factors``.
     """
-    lu = factors.record(splu(A.astype(np.float32).tocsc(), permc_spec=LU_ORDER))
+    lu = factors.record(splu(A.astype(np.float32).tocsc(), **LU_OPTIONS))
     abs_a = abs(A)
     x = np.zeros_like(b)
     r = b

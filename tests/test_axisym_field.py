@@ -36,7 +36,7 @@ from onephase_lab.errors import (
     NonconvergenceError,
 )
 from onephase_lab.experiments import boundary_data
-from onephase_lab.numerics import LU_ORDER
+from onephase_lab.numerics import LU_OPTIONS
 from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
 from onephase_lab.reaction_terms import make_tabulated_term
 from onephase_lab.stability import _require_vanishing_border
@@ -333,7 +333,7 @@ def test_newton_factors_hold_at_most_0_6_of_colamd_fill(beta):
     data = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
     res = solve_semilinear(beta, g, data)
     J = _start_jacobian(beta, g, data)
-    assert splu(J, permc_spec=LU_ORDER).nnz <= 0.6 * splu(J, permc_spec="COLAMD").nnz
+    assert splu(J, **LU_OPTIONS).nnz <= 0.6 * splu(J, permc_spec="COLAMD").nnz
     coarse = _start_jacobian(beta, dataclasses.replace(g, ns=65, nt=65), data)
     # measured: 2 factors for the Newton steps on 65^2 and 1 at its solution
     # for the V-cycle; the 129^2 steps are GMRES solves
@@ -358,12 +358,13 @@ def test_neck_at_513_converges_with_few_factors(beta, monkeypatch):
     # raise after 40 factors; measured 4.9e-11 with 3 factors, all on the
     # 65^2 coarsest level, and 52 GMRES iterations on 129^2, 257^2 and 513^2
     factored = []
-    monkeypatch.setattr(axisym_field, "splu", lambda J, **kw: factored.append(J.shape) or splu(J, **kw))
+    monkeypatch.setattr(axisym_field, "splu", lambda J, **kw: factored.append((J.shape, kw)) or splu(J, **kw))
     res = solve_semilinear(beta, *_neck(beta, 513), tol=1e-10)
     assert res.residuals[-1] <= 1e-10
     assert residual_semilinear(res.field, beta) <= 1e-10
     coarsest = int(_assemble_laplacian(_neck(beta, 65)[0])[1].sum())
-    assert set(factored) == {(coarsest, coarsest)}
+    assert {shape for shape, _ in factored} == {(coarsest, coarsest)}
+    assert all(kw == LU_OPTIONS for _, kw in factored)
     assert res.factors.factorizations == len(factored) <= 3
     assert 0 < res.factors.krylov_iterations <= 70
 

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from onephase_lab.config import (
 )
 from onephase_lab.errors import ConfigError, LabError
 from onephase_lab.experiments import ExperimentReport, run
+from onephase_lab.reference import SphereShellExact, StripNeckExact
 from onephase_lab.stability import admissible_alpha
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -355,6 +357,26 @@ def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     assert 0.0 <= counters["lu_backward_error"] <= 6.0 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize(
+    "preset, n, ref",
+    [("strip_neck", 2, StripNeckExact()), ("sphere", 3, SphereShellExact(n=3))],
+    ids=["strip_neck", "sphere-n3"],
+)
+def test_onephase_reference_on_its_worker_thread_matches_a_sequential_one(tmp_path, preset, n, ref):
+    # the exact field is evaluated in row blocks on one worker thread while
+    # the masked system is factored; the sup error must be bit for bit that
+    # of one call on the whole grid, and the worker must be gone afterwards
+    cfg = ExperimentConfig(
+        experiment="onephase", onephase_preset=preset, n=n, onephase_resolution=64, out_dir=str(tmp_path / preset)
+    )
+    threads = threading.active_count()
+    report = run(cfg)
+    assert threading.active_count() == threads
+    field = AxiField.load_binary(tmp_path / preset / "field.bin")
+    exact = ref.u(field.s[:, None], field.t[None, :])
+    assert report.results["masked_solve"]["sup_error_vs_exact"] == float(np.max(np.abs(field.values - exact)))
+
+
 def _clear_env_tolerances(monkeypatch):
     for key in list(os.environ):
         if key.startswith(ENV_TOL_PREFIX):
@@ -401,6 +423,12 @@ def test_canonical_text_round_trips_through_parse_config(tmp_path, monkeypatch, 
         cfg = replace(cfg, reaction=f"table:{path}")
     path = tmp_path / "echo.cfg"
     path.write_text(cfg.canonical_text())
+    try:
+        cfg.validate()
+    except ConfigError:  # a stability grid whose axis weight underflows: its file is rejected too
+        with pytest.raises(ConfigError):
+            parse_config(path)
+        return
     back = parse_config(path)
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
@@ -461,6 +489,20 @@ def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:")
     assert not out.exists()
+
+
+def test_stability_rejects_an_underflowing_axis_weight_before_it_runs(tmp_path, runner, monkeypatch):
+    # on the 129^2 grid the smallest node weight is 0 in float64 from n = 136 on
+    monkeypatch.setattr(experiments, "_RUNNERS", {})  # any run would raise KeyError
+    out = tmp_path / "never"
+    args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", "170", "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+    assert "n = 170" in lines[0] and "(hs/2)^(n-1)/(n-1)" in lines[0] and "underflows" in lines[0]
+    assert not out.exists()
+    replace(parse_config(CONFIGS / "stability_n3.cfg"), n=135).validate()  # the last n it admits there
 
 
 def test_runaway_profile_exits_with_the_truncation_error(tmp_path, runner):

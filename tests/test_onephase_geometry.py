@@ -16,7 +16,7 @@ from onephase_lab.errors import (
     NonconvergenceError,
     PreconditionViolationError,
 )
-from onephase_lab.numerics import LU_ORDER, LUCounts, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
+from onephase_lab.numerics import LU_OPTIONS, LUCounts, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
 from onephase_lab.onephase_geometry import (
     Generator,
     _masked_system,
@@ -320,7 +320,7 @@ def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
     A = _masked_system(g, neck.level, neck.u)[0].tocsc()
     colamd = splu(A, permc_spec="COLAMD").nnz
     assert sol.factors.factorizations == 1
-    assert splu(A, permc_spec=LU_ORDER).nnz <= 0.6 * colamd
+    assert splu(A, **LU_OPTIONS).nnz <= 0.6 * colamd
     assert sol.factors.fill_nnz <= 0.6 * colamd
 
 
@@ -340,14 +340,14 @@ def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape):
     factored = []
 
     def spy(A, **kwargs):
-        factored.append(A.dtype)
+        factored.append((A.dtype, kwargs))
         return splu(A, **kwargs)
 
     monkeypatch.setattr(onephase_geometry, "splu", spy)
     sol = solve_harmonic_masked(grid, shape.level, shape.u)
-    assert factored == [np.float32]
+    assert factored == [(np.float32, LU_OPTIONS)]
     A, rhs, _, unknown, _ = _masked_system(grid, shape.level, shape.u)
-    exact = splu(A.tocsc(), permc_spec=LU_ORDER).solve(rhs)
+    exact = splu(A.tocsc(), **LU_OPTIONS).solve(rhs)
     assert np.max(np.abs(sol.field.values[unknown] - exact)) <= 1e-12
     assert sol.factors.factorizations == 1
     assert 1 <= sol.factors.refinement_steps <= 10

@@ -21,7 +21,7 @@ from onephase_lab.axisym_field import (
     solve_semilinear_1d,
 )
 from onephase_lab.errors import InvalidParameterError, NonconvergenceError
-from onephase_lab.numerics import LU_ORDER
+from onephase_lab.numerics import LU_OPTIONS
 from onephase_lab.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
@@ -247,7 +247,7 @@ def _coarsest_lu_fill(u, beta, axis_dirichlet):
     k = (len(u.s) - 1) // 64
     c = AxiField(n=u.n, s=u.s[::k], t=u.t[::k], values=u.values[::k, ::k])
     A, w, _ = assemble_operator(c, beta, axis_dirichlet=axis_dirichlet)
-    return splu(((A - shift * sp.diags(w)) / (c.hs * c.ht)).tocsc(), permc_spec=LU_ORDER).nnz
+    return splu(((A - shift * sp.diags(w)) / (c.hs * c.ht)).tocsc(), **LU_OPTIONS).nnz
 
 
 # 129^2 has two levels and 257^2 three; both factor only the 65^2 one
