@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -440,13 +441,24 @@ def admissible_alpha(n: int) -> tuple[float, float] | None:
 
 
 def epsilon_schedule(n: int, alpha: float, eps0: float, R: float) -> float:
-    """Cap shrink rate eps = R^(-1/(n-1-2*alpha-eps0)); decreasing in R."""
+    """Cap shrink rate eps = R^(-1/(n-1-2*alpha-eps0)); decreasing in R.
+
+    A rate outside the normal float range is refused: flushed to 0 (or
+    rounded as a subnormal) it would no longer be a positive, strictly
+    decreasing cap radius.
+    """
     denom = n - 1 - 2.0 * alpha - eps0
     if denom <= 0.0:
         raise InvalidParameterError("need n - 1 > 2*alpha + eps0")
     if R <= 0.0:
         raise InvalidParameterError("R must be positive")
-    return float(R ** (-1.0 / denom))
+    try:
+        eps = R ** (-1.0 / denom)
+    except OverflowError:
+        eps = math.inf
+    if not sys.float_info.min <= eps < math.inf:
+        raise InvalidParameterError(f"R^(-1/{denom:g}) leaves the normal float range")
+    return float(eps)
 
 
 @dataclass

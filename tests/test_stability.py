@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -534,9 +535,26 @@ def test_schedule_arithmetic_oracle():
 )
 def test_schedule_monotone_decreasing(n, alpha, r1, factor):
     eps0 = 0.1
-    if n - 1 - 2 * alpha - eps0 <= 0:
+    denom = n - 1 - 2 * alpha - eps0
+    if denom <= 0:
         return
-    assert epsilon_schedule(n, alpha, eps0, r1 * factor) < epsilon_schedule(n, alpha, eps0, r1)
+    # -log(eps) at the larger radius, against the floor of the normal floats
+    depth = math.log(r1 * factor) / denom
+    floor = -math.log(sys.float_info.min)
+    if depth < floor - 1.0:
+        assert epsilon_schedule(n, alpha, eps0, r1 * factor) < epsilon_schedule(n, alpha, eps0, r1)
+    elif depth > floor + 1.0:
+        with pytest.raises(InvalidParameterError):
+            epsilon_schedule(n, alpha, eps0, r1 * factor)
+
+
+def test_schedule_refuses_underflow():
+    # denominator 2 - 2*0.94921875 - 0.1 = 1/640: 4^-640 and 8^-640 both flush to 0.0
+    with pytest.raises(InvalidParameterError):
+        epsilon_schedule(3, 0.94921875, 0.1, 4.0)
+    with pytest.raises(InvalidParameterError):
+        epsilon_schedule(3, 0.94921875, 0.1, 0.25)  # (1/4)^-640 = 2^1280 overflows
+    assert epsilon_schedule(3, 0.94921875, 0.1, 2.0 ** (1.0 / 64)) == pytest.approx(2.0**-10)
 
 
 def test_schedule_rejects_bad_exponent():
