@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
+from .numerics import log_min_node_weight
 
 EXPERIMENTS = ("profile", "solve", "stability", "onephase", "blowdown", "window", "figure1")
 BOUNDARY_MODELS = ("profile", "affine", "catenoid")
@@ -31,15 +32,6 @@ _DEFAULT_TOLERANCES = {
 
 # log of the smallest positive double: a quadrature weight below it is zero
 _LOG_TINY = math.log(math.ulp(0.0))
-
-
-def _log_axis_weight(n: int, hs: float, ht: float) -> float:
-    """log of |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2, the smallest node weight of
-    the second variation on a grid with an axis: the axis-column weight
-    (the exact half-cell integral of s^(n-2)) at a first or last row."""
-    m = n - 1
-    area = math.log(2.0) + m / 2.0 * math.log(math.pi) - math.lgamma(m / 2.0)
-    return area + m * math.log(hs / 2.0) - math.log(m) + math.log(ht / 2.0)
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ class ExperimentConfig:
             and min(self.ns, self.nt) > 1
         ):
             hs, ht = self.s_max / (self.ns - 1), (self.t_max - self.t_min) / (self.nt - 1)
-            if _log_axis_weight(self.n, hs, ht) < _LOG_TINY:
+            if log_min_node_weight(self.n, hs, ht) < _LOG_TINY:
                 raise ConfigError(
                     f"stability at n = {self.n} needs node weights s^(n-2) above zero, but on this grid "
                     f"(hs = {hs:.6g}) the axis-column weight |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2 underflows"

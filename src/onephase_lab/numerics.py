@@ -264,6 +264,20 @@ def unit_sphere_area(d: int) -> float:
         raise InvalidParameterError(f"the area of the unit {d}-sphere is not representable in floating point") from None
 
 
+def log_min_node_weight(n: int, hs: float, ht: float) -> float:
+    """log of the smallest second-variation node weight on a grid with an axis.
+
+    That is the axis node of a first or last row: ``|S^(n-2)|`` times the
+    axis-column weight ``(hs/2)^(n-1)/(n-1)`` (the exact half-cell integral
+    of s^(n-2)) times the half row ``ht/2``, as ``stability.node_weights``
+    builds it.  Summed in logs, so it stays finite where the weight itself
+    underflows.
+    """
+    m = n - 1
+    log_area = math.log(2.0) + m / 2.0 * math.log(math.pi) - math.lgamma(m / 2.0)
+    return log_area + m * math.log(hs / 2.0) - math.log(m) + math.log(ht / 2.0)
+
+
 def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms) -> sp.csr_matrix:
     """CSR matrix of a 5-point stencil restricted to the ``unknown`` nodes of a grid.
 

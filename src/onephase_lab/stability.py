@@ -144,7 +144,9 @@ def _column_weights(f: AxiField) -> tuple[np.ndarray, np.ndarray]:
     """Per-column s^(n-2) hs and per-row ht node weights, without the sphere area.
 
     Outer columns and the first/last rows take half cells; the axis column
-    takes the exact half-cell integral of s^(n-2).
+    takes the exact half-cell integral of s^(n-2).  The axis node of a first
+    or last row carries the smallest weight; ``numerics.log_min_node_weight``
+    is its log, which ``ExperimentConfig.validate`` checks before a run.
     """
     s, hs, ht, m = f.s, f.hs, f.ht, f.n - 2
     cs = s**m * hs

@@ -22,7 +22,7 @@ from onephase_lab.axisym_field import (
     solve_semilinear_1d,
 )
 from onephase_lab.errors import InvalidParameterError, NonconvergenceError
-from onephase_lab.numerics import LU_OPTIONS
+from onephase_lab.numerics import LU_OPTIONS, log_min_node_weight
 from onephase_lab.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
@@ -136,6 +136,16 @@ def test_assembled_operator_matches_loop_reference(beta, n, s_min, axis_dirichle
     assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
     assert np.array_equal(w, node_weights(u)[mask])
+
+
+@pytest.mark.parametrize("n", [3, 5, 20, 60])
+@pytest.mark.parametrize("ns, nt, s_max", [(19, 23, 2.0), (129, 129, 4.0), (33, 17, 9.0)])
+def test_log_min_node_weight_is_the_log_of_the_smallest_node_weight(n, ns, nt, s_max):
+    # the bound ExperimentConfig.validate checks up front against the weights the eigen solve builds
+    g = GridSpec(n=n, s_max=s_max, t_min=-2.0, t_max=3.0, ns=ns, nt=nt)
+    w = node_weights(AxiField.from_function(g, lambda s, t: 0.0 * s))
+    assert w.min() == w[0, 0] == w[0, -1] > 0.0
+    assert log_min_node_weight(n, g.hs, g.ht) == pytest.approx(math.log(w.min()), rel=1e-13, abs=1e-12)
 
 
 def test_form_requires_matching_grids(beta):
@@ -541,11 +551,13 @@ def test_schedule_monotone_decreasing(n, alpha, r1, factor):
     # -log(eps) at the larger radius, against the floor of the normal floats
     depth = math.log(r1 * factor) / denom
     floor = -math.log(sys.float_info.min)
-    if depth < floor - 1.0:
-        assert epsilon_schedule(n, alpha, eps0, r1 * factor) < epsilon_schedule(n, alpha, eps0, r1)
-    elif depth > floor + 1.0:
-        with pytest.raises(InvalidParameterError):
-            epsilon_schedule(n, alpha, eps0, r1 * factor)
+    try:
+        larger = epsilon_schedule(n, alpha, eps0, r1 * factor)
+    except InvalidParameterError:
+        assert depth >= floor - 1.0  # refused only near or below the floor
+        return
+    assert depth <= floor + 1.0  # accepted only near or above the floor
+    assert larger < epsilon_schedule(n, alpha, eps0, r1)
 
 
 def test_schedule_refuses_underflow():
