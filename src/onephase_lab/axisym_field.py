@@ -330,6 +330,9 @@ def _restrict(r: np.ndarray, axis: bool) -> np.ndarray:
 class _KrylovSolve:
     """GMRES on a fine-level Jacobian ``J``, preconditioned by one V-cycle.
 
+    ``solve`` is the Newton solve's GMRES; ``cycle`` alone is the
+    preconditioner ``_level_cycle`` hands out, to the next finer level and
+    to the eigen solve's LOBPCG, which runs on the same levels.
     The cycle does one damped line-Jacobi sweep along s (each grid line
     solved with its tridiagonal part of J), restricts the residual to the
     coarser level by full weighting, applies that level's final ``coarse``

@@ -22,7 +22,15 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .axisym_field import AxiField, _centered_gradient, _level_cycle, _level_strides, _unknown_mask, residual_semilinear
+from .axisym_field import (
+    AxiField,
+    _centered_gradient,
+    _level_cycle,
+    _level_strides,
+    _prolong,
+    _unknown_mask,
+    residual_semilinear,
+)
 from .errors import InvalidParameterError, NonconvergenceError
 from .numerics import (
     LUCounts,
@@ -111,7 +119,11 @@ class SpectralReport:
     rhs: float
     iterations: int
     eigenvector: AxiField
-    factors: LUCounts  # not part of the JSON
+    # not part of the JSON: the LU factors, every level's LOBPCG steps
+    # (coarsest first, the finest last) and the preconditioner's shift
+    factors: LUCounts
+    level_iterations: list[int]
+    shift: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -245,16 +257,21 @@ def linearized_rayleigh_min(
 ) -> SpectralReport:
     """Smallest Rayleigh quotient of the second variation at a solution.
 
-    LOBPCG on the symmetrized problem B = D A D, D = diag(w)^(-1/2), from the
-    all-ones start, preconditioned by the Newton solve's multilevel layer on
-    A - shift W with a shift below the form's lower bound min beta'(u)/2: one
-    V-cycle over u's every-other-node levels, one LU at the coarsest.  The
-    eigenpair is certified by its residual ||(B - lambda) x|| <= tol and by
-    one sign throughout x, which on the irreducible Z-matrix B only the ground
-    state has (Perron-Frobenius).  LOBPCG resolves x only to round-off of
-    its largest entry, so while x has an entry <= 0, up to ``SIGN_SWEEPS``
-    line sweeps (:func:`_inward_line_sweep`) first rebuild the entries near
-    the axis from the eigen-equation.  ``iterations`` counts LOBPCG steps;
+    LOBPCG on the symmetrized problem B = D A D, D = diag(w)^(-1/2),
+    preconditioned by the Newton solve's multilevel layer on A - shift W with
+    a shift below the form's lower bound min beta'(u)/2: one V-cycle over
+    u's every-other-node levels, one LU at the coarsest.  The solve is
+    cascadic: the coarsest level starts from the all-ones vector and stops at
+    sqrt(tol); every finer level starts from the eigenvector of the level
+    below, prolonged bilinearly as grid values x D, and the finest one runs
+    to ``tol``.  The eigenpair is certified by its residual
+    ||(B - lambda) x|| <= tol and by one sign throughout x, which on the
+    irreducible Z-matrix B only the ground state has (Perron-Frobenius).
+    LOBPCG resolves x only to round-off of its largest entry, so while x has
+    an entry <= 0, up to ``SIGN_SWEEPS`` line sweeps
+    (:func:`_inward_line_sweep`) first rebuild the entries near the axis
+    from the eigen-equation.  ``iterations`` counts the finest level's
+    LOBPCG steps, ``level_iterations`` every level's, coarsest first;
     ``axis_dirichlet`` pins the axis column to zero (useful for
     all-sides-Dirichlet reference problems).
     """
@@ -267,7 +284,7 @@ def linearized_rayleigh_min(
     unknown = _unknown_mask(u.values.shape, u.has_axis and not axis_dirichlet)
     bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[unknown]))
     shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
-    factors, coarse = LUCounts(), None
+    factors, coarse, below, levels = LUCounts(), None, None, []
     for k in _level_strides(*u.values.shape):
         f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
         A, w, mask = assemble_operator(f, beta, axis_dirichlet=axis_dirichlet)
@@ -276,17 +293,16 @@ def linearized_rayleigh_min(
         # divided by the cell area, every level has the Newton Jacobian's scaling
         cycle = _level_cycle(((A - shift * sp.diags(w)) / (f.hs * f.ht)).tocsr(), factors, mask, coarse)
         coarse = (mask, cycle)
-    d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
-    B = (sp.diags(d) @ A @ sp.diags(d)).tocsr()
-    M = LinearOperator(B.shape, matvec=lambda y: sw * cycle(sw * y.ravel()), dtype=float)
-    with warnings.catch_warnings():
-        # the certificates below judge the result, not LOBPCG's own exit
-        warnings.simplefilter("ignore", UserWarning)
-        _, X, history = lobpcg(  # scipy's loop makes maxiter + 1 steps
-            B, np.ones((B.shape[0], 1)), M=M, tol=tol, maxiter=max_iter - 1, largest=False, retLambdaHistory=True
-        )
-    trace = [float(lam) for lam in history[1:-1]]  # without the start and the post-processing
-    x = X[:, 0] * np.sign(X[:, 0].sum()) / np.linalg.norm(X[:, 0])
+        d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
+        B = (sp.diags(d) @ A @ sp.diags(d)).tocsr()
+        M = LinearOperator(B.shape, matvec=lambda y: sw * cycle(sw * y.ravel()), dtype=float)
+        start = np.ones(B.shape[0]) if below is None else sw * _prolong(below)[mask]
+        x, trace = _lobpcg(B, start, M, tol if k == 1 else math.sqrt(tol), max_iter)
+        levels.append(len(trace))
+        if k > 1:
+            below = np.zeros(mask.shape)
+            below[mask] = x * d
+    x = x * np.sign(x.sum()) / np.linalg.norm(x)
     lam = float(x @ (B @ x))
     for _ in range(SIGN_SWEEPS):
         if np.all(x > 0.0):
@@ -315,7 +331,21 @@ def linearized_rayleigh_min(
         iterations=len(trace),
         eigenvector=xi,
         factors=factors,
+        level_iterations=levels,
+        shift=shift,
     )
+
+
+def _lobpcg(B, start: np.ndarray, M, tol: float, max_iter: int):
+    """LOBPCG's lowest eigenvector of B from ``start``, in at most ``max_iter``
+    steps, and its eigenvalue trace without the start and the post-processing."""
+    with warnings.catch_warnings():
+        # the certificates judge the result, not LOBPCG's own exit
+        warnings.simplefilter("ignore", UserWarning)
+        _, X, history = lobpcg(  # scipy's loop makes maxiter + 1 steps
+            B, start[:, None], M=M, tol=tol, maxiter=max_iter - 1, largest=False, retLambdaHistory=True
+        )
+    return X[:, 0], [float(lam) for lam in history[1:-1]]
 
 
 def _inward_line_sweep(B, x: np.ndarray, lam: float, m: int) -> np.ndarray:

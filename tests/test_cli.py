@@ -216,14 +216,20 @@ def test_stale_threads_line_still_parses(tmp_path):
     assert "threads" not in cfg.canonical_text()
 
 
-def _lu_counters(report, out, artifacts, krylov=False, refined=False):
+def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=False):
     """The run's LU (after a 2D Newton solve also GMRES, after the masked
-    solve also refinement) counters, which live in ``meta`` and nowhere else."""
+    solve also refinement, after the eigen solve also its per-level LOBPCG
+    iterations and shift) counters, which live in ``meta`` and nowhere else."""
     counters = report["meta"]["counters"]
     expected = ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz"]
     expected += ["lu_backward_error", "lu_refinement_steps"] * refined
+    expected += ["eigen_iterations", "eigen_shift"] * eigen
     assert sorted(counters) == sorted(expected)
-    for key in ("lu_", "krylov"):
+    if eigen:
+        # one entry per level, coarsest first: the last is the finest level's
+        assert counters["eigen_iterations"][-1] == report["results"]["rayleigh"]["iterations"]
+        assert counters["eigen_shift"] < report["results"]["rayleigh"]["min"]
+    for key in ("lu_", "krylov", "eigen_"):
         assert key not in json.dumps(report["results"])
         for name in artifacts:
             assert key.encode() not in (out / name).read_bytes()
@@ -312,8 +318,9 @@ def test_stability_command_layer(tmp_path, runner):
         assert row["defect"] >= -1e-10
     assert (out / "spectral.json").exists()
     _check_field_artifact(out, "eigenvector.bin", experiments._grid(parse_config(cfg)))
-    counters = _lu_counters(report, out, ["spectral.json", "eigenvector.bin"])
-    assert 1 <= counters["lu_factorizations"] <= 6  # one LU: the eigen solve factors its coarsest level only
+    counters = _lu_counters(report, out, ["spectral.json", "eigenvector.bin"], eigen=True)
+    assert counters["lu_factorizations"] == 1  # one LU: the eigen solve factors its coarsest level only
+    assert len(counters["eigen_iterations"]) == 1  # 33^2 has no coarser level
     assert counters["lu_fill_nnz"] >= 32 * 31
 
 
@@ -328,6 +335,22 @@ def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner):
     assert abs(rayleigh["min"] - 18.55897098842118) <= 1e-9
     eigenvector = AxiField.load_binary(out / "eigenvector.bin")
     assert np.all(eigenvector.values[:, 1:-1][:-1] > 0.0)
+
+
+def test_stability_config_certifies_n20_from_the_coarse_eigenvector(tmp_path, runner, monkeypatch):
+    # 129^2 has two levels; started from the 65^2 level's eigenvector the
+    # finest LOBPCG certifies in about 160 iterations, 321 from the ones vector
+    _clear_env_tolerances(monkeypatch)
+    out = tmp_path / "stab20"
+    args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", "20", "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    rayleigh = report["results"]["rayleigh"]
+    assert rayleigh["verdict"] == "stable-on-grid"
+    assert rayleigh["iterations"] <= 200
+    assert abs(rayleigh["min"] - 18.54026922905267) <= parse_config(CONFIGS / "stability_n3.cfg").tolerances["eigen"]
+    assert len(report["meta"]["counters"]["eigen_iterations"]) == 2
 
 
 def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
@@ -520,7 +543,7 @@ def test_krylov_iterations_are_counted_in_meta(tmp_path):
         cfg = ExperimentConfig(experiment=experiment, ns=129, nt=129, boundary_model="catenoid", out_dir=str(out))
         report = json.loads(json.dumps(run(cfg).to_json_dict()))
         _check_field_artifact(out, artifacts[-1], experiments._grid(cfg))
-        counters = _lu_counters(report, out, artifacts, krylov=True)
+        counters = _lu_counters(report, out, artifacts, krylov=True, eigen=experiment == "stability")
         assert counters["krylov_iterations"] > 0
 
 

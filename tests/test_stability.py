@@ -382,6 +382,45 @@ def test_eigen_nonconvergence_names_count_residual_and_shift(beta, layer_profile
     assert float(match.group(3)) == pytest.approx(bound - 1e-3 * (1.0 + abs(bound)), rel=1e-5)
 
 
+def _spy_lobpcg(monkeypatch):
+    """Every LOBPCG call of the eigen solve as (start block, tol), in call order."""
+    calls, original = [], stability.lobpcg
+
+    def spy(B, X, **kwargs):
+        calls.append((X.copy(), kwargs["tol"]))
+        return original(B, X, **kwargs)
+
+    monkeypatch.setattr(stability, "lobpcg", spy)
+    return calls
+
+
+def test_cascadic_eigen_solve_starts_each_level_from_the_one_below(beta, layer_profile, monkeypatch):
+    # 257^2 has the levels 65^2, 129^2 and 257^2; a level of k^2 nodes has
+    # (k - 1)(k - 2) unknowns (the axis column in, the outer rim out)
+    calls = _spy_lobpcg(monkeypatch)
+    g = GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=257, nt=257)
+    u = tiled_layer(beta, layer_profile, g)
+    tol = 1e-8
+    rep = linearized_rayleigh_min(u, beta, tol=tol)
+    assert [X.shape for X, _ in calls] == [((k - 1) * (k - 2), 1) for k in (65, 129, 257)]
+    assert [bool(np.all(X == 1.0)) for X, _ in calls] == [True, False, False]
+    assert [level_tol for _, level_tol in calls] == [math.sqrt(tol), math.sqrt(tol), tol]
+    assert len(rep.level_iterations) == 3 and rep.level_iterations[-1] == rep.iterations
+    assert rep.iterations <= 20  # 27 from the ones vector
+    assert rep.factors.factorizations == 1
+
+
+def test_single_level_eigen_solve_starts_from_ones(beta, layer_profile, monkeypatch):
+    calls = _spy_lobpcg(monkeypatch)
+    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
+    u = tiled_layer(beta, layer_profile, g)
+    rep = linearized_rayleigh_min(u, beta, tol=1e-9)
+    assert len(calls) == 1
+    X, level_tol = calls[0]
+    assert X.shape == (32 * 31, 1) and np.all(X == 1.0) and level_tol == 1e-9
+    assert rep.level_iterations == [rep.iterations]
+
+
 # ---------------------------------------------------------------- radial derivative
 
 
