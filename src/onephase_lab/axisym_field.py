@@ -228,9 +228,8 @@ class SolveResult:
 
 # GMRES on the levels above the coarsest: relative tolerance (atol = 0),
 # restart length and restart cycles.  Its preconditioner is one V-cycle
-# whose damped line-Jacobi sweeps have weight SMOOTH_OMEGA.
+# smoothed by zebra line Gauss-Seidel (``_KrylovSolve``).
 KRYLOV_RTOL, KRYLOV_RESTART, KRYLOV_MAXITER = 1e-6, 30, 10
-SMOOTH_OMEGA = 0.8
 
 
 def _lu(J, counts: LUCounts):
@@ -313,8 +312,9 @@ def _prolong(c: np.ndarray) -> np.ndarray:
 
 
 def _restrict(r: np.ndarray, axis: bool) -> np.ndarray:
-    """Full weighting of ``r`` onto the every-other-node grid; with ``axis``
-    the first row is weighed with its mirror image u(-hs) = u(hs)."""
+    """Full weighting onto the every-other-node grid of grid values given
+    t-major, ``r[j, i]`` at (s_i, t_j), returned s-major; with ``axis`` the
+    s = 0 column is weighed with its mirror image u(-hs) = u(hs)."""
 
     def weigh(a, mirror):
         c = 0.5 * a[::2]
@@ -324,7 +324,55 @@ def _restrict(r: np.ndarray, axis: bool) -> np.ndarray:
             c[0] += 0.25 * a[1]
         return c
 
-    return weigh(weigh(r, axis).T, False).T
+    return weigh(weigh(r, False).T, axis)
+
+
+def _band(J, offset: int) -> np.ndarray:
+    """J[q, q + offset] for every unknown q, zero where q + offset is no unknown."""
+    m = J.shape[0]
+    band = np.zeros(m)
+    band[max(0, -offset) : m - max(0, offset)] = J.diagonal(offset)
+    return band
+
+
+class _ZebraLines:
+    """Zebra line Gauss-Seidel on ``J`` along one grid direction.
+
+    ``layout`` maps a row-major vector of unknowns to an array whose rows are
+    the grid lines of that direction.  A line is solved with its tridiagonal
+    part of J (the diagonals at offsets 0 and +-``along``; the odd and the
+    even rows, counted from 0, factored apart by LAPACK ``gttrf``) and is
+    coupled to its neighbour lines only through the diagonals at offsets
+    +-``across``, which are kept in ``layout``.
+    """
+
+    def __init__(self, J, along: int, across: int, layout):
+        # LAPACK's dl holds J[q + along, q], the band of J^T
+        lower, diag, upper = (layout(a) for a in (_band(J.T, along), J.diagonal(), _band(J, along)))
+        self.factors = [
+            dgttrf(lower[p::2].ravel()[:-1], diag[p::2].ravel(), upper[p::2].ravel()[:-1])[:5] for p in (0, 1)
+        ]
+        self.next = np.ascontiguousarray(layout(_band(J, across)))
+        self.prev = np.ascontiguousarray(layout(_band(J, -across)))
+
+    def sweep(self, x, r, parity: int, carry: bool = True) -> None:
+        """Solve the lines of ``parity`` for the residual ``r`` and add the
+        correction to ``x``, both in ``layout`` and updated in place.  With
+        ``carry``, ``r`` stays b - J x: zero on the solved lines, less the
+        coupling to the correction on the lines between them."""
+        solved = r[parity::2]
+        d = dgttrs(*self.factors[parity], solved.flatten(), overwrite_b=True)[0].reshape(solved.shape)
+        x[parity::2] += d
+        if not carry:
+            return
+        solved[...] = 0.0
+        other, next_, prev = r[1 - parity :: 2], self.next[1 - parity :: 2], self.prev[1 - parity :: 2]
+        # the other line k, 2k + 1 - parity on the grid, lies between the
+        # solved lines d[k - parity] and d[k + 1 - parity]
+        k = min(len(other), len(d) - 1 + parity)
+        other[:k] -= next_[:k] * d[1 - parity : k + 1 - parity]
+        k = min(len(other), len(d) + parity)
+        other[parity:k] -= prev[parity:k] * d[: k - parity]
 
 
 class _KrylovSolve:
@@ -333,41 +381,52 @@ class _KrylovSolve:
     ``solve`` is the Newton solve's GMRES; ``cycle`` alone is the
     preconditioner ``_level_cycle`` hands out, to the next finer level and
     to the eigen solve's LOBPCG, which runs on the same levels.
-    The cycle does one damped line-Jacobi sweep along s (each grid line
-    solved with its tridiagonal part of J), restricts the residual to the
-    coarser level by full weighting, applies that level's final ``coarse``
-    cycle (its LU solve at the coarsest level), prolongates the correction
-    bilinearly and ends with a sweep along t.  Line sweeps keep the cycle
-    effective where one direction's couplings dominate: along s near the
-    axis at large n and when ht exceeds hs, along t when hs exceeds ht.
+    The unknowns are the rectangular block of grid rows 0 (with the axis) or
+    1 to -2 and columns 1 to -2, in row-major order.  The cycle smooths by
+    zebra line Gauss-Seidel (Trottenberg, Oosterlee and Schueller,
+    *Multigrid*, 2001, section 5.1) in correction form.  From x = 0 it
+    solves the odd s-lines (counted in the block from 0), then the even
+    ones, carrying the residual b - J x through J's coupling diagonals
+    (``_ZebraLines``).  It restricts that residual to the coarser level by
+    full weighting, applies that level's ``coarse`` cycle (its LU solve at
+    the coarsest level) and prolongates the correction bilinearly.  From
+    the one residual it computes, it then solves the odd t-lines and the
+    even t-lines.  Line solves keep the cycle effective where one
+    direction's couplings dominate: along s near the axis at large n and
+    when ht exceeds hs, along t when hs exceeds ht.
     GMRES iterations go to ``counts``.
     """
 
     def __init__(self, J, counts: LUCounts, mask, coarse_mask, coarse):
-        self.J, self.counts, self.mask, self.coarse_mask, self.coarse = J, counts, mask, coarse_mask, coarse
-        m = J.shape[0]
-        # unknowns in row-major (s, t) order; "F" lays the s-lines out contiguously
-        self.shape = (m // (mask.shape[1] - 2), mask.shape[1] - 2)
-        self.lines = []
-        for offset, order in ((self.shape[1], "F"), (1, "C")):
-            up, lo = np.zeros(m), np.zeros(m)
-            up[:-offset], lo[:-offset] = J.diagonal(offset), J.diagonal(-offset)
-            up, diag, lo = (a.reshape(self.shape).ravel(order) for a in (up, J.diagonal(), lo))
-            self.lines.append((order, dgttrf(lo[:-1], diag, up[:-1])[:5]))
-
-    def _sweep(self, r, order, factor):
-        """The damped line-Jacobi correction for the residual ``r``."""
-        d = dgttrs(*factor, r.reshape(self.shape).ravel(order))[0]
-        return SMOOTH_OMEGA * d.reshape(self.shape, order=order).ravel()
+        self.J, self.counts, self.coarse = J, counts, coarse
+        self.axis = bool(mask[0].any())
+        self.block = (slice(1 - self.axis, -1), slice(1, -1))
+        self.grids = (mask.shape, coarse_mask.shape)
+        self.shape = (J.shape[0] // (mask.shape[1] - 2), mask.shape[1] - 2)
+        S, T = self.shape
+        # s-lines are the rows of the transposed (T, S) layout, t-lines those of (S, T)
+        self.s_lines = _ZebraLines(J, T, 1, lambda a: a.reshape(S, T).T)
+        self.t_lines = _ZebraLines(J, 1, T, lambda a: a.reshape(S, T))
 
     def cycle(self, b):
-        x = self._sweep(b, *self.lines[0])
-        r = np.zeros(self.mask.shape)
-        r[self.mask] = b - self.J @ x
-        e = np.zeros(self.coarse_mask.shape)
-        e[self.coarse_mask] = self.coarse(_restrict(r, self.mask[0].any())[self.coarse_mask])
-        x += _prolong(e)[self.mask]
-        return x + self._sweep(b - self.J @ x, *self.lines[1])
+        S, T = self.shape
+        r = b.reshape(S, T).T.copy()
+        x = np.zeros_like(r)
+        for parity in (1, 0):
+            self.s_lines.sweep(x, r, parity)
+        # the residual is restricted as it lies, t-major; x goes back to
+        # row-major once, added to the prolonged correction
+        fine, coarse = np.zeros(self.grids[0][::-1]), np.zeros(self.grids[1])
+        fine[self.block[::-1]] = r
+        c = coarse[self.block]
+        c[...] = self.coarse(_restrict(fine, self.axis)[self.block].ravel()).reshape(c.shape)
+        e = _prolong(coarse)[self.block]
+        e += x.T
+        x = e.ravel()
+        r = b - self.J @ x
+        self.t_lines.sweep(x.reshape(S, T), r.reshape(S, T), 1)
+        self.t_lines.sweep(x.reshape(S, T), r.reshape(S, T), 0, carry=False)
+        return x
 
     def solve(self, b):
         iterations = 0

@@ -295,10 +295,9 @@ def linearized_rayleigh_min(
         coarse = (mask, cycle)
         d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
         B = (sp.diags(d) @ A @ sp.diags(d)).tocsr()
-        M = LinearOperator(B.shape, matvec=lambda y: sw * cycle(sw * y.ravel()), dtype=float)
         start = np.ones(B.shape[0]) if below is None else sw * _prolong(below)[mask]
-        x, trace = _lobpcg(B, start, M, tol if k == 1 else math.sqrt(tol), max_iter)
-        levels.append(len(trace))
+        x, trace, steps = _lobpcg(B, start, lambda y: sw * cycle(sw * y), tol if k == 1 else math.sqrt(tol), max_iter)
+        levels.append(steps)
         if k > 1:
             below = np.zeros(mask.shape)
             below[mask] = x * d
@@ -315,7 +314,7 @@ def linearized_rayleigh_min(
     if not (cert <= tol and np.all(x > 0.0)):
         what = "the residual" if cert > tol else "one sign of the ground state"
         raise NonconvergenceError(
-            f"LOBPCG did not certify {what} after {len(trace)} iterations (last residual {cert:.3e}, shift {shift:.6g})",
+            f"LOBPCG did not certify {what} after {steps} iterations (last residual {cert:.3e}, shift {shift:.6g})",
             trace=trace,
         )
 
@@ -328,7 +327,7 @@ def linearized_rayleigh_min(
         rayleigh_min=lam,
         lhs=_raw_form(u, xi, beta),
         rhs=lam * weighted_norm_sq(xi),
-        iterations=len(trace),
+        iterations=steps,
         eigenvector=xi,
         factors=factors,
         level_iterations=levels,
@@ -336,16 +335,29 @@ def linearized_rayleigh_min(
     )
 
 
-def _lobpcg(B, start: np.ndarray, M, tol: float, max_iter: int):
-    """LOBPCG's lowest eigenvector of B from ``start``, in at most ``max_iter``
-    steps, and its eigenvalue trace without the start and the post-processing."""
+def _lobpcg(B, start: np.ndarray, precondition, tol: float, max_iter: int):
+    """LOBPCG's lowest eigenvector of B from ``start``, preconditioned by the
+    vector map ``precondition``, in at most ``max_iter`` steps; its eigenvalue
+    trace without the start and the post-processing; and the steps it ran.
+
+    Every step preconditions the one residual once, so the steps are counted
+    there: when LOBPCG stops without converging, scipy returns its best
+    iterate and cuts the trace there."""
+    steps = 0
+
+    def matvec(y):
+        nonlocal steps
+        steps += 1
+        return precondition(y.ravel())
+
+    M = LinearOperator(B.shape, matvec=matvec, dtype=float)
     with warnings.catch_warnings():
         # the certificates judge the result, not LOBPCG's own exit
         warnings.simplefilter("ignore", UserWarning)
         _, X, history = lobpcg(  # scipy's loop makes maxiter + 1 steps
             B, start[:, None], M=M, tol=tol, maxiter=max_iter - 1, largest=False, retLambdaHistory=True
         )
-    return X[:, 0], [float(lam) for lam in history[1:-1]]
+    return X[:, 0], [float(lam) for lam in history[1:-1]], steps
 
 
 def _inward_line_sweep(B, x: np.ndarray, lam: float, m: int) -> np.ndarray:
