@@ -27,8 +27,6 @@ from .onephase_geometry import (
     Generator,
     RevolutionBoundary,
     curvature_of_revolution,
-    extract_graph_boundary,
-    gradient_magnitude_identity,
     normal_derivative_identity,
     onephase_stability_form,
     solve_harmonic_masked,
@@ -44,9 +42,9 @@ from .profile1d import (
 from .reaction_terms import (
     ReactionTerm,
     make_polynomial_beta,
+    require_a1,
     rescale,
     resolve_reaction,
-    validate_a1,
 )
 from .stability import (
     SpectralReport,
@@ -54,7 +52,6 @@ from .stability import (
     admissible_alpha,
     epsilon_schedule,
     linearized_rayleigh_min,
-    log_cutoff_2d,
     probe_inequality,
     quadratic_form,
     us_derivative,

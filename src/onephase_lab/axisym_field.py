@@ -643,7 +643,6 @@ def energy(
     beta: ReactionTerm | None = None,
     epsilon: float | None = None,
     one_phase: bool = False,
-    weighted: bool = True,
 ) -> EnergyBreakdown:
     """Midpoint-rule energy: gradient square plus layer potential or indicator.
 
@@ -651,8 +650,8 @@ def energy(
     centers from the bilinear interpolant), which integrates piecewise-affine
     fields exactly.  With ``one_phase`` the potential is the measure of
     {u > 0}; otherwise it is the rescaled primitive at width
-    ``epsilon`` (required).  With ``weighted`` the cylindrical measure
-    s^(n-2) times the unit-sphere area is applied.
+    ``epsilon`` (required).  Both parts carry the cylindrical measure
+    s^(n-2) times the unit-sphere area.
     """
     if one_phase == (beta is not None):
         raise InvalidParameterError("pass exactly one of one_phase or beta")
@@ -661,7 +660,7 @@ def energy(
 
     u = f.values
     gradsq = _cell_gradient_sq(f)
-    cell = _cell_measure(f) if weighted else np.full((len(f.s) - 1, 1), f.hs * f.ht)
+    cell = _cell_measure(f)
     center = 0.25 * (u[1:, 1:] + u[:-1, 1:] + u[1:, :-1] + u[:-1, :-1])
 
     dirichlet = float(np.sum(np.sum(gradsq * cell, axis=1)))

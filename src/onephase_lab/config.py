@@ -1,6 +1,7 @@
 """Experiment configuration: line-oriented key=value files with sections.
 
-The configuration format is INI-style (diff-friendly, stdlib parser).  On
+The configuration format is INI-style (diff-friendly, stdlib parser); a
+section or key the lab does not know is an error, not a silent default.  On
 the command line every tolerance can be overridden by an environment
 variable with the uniform prefix ``ONEPHASE_LAB_TOL_`` (for example
 ``ONEPHASE_LAB_TOL_NEWTON=1e-8``), with or without a config file; see
@@ -188,6 +189,9 @@ _KEYS = (
 )
 
 _SECTIONS = tuple(dict.fromkeys(sec for sec, *_ in _KEYS)) + ("tolerances",)
+# every (section, key) a config may set, lower-cased as the parser reads keys; the
+# retired [experiment] threads of old configs is still read, and ignored
+_KNOWN = {(sec, key.lower()) for sec, key, *_ in _KEYS} | {("experiment", "threads")}
 
 
 def _render(value) -> str:
@@ -221,8 +225,9 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     """Read a config file into an :class:`ExperimentConfig`.
 
     Syntax errors carry the offending line numbers (from the stdlib parser);
-    semantic errors name the section and key.  An unknown section is an
-    error; an unknown key inside a known section is ignored.
+    semantic errors name the section and key.  An unknown section or an
+    unknown key inside a known one is an error; a ``[tolerances]`` name is
+    checked by :meth:`ExperimentConfig.validate`.
     """
     cfg = base if base is not None else ExperimentConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
@@ -236,6 +241,10 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     for sec in parser.sections():
         if sec not in _SECTIONS:
             raise ConfigError(f"unknown config section [{sec}] in {str(path)!r}; choose from {_SECTIONS}")
+        for key in parser.options(sec):
+            if sec != "tolerances" and (sec, key) not in _KNOWN:
+                choices = tuple(k for s, k, *_ in _KEYS if s == sec)
+                raise ConfigError(f"unknown config key [{sec}] {key} in {str(path)!r}; choose from {choices}")
 
     cfg = replace(
         cfg, **{name: _get(parser, sec, key, parse, getattr(cfg, name)) for sec, key, name, parse in _KEYS}

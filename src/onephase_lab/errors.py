@@ -34,10 +34,6 @@ class NonIntegrableTailError(LabError):
     """The first-integral quadrature diverges (primitive not increasing)."""
 
 
-class InversionError(LabError):
-    """A sampled function required to be monotone is not."""
-
-
 class DomainError(LabError):
     """A resampling request reaches outside the source domain."""
 

@@ -1,6 +1,7 @@
-"""Small shared numerical kernels: quadrature, difference formulas, monotone
-cubic interpolation, the 5-point stencil-to-CSR builder and the sparse LU
-policy."""
+"""Small shared numerical kernels: panel-wise Gauss-Legendre quadrature, a
+difference formula, monotone cubic interpolation (whose exact antiderivative
+is a reaction table's mass), smooth ramps, sphere areas, the 5-point
+stencil-to-CSR builder and the sparse LU policy."""
 
 from __future__ import annotations
 
@@ -86,34 +87,6 @@ class LUCounts:
         self.factorizations += other.factorizations
         self.fill_nnz = max(self.fill_nnz, other.fill_nnz)
         self.krylov_iterations += other.krylov_iterations
-
-
-def simpson_refined(f, a: float, b: float, tol: float = 1e-12, max_doublings: int = 22) -> float:
-    """Composite Simpson value of ``f`` on [a, b], refined until stable.
-
-    Panel count doubles (trapezoid values are reused) until two successive
-    Simpson estimates differ by less than ``tol`` absolutely or 1e-15
-    relatively.  ``f`` must accept ndarray input.
-    """
-    if b <= a:
-        return 0.0
-    h = b - a
-    trap = 0.5 * h * float(f(np.array([a]))[0] + f(np.array([b]))[0])
-    simpson_prev = None
-    n = 1
-    for _ in range(max_doublings):
-        mid = a + h * (np.arange(n) + 0.5)
-        mid_sum = float(np.sum(f(mid)))
-        trap_new = 0.5 * trap + 0.5 * h * mid_sum
-        simpson = (4.0 * trap_new - trap) / 3.0
-        if simpson_prev is not None:
-            if abs(simpson - simpson_prev) < max(tol, 1e-15 * abs(simpson)):
-                return simpson
-        simpson_prev = simpson
-        trap = trap_new
-        n *= 2
-        h *= 0.5
-    return simpson_prev
 
 
 def gl5_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

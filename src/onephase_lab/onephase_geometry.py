@@ -126,19 +126,19 @@ class RevolutionBoundary:
             fh.write(csv_lines(self.t, self.s, self.mean_curv, self.normals[:, 0], self.normals[:, 1]))
 
 
-def curvature_of_revolution(gen: Generator, n: int, positive_side: str = "above") -> RevolutionBoundary:
+def curvature_of_revolution(gen: Generator, n: int, positive_side: str = "right") -> RevolutionBoundary:
     """Normals and principal curvatures of the revolved generator.
 
-    ``positive_side`` locates the positivity set relative to the curve:
-    "above"/"below" (graphs over t, larger/smaller s) or "left"/"right" of
-    the direction of travel for parametric curves.  Axis touches are only
+    ``positive_side`` locates the positivity set "left" or "right" of the
+    direction of travel; for a graph over increasing t, "right" is the side
+    of larger s and "left" that of smaller s.  Axis touches are only
     admissible where the tangent is perpendicular to the axis (smooth poles,
     which are umbilic); anything else raises.
     """
     if n < 2:
         raise InvalidParameterError("ambient dimension must be >= 2")
-    if positive_side not in ("above", "below", "left", "right"):
-        raise InvalidParameterError("positive_side must be above/below/left/right")
+    if positive_side not in ("left", "right"):
+        raise InvalidParameterError("positive_side must be left or right")
     ds, dt, dss, dtt = gen.derivatives()
     speed_sq = ds * ds + dt * dt
     speed = np.sqrt(speed_sq)
@@ -146,7 +146,7 @@ def curvature_of_revolution(gen: Generator, n: int, positive_side: str = "above"
         raise InvalidParameterError("generator has a stationary sample")
 
     # normal pointing into the positivity set
-    if positive_side in ("left", "below"):
+    if positive_side == "left":
         m_s, m_t = -dt / speed, ds / speed
     else:
         m_s, m_t = dt / speed, -ds / speed
@@ -344,69 +344,6 @@ def onephase_stability_form(
     cell_ok = core[1:, 1:] & core[:-1, 1:] & core[1:, :-1] & core[:-1, :-1]
     rhs = float(np.sum(_cell_gradient_sq(xi) * cell_ok * _cell_measure(xi)))
     return InequalityReport(lhs=lhs, rhs=rhs)
-
-
-def gradient_magnitude_identity(u: AxiField) -> AxiField:
-    """Defect of (1/2) d_s |grad u|^2 = grad u . d_s grad u at interior nodes.
-
-    Both sides are formed from centered differences; entries whose stencils
-    do not fit are NaN.  The defect decays at second order for smooth fields.
-    """
-    v = u.values
-    hs = u.hs
-    gs, gt = _centered_gradient(u)
-
-    g2 = gs * gs + gt * gt
-    lhs = np.full_like(v, np.nan)
-    lhs[1:-1, :] = (g2[2:, :] - g2[:-2, :]) / (4.0 * hs)  # half of the centered d_s
-
-    dgs = np.full_like(v, np.nan)
-    dgt = np.full_like(v, np.nan)
-    dgs[1:-1, :] = (gs[2:, :] - gs[:-2, :]) / (2.0 * hs)
-    dgt[1:-1, :] = (gt[2:, :] - gt[:-2, :]) / (2.0 * hs)
-    rhs = gs * dgs + gt * dgt
-    return u.with_values(lhs - rhs)
-
-
-def extract_graph_boundary(u: AxiField, positive_side: str = "above"):
-    """Locate the zero level set as a graph s*(t) from one-sided slopes.
-
-    Returns (t, s*) arrays over the columns where {u > 0} meets the other
-    phase exactly once along the s-line.
-    """
-    if positive_side not in ("above", "below"):
-        raise InvalidParameterError("positive_side must be above or below for graphs")
-    ts, ss = [], []
-    v = u.values
-    for j in range(len(u.t)):
-        col = v[:, j]
-        pos = col > 0.0
-        changes = np.nonzero(pos[1:] != pos[:-1])[0]
-        if len(changes) != 1:
-            continue
-        i = int(changes[0])
-        if positive_side == "above":
-            # positive phase at larger s: first positive node is i+1
-            k = i + 1
-            if k + 1 >= len(col):
-                continue
-            slope = (col[k + 1] - col[k]) / u.hs
-            if slope == 0.0:
-                continue
-            s_star = u.s[k] - col[k] / slope
-        else:
-            k = i
-            if k - 1 < 0:
-                continue
-            slope = (col[k] - col[k - 1]) / u.hs
-            if slope == 0.0:
-                continue
-            s_star = u.s[k] - col[k] / slope
-        ts.append(u.t[j])
-        ss.append(float(s_star))
-    if not ts:
-        raise GeometryMismatchError("no graph-like crossing of the level set found")
-    return np.array(ts), np.array(ss)
 
 
 @dataclass

@@ -3,7 +3,9 @@
 A valid reaction term is nonnegative, C^1, supported on [0, 1] and has unit
 integral; its primitive rises from 0 to 1 across the support.  Terms come in
 two flavours: closed-form (the quartic polynomial witness) and tabulated
-(read from CSV), the latter backed by monotone cubic interpolation.
+(read from CSV), the latter backed by monotone cubic interpolation.  These
+hypotheses are the paper's A1; a run resolves a table only once it passes
+:func:`require_a1`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .numerics import Pchip, csv_lines, simpson_refined
+from .errors import ConfigError, InvalidParameterError
+from .numerics import Pchip
 
 MASS_TOL = 1e-10
 
@@ -129,58 +131,33 @@ def make_tabulated_term(
     )
 
 
-@dataclass(frozen=True)
-class A1Clause:
-    passed: bool
-    defect: float
+def require_a1(term: ReactionTerm) -> None:
+    """Raise ``ConfigError`` naming the first clause of A1 that ``term`` fails.
 
-
-@dataclass(frozen=True)
-class A1Report:
-    """Per-clause validation of a reaction term; failures are reported, never raised."""
-
-    nonnegative: A1Clause
-    support_in_unit_interval: A1Clause
-    c1_continuous: A1Clause
-    unit_mass: A1Clause
-
-
-def validate_a1(term: ReactionTerm, samples: int = 2001) -> A1Report:
-    """Measure nonnegativity, support, C^1 continuity and unit mass defects.
-
-    The C^1 clause compares centered differences of ``eval`` at shrinking
-    steps h in {1e-3, 1e-4, 1e-5} against ``deriv`` and keeps, per point, the
-    best agreement; tabulated terms are only piecewise smooth between knots,
-    so the pass threshold is scaled by the derivative's size.
+    The clauses, in order: ``eval`` is nonnegative and vanishes outside
+    [0, 1] (both judged on samples over [-1, 2], so a table padded with
+    zeros passes); it is C^1; and its exact ``mass`` is 1 to ``MASS_TOL``.
+    The C^1 clause compares centered differences of ``eval`` at steps
+    h in {1e-3, 1e-4, 1e-5} against ``deriv`` and keeps, per point, the best
+    agreement; tabulated terms are only piecewise smooth between knots, so
+    its threshold is scaled by the derivative's size.
     """
-    grid = np.linspace(-1.0, 2.0, samples)
+    grid = np.linspace(-1.0, 2.0, 2001)
     vals = term.eval(grid)
-    neg_defect = float(max(0.0, -np.min(vals)))
-
-    outside = grid[(grid < 0.0) | (grid > 1.0)]
-    support_defect = float(np.max(np.abs(term.eval(outside))))
-
     check_pts = np.concatenate(([0.0, 1.0], np.linspace(0.02, 0.98, 49)))
     best = np.full(check_pts.shape, np.inf)
     for h in (1e-3, 1e-4, 1e-5):
         fd = (term.eval(check_pts + h) - term.eval(check_pts - h)) / (2.0 * h)
         best = np.minimum(best, np.abs(fd - term.deriv(check_pts)))
-    c1_defect = float(np.max(best))
-    c1_scale = 1.0 + float(np.max(np.abs(term.deriv(check_pts))))
-
-    lo, hi = term.support
-    mass = simpson_refined(term.eval, lo, hi)
-    mass_defect = abs(mass - 1.0)
-
-    return A1Report(
-        nonnegative=A1Clause(neg_defect <= 1e-12, neg_defect),
-        support_in_unit_interval=A1Clause(
-            term.support[0] >= -1e-12 and term.support[1] <= 1.0 + 1e-12 and support_defect <= 1e-12,
-            support_defect,
-        ),
-        c1_continuous=A1Clause(c1_defect <= 1e-3 * c1_scale, c1_defect),
-        unit_mass=A1Clause(mass_defect <= MASS_TOL, mass_defect),
+    clauses = (
+        ("nonnegative", -np.min(vals), 1e-12),
+        ("support in [0, 1]", np.max(np.abs(vals[(grid < 0.0) | (grid > 1.0)])), 1e-12),
+        ("C^1", np.max(best), 1e-3 * (1.0 + np.max(np.abs(term.deriv(check_pts))))),
+        ("unit mass", abs(term.mass - 1.0), MASS_TOL),
     )
+    for clause, defect, tol in clauses:
+        if not defect <= tol:
+            raise ConfigError(f"reaction {term.name!r} violates A1, {clause} clause: defect {float(defect)!r} above {tol:.3g}")
 
 
 def rescale(term: ReactionTerm, epsilon: float) -> ReactionTerm:
@@ -204,15 +181,6 @@ def rescale(term: ReactionTerm, epsilon: float) -> ReactionTerm:
     )
 
 
-def save_reaction_csv(term: ReactionTerm, path, samples: int = 2001) -> None:
-    """Write columns t, beta, beta_prime, Phi over the support."""
-    lo, hi = term.support
-    t = np.linspace(lo, hi, samples)
-    with open(path, "w") as fh:
-        fh.write("t,beta,beta_prime,Phi\n")
-        fh.write(csv_lines(t, term.eval(t), term.deriv(t), term.primitive(t)))
-
-
 def load_reaction_csv(path) -> ReactionTerm:
     """Rebuild a tabulated term from a t/beta/beta_prime/Phi CSV."""
     t, b = [], []
@@ -233,9 +201,12 @@ def load_reaction_csv(path) -> ReactionTerm:
 
 
 def resolve_reaction(name: str) -> ReactionTerm:
-    """Resolve a config name: "poly2" or "table:<csv path>"."""
+    """Resolve a config name: "poly2" or "table:<csv path>", a table only
+    once it passes :func:`require_a1`."""
     if name == "poly2":
         return make_polynomial_beta(1.0)
     if name.startswith("table:"):
-        return load_reaction_csv(name[len("table:"):])
+        term = load_reaction_csv(name[len("table:"):])
+        require_a1(term)
+        return term
     raise InvalidParameterError(f"unknown reaction term {name!r}")

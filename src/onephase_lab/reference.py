@@ -36,9 +36,6 @@ NEWTON_STEPS = 60
 class StripNeckExact:
     """Planar neck configuration with generator s = pi/2 + cosh t."""
 
-    def generator_s(self, t):
-        return math.pi / 2.0 + np.cosh(t)
-
     def level(self, s, t):
         """Positive inside {u > 0} = {s < pi/2 + cosh t}."""
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
@@ -68,15 +65,10 @@ class StripNeckExact:
             )
         return w
 
-    def _analytic(self, s, t, inside):
-        z = np.asarray(t, dtype=float) + 1j * np.asarray(s, dtype=float)
-        w = self._invert(np.where(inside, z, 0.0))
-        return w
-
     def u(self, s, t):
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         inside = self.level(s, t) > 0.0
-        w = self._analytic(s, t, inside)
+        w = self._invert(np.where(inside, t + 1j * s, 0.0))
         vals = np.real(np.cosh(w))
         return np.where(inside, vals, 0.0)
 
@@ -84,21 +76,11 @@ class StripNeckExact:
         """(u_s, u_t) inside the positivity set (zero outside)."""
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         inside = self.level(s, t) > 0.0
-        w = self._analytic(s, t, inside)
+        w = self._invert(np.where(inside, t + 1j * s, 0.0))
         dU = np.sinh(w) / (1.0 + np.cosh(w))
         u_t = np.where(inside, np.real(dU), 0.0)
         u_s = np.where(inside, -np.imag(dU), 0.0)
         return u_s, u_t
-
-    def us_gradient(self, s, t):
-        """(d_s u_s, d_t u_s) inside the positivity set."""
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        inside = self.level(s, t) > 0.0
-        w = self._analytic(s, t, inside)
-        d2U = (1.0 + np.cosh(w)) ** (-2)
-        v_s = np.where(inside, -np.real(d2U), 0.0)
-        v_t = np.where(inside, -np.imag(d2U), 0.0)
-        return v_s, v_t
 
     def boundary_generator(self, t_vals) -> Generator:
         t_vals = np.asarray(t_vals, dtype=float)
@@ -109,11 +91,8 @@ class StripNeckExact:
             dss=np.cosh(t_vals),
         )
 
-    def mean_curvature(self, t_vals):
-        """Closed form for n = 2 with the positivity set below the curve."""
-        return 1.0 / np.cosh(np.asarray(t_vals, dtype=float)) ** 2
-
-    positive_side = "below"
+    # the positivity set lies at smaller s, left of the generator's travel in t
+    positive_side = "left"
 
 
 @dataclass

@@ -225,7 +225,7 @@ def weighted_norm_sq(xi: AxiField) -> float:
     return float(np.sum(xi.values**2 * node_weights(xi)))
 
 
-def assemble_operator(u: AxiField, beta: ReactionTerm, axis_dirichlet: bool = False):
+def assemble_operator(u: AxiField, beta: ReactionTerm):
     """Sparse matrices (A, w, mask) of the form and norm on unknown nodes.
 
     x^T A x equals the quadratic form of x embedded by ``mask`` (boundary
@@ -233,7 +233,7 @@ def assemble_operator(u: AxiField, beta: ReactionTerm, axis_dirichlet: bool = Fa
     A x = lambda diag(w) x discretizes the Rayleigh quotient.
     """
     ns, nt = u.values.shape
-    mask = _unknown_mask((ns, nt), u.has_axis and not axis_dirichlet)
+    mask = _unknown_mask((ns, nt), u.has_axis)
     w_s, w_t = _edge_weights(u)
     es = np.zeros((ns + 1, nt))  # es[i] weights the s-edge from i - 1 to i
     es[1:-1] = w_s / u.hs**2
@@ -253,7 +253,6 @@ def linearized_rayleigh_min(
     beta: ReactionTerm,
     max_iter: int = 600,
     tol: float = 1e-10,
-    axis_dirichlet: bool = False,
 ) -> SpectralReport:
     """Smallest Rayleigh quotient of the second variation at a solution.
 
@@ -271,9 +270,8 @@ def linearized_rayleigh_min(
     an entry <= 0, up to ``SIGN_SWEEPS`` line sweeps
     (:func:`_inward_line_sweep`) first rebuild the entries near the axis
     from the eigen-equation.  ``iterations`` counts the finest level's
-    LOBPCG steps, ``level_iterations`` every level's, coarsest first;
-    ``axis_dirichlet`` pins the axis column to zero (useful for
-    all-sides-Dirichlet reference problems).
+    LOBPCG steps, ``level_iterations`` every level's, coarsest first.  On a
+    grid with ``s_min > 0`` every side is a Dirichlet boundary.
     """
     res = residual_semilinear(u, beta)
     if res > 1e-6:
@@ -281,13 +279,13 @@ def linearized_rayleigh_min(
 
     # The edge part of A is a sum of weighted squared differences, so every
     # Rayleigh quotient of B is at least the smallest potential beta'(u)/2.
-    unknown = _unknown_mask(u.values.shape, u.has_axis and not axis_dirichlet)
+    unknown = _unknown_mask(u.values.shape, u.has_axis)
     bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[unknown]))
     shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
     factors, coarse, below, levels = LUCounts(), None, None, []
     for k in _level_strides(*u.values.shape):
         f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
-        A, w, mask = assemble_operator(f, beta, axis_dirichlet=axis_dirichlet)
+        A, w, mask = assemble_operator(f, beta)
         if not np.all(w > 0.0):
             raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
         # divided by the cell area, every level has the Newton Jacobian's scaling
@@ -402,26 +400,6 @@ def us_derivative(u: AxiField) -> AxiField:
     return u.with_values(out)
 
 
-def us_equation_residual(u: AxiField, beta: ReactionTerm) -> AxiField:
-    """Residual of the differentiated equation for c = u_s away from the axis.
-
-    Checks Delta_h c - (n-2) c / s^2 - beta'(u)/2 c, defined where the
-    stencil fits and s > 0; other entries are NaN.
-    """
-    from .axisym_field import apply_axisym_laplacian
-
-    c = us_derivative(u)
-    lap = apply_axisym_laplacian(c).values
-    out = np.full_like(u.values, np.nan)
-    s = u.s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(s[:, None] > 0.0, (u.n - 2) * c.values / s[:, None] ** 2, np.nan)
-    out[1:-1, 1:-1] = (
-        lap[1:-1, 1:-1] - term[1:-1, 1:-1] - 0.5 * np.asarray(beta.deriv(u.values[1:-1, 1:-1])) * c.values[1:-1, 1:-1]
-    )
-    return u.with_values(out)
-
-
 def _eta_and_gradsq(probe: StabilityProbe, f: AxiField):
     """The capped test function and its analytic squared gradient on the grid."""
     s = f.s[:, None]
@@ -503,25 +481,3 @@ def epsilon_schedule(n: int, alpha: float, eps0: float, R: float) -> float:
     if not sys.float_info.min <= eps < math.inf:
         raise InvalidParameterError(f"R^(-1/{denom:g}) leaves the normal float range")
     return float(eps)
-
-
-@dataclass
-class LogCutoff:
-    field: AxiField
-    grad_energy: float
-
-
-def log_cutoff_2d(R: float, grid) -> LogCutoff:
-    """Planar logarithmic cutoff: 1 inside radius 1, log-linear out to R.
-
-    The companion value is the continuum Dirichlet energy of the cutoff,
-    int |grad eta|^2 = int_1^R (1 / (r log R))^2 2 pi r dr = 2 pi / log R.
-    """
-    if R <= 1.0:
-        raise InvalidParameterError("R must exceed 1")
-    s, t = grid.axes()
-    r = np.hypot(s[:, None], t[None, :])
-    logR = math.log(R)
-    vals = np.where(r < 1.0, 1.0, np.where(r < R, (logR - np.log(np.maximum(r, 1.0))) / logR, 0.0))
-    f = AxiField(n=grid.n, s=s, t=t, values=vals)
-    return LogCutoff(field=f, grad_energy=2.0 * math.pi / logR)

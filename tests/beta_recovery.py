@@ -8,11 +8,15 @@ because no experiment of the lab calls it.
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from onephase_lab.errors import InversionError
+from onephase_lab.errors import LabError
 from onephase_lab.reaction_terms import ReactionTerm, make_tabulated_term
 
 # |v'''/v'| beyond this at the decaying tail flags possible loss of C^1 at 0
 TAIL_RATIO_TOL = 1e-2
+
+
+class InversionError(LabError):
+    """A sampled function required to be monotone is not."""
 
 
 def beta_from_profile(profile) -> tuple[ReactionTerm, frozenset]:

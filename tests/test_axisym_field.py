@@ -507,28 +507,20 @@ def test_failed_chord_step_is_redone_with_a_fresh_factor():
 
 
 def test_energy_piecewise_affine_exact():
+    # in the plane the cylindrical weight is the constant |S^0| = 2
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=33, nt=65)
     f = AxiField.from_function(g, lambda s, t: np.maximum(0.0, t))
-    eb = energy(f, one_phase=True, weighted=False)
-    assert eb.dirichlet == 1.0
-    assert eb.potential == 1.0
-    assert eb.total == 2.0
+    eb = energy(f, one_phase=True)
+    assert eb.dirichlet == 2.0
+    assert eb.potential == 2.0
+    assert eb.total == 4.0
 
 
 def test_energy_zero_field():
     g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
     f = AxiField.from_function(g, lambda s, t: 0.0 * s)
-    eb = energy(f, one_phase=True, weighted=True)
+    eb = energy(f, one_phase=True)
     assert eb.total == 0.0
-
-
-def test_energy_weight_flag_is_sphere_area_factor():
-    # in the plane the cylindrical weight is the constant |S^0| = 2
-    g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=33)
-    f = AxiField.from_function(g, lambda s, t: np.sin(s) * t + 0.2 * t**2)
-    flat = energy(f, one_phase=True, weighted=False)
-    weighted = energy(f, one_phase=True, weighted=True)
-    assert abs(weighted.total - 2.0 * flat.total) < 1e-12
 
 
 def test_energy_argument_validation(beta):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,6 +26,8 @@ from onephase_lab.config import (
 )
 from onephase_lab.errors import ConfigError, LabError
 from onephase_lab.experiments import ExperimentReport, run
+from onephase_lab.numerics import csv_lines
+from onephase_lab.reaction_terms import make_polynomial_beta
 from onephase_lab.reference import SphereShellExact, StripNeckExact
 from onephase_lab.stability import admissible_alpha
 
@@ -173,6 +176,52 @@ def test_malformed_reaction_table_exits_with_one_error_line(tmp_path, runner):
     assert isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:") and f"{table}, line 3" in lines[0]
+    assert not out.exists()
+
+
+def _table_run(tmp_path, runner, t, beta_values):
+    """Run ``profile`` on the reaction table beta(t); return the result and its out dir."""
+    table = tmp_path / "beta.csv"
+    table.write_text("t,beta\n" + csv_lines(t, beta_values))
+    path = tmp_path / "table.cfg"
+    path.write_text(f"[experiment]\nname = profile\n\n[reaction]\nkind = table:{table}\n")
+    out = tmp_path / "out"
+    return runner.invoke(main, ["profile", "--config", str(path), "--out", str(out)]), out
+
+
+def test_reaction_table_of_mass_two_exits_naming_the_unit_mass_clause(tmp_path, runner):
+    t = np.linspace(0.0, 1.0, 2001)
+    result, out = _table_run(tmp_path, runner, t, make_polynomial_beta(2.0).eval(t))
+    assert result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and "violates A1, unit mass clause" in lines[0]
+    assert abs(float(re.search(r"defect (\S+) above", lines[0]).group(1)) - 1.0) < 1e-9
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pad", [0, 1000], ids=["plain", "zero-padded"])
+def test_unit_mass_reaction_table_runs(tmp_path, runner, pad):
+    # poly2 at 2001 knots on [0, 1] (mass defect 1.2e-12), plus, padded, zeros
+    # at ``pad`` knots on each of [-0.5, 0) and (1, 1.5]: outside [0, 1] the
+    # values vanish, whatever the knot range
+    side = np.linspace(0.0, 0.5, pad + 1)[1:]
+    t = np.concatenate((-side[::-1], np.linspace(0.0, 1.0, 2001), 1.0 + side))
+    result, out = _table_run(tmp_path, runner, t, make_polynomial_beta(1.0).eval(t))
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["shoot"]["case_tag"] == "case_ii"
+
+
+def test_unknown_config_key_is_rejected(tmp_path, runner):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[experiment]\nname = profile\n\n[profile]\nhalfwidht = 5\n")
+    with pytest.raises(ConfigError, match=r"unknown config key \[profile\] halfwidht"):
+        parse_config(path)
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["profile", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and "[profile] halfwidht" in lines[0]
     assert not out.exists()
 
 

@@ -23,8 +23,6 @@ from onephase_lab.onephase_geometry import (
     _refined_solve,
     crossing_fractions,
     curvature_of_revolution,
-    extract_graph_boundary,
-    gradient_magnitude_identity,
     normal_derivative_identity,
     onephase_stability_form,
     solve_harmonic_masked,
@@ -32,6 +30,14 @@ from onephase_lab.onephase_geometry import (
 )
 from onephase_lab.reference import SphereShellExact, StripNeckExact
 from onephase_lab.stability import StabilityProbe, probe_inequality, quadratic_form, us_derivative
+
+from oracles import (
+    extract_graph_boundary,
+    gradient_magnitude_identity,
+    neck_generator_s,
+    neck_mean_curvature,
+    neck_us_gradient,
+)
 
 # ---------------------------------------------------------------- curvature
 
@@ -127,7 +133,7 @@ def test_curvature_cauchy_schwarz(seed, n):
 def test_strip_neck_is_an_exact_interface_solution():
     neck = StripNeckExact()
     tg = np.linspace(-0.9, 0.9, 61)
-    sg = neck.generator_s(tg)
+    sg = neck_generator_s(tg)
     assert np.max(np.abs(neck.u(sg - 1e-12, tg))) < 1e-10
     gs, gt = neck.grad(sg - 1e-10, tg)
     assert np.max(np.abs(np.hypot(gs, gt) - 1.0)) < 1e-8
@@ -144,17 +150,17 @@ def test_strip_neck_is_an_exact_interface_solution():
 def test_strip_neck_curvature_closed_form():
     neck = StripNeckExact()
     tg = np.linspace(-0.8, 0.8, 41)
-    b = curvature_of_revolution(neck.boundary_generator(tg), n=2, positive_side="below")
-    assert np.max(np.abs(b.mean_curv - neck.mean_curvature(tg))) < 1e-13
+    b = curvature_of_revolution(neck.boundary_generator(tg), n=2, positive_side="left")
+    assert np.max(np.abs(b.mean_curv - neck_mean_curvature(tg))) < 1e-13
 
 
 def test_strip_neck_normal_identity_analytic():
     # grad(u_s) . nu = H u_s from the closed-form derivatives, to round-off
     neck = StripNeckExact()
     tg = np.linspace(-0.8, 0.8, 41)
-    sg = neck.generator_s(tg) - 1e-9
-    b = curvature_of_revolution(neck.boundary_generator(tg), n=2, positive_side="below")
-    vs, vt = neck.us_gradient(sg, tg)
+    sg = neck_generator_s(tg) - 1e-9
+    b = curvature_of_revolution(neck.boundary_generator(tg), n=2, positive_side="left")
+    vs, vt = neck_us_gradient(neck, sg, tg)
     u_s, _ = neck.grad(sg, tg)
     lhs = vs * b.normals[:, 0] + vt * b.normals[:, 1]
     assert np.max(np.abs(lhs - b.mean_curv * u_s)) < 1e-7
@@ -387,7 +393,7 @@ def test_crossing_fractions_match_neck_closed_form():
 
 def test_boundary_csv_bytes_match_per_row_format(tmp_path):
     tg = np.linspace(-0.6, 0.6, 7)
-    b = curvature_of_revolution(StripNeckExact().boundary_generator(tg), n=2, positive_side="below")
+    b = curvature_of_revolution(StripNeckExact().boundary_generator(tg), n=2, positive_side="left")
     b.save_csv(tmp_path / "b.csv")
     rows = "".join(
         f"{b.t[k]:.17g},{b.s[k]:.17g},{b.mean_curv[k]:.17g},{b.normals[k, 0]:.17g},{b.normals[k, 1]:.17g}\n"
@@ -462,8 +468,8 @@ def test_identity_rejects_displaced_boundary():
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=149, nt=129)
     sol = solve_harmonic_masked(g, neck.level, neck.u)
     tg = np.linspace(-0.7, 0.7, 41)
-    displaced = Generator.from_graph(tg, neck.generator_s(tg) - 0.2)
-    boundary = curvature_of_revolution(displaced, n=2, positive_side="below")
+    displaced = Generator.from_graph(tg, neck_generator_s(tg) - 0.2)
+    boundary = curvature_of_revolution(displaced, n=2, positive_side="left")
     with pytest.raises(GeometryMismatchError):
         normal_derivative_identity(boundary, sol.field)
 
@@ -479,7 +485,7 @@ def test_identity_first_order_on_solved_neck():
         sol = solve_harmonic_masked(g, neck.level, neck.u)
         tg = np.linspace(-0.75, 0.75, 101)
         boundary = curvature_of_revolution(
-            neck.boundary_generator(tg), n=2, positive_side="below"
+            neck.boundary_generator(tg), n=2, positive_side="left"
         )
         defects.append(normal_derivative_identity(boundary, sol.field).max_defect)
     assert defects[0] / defects[1] > 1.5
@@ -692,7 +698,7 @@ def test_extract_graph_boundary_tracks_generator():
     neck = StripNeckExact()
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=149, nt=129)
     sol = solve_harmonic_masked(g, neck.level, neck.u)
-    ts, ss = extract_graph_boundary(sol.field, positive_side="below")
+    ts, ss = extract_graph_boundary(sol.field)
     keep = np.abs(ts) <= 0.75
-    expected = neck.generator_s(ts[keep])
+    expected = neck_generator_s(ts[keep])
     assert np.max(np.abs(ss[keep] - expected)) < 2.5 * g.hs

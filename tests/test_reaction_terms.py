@@ -1,32 +1,41 @@
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onephase_lab.errors import InvalidParameterError, InversionError
-from onephase_lab.numerics import simpson_refined
+from onephase_lab.errors import ConfigError, InvalidParameterError
+from onephase_lab.numerics import gl5_points
 from onephase_lab.profile1d import Profile1D
 from onephase_lab.reaction_terms import (
     load_reaction_csv,
     make_polynomial_beta,
     make_tabulated_term,
+    require_a1,
     rescale,
     resolve_reaction,
-    save_reaction_csv,
-    validate_a1,
 )
 
-from beta_recovery import beta_from_profile
+from beta_recovery import InversionError, beta_from_profile
+from oracles import save_reaction_csv
+
+
+def _integral(f, a, b):
+    """Panel-wise 5-point Gauss-Legendre value of ``f`` on [a, b]: exact to
+    rounding on polynomials of degree <= 9."""
+    nodes, weights = gl5_points(np.linspace(a, b, 9))
+    return float(weights @ f(nodes))
 
 
 def test_polynomial_coefficient_from_quadrature_oracle():
     # the unnormalized factor integrates to 1/30, forcing c = 30
-    raw_mass = simpson_refined(lambda t: t**2 * (1 - t) ** 2, 0.0, 1.0)
+    factor = np.polynomial.Polynomial([0.0, 0.0, 1.0, -2.0, 1.0]).integ()  # t^2 (1-t)^2
+    raw_mass = factor(1.0) - factor(0.0)
     assert abs(raw_mass - 1.0 / 30.0) < 1e-14
     beta = make_polynomial_beta(1.0)
     assert abs(beta.eval(0.5) - 30.0 * 0.5**2 * 0.5**2) < 1e-14
-    assert abs(simpson_refined(beta.eval, 0.0, 1.0) - 1.0) < 1e-12
+    assert abs(_integral(beta.eval, 0.0, 1.0) - 1.0) < 1e-12
 
 
 def test_support_endpoints_vanish(beta):
@@ -42,28 +51,47 @@ def test_primitive_half_mass_by_symmetry(beta):
     assert abs(beta.primitive(2.0) - 1.0) < 1e-14
 
 
+def _a1_defect(term, clause: str) -> float:
+    """The defect ``require_a1`` names for ``term``, which must fail first at ``clause``.
+
+    The clauses are checked in order (nonnegative, support in [0, 1], C^1,
+    unit mass), so a term that fails first at a clause passes all before it.
+    """
+    with pytest.raises(ConfigError, match=re.escape(f"{clause} clause: defect")) as err:
+        require_a1(term)
+    return float(re.search(r"defect (\S+) above", str(err.value)).group(1))
+
+
 def test_validate_a1_passes_on_witness(beta):
-    rep = validate_a1(beta)
-    assert all(c.passed for c in (rep.nonnegative, rep.support_in_unit_interval, rep.c1_continuous, rep.unit_mass))
-    assert rep.unit_mass.defect < 1e-10
+    assert require_a1(beta) is None  # every clause, the mass to 1e-10
 
 
 def test_validate_a1_flags_unnormalized_mass():
     raw = make_polynomial_beta(1.0 / 30.0)  # c = 1: bare t^2 (1-t)^2
-    rep = validate_a1(raw)
-    assert not rep.unit_mass.passed
-    assert abs(rep.unit_mass.defect - (1.0 - 1.0 / 30.0)) < 1e-10
-    assert rep.nonnegative.passed and rep.c1_continuous.passed
+    assert abs(_a1_defect(raw, "unit mass") - (1.0 - 1.0 / 30.0)) < 1e-10
 
 
 def test_validate_a1_zero_term_fails_only_mass():
     zero = make_tabulated_term(np.linspace(0, 1, 9), np.zeros(9), name="zero")
-    rep = validate_a1(zero)
-    assert not rep.unit_mass.passed
-    assert abs(rep.unit_mass.defect - 1.0) < 1e-12
-    assert rep.nonnegative.passed
-    assert rep.support_in_unit_interval.passed
-    assert rep.c1_continuous.passed
+    assert abs(_a1_defect(zero, "unit mass") - 1.0) < 1e-12
+
+
+def test_validate_a1_names_the_support_and_c1_clauses(beta):
+    # poly2 moved to [0.25, 1.25]: unit mass and C^1, but positive beyond 1
+    t = np.linspace(0.25, 1.25, 2001)
+    assert _a1_defect(make_tabulated_term(t, beta.eval(t - 0.25)), "support in [0, 1]") > 0.1
+    # the indicator of [0, 1]: unit mass, zero outside, but it jumps at both ends
+    assert _a1_defect(make_tabulated_term(np.linspace(0, 1, 9), np.ones(9)), "C^1") > 1.0
+
+
+def test_validate_a1_judges_support_by_values_not_knots(beta):
+    # zeros on [-0.5, 0) and (1, 1.5] leave the term as it was
+    pad = np.linspace(0.0, 0.5, 1001)[1:]
+    inner = np.linspace(0.0, 1.0, 2001)
+    t = np.concatenate((-pad[::-1], inner, 1.0 + pad))
+    padded = make_tabulated_term(t, beta.eval(t))
+    assert padded.support == (-0.5, 1.5)
+    assert require_a1(padded) is None
 
 
 def test_primitive_is_running_integral(beta):
@@ -86,7 +114,7 @@ def test_rescale_identity_and_pointwise(beta):
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.125, 0.037, 3.0])
 def test_rescale_mass_invariance(beta, eps):
     scaled = rescale(beta, eps)
-    mass = simpson_refined(scaled.eval, 0.0, eps)
+    mass = _integral(scaled.eval, 0.0, eps)
     assert abs(mass - 1.0) < 1e-10
 
 

@@ -33,14 +33,14 @@ from onephase_lab.stability import (
     assemble_operator,
     epsilon_schedule,
     linearized_rayleigh_min,
-    log_cutoff_2d,
     node_weights,
     probe_inequality,
     quadratic_form,
     us_derivative,
-    us_equation_residual,
     weighted_norm_sq,
 )
+
+from oracles import log_cutoff_2d, us_equation_residual
 
 
 def tiled_layer(beta, layer_profile, grid):
@@ -94,12 +94,12 @@ def test_form_matches_assembled_matrix(beta, layer_profile):
     assert abs(q_direct - q_matrix) < 1e-8 * (1.0 + abs(q_direct))
 
 
-def _loop_operator(u, beta, axis_dirichlet):
+def _loop_operator(u, beta):
     """The per-edge assembly loop, kept as the reference of assemble_operator."""
     ns, nt = u.values.shape
     mask = np.zeros((ns, nt), dtype=bool)
     mask[1:-1, 1:-1] = True
-    if u.has_axis and not axis_dirichlet:
+    if u.has_axis:
         mask[0, 1:-1] = True
     index = -np.ones((ns, nt), dtype=int)
     m = int(mask.sum())
@@ -127,12 +127,14 @@ def _loop_operator(u, beta, axis_dirichlet):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("s_min", [0.0, 0.3])
-@pytest.mark.parametrize("axis_dirichlet", [False, True])
-def test_assembled_operator_matches_loop_reference(beta, n, s_min, axis_dirichlet):
-    g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-2.0, t_max=2.0, ns=19, nt=23)
+@pytest.mark.parametrize("off_axis", [False, True])
+def test_assembled_operator_matches_loop_reference(beta, n, s_min, off_axis):
+    # off_axis moves the s-range out by 1: a Dirichlet column where the axis was
+    shift = 1.0 if off_axis else 0.0
+    g = GridSpec(n=n, s_min=s_min + shift, s_max=2.0 + shift, t_min=-2.0, t_max=2.0, ns=19, nt=23)
     u = AxiField.from_function(g, lambda s, t: np.tanh(t + 0.3 * s) + 0.2 * np.cos(3.0 * s * t))
-    A, w, mask = assemble_operator(u, beta, axis_dirichlet=axis_dirichlet)
-    ref = _loop_operator(u, beta, axis_dirichlet)
+    A, w, mask = assemble_operator(u, beta)
+    ref = _loop_operator(u, beta)
     assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
     assert np.array_equal(w, node_weights(u)[mask])
@@ -200,10 +202,11 @@ def test_integration_by_parts_identity_second_order(beta, layer_profile):
 
 def test_dirichlet_laplacian_oracle(beta):
     # zero field, planar weight: the smallest eigenvalue of the five-point
-    # Dirichlet Laplacian on the unit square has a separable closed form
-    g = GridSpec(n=2, s_max=1.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
+    # Dirichlet Laplacian on a unit square has a separable closed form; off
+    # the axis (s in [1, 2]) every side is a Dirichlet boundary
+    g = GridSpec(n=2, s_min=1.0, s_max=2.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
     z = AxiField.from_function(g, lambda s, t: 0.0 * s)
-    rep = linearized_rayleigh_min(z, beta, tol=1e-10, axis_dirichlet=True)
+    rep = linearized_rayleigh_min(z, beta, tol=1e-10)
     h = g.hs
     exact = 2.0 * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
     assert abs(rep.rayleigh_min - exact) < 1e-9
@@ -212,7 +215,7 @@ def test_dirichlet_laplacian_oracle(beta):
 
 def test_negative_potential_dirichlet_oracle_is_unstable(beta):
     # beta'(u)/2 = -k/2 everywhere shifts the Dirichlet spectrum down by k/2
-    g = GridSpec(n=2, s_max=1.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
+    g = GridSpec(n=2, s_min=1.0, s_max=2.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
     z = AxiField.from_function(g, lambda s, t: 0.0 * s)
     k = 50.0
     dip = dataclasses.replace(
@@ -221,7 +224,7 @@ def test_negative_potential_dirichlet_oracle_is_unstable(beta):
         deriv=lambda v: np.full_like(np.asarray(v, dtype=float), -k),
     )
     tol = 1e-10
-    rep = linearized_rayleigh_min(z, dip, tol=tol, axis_dirichlet=True)
+    rep = linearized_rayleigh_min(z, dip, tol=tol)
     h = g.hs
     exact = 2.0 * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
     assert abs(rep.rayleigh_min - (exact - k / 2.0)) < tol
@@ -236,28 +239,28 @@ def _lowest_tridiagonal(diag, off, weight):
     return float(low[0])
 
 
-def _radial_mu(n, s, axis_dirichlet=False):
-    """mu_s of the separable oracle: radial stiffness of the s-edges against
-    the column weights cs, zero on the outer column and, with
-    ``axis_dirichlet``, on the axis column."""
+def _radial_mu(n, s):
+    """mu_s of the separable oracle on the grid columns ``s``: radial
+    stiffness of the s-edges against the column weights cs, zero on the
+    outer column and, off the axis (s[0] > 0), on the first."""
     m, hs = n - 2, s[1] - s[0]
     cs = s**m * hs
     cs[0] = (hs / 2.0) ** (m + 1) / (m + 1)
     edge = ((s[1:] + s[:-1]) / 2.0) ** m / hs
-    first = 1 if axis_dirichlet else 0
+    first = 0 if s[0] == 0.0 else 1
     stiff = np.concatenate(([0.0], edge))
     return _lowest_tridiagonal((stiff[:-1] + stiff[1:])[first:], -edge[first:-1], cs[first:-1])
 
 
-def _coarsest_lu_fill(u, beta, axis_dirichlet):
+def _coarsest_lu_fill(u, beta):
     """nnz(L + U) of the LU of (A - shift W) / (hs ht) on the 65^2
     every-other-node level of ``u``, at the eigen solve's shift."""
-    _, _, mask = assemble_operator(u, beta, axis_dirichlet=axis_dirichlet)
+    _, _, mask = assemble_operator(u, beta)
     bound = float(np.min(0.5 * beta.deriv(u.values)[mask]))
     shift = bound - 1e-3 * (1.0 + abs(bound))
     k = (len(u.s) - 1) // 64
     c = AxiField(n=u.n, s=u.s[::k], t=u.t[::k], values=u.values[::k, ::k])
-    A, w, _ = assemble_operator(c, beta, axis_dirichlet=axis_dirichlet)
+    A, w, _ = assemble_operator(c, beta)
     return splu(((A - shift * sp.diags(w)) / (c.hs * c.ht)).tocsc(), **LU_OPTIONS).nnz
 
 
@@ -266,23 +269,25 @@ def _coarsest_lu_fill(u, beta, axis_dirichlet):
     "n, ns", [pytest.param(3, 129, id="3"), pytest.param(4, 129, id="4"), pytest.param(5, 129, id="5"),
               pytest.param(3, 257, id="3-257")]
 )
-@pytest.mark.parametrize("axis_dirichlet", [False, True])
-def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, axis_dirichlet):
+@pytest.mark.parametrize("off_axis", [False, True])
+def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, off_axis):
     # On an s-independent field the form is Ks (x) Mt + Ms (x) (Kt + P) against
-    # Ms (x) Mt, so its smallest eigenvalue is mu_s + mu_t exactly.
-    g = GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=ns)
+    # Ms (x) Mt, so its smallest eigenvalue is mu_s + mu_t exactly.  Off the
+    # axis (s in [1, 4]) the first column is a Dirichlet boundary too.
+    s_min = 1.0 if off_axis else 0.0
+    g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=ns)
     u = tiled_layer(beta, layer_profile, g)
     tol = 1e-8
-    rep = linearized_rayleigh_min(u, beta, tol=tol, axis_dirichlet=axis_dirichlet)
+    rep = linearized_rayleigh_min(u, beta, tol=tol)
 
-    mu_s, ht = _radial_mu(n, u.s, axis_dirichlet), g.ht
+    mu_s, ht = _radial_mu(n, u.s), g.ht
     # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
     pot = 0.5 * beta.deriv(u.values[0, 1:-1])
     mu_t = _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
 
     assert abs(rep.rayleigh_min - (mu_s + mu_t)) <= tol
     assert rep.factors.factorizations == 1
-    assert rep.factors.fill_nnz == _coarsest_lu_fill(u, beta, axis_dirichlet)
+    assert rep.factors.fill_nnz == _coarsest_lu_fill(u, beta)
 
 
 @pytest.mark.parametrize("n, zero", [(3, jn_zeros(0, 1)[0]), (4, math.pi), (5, jn_zeros(1, 1)[0])])

@@ -106,3 +106,66 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(paths) > 20
     unused = [f"{p.relative_to(root)}:{line} {name}" for p in paths for line, name in _unused_imports(p)]
     assert unused == []
+
+
+# public names nothing in the lab reaches, each kept on purpose
+_UNREACHED_ON_PURPOSE = {
+    # the paper's second variation Q(xi) as a function of a test direction:
+    # public API that the tests hold the assembled eigen operator against
+    "quadratic_form",
+    # the tags classify builds as CASE_I + REFLECTED and CASE_II + REFLECTED,
+    # named for callers that compare against them
+    "CASE_I_REFLECTED",
+    "CASE_II_REFLECTED",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) of the public module-level functions, classes and
+    constants of ``tree``; a decorated function is reached through its
+    decorator (a CLI command, say) and is left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if not (isinstance(node, ast.FunctionDef) and node.decorator_list):
+                yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node
+
+
+def _references(tree, skip=None):
+    """Names, attributes and identifier strings (``getattr``-style hooks) read
+    in ``tree``, outside the subtree ``skip``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_is_reached_by_the_lab():
+    # the package is what the experiments, scripts and benchmark run: a public
+    # name that only __init__ re-exports and only tests read belongs in tests/
+    root = PYPROJECT.parent
+    paths = [p for d in ("src", "scripts", "perfbench") for p in sorted((root / d).rglob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    everywhere = {p: _references(tree) for p, tree in trees.items()}
+    unreached = []
+    for path in sorted((SRC / "onephase_lab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for name, node in _public_definitions(trees[path]):
+            elsewhere = any(name in refs for p, refs in everywhere.items() if p != path)
+            if not elsewhere and name not in _references(trees[path], skip=node):
+                unreached.append(name)
+    assert sorted(set(unreached) - _UNREACHED_ON_PURPOSE) == []
+    assert _UNREACHED_ON_PURPOSE <= set(unreached), "a name kept on purpose is reached now: drop it from the list"
