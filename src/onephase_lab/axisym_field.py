@@ -14,8 +14,9 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgttrf, dgttrs, dlartg
+from scipy.sparse.linalg import splu
 
 from .errors import DomainError, InvalidParameterError, NonconvergenceError
 from .numerics import LU_OPTIONS, LUCounts, stencil_matrix, unit_sphere_area
@@ -226,9 +227,10 @@ class SolveResult:
     factors: LUCounts
 
 
-# GMRES on the levels above the coarsest: relative tolerance (atol = 0),
-# restart length and restart cycles.  Its preconditioner is one V-cycle
-# smoothed by zebra line Gauss-Seidel (``_KrylovSolve``).
+# Flexible GMRES (``_fgmres``) on the levels above the coarsest: relative
+# tolerance on the true residual (atol = 0), restart length and restart
+# cycles.  Its right preconditioner is one V-cycle smoothed by zebra line
+# Gauss-Seidel (``_KrylovSolve``), applied once per iteration.
 KRYLOV_RTOL, KRYLOV_RESTART, KRYLOV_MAXITER = 1e-6, 30, 10
 
 
@@ -243,18 +245,20 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     ``residual(x)`` returns the residual vector and ``jacobian(x)`` its
     Jacobian as a sparse matrix.  ``factor(J, counts)`` returns an object
     whose ``solve`` applies the inverse of J: a sparse LU by default, a
-    V-cycle preconditioned GMRES (``_KrylovSolve``) on the 2D levels above
-    the coarsest.  Each step backtracks (halving, Armijo margin 1e-4) until
-    the residual 2-norm, the merit, decreases strictly; a trial that leaves x
-    unchanged ends the backtracking as failed.  Convergence is judged in the
+    flexible GMRES right-preconditioned by one V-cycle (``_KrylovSolve``),
+    solving to KRYLOV_RTOL, on the 2D levels above the coarsest.  Each step
+    backtracks (halving, Armijo margin 1e-4) until the residual 2-norm, the
+    merit, decreases strictly; a trial that leaves x unchanged ends the
+    backtracking as failed.  Convergence is judged in the
     sup norm.  After a step that cut the merit tenfold the factor is
     reused (a chord step); a chord step failing at full length is redone with
     a fresh factor, so only a fresh Jacobian can stagnate.
     Stagnated backtracking, or ``max_iter`` steps without reaching ``tol``,
     raise ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
     and the sup-norm trace; on a GMRES level the message also names the last
-    solve's iteration count and exit status.  Returns (finish(x), sup norms,
-    merits, factors).
+    solve's iteration count and exit status (nonzero when its restarts ran
+    out above KRYLOV_RTOL).  Returns (finish(x), sup norms, merits,
+    factors).
     """
     res = residual(x)
     # damping decreases the smooth 2-norm; convergence is in the sup norm
@@ -376,11 +380,13 @@ class _ZebraLines:
 
 
 class _KrylovSolve:
-    """GMRES on a fine-level Jacobian ``J``, preconditioned by one V-cycle.
+    """Flexible GMRES on a fine-level Jacobian ``J``, right-preconditioned
+    by one V-cycle.
 
-    ``solve`` is the Newton solve's GMRES; ``cycle`` alone is the
-    preconditioner ``_level_cycle`` hands out, to the next finer level and
-    to the eigen solve's LOBPCG, which runs on the same levels.
+    ``solve`` is the Newton solve's ``_fgmres``, which applies ``cycle``
+    once per iteration and stops on the true residual; ``cycle`` alone is
+    the preconditioner ``_level_cycle`` hands out, to the next finer level
+    and to the eigen solve's LOBPCG, which runs on the same levels.
     The unknowns are the rectangular block of grid rows 0 (with the axis) or
     1 to -2 and columns 1 to -2, in row-major order.  The cycle smooths by
     zebra line Gauss-Seidel (Trottenberg, Oosterlee and Schueller,
@@ -394,7 +400,8 @@ class _KrylovSolve:
     even t-lines.  Line solves keep the cycle effective where one
     direction's couplings dominate: along s near the axis at large n and
     when ht exceeds hs, along t when hs exceeds ht.
-    GMRES iterations go to ``counts``.
+    GMRES iterations, and the last solve's iterations and exit status, go
+    to ``counts``.
     """
 
     def __init__(self, J, counts: LUCounts, mask, coarse_mask, coarse):
@@ -429,21 +436,58 @@ class _KrylovSolve:
         return x
 
     def solve(self, b):
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        # M is built per call: kept on self, its bound self.cycle would make a
-        # reference cycle that holds J and the coarse levels until a cyclic GC
-        x, info = gmres(
-            self.J, b, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART, maxiter=KRYLOV_MAXITER,
-            M=LinearOperator(self.J.shape, matvec=self.cycle, dtype=float), callback=count, callback_type="pr_norm",
-        )
+        x, iterations, status = _fgmres(self.J, b, self.cycle)
         self.counts.krylov_iterations += iterations
-        self.counts.krylov_last = (iterations, info)
+        self.counts.krylov_last = (iterations, status)
         return x
+
+
+def _fgmres(J, b, cycle):
+    """Restarted flexible GMRES on J x = b from x = 0, right-preconditioned
+    by ``cycle`` (Saad, SIAM J. Sci. Comput. 14 (1993) 461-469).
+
+    Iteration j applies ``cycle`` once, Z_j = cycle(V_j), and J once, to Z_j;
+    modified Gram-Schmidt orthogonalizes J Z_j against the basis V, and
+    Givens rotations (LAPACK ``dlartg``) update the least-squares residual,
+    which is ||b - J (x + Z y)||.  A restart cycle ends when that residual is
+    at most KRYLOV_RTOL ||b||, or after KRYLOV_RESTART iterations, with
+    x += Z y; the true residual b - J x then decides whether to restart, at
+    most KRYLOV_MAXITER times.  Returns (x, iterations, exit status): 0 when
+    ||b - J x|| <= KRYLOV_RTOL ||b||, else KRYLOV_MAXITER.
+    """
+    x, r, iterations = np.zeros_like(b), b, 0
+    target = KRYLOV_RTOL * np.linalg.norm(b)
+    for restart in range(KRYLOV_MAXITER + 1):
+        g = [np.linalg.norm(r)]
+        if g[0] <= target or restart == KRYLOV_MAXITER:
+            return x, iterations, 0 if g[0] <= target else KRYLOV_MAXITER
+        V, Z, H, rotations = [r / g[0]], [], [], []
+        while True:
+            Z.append(cycle(V[-1]))
+            w = J @ Z[-1]
+            h = np.empty(len(V) + 1)
+            for i, v in enumerate(V):
+                h[i] = v @ w
+                w -= h[i] * v
+            h[-1] = np.linalg.norm(w)
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            c, s, h[-2] = dlartg(h[-2], h[-1])
+            rotations.append((c, s))
+            g.append(-s * g[-1])
+            g[-2] *= c
+            H.append(h[:-1])
+            iterations += 1
+            # h[-1] = 0, a happy breakdown, makes s = 0 and ends the cycle here
+            if abs(g[-1]) <= target or len(Z) == KRYLOV_RESTART:
+                break
+            V.append(w / h[-1])
+        R = np.zeros((len(H), len(H)))
+        for j, column in enumerate(H):
+            R[: j + 1, j] = column
+        for z, y in zip(Z, solve_triangular(R, g[:-1])):
+            x += y * z
+        r = b - J @ x
 
 
 def solve_semilinear(
@@ -463,8 +507,8 @@ def solve_semilinear(
     level is a ``_damped_newton`` on Delta_h u - beta(u)/2, evaluated like
     ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2.  Only the
     coarsest level factors its Jacobian (sparse LU); every finer level solves
-    its Newton systems with GMRES preconditioned by one V-cycle over the
-    coarser levels.  A level that stagnates or misses ``tol`` in ``max_iter``
+    its Newton systems with flexible GMRES right-preconditioned by one
+    V-cycle over the coarser levels.  A level that stagnates or misses ``tol`` in ``max_iter``
     steps raises ``NonconvergenceError`` with its last iterate and trace,
     naming the grid if it is coarse.  ``factors`` counts all levels.
     """

@@ -225,9 +225,9 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     """Read a config file into an :class:`ExperimentConfig`.
 
     Syntax errors carry the offending line numbers (from the stdlib parser);
-    semantic errors name the section and key.  An unknown section or an
-    unknown key inside a known one is an error; a ``[tolerances]`` name is
-    checked by :meth:`ExperimentConfig.validate`.
+    semantic errors name the section and key.  A ``[DEFAULT]`` section, an
+    unknown section or an unknown key inside a known one is an error; a
+    ``[tolerances]`` name is checked by :meth:`ExperimentConfig.validate`.
     """
     cfg = base if base is not None else ExperimentConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
@@ -238,6 +238,9 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    if parser.defaults():
+        # configparser hands [DEFAULT] keys to every section, not to the run
+        raise ConfigError(f"config section [DEFAULT] in {str(path)!r} is not read; set each key in its own section")
     for sec in parser.sections():
         if sec not in _SECTIONS:
             raise ConfigError(f"unknown config section [{sec}] in {str(path)!r}; choose from {_SECTIONS}")

@@ -11,7 +11,7 @@ hypotheses are the paper's A1; a run resolves a table only once it passes
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,8 @@ class ReactionTerm:
     ``eval``, ``deriv`` and ``primitive`` are vectorized callables; the
     primitive is the running integral of ``eval`` from 0.  ``support`` is the
     closed interval outside which ``eval`` vanishes and ``mass`` the total
-    integral over it.
+    integral over it.  ``knots`` are the abscissae of a tabulated term's
+    samples, where its interpolant takes its extreme values.
     """
 
     name: str
@@ -37,6 +38,7 @@ class ReactionTerm:
     primitive: object
     support: tuple[float, float]
     mass: float
+    knots: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def make_polynomial_beta(normalization: float = 1.0) -> ReactionTerm:
@@ -93,7 +95,9 @@ def make_tabulated_term(
 ) -> ReactionTerm:
     """Reaction term from samples (t, beta) via monotone cubic interpolation.
 
-    The primitive is the exact antiderivative of the interpolant, shifted to
+    The interpolant is monotone between knots, so its extreme values are
+    samples: :func:`require_a1` judges nonnegativity at ``knots``.  The
+    primitive is the exact antiderivative of the interpolant, shifted to
     vanish at the lower support end and held constant above the upper end.
     """
     t = np.asarray(knots_t, dtype=float)
@@ -102,7 +106,7 @@ def make_tabulated_term(
         raise InvalidParameterError("need matching 1D knot arrays, length >= 4")
     if np.any(np.diff(t) <= 0):
         raise InvalidParameterError("knot abscissae must be strictly increasing")
-    interp = Pchip(t, np.maximum(b, 0.0))
+    interp = Pchip(t, b)
     lo, hi = float(t[0]), float(t[-1])
     total = float(interp.antiderivative(hi))
 
@@ -128,6 +132,7 @@ def make_tabulated_term(
         primitive=_primitive,
         support=(lo, hi),
         mass=total,
+        knots=t,
     )
 
 
@@ -135,14 +140,15 @@ def require_a1(term: ReactionTerm) -> None:
     """Raise ``ConfigError`` naming the first clause of A1 that ``term`` fails.
 
     The clauses, in order: ``eval`` is nonnegative and vanishes outside
-    [0, 1] (both judged on samples over [-1, 2], so a table padded with
-    zeros passes); it is C^1; and its exact ``mass`` is 1 to ``MASS_TOL``.
+    [0, 1] (both judged on samples over [-1, 2] and at the term's
+    ``knots``, so a table padded with zeros passes); it is C^1; and its
+    exact ``mass`` is 1 to ``MASS_TOL``.
     The C^1 clause compares centered differences of ``eval`` at steps
     h in {1e-3, 1e-4, 1e-5} against ``deriv`` and keeps, per point, the best
     agreement; tabulated terms are only piecewise smooth between knots, so
     its threshold is scaled by the derivative's size.
     """
-    grid = np.linspace(-1.0, 2.0, 2001)
+    grid = np.concatenate((np.linspace(-1.0, 2.0, 2001), term.knots))
     vals = term.eval(grid)
     check_pts = np.concatenate(([0.0, 1.0], np.linspace(0.02, 0.98, 49)))
     best = np.full(check_pts.shape, np.inf)
@@ -178,6 +184,7 @@ def rescale(term: ReactionTerm, epsilon: float) -> ReactionTerm:
         primitive=lambda t: term.primitive(np.asarray(t) / eps),
         support=(lo * eps, hi * eps),
         mass=term.mass,
+        knots=term.knots * eps,
     )
 
 

@@ -165,6 +165,20 @@ def test_unknown_config_section_is_rejected(tmp_path, runner):
     assert not out.exists()
 
 
+def test_default_section_is_rejected(tmp_path, runner):
+    # configparser would hand a = 2.0 to no field, and profile would run at a = 1
+    path = tmp_path / "default.cfg"
+    path.write_text("[DEFAULT]\na = 2.0\n")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        parse_config(path)
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["profile", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and "[DEFAULT]" in lines[0]
+    assert not out.exists()
+
+
 def test_malformed_reaction_table_exits_with_one_error_line(tmp_path, runner):
     table = tmp_path / "bad.csv"
     table.write_text("t,beta,beta_prime,Phi\n0,0,0,0\nabc,1,0,0\n")
@@ -196,6 +210,22 @@ def test_reaction_table_of_mass_two_exits_naming_the_unit_mass_clause(tmp_path, 
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:") and "violates A1, unit mass clause" in lines[0]
     assert abs(float(re.search(r"defect (\S+) above", lines[0]).group(1)) - 1.0) < 1e-9
+    assert not out.exists()
+
+
+def test_reaction_table_with_a_negative_sample_exits_naming_nonnegativity(tmp_path, runner):
+    # poly2 at 2001 knots with the sample at t = 0.4995 set to -5: the mass is
+    # off too (by 3.4e-3), and the negative dip falls between the knots that
+    # the [-1, 2] grid of require_a1 hits
+    t = np.linspace(0.0, 1.0, 2001)
+    values = make_polynomial_beta(1.0).eval(t)
+    values[999] = -5.0
+    result, out = _table_run(tmp_path, runner, t, values)
+    assert result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and "violates A1, nonnegative clause" in lines[0]
+    assert "unit mass" not in lines[0]
+    assert float(re.search(r"defect (\S+) above", lines[0]).group(1)) == 5.0
     assert not out.exists()
 
 
