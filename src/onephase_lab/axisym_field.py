@@ -8,6 +8,7 @@ at s = 0 by its symmetric limit (n-1) u_ss through a ghost reflection.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from functools import partial
@@ -40,8 +41,10 @@ class GridSpec:
             raise InvalidParameterError("ambient dimension must be >= 2")
         if self.ns < 3 or self.nt < 3:
             raise InvalidParameterError("need at least 3 nodes per direction")
-        if not (self.s_max > self.s_min >= 0.0) or not (self.t_max > self.t_min):
-            raise InvalidParameterError("degenerate grid extents")
+        # a finite width needs finite extents whose difference does not overflow
+        widths = (self.s_max - self.s_min, self.t_max - self.t_min)
+        if not (self.s_min >= 0.0 and all(math.inf > w > 0.0 for w in widths)):
+            raise InvalidParameterError("degenerate or non-finite grid extents")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -115,14 +118,6 @@ class AxiField:
         k = i * nt + j  # the cell's lower-left corner in the flat values
         zs, zt = 1.0 - ys, 1.0 - yt
         return v[k] * zs * zt + v[k + 1] * zs * yt + v[k + nt] * ys * zt + v[k + nt + 1] * ys * yt
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "AxiField":
-        s, t = grid.axes()
-        vals = np.broadcast_to(
-            np.asarray(fn(s[:, None], t[None, :]), dtype=float), (grid.ns, grid.nt)
-        ).copy()
-        return cls(n=grid.n, s=s, t=t, values=vals)
 
     def save_binary(self, path) -> None:
         """AXIF block: b"AXIF", int32 n, ns, nt, then little-endian float64
@@ -253,8 +248,9 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     sup norm.  After a step that cut the merit tenfold the factor is
     reused (a chord step); a chord step failing at full length is redone with
     a fresh factor, so only a fresh Jacobian can stagnate.
-    Stagnated backtracking, or ``max_iter`` steps without reaching ``tol``,
-    raise ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
+    A start whose residual is not finite, stagnated backtracking, or
+    ``max_iter`` steps without reaching ``tol``, raise
+    ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
     and the sup-norm trace; on a GMRES level the message also names the last
     solve's iteration count and exit status (nonzero when its restarts ran
     out above KRYLOV_RTOL).  Returns (finish(x), sup norms, merits,
@@ -274,6 +270,9 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
             message += "; last GMRES solve: %d iterations, exit status %d" % factors.krylov_last
         return NonconvergenceError(message, last=finish(x), trace=history)
 
+    # an accepted step lowers the merit, so only the start can be non-finite
+    if not np.isfinite(history[-1]):
+        raise failure("residual is not finite at iteration 0", x)
     while history[-1] > tol:
         iterations = len(history) - 1
         if iterations >= max_iter:

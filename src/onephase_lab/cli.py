@@ -14,7 +14,6 @@ from .config import (
     ExperimentConfig,
     _parse_floats,
     _parse_ints,
-    apply_env_overrides,
     parse_config,
 )
 from .errors import LabError
@@ -22,15 +21,12 @@ from .experiments import run
 
 
 def _execute(config_path, experiment, out_dir, **flags) -> None:
-    """Load the config, apply the flags that were given and the environment's
-    tolerance overrides, run, and report; lab errors exit cleanly."""
+    """Load the config, apply the flags that were given, run, and report; the
+    config file and the flags are the run's only input.  Lab errors exit cleanly."""
     try:
-        cfg = ExperimentConfig(experiment=experiment)
-        if config_path is not None:
-            cfg = replace(parse_config(config_path, base=cfg), experiment=experiment)
-        flags["out_dir"] = out_dir
+        cfg = ExperimentConfig() if config_path is None else parse_config(config_path)
+        flags.update(experiment=experiment, out_dir=out_dir)
         cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
-        cfg = replace(cfg, tolerances=apply_env_overrides(cfg.tolerances))
         report = run(cfg)
     except LabError as exc:
         raise click.ClickException(str(exc)) from exc

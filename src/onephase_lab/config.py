@@ -1,11 +1,9 @@
 """Experiment configuration: line-oriented key=value files with sections.
 
 The configuration format is INI-style (diff-friendly, stdlib parser); a
-section or key the lab does not know is an error, not a silent default.  On
-the command line every tolerance can be overridden by an environment
-variable with the uniform prefix ``ONEPHASE_LAB_TOL_`` (for example
-``ONEPHASE_LAB_TOL_NEWTON=1e-8``), with or without a config file; see
-:func:`apply_env_overrides`.
+section or key the lab does not know is an error, not a silent default.  The
+config file, with the command-line flags that set its keys, is the only
+input of a run: tolerances come from its ``[tolerances]`` section alone.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .numerics import log_min_node_weight
@@ -22,7 +20,6 @@ from .numerics import log_min_node_weight
 EXPERIMENTS = ("profile", "solve", "stability", "onephase", "blowdown", "window", "figure1")
 BOUNDARY_MODELS = ("profile", "affine", "catenoid")
 ONEPHASE_PRESETS = ("strip_neck", "sphere")
-ENV_TOL_PREFIX = "ONEPHASE_LAB_TOL_"
 
 _DEFAULT_TOLERANCES = {
     "newton": 1e-10,
@@ -80,13 +77,18 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        for sec, key, name, parse in _KEYS:
+            value = getattr(self, name)
+            finite = map(math.isfinite, value if parse is _parse_floats else [value])
+            if parse in (float, _parse_floats) and not all(finite):
+                raise ConfigError(f"[{sec}] {key} must be finite, got {_render(value)}")
         if self.n < 2:
             raise ConfigError("grid dimension n must be >= 2")
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}; choose from {tuple(_DEFAULT_TOLERANCES)}")
-            if not (value > 0.0):
-                raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
+            if not (0.0 < value < math.inf):
+                raise ConfigError(f"tolerance {name!r} must be positive and finite, got {value!r}")
         if self.reaction.startswith("table:"):
             path = self.reaction[len("table:"):]
             if not os.path.exists(path):
@@ -131,14 +133,12 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _get(parser, section, key, cast, current):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return current
+def _get(parser, section, key, cast):
+    raw = parser.get(section, key)
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def _parse_bool(raw: str) -> bool:
@@ -189,9 +189,8 @@ _KEYS = (
 )
 
 _SECTIONS = tuple(dict.fromkeys(sec for sec, *_ in _KEYS)) + ("tolerances",)
-# every (section, key) a config may set, lower-cased as the parser reads keys; the
-# retired [experiment] threads of old configs is still read, and ignored
-_KNOWN = {(sec, key.lower()) for sec, key, *_ in _KEYS} | {("experiment", "threads")}
+# every (section, key) a config may set, lower-cased as the parser reads keys
+_KNOWN = {(sec, key.lower()) for sec, key, *_ in _KEYS}
 
 
 def _render(value) -> str:
@@ -205,23 +204,7 @@ def _render(value) -> str:
     return str(value)
 
 
-def apply_env_overrides(tolerances: dict, environ=None) -> dict:
-    """``tolerances`` updated from the ``ONEPHASE_LAB_TOL_<NAME>`` variables of
-    ``environ`` (default ``os.environ``); names are lower-cased and checked
-    by :meth:`ExperimentConfig.validate`."""
-    env = os.environ if environ is None else environ
-    out = dict(tolerances)
-    for key, raw in env.items():
-        if key.startswith(ENV_TOL_PREFIX):
-            name = key[len(ENV_TOL_PREFIX):].lower()
-            try:
-                out[name] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"environment override {key}={raw!r}: {exc}") from exc
-    return out
-
-
-def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def parse_config(path) -> ExperimentConfig:
     """Read a config file into an :class:`ExperimentConfig`.
 
     Syntax errors carry the offending line numbers (from the stdlib parser);
@@ -229,7 +212,6 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
     unknown section or an unknown key inside a known one is an error; a
     ``[tolerances]`` name is checked by :meth:`ExperimentConfig.validate`.
     """
-    cfg = base if base is not None else ExperimentConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path) as fh:
@@ -249,13 +231,10 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
                 choices = tuple(k for s, k, *_ in _KEYS if s == sec)
                 raise ConfigError(f"unknown config key [{sec}] {key} in {str(path)!r}; choose from {choices}")
 
-    cfg = replace(
-        cfg, **{name: _get(parser, sec, key, parse, getattr(cfg, name)) for sec, key, name, parse in _KEYS}
-    )
-    tolerances = dict(cfg.tolerances)
+    values = {name: _get(parser, sec, key, parse) for sec, key, name, parse in _KEYS if parser.has_option(sec, key)}
+    tolerances = dict(_DEFAULT_TOLERANCES)
     if parser.has_section("tolerances"):
-        for key in parser.options("tolerances"):
-            tolerances[key] = _get(parser, "tolerances", key, float, None)
-    cfg = replace(cfg, tolerances=tolerances)
+        tolerances.update((key, _get(parser, "tolerances", key, float)) for key in parser.options("tolerances"))
+    cfg = ExperimentConfig(**values, tolerances=tolerances)
     cfg.validate()
     return cfg

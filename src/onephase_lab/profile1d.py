@@ -63,29 +63,6 @@ class Profile1D:
         v = np.where(x > self.xs[-1], self.us[-1] + self.dus[-1] * (x - self.xs[-1]), v)
         return v
 
-    def crossing(self, level: float) -> float:
-        """Abscissa of the first upward crossing of ``level``.
-
-        The bracketing interval is the first one with
-        ``us[k-1] < level <= us[k]``; the root is refined by bisection on the
-        monotone cubic interpolant.
-        """
-        up = (self.us[:-1] < level) & (self.us[1:] >= level)
-        if not up.any():
-            raise InvalidParameterError(f"profile never crosses level {level} upward")
-        idx = int(np.argmax(up)) + 1
-        interp = self._interp
-        a, b = float(self.xs[idx - 1]), float(self.xs[idx])
-        fa = float(interp(a)) - level
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = float(interp(mid)) - level
-            if (fm > 0.0) == (fa > 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
 
 @dataclass(frozen=True)
 class ClassificationReport:

@@ -72,16 +72,6 @@ class StripNeckExact:
         vals = np.real(np.cosh(w))
         return np.where(inside, vals, 0.0)
 
-    def grad(self, s, t):
-        """(u_s, u_t) inside the positivity set (zero outside)."""
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        inside = self.level(s, t) > 0.0
-        w = self._invert(np.where(inside, t + 1j * s, 0.0))
-        dU = np.sinh(w) / (1.0 + np.cosh(w))
-        u_t = np.where(inside, np.real(dU), 0.0)
-        u_s = np.where(inside, -np.imag(dU), 0.0)
-        return u_s, u_t
-
     def boundary_generator(self, t_vals) -> Generator:
         t_vals = np.asarray(t_vals, dtype=float)
         return Generator.from_graph(
@@ -115,21 +105,9 @@ class SphereShellExact:
             vals = self.r0 / (self.n - 2) * (1.0 - (self.r0 / rr) ** (self.n - 2))
         return np.where(r > self.r0, vals, 0.0)
 
-    def du_of_r(self, r):
-        r = np.asarray(r, dtype=float)
-        rr = np.maximum(r, self.r0)
-        return np.where(r > self.r0, self.r0 ** (self.n - 1) * rr ** (1 - self.n), 0.0)
-
     def u(self, s, t):
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         return self.u_of_r(np.hypot(s, t))
-
-    def grad(self, s, t):
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        r = np.hypot(s, t)
-        rr = np.maximum(r, 1e-300)
-        du = self.du_of_r(r)
-        return du * s / rr, du * t / rr
 
     def boundary_generator(self, n_samples: int = 513) -> Generator:
         """Arc of the sphere 0.35 rad away from the poles, traversed north to south."""

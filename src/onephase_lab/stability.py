@@ -67,10 +67,10 @@ class StabilityProbe:
     eps0: float = 0.1
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise InvalidParameterError("alpha must be nonnegative")
-        if not (self.eps_inner < 1.0 < self.R):
-            raise InvalidParameterError("need eps_inner < 1 < R")
+        if not (0.0 <= self.alpha < math.inf):
+            raise InvalidParameterError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+        if not (self.eps_inner < 1.0 < self.R < math.inf):
+            raise InvalidParameterError(f"need eps_inner < 1 < R with R finite, got R = {self.R!r}")
         if self.eps_inner <= 0.0 or self.eps0 <= 0.0:
             raise InvalidParameterError("eps_inner and eps0 must be positive")
 
@@ -105,7 +105,6 @@ class ProbeReport(InequalityReport):
 
     rayleigh: float
     xi: AxiField
-    notes: tuple[str, ...] = ()
 
 
 @dataclass
@@ -427,13 +426,8 @@ def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> 
     A negative defect certifies that xi = u_s eta violates stability on this
     grid; the probe's own Rayleigh quotient of the second variation is
     reported alongside.  Exponents alpha >= (n-1)/2 make the uncapped weight
-    non-integrable near the axis; the cap regularizes this, so it is only
-    noted.
+    non-integrable near the axis; the cap regularizes this.
     """
-    notes = []
-    if probe.alpha >= (u.n - 1) / 2.0:
-        notes.append("alpha at or beyond (n-1)/2: uncapped axis weight non-integrable")
-
     c = us_derivative(u).values
     eta, gradsq = _eta_and_gradsq(probe, u)
     w = node_weights(u)
@@ -446,7 +440,7 @@ def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> 
     xi = u.with_values(c * eta)
     norm_sq = weighted_norm_sq(xi)
     rayleigh = _raw_form(u, xi, beta) / norm_sq if norm_sq > 0.0 else 0.0
-    return ProbeReport(lhs=lhs, rhs=rhs, rayleigh=rayleigh, xi=xi, notes=tuple(notes))
+    return ProbeReport(lhs=lhs, rhs=rhs, rayleigh=rayleigh, xi=xi)
 
 
 def admissible_alpha(n: int) -> tuple[float, float] | None:

@@ -1,10 +1,12 @@
 """Closed forms and discrete identities that only the tests use.
 
 No experiment of the lab calls these: they are oracles the tests hold the
-package against (the strip neck's curvature and second derivatives, the
-planar log-cutoff law, the gradient-magnitude identity, the differentiated
-equation for u_s) and small tools that build test inputs (a reaction table
-on disk, a graph read off a solved field).
+package against (the strip neck's curvature and derivatives, the sphere
+shell's radial slope, the squared principal curvatures of a revolution
+boundary, the planar log-cutoff law, the gradient-magnitude identity, the
+differentiated equation for u_s) and small tools that build test inputs or
+read test outputs (a field sampled from a function, a reaction table on
+disk, a profile's level crossing, a graph read off a solved field).
 """
 
 import math
@@ -12,11 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onephase_lab.axisym_field import AxiField, _centered_gradient, apply_axisym_laplacian
+from onephase_lab.axisym_field import AxiField, GridSpec, _centered_gradient, apply_axisym_laplacian
 from onephase_lab.errors import GeometryMismatchError, InvalidParameterError
 from onephase_lab.numerics import csv_lines
+from onephase_lab.onephase_geometry import RevolutionBoundary
+from onephase_lab.profile1d import Profile1D
 from onephase_lab.reaction_terms import ReactionTerm
+from onephase_lab.reference import SphereShellExact, StripNeckExact
 from onephase_lab.stability import us_derivative
+
+
+def from_function(grid: GridSpec, fn) -> AxiField:
+    """The field of ``fn(s, t)`` at the nodes of ``grid``."""
+    s, t = grid.axes()
+    vals = np.broadcast_to(np.asarray(fn(s[:, None], t[None, :]), dtype=float), (grid.ns, grid.nt)).copy()
+    return AxiField(n=grid.n, s=s, t=t, values=vals)
 
 
 def save_reaction_csv(term: ReactionTerm, path, samples: int = 2001) -> None:
@@ -26,6 +38,29 @@ def save_reaction_csv(term: ReactionTerm, path, samples: int = 2001) -> None:
     with open(path, "w") as fh:
         fh.write("t,beta,beta_prime,Phi\n")
         fh.write(csv_lines(t, term.eval(t), term.deriv(t), term.primitive(t)))
+
+
+def crossing(profile: Profile1D, level: float) -> float:
+    """Abscissa of the first upward crossing of ``level`` by ``profile``.
+
+    The bracketing interval is the first one with
+    ``us[k-1] < level <= us[k]``; the root is refined by bisection on the
+    monotone cubic interpolant.
+    """
+    up = (profile.us[:-1] < level) & (profile.us[1:] >= level)
+    if not up.any():
+        raise InvalidParameterError(f"profile never crosses level {level} upward")
+    idx = int(np.argmax(up)) + 1
+    a, b = float(profile.xs[idx - 1]), float(profile.xs[idx])
+    fa = float(profile.sample(a)) - level
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = float(profile.sample(mid)) - level
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------- strip neck
@@ -41,12 +76,45 @@ def neck_mean_curvature(t):
     return 1.0 / np.cosh(np.asarray(t, dtype=float)) ** 2
 
 
+def neck_gradient(neck: StripNeckExact, s, t):
+    """(u_s, u_t) of the strip neck inside its positivity set (zero outside)."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    inside = neck.level(s, t) > 0.0
+    w = neck._invert(np.where(inside, t + 1j * s, 0.0))
+    dU = np.sinh(w) / (1.0 + np.cosh(w))
+    return np.where(inside, -np.imag(dU), 0.0), np.where(inside, np.real(dU), 0.0)
+
+
 def neck_us_gradient(neck, s, t):
     """(d_s u_s, d_t u_s) of the strip neck inside its positivity set."""
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     inside = neck.level(s, t) > 0.0
     d2U = (1.0 + np.cosh(neck._invert(np.where(inside, t + 1j * s, 0.0)))) ** (-2)
     return np.where(inside, -np.real(d2U), 0.0), np.where(inside, -np.imag(d2U), 0.0)
+
+
+# ---------------------------------------------------------------- sphere shell
+
+
+def shell_du_of_r(shell: SphereShellExact, r):
+    """Radial slope u'(r) = (r0 / r)^(n-1) of the sphere shell outside r0 (zero inside)."""
+    r = np.asarray(r, dtype=float)
+    rr = np.maximum(r, shell.r0)
+    return np.where(r > shell.r0, shell.r0 ** (shell.n - 1) * rr ** (1 - shell.n), 0.0)
+
+
+# ---------------------------------------------------------------- revolution boundaries
+
+
+def curvature_sq(b: RevolutionBoundary) -> np.ndarray:
+    """Sum |A|^2 of the squared principal curvatures of ``b`` off the axis.
+
+    The n-2 rotational curvatures are each -nu_s / s (``nu`` points out of
+    the positivity set); the profile curvature is what remains of ``mean_curv``.
+    """
+    kappa_rot = -b.normals[:, 0] / b.s
+    kappa_prof = b.mean_curv - (b.n - 2) * kappa_rot
+    return kappa_prof**2 + (b.n - 2) * kappa_rot**2
 
 
 def extract_graph_boundary(u: AxiField):

@@ -43,7 +43,7 @@ from onephase_lab.stability import (
 )
 
 from beta_recovery import beta_from_profile
-from oracles import gradient_magnitude_identity, log_cutoff_2d
+from oracles import crossing, from_function, gradient_magnitude_identity, log_cutoff_2d
 
 BETA = make_polynomial_beta(1.0)
 
@@ -78,7 +78,7 @@ def test_criterion_02_layer_slope_and_oracle_equivalence():
     shot_above = shot.us >= 1.0
     assert float(np.max(np.abs(shot.dus[shot_above] - 1.0))) <= 1e-8
 
-    shift = layer.crossing(0.5) - shot.crossing(0.5)
+    shift = crossing(layer, 0.5) - crossing(shot, 0.5)
     lo = max(shot.xs[0] + shift, layer.xs[0])
     hi = min(shot.xs[-1] + shift, layer.xs[-1])
     xs = np.linspace(lo, hi, 4001)
@@ -194,12 +194,12 @@ def test_criterion_08_discretization_order():
     lap_errs, gmi_errs = [], []
     for ns in (33, 65, 129):
         g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=ns, nt=ns)
-        f = AxiField.from_function(g, exact)
+        f = from_function(g, exact)
         s, t = g.axes()
         lap_errs.append(
             np.nanmax(np.abs(apply_axisym_laplacian(f).values - exact_lap(s[:, None], t[None, :], 3)))
         )
-        f2 = AxiField.from_function(g, lambda s, t: np.exp(-(s**2)) * np.sin(2 * t) + s**3 * t)
+        f2 = from_function(g, lambda s, t: np.exp(-(s**2)) * np.sin(2 * t) + s**3 * t)
         gmi_errs.append(np.nanmax(np.abs(gradient_magnitude_identity(f2).values)))
     lap_rate = min(np.log2(lap_errs[i] / lap_errs[i + 1]) for i in range(2))
     gmi_rate = min(np.log2(gmi_errs[i] / gmi_errs[i + 1]) for i in range(2))

@@ -43,6 +43,8 @@ from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
 from onephase_lab.reaction_terms import make_tabulated_term
 from onephase_lab.stability import _require_vanishing_border
 
+from oracles import from_function
+
 
 def zero_term():
     return make_tabulated_term(np.linspace(0, 1, 9), np.zeros(9), name="zero")
@@ -50,20 +52,20 @@ def zero_term():
 
 def test_laplacian_kills_linear_fields():
     g = GridSpec(n=4, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
-    f = AxiField.from_function(g, lambda s, t: t)
+    f = from_function(g, lambda s, t: t)
     assert np.nanmax(np.abs(apply_axisym_laplacian(f).values)) < 1e-13
 
 
 def test_laplacian_exact_on_radial_quadratic():
     g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=21, nt=21)
-    f = AxiField.from_function(g, lambda s, t: s**2 + 0.0 * t)
+    f = from_function(g, lambda s, t: s**2 + 0.0 * t)
     assert np.nanmax(np.abs(apply_axisym_laplacian(f).values - 4.0)) < 1e-11
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_laplacian_full_quadratic_gives_2n(n):
     g = GridSpec(n=n, s_max=1.0, t_min=-1.0, t_max=1.0, ns=21, nt=21)
-    f = AxiField.from_function(g, lambda s, t: s**2 + t**2)
+    f = from_function(g, lambda s, t: s**2 + t**2)
     assert np.nanmax(np.abs(apply_axisym_laplacian(f).values - 2.0 * n)) < 1e-10
 
 
@@ -77,7 +79,7 @@ def test_laplacian_convergence_rate():
     errs = []
     for ns in (33, 65, 129):
         g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=ns, nt=ns)
-        f = AxiField.from_function(g, exact)
+        f = from_function(g, exact)
         s, t = g.axes()
         err = apply_axisym_laplacian(f).values - exact_lap(s[:, None], t[None, :], 3)
         errs.append(np.nanmax(np.abs(err)))
@@ -88,7 +90,7 @@ def test_laplacian_convergence_rate():
 def test_solve_reproduces_harmonic_data_exactly():
     g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
     res = solve_semilinear(zero_term(), g, lambda s, t: 0.0 * s + t, tol=1e-12)
-    f_expected = AxiField.from_function(g, lambda s, t: 0.0 * s + t)
+    f_expected = from_function(g, lambda s, t: 0.0 * s + t)
     assert np.array_equal(res.field.values, f_expected.values)
     assert res.iterations == 0
 
@@ -177,6 +179,38 @@ def test_solver_nonconvergence_names_iterations_and_residual(beta):
     trace = err.value.trace
     assert len(trace) == 3 and trace[-1] > 1e-12
     assert _last_sup_residual(str(err.value)) == float(f"{trace[-1]:.3e}")
+
+
+def test_solver_rejects_a_start_with_a_nan_node(beta):
+    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
+    data = from_function(g, lambda s, t: np.maximum(0.0, t) + 0.0 * s)
+    data.values[16, 16] = np.nan
+    message = r"^Newton residual is not finite at iteration 0 \(last sup residual nan\)"
+    with pytest.raises(NonconvergenceError, match=message) as err:
+        solve_semilinear(beta, g, data)
+    assert np.isnan(err.value.last.values[16, 16])
+
+
+def test_1d_solve_rejects_a_nan_start(beta):
+    with pytest.raises(NonconvergenceError, match=r"^1D Newton residual is not finite at iteration 0 ") as err:
+        solve_semilinear_1d(beta, -3.0, 3.0, 31, 0.0, 3.0, init=np.full(31, np.nan))
+    assert len(err.value.trace) == 1 and np.isnan(err.value.trace[0])
+
+
+@pytest.mark.parametrize(
+    "extents",
+    [
+        dict(s_max=np.inf),
+        dict(s_max=np.nan),
+        dict(t_min=-np.inf),
+        dict(t_max=np.inf),
+        dict(t_min=np.nan),
+        dict(t_min=-1e308, t_max=1e308),  # a width beyond the largest double
+    ],
+)
+def test_grid_requires_finite_extents(extents):
+    with pytest.raises(InvalidParameterError, match="non-finite grid extents"):
+        GridSpec(**{"n": 3, "s_max": 2.0, "t_min": -2.0, "t_max": 2.0, "ns": 9, "nt": 9, **extents})
 
 
 def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
@@ -401,7 +435,7 @@ def test_krylov_level_matches_a_direct_lu_newton(beta, n, s_min, extent, model):
     tol = 1e-10
     res = solve_semilinear(beta, g, data, tol=tol)
     coarse = solve_semilinear(beta, dataclasses.replace(g, ns=65, nt=65), data, tol=tol).field
-    level = _Level(beta, g, AxiField.from_function(g, data).values)
+    level = _Level(beta, g, from_function(g, data).values)
     level.field.values[level.mask] = _prolong(coarse.values)[level.mask]
     ref, history, _, factors = _damped_newton(
         level.field.values[level.mask], level.residual, level.jacobian, level.finish, tol, 40, "LU"
@@ -605,7 +639,7 @@ def test_failed_chord_step_is_redone_with_a_fresh_factor():
 def test_energy_piecewise_affine_exact():
     # in the plane the cylindrical weight is the constant |S^0| = 2
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=33, nt=65)
-    f = AxiField.from_function(g, lambda s, t: np.maximum(0.0, t))
+    f = from_function(g, lambda s, t: np.maximum(0.0, t))
     eb = energy(f, one_phase=True)
     assert eb.dirichlet == 2.0
     assert eb.potential == 2.0
@@ -614,14 +648,14 @@ def test_energy_piecewise_affine_exact():
 
 def test_energy_zero_field():
     g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
-    f = AxiField.from_function(g, lambda s, t: 0.0 * s)
+    f = from_function(g, lambda s, t: 0.0 * s)
     eb = energy(f, one_phase=True)
     assert eb.total == 0.0
 
 
 def test_energy_argument_validation(beta):
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=9, nt=9)
-    f = AxiField.from_function(g, lambda s, t: 0.0 * s)
+    f = from_function(g, lambda s, t: 0.0 * s)
     with pytest.raises(InvalidParameterError):
         energy(f)
     with pytest.raises(InvalidParameterError):
@@ -632,7 +666,7 @@ def test_energy_argument_validation(beta):
 
 def test_blow_down_identity_is_bitwise(beta):
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
-    f = AxiField.from_function(g, lambda s, t: np.maximum(0.0, t))
+    f = from_function(g, lambda s, t: np.maximum(0.0, t))
     bd = blow_down(f, 1.0)
     assert np.array_equal(bd.field.values, f.values)
     assert np.array_equal(bd.field.s, f.s)
@@ -640,7 +674,7 @@ def test_blow_down_identity_is_bitwise(beta):
 
 def test_blow_down_linear_field_invariant():
     g = GridSpec(n=2, s_max=4.0, t_min=-4.0, t_max=4.0, ns=33, nt=33)
-    f = AxiField.from_function(g, lambda s, t: 1.3 * t + 0.0 * s)
+    f = from_function(g, lambda s, t: 1.3 * t + 0.0 * s)
     target = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
     bd = blow_down(f, 0.25, target=target)
     assert np.max(np.abs(bd.field.values - 1.3 * bd.field.t[None, :])) < 1e-13
@@ -648,14 +682,14 @@ def test_blow_down_linear_field_invariant():
 
 def test_blow_down_out_of_domain_raises():
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
-    f = AxiField.from_function(g, lambda s, t: 0.0 * s)
+    f = from_function(g, lambda s, t: 0.0 * s)
     with pytest.raises(DomainError):
         blow_down(f, 0.5, target=g)  # needs source twice as large
 
 
 def test_blow_down_rejects_bad_epsilon():
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=9, nt=9)
-    f = AxiField.from_function(g, lambda s, t: 0.0 * s)
+    f = from_function(g, lambda s, t: 0.0 * s)
     with pytest.raises(InvalidParameterError):
         blow_down(f, 0.0)
 
@@ -676,7 +710,7 @@ def test_blow_down_layer_family_approaches_ramp(beta):
 
 def test_lipschitz_monitor_on_ramp():
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=65)
-    f = AxiField.from_function(g, lambda s, t: np.maximum(0.0, t))
+    f = from_function(g, lambda s, t: np.maximum(0.0, t))
     assert abs(lipschitz_monitor(f) - 1.0) <= g.ht
 
 
@@ -712,13 +746,13 @@ def test_a_spike_breaks_the_max_principle_and_passes_the_border_check_exactly_on
 def test_sample_is_bilinear_inside_the_grid_and_linear_outside(rng):
     g = GridSpec(n=3, s_min=0.5, s_max=2.0, t_min=-1.0, t_max=1.5, ns=7, nt=9)
     a, b, c, d = rng.uniform(-2.0, 2.0, 4)
-    f = AxiField.from_function(g, lambda s, t: a + b * s + c * t + d * s * t)
+    f = from_function(g, lambda s, t: a + b * s + c * t + d * s * t)
     s, t = rng.uniform(0.5, 2.0, 200), rng.uniform(-1.0, 1.5, 200)
     inside = f.sample(np.stack((s, t), axis=-1))
     assert np.max(np.abs(inside - (a + b * s + c * t + d * s * t))) <= 1e-13
     assert np.array_equal(f.sample((s, t)), inside)
     # affine data continues past every edge and corner
-    affine = AxiField.from_function(g, lambda s, t: a + b * s + c * t)
+    affine = from_function(g, lambda s, t: a + b * s + c * t)
     s, t = rng.uniform(-1.0, 3.5, 400), rng.uniform(-2.5, 3.0, 400)
     outside = (s < 0.5) | (s > 2.0) | (t < -1.0) | (t > 1.5)
     assert outside.sum() > 200
@@ -728,7 +762,7 @@ def test_sample_is_bilinear_inside_the_grid_and_linear_outside(rng):
 def test_monitor_invariant_under_blow_down():
     g = GridSpec(n=2, s_max=4.0, t_min=-4.0, t_max=4.0, ns=65, nt=65)
     for fn in (lambda s, t: np.maximum(0.0, t), lambda s, t: 0.7 * t + 0.0 * s):
-        f = AxiField.from_function(g, fn)
+        f = from_function(g, fn)
         target = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
         vals = [lipschitz_monitor(blow_down(f, eps, target=target).field) for eps in (1.0, 0.5, 0.25)]
         assert max(vals) - min(vals) <= 1e-8
@@ -757,7 +791,7 @@ def test_laplacian_expression_matches_row_loop():
     rng = np.random.default_rng(7)
     for n, s_min, (ns, nt) in itertools.product((2, 3, 5), (0.0, 0.3), ((3, 3), (17, 9), (40, 65))):
         g = GridSpec(n=n, s_min=s_min, s_max=1.7, t_min=-1.1, t_max=0.9, ns=ns, nt=nt)
-        f = AxiField.from_function(g, lambda s, t: np.exp(-(s**2) - t**2))
+        f = from_function(g, lambda s, t: np.exp(-(s**2) - t**2))
         assert f.has_axis == (s_min == 0.0)
         for values in (f.values, rng.standard_normal((ns, nt))):
             lap = apply_axisym_laplacian(f.with_values(values)).values
@@ -845,7 +879,7 @@ def test_laplacian_matrix_is_the_derivative_of_the_stencil(n, s_min):
 
 def test_field_binary_bytes_match_axif_layout(tmp_path):
     g = GridSpec(n=3, s_max=1.0, t_min=-0.5, t_max=1.5, ns=7, nt=5)
-    f = AxiField.from_function(g, lambda s, t: np.exp(s * t) / 3.0 - 0.25 * t)
+    f = from_function(g, lambda s, t: np.exp(s * t) / 3.0 - 0.25 * t)
     f.values[2, 3] = -0.0
     f.save_binary(tmp_path / "f.bin")
     values = [f.values[i, j] for i in range(7) for j in range(5)]
@@ -878,7 +912,7 @@ def test_field_binary_roundtrip_is_bit_exact(tmp_path, grid):
 def test_load_binary_rejects_a_block_that_disagrees_with_its_header(tmp_path, cut):
     g = GridSpec(n=3, s_max=1.0, t_min=-0.5, t_max=1.5, ns=5, nt=5)
     path = tmp_path / "f.bin"
-    AxiField.from_function(g, lambda s, t: s + t).save_binary(path)
+    from_function(g, lambda s, t: s + t).save_binary(path)
     blob = path.read_bytes()
     path.write_bytes({"truncated": blob[:-16], "trailing": blob + b"\0" * 8, "magic": b"AXIG" + blob[4:]}[cut])
     with pytest.raises(InvalidParameterError, match=re.escape(str(path))):

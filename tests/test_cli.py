@@ -11,17 +11,16 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import onephase_lab
 from onephase_lab import cli, experiments
 from onephase_lab.axisym_field import AxiField
 from onephase_lab.cli import main
 from onephase_lab.config import (
     _KEYS,
     BOUNDARY_MODELS,
-    ENV_TOL_PREFIX,
     EXPERIMENTS,
     ONEPHASE_PRESETS,
     ExperimentConfig,
-    apply_env_overrides,
     parse_config,
 )
 from onephase_lab.errors import ConfigError, LabError
@@ -111,41 +110,30 @@ def test_config_file_parsing_and_overrides(tmp_path):
     assert cfg.tolerances["eigen"] == 1e-8  # default preserved
 
 
-def test_env_tolerance_override():
-    tols = apply_env_overrides({"newton": 1e-10}, environ={"ONEPHASE_LAB_TOL_NEWTON": "1e-6"})
-    assert tols["newton"] == 1e-6
-    with pytest.raises(ConfigError):
-        apply_env_overrides({}, environ={"ONEPHASE_LAB_TOL_X": "zzz"})
-
-
-@pytest.mark.parametrize("with_config", [False, True])
-def test_env_tolerance_override_reaches_the_run_with_or_without_a_config(tmp_path, runner, monkeypatch, with_config):
-    _clear_env_tolerances(monkeypatch)
-    monkeypatch.setenv(ENV_TOL_PREFIX + "NEWTON", "1e-3")
-    out = tmp_path / "win"
-    args = ["window", "--out", str(out)]
-    if with_config:
-        path = tmp_path / "run.cfg"
-        path.write_text("[window]\ndims = 3\n")
-        args += ["--config", str(path)]
-    result = runner.invoke(main, args)
+def test_environment_is_not_an_input_of_a_run(tmp_path, runner, monkeypatch):
+    # a variable named like the retired tolerance override: the CLI run must
+    # echo the config and results of the same file run through the package
+    monkeypatch.setenv(onephase_lab.__name__.upper() + "_TOL_NEWTON", "1e-3")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[experiment]\nname = window\nout_dir = {tmp_path / 'win'}\n\n[window]\ndims = 3\n")
+    result = runner.invoke(main, ["window", "--config", str(path)])
     assert result.exit_code == 0, result.output
-    echoed = json.loads((out / "report.json").read_text())["config"].splitlines()
-    assert "newton = 0.001" in echoed
-    assert "eigen = 1e-08" in echoed
+    echoed = json.loads((tmp_path / "win" / "report.json").read_text())
+    report = run(parse_config(path))
+    assert echoed["config"] == report.config_text
+    assert "newton = 1e-10" in echoed["config"].splitlines()
+    assert json.dumps(echoed["results"], sort_keys=True) == json.dumps(report.results, sort_keys=True)
 
 
-def test_unknown_tolerance_name_is_rejected_from_file_and_environment(tmp_path, runner, monkeypatch):
-    _clear_env_tolerances(monkeypatch)
+def test_unknown_tolerance_name_is_rejected(tmp_path, runner):
     path = tmp_path / "typo.cfg"
     path.write_text("[tolerances]\nnewtn = 1e-3\n")
     with pytest.raises(ConfigError, match="'newtn'"):
         parse_config(path)
     with pytest.raises(ConfigError, match="'newtn'"):
         ExperimentConfig(tolerances={"newton": 1e-10, "newtn": 1e-3}).validate()
-    monkeypatch.setenv(ENV_TOL_PREFIX + "NEWTN", "1e-3")
     out = tmp_path / "never"
-    result = runner.invoke(main, ["window", "--out", str(out)])
+    result = runner.invoke(main, ["window", "--config", str(path), "--out", str(out)])
     assert result.exit_code != 0
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:") and "'newtn'" in lines[0]
@@ -259,15 +247,9 @@ def test_unknown_config_key_is_rejected(tmp_path, runner):
 _SHORT_WELL = "[profile]\na = 0.5\nhalfwidth = 2.5\n"
 
 
-@pytest.mark.parametrize("source", ["config", "environment"])
-def test_classify_tolerance_governs_the_profile_run(tmp_path, runner, monkeypatch, source):
-    _clear_env_tolerances(monkeypatch)
+def test_classify_tolerance_governs_the_profile_run(tmp_path, runner):
     path = tmp_path / "well.cfg"
-    if source == "config":
-        path.write_text(_SHORT_WELL + "\n[tolerances]\nclassify = 1e-3\n")
-    else:
-        path.write_text(_SHORT_WELL)
-        monkeypatch.setenv(ENV_TOL_PREFIX + "CLASSIFY", "1e-3")
+    path.write_text(_SHORT_WELL + "\n[tolerances]\nclassify = 1e-3\n")
     out = tmp_path / "well"
     result = runner.invoke(main, ["profile", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 0, result.output
@@ -276,8 +258,7 @@ def test_classify_tolerance_governs_the_profile_run(tmp_path, runner, monkeypatc
     assert "classify = 0.001" in report["config"].splitlines()
 
 
-def test_default_classify_tolerance_rejects_the_short_well(tmp_path, runner, monkeypatch):
-    _clear_env_tolerances(monkeypatch)
+def test_default_classify_tolerance_rejects_the_short_well(tmp_path, runner):
     path = tmp_path / "well.cfg"
     path.write_text(_SHORT_WELL)
     out = tmp_path / "never"
@@ -287,12 +268,11 @@ def test_default_classify_tolerance_rejects_the_short_well(tmp_path, runner, mon
     assert not out.exists()
 
 
-def test_stale_threads_line_still_parses(tmp_path):
+def test_stale_threads_line_is_rejected(tmp_path):
     path = tmp_path / "old.cfg"
     path.write_text("[experiment]\nname = profile\nthreads = 4\n\n[profile]\na = 1.5\n")
-    cfg = parse_config(path)
-    assert (cfg.experiment, cfg.a) == ("profile", 1.5)
-    assert "threads" not in cfg.canonical_text()
+    with pytest.raises(ConfigError, match=r"unknown config key \[experiment\] threads"):
+        parse_config(path)
 
 
 def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=False):
@@ -416,10 +396,9 @@ def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner):
     assert np.all(eigenvector.values[:, 1:-1][:-1] > 0.0)
 
 
-def test_stability_config_certifies_n20_from_the_coarse_eigenvector(tmp_path, runner, monkeypatch):
+def test_stability_config_certifies_n20_from_the_coarse_eigenvector(tmp_path, runner):
     # 129^2 has two levels; started from the 65^2 level's eigenvector the
     # finest LOBPCG certifies in 25 iterations, 321 from the ones vector
-    _clear_env_tolerances(monkeypatch)
     out = tmp_path / "stab20"
     args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", "20", "--out", str(out)]
     result = runner.invoke(main, args)
@@ -435,8 +414,7 @@ def test_stability_config_certifies_n20_from_the_coarse_eigenvector(tmp_path, ru
 # measured 28 finest-level iterations at n = 25 and 45 at n = 40; the
 # n = 25 value was certified with an earlier smoother, damped line Jacobi
 @pytest.mark.parametrize("n, most, expected", [(25, 40, 27.377792755546075), (40, 60, 63.40078466453723)])
-def test_stability_config_certifies_large_n(tmp_path, runner, monkeypatch, n, most, expected):
-    _clear_env_tolerances(monkeypatch)
+def test_stability_config_certifies_large_n(tmp_path, runner, n, most, expected):
     out = tmp_path / f"stab{n}"
     args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", str(n), "--out", str(out)]
     result = runner.invoke(main, args)
@@ -494,12 +472,6 @@ def test_onephase_reference_on_its_worker_thread_matches_a_sequential_one(tmp_pa
     assert report.results["masked_solve"]["sup_error_vs_exact"] == float(np.max(np.abs(field.values - exact)))
 
 
-def _clear_env_tolerances(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith(ENV_TOL_PREFIX):
-            monkeypatch.delenv(key)
-
-
 # value text that survives an INI line: no whitespace and no comment prefixes,
 # with "%" to catch interpolation
 _TEXT = st.text(alphabet="abcXYZ019_-./:%", max_size=12)
@@ -532,8 +504,7 @@ _CONFIGS = st.builds(
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=_CONFIGS, table=st.none() | _TEXT.filter(lambda name: "/" not in name))
-def test_canonical_text_round_trips_through_parse_config(tmp_path, monkeypatch, cfg, table):
-    _clear_env_tolerances(monkeypatch)
+def test_canonical_text_round_trips_through_parse_config(tmp_path, cfg, table):
     if table is not None:
         path = tmp_path / f"beta{table}.csv"
         path.write_text("")
@@ -561,8 +532,7 @@ def test_canonical_text_round_trips_through_parse_config(tmp_path, monkeypatch, 
         ("stability_n3.cfg", "d95102ebabb96b63d7525c5fdc875a5d065501afa7b8ee1ecaabfc3d6c269835"),
     ],
 )
-def test_config_hashes_are_pinned(monkeypatch, name, digest):
-    _clear_env_tolerances(monkeypatch)
+def test_config_hashes_are_pinned(name, digest):
     cfg = ExperimentConfig() if name is None else parse_config(CONFIGS / name)
     assert cfg.config_hash() == digest
 
@@ -605,6 +575,28 @@ def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args
     assert isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("profile", "profile", "halfwidth", "inf"),
+        ("profile", "profile", "step", "nan"),
+        ("solve", "grid", "s_max", "inf"),
+        ("stability", "probe", "alpha", "nan"),
+    ],
+)
+def test_non_finite_config_value_exits_with_one_error_line(tmp_path, runner, command, section, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "never"
+    result = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+    assert f"[{section}] {key} must be finite" in lines[0]
     assert not out.exists()
 
 
@@ -657,8 +649,7 @@ _CONFIG_LINES = st.one_of(
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(_CONFIG_LINES, max_size=10))
-def test_arbitrary_config_text_parses_or_raises_a_config_error(tmp_path, monkeypatch, lines):
-    _clear_env_tolerances(monkeypatch)
+def test_arbitrary_config_text_parses_or_raises_a_config_error(tmp_path, lines):
     path = tmp_path / "fuzz.cfg"
     path.write_text("\n".join(lines), encoding="utf-8")
     try:

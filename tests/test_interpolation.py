@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator, RegularGridInterpolator
 
-from onephase_lab.axisym_field import AxiField, GridSpec
+from onephase_lab.axisym_field import GridSpec
 from onephase_lab.numerics import Pchip, pchip_slopes
+
+from oracles import from_function
 
 
 def _pchip_data(kind, rng):
@@ -49,7 +51,7 @@ def test_pchip_keeps_monotone_data_monotone_and_two_knots_linear(rng):
 @pytest.mark.parametrize("s_min", [0.0, 0.4])
 def test_bilinear_sample_matches_regular_grid_interpolator(s_min, rng):
     g = GridSpec(n=3, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.5, ns=17, nt=23)
-    f = AxiField.from_function(g, lambda s, t: np.sin(2.0 * s + t) + s * s * t)
+    f = from_function(g, lambda s, t: np.sin(2.0 * s + t) + s * s * t)
     oracle = RegularGridInterpolator((f.s, f.t), f.values, bounds_error=False, fill_value=None)
     s_in, t_in = rng.uniform(s_min, 2.0, 3000), rng.uniform(-1.0, 1.5, 3000)
     axis = np.stack((np.full(200, s_min), rng.uniform(-1.0, 1.5, 200)), axis=-1)  # the first column exactly

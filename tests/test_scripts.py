@@ -8,14 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from onephase_lab.config import ENV_TOL_PREFIX
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run_script(script, out, args):
-    env = {key: value for key, value in os.environ.items() if not key.startswith(ENV_TOL_PREFIX)}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
         env=env,

@@ -40,7 +40,7 @@ from onephase_lab.stability import (
     weighted_norm_sq,
 )
 
-from oracles import log_cutoff_2d, us_equation_residual
+from oracles import from_function, log_cutoff_2d, us_equation_residual
 
 
 def tiled_layer(beta, layer_profile, grid):
@@ -65,7 +65,7 @@ def interior_bump(grid):
 
 def test_form_zero_test_function(beta):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
-    u = AxiField.from_function(g, lambda s, t: 2.0 + 0.0 * s)
+    u = from_function(g, lambda s, t: 2.0 + 0.0 * s)
     xi = u.with_values(np.zeros_like(u.values))
     assert quadratic_form(u, xi, beta) == 0.0
 
@@ -73,12 +73,12 @@ def test_form_zero_test_function(beta):
 def test_form_nonnegative_where_reaction_vanishes(beta):
     # u >= 1 kills the potential term: the form is the weighted Dirichlet energy
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
-    u = AxiField.from_function(g, lambda s, t: 2.0 + 0.3 * t)
+    u = from_function(g, lambda s, t: 2.0 + 0.3 * t)
     xi = u.with_values(interior_bump(g))
     q = quadratic_form(u, xi, beta)
     assert q > 0.0
     # equals the same form with any other field above 1
-    u2 = AxiField.from_function(g, lambda s, t: 5.0 + 0.0 * s)
+    u2 = from_function(g, lambda s, t: 5.0 + 0.0 * s)
     assert abs(q - quadratic_form(u2, xi, beta)) < 1e-14
 
 
@@ -132,7 +132,7 @@ def test_assembled_operator_matches_loop_reference(beta, n, s_min, off_axis):
     # off_axis moves the s-range out by 1: a Dirichlet column where the axis was
     shift = 1.0 if off_axis else 0.0
     g = GridSpec(n=n, s_min=s_min + shift, s_max=2.0 + shift, t_min=-2.0, t_max=2.0, ns=19, nt=23)
-    u = AxiField.from_function(g, lambda s, t: np.tanh(t + 0.3 * s) + 0.2 * np.cos(3.0 * s * t))
+    u = from_function(g, lambda s, t: np.tanh(t + 0.3 * s) + 0.2 * np.cos(3.0 * s * t))
     A, w, mask = assemble_operator(u, beta)
     ref = _loop_operator(u, beta)
     assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
@@ -145,7 +145,7 @@ def test_assembled_operator_matches_loop_reference(beta, n, s_min, off_axis):
 def test_log_min_node_weight_is_the_log_of_the_smallest_node_weight(n, ns, nt, s_max):
     # the bound ExperimentConfig.validate checks up front against the weights the eigen solve builds
     g = GridSpec(n=n, s_max=s_max, t_min=-2.0, t_max=3.0, ns=ns, nt=nt)
-    w = node_weights(AxiField.from_function(g, lambda s, t: 0.0 * s))
+    w = node_weights(from_function(g, lambda s, t: 0.0 * s))
     assert w.min() == w[0, 0] == w[0, -1] > 0.0
     assert log_min_node_weight(n, g.hs, g.ht) == pytest.approx(math.log(w.min()), rel=1e-13, abs=1e-12)
 
@@ -153,15 +153,15 @@ def test_log_min_node_weight_is_the_log_of_the_smallest_node_weight(n, ns, nt, s
 def test_form_requires_matching_grids(beta):
     g1 = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
     g2 = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=19, nt=17)
-    u = AxiField.from_function(g1, lambda s, t: 2.0 + 0.0 * s)
-    xi = AxiField.from_function(g2, lambda s, t: 0.0 * s)
+    u = from_function(g1, lambda s, t: 2.0 + 0.0 * s)
+    xi = from_function(g2, lambda s, t: 0.0 * s)
     with pytest.raises(InvalidParameterError):
         quadratic_form(u, xi, beta)
 
 
 def test_form_requires_boundary_zeros(beta):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
-    u = AxiField.from_function(g, lambda s, t: 2.0 + 0.0 * s)
+    u = from_function(g, lambda s, t: 2.0 + 0.0 * s)
     xi = u.with_values(np.ones_like(u.values))
     with pytest.raises(InvalidParameterError):
         quadratic_form(u, xi, beta)
@@ -205,7 +205,7 @@ def test_dirichlet_laplacian_oracle(beta):
     # Dirichlet Laplacian on a unit square has a separable closed form; off
     # the axis (s in [1, 2]) every side is a Dirichlet boundary
     g = GridSpec(n=2, s_min=1.0, s_max=2.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
-    z = AxiField.from_function(g, lambda s, t: 0.0 * s)
+    z = from_function(g, lambda s, t: 0.0 * s)
     rep = linearized_rayleigh_min(z, beta, tol=1e-10)
     h = g.hs
     exact = 2.0 * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
@@ -216,7 +216,7 @@ def test_dirichlet_laplacian_oracle(beta):
 def test_negative_potential_dirichlet_oracle_is_unstable(beta):
     # beta'(u)/2 = -k/2 everywhere shifts the Dirichlet spectrum down by k/2
     g = GridSpec(n=2, s_min=1.0, s_max=2.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
-    z = AxiField.from_function(g, lambda s, t: 0.0 * s)
+    z = from_function(g, lambda s, t: 0.0 * s)
     k = 50.0
     dip = dataclasses.replace(
         beta,
@@ -343,7 +343,7 @@ def test_layer_extension_is_stable_and_beats_random_probes(beta, layer_profile, 
 
 def test_eigen_requires_solved_field(beta):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
-    u = AxiField.from_function(g, lambda s, t: 0.5 + 0.0 * s)  # beta(1/2) != 0
+    u = from_function(g, lambda s, t: 0.5 + 0.0 * s)  # beta(1/2) != 0
     with pytest.raises(InvalidParameterError):
         linearized_rayleigh_min(u, beta)
 
@@ -448,7 +448,7 @@ def test_us_derivative_of_axial_field_vanishes(beta, layer_profile):
 
 def test_us_derivative_exact_on_quadratic():
     g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=21, nt=9)
-    u = AxiField.from_function(g, lambda s, t: s**2 + 0.0 * t)
+    u = from_function(g, lambda s, t: s**2 + 0.0 * t)
     d = us_derivative(u)
     assert np.max(np.abs(d.values - 2.0 * d.s[:, None])) < 1e-13
 
@@ -542,13 +542,6 @@ def test_probe_alpha_zero_reduces_to_collar(beta):
     assert np.max(np.abs(np.where(r <= probe.R, gradsq, 0.0))) == 0.0
 
 
-def test_probe_notes_nonintegrable_alpha(beta, layer_profile):
-    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
-    u = tiled_layer(beta, layer_profile, g)
-    rep = probe_inequality(u, StabilityProbe(alpha=1.3, R=1.5, eps_inner=0.05), beta)
-    assert any("non-integrable" in note for note in rep.notes)
-
-
 def test_inequality_verdict_is_lhs_above_rhs():
     assert InequalityReport(lhs=1.0, rhs=1.0).verdict == VERDICT_STABLE
     above = InequalityReport(lhs=1.0 + 2.0**-52, rhs=1.0)
@@ -563,6 +556,9 @@ def test_probe_invalid_parameters():
         StabilityProbe(alpha=0.5, R=0.5, eps_inner=0.05)
     with pytest.raises(InvalidParameterError):
         StabilityProbe(alpha=0.5, R=2.0, eps_inner=1.5)
+    for alpha, R in ((math.nan, 2.0), (math.inf, 2.0), (0.5, math.inf), (0.5, math.nan)):
+        with pytest.raises(InvalidParameterError):
+            StabilityProbe(alpha=alpha, R=R, eps_inner=0.05)
 
 
 # ---------------------------------------------------------------- window, schedule
