@@ -230,8 +230,14 @@ KRYLOV_RTOL, KRYLOV_RESTART, KRYLOV_MAXITER = 1e-6, 30, 10
 
 
 def _lu(J, counts: LUCounts):
-    """A sparse LU of ``J`` with the lab's LU options, counted in ``counts``."""
-    return counts.record(splu(J.tocsc(), **LU_OPTIONS))
+    """A sparse LU of ``J`` with the lab's LU options, counted in ``counts``.
+
+    SuperLU orders the stored pattern, and a stencil matrix stores its zero
+    arms (at even n the drift cancels the s- arm of the column s = (n-2) hs/2),
+    so they are dropped from the factored copy first."""
+    J = J.tocsc()
+    J.eliminate_zeros()
+    return counts.record(splu(J, **LU_OPTIONS))
 
 
 def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_lu):
@@ -254,7 +260,8 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     and the sup-norm trace; on a GMRES level the message also names the last
     solve's iteration count and exit status (nonzero when its restarts ran
     out above KRYLOV_RTOL).  Returns (finish(x), sup norms, merits,
-    factors).
+    factors, last): ``last`` is the factor built last, at the iterate of the
+    last fresh Jacobian, or None when the start already met ``tol``.
     """
     res = residual(x)
     # damping decreases the smooth 2-norm; convergence is in the sup norm
@@ -262,7 +269,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     history = [float(np.max(np.abs(res)))]
     merits = [merit]
     factors = LUCounts()
-    lu = None
+    lu = last = None
 
     def failure(what, x):
         message = f"{label} {what} (last sup residual {history[-1]:.3e})"
@@ -279,7 +286,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
             raise failure(f"did not reach tol={tol:g} in {max_iter} iterations", x)
         fresh = lu is None
         if fresh:
-            lu = factor(jacobian(x), factors)
+            lu = last = factor(jacobian(x), factors)
         step = lu.solve(-res)
         lam, accepted = 1.0, False
         for _ in range(51 if fresh else 1):
@@ -302,7 +309,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
         x, res, merit = trial, trial_res, trial_merit
         history.append(float(np.max(np.abs(res))))
         merits.append(merit)
-    return finish(x), history, merits, factors
+    return finish(x), history, merits, factors, last
 
 
 def _prolong(c: np.ndarray) -> np.ndarray:
@@ -330,33 +337,41 @@ def _restrict(r: np.ndarray, axis: bool) -> np.ndarray:
     return weigh(weigh(r, False).T, axis)
 
 
-def _band(J, offset: int) -> np.ndarray:
-    """J[q, q + offset] for every unknown q, zero where q + offset is no unknown."""
-    m = J.shape[0]
-    band = np.zeros(m)
-    band[max(0, -offset) : m - max(0, offset)] = J.diagonal(offset)
-    return band
+def _stencil_slots(mask) -> np.ndarray:
+    """Flags of the entries ``stencil_matrix`` stores on the block of unknowns
+    ``mask`` (``_unknown_mask``), shape (S, T, 5): the S x T unknowns in
+    row-major order, each with its s-, t-, diagonal, t+ and s+ entry in that
+    order, which is the order of the columns.  Every arm inside the block is
+    stored, zero weights included; the arms leaving it are not."""
+    slots = np.ones((int(mask[:, 1].sum()), mask.shape[1] - 2, 5), dtype=bool)
+    slots[0, :, 0] = slots[-1, :, 4] = False
+    slots[:, 0, 1] = slots[:, -1, 3] = False
+    return slots
+
+
+def _diagonal_positions(J, mask) -> np.ndarray:
+    """Where each row of the stencil matrix ``J`` on the unknowns ``mask`` stores its diagonal in ``J.data``."""
+    slots = _stencil_slots(mask)
+    return J.indptr[:-1] + slots[..., 0].ravel() + slots[..., 1].ravel()
 
 
 class _ZebraLines:
-    """Zebra line Gauss-Seidel on ``J`` along one grid direction.
+    """Zebra line Gauss-Seidel along one grid direction.
 
-    ``layout`` maps a row-major vector of unknowns to an array whose rows are
-    the grid lines of that direction.  A line is solved with its tridiagonal
-    part of J (the diagonals at offsets 0 and +-``along``; the odd and the
-    even rows, counted from 0, factored apart by LAPACK ``gttrf``) and is
-    coupled to its neighbour lines only through the diagonals at offsets
-    +-``across``, which are kept in ``layout``.
+    The arrays hold one grid line of that direction per row.  A line is
+    solved with its tridiagonal part (``lower[k]`` the coupling of entry
+    k + 1 to entry k, ``diag``, ``upper[k]`` that of entry k to entry k + 1;
+    the odd and the even rows, counted from 0, factored apart by LAPACK
+    ``gttrf``) and is coupled to the next and the previous line only through
+    ``next_`` and ``prev``.
     """
 
-    def __init__(self, J, along: int, across: int, layout):
-        # LAPACK's dl holds J[q + along, q], the band of J^T
-        lower, diag, upper = (layout(a) for a in (_band(J.T, along), J.diagonal(), _band(J, along)))
+    def __init__(self, lower, diag, upper, next_, prev):
         self.factors = [
             dgttrf(lower[p::2].ravel()[:-1], diag[p::2].ravel(), upper[p::2].ravel()[:-1])[:5] for p in (0, 1)
         ]
-        self.next = np.ascontiguousarray(layout(_band(J, across)))
-        self.prev = np.ascontiguousarray(layout(_band(J, -across)))
+        self.next = np.ascontiguousarray(next_)
+        self.prev = np.ascontiguousarray(prev)
 
     def sweep(self, x, r, parity: int, carry: bool = True) -> None:
         """Solve the lines of ``parity`` for the residual ``r`` and add the
@@ -383,11 +398,15 @@ class _KrylovSolve:
     by one V-cycle.
 
     ``solve`` is the Newton solve's ``_fgmres``, which applies ``cycle``
-    once per iteration and stops on the true residual; ``cycle`` alone is
-    the preconditioner ``_level_cycle`` hands out, to the next finer level
-    and to the eigen solve's LOBPCG, which runs on the same levels.
+    once per iteration and stops on the true residual.  ``cycle`` alone is
+    the coarse correction of the next finer level: in the Newton solve the
+    cycle of the last ``_KrylovSolve`` a level built, in the eigen solve,
+    whose LOBPCG runs on the same levels, the one ``_level_cycle`` builds.
     The unknowns are the rectangular block of grid rows 0 (with the axis) or
-    1 to -2 and columns 1 to -2, in row-major order.  The cycle smooths by
+    1 to -2 and columns 1 to -2, in row-major order; ``J`` must store every
+    arm inside the block, as ``stencil_matrix`` does, since its line and
+    coupling bands are read off that fixed row layout (``_stencil_slots``),
+    and it must not change while the cycle is in use.  The cycle smooths by
     zebra line Gauss-Seidel (Trottenberg, Oosterlee and Schueller,
     *Multigrid*, 2001, section 5.1) in correction form.  From x = 0 it
     solves the odd s-lines (counted in the block from 0), then the even
@@ -408,11 +427,18 @@ class _KrylovSolve:
         self.axis = bool(mask[0].any())
         self.block = (slice(1 - self.axis, -1), slice(1, -1))
         self.grids = (mask.shape, coarse_mask.shape)
-        self.shape = (J.shape[0] // (mask.shape[1] - 2), mask.shape[1] - 2)
-        S, T = self.shape
+        slots = _stencil_slots(mask)
+        self.shape = slots.shape[:2]
+        # J's arms, read off its fixed row layout; an arm leaving the block is 0
+        arms = np.zeros(slots.shape)
+        arms[slots] = J.data
+        s_m, t_m, diag, t_p, s_p = np.moveaxis(arms, -1, 0)
+        # a line's coupling of entry k + 1 to entry k is the minus arm of k + 1
+        below_s, below_t = np.zeros(self.shape), np.zeros(self.shape)
+        below_s[:-1], below_t[:, :-1] = s_m[1:], t_m[:, 1:]
         # s-lines are the rows of the transposed (T, S) layout, t-lines those of (S, T)
-        self.s_lines = _ZebraLines(J, T, 1, lambda a: a.reshape(S, T).T)
-        self.t_lines = _ZebraLines(J, 1, T, lambda a: a.reshape(S, T))
+        self.s_lines = _ZebraLines(below_s.T, diag.T, s_p.T, t_p.T, t_m.T)
+        self.t_lines = _ZebraLines(below_t, diag, t_p, s_p, s_m)
 
     def cycle(self, b):
         S, T = self.shape
@@ -507,9 +533,16 @@ def solve_semilinear(
     ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2.  Only the
     coarsest level factors its Jacobian (sparse LU); every finer level solves
     its Newton systems with flexible GMRES right-preconditioned by one
-    V-cycle over the coarser levels.  A level that stagnates or misses ``tol`` in ``max_iter``
-    steps raises ``NonconvergenceError`` with its last iterate and trace,
-    naming the grid if it is coarse.  ``factors`` counts all levels.
+    V-cycle over the coarser levels.  The levels are cascadic (Bornemann and
+    Deuflhard, Numer. Math. 75 (1996) 135-152): a coarse level supplies only
+    a start and a coarse correction, so it stops at sqrt(tol), and only the
+    finest level runs to ``tol``.  A coarse level's coarse correction is the
+    factor it built last (its LU solve, or its V-cycle above the coarsest),
+    taken at the iterate of its last fresh Jacobian; a level that took no
+    step factors its start.  A level that stagnates or misses its tolerance
+    in ``max_iter`` steps raises ``NonconvergenceError`` with its last
+    iterate and trace, naming the grid if it is coarse.  ``factors`` counts
+    all levels.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -527,11 +560,17 @@ def solve_semilinear(
 
 class _Level:
     """One grid of the nested solve: Delta_h u - beta(u)/2 on the unknowns of
-    ``values`` (boundary values held fixed) and its Jacobian."""
+    ``values`` (boundary values held fixed) and its Jacobian.
+
+    The level keeps one CSR matrix, assembled as Delta_h; ``jacobian``
+    rewrites its diagonal in place and returns it, so a call replaces the
+    matrix the previous call returned."""
 
     def __init__(self, beta, grid: GridSpec, values: np.ndarray):
         self.beta = beta
-        self.L, self.mask = _assemble_laplacian(grid)
+        self.J, self.mask = _assemble_laplacian(grid)
+        self.at_diag = _diagonal_positions(self.J, self.mask)
+        self.lap_diag = self.J.data[self.at_diag]
         self.field = AxiField(grid.n, *grid.axes(), values)
 
     def residual(self, vec):
@@ -539,7 +578,8 @@ class _Level:
         return apply_axisym_laplacian(self.field).values[self.mask] - 0.5 * np.asarray(self.beta.eval(vec))
 
     def jacobian(self, vec):
-        return (self.L - sp.diags(0.5 * np.asarray(self.beta.deriv(vec)))).tocsr()
+        self.J.data[self.at_diag] = self.lap_diag - 0.5 * np.asarray(self.beta.deriv(vec))
+        return self.J
 
     def finish(self, vec):
         self.field.values[self.mask] = vec
@@ -557,7 +597,7 @@ def _level_strides(ns: int, nt: int) -> list[int]:
 
 
 def _level_cycle(J, counts: LUCounts, mask, coarse):
-    """The preconditioner of the level with matrix ``J`` on the unknowns ``mask``: its LU
+    """The eigen solve's preconditioner on the level with matrix ``J`` on the unknowns ``mask``: its LU
     solve at the coarsest level (``coarse`` None), else one V-cycle over ``coarse = (mask, cycle)``."""
     return _lu(J, counts).solve if coarse is None else _KrylovSolve(J, counts, mask, *coarse).cycle
 
@@ -573,13 +613,17 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
             values[mask] = _prolong(below)[mask]
         factor = _lu if coarse is None else partial(_KrylovSolve, mask=mask, coarse_mask=coarse[0], coarse=coarse[1])
         label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
-        field, history, _, factors = _damped_newton(
-            values[mask], level.residual, level.jacobian, level.finish, tol, max_iter, label, factor
+        field, history, _, factors, last = _damped_newton(
+            values[mask], level.residual, level.jacobian, level.finish, tol if stride == 1 else math.sqrt(tol),
+            max_iter, label, factor,
         )
         counts.merge(factors)
         if stride > 1:
-            # the next level's coarse correction: this level's Jacobian at its solution
-            coarse = (mask, _level_cycle(level.jacobian(values[mask]), counts, mask, coarse))
+            # the next level's coarse correction: the factor in hand, or one
+            # at the start when the level took no step
+            if last is None:
+                last = factor(level.jacobian(values[mask]), counts)
+            coarse = (mask, last.solve if coarse is None else last.cycle)
             below = values
     return SolveResult(field=field, residuals=history, iterations=len(history) - 1, factors=counts)
 

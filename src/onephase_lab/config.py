@@ -12,10 +12,11 @@ import configparser
 import hashlib
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .numerics import log_min_node_weight
+from .numerics import log_max_node_weight, log_min_node_weight
 
 EXPERIMENTS = ("profile", "solve", "stability", "onephase", "blowdown", "window", "figure1")
 BOUNDARY_MODELS = ("profile", "affine", "catenoid")
@@ -28,8 +29,10 @@ _DEFAULT_TOLERANCES = {
 }
 
 
-# log of the smallest positive double: a quadrature weight below it is zero
+# logs of the smallest positive and the largest finite double: a quadrature
+# weight below the one is zero, above the other infinite
 _LOG_TINY = math.log(math.ulp(0.0))
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -105,13 +108,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown boundary model {self.boundary_model!r}")
         if (
             self.experiment == "stability"
-            and self.s_min == 0.0
-            and self.s_max > 0.0
+            and 0.0 <= self.s_min < self.s_max
             and self.t_max > self.t_min
             and min(self.ns, self.nt) > 1
         ):
-            hs, ht = self.s_max / (self.ns - 1), (self.t_max - self.t_min) / (self.nt - 1)
-            if log_min_node_weight(self.n, hs, ht) < _LOG_TINY:
+            hs, ht = (self.s_max - self.s_min) / (self.ns - 1), (self.t_max - self.t_min) / (self.nt - 1)
+            if log_max_node_weight(self.n, self.s_max, hs, ht) >= _LOG_HUGE:
+                raise ConfigError(
+                    f"stability at n = {self.n} needs finite node weights, but on this grid (s_max = {self.s_max:g}, "
+                    f"hs = {hs:.6g}, ht = {ht:.6g}) the weight |S^(n-2)| s^(n-2) hs ht overflows"
+                )
+            if self.s_min == 0.0 and (hs / 2.0 == 0.0 or log_min_node_weight(self.n, hs, ht) < _LOG_TINY):
                 raise ConfigError(
                     f"stability at n = {self.n} needs node weights s^(n-2) above zero, but on this grid "
                     f"(hs = {hs:.6g}) the axis-column weight |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2 underflows"

@@ -237,6 +237,11 @@ def unit_sphere_area(d: int) -> float:
         raise InvalidParameterError(f"the area of the unit {d}-sphere is not representable in floating point") from None
 
 
+def _log_sphere_area(d: int) -> float:
+    """log of :func:`unit_sphere_area` (d), finite where the area is not."""
+    return math.log(2.0) + (d + 1) / 2.0 * math.log(math.pi) - math.lgamma((d + 1) / 2.0)
+
+
 def log_min_node_weight(n: int, hs: float, ht: float) -> float:
     """log of the smallest second-variation node weight on a grid with an axis.
 
@@ -244,11 +249,23 @@ def log_min_node_weight(n: int, hs: float, ht: float) -> float:
     axis-column weight ``(hs/2)^(n-1)/(n-1)`` (the exact half-cell integral
     of s^(n-2)) times the half row ``ht/2``, as ``stability.node_weights``
     builds it.  Summed in logs, so it stays finite where the weight itself
-    underflows.
+    underflows; ``hs/2`` must not round to 0.
     """
     m = n - 1
-    log_area = math.log(2.0) + m / 2.0 * math.log(math.pi) - math.lgamma(m / 2.0)
-    return log_area + m * math.log(hs / 2.0) - math.log(m) + math.log(ht / 2.0)
+    return _log_sphere_area(n - 2) + m * math.log(hs / 2.0) - math.log(m) + math.log(ht / 2.0)
+
+
+def log_max_node_weight(n: int, s_max: float, hs: float, ht: float) -> float:
+    """A bound on the log of every second-variation node weight on a grid
+    that reaches out to ``s_max``, and of every partial product
+    ``stability.node_weights`` forms on the way.
+
+    The weights multiply ``|S^(n-2)|``, s^(n-2) (or the axis column's
+    (hs/2)^(n-1)/(n-1), at most s_max^(n-2) hs), hs and ht; the bound takes
+    each factor as at least 1, so no partial product exceeds it.
+    """
+    log_s, log_hs, log_ht = (math.log(max(x, 1.0)) for x in (s_max, hs, ht))
+    return max(_log_sphere_area(n - 2), 0.0) + (n - 2) * log_s + log_hs + log_ht
 
 
 def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms) -> sp.csr_matrix:
@@ -262,15 +279,20 @@ def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms) -> sp.csr_matrix
     diagonal, t+, s+.
     """
     m = len(diag)
-    index = np.full((unknown.shape[0] + 2, unknown.shape[1] + 2), -1)
-    index[1:-1, 1:-1][unknown] = np.arange(m)
-    i, j = np.nonzero(unknown)
-    i, j = i + 1, j + 1
+    # unknown numbers on the grid padded by one node, -1 elsewhere, flat
+    width = unknown.shape[1] + 2
+    index = np.full((unknown.shape[0] + 2, width), -1, dtype=np.int32)
+    index[1:-1, 1:-1][unknown] = np.arange(m, dtype=np.int32)
+    index = index.ravel()
+    at = np.flatnonzero(index >= 0)
     s_m, s_p, t_m, t_p = arms
-    cols = np.stack((index[i - 1, j], index[i, j - 1], index[i, j], index[i, j + 1], index[i + 1, j]), axis=1)
-    vals = np.stack((s_m, t_m, diag, t_p, s_p), axis=1)
+    cols, vals = np.empty((m, 5), dtype=np.int32), np.empty((m, 5))
+    for k, (offset, weights) in enumerate(((-width, s_m), (-1, t_m), (0, diag), (1, t_p), (width, s_p))):
+        cols[:, k] = index[at + offset]
+        vals[:, k] = weights
     keep = cols >= 0
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(m, m))
 
 

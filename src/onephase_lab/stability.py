@@ -25,6 +25,7 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 from .axisym_field import (
     AxiField,
     _centered_gradient,
+    _diagonal_positions,
     _level_cycle,
     _level_strides,
     _prolong,
@@ -287,11 +288,10 @@ def linearized_rayleigh_min(
         A, w, mask = assemble_operator(f, beta)
         if not np.all(w > 0.0):
             raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
-        # divided by the cell area, every level has the Newton Jacobian's scaling
-        cycle = _level_cycle(((A - shift * sp.diags(w)) / (f.hs * f.ht)).tocsr(), factors, mask, coarse)
+        cycle = _level_cycle(_shifted(A, w, shift, f.hs * f.ht, mask), factors, mask, coarse)
         coarse = (mask, cycle)
         d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
-        B = (sp.diags(d) @ A @ sp.diags(d)).tocsr()
+        B = _symmetrized(A, d)
         start = np.ones(B.shape[0]) if below is None else sw * _prolong(below)[mask]
         x, trace, steps = _lobpcg(B, start, lambda y: sw * cycle(sw * y), tol if k == 1 else math.sqrt(tol), max_iter)
         levels.append(steps)
@@ -330,6 +330,22 @@ def linearized_rayleigh_min(
         level_iterations=levels,
         shift=shift,
     )
+
+
+def _shifted(A, w: np.ndarray, shift: float, area: float, mask) -> sp.csr_matrix:
+    """(A - shift diag(w)) / area on A's pattern, rounded as scipy's sparse
+    algebra rounds it: a_ii - (shift w_i), then every entry times 1 / area.
+    Divided by the cell area, every level has the Newton Jacobian's scaling."""
+    data = A.data.copy()
+    data[_diagonal_positions(A, mask)] -= shift * w
+    data *= 1.0 / area
+    return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+
+
+def _symmetrized(A, d: np.ndarray) -> sp.csr_matrix:
+    """D A D with D = diag(d) on A's pattern, each entry rounded as scipy's
+    sparse product ``diag(d) @ A @ diag(d)`` rounds it: (d_i a_ij) d_j."""
+    return sp.csr_matrix((np.repeat(d, np.diff(A.indptr)) * A.data * d[A.indices], A.indices, A.indptr), shape=A.shape)
 
 
 def _lobpcg(B, start: np.ndarray, precondition, tol: float, max_iter: int):

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import jn_zeros, jv
 
 from onephase_lab.axisym_field import (
     AxiField,
@@ -18,6 +20,7 @@ from onephase_lab.axisym_field import (
     energy,
     solve_semilinear_1d,
 )
+from onephase_lab.experiments import tiled_layer_field
 from onephase_lab.onephase_geometry import (
     Generator,
     curvature_of_revolution,
@@ -288,3 +291,60 @@ def test_criterion_11_log_cutoff_law():
         f"criterion 11 PASS: log-cutoff law, worst relative error {max(rels):.2e}; grid energy "
         + " -> ".join(f"{r:.2e}" for r in grid_rels)
     )
+
+
+def _first_bessel_zero(nu: float) -> float:
+    """j_{nu,1}: ``jn_zeros`` for integer nu, else bisection of ``jv`` on its
+    first sign change after x = nu (where J_nu is still positive)."""
+    if nu == int(nu):
+        return float(jn_zeros(int(nu), 1)[0])
+    x = np.linspace(nu, nu + 10.0, 1001)
+    k = int(np.flatnonzero(jv(nu, x) <= 0.0)[0])
+    lo, hi = float(x[k - 1]), float(x[k])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if jv(nu, mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _axial_ground_state(nodes: int) -> float:
+    """Lowest Dirichlet eigenvalue of -d^2/dt^2 + beta'(g)/2 on [-3, 3], g the
+    layer profile, from the three-point stencil on ``nodes`` nodes."""
+    t = np.linspace(-3.0, 3.0, nodes)
+    h = t[1] - t[0]
+    pot = 0.5 * BETA.deriv(unique_increasing_profile(BETA).sample(t[1:-1]))
+    off = np.full(nodes - 3, -1.0 / h**2)
+    return float(eigh_tridiagonal(2.0 / h**2 + pot, off, eigvals_only=True, select="i", select_range=(0, 0))[0])
+
+
+# C of |error| <= C hs^2, hs = 3 / (nodes - 1); measured |error| / hs^2 at
+# 65/129/257^2: 2.006, 2.436, 2.245 (n = 3), 1.999, 2.429, 2.238 (n = 5) and
+# 11.21, 10.79, 10.98 (n = 20)
+_LAMBDA_ERROR_C = {3: 2.5, 5: 2.5, 20: 11.5}
+
+
+def test_criterion_12_lambda_min_converges_to_the_continuum_value():
+    # The tiled layer on s <= 3, |t| <= 3 separates: lambda = j_{nu,1}^2 / 9
+    # + mu_t, nu = (n-3)/2, with mu_t the axial ground state (one Richardson
+    # step on 8193 and 16385 nodes).  Measured errors: -4.41e-3, -1.34e-3,
+    # -3.08e-4 (n = 3), -4.39e-3, -1.33e-3, -3.07e-4 (n = 5) and +2.46e-2,
+    # +5.93e-3, +1.51e-3 (n = 20): shrink ratios 3.29-4.34.
+    t0 = time.perf_counter()
+    coarse, fine = _axial_ground_state(8193), _axial_ground_state(16385)
+    mu_t = fine + (fine - coarse) / 3.0
+    assert abs(mu_t - 0.35610911) <= 5e-9
+    assert abs(_first_bessel_zero(0.5) - math.pi) <= 1e-14  # j_{1/2,1} = pi
+    lines = []
+    for n in (3, 5, 20):
+        exact = _first_bessel_zero((n - 3) / 2.0) ** 2 / 9.0 + mu_t
+        errors = []
+        for nodes in (65, 129, 257):
+            grid = GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=nodes, nt=nodes)
+            error = linearized_rayleigh_min(tiled_layer_field(BETA, grid), BETA).rayleigh_min - exact
+            assert abs(error) <= _LAMBDA_ERROR_C[n] * grid.hs**2, f"n={n}, {nodes}^2: error {error:.3e}"
+            errors.append(error)
+        ratios = [abs(a / b) for a, b in zip(errors, errors[1:])]
+        assert min(ratios) >= 3.0, f"n={n}: errors {errors} shrink by {ratios}"
+        lines.append(f"n={n} " + " -> ".join(f"{e:+.2e}" for e in errors))
+    elapsed = time.perf_counter() - t0
+    report(f"criterion 12 PASS: lambda_min - continuum, {'; '.join(lines)}, {elapsed:.1f}s")

@@ -614,6 +614,35 @@ def test_stability_rejects_an_underflowing_axis_weight_before_it_runs(tmp_path, 
     replace(parse_config(CONFIGS / "stability_n3.cfg"), n=135).validate()  # the last n it admits there
 
 
+@pytest.mark.parametrize(
+    "s_max, s_min, what",
+    [
+        # (hs/2)^2 overflowed a Python float in the axis weight: an OverflowError traceback
+        ("1e300", "0.0", "the weight |S^(n-2)| s^(n-2) hs ht overflows"),
+        # s_max hs = 1.25e309 made the outer weights inf: SuperLU's singular factor
+        ("1e155", "0.0", "the weight |S^(n-2)| s^(n-2) hs ht overflows"),
+        # off the axis the outer weights overflow the same way
+        ("1e300", "1.0", "the weight |S^(n-2)| s^(n-2) hs ht overflows"),
+        # hs = 0 made log_min_node_weight's math.log raise a ValueError
+        ("5e-324", "0.0", "(hs = 0) the axis-column weight |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2 underflows"),
+    ],
+)
+def test_stability_rejects_a_grid_whose_node_weights_leave_the_float_range(tmp_path, runner, monkeypatch, s_max, s_min, what):
+    monkeypatch.setattr(experiments, "_RUNNERS", {})  # any run would raise KeyError
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"[grid]\ns_min = {s_min}\ns_max = {s_max}\nns = 9\nnt = 9\n")
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["stability", "--config", str(path), "--out", str(out)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: stability at n = 3 needs "), result.output
+    assert what in lines[0]
+    if "overflows" in what:
+        assert f"s_max = {float(s_max):g}" in lines[0]
+    assert not out.exists()
+    replace(parse_config(path), experiment="stability", s_max=1e100).validate()  # 1e100 runs
+
+
 def test_runaway_profile_exits_with_the_truncation_error(tmp_path, runner):
     out = tmp_path / "never"
     result = runner.invoke(main, ["profile", "--a", "1e13", "--out", str(out)])

@@ -264,6 +264,32 @@ def _coarsest_lu_fill(u, beta):
     return splu(((A - shift * sp.diags(w)) / (c.hs * c.ht)).tocsc(), **LU_OPTIONS).nnz
 
 
+def _same_csr(a, b) -> bool:
+    """Equal CSR matrices, entry for entry and bit for bit, index types included."""
+    return all(
+        np.array_equal(x, y) and x.dtype == y.dtype for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr))
+    )
+
+
+@pytest.mark.parametrize("n, s_min, model", [(3, 0.0, "tiled"), (4, 0.0, "tiled"), (20, 0.0, "tiled"), (5, 1.0, "tiled"), (3, 0.0, "neck")])
+def test_eigen_operators_are_scipy_sparse_algebra_bit_for_bit(beta, layer_profile, n, s_min, model):
+    # B = D A D and the preconditioner's (A - shift W) / (hs ht) are formed on
+    # A's pattern; they must round as the sparse products and sums they replace
+    g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-1.5, t_max=1.5, ns=33, nt=41)
+    if model == "tiled":
+        u = tiled_layer(beta, layer_profile, g)
+    else:
+        u = solve_semilinear(beta, g, lambda s, t: layer_profile.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)).field
+    A, w, mask = assemble_operator(u, beta)
+    before = A.copy()
+    d = 1.0 / np.sqrt(w)
+    shift = float(np.min(0.5 * beta.deriv(u.values)[mask])) - 1e-3
+    assert _same_csr(stability._symmetrized(A, d), (sp.diags(d) @ A @ sp.diags(d)).tocsr())
+    shifted = stability._shifted(A, w, shift, u.hs * u.ht, mask)
+    assert _same_csr(shifted, ((A - shift * sp.diags(w)) / (u.hs * u.ht)).tocsr())
+    assert _same_csr(A, before)  # A itself is left as it was
+
+
 # 129^2 has two levels and 257^2 three; both factor only the 65^2 one
 @pytest.mark.parametrize(
     "n, ns", [pytest.param(3, 129, id="3"), pytest.param(4, 129, id="4"), pytest.param(5, 129, id="5"),
