@@ -539,10 +539,11 @@ def solve_semilinear(
     finest level runs to ``tol``.  A coarse level's coarse correction is the
     factor it built last (its LU solve, or its V-cycle above the coarsest),
     taken at the iterate of its last fresh Jacobian; a level that took no
-    step factors its start.  A level that stagnates or misses its tolerance
-    in ``max_iter`` steps raises ``NonconvergenceError`` with its last
-    iterate and trace, naming the grid if it is coarse.  ``factors`` counts
-    all levels.
+    step factors its start when the next level first applies the
+    correction, and not at all if it never does.  A level that stagnates or
+    misses its tolerance in ``max_iter`` steps raises ``NonconvergenceError``
+    with its last iterate and trace, naming the grid if it is coarse.
+    ``factors`` counts all levels.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -602,6 +603,25 @@ def _level_cycle(J, counts: LUCounts, mask, coarse):
     return _lu(J, counts).solve if coarse is None else _KrylovSolve(J, counts, mask, *coarse).cycle
 
 
+class _FirstUse:
+    """The coarse correction of a level that took no Newton step: ``method``
+    of ``factor`` applied to the level's Jacobian at its solution, which is
+    its start.  The factor is built, and counted in ``counts``, when the
+    next level first applies the correction; a finer level whose start
+    already meets its tolerance never does."""
+
+    def __init__(self, level: "_Level", factor, counts: LUCounts, method: str):
+        self.level, self.factor, self.counts, self.method = level, factor, counts, method
+        self.apply = None
+
+    def __call__(self, b):
+        if self.apply is None:
+            level = self.level
+            J = level.jacobian(level.field.values[level.mask])
+            self.apply = getattr(self.factor(J, self.counts), self.method)
+        return self.apply(b)
+
+
 def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
     """``solve_semilinear`` on the start ``u`` (modified in place), coarsest level first."""
     counts, coarse, below = LUCounts(), None, None
@@ -620,10 +640,10 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
         counts.merge(factors)
         if stride > 1:
             # the next level's coarse correction: the factor in hand, or one
-            # at the start when the level took no step
-            if last is None:
-                last = factor(level.jacobian(values[mask]), counts)
-            coarse = (mask, last.solve if coarse is None else last.cycle)
+            # at the start, built on its first use, when the level took no step
+            method = "solve" if coarse is None else "cycle"
+            correction = _FirstUse(level, factor, counts, method) if last is None else getattr(last, method)
+            coarse = (mask, correction)
             below = values
     return SolveResult(field=field, residuals=history, iterations=len(history) - 1, factors=counts)
 

@@ -16,24 +16,26 @@ from .errors import InvalidParameterError
 # Options of every sparse LU factor in the lab (``splu(A, **LU_OPTIONS)``).
 #
 # Ordering: minimum degree on the pattern of A^T + A.  The lab's matrices
-# are 5-point grid stencils with a symmetric pattern, where it leaves about
-# half the fill of SuperLU's default COLAMD.  SuperLU keeps its default
-# partial pivoting, so unsymmetric Jacobians stay safe.
+# are grid stencils with a symmetric pattern (5-point, or 9-point for the
+# masked system's black Schur complement), where it leaves about half the
+# fill of SuperLU's default COLAMD.  SuperLU keeps its default partial
+# pivoting, so unsymmetric Jacobians stay safe.
 #
 # Supernodes: ``relax = 1`` (no relaxed supernodes at the leaves of the
 # elimination tree) and ``panel_size = 4`` (columns per panel update).
 # SuperLU's defaults act like relax = 10, panel_size = 20, and size work
-# arrays by them that a 5-point stencil's narrow supernodes never repay.
-# Measured on 2 cores (scipy 1.17.1), the float32 masked strip_neck system
-# at resolution 256 (228,122 unknowns, 12.1M fill) factors in 0.72-0.89 s
-# instead of 1.06-1.15 s, and its factorization lifts the process's peak
-# resident set by 6 MB instead of 49 MB; at resolution 512 (914,106
-# unknowns, 56.7M fill instead of 59.3M) in 4.4-5.0 s instead of 5.7-6.1 s,
-# lifting the peak by 68 MB instead of 253 MB.  The float64 Newton
-# Jacobians of 65^2-225^2 factor 25-31% faster.
+# arrays by them that a grid stencil's narrow supernodes never repay.
+# Measured on 2 cores (scipy 1.17.1), both with the ordering above, the
+# float32 Schur complement of the masked strip_neck system at resolution
+# 256 (114,059 black unknowns, 11.1M fill instead of 12.4M) factors in
+# 0.77 s of CPU instead of 0.92-1.11 s, and its factorization lifts the
+# solve's peak resident set by 37 MB instead of 65 MB; at resolution 512
+# (457,072 unknowns, 53.4M fill instead of 60.5M) in 4.3-4.5 s instead of
+# 5.7-6.3 s, lifting the peak by 198 MB instead of 318 MB.  The float64
+# Newton Jacobians of 65^2-225^2 factor 25-31% faster.
 #
 # Precision: the masked Shortley-Weller system, the largest factor the lab
-# builds (12.1M fill at resolution 256), is factored in float32 and refined
+# builds (11.1M fill at resolution 256), is factored in float32 and refined
 # in float64 to a componentwise backward error of 6 eps, which halves the
 # factor's memory.  The Newton and eigen LUs factor only the coarsest
 # multilevel grid (at most 1.08M fill) and stay in float64: they act as
@@ -67,7 +69,9 @@ class LUCounts:
     """Sparse LU factors a solve built, the largest nnz(L + U) among them,
     the GMRES iterations of its preconditioned solves with the (iterations,
     exit status) of the last one, and the iterative-refinement steps of its
-    single-precision factors with the largest final backward error."""
+    single-precision factors with the largest final backward error.  The
+    masked solve factors only the Schur complement of its black unknowns,
+    so its ``fill_nnz`` is that reduced system's, not the whole system's."""
 
     factorizations: int = 0
     fill_nnz: int = 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .axisym_field import AxiField, GridSpec, _cell_gradient_sq, _cell_measure, _centered_gradient, _unknown_mask
@@ -394,16 +395,18 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn):
     i, j = np.nonzero(unknown)
     axis = i == 0  # row 0 holds unknowns only when it is the axis
 
-    # the four arms (s-, s+, t-, t+) of every unknown node, one row each;
-    # an arm is 1 cell long, or the bisected fraction where it leaves the set
-    ii = i + np.array([-1, 1, 0, 0])[:, None]
-    jj = j + np.array([0, 0, -1, 1])[:, None]
+    # the four arms (s-, s+, t-, t+) of every unknown node, one row each, and
+    # their flat grid indices; an arm is 1 cell long, or the bisected fraction
+    # where it leaves the set
+    di, dj = np.array([-1, 1, 0, 0]), np.array([0, 0, -1, 1])
+    near = (i * grid.nt + j) + (di * grid.nt + dj)[:, None]
     has_arm = np.ones((4, m), dtype=bool)
-    has_arm[0] = ~axis  # the axis reflects its s- arm onto s+
-    cut = has_arm & ~pos[ii, jj]
-    node = np.nonzero(cut)[1]
+    has_arm[0] = ~axis  # the axis reflects its s- arm onto s+ (its flat s- index wraps)
+    near_pos = pos.ravel()[near]
+    cut = has_arm & ~near_pos
+    arm, node = np.nonzero(cut)
     th = np.ones((4, m))
-    th[cut] = crossing_fractions(level_fn, s[i[node]], t[j[node]], s[ii[cut]], t[jj[cut]])
+    th[cut] = crossing_fractions(level_fn, s[i[node]], t[j[node]], s[i[node] + di[arm]], t[j[node] + dj[arm]])
     th_m, th_p, tt_m, tt_p = th
 
     # radial: second and first derivatives on the same three irregular points;
@@ -428,23 +431,44 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn):
 
     A = stencil_matrix(unknown, diag, weights)
     rhs = np.zeros(m)
-    to_data = has_arm & pos[ii, jj] & ~unknown[ii, jj]
-    for term in np.where(to_data, weights * g[ii, jj], 0.0):  # arms in order s-, s+, t-, t+
+    to_data = has_arm & near_pos & ~unknown.ravel()[near]
+    for term in np.where(to_data, weights * g.ravel()[near], 0.0):  # arms in order s-, s+, t-, t+
         rhs -= term
     return A, rhs, g, unknown, pos
 
 
-def _refined_solve(A, b: np.ndarray, factors: LUCounts) -> np.ndarray:
-    """Solve A x = b from one single-precision LU, refined in double precision.
+def _schur_complement(A, red: np.ndarray):
+    """The black Schur complement S = D_b - A_br D_r^-1 A_rb of ``A``.
 
-    ``A`` (float64, sparse) is cast to float32 and factored once; each step
-    adds the factor's solve of the float64 residual r = b - A x to x, until
-    the componentwise backward error omega = max_i |r_i| / (|A||x| + |b|)_i
-    is at most ``_REFINE_FLOOR``.  A step that fails to halve omega above
-    the floor, or ``_REFINE_STEPS`` steps, raises NonconvergenceError.  The
-    steps and the final omega are recorded in ``factors``.
+    ``red`` flags unknowns no two of which ``A`` (sparse) couples, and the
+    rest, the black ones, must not couple either: both diagonal blocks D_r
+    and D_b are diagonal, as they are for a 5-point stencil coloured like a
+    checkerboard, so eliminating the red unknowns is one exact step of
+    cyclic reduction.  S is numbered like the black unknowns in ``A``.
     """
-    lu = factors.record(splu(A.astype(np.float32).tocsc(), **LU_OPTIONS))
+    black = ~red
+    rows = A[black]
+    return rows[:, black] - rows[:, red] @ sp.diags(1.0 / A.diagonal()[red]) @ A[red][:, black]
+
+
+def _refined_solve(A, b: np.ndarray, red: np.ndarray, factors: LUCounts) -> np.ndarray:
+    """Solve A x = b by eliminating the unknowns ``red``, from one
+    single-precision factor refined in double precision.
+
+    The black Schur complement S of ``A`` (float64, sparse; see
+    :func:`_schur_complement`) is cast to float32 and factored once.  Each
+    step adds to x the exact block elimination of the float64 residual
+    r = b - A x: d_b = S^-1 (r_b - A_br D_r^-1 r_r) from the float32 factor,
+    then d_r = D_r^-1 (r_r - A_rb d_b) in float64.  It stops when the
+    componentwise backward error of the whole system,
+    omega = max_i |r_i| / (|A||x| + |b|)_i, is at most ``_REFINE_FLOOR``.
+    A step that fails to halve omega above the floor, or ``_REFINE_STEPS``
+    steps, raises NonconvergenceError.  The factor of S, the steps and the
+    final omega are recorded in ``factors``.
+    """
+    lu = factors.record(splu(_schur_complement(A, red).astype(np.float32).tocsc(), **LU_OPTIONS))
+    at_red, at_black = np.flatnonzero(red), np.flatnonzero(~red)  # index arrays gather faster than masks
+    inv_r = 1.0 / A.diagonal()[at_red]
     abs_a = abs(A)
     x = np.zeros_like(b)
     r = b
@@ -458,8 +482,17 @@ def _refined_solve(A, b: np.ndarray, factors: LUCounts) -> np.ndarray:
                 last=x,
                 trace=trace,
             )
-        scale = float(np.max(np.abs(r)))  # keeps the float32 residual clear of underflow
-        x = x + lu.solve((r / scale).astype(np.float32)) * scale
+        # A times a vector held on one colour is, on the other colour, the
+        # coupling block times it, so A_br and A_rb need no copies of their own
+        e = np.zeros_like(x)
+        e[at_red] = inv_r * r[at_red]
+        c = (r - A @ e)[at_black]  # r_b - A_br D_r^-1 r_r
+        # scaled to unit size, the float32 right side stays clear of underflow
+        scale = float(np.max(np.abs(c), initial=0.0)) or 1.0
+        d = np.zeros_like(x)
+        d[at_black] = lu.solve((c / scale).astype(np.float32)).astype(float) * scale
+        d[at_red] = inv_r * (r - A @ d)[at_red]  # D_r^-1 (r_r - A_rb d_b)
+        x += d
         r = b - A @ x
         bound = abs_a @ np.abs(x) + np.abs(b)  # |r_i| <= bound_i, so 0 / 0 rows count as 0
         omega = float(np.max(np.abs(r) / np.where(bound > 0.0, bound, 1.0)))
@@ -480,17 +513,22 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     bisected in one batch (:func:`crossing_fractions`).  The reported
     residual is the standard-stencil defect on nodes away from the cut.
 
-    The system is factored once in single precision and refined in double
-    (:func:`_refined_solve`).  Its certificate is the componentwise backward
-    error of the returned unknowns, at most 6 eps: they solve exactly a
-    system whose every entry of A and b differs from the assembled one by at
-    most that relative amount, the rounding a float64 evaluation of the
-    residual makes anyway.  ``factors`` records its steps and value.
+    The 5-point stencil couples each unknown only to unknowns of the other
+    checkerboard colour, (i + j) % 2 of its grid indices.  The even (red)
+    unknowns are eliminated exactly, and only the Schur complement on the
+    odd (black) ones, about half of them, is factored, once, in single
+    precision; the whole system is refined in double (:func:`_refined_solve`).
+    Its certificate is the componentwise backward error of the returned
+    unknowns, at most 6 eps: they solve exactly a system whose every entry
+    of A and b differs from the assembled one by at most that relative
+    amount, the rounding a float64 evaluation of the residual makes anyway.
+    ``factors`` records the factor, its fill, the steps and that value.
     """
     s, t = grid.axes()
     A, rhs, values, unknown, pos = _masked_system(grid, level_fn, boundary_fn)
     factors = LUCounts()
-    values[unknown] = _refined_solve(A, rhs, factors)
+    i, j = np.nonzero(unknown)
+    values[unknown] = _refined_solve(A, rhs, (i + j) % 2 == 0, factors)
     out = AxiField(n=grid.n, s=s, t=t, values=values)
     mask = _positive_interior_mask(pos)
     residual = _harmonic_residual(out, mask) if mask.any() else float("nan")

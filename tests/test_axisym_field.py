@@ -483,16 +483,17 @@ def test_no_coarse_level_factors_at_its_solution(beta, monkeypatch, nodes):
     assert sorted(k for k, _ in spied["jacobian"]) == sorted(spied["lu"] + spied["krylov"])
 
 
-def test_coarse_levels_without_a_step_hand_up_one_factor_each(beta, monkeypatch):
-    # affine data >= 1 solves every level already, so no level takes a step;
-    # the 65^2 level still hands up one LU and the 129^2 level one V-cycle
+def test_coarse_levels_without_a_step_build_no_factor(beta, monkeypatch):
+    # affine data >= 1 solves every level already, so no level takes a step
+    # and no level applies the coarse correction handed up to it: no
+    # Jacobian is taken, no LU and no V-cycle built
     spied = _spy_levels(monkeypatch)
     g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=257, nt=257)
     res = solve_semilinear(beta, g, lambda s, t: 2.0 + 0.5 * t + 0.0 * s, tol=1e-8)
     assert res.iterations == 0 and res.residuals[-1] <= 1e-8
-    coarsest, middle, finest = sorted(spied["solution"])
-    assert (spied["lu"], spied["krylov"]) == ([coarsest], [middle])
-    assert res.factors.factorizations == 1 and res.factors.krylov_iterations == 0
+    assert len(spied["solution"]) == 3
+    assert (spied["jacobian"], spied["lu"], spied["krylov"]) == ([], [], [])
+    assert res.factors.factorizations == 0 and res.factors.krylov_iterations == 0
 
 
 def test_coarse_level_on_its_solution_hands_up_the_factor_at_its_start(beta, monkeypatch):
@@ -503,9 +504,11 @@ def test_coarse_level_on_its_solution_hands_up_the_factor_at_its_start(beta, mon
     res = solve_semilinear(beta, g, start)
     coarsest, finest = sorted(spied["solution"])
     assert spied["lu"] == [coarsest] and res.factors.factorizations == 1
-    (k, x), *above = spied["jacobian"]
-    assert k == coarsest and np.array_equal(x, start.values[::2, ::2][_unknown_mask((65, 65), True)])
-    assert all(k == finest for k, _ in above) and len(above) == len(spied["krylov"]) > 0
+    # the LU is built when the 129^2 level's first V-cycle applies it
+    (x,) = [x for k, x in spied["jacobian"] if k == coarsest]
+    assert np.array_equal(x, start.values[::2, ::2][_unknown_mask((65, 65), True)])
+    above = [k for k, _ in spied["jacobian"] if k != coarsest]
+    assert all(k == finest for k in above) and len(above) == len(spied["krylov"]) > 0
     assert res.residuals[-1] <= 1e-10
 
 

@@ -21,6 +21,7 @@ from onephase_lab.onephase_geometry import (
     Generator,
     _masked_system,
     _refined_solve,
+    _schur_complement,
     crossing_fractions,
     curvature_of_revolution,
     normal_derivative_identity,
@@ -279,7 +280,7 @@ _NECK = StripNeckExact()
 _SHELL3 = SphereShellExact(n=3, r0=1.0)
 
 
-@pytest.mark.parametrize(
+_SYSTEM_GRIDS = pytest.mark.parametrize(
     "grid, level_fn, boundary_fn",
     [
         (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33), _NECK.level, _NECK.u),
@@ -293,6 +294,15 @@ _SHELL3 = SphereShellExact(n=3, r0=1.0)
     ],
     ids=["neck", "shell-n3-axis", "ball-n4-axis"],
 )
+
+
+def _red(unknown):
+    """The even checkerboard colour of the unknowns, as the masked solve eliminates it."""
+    i, j = np.nonzero(unknown)
+    return (i + j) % 2 == 0
+
+
+@_SYSTEM_GRIDS
 def test_masked_system_matches_loop_reference(grid, level_fn, boundary_fn):
     A, rhs, g, unknown, pos = _masked_system(grid, level_fn, boundary_fn)
     A0, rhs0, g0 = _loop_masked_system(grid, level_fn, boundary_fn)
@@ -301,6 +311,39 @@ def test_masked_system_matches_loop_reference(grid, level_fn, boundary_fn):
     assert np.array_equal(A.data, A0.data)
     assert np.array_equal(rhs, rhs0)
     assert np.array_equal(g, g0)
+
+
+@_SYSTEM_GRIDS
+def test_masked_system_couples_only_the_two_colours(grid, level_fn, boundary_fn):
+    A, _, _, unknown, _ = _masked_system(grid, level_fn, boundary_fn)
+    red = _red(unknown)
+    assert red.any() and not red.all()
+    for colour in (red, ~red):
+        block = A[colour][:, colour].tocoo()
+        assert block.nnz == np.count_nonzero(colour) and np.array_equal(block.row, block.col)
+
+
+@pytest.mark.parametrize(
+    "grid, shape",
+    [
+        # strip_neck at resolution 16 and the n = 3 sphere preset at resolution 8
+        (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33), _NECK),
+        (GridSpec(n=3, s_max=2.2, t_min=-2.2, t_max=2.2, ns=19, nt=37), _SHELL3),
+    ],
+    ids=["neck-16", "shell-n3-8"],
+)
+def test_schur_complement_matches_dense_elimination(grid, shape):
+    A, _, _, unknown, _ = _masked_system(grid, shape.level, shape.u)
+    red = _red(unknown)
+    S = _schur_complement(A, red)
+    dense = A.toarray()
+    black = ~red
+    expected = dense[np.ix_(black, black)] - dense[np.ix_(black, red)] @ np.linalg.solve(
+        dense[np.ix_(red, red)], dense[np.ix_(red, black)]
+    )
+    assert S.shape == (np.count_nonzero(black),) * 2
+    # relative to its largest entry, measured 1.0e-17 (neck) and 6.5e-17 (shell)
+    assert np.max(np.abs(S.toarray() - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize(
@@ -323,7 +366,9 @@ def test_masked_solve_exact_on_cut_linear_fields(n, s_min, level):
 
 
 def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
-    # strip_neck at resolution 64, the smallest masked-refinement rung; measured 0.551
+    # strip_neck at resolution 64, the smallest masked-refinement rung: the
+    # LU_OPTIONS factor of the whole system holds 0.470 of COLAMD's fill, the
+    # float32 factor of its black Schur complement, which the solve builds, 0.403
     neck = StripNeckExact()
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
     sol = solve_harmonic_masked(g, neck.level, neck.u)
@@ -331,7 +376,7 @@ def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
     colamd = splu(A, permc_spec="COLAMD").nnz
     assert sol.factors.factorizations == 1
     assert splu(A, **LU_OPTIONS).nnz <= 0.6 * colamd
-    assert sol.factors.fill_nnz <= 0.6 * colamd
+    assert sol.factors.fill_nnz <= 0.42 * colamd
 
 
 _EPS = np.finfo(float).eps
@@ -350,13 +395,15 @@ def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape):
     factored = []
 
     def spy(A, **kwargs):
-        factored.append((A.dtype, kwargs))
+        factored.append((A.dtype, A.shape, kwargs))
         return splu(A, **kwargs)
 
     monkeypatch.setattr(onephase_geometry, "splu", spy)
     sol = solve_harmonic_masked(grid, shape.level, shape.u)
-    assert factored == [(np.float32, LU_OPTIONS)]
     A, rhs, _, unknown, _ = _masked_system(grid, shape.level, shape.u)
+    # one float32 factor, of the Schur complement on the black unknowns
+    black = np.count_nonzero(~_red(unknown))
+    assert factored == [(np.float32, (black, black), LU_OPTIONS)]
     exact = splu(A.tocsc(), **LU_OPTIONS).solve(rhs)
     assert np.max(np.abs(sol.field.values[unknown] - exact)) <= 1e-12
     assert sol.factors.factorizations == 1
@@ -372,7 +419,7 @@ def test_refinement_of_an_ill_conditioned_system_raises():
     with pytest.raises(
         NonconvergenceError, match=r"after \d+ steps \(backward error \d\.\d{3}e-\d+, floor 1\.332e-15\)"
     ) as err:
-        _refined_solve(A, np.ones(40), factors)
+        _refined_solve(A, np.ones(40), np.zeros(40, dtype=bool), factors)  # no red unknowns: S = A
     assert err.value.trace[-1] > 6.0 * _EPS
     assert factors.factorizations == 1 and factors.refinement_steps == 0
 
