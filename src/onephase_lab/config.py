@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown one-phase preset {self.onephase_preset!r}")
         if self.onephase_resolution < 1:
             raise ConfigError(f"one-phase resolution must be >= 1, got {self.onephase_resolution!r}")
+        if not self.r0 > 0.0:
+            raise ConfigError(f"[onephase] r0 must be positive, got {self.r0!r}")
         if not self.epsilons:
             raise ConfigError("blowdown needs a nonempty epsilon list")
         if not all(eps > 0.0 for eps in self.epsilons):

@@ -134,12 +134,14 @@ def boundary_data(cfg: ExperimentConfig, beta):
 
 
 def _count_factors(counters: dict, *factors, krylov: bool = False, refined: bool = False) -> None:
-    """Record the LU factors of a run's solves in its ``meta.counters``, with
+    """Record the LU factors of a run's solves in its ``meta.counters`` (their
+    count, the largest fill and the largest order), with
     ``krylov`` (a 2D Newton solve ran) the GMRES iterations of its finer levels,
     and with ``refined`` (the masked solve ran) the refinement steps of its
     float32 factor and the final backward error."""
     counters["lu_factorizations"] = sum(f.factorizations for f in factors)
     counters["lu_fill_nnz"] = max(f.fill_nnz for f in factors)
+    counters["lu_factor_order"] = max(f.order for f in factors)
     if krylov:
         counters["krylov_iterations"] = sum(f.krylov_iterations for f in factors)
     if refined:
@@ -362,8 +364,8 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
 
 # grid rows (s values) per call of the exact reference: blocks keep its
 # complex temporaries small while the masked factor holds its peak memory
-# (masked-refinement peaks at 250 MB instead of 254 MB with one whole-grid
-# call, 15 paired runs on 2 cores)
+# (masked-refinement peaks at 199 MB in every run, and at 196-226 MB, 226 MB
+# in 6 of 10, with one whole-grid call; 10 paired runs on 2 cores)
 _REFERENCE_ROWS = 64
 
 

@@ -27,20 +27,20 @@ from .errors import InvalidParameterError
 # arrays by them that a grid stencil's narrow supernodes never repay.
 # Measured on 2 cores (scipy 1.17.1), both with the ordering above, the
 # float32 Schur complement of the masked strip_neck system at resolution
-# 256 (114,059 black unknowns, 11.1M fill instead of 12.4M) factors in
-# 0.77 s of CPU instead of 0.92-1.11 s, and its factorization lifts the
-# solve's peak resident set by 37 MB instead of 65 MB; at resolution 512
-# (457,072 unknowns, 53.4M fill instead of 60.5M) in 4.3-4.5 s instead of
-# 5.7-6.3 s, lifting the peak by 198 MB instead of 318 MB.  The float64
-# Newton Jacobians of 65^2-225^2 factor 25-31% faster.
+# 256, both mirror halves (114,059 black unknowns, 11.1M fill instead of
+# 12.4M), factors in 0.77 s of CPU instead of 0.92-1.11 s, and its
+# factorization lifts the solve's peak resident set by 37 MB instead of
+# 65 MB; at resolution 512 (457,072 unknowns, 53.4M fill instead of 60.5M)
+# in 4.3-4.5 s instead of 5.7-6.3 s, lifting the peak by 198 MB instead of
+# 318 MB.  The float64 Newton Jacobians of 65^2-225^2 factor 25-31% faster.
 #
 # Precision: the masked Shortley-Weller system, the largest factor the lab
-# builds (11.1M fill at resolution 256), is factored in float32 and refined
-# in float64 to a componentwise backward error of 6 eps, which halves the
-# factor's memory.  The Newton and eigen LUs factor only the coarsest
-# multilevel grid (at most 1.08M fill) and stay in float64: they act as
-# preconditioners, so their rounding enters the residual histories that
-# ``results`` reports bit for bit.
+# builds (6.1M fill at resolution 256, folded onto one mirror half), is
+# factored in float32 and refined in float64 to a componentwise backward
+# error of 6 eps, which halves the factor's memory.  The Newton and eigen
+# LUs factor only the coarsest multilevel grid (at most 1.08M fill) and
+# stay in float64: they act as preconditioners, so their rounding enters
+# the residual histories that ``results`` reports bit for bit.
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 4}
 
 # 5-point Gauss-Legendre rule on [-1, 1]
@@ -66,15 +66,18 @@ _GL5_WEIGHTS = np.array(
 
 @dataclass
 class LUCounts:
-    """Sparse LU factors a solve built, the largest nnz(L + U) among them,
-    the GMRES iterations of its preconditioned solves with the (iterations,
-    exit status) of the last one, and the iterative-refinement steps of its
-    single-precision factors with the largest final backward error.  The
-    masked solve factors only the Schur complement of its black unknowns,
-    so its ``fill_nnz`` is that reduced system's, not the whole system's."""
+    """Sparse LU factors a solve built, the largest nnz(L + U) and the
+    largest order among them, the GMRES iterations of its preconditioned
+    solves with the (iterations, exit status) of the last one, and the
+    iterative-refinement steps of its single-precision factors with the
+    largest final backward error.  The masked solve factors only the Schur
+    complement of its black unknowns, on one mirror half when the system is
+    mirror-symmetric, so its ``fill_nnz`` and ``order`` are that reduced
+    system's, not the whole system's."""
 
     factorizations: int = 0
     fill_nnz: int = 0
+    order: int = 0
     krylov_iterations: int = 0
     krylov_last: tuple[int, int] | None = None
     refinement_steps: int = 0
@@ -84,12 +87,14 @@ class LUCounts:
         """Count the SuperLU factor ``lu`` and return it."""
         self.factorizations += 1
         self.fill_nnz = max(self.fill_nnz, int(lu.nnz))
+        self.order = max(self.order, int(lu.shape[0]))
         return lu
 
     def merge(self, other: "LUCounts") -> None:
         """Add the factors and GMRES iterations of ``other``."""
         self.factorizations += other.factorizations
         self.fill_nnz = max(self.fill_nnz, other.fill_nnz)
+        self.order = max(self.order, other.order)
         self.krylov_iterations += other.krylov_iterations
 
 

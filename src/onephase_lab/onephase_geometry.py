@@ -451,6 +451,45 @@ def _schur_complement(A, red: np.ndarray):
     return rows[:, black] - rows[:, red] @ sp.diags(1.0 / A.diagonal()[red]) @ A[red][:, black]
 
 
+def _mirror_fold(A, b: np.ndarray, unknown: np.ndarray):
+    """Kept unknowns and fold map of the masked system's mirror t -> -t.
+
+    The mirror P sends the unknown in grid column j to the one in column
+    nt - 1 - j.  When ``unknown`` maps onto itself and the assembled system
+    is bitwise invariant, P A P^T == A and P b == b, the solution is even,
+    and ``kept`` lists the unknowns with j >= nt - 1 - j (t >= 0), in order;
+    ``fold[k]`` is the position in ``kept`` of unknown k or, if k is not
+    kept, of its mirror partner, so x = x_h[fold] unfolds a solution on the
+    kept half.  Otherwise both are the identity.
+    """
+    m = A.shape[0]
+    number = np.full(unknown.shape, -1)
+    number[unknown] = np.arange(m)
+    mirror = number[:, ::-1][unknown]
+    identity = np.arange(m)
+    if np.any(mirror < 0) or not np.array_equal(b[mirror], b) or (A[mirror][:, mirror] != A).nnz:
+        return identity, identity
+    keep = 2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1
+    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[np.where(keep, identity, mirror)]
+
+
+def _fold(A, kept: np.ndarray, fold: np.ndarray):
+    """R A E: the rows ``kept`` of A, every column added onto column
+    ``fold`` of it (see :func:`_mirror_fold`).  On the t = 0 row the equal
+    t- and t+ weights add to exactly twice the weight."""
+    folded = sp.csr_matrix((A.data, fold[A.indices], A.indptr), shape=(A.shape[0], len(kept)))[kept]
+    folded.sum_duplicates()
+    return folded
+
+
+def _residual(A, abs_a, x: np.ndarray, b: np.ndarray):
+    """r = b - A x and the componentwise backward error of x,
+    omega = max_i |r_i| / (|A||x| + |b|)_i; ``abs_a`` is |A|."""
+    r = b - A @ x
+    bound = abs_a @ np.abs(x) + np.abs(b)  # |r_i| <= bound_i, so 0 / 0 rows count as 0
+    return r, float(np.max(np.abs(r) / np.where(bound > 0.0, bound, 1.0)))
+
+
 def _refined_solve(A, b: np.ndarray, red: np.ndarray, factors: LUCounts) -> np.ndarray:
     """Solve A x = b by eliminating the unknowns ``red``, from one
     single-precision factor refined in double precision.
@@ -493,9 +532,7 @@ def _refined_solve(A, b: np.ndarray, red: np.ndarray, factors: LUCounts) -> np.n
         d[at_black] = lu.solve((c / scale).astype(np.float32)).astype(float) * scale
         d[at_red] = inv_r * (r - A @ d)[at_red]  # D_r^-1 (r_r - A_rb d_b)
         x += d
-        r = b - A @ x
-        bound = abs_a @ np.abs(x) + np.abs(b)  # |r_i| <= bound_i, so 0 / 0 rows count as 0
-        omega = float(np.max(np.abs(r) / np.where(bound > 0.0, bound, 1.0)))
+        r, omega = _residual(A, abs_a, x, b)
         trace.append(omega)
     factors.refinement_steps += len(trace) - 1
     factors.backward_error = max(factors.backward_error, omega)
@@ -517,18 +554,33 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     checkerboard colour, (i + j) % 2 of its grid indices.  The even (red)
     unknowns are eliminated exactly, and only the Schur complement on the
     odd (black) ones, about half of them, is factored, once, in single
-    precision; the whole system is refined in double (:func:`_refined_solve`).
-    Its certificate is the componentwise backward error of the returned
-    unknowns, at most 6 eps: they solve exactly a system whose every entry
-    of A and b differs from the assembled one by at most that relative
-    amount, the rounding a float64 evaluation of the residual makes anyway.
-    ``factors`` records the factor, its fill, the steps and that value.
+    precision; the system is refined in double (:func:`_refined_solve`).
+    When the assembled system is bitwise invariant under the mirror
+    t -> -t (:func:`_mirror_fold`), its solution is even, and this is done
+    on the restriction R A E to the kept half t >= 0 (:func:`_fold`), whose
+    solution x_h unfolds to x = E x_h; otherwise E is the identity.
+    The certificate is the componentwise backward error of the returned
+    unknowns in the whole system, at most 6 eps (NonconvergenceError
+    otherwise): they solve exactly a system whose every entry of A and b
+    differs from the assembled one by at most that relative amount, the
+    rounding a float64 evaluation of the residual makes anyway.
+    ``factors`` records the factor, its fill and order, the steps and that
+    value.
     """
     s, t = grid.axes()
     A, rhs, values, unknown, pos = _masked_system(grid, level_fn, boundary_fn)
+    kept, fold = _mirror_fold(A, rhs, unknown)
     factors = LUCounts()
     i, j = np.nonzero(unknown)
-    values[unknown] = _refined_solve(A, rhs, (i + j) % 2 == 0, factors)
+    x = _refined_solve(_fold(A, kept, fold), rhs[kept], ((i + j) % 2 == 0)[kept], factors)[fold]
+    _, omega = _residual(A, abs(A), x, rhs)
+    if omega > _REFINE_FLOOR:
+        raise NonconvergenceError(
+            f"the unfolded masked solve has backward error {omega:.3e} above its floor {_REFINE_FLOOR:.3e}",
+            last=x,
+        )
+    factors.backward_error = omega
+    values[unknown] = x
     out = AxiField(n=grid.n, s=s, t=t, values=values)
     mask = _positive_interior_mask(pos)
     residual = _harmonic_residual(out, mask) if mask.any() else float("nan")

@@ -280,7 +280,7 @@ def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=Fals
     solve also refinement, after the eigen solve also its per-level LOBPCG
     iterations and shift) counters, which live in ``meta`` and nowhere else."""
     counters = report["meta"]["counters"]
-    expected = ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz"]
+    expected = ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz", "lu_factor_order"]
     expected += ["lu_backward_error", "lu_refinement_steps"] * refined
     expected += ["eigen_iterations", "eigen_shift"] * eigen
     assert sorted(counters) == sorted(expected)
@@ -359,6 +359,7 @@ def test_solve_command_with_domain_study(tmp_path, runner):
     assert counters["krylov_iterations"] == 0
     assert report["results"]["solve"]["newton_iterations"] > 0
     assert counters["lu_fill_nnz"] >= 32 * 31  # at least the unknowns of the 33^2 grid
+    assert counters["lu_factor_order"] == 32 * 31  # the 33^2 grid's unknowns, axis column included
 
 
 def test_stability_command_layer(tmp_path, runner):
@@ -381,6 +382,7 @@ def test_stability_command_layer(tmp_path, runner):
     assert counters["lu_factorizations"] == 1  # one LU: the eigen solve factors its coarsest level only
     assert len(counters["eigen_iterations"]) == 1  # 33^2 has no coarser level
     assert counters["lu_fill_nnz"] >= 32 * 31
+    assert counters["lu_factor_order"] == 32 * 31
 
 
 def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner):
@@ -450,17 +452,23 @@ def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     assert counters["lu_fill_nnz"] >= res["masked_solve"]["unknowns"]
     assert 1 <= counters["lu_refinement_steps"] <= 10
     assert 0.0 <= counters["lu_backward_error"] <= 6.0 * np.finfo(float).eps
+    # the t nodes of resolution 48 are not mirror-exact, so the factor holds
+    # the black unknowns of both halves, about half of the 7865 unknowns
+    assert counters["lu_factor_order"] == 3930
 
 
 @pytest.mark.parametrize(
-    "preset, n, ref",
-    [("strip_neck", 2, StripNeckExact()), ("sphere", 3, SphereShellExact(n=3))],
+    "preset, n, ref, order",
+    [("strip_neck", 2, StripNeckExact(), 3542), ("sphere", 3, SphereShellExact(n=3), 16544)],
     ids=["strip_neck", "sphere-n3"],
 )
-def test_onephase_reference_on_its_worker_thread_matches_a_sequential_one(tmp_path, preset, n, ref):
+def test_onephase_reference_on_its_worker_thread_matches_a_sequential_one(tmp_path, preset, n, ref, order):
     # the exact field is evaluated in row blocks on one worker thread while
     # the masked system is factored; the sup error must be bit for bit that
-    # of one call on the whole grid, and the worker must be gone afterwards
+    # of one call on the whole grid, and the worker must be gone afterwards.
+    # The factor's order shows the fold: the neck at resolution 64 factors
+    # the black unknowns of its t >= 0 half (14,082 unknowns in all), the
+    # sphere, whose t nodes are not mirror-exact, those of both (33,098)
     cfg = ExperimentConfig(
         experiment="onephase", onephase_preset=preset, n=n, onephase_resolution=64, out_dir=str(tmp_path / preset)
     )
@@ -470,6 +478,7 @@ def test_onephase_reference_on_its_worker_thread_matches_a_sequential_one(tmp_pa
     field = AxiField.load_binary(tmp_path / preset / "field.bin")
     exact = ref.u(field.s[:, None], field.t[None, :])
     assert report.results["masked_solve"]["sup_error_vs_exact"] == float(np.max(np.abs(field.values - exact)))
+    assert report.counters["lu_factor_order"] == order
 
 
 # value text that survives an INI line: no whitespace and no comment prefixes,
@@ -492,6 +501,7 @@ _BY_FIELD = {
     "boundary_model": st.sampled_from(BOUNDARY_MODELS),
     "onephase_preset": st.sampled_from(ONEPHASE_PRESETS),
     "onephase_resolution": st.integers(1, 10**12),
+    "r0": _FLOATS.filter(lambda r0: r0 > 0.0),
     "epsilons": st.lists(_FLOATS.filter(lambda eps: eps > 0.0), min_size=1, max_size=4).map(tuple),
     "tolerances": st.fixed_dictionaries(
         {key: st.floats(min_value=0.0, exclude_min=True) for key in ("newton", "eigen", "classify")}
@@ -575,6 +585,19 @@ def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args
     assert isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r0", ["0", "-1.0"])
+def test_non_positive_sphere_radius_exits_naming_r0(tmp_path, runner, r0):
+    path = tmp_path / "sphere.cfg"
+    path.write_text(f"[onephase]\npreset = sphere\nr0 = {r0}\n")
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["onephase", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and "[onephase] r0" in lines[0], result.output
     assert not out.exists()
 
 

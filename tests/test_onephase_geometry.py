@@ -19,7 +19,9 @@ from onephase_lab.errors import (
 from onephase_lab.numerics import LU_OPTIONS, LUCounts, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
 from onephase_lab.onephase_geometry import (
     Generator,
+    _fold,
     _masked_system,
+    _mirror_fold,
     _refined_solve,
     _schur_complement,
     crossing_fractions,
@@ -368,7 +370,8 @@ def test_masked_solve_exact_on_cut_linear_fields(n, s_min, level):
 def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
     # strip_neck at resolution 64, the smallest masked-refinement rung: the
     # LU_OPTIONS factor of the whole system holds 0.470 of COLAMD's fill, the
-    # float32 factor of its black Schur complement, which the solve builds, 0.403
+    # float32 factor of the black Schur complement on its kept mirror half,
+    # which the solve builds, 0.197 (0.403 for both halves)
     neck = StripNeckExact()
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
     sol = solve_harmonic_masked(g, neck.level, neck.u)
@@ -376,22 +379,14 @@ def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
     colamd = splu(A, permc_spec="COLAMD").nnz
     assert sol.factors.factorizations == 1
     assert splu(A, **LU_OPTIONS).nnz <= 0.6 * colamd
-    assert sol.factors.fill_nnz <= 0.42 * colamd
+    assert sol.factors.fill_nnz <= 0.21 * colamd
 
 
 _EPS = np.finfo(float).eps
 
 
-@pytest.mark.parametrize(
-    "grid, shape",
-    [
-        # strip_neck at resolution 64 and the n = 3 sphere preset at resolution 32
-        (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129), _NECK),
-        (GridSpec(n=3, s_max=2.2, t_min=-2.2, t_max=2.2, ns=71, nt=141), _SHELL3),
-    ],
-    ids=["neck-64", "shell-n3-32"],
-)
-def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape):
+def _spy_on_factors(monkeypatch):
+    """The (dtype, shape, options) of every matrix the masked solve factors."""
     factored = []
 
     def spy(A, **kwargs):
@@ -399,16 +394,109 @@ def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape):
         return splu(A, **kwargs)
 
     monkeypatch.setattr(onephase_geometry, "splu", spy)
+    return factored
+
+
+@pytest.mark.parametrize(
+    "grid, shape, black",
+    [
+        # strip_neck at resolution 64 is even in t on mirror-exact t nodes, so
+        # only the black unknowns of its kept half are factored; the n = 3
+        # sphere preset at resolution 32 has linspace t nodes that are not
+        # mirror-exact, so its A is not invariant and all its black unknowns are
+        (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129), _NECK, 3542),
+        (GridSpec(n=3, s_max=2.2, t_min=-2.2, t_max=2.2, ns=71, nt=141), _SHELL3, None),
+    ],
+    ids=["neck-64", "shell-n3-32"],
+)
+def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape, black):
+    factored = _spy_on_factors(monkeypatch)
     sol = solve_harmonic_masked(grid, shape.level, shape.u)
     A, rhs, _, unknown, _ = _masked_system(grid, shape.level, shape.u)
+    if black is None:
+        black = np.count_nonzero(~_red(unknown))
     # one float32 factor, of the Schur complement on the black unknowns
-    black = np.count_nonzero(~_red(unknown))
     assert factored == [(np.float32, (black, black), LU_OPTIONS)]
+    assert sol.factors.order == black
     exact = splu(A.tocsc(), **LU_OPTIONS).solve(rhs)
     assert np.max(np.abs(sol.field.values[unknown] - exact)) <= 1e-12
     assert sol.factors.factorizations == 1
     assert 1 <= sol.factors.refinement_steps <= 10
     assert sol.factors.backward_error <= 6.0 * _EPS
+
+
+@pytest.mark.parametrize("ns, nt", [(148, 129), (295, 257)], ids=["neck-64", "neck-128"])
+def test_mirror_folded_neck_solve_matches_the_whole_float64_factor(ns, nt):
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=ns, nt=nt)
+    sol = solve_harmonic_masked(g, _NECK.level, _NECK.u)
+    A, rhs, _, unknown, _ = _masked_system(g, _NECK.level, _NECK.u)
+    kept = 2 * np.nonzero(unknown)[1] >= nt - 1
+    assert sol.factors.order == np.count_nonzero(~_red(unknown) & kept)
+    values = sol.field.values
+    assert np.array_equal(values, values[:, ::-1])
+    x = values[unknown]
+    assert np.max(np.abs(x - splu(A.tocsc(), **LU_OPTIONS).solve(rhs))) <= 1e-12
+    # the certificate is the whole system's componentwise backward error, of the unfolded unknowns
+    omega = float(np.max(np.abs(rhs - A @ x) / (abs(A) @ np.abs(x) + np.abs(rhs))))
+    assert sol.factors.backward_error == omega <= 6.0 * _EPS
+
+
+def test_one_ulp_off_the_mirror_solves_the_whole_system(monkeypatch):
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
+    t_off = g.axes()[1][100]  # t = 0.5625: one border node, on the t > 0 side only
+
+    def data(s, t):
+        u = _NECK.u(s, t)
+        return np.where((s == g.s_min) & (t == t_off), np.nextafter(u, np.inf), u)
+
+    A, rhs, _, unknown, _ = _masked_system(g, _NECK.level, data)
+    mirror = np.full(unknown.shape, -1)
+    mirror[unknown] = np.arange(A.shape[0])
+    assert not np.array_equal(rhs[mirror[:, ::-1][unknown]], rhs)
+    factored = _spy_on_factors(monkeypatch)
+    sol = solve_harmonic_masked(g, _NECK.level, data)
+    red = _red(unknown)
+    black = np.count_nonzero(~red)
+    assert [shape for _, shape, _ in factored] == [(black, black)]
+    whole = _refined_solve(A, rhs, red, LUCounts())
+    assert np.array_equal(sol.field.values[unknown], whole)
+
+
+def test_the_certificate_is_the_whole_systems(monkeypatch):
+    # a folded matrix 1e-10 off the restriction still refines on its half, but
+    # its unfolded solution misses the whole system's backward-error floor
+    fold = onephase_geometry._fold
+    monkeypatch.setattr(onephase_geometry, "_fold", lambda A, kept, f: fold(A, kept, f) * (1.0 + 1e-10))
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33)
+    with pytest.raises(NonconvergenceError, match=r"unfolded masked solve has backward error \d\.\d{3}e-1\d above"):
+        solve_harmonic_masked(g, _NECK.level, _NECK.u)
+
+
+_EVEN_LEVEL = lambda s, t: 7.3 + 0.05 * t * t - s
+
+
+@pytest.mark.parametrize(
+    "grid, level_fn, boundary_fn",
+    [
+        # the strip neck at resolution 16, a column at t = 0
+        (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33), _NECK.level, _NECK.u),
+        # an even column count on exact unit steps: the two middle columns
+        # are mirror partners, so each one's inner t arm folds onto itself
+        (GridSpec(n=2, s_min=1.0, s_max=9.0, t_min=-7.5, t_max=7.5, ns=9, nt=16), _EVEN_LEVEL, _EVEN_LEVEL),
+    ],
+    ids=["neck-16", "even-nt"],
+)
+def test_mirror_fold_is_the_restriction_to_the_even_subspace(grid, level_fn, boundary_fn):
+    A, rhs, _, unknown, _ = _masked_system(grid, level_fn, boundary_fn)
+    kept, fold = _mirror_fold(A, rhs, unknown)
+    m = A.shape[0]
+    assert 2 * len(kept) - m == np.count_nonzero(unknown[:, (grid.nt - 1) // 2]) * (grid.nt % 2)
+    E = np.zeros((m, len(kept)))
+    E[np.arange(m), fold] = 1.0
+    dense = A.toarray()
+    assert np.array_equal(_fold(A, kept, fold).toarray(), dense[kept] @ E)
+    x = E @ np.linalg.solve(dense[kept] @ E, rhs[kept])
+    assert np.max(np.abs(x - np.linalg.solve(dense, rhs))) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_refinement_of_an_ill_conditioned_system_raises():
