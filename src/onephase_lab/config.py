@@ -29,6 +29,13 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+# the smallest blow-down scale.  Every row of the family samples one source
+# grid over t in [-2/eps, 2/eps], eps the smallest scale, whose middle node
+# misses t = 0 by a rounding of about 1e-16/eps: below 1e-15 the eps = 1 row
+# drifts by more than 1, below about 1e-76 the profile's Hermite pieces
+# overflow, and below about 1e-100 every row reads NaN
+MIN_EPSILON = 1e-12
+
 # logs of the smallest positive and the largest finite double: a quadrature
 # weight below the one is zero, above the other infinite
 _LOG_TINY = math.log(math.ulp(0.0))
@@ -103,9 +110,13 @@ class ExperimentConfig:
         if not self.r0 > 0.0:
             raise ConfigError(f"[onephase] r0 must be positive, got {self.r0!r}")
         if not self.epsilons:
-            raise ConfigError("blowdown needs a nonempty epsilon list")
-        if not all(eps > 0.0 for eps in self.epsilons):
-            raise ConfigError(f"blowdown epsilons must be positive, got {self.epsilons!r}")
+            raise ConfigError("[blowdown] epsilons must be a nonempty list")
+        if not all(eps >= MIN_EPSILON for eps in self.epsilons):
+            raise ConfigError(f"[blowdown] epsilons must be >= {MIN_EPSILON!r}, got {_render(self.epsilons)}")
+        if not self.dims:
+            raise ConfigError("[window] dims must be a nonempty list")
+        if not all(n >= 2 for n in self.dims):
+            raise ConfigError(f"[window] dims must be >= 2, got {_render(self.dims)}")
         if self.boundary_model not in BOUNDARY_MODELS:
             raise ConfigError(f"unknown boundary model {self.boundary_model!r}")
         if (

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,25 +361,6 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
     }
 
 
-# grid rows (s values) per call of the exact reference: blocks keep its
-# complex temporaries small while the masked factor holds its peak memory
-# (masked-refinement peaks at 199 MB in every run, and at 196-226 MB, 226 MB
-# in 6 of 10, with one whole-grid call; 10 paired runs on 2 cores)
-_REFERENCE_ROWS = 64
-
-
-def _exact_on_grid(ref, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``ref.u`` on the grid ``s x t``, evaluated in blocks of rows.
-
-    Every node of a reference field is computed on its own, so the values
-    are bit for bit those of one call on the whole grid.
-    """
-    out = np.empty((len(s), len(t)))
-    for i in range(0, len(s), _REFERENCE_ROWS):
-        out[i : i + _REFERENCE_ROWS] = ref.u(s[i : i + _REFERENCE_ROWS, None], t[None, :])
-    return out
-
-
 def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     # the preset picks the exact reference, the dimension, the box and the interface samples
     if cfg.onephase_preset == "strip_neck":
@@ -401,13 +381,8 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
         nt=2 * int(round(t_hi / h)) + 1,
     )
     s, t = grid.axes()
-    # the exact field does not depend on the solve: one worker thread
-    # evaluates it while this thread assembles, factors and refines (SuperLU
-    # and numpy's loops release the GIL); the gain needs a free second core
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        exact = worker.submit(_exact_on_grid, ref, s, t)
-        sol = solve_harmonic_masked(grid, ref.level, ref.u)
-        sup_err = float(np.max(np.abs(sol.field.values - exact.result())))
+    sol = solve_harmonic_masked(grid, ref.level, ref.u)
+    sup_err = float(np.max(np.abs(sol.field.values - ref.u(s[:, None], t[None, :]))))
     boundary = curvature_of_revolution(gen, n=n, positive_side=ref.positive_side)
 
     _count_factors(counters, sol.factors, refined=True)

@@ -68,9 +68,9 @@ class StripNeckExact:
     def u(self, s, t):
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         inside = self.level(s, t) > 0.0
-        w = self._invert(np.where(inside, t + 1j * s, 0.0))
-        vals = np.real(np.cosh(w))
-        return np.where(inside, vals, 0.0)
+        vals = np.zeros(s.shape)
+        vals[inside] = np.real(np.cosh(self._invert(t[inside] + 1j * s[inside])))
+        return vals
 
     def boundary_generator(self, t_vals) -> Generator:
         t_vals = np.asarray(t_vals, dtype=float)

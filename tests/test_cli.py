@@ -19,6 +19,7 @@ from onephase_lab.config import (
     _KEYS,
     BOUNDARY_MODELS,
     EXPERIMENTS,
+    MIN_EPSILON,
     ONEPHASE_PRESETS,
     ExperimentConfig,
     parse_config,
@@ -462,19 +463,25 @@ def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     [("strip_neck", 2, StripNeckExact(), 3542), ("sphere", 3, SphereShellExact(n=3), 16544)],
     ids=["strip_neck", "sphere-n3"],
 )
-def test_onephase_reference_on_its_worker_thread_matches_a_sequential_one(tmp_path, preset, n, ref, order):
-    # the exact field is evaluated in row blocks on one worker thread while
-    # the masked system is factored; the sup error must be bit for bit that
-    # of one call on the whole grid, and the worker must be gone afterwards.
+def test_onephase_runs_on_one_thread_and_reports_the_sup_error_of_its_field(
+    tmp_path, monkeypatch, preset, n, ref, order
+):
+    # the run starts no thread: the exact field is evaluated once, on the
+    # whole grid, after the masked solve, and the sup error must be bit for
+    # bit the one recomputed from the written field.
     # The factor's order shows the fold: the neck at resolution 64 factors
     # the black unknowns of its t >= 0 half (14,082 unknowns in all), the
     # sphere, whose t nodes are not mirror-exact, those of both (33,098)
     cfg = ExperimentConfig(
         experiment="onephase", onephase_preset=preset, n=n, onephase_resolution=64, out_dir=str(tmp_path / preset)
     )
-    threads = threading.active_count()
-    report = run(cfg)
-    assert threading.active_count() == threads
+
+    def no_thread(self):
+        raise AssertionError(f"onephase started a thread: {self!r}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", no_thread)
+        report = run(cfg)
     field = AxiField.load_binary(tmp_path / preset / "field.bin")
     exact = ref.u(field.s[:, None], field.t[None, :])
     assert report.results["masked_solve"]["sup_error_vs_exact"] == float(np.max(np.abs(field.values - exact)))
@@ -502,7 +509,8 @@ _BY_FIELD = {
     "onephase_preset": st.sampled_from(ONEPHASE_PRESETS),
     "onephase_resolution": st.integers(1, 10**12),
     "r0": _FLOATS.filter(lambda r0: r0 > 0.0),
-    "epsilons": st.lists(_FLOATS.filter(lambda eps: eps > 0.0), min_size=1, max_size=4).map(tuple),
+    "epsilons": st.lists(_FLOATS.filter(lambda eps: eps >= MIN_EPSILON), min_size=1, max_size=4).map(tuple),
+    "dims": st.lists(st.integers(2, 10**12), min_size=1, max_size=4).map(tuple),
     "tolerances": st.fixed_dictionaries(
         {key: st.floats(min_value=0.0, exclude_min=True) for key in ("newton", "eigen", "classify")}
     ),
@@ -586,6 +594,27 @@ def test_out_of_range_cli_values_exit_with_one_error_line(tmp_path, runner, args
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["blowdown", "--epsilons", "1,1e-150"], "[blowdown] epsilons"),
+        (["window", "--dims", ","], "[window] dims"),
+        (["window", "--dims", "-3"], "[window] dims"),
+    ],
+)
+def test_out_of_range_list_exits_naming_its_key(tmp_path, runner, recwarn, args, key):
+    # a scale of 1e-150 once ran to NaN rows under overflow warnings, and an
+    # empty or negative dimension list once ran too
+    out = tmp_path / "never"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and key in lines[0], result.output
+    assert not out.exists()
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("r0", ["0", "-1.0"])

@@ -38,8 +38,9 @@ def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
 SRC = PYPROJECT.parent / "src"
 
 # Runs every experiment once, on tiny configs, in a fresh interpreter, fails
-# if a thread besides the main one outlives a run, and prints every loaded
-# module of the two scipy subpackages the lab leaves out.
+# if any thread besides the main one is alive after a run (the lab runs on
+# one thread), and prints every loaded module of the two scipy subpackages
+# the lab leaves out.
 IMPORT_GUARD = '''
 import sys
 import threading
@@ -73,8 +74,7 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.interpolate", "scipy
 
 def test_lab_runs_without_scipy_interpolate_or_optimize(tmp_path):
     # scipy.interpolate (and the scipy.optimize it pulls in) cost about 0.3 s
-    # of every run's import; the lab's interpolants are numpy kernels.  A
-    # worker thread left alive would count against the cores of the host.
+    # of every run's import; the lab's interpolants are numpy kernels.
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
         capture_output=True, text=True, timeout=300,
