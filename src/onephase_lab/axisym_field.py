@@ -19,7 +19,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgttrf, dgttrs, dlartg
 from scipy.sparse.linalg import splu
 
-from .errors import DomainError, InvalidParameterError, NonconvergenceError
+from .errors import InvalidParameterError, NonconvergenceError
 from .numerics import LU_OPTIONS, LUCounts, stencil_matrix, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
 
@@ -101,17 +101,13 @@ class AxiField:
     def sample(self, points) -> np.ndarray:
         """Bilinear values at ``points``, continued linearly outside the grid.
 
-        ``points`` is an array of (s, t) pairs in its last axis, or a tuple
-        (s, t) of broadcastable coordinate arrays.  A point takes the cell
-        ``s[i] <= s < s[i+1]``, ``t[j] <= t < t[j+1]`` (the last cell also
-        its far edge; points off the grid the nearest edge cell) and the
-        weighted values of that cell's four corners.
+        ``points`` is an array of (s, t) pairs in its last axis.  A point
+        takes the cell ``s[i] <= s < s[i+1]``, ``t[j] <= t < t[j+1]`` (the
+        last cell also its far edge; points off the grid the nearest edge
+        cell) and the weighted values of that cell's four corners.
         """
-        if isinstance(points, tuple):
-            s, t = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
-        else:
-            points = np.asarray(points, dtype=float)
-            s, t = points[..., 0], points[..., 1]
+        points = np.asarray(points, dtype=float)
+        s, t = points[..., 0], points[..., 1]
         i, ys = _cell(self.s, s)
         j, yt = _cell(self.t, t)
         nt, v = len(self.t), self.values.ravel()
@@ -524,36 +520,31 @@ def solve_semilinear(
 ) -> SolveResult:
     """Damped Newton solve of Delta_h u = beta(u)/2 with Dirichlet data.
 
-    ``boundary`` is either a vectorized callable g(s, t) supplying data on
-    the outer boundary and the initial guess everywhere, or an AxiField on
-    the same grid used the same way.  While both node counts are odd and the
-    every-other-node grid keeps 65 or more per direction, that grid is solved
-    first and its bilinear prolongation is the start of the finer one.  Each
-    level is a ``_damped_newton`` on Delta_h u - beta(u)/2, evaluated like
-    ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2.  Only the
-    coarsest level factors its Jacobian (sparse LU); every finer level solves
-    its Newton systems with flexible GMRES right-preconditioned by one
-    V-cycle over the coarser levels.  The levels are cascadic (Bornemann and
-    Deuflhard, Numer. Math. 75 (1996) 135-152): a coarse level supplies only
-    a start and a coarse correction, so it stops at sqrt(tol), and only the
-    finest level runs to ``tol``.  A coarse level's coarse correction is the
-    factor it built last (its LU solve, or its V-cycle above the coarsest),
-    taken at the iterate of its last fresh Jacobian; a level that took no
-    step factors its start when the next level first applies the
-    correction, and not at all if it never does.  A level that stagnates or
-    misses its tolerance in ``max_iter`` steps raises ``NonconvergenceError``
-    with its last iterate and trace, naming the grid if it is coarse.
-    ``factors`` counts all levels.
+    ``boundary`` is a vectorized callable g(s, t) supplying data on the
+    outer boundary and the initial guess everywhere; its values are copied,
+    as the levels write their start in place.  While both node counts are odd
+    and the every-other-node grid keeps 65 or more per direction, that grid
+    is solved first and its bilinear prolongation is the start of the finer
+    one.  Each level is a ``_damped_newton`` on Delta_h u - beta(u)/2,
+    evaluated like ``residual_semilinear``, with Jacobian
+    Delta_h - beta'(u)/2.  Only the coarsest level factors its Jacobian
+    (sparse LU); every finer level solves its Newton systems with flexible
+    GMRES right-preconditioned by one V-cycle over the coarser levels.  The
+    levels are cascadic (Bornemann and Deuflhard, Numer. Math. 75 (1996)
+    135-152): a coarse level supplies only a start and a coarse correction,
+    so it stops at sqrt(tol), and only the finest level runs to ``tol``.  A
+    coarse level's coarse correction is the factor it built last (its LU
+    solve, or its V-cycle above the coarsest), taken at the iterate of its
+    last fresh Jacobian; a level that took no step factors its start when
+    the next level first applies the correction, and not at all if it never
+    does.  A level that stagnates or misses its tolerance in ``max_iter``
+    steps raises ``NonconvergenceError`` with its last iterate and trace,
+    naming the grid if it is coarse.  ``factors`` counts all levels.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
     s, t = grid.axes()
-    if callable(boundary):
-        u = np.asarray(boundary(s[:, None], t[None, :]), dtype=float)
-    else:
-        if not isinstance(boundary, AxiField):
-            raise InvalidParameterError("boundary must be a callable or an AxiField")
-        u = boundary.values.copy()
+    u = np.array(boundary(s[:, None], t[None, :]), dtype=float)
     if u.shape != (grid.ns, grid.nt):
         raise InvalidParameterError("boundary data shape does not match the grid")
     return _solve_levels(beta, grid, u, tol, max_iter)
@@ -662,8 +653,8 @@ def solve_semilinear_1d(
     """Newton solve of the discrete two-point problem v_tt = beta(v)/2.
 
     Dirichlet values ``left``/``right`` at the interval ends; ``init`` is the
-    starting guess, nt nodal values or a callable of the nodes.  The tiling of
-    the returned nodal values along s is an exact discrete solution of the
+    starting guess, nt nodal values.  The tiling of the returned nodal
+    values along s is an exact discrete solution of the
     full problem with one-dimensional data, which makes it the right far-field
     model and the reference for s-independence checks.  Stagnated
     backtracking, or ``max_iter`` damped Newton steps without reaching
@@ -674,7 +665,7 @@ def solve_semilinear_1d(
     """
     t = np.linspace(t_min, t_max, nt)
     ht = t[1] - t[0]
-    v = np.asarray(init(t) if callable(init) else init, dtype=float).copy()
+    v = np.array(init, dtype=float)
     v[0], v[-1] = left, right
     m = nt - 2
     main = -2.0 / ht**2 * np.ones(m)
@@ -779,46 +770,12 @@ def energy(
     return EnergyBreakdown(dirichlet=dirichlet, potential=potential)
 
 
-@dataclass
-class BlowDownResult:
-    field: AxiField
-    residual: float | None
-
-
-def blow_down(
-    f: AxiField,
-    epsilon: float,
-    beta: ReactionTerm | None = None,
-    target: GridSpec | None = None,
-) -> BlowDownResult:
-    """The rescaled field eps * u(x / eps), optionally resampled to a grid.
-
-    Without a target the grid itself is scaled by eps, which is exact (and
-    bitwise the identity at eps = 1).  With a target the values are bilinear
-    samples; the target must fit inside the rescaled source domain.  When a
-    reaction term is supplied the discrete residual of the rescaled equation
-    (with the matching width-eps term) is reported alongside.
-    """
+def blow_down(f: AxiField, epsilon: float) -> AxiField:
+    """The rescaled field eps * u(x / eps) on the grid scaled by eps: exact,
+    and bitwise the identity at eps = 1."""
     if not (epsilon > 0.0):
         raise InvalidParameterError("epsilon must be positive")
-    if target is None:
-        out = AxiField(n=f.n, s=epsilon * f.s, t=epsilon * f.t, values=epsilon * f.values)
-    else:
-        s, t = target.axes()
-        pad = 1e-12 * max(abs(f.s[-1]), abs(f.t[-1]), 1.0)
-        if (
-            s[0] / epsilon < f.s[0] - pad
-            or s[-1] / epsilon > f.s[-1] + pad
-            or t[0] / epsilon < f.t[0] - pad
-            or t[-1] / epsilon > f.t[-1] + pad
-        ):
-            raise DomainError("target grid reaches outside the rescaled source domain")
-        S, T = np.meshgrid(s / epsilon, t / epsilon, indexing="ij")
-        out = AxiField(n=target.n, s=s, t=t, values=epsilon * f.sample((S, T)))
-    res = None
-    if beta is not None:
-        res = residual_semilinear(out, rescale(beta, epsilon))
-    return BlowDownResult(field=out, residual=res)
+    return AxiField(n=f.n, s=epsilon * f.s, t=epsilon * f.t, values=epsilon * f.values)
 
 
 def lipschitz_monitor(f: AxiField) -> float:

@@ -15,8 +15,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .numerics import log_max_node_weight, log_min_node_weight
+from .stability import StabilityProbe
 
 EXPERIMENTS = ("profile", "solve", "stability", "onephase", "blowdown", "window", "figure1")
 BOUNDARY_MODELS = ("profile", "affine", "catenoid")
@@ -29,11 +30,12 @@ _DEFAULT_TOLERANCES = {
 }
 
 
-# the smallest blow-down scale.  Every row of the family samples one source
-# grid over t in [-2/eps, 2/eps], eps the smallest scale, whose middle node
-# misses t = 0 by a rounding of about 1e-16/eps: below 1e-15 the eps = 1 row
-# drifts by more than 1, below about 1e-76 the profile's Hermite pieces
-# overflow, and below about 1e-100 every row reads NaN
+# the smallest blow-down scale.  Each row samples its own source grid over
+# [0, 1/eps] x [-2/eps, 2/eps], so rows stay finite and independent of one
+# another far below it: the rescaled residual's quartic first overflows at
+# u/eps (a warning) below about 1e-76, and the extent 2/eps is not finite
+# below about 1.1e-308.  Below about 5e-4 the layer is narrower than one of
+# the 8193 t cells, so a row's gap and residual measure the grid
 MIN_EPSILON = 1e-12
 
 # logs of the smallest positive and the largest finite double: a quadrature
@@ -109,6 +111,11 @@ class ExperimentConfig:
             raise ConfigError(f"one-phase resolution must be >= 1, got {self.onephase_resolution!r}")
         if not self.r0 > 0.0:
             raise ConfigError(f"[onephase] r0 must be positive, got {self.r0!r}")
+        try:
+            StabilityProbe(alpha=self.alpha, R=self.R, eps_inner=self.eps_inner, eps0=self.eps0)
+        except InvalidParameterError as exc:
+            key = next(key for sec, key, name, _parse in _KEYS if sec == "probe" and name == exc.name)
+            raise ConfigError(f"[probe] {key} is out of range: {exc}") from None
         if not self.epsilons:
             raise ConfigError("[blowdown] epsilons must be a nonempty list")
         if not all(eps >= MIN_EPSILON for eps in self.epsilons):

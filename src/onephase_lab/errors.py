@@ -6,7 +6,11 @@ class LabError(Exception):
 
 
 class InvalidParameterError(LabError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition; ``name`` is the argument to blame, if one is."""
+
+    def __init__(self, message, name=None):
+        super().__init__(message)
+        self.name = name
 
 
 class DomainTruncationError(LabError):
@@ -32,10 +36,6 @@ class InconclusiveClassificationError(LabError):
 
 class NonIntegrableTailError(LabError):
     """The first-integral quadrature diverges (primitive not increasing)."""
-
-
-class DomainError(LabError):
-    """A resampling request reaches outside the source domain."""
 
 
 class GeometryMismatchError(LabError):

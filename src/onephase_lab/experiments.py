@@ -47,7 +47,7 @@ from .profile1d import (
     shoot,
     unique_increasing_profile,
 )
-from .reaction_terms import resolve_reaction
+from .reaction_terms import rescale, resolve_reaction
 from .reference import SphereShellExact, StripNeckExact
 from .stability import (
     StabilityProbe,
@@ -194,14 +194,13 @@ def _run_window(cfg: ExperimentConfig, outputs: dict, counters: dict):
         window = admissible_alpha(n)
         entry = {"interval": None if window is None else list(window)}
         if window is not None:
+            # eps0 > 0 at most half the margin n - 1 - 2 alpha = n/2 - sqrt(n-2) > 0 keeps the rate positive
             alpha_mid = 0.5 * (window[0] + window[1])
-            margin = n - 1 - 2.0 * alpha_mid
-            eps0 = min(cfg.eps0, 0.5 * margin) if margin > 0 else None
+            eps0 = min(cfg.eps0, 0.5 * (n - 1 - 2.0 * alpha_mid))
             entry["alpha_mid"] = alpha_mid
-            if eps0 is not None and margin - eps0 > 0:
-                entry["schedule"] = {
-                    str(R): epsilon_schedule(n, alpha_mid, eps0, R) for R in (2.0, 4.0, 8.0, 16.0)
-                }
+            entry["schedule"] = {
+                str(R): epsilon_schedule(n, alpha_mid, eps0, R) for R in (2.0, 4.0, 8.0, 16.0)
+            }
         if n == 6:
             entry["note"] = "boundary dimension: window closes exactly here; exploratory only"
         rows[str(n)] = entry
@@ -251,8 +250,8 @@ def _run_solve(cfg: ExperimentConfig, outputs: dict, counters: dict):
         )
         res2 = solve_semilinear(beta, sub, data, tol=cfg.tolerances["newton"])
         s2, t2 = sub.axes()
-        S2, T2 = np.meshgrid(s2[1:-1], t2[1:-1], indexing="ij")
-        diff = float(np.max(np.abs(f.sample((S2, T2)) - res2.field.values[1:-1, 1:-1])))
+        points = np.stack(np.meshgrid(s2[1:-1], t2[1:-1], indexing="ij"), axis=-1)
+        diff = float(np.max(np.abs(f.sample(points) - res2.field.values[1:-1, 1:-1])))
         results["domain_study"] = {
             "sub_extents": [s_lo, s_hi, t_lo, t_hi],
             "max_interior_difference": diff,
@@ -317,30 +316,26 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
 
 def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
     beta = resolve_reaction(cfg.reaction)
-    eps_list = sorted(cfg.epsilons, reverse=True)
-    span = max(2.0 / min(eps_list), 40.0)
-    prof = unique_increasing_profile(beta, u_lo=1e-6, u_hi=span, n_samples=40001)
-    big = GridSpec(
-        n=2, s_max=1.0 / min(eps_list), t_min=-span, t_max=span, ns=3, nt=4 * 40000 + 1
-    )
-    src = extend_to_nd(prof, (0.0, 1.0), big)
-    target = GridSpec(n=2, s_max=1.0, t_min=-2.0, t_max=2.0, ns=3, nt=8193)
-    sharp_total = 2.0 * target.t_max  # |grad|^2 + indicator on {t > 0}, unit s-extent
+    # above u = 1 the layer is the slope-1 ramp, which sample() continues exactly
+    prof = unique_increasing_profile(beta, u_lo=1e-6, n_samples=40001)
+    sharp_total = 4.0  # |grad|^2 + indicator on {t > 0} over [0, 1] x [-2, 2]
 
     rows = []
-    for eps in eps_list:
-        bd = blow_down(src, eps, beta=beta, target=target)
+    for eps in sorted(cfg.epsilons, reverse=True):
+        # each row is the exact blow-down of its own source grid over [0, 1/eps] x [-2/eps, 2/eps]
+        src = GridSpec(n=2, s_max=1.0 / eps, t_min=-2.0 / eps, t_max=2.0 / eps, ns=3, nt=8193)
+        field = blow_down(extend_to_nd(prof, src), eps)
         # the planar energy: the n = 2 measure is exactly |S^0| = 2 times it
-        layer = energy(bd.field, beta=beta, epsilon=eps).total / 2.0
-        lim = np.maximum(0.0, bd.field.t)[None, :]
+        layer = energy(field, beta=beta, epsilon=eps).total / 2.0
+        lim = np.maximum(0.0, field.t)[None, :]
         rows.append(
             {
                 "epsilon": eps,
                 "layer_energy": layer,
                 "sharp_energy": sharp_total,
                 "gap": abs(layer - sharp_total),
-                "sup_distance_to_ramp": float(np.max(np.abs(bd.field.values - lim))),
-                "rescaled_residual": bd.residual,
+                "sup_distance_to_ramp": float(np.max(np.abs(field.values - lim))),
+                "rescaled_residual": residual_semilinear(field, rescale(beta, eps)),
             }
         )
     gaps = [r["gap"] for r in rows]
@@ -383,7 +378,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     s, t = grid.axes()
     sol = solve_harmonic_masked(grid, ref.level, ref.u)
     sup_err = float(np.max(np.abs(sol.field.values - ref.u(s[:, None], t[None, :]))))
-    boundary = curvature_of_revolution(gen, n=n, positive_side=ref.positive_side)
+    boundary = curvature_of_revolution(gen, n=n)
 
     _count_factors(counters, sol.factors, refined=True)
     identity = normal_derivative_identity(boundary, sol.field)

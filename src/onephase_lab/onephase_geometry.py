@@ -48,53 +48,15 @@ _REFINE_STEPS = 10
 
 @dataclass
 class Generator:
-    """Sampled generator curve of a surface of revolution, s = s(tau), t = t(tau).
+    """Sampled generator curve of a surface of revolution, s = s(tau), t = t(tau),
+    with the exact first and second derivatives of both coordinates in tau."""
 
-    Exact derivative arrays may be supplied; otherwise second-order
-    differences on the parameter are used.
-    """
-
-    tau: np.ndarray
     s: np.ndarray
     t: np.ndarray
-    ds: np.ndarray | None = None
-    dt: np.ndarray | None = None
-    dss: np.ndarray | None = None
-    dtt: np.ndarray | None = None
-
-    @classmethod
-    def from_graph(cls, t_vals, s_vals, ds=None, dss=None) -> "Generator":
-        t_vals = np.asarray(t_vals, dtype=float)
-        s_vals = np.asarray(s_vals, dtype=float)
-        return cls(
-            tau=t_vals,
-            s=s_vals,
-            t=t_vals,
-            ds=None if ds is None else np.asarray(ds, dtype=float),
-            dt=np.ones_like(t_vals),
-            dss=None if dss is None else np.asarray(dss, dtype=float),
-            dtt=np.zeros_like(t_vals),
-        )
-
-    @classmethod
-    def from_parametric(cls, tau, s_vals, t_vals, ds=None, dt=None, dss=None, dtt=None) -> "Generator":
-        conv = lambda a: None if a is None else np.asarray(a, dtype=float)
-        return cls(
-            tau=np.asarray(tau, dtype=float),
-            s=np.asarray(s_vals, dtype=float),
-            t=np.asarray(t_vals, dtype=float),
-            ds=conv(ds),
-            dt=conv(dt),
-            dss=conv(dss),
-            dtt=conv(dtt),
-        )
-
-    def derivatives(self):
-        ds = self.ds if self.ds is not None else np.gradient(self.s, self.tau, edge_order=2)
-        dt = self.dt if self.dt is not None else np.gradient(self.t, self.tau, edge_order=2)
-        dss = self.dss if self.dss is not None else np.gradient(ds, self.tau, edge_order=2)
-        dtt = self.dtt if self.dtt is not None else np.gradient(dt, self.tau, edge_order=2)
-        return ds, dt, dss, dtt
+    ds: np.ndarray
+    dt: np.ndarray
+    dss: np.ndarray
+    dtt: np.ndarray
 
 
 @dataclass
@@ -126,30 +88,24 @@ class RevolutionBoundary:
             fh.write(csv_lines(self.t, self.s, self.mean_curv, self.normals[:, 0], self.normals[:, 1]))
 
 
-def curvature_of_revolution(gen: Generator, n: int, positive_side: str = "right") -> RevolutionBoundary:
+def curvature_of_revolution(gen: Generator, n: int) -> RevolutionBoundary:
     """Normals and principal curvatures of the revolved generator.
 
-    ``positive_side`` locates the positivity set "left" or "right" of the
-    direction of travel; for a graph over increasing t, "right" is the side
-    of larger s and "left" that of smaller s.  Axis touches are only
+    The positivity set lies left of the direction of travel: for a graph
+    over increasing t, on the side of smaller s.  Axis touches are only
     admissible where the tangent is perpendicular to the axis (smooth poles,
     which are umbilic); anything else raises.
     """
     if n < 2:
         raise InvalidParameterError("ambient dimension must be >= 2")
-    if positive_side not in ("left", "right"):
-        raise InvalidParameterError("positive_side must be left or right")
-    ds, dt, dss, dtt = gen.derivatives()
+    ds, dt, dss, dtt = gen.ds, gen.dt, gen.dss, gen.dtt
     speed_sq = ds * ds + dt * dt
     speed = np.sqrt(speed_sq)
     if np.any(speed == 0.0):
         raise InvalidParameterError("generator has a stationary sample")
 
     # normal pointing into the positivity set
-    if positive_side == "left":
-        m_s, m_t = -dt / speed, ds / speed
-    else:
-        m_s, m_t = dt / speed, -ds / speed
+    m_s, m_t = -dt / speed, ds / speed
 
     # curvature vector of the generator
     rdot = (ds * dss + dt * dtt) / speed_sq

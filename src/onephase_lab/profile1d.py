@@ -89,7 +89,7 @@ def shoot(
 
     Classical fourth-order Runge-Kutta with fixed step, run backward and
     forward from the anchor over [1 - H, 1 + H].  The mirror solution through
-    the anchor is :func:`mirror` of this one.
+    the anchor is :func:`mirror` of this one, shifted by 2.
     """
     if a <= 0.0:
         raise InvalidParameterError("anchor slope a must be positive")
@@ -136,10 +136,10 @@ def shoot(
     return Profile1D(xs=xs, us=us, dus=dus)
 
 
-def mirror(profile: Profile1D, about: float = 1.0) -> Profile1D:
-    """The reflection x -> 2*about - x of a profile."""
+def mirror(profile: Profile1D) -> Profile1D:
+    """The reflection x -> -x of a profile, exact in floating point."""
     return Profile1D(
-        xs=(2.0 * about - profile.xs)[::-1].copy(),
+        xs=(-profile.xs)[::-1].copy(),
         us=profile.us[::-1].copy(),
         dus=(-profile.dus)[::-1].copy(),
     )
@@ -157,7 +157,7 @@ def _tail_slope(xs, us):
 
 def classify(
     profile: Profile1D,
-    beta: ReactionTerm | None = None,
+    beta: ReactionTerm,
     tol: float = 1e-6,
 ) -> ClassificationReport:
     """Assign a case tag and extract slopes, turning point and minimum.
@@ -165,8 +165,8 @@ def classify(
     Slopes are measured over the outer 10% of the sampled domain, which must
     be affine within ``tol`` (otherwise the domain was too small and the
     classification is inconclusive).  The defect reported is |a^2 - b^2 - 1|
-    for two-sided ramps and |a^2 - (Phi(1) - Phi(y0))| for wells (the latter
-    needs ``beta``).
+    for two-sided ramps and |a^2 - (Phi(1) - Phi(y0))| for wells, Phi the
+    primitive of ``beta``.
     """
     xs, us = profile.xs, profile.us
     if np.ptp(us) <= tol:
@@ -195,16 +195,13 @@ def classify(
         p = xs[j] - dus[j] * (xs[j + 1] - xs[j]) / (dus[j + 1] - dus[j])
         y0 = float(profile._interp(p))
         a = right_slope
-        defect = None
-        if beta is not None:
-            gap = float(beta.primitive(1.0) - beta.primitive(y0))
-            defect = abs(a * a - gap)
+        defect = abs(a * a - float(beta.primitive(1.0) - beta.primitive(y0)))
         return ClassificationReport(CASE_III, a, abs(left_slope), float(p), y0, defect)
 
     if us[-1] < us[0]:
         # ramp on the left: classify the mirror image x -> -x, which negates
         # abscissae and slopes exactly
-        rep = classify(mirror(profile, about=0.0), beta, tol)
+        rep = classify(mirror(profile), beta, tol)
         return replace(rep, case_tag=rep.case_tag + REFLECTED, turning_point=-rep.turning_point)
 
     # ramp on the right; its affine window defines a
@@ -225,7 +222,6 @@ def classify(
 def unique_increasing_profile(
     beta: ReactionTerm,
     u_lo: float = 1e-4,
-    u_hi: float = 1.5,
     n_samples: int = 20001,
 ) -> Profile1D:
     """The monotone layer profile via quadrature of the first integral.
@@ -233,12 +229,13 @@ def unique_increasing_profile(
     Along any solution decaying to 0 on the left, u'^2 = Phi(u), so the
     inverse function obeys x(u) = 1 + int_1^u dv/sqrt(Phi(v)) once anchored
     at u(1) = 1.  Values are sampled geometrically near 0 (where the
-    integrand follows a power law) and uniformly above; above u = 1 the
-    profile is exactly affine with slope 1.  Serves as the independent check
-    for the shooting integrator.
+    integrand follows a power law) and uniformly above, up to u = 1.5; above
+    u = 1 the profile is exactly affine with slope 1, as :meth:`Profile1D.sample`
+    continues it.  Serves as the independent check for the shooting
+    integrator.
     """
-    if not (0.0 < u_lo < 1.0) or u_hi < 1.0:
-        raise InvalidParameterError("need 0 < u_lo < 1 <= u_hi")
+    if not (0.0 < u_lo < 1.0):
+        raise InvalidParameterError("need 0 < u_lo < 1")
     phi = beta.primitive
     if float(phi(u_lo)) <= 0.0:
         raise NonIntegrableTailError("primitive vanishes at u_lo; tail quadrature diverges")
@@ -261,7 +258,7 @@ def unique_increasing_profile(
     x_below = np.concatenate(([0.0], np.cumsum(seg)))
     x_below += 1.0 - x_below[-1]
 
-    tops = np.linspace(1.0, u_hi, n_top + 1)[1:]
+    tops = np.linspace(1.0, 1.5, n_top + 1)[1:]
     xs = np.concatenate((x_below, tops))
     us = np.concatenate((us, tops))
     dus = np.sqrt(np.clip(phi(us), 0.0, None))
@@ -269,20 +266,10 @@ def unique_increasing_profile(
     return Profile1D(xs=xs, us=us, dus=dus)
 
 
-def extend_to_nd(profile: Profile1D, direction, grid) -> AxiField:
-    """Embed a 1D profile as a planar wave u(x) = profile(d . x) on a grid.
-
-    ``direction`` is a 2-vector (d_s, d_t) in the half-plane; (0, 1) gives
-    the axial embedding whose field depends on t only.
-    """
-    d = np.asarray(direction, dtype=float)
-    norm = float(np.hypot(d[0], d[1]))
-    if norm == 0.0:
-        raise InvalidParameterError("direction must be nonzero")
-    d = d / norm
+def extend_to_nd(profile: Profile1D, grid) -> AxiField:
+    """The axial embedding u(s, t) = profile(t) of a 1D profile on a grid."""
     s, t = grid.axes()
-    arg = d[0] * s[:, None] + d[1] * t[None, :]
-    return AxiField(n=grid.n, s=s, t=t, values=profile.sample(arg))
+    return AxiField(n=grid.n, s=s, t=t, values=np.tile(profile.sample(t), (grid.ns, 1)))
 
 
 def first_integral_spread(profile: Profile1D, beta: ReactionTerm) -> float:

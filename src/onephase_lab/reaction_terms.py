@@ -41,16 +41,14 @@ class ReactionTerm:
     knots: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def make_polynomial_beta(normalization: float = 1.0) -> ReactionTerm:
-    """Quartic witness c*t^2(1-t)^2 on [0, 1] with integral ``normalization``.
+def make_polynomial_beta() -> ReactionTerm:
+    """Quartic witness c*t^2(1-t)^2 on [0, 1] with unit integral.
 
     Since the factor t^2(1-t)^2 integrates to 1/30, the coefficient is
-    c = 30*normalization; the derivative vanishes at both support endpoints,
-    so the term is C^1 across them.
+    c = 30; the derivative vanishes at both support endpoints, so the term
+    is C^1 across them.
     """
-    if normalization <= 0:
-        raise InvalidParameterError("normalization must be positive")
-    c = 30.0 * normalization
+    c = 30.0
 
     def _eval(t):
         if isinstance(t, float):  # scalar fast path for step integrators
@@ -73,10 +71,10 @@ def make_polynomial_beta(normalization: float = 1.0) -> ReactionTerm:
         return np.where(inside, v, 0.0)
 
     def _primitive(t):
-        # expanded coefficients evaluate to exactly `normalization` at t = 1
+        # expanded coefficients evaluate to exactly 1 at t = 1
         t = np.asarray(t, dtype=float)
         tc = np.clip(t, 0.0, 1.0)
-        return normalization * tc**3 * (10.0 - 15.0 * tc + 6.0 * tc * tc)
+        return tc**3 * (10.0 - 15.0 * tc + 6.0 * tc * tc)
 
     return ReactionTerm(
         name="poly2",
@@ -84,7 +82,7 @@ def make_polynomial_beta(normalization: float = 1.0) -> ReactionTerm:
         deriv=_deriv,
         primitive=_primitive,
         support=(0.0, 1.0),
-        mass=normalization,
+        mass=1.0,
     )
 
 
@@ -211,7 +209,7 @@ def resolve_reaction(name: str) -> ReactionTerm:
     """Resolve a config name: "poly2" or "table:<csv path>", a table only
     once it passes :func:`require_a1`."""
     if name == "poly2":
-        return make_polynomial_beta(1.0)
+        return make_polynomial_beta()
     if name.startswith("table:"):
         term = load_reaction_csv(name[len("table:"):])
         require_a1(term)

@@ -73,16 +73,16 @@ class StripNeckExact:
         return vals
 
     def boundary_generator(self, t_vals) -> Generator:
+        """The graph s = pi/2 + cosh t over increasing t, the positivity set on its left."""
         t_vals = np.asarray(t_vals, dtype=float)
-        return Generator.from_graph(
-            t_vals,
-            math.pi / 2.0 + np.cosh(t_vals),
+        return Generator(
+            s=math.pi / 2.0 + np.cosh(t_vals),
+            t=t_vals,
             ds=np.sinh(t_vals),
+            dt=np.ones_like(t_vals),
             dss=np.cosh(t_vals),
+            dtt=np.zeros_like(t_vals),
         )
-
-    # the positivity set lies at smaller s, left of the generator's travel in t
-    positive_side = "left"
 
 
 @dataclass
@@ -112,14 +112,11 @@ class SphereShellExact:
     def boundary_generator(self, n_samples: int = 513) -> Generator:
         """Arc of the sphere 0.35 rad away from the poles, traversed north to south."""
         theta = np.linspace(0.35, math.pi - 0.35, n_samples)
-        return Generator.from_parametric(
-            theta,
-            self.r0 * np.sin(theta),
-            self.r0 * np.cos(theta),
+        return Generator(
+            s=self.r0 * np.sin(theta),
+            t=self.r0 * np.cos(theta),
             ds=self.r0 * np.cos(theta),
             dt=-self.r0 * np.sin(theta),
             dss=-self.r0 * np.sin(theta),
             dtt=-self.r0 * np.cos(theta),
         )
-
-    positive_side = "left"

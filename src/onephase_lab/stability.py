@@ -68,12 +68,15 @@ class StabilityProbe:
     eps0: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha < math.inf):
-            raise InvalidParameterError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
-        if not (self.eps_inner < 1.0 < self.R < math.inf):
-            raise InvalidParameterError(f"need eps_inner < 1 < R with R finite, got R = {self.R!r}")
-        if self.eps_inner <= 0.0 or self.eps0 <= 0.0:
-            raise InvalidParameterError("eps_inner and eps0 must be positive")
+        # the one home of the bounds; the error names the field that breaks one
+        for name, admissible, bound in (
+            ("alpha", 0.0 <= self.alpha < math.inf, "finite and nonnegative"),
+            ("R", 1.0 < self.R < math.inf, "finite and above 1"),
+            ("eps_inner", 0.0 < self.eps_inner < 1.0, "in (0, 1)"),
+            ("eps0", self.eps0 > 0.0, "positive"),
+        ):
+            if not admissible:
+                raise InvalidParameterError(f"{name} must be {bound}, got {getattr(self, name)!r}", name=name)
 
 
 @dataclass(frozen=True)

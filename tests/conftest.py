@@ -7,7 +7,7 @@ from onephase_lab.reaction_terms import make_polynomial_beta
 
 @pytest.fixture(scope="session")
 def beta():
-    return make_polynomial_beta(1.0)
+    return make_polynomial_beta()
 
 
 @pytest.fixture(scope="session")

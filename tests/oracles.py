@@ -17,7 +17,7 @@ import numpy as np
 from onephase_lab.axisym_field import AxiField, GridSpec, _centered_gradient, apply_axisym_laplacian
 from onephase_lab.errors import GeometryMismatchError, InvalidParameterError
 from onephase_lab.numerics import csv_lines
-from onephase_lab.onephase_geometry import RevolutionBoundary
+from onephase_lab.onephase_geometry import Generator, RevolutionBoundary
 from onephase_lab.profile1d import Profile1D
 from onephase_lab.reaction_terms import ReactionTerm
 from onephase_lab.reference import SphereShellExact, StripNeckExact
@@ -104,6 +104,16 @@ def shell_du_of_r(shell: SphereShellExact, r):
 
 
 # ---------------------------------------------------------------- revolution boundaries
+
+
+def graph_generator(t, s, ds, dss, outside: bool = False) -> Generator:
+    """The generator of the graph s = s(t), with its exact derivatives ``ds``
+    and ``dss`` in t.  It runs over increasing t, so the positivity set (left
+    of travel) is the side of smaller s; with ``outside`` it runs over
+    decreasing t (tau = -t, the same samples), the positivity set at larger s."""
+    sign = -1.0 if outside else 1.0
+    ones = np.ones_like(t)
+    return Generator(s=s, t=t, ds=sign * ds, dt=sign * ones, dss=dss, dtt=0.0 * ones)
 
 
 def curvature_sq(b: RevolutionBoundary) -> np.ndarray:

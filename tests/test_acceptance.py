@@ -22,7 +22,6 @@ from onephase_lab.axisym_field import (
 )
 from onephase_lab.experiments import tiled_layer_field
 from onephase_lab.onephase_geometry import (
-    Generator,
     curvature_of_revolution,
     normal_derivative_identity,
     solve_harmonic_masked,
@@ -46,9 +45,9 @@ from onephase_lab.stability import (
 )
 
 from beta_recovery import beta_from_profile
-from oracles import crossing, from_function, gradient_magnitude_identity, log_cutoff_2d
+from oracles import crossing, from_function, gradient_magnitude_identity, graph_generator, log_cutoff_2d
 
-BETA = make_polynomial_beta(1.0)
+BETA = make_polynomial_beta()
 
 
 def report(line):
@@ -166,14 +165,13 @@ def test_criterion_06_layer_extension_stability(n):
 def test_criterion_07_layer_energy_gap_monotone():
     t0 = time.perf_counter()
     eps_list = (1.0, 0.5, 0.25, 0.125, 0.0625)
-    layer = unique_increasing_profile(BETA, u_lo=1e-6, u_hi=40.0, n_samples=40001)
-    big = GridSpec(n=2, s_max=16.0, t_min=-40.0, t_max=40.0, ns=3, nt=160001)
-    src = extend_to_nd(layer, (0.0, 1.0), big)
-    target = GridSpec(n=2, s_max=1.0, t_min=-2.0, t_max=2.0, ns=3, nt=8193)
-    sharp_total = 2.0 * target.t_max
+    layer = unique_increasing_profile(BETA, u_lo=1e-6, n_samples=40001)
+    sharp_total = 4.0  # the sharp energy on [0, 1] x [-2, 2]
     gaps = []
     for eps in eps_list:
-        field = blow_down(src, eps, target=target).field
+        # each row blows down its own source grid, as the blowdown experiment does
+        src = GridSpec(n=2, s_max=1.0 / eps, t_min=-2.0 / eps, t_max=2.0 / eps, ns=3, nt=8193)
+        field = blow_down(extend_to_nd(layer, src), eps)
         gaps.append(abs(energy(field, beta=BETA, epsilon=eps).total / 2.0 - sharp_total))
     elapsed = time.perf_counter() - t0
     assert all(gaps[i + 1] <= gaps[i] + 1e-4 for i in range(len(gaps) - 1))
@@ -219,25 +217,23 @@ def test_criterion_08_discretization_order():
 def test_criterion_09_geometry_closed_forms():
     t0 = time.perf_counter()
     t = np.linspace(-1, 1, 101)
-    cyl = curvature_of_revolution(Generator.from_graph(t, np.full_like(t, 0.5)), n=3)
+    cyl = curvature_of_revolution(graph_generator(t, np.full_like(t, 0.5), 0.0 * t, 0.0 * t, outside=True), n=3)
     cyl_err = float(np.max(np.abs(cyl.mean_curv - 2.0)))
     assert cyl_err < 1e-12
 
     shell = SphereShellExact(n=3, r0=0.5)
-    sph = curvature_of_revolution(shell.boundary_generator(), n=3, positive_side="left")
+    sph = curvature_of_revolution(shell.boundary_generator(), n=3)
     sph_err = float(np.max(np.abs(sph.mean_curv - 4.0)))
     assert sph_err < 1e-12
 
-    tt = np.linspace(-1.0, 1.0, 513)  # spacing 1/256, differences only
-    cat = curvature_of_revolution(Generator.from_graph(tt, np.cosh(tt)), n=3)
-    cat_err = float(np.max(np.abs(cat.mean_curv[2:-2])))
+    # the catenoid s = cosh t is minimal in three dimensions
+    tt = np.linspace(-1.0, 1.0, 513)
+    cat = curvature_of_revolution(graph_generator(tt, np.cosh(tt), np.sinh(tt), np.cosh(tt), outside=True), n=3)
+    cat_err = float(np.max(np.abs(cat.mean_curv)))
     elapsed = time.perf_counter() - t0
-    assert cat_err <= 1e-4
+    assert cat_err < 1e-12
     assert elapsed < 1.0
-    report(
-        f"criterion 9 PASS: cylinder {cyl_err:.1e}, sphere {sph_err:.1e}, "
-        f"catenoid {cat_err:.2e} at h=1/256"
-    )
+    report(f"criterion 9 PASS: cylinder {cyl_err:.1e}, sphere {sph_err:.1e}, catenoid {cat_err:.1e}")
 
 
 def test_criterion_10_interface_identity_first_order():
@@ -252,7 +248,7 @@ def test_criterion_10_interface_identity_first_order():
         sol = solve_harmonic_masked(g, neck.level, neck.u)
         tg = np.linspace(-0.75, 0.75, 101)
         boundary = curvature_of_revolution(
-            neck.boundary_generator(tg), n=2, positive_side="left"
+            neck.boundary_generator(tg), n=2
         )
         defects.append(normal_derivative_identity(boundary, sol.field).max_defect)
     elapsed = time.perf_counter() - t0

@@ -34,14 +34,13 @@ from onephase_lab.axisym_field import (
 )
 from onephase_lab.config import ExperimentConfig
 from onephase_lab.errors import (
-    DomainError,
     InvalidParameterError,
     NonconvergenceError,
 )
 from onephase_lab.experiments import boundary_data
 from onephase_lab.numerics import LU_OPTIONS, LUCounts
 from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
-from onephase_lab.reaction_terms import make_tabulated_term
+from onephase_lab.reaction_terms import make_tabulated_term, rescale
 from onephase_lab.stability import _require_vanishing_border
 
 from oracles import from_function
@@ -128,7 +127,7 @@ def test_solve_matches_independent_1d_oracle(beta, layer_profile):
         v[1:-1] += np.linalg.solve(J, -res)
 
     tiled = AxiField(n=3, s=s, t=t, values=np.tile(v, (g.ns, 1)))
-    res2d = solve_semilinear(beta, g, tiled, tol=1e-12)
+    res2d = solve_semilinear(beta, g, lambda s, t: tiled.values, tol=1e-12)
     assert np.max(np.abs(res2d.field.values - tiled.values)) < 1e-6
 
     helper = solve_semilinear_1d(beta, g.t_min, g.t_max, g.nt, left, right, init=layer_profile.sample(t))
@@ -188,8 +187,18 @@ def test_solver_rejects_a_start_with_a_nan_node(beta):
     data.values[16, 16] = np.nan
     message = r"^Newton residual is not finite at iteration 0 \(last sup residual nan\)"
     with pytest.raises(NonconvergenceError, match=message) as err:
-        solve_semilinear(beta, g, data)
+        solve_semilinear(beta, g, lambda s, t: data.values)
     assert np.isnan(err.value.last.values[16, 16])
+
+
+def test_solver_copies_the_values_of_its_boundary_callable(beta):
+    # the levels write their start in place; the caller's array stays as it was
+    g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
+    start = from_function(g, lambda s, t: np.maximum(0.0, t) + 0.0 * s).values
+    kept = start.copy()
+    res = solve_semilinear(beta, g, lambda s, t: start)
+    assert np.array_equal(start, kept)
+    assert not np.array_equal(res.field.values, kept)
 
 
 def test_1d_solve_rejects_a_nan_start(beta):
@@ -218,7 +227,7 @@ def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     with pytest.raises(NonconvergenceError) as err:
         solve_semilinear_1d(
-            beta, -3.0, 3.0, 65, left, right, init=lambda t: left + (right - left) * (t + 3.0) / 6.0, max_iter=2
+            beta, -3.0, 3.0, 65, left, right, init=left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0, max_iter=2
         )
     trace = err.value.trace
     assert len(trace) == 3 and trace[-1] > 1e-12
@@ -261,7 +270,7 @@ def test_1d_backtracking_stagnation_carries_trace(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     with pytest.raises(NonconvergenceError) as err:
         solve_semilinear_1d(
-            _constant_deriv(beta, -20.0), -3.0, 3.0, 65, left, right, init=lambda t: left + (right - left) * (t + 3.0) / 6.0
+            _constant_deriv(beta, -20.0), -3.0, 3.0, 65, left, right, init=left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0
         )
     assert str(err.value).startswith("1D Newton backtracking")
     trace = err.value.trace
@@ -349,7 +358,7 @@ def test_1d_nonconvergence_above_the_floor_names_it(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     with pytest.raises(NonconvergenceError) as err:
         solve_semilinear_1d(
-            beta, -3.0, 3.0, 65, left, right, init=lambda t: left + (right - left) * (t + 3.0) / 6.0, max_iter=2
+            beta, -3.0, 3.0, 65, left, right, init=left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0, max_iter=2
         )
     match = re.search(r"; round-off floor ([0-9.e+-]+)$", str(err.value))
     assert match and float(match.group(1)) < err.value.trace[-1]
@@ -501,12 +510,12 @@ def test_coarse_level_on_its_solution_hands_up_the_factor_at_its_start(beta, mon
     # is taken there and preconditions the 129^2 level, which converges
     g, start = _neck_on_its_coarse_solution(beta)
     spied = _spy_levels(monkeypatch)
-    res = solve_semilinear(beta, g, start)
+    res = solve_semilinear(beta, g, lambda s, t: start)
     coarsest, finest = sorted(spied["solution"])
     assert spied["lu"] == [coarsest] and res.factors.factorizations == 1
     # the LU is built when the 129^2 level's first V-cycle applies it
     (x,) = [x for k, x in spied["jacobian"] if k == coarsest]
-    assert np.array_equal(x, start.values[::2, ::2][_unknown_mask((65, 65), True)])
+    assert np.array_equal(x, start[::2, ::2][_unknown_mask((65, 65), True)])
     above = [k for k, _ in spied["jacobian"] if k != coarsest]
     assert all(k == finest for k in above) and len(above) == len(spied["krylov"]) > 0
     assert res.residuals[-1] <= 1e-10
@@ -602,7 +611,7 @@ def _neck_on_its_coarse_solution(beta):
     s, t = g.axes()
     start = data(s[:, None], t[None, :])
     start[::2, ::2] = coarse.values
-    return g, AxiField(n=3, s=s, t=t, values=start)
+    return g, start
 
 
 def test_top_level_nonconvergence_above_a_coarse_level_keeps_its_message(beta):
@@ -610,7 +619,7 @@ def test_top_level_nonconvergence_above_a_coarse_level_keeps_its_message(beta):
     # level then fails under the plain label
     g, start = _neck_on_its_coarse_solution(beta)
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear(beta, g, start, max_iter=0)
+        solve_semilinear(beta, g, lambda s, t: start, max_iter=0)
     assert re.fullmatch(r"Newton did not reach tol=1e-10 in 0 iterations \(last sup residual [0-9.e+-]+\)", str(err.value))
     assert err.value.last.values.shape == (129, 129)
 
@@ -619,7 +628,7 @@ def test_krylov_level_nonconvergence_names_its_last_gmres_solve(beta):
     # as above, but one step allowed: the 129^2 level takes one GMRES solve
     g, start = _neck_on_its_coarse_solution(beta)
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear(beta, g, start, max_iter=1)
+        solve_semilinear(beta, g, lambda s, t: start, max_iter=1)
     match = re.fullmatch(
         r"Newton did not reach tol=1e-10 in 1 iterations \(last sup residual ([0-9.e+-]+)\); "
         r"last GMRES solve: (\d+) iterations, exit status 0",
@@ -636,7 +645,7 @@ def test_exhausted_gmres_restarts_are_named_by_the_newton_failure(beta, monkeypa
     monkeypatch.setattr(axisym_field, "KRYLOV_MAXITER", 1)
     g, start = _neck_on_its_coarse_solution(beta)
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear(beta, g, start, max_iter=1)
+        solve_semilinear(beta, g, lambda s, t: start, max_iter=1)
     assert str(err.value).endswith("; last GMRES solve: 1 iterations, exit status 1"), str(err.value)
 
 
@@ -776,23 +785,15 @@ def test_blow_down_identity_is_bitwise(beta):
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
     f = from_function(g, lambda s, t: np.maximum(0.0, t))
     bd = blow_down(f, 1.0)
-    assert np.array_equal(bd.field.values, f.values)
-    assert np.array_equal(bd.field.s, f.s)
+    assert np.array_equal(bd.values, f.values)
+    assert np.array_equal(bd.s, f.s)
 
 
 def test_blow_down_linear_field_invariant():
     g = GridSpec(n=2, s_max=4.0, t_min=-4.0, t_max=4.0, ns=33, nt=33)
     f = from_function(g, lambda s, t: 1.3 * t + 0.0 * s)
-    target = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
-    bd = blow_down(f, 0.25, target=target)
-    assert np.max(np.abs(bd.field.values - 1.3 * bd.field.t[None, :])) < 1e-13
-
-
-def test_blow_down_out_of_domain_raises():
-    g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
-    f = from_function(g, lambda s, t: 0.0 * s)
-    with pytest.raises(DomainError):
-        blow_down(f, 0.5, target=g)  # needs source twice as large
+    bd = blow_down(f, 0.25)
+    assert np.max(np.abs(bd.values - 1.3 * bd.t[None, :])) < 1e-13
 
 
 def test_blow_down_rejects_bad_epsilon():
@@ -803,16 +804,15 @@ def test_blow_down_rejects_bad_epsilon():
 
 
 def test_blow_down_layer_family_approaches_ramp(beta):
-    prof = unique_increasing_profile(beta, u_lo=1e-6, u_hi=20.0, n_samples=20001)
-    big = GridSpec(n=2, s_max=8.0, t_min=-20.0, t_max=20.0, ns=3, nt=40001)
-    src = extend_to_nd(prof, (0.0, 1.0), big)
-    target = GridSpec(n=2, s_max=1.0, t_min=-2.0, t_max=2.0, ns=3, nt=2049)
+    # each eps blows down its own source grid onto [0, 1] x [-2, 2]
+    prof = unique_increasing_profile(beta, u_lo=1e-6, n_samples=20001)
     sups = []
     for eps in (1.0, 0.5, 0.25):
-        bd = blow_down(src, eps, beta=beta, target=target)
-        ramp = np.maximum(0.0, bd.field.t)[None, :]
-        sups.append(np.max(np.abs(bd.field.values - ramp)))
-        assert bd.residual is not None
+        src = GridSpec(n=2, s_max=1.0 / eps, t_min=-2.0 / eps, t_max=2.0 / eps, ns=3, nt=2049)
+        bd = blow_down(extend_to_nd(prof, src), eps)
+        ramp = np.maximum(0.0, bd.t)[None, :]
+        sups.append(np.max(np.abs(bd.values - ramp)))
+        assert np.isfinite(residual_semilinear(bd, rescale(beta, eps)))
     assert sups[2] < sups[1] < sups[0]
 
 
@@ -824,7 +824,7 @@ def test_lipschitz_monitor_on_ramp():
 
 def test_lipschitz_monitor_on_layer_attained_above_one(beta, layer_profile):
     g = GridSpec(n=3, s_max=2.0, t_min=-3.0, t_max=3.0, ns=65, nt=129)
-    f = extend_to_nd(layer_profile, (0.0, 1.0), g)
+    f = extend_to_nd(layer_profile, g)
     sup = lipschitz_monitor(f)
     assert abs(sup - 1.0) < 5e-3
     # centered gradient equals 1 to round-off on the affine region u >= 1
@@ -858,21 +858,19 @@ def test_sample_is_bilinear_inside_the_grid_and_linear_outside(rng):
     s, t = rng.uniform(0.5, 2.0, 200), rng.uniform(-1.0, 1.5, 200)
     inside = f.sample(np.stack((s, t), axis=-1))
     assert np.max(np.abs(inside - (a + b * s + c * t + d * s * t))) <= 1e-13
-    assert np.array_equal(f.sample((s, t)), inside)
     # affine data continues past every edge and corner
     affine = from_function(g, lambda s, t: a + b * s + c * t)
     s, t = rng.uniform(-1.0, 3.5, 400), rng.uniform(-2.5, 3.0, 400)
     outside = (s < 0.5) | (s > 2.0) | (t < -1.0) | (t > 1.5)
     assert outside.sum() > 200
-    assert np.max(np.abs(affine.sample((s, t)) - (a + b * s + c * t))) <= 1e-13
+    assert np.max(np.abs(affine.sample(np.stack((s, t), axis=-1)) - (a + b * s + c * t))) <= 1e-13
 
 
 def test_monitor_invariant_under_blow_down():
     g = GridSpec(n=2, s_max=4.0, t_min=-4.0, t_max=4.0, ns=65, nt=65)
     for fn in (lambda s, t: np.maximum(0.0, t), lambda s, t: 0.7 * t + 0.0 * s):
         f = from_function(g, fn)
-        target = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
-        vals = [lipschitz_monitor(blow_down(f, eps, target=target).field) for eps in (1.0, 0.5, 0.25)]
+        vals = [lipschitz_monitor(blow_down(f, eps)) for eps in (1.0, 0.5, 0.25)]
         assert max(vals) - min(vals) <= 1e-8
 
 

@@ -194,7 +194,7 @@ def _table_run(tmp_path, runner, t, beta_values):
 
 def test_reaction_table_of_mass_two_exits_naming_the_unit_mass_clause(tmp_path, runner):
     t = np.linspace(0.0, 1.0, 2001)
-    result, out = _table_run(tmp_path, runner, t, make_polynomial_beta(2.0).eval(t))
+    result, out = _table_run(tmp_path, runner, t, 2.0 * make_polynomial_beta().eval(t))
     assert result.exit_code != 0
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:") and "violates A1, unit mass clause" in lines[0]
@@ -207,7 +207,7 @@ def test_reaction_table_with_a_negative_sample_exits_naming_nonnegativity(tmp_pa
     # off too (by 3.4e-3), and the negative dip falls between the knots that
     # the [-1, 2] grid of require_a1 hits
     t = np.linspace(0.0, 1.0, 2001)
-    values = make_polynomial_beta(1.0).eval(t)
+    values = make_polynomial_beta().eval(t)
     values[999] = -5.0
     result, out = _table_run(tmp_path, runner, t, values)
     assert result.exit_code != 0
@@ -225,7 +225,7 @@ def test_unit_mass_reaction_table_runs(tmp_path, runner, pad):
     # values vanish, whatever the knot range
     side = np.linspace(0.0, 0.5, pad + 1)[1:]
     t = np.concatenate((-side[::-1], np.linspace(0.0, 1.0, 2001), 1.0 + side))
-    result, out = _table_run(tmp_path, runner, t, make_polynomial_beta(1.0).eval(t))
+    result, out = _table_run(tmp_path, runner, t, make_polynomial_beta().eval(t))
     assert result.exit_code == 0, result.output
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["shoot"]["case_tag"] == "case_ii"
@@ -334,6 +334,17 @@ def test_blowdown_command(tmp_path, runner):
     assert gaps[2] < gaps[1] < gaps[0]
     assert report["results"]["gap_nonincreasing_within_1e-4"]
     assert (out / "blowdown.csv").exists()
+
+
+def test_blowdown_unit_row_does_not_depend_on_the_other_epsilons(tmp_path):
+    # every row blows down its own source grid; one grid shared by the family,
+    # sized by the smallest epsilon, once moved the eps = 1 gap from 0.757 to 0.009
+    rows = [
+        run(ExperimentConfig(experiment="blowdown", epsilons=(1.0, eps), out_dir=str(tmp_path / str(eps)))).results["family"][0]
+        for eps in (1e-2, 1e-5, 1e-10, 1e-12)
+    ]
+    assert all(json.dumps(row) == json.dumps(rows[0]) for row in rows)
+    assert rows[0]["epsilon"] == 1.0
 
 
 def test_solve_command_with_domain_study(tmp_path, runner):
@@ -509,6 +520,10 @@ _BY_FIELD = {
     "onephase_preset": st.sampled_from(ONEPHASE_PRESETS),
     "onephase_resolution": st.integers(1, 10**12),
     "r0": _FLOATS.filter(lambda r0: r0 > 0.0),
+    "alpha": _FLOATS.filter(lambda alpha: alpha >= 0.0),
+    "R": _FLOATS.filter(lambda R: R > 1.0),
+    "eps_inner": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "eps0": _FLOATS.filter(lambda eps0: eps0 > 0.0),
     "epsilons": st.lists(_FLOATS.filter(lambda eps: eps >= MIN_EPSILON), min_size=1, max_size=4).map(tuple),
     "dims": st.lists(st.integers(2, 10**12), min_size=1, max_size=4).map(tuple),
     "tolerances": st.fixed_dictionaries(
@@ -615,6 +630,29 @@ def test_out_of_range_list_exits_naming_its_key(tmp_path, runner, recwarn, args,
     assert len(lines) == 1 and lines[0].startswith("Error:") and key in lines[0], result.output
     assert not out.exists()
     assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "args, probe, key",
+    [
+        (["stability", "--boundary", "catenoid"], "R = 0.5", "[probe] R"),
+        (["onephase"], "eps_inner = 2.0", "[probe] eps_inner"),
+        (["window"], "eps0 = -1.0", "[probe] eps0"),
+        (["window"], "eps0 = 0.0", "[probe] eps0"),
+    ],
+)
+def test_out_of_range_probe_exits_naming_its_key_before_any_solve(tmp_path, runner, monkeypatch, args, probe, key):
+    # R = 0.5 once ran the Newton and eigen solves before failing, eps_inner =
+    # 2.0 blamed R, and a nonpositive eps0 printed a window schedule
+    monkeypatch.setattr(experiments, "_RUNNERS", {})  # any run would raise KeyError
+    path = tmp_path / "probe.cfg"
+    path.write_text(f"[probe]\n{probe}\n")
+    out = tmp_path / "never"
+    result = runner.invoke(main, [*args, "--config", str(path), "--out", str(out)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: {key} is out of range: "), result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r0", ["0", "-1.0"])

@@ -60,4 +60,5 @@ def test_bilinear_sample_matches_regular_grid_interpolator(s_min, rng):
     for pts in (np.stack((s_in, t_in), axis=-1), axis, nodes, np.stack((s_out, t_out), axis=-1)):
         assert _close(f.sample(pts), oracle(pts))
     assert np.array_equal(f.sample(nodes).reshape(f.values.shape), f.values)
-    assert f.sample((s_out[:, None], t_out[None, :50])).shape == (3000, 50)
+    grid_pts = np.stack(np.broadcast_arrays(s_out[:, None], t_out[None, :50]), axis=-1)
+    assert f.sample(grid_pts).shape == (3000, 50)

@@ -38,6 +38,7 @@ from oracles import (
     curvature_sq,
     extract_graph_boundary,
     from_function,
+    graph_generator,
     gradient_magnitude_identity,
     neck_generator_s,
     neck_gradient,
@@ -51,36 +52,31 @@ from oracles import (
 
 def test_cylinder_curvature_exact():
     t = np.linspace(-1, 1, 101)
-    b = curvature_of_revolution(Generator.from_graph(t, np.full_like(t, 0.7)), n=3)
+    b = curvature_of_revolution(graph_generator(t, np.full_like(t, 0.7), 0.0 * t, 0.0 * t, outside=True), n=3)
     assert np.max(np.abs(b.mean_curv - 1.0 / 0.7)) < 1e-12
     assert np.max(np.abs(curvature_sq(b) - 1.0 / 0.49)) < 1e-12
 
 
 def test_sphere_curvature_exact():
     shell = SphereShellExact(n=3, r0=2.0)
-    b = curvature_of_revolution(shell.boundary_generator(), n=3, positive_side="left")
+    b = curvature_of_revolution(shell.boundary_generator(), n=3)
     assert np.max(np.abs(b.mean_curv - 1.0)) < 1e-13
     assert np.max(np.abs(np.hypot(b.normals[:, 0], b.normals[:, 1]) - 1.0)) < 1e-14
 
 
 def test_flat_generator_has_zero_curvature():
     tau = np.linspace(0, 2, 41)
-    gen = Generator.from_parametric(tau, tau + 0.5, np.zeros_like(tau))
-    b = curvature_of_revolution(gen, n=4, positive_side="left")
+    ones, zeros = np.ones_like(tau), np.zeros_like(tau)
+    gen = Generator(s=tau + 0.5, t=zeros, ds=ones, dt=zeros, dss=zeros, dtt=zeros)
+    b = curvature_of_revolution(gen, n=4)
     assert np.max(np.abs(b.mean_curv)) < 1e-12
-
-
-def test_catenoid_minimal_in_three_dimensions():
-    t = np.linspace(-1.0, 1.0, 513)  # spacing 1/256
-    b = curvature_of_revolution(Generator.from_graph(t, np.cosh(t)), n=3)
-    assert np.max(np.abs(b.mean_curv[2:-2])) <= 1e-4
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_catenoid_closed_forms(n):
     t = np.linspace(-1.0, 1.0, 401)
     # s = cosh t: H = (n-3)/cosh^2 t and |A|^2 = (n-1)/cosh^4 t, the positivity set above the curve
-    b = curvature_of_revolution(Generator.from_graph(t, np.cosh(t), ds=np.sinh(t), dss=np.cosh(t)), n=n)
+    b = curvature_of_revolution(graph_generator(t, np.cosh(t), np.sinh(t), np.cosh(t), outside=True), n=n)
     c2 = np.cosh(t) ** 2
     assert np.max(np.abs(b.mean_curv - (n - 3) / c2)) < 1e-13
     assert np.max(np.abs(curvature_sq(b) - (n - 1) / c2**2)) < 1e-13
@@ -89,11 +85,11 @@ def test_catenoid_closed_forms(n):
 def test_sphere_total_curvature_identity():
     # int H dsigma = 2 * area, exactly as integrated (H is constant 2)
     theta = np.linspace(1e-8, math.pi - 1e-8, 4001)
-    gen = Generator.from_parametric(
-        theta, np.sin(theta), np.cos(theta),
+    gen = Generator(
+        s=np.sin(theta), t=np.cos(theta),
         ds=np.cos(theta), dt=-np.sin(theta), dss=-np.sin(theta), dtt=-np.cos(theta),
     )
-    b = curvature_of_revolution(gen, n=3, positive_side="left")
+    b = curvature_of_revolution(gen, n=3)
     area = surface_integral(b, np.ones_like(theta))
     total_h = surface_integral(b, b.mean_curv)
     assert abs(total_h - 2.0 * area) < 1e-12 * area
@@ -102,20 +98,21 @@ def test_sphere_total_curvature_identity():
 
 def test_axis_touch_with_slanted_tangent_raises():
     tau = np.linspace(0.0, 1.0, 21)
-    gen = Generator.from_parametric(tau, tau.copy(), tau.copy())
+    ones, zeros = np.ones_like(tau), np.zeros_like(tau)
+    gen = Generator(s=tau.copy(), t=tau.copy(), ds=ones, dt=ones, dss=zeros, dtt=zeros)
     with pytest.raises(CurvatureSingularityError):
-        curvature_of_revolution(gen, n=3, positive_side="left")
+        curvature_of_revolution(gen, n=3)
 
 
 def test_pole_touch_is_umbilic():
     # a full sphere generator through both poles stays finite: the pole
     # rotational curvature equals the profile curvature
     theta = np.linspace(0.0, math.pi, 201)
-    gen = Generator.from_parametric(
-        theta, np.sin(theta), np.cos(theta),
+    gen = Generator(
+        s=np.sin(theta), t=np.cos(theta),
         ds=np.cos(theta), dt=-np.sin(theta), dss=-np.sin(theta), dtt=-np.cos(theta),
     )
-    b = curvature_of_revolution(gen, n=3, positive_side="left")
+    b = curvature_of_revolution(gen, n=3)
     assert np.max(np.abs(b.mean_curv - 2.0)) < 1e-12
 
 
@@ -130,7 +127,9 @@ def test_curvature_cauchy_schwarz(seed, n):
     t = np.linspace(-1, 1, 101)
     coeffs = rng.standard_normal(3) * 0.3
     s = 2.0 + coeffs[0] * np.sin(t) + coeffs[1] * np.cos(2 * t) + coeffs[2] * t**2
-    b = curvature_of_revolution(Generator.from_graph(t, s), n=n)
+    ds = coeffs[0] * np.cos(t) - 2 * coeffs[1] * np.sin(2 * t) + 2 * coeffs[2] * t
+    dss = -coeffs[0] * np.sin(t) - 4 * coeffs[1] * np.cos(2 * t) + 2 * coeffs[2]
+    b = curvature_of_revolution(graph_generator(t, s, ds, dss, outside=True), n=n)
     assert np.all((n - 1) * curvature_sq(b) >= b.mean_curv**2 - 1e-12)
 
 
@@ -157,7 +156,7 @@ def test_strip_neck_is_an_exact_interface_solution():
 def test_strip_neck_curvature_closed_form():
     neck = StripNeckExact()
     tg = np.linspace(-0.8, 0.8, 41)
-    b = curvature_of_revolution(neck.boundary_generator(tg), n=2, positive_side="left")
+    b = curvature_of_revolution(neck.boundary_generator(tg), n=2)
     assert np.max(np.abs(b.mean_curv - neck_mean_curvature(tg))) < 1e-13
 
 
@@ -166,7 +165,7 @@ def test_strip_neck_normal_identity_analytic():
     neck = StripNeckExact()
     tg = np.linspace(-0.8, 0.8, 41)
     sg = neck_generator_s(tg) - 1e-9
-    b = curvature_of_revolution(neck.boundary_generator(tg), n=2, positive_side="left")
+    b = curvature_of_revolution(neck.boundary_generator(tg), n=2)
     vs, vt = neck_us_gradient(neck, sg, tg)
     u_s, _ = neck_gradient(neck, sg, tg)
     lhs = vs * b.normals[:, 0] + vt * b.normals[:, 1]
@@ -532,7 +531,7 @@ def test_crossing_fractions_match_neck_closed_form():
 
 def test_boundary_csv_bytes_match_per_row_format(tmp_path):
     tg = np.linspace(-0.6, 0.6, 7)
-    b = curvature_of_revolution(StripNeckExact().boundary_generator(tg), n=2, positive_side="left")
+    b = curvature_of_revolution(StripNeckExact().boundary_generator(tg), n=2)
     b.save_csv(tmp_path / "b.csv")
     rows = "".join(
         f"{b.t[k]:.17g},{b.s[k]:.17g},{b.mean_curv[k]:.17g},{b.normals[k, 0]:.17g},{b.normals[k, 1]:.17g}\n"
@@ -578,12 +577,12 @@ def _ramp_field(n=3, slope=1.0):
     g = GridSpec(n=n, s_max=2.0, t_min=-1.0, t_max=1.0, ns=65, nt=65)
     f = from_function(g, lambda s, t: np.maximum(0.0, slope * t))
     tau = np.linspace(0.2, 1.8, 33)
-    gen = Generator.from_parametric(
-        tau, tau.copy(), np.zeros_like(tau),
+    gen = Generator(
+        s=tau.copy(), t=np.zeros_like(tau),
         ds=np.ones_like(tau), dt=np.zeros_like(tau),
         dss=np.zeros_like(tau), dtt=np.zeros_like(tau),
     )
-    boundary = curvature_of_revolution(gen, n=n, positive_side="left")
+    boundary = curvature_of_revolution(gen, n=n)
     return f, boundary
 
 
@@ -607,8 +606,8 @@ def test_identity_rejects_displaced_boundary():
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=149, nt=129)
     sol = solve_harmonic_masked(g, neck.level, neck.u)
     tg = np.linspace(-0.7, 0.7, 41)
-    displaced = Generator.from_graph(tg, neck_generator_s(tg) - 0.2)
-    boundary = curvature_of_revolution(displaced, n=2, positive_side="left")
+    displaced = graph_generator(tg, neck_generator_s(tg) - 0.2, np.sinh(tg), np.cosh(tg))
+    boundary = curvature_of_revolution(displaced, n=2)
     with pytest.raises(GeometryMismatchError):
         normal_derivative_identity(boundary, sol.field)
 
@@ -623,9 +622,7 @@ def test_identity_first_order_on_solved_neck():
         )
         sol = solve_harmonic_masked(g, neck.level, neck.u)
         tg = np.linspace(-0.75, 0.75, 101)
-        boundary = curvature_of_revolution(
-            neck.boundary_generator(tg), n=2, positive_side="left"
-        )
+        boundary = curvature_of_revolution(neck.boundary_generator(tg), n=2)
         defects.append(normal_derivative_identity(boundary, sol.field).max_defect)
     assert defects[0] / defects[1] > 1.5
 
@@ -783,9 +780,7 @@ def test_dual_path_agreement_on_grid():
     for ns, nt in ((177, 353), (353, 705)):
         g = GridSpec(n=n, s_max=ext, t_min=-ext, t_max=ext, ns=ns, nt=nt)
         sol = solve_harmonic_masked(g, shell.level, shell.u)
-        boundary = curvature_of_revolution(
-            shell.boundary_generator(513), n=n, positive_side="left"
-        )
+        boundary = curvature_of_revolution(shell.boundary_generator(513), n=n)
         probe = StabilityProbe(alpha=alpha, R=R, eps_inner=eps_inner)
         eta, _ = _eta_and_gradsq(probe, sol.field)
         xi_vals = us_derivative(sol.field).values * eta
@@ -793,7 +788,7 @@ def test_dual_path_agreement_on_grid():
         xi_vals[:, 0] = xi_vals[:, -1] = 0.0
         xi = sol.field.with_values(xi_vals)
         form = onephase_stability_form(boundary, sol.field, xi)
-        bulk = probe_inequality(sol.field, probe, make_polynomial_beta(1.0))
+        bulk = probe_inequality(sol.field, probe, make_polynomial_beta())
         bulk_defect = bulk.defect
         gaps.append(abs(form.defect - bulk_defect))
         bulk_errors.append(abs(bulk_defect - d_exact))

@@ -33,7 +33,7 @@ def test_polynomial_coefficient_from_quadrature_oracle():
     factor = np.polynomial.Polynomial([0.0, 0.0, 1.0, -2.0, 1.0]).integ()  # t^2 (1-t)^2
     raw_mass = factor(1.0) - factor(0.0)
     assert abs(raw_mass - 1.0 / 30.0) < 1e-14
-    beta = make_polynomial_beta(1.0)
+    beta = make_polynomial_beta()
     assert abs(beta.eval(0.5) - 30.0 * 0.5**2 * 0.5**2) < 1e-14
     assert abs(_integral(beta.eval, 0.0, 1.0) - 1.0) < 1e-12
 
@@ -66,8 +66,9 @@ def test_validate_a1_passes_on_witness(beta):
     assert require_a1(beta) is None  # every clause, the mass to 1e-10
 
 
-def test_validate_a1_flags_unnormalized_mass():
-    raw = make_polynomial_beta(1.0 / 30.0)  # c = 1: bare t^2 (1-t)^2
+def test_validate_a1_flags_unnormalized_mass(beta):
+    t = np.linspace(0.0, 1.0, 2001)
+    raw = make_tabulated_term(t, beta.eval(t) / 30.0)  # c = 1: bare t^2 (1-t)^2
     assert abs(_a1_defect(raw, "unit mass") - (1.0 - 1.0 / 30.0)) < 1e-10
 
 
@@ -124,7 +125,7 @@ def test_rescale_mass_invariance(beta, eps):
     t=st.floats(min_value=-1.0, max_value=12.0, allow_nan=False),
 )
 def test_rescale_primitive_consistency(eps, t):
-    beta = make_polynomial_beta(1.0)
+    beta = make_polynomial_beta()
     scaled = rescale(beta, eps)
     assert scaled.primitive(t) == beta.primitive(t / eps)
     assert scaled.support == (0.0, eps)

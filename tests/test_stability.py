@@ -576,15 +576,23 @@ def test_inequality_verdict_is_lhs_above_rhs():
 
 
 def test_probe_invalid_parameters():
-    with pytest.raises(InvalidParameterError):
-        StabilityProbe(alpha=-0.1, R=2.0, eps_inner=0.05)
-    with pytest.raises(InvalidParameterError):
-        StabilityProbe(alpha=0.5, R=0.5, eps_inner=0.05)
-    with pytest.raises(InvalidParameterError):
-        StabilityProbe(alpha=0.5, R=2.0, eps_inner=1.5)
-    for alpha, R in ((math.nan, 2.0), (math.inf, 2.0), (0.5, math.inf), (0.5, math.nan)):
-        with pytest.raises(InvalidParameterError):
-            StabilityProbe(alpha=alpha, R=R, eps_inner=0.05)
+    # the error names the one field out of range
+    for kwargs, name in (
+        ({"alpha": -0.1}, "alpha"),
+        ({"R": 0.5}, "R"),
+        ({"eps_inner": 1.5}, "eps_inner"),
+        ({"eps_inner": 2.0, "R": 2.0}, "eps_inner"),
+        ({"eps_inner": 0.0}, "eps_inner"),
+        ({"eps0": 0.0}, "eps0"),
+        ({"eps0": math.nan}, "eps0"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"alpha": math.inf}, "alpha"),
+        ({"R": math.inf}, "R"),
+        ({"R": math.nan}, "R"),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be ") as err:
+            StabilityProbe(**{"alpha": 0.5, "R": 2.0, "eps_inner": 0.05, **kwargs})
+        assert err.value.name == name
 
 
 # ---------------------------------------------------------------- window, schedule

@@ -181,6 +181,39 @@ def test_every_public_name_is_reached_by_the_lab():
     assert _UNREACHED_ON_PURPOSE <= set(unreached), "a name kept on purpose is reached now: drop it from the list"
 
 
+def _private_definitions(tree):
+    """(name, node) of the private module-level functions, classes and
+    constants of ``tree``; dunder names (``__version__``) are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper, class or constant that nothing in src/ reads is left
+    # over from a deletion; a test that reads it does not keep it alive
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted((SRC / "onephase_lab").glob("*.py"))}
+    everywhere = {p: _references(tree) for p, tree in trees.items()}
+    orphans = [
+        f"{path.name}: {name}"
+        for path, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if name not in _references(tree, skip=node)
+        and not any(name in refs for p, refs in everywhere.items() if p != path)
+    ]
+    assert len(trees) > 5
+    assert orphans == []
+
+
 def test_no_module_of_the_package_reads_the_environment():
     # a run's only input is its config file and the flags that set its keys
     environment = {"environ", "environb", "getenv", "getenvb"}
