@@ -47,10 +47,14 @@ class GridSpec:
             raise InvalidParameterError("degenerate or non-finite grid extents")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.linspace(self.s_min, self.s_max, self.ns),
-            np.linspace(self.t_min, self.t_max, self.nt),
-        )
+        """The nodes, from ``np.linspace``.  On a t extent symmetric about 0
+        the t nodes are made mirror-exact, t[nt - 1 - j] == -t[j] bit for
+        bit, by 0.5 (t - t[::-1]): where ``linspace`` nodes already are,
+        they stay; elsewhere a node moves by at most two ulps of the extent."""
+        t = np.linspace(self.t_min, self.t_max, self.nt)
+        if self.t_min == -self.t_max:
+            t = 0.5 * (t - t[::-1])
+        return np.linspace(self.s_min, self.s_max, self.ns), t
 
     @property
     def hs(self) -> float:
@@ -178,31 +182,34 @@ def residual_semilinear(f: AxiField, beta: ReactionTerm) -> float:
     return float(np.nanmax(np.abs(r)))
 
 
-def _unknown_mask(shape, axis: bool) -> np.ndarray:
+def _unknown_mask(shape, axis: bool, mirror: bool = False) -> np.ndarray:
     """The interior nodes of a grid of ``shape``, plus the s = 0 column's
-    interior when ``axis`` (the symmetry axis is solved for, not data)."""
+    interior when ``axis`` (the symmetry axis is solved for, not data) and
+    the first t column's when ``mirror`` (the mirror line t = 0 of a grid
+    folded onto its t >= 0 columns)."""
     mask = np.zeros(shape, dtype=bool)
-    mask[1:-1, 1:-1] = True
-    mask[0, 1:-1] = axis
+    mask[1 - int(axis) : -1, 1 - int(mirror) : -1] = True
     return mask
 
 
-def _assemble_laplacian(grid: GridSpec):
+def _assemble_laplacian(grid: GridSpec, mirror: bool = False):
     """(L, mask): L is the derivative of Delta_h u on the unknown nodes with
-    respect to the unknowns, the boundary values held fixed.
+    respect to the unknowns, the boundary values held fixed.  With
+    ``mirror`` the unknowns are those of the t >= 0 columns of ``grid``
+    (odd nt), the mirror line t = 0 included, for fields even in t.
     """
     s, _ = grid.axes()
     hs, ht, n = grid.hs, grid.ht, grid.n
-    mask = _unknown_mask((grid.ns, grid.nt), grid.s_min == 0.0)
-    i, _ = np.nonzero(mask)
-    m = len(i)
+    mask = _unknown_mask((grid.ns, grid.nt // 2 + 1 if mirror else grid.nt), grid.s_min == 0.0, mirror)
+    i, j = np.nonzero(mask)
     axis = i == 0
-    # the axis column reflects its s- arm onto the s+ one
+    # the axis column reflects its s- arm onto the s+ one, and the mirror
+    # line, the only unknowns of column 0, its t- arm onto the t+ one
     cs_p = (n - 1) * 2.0 / hs**2
     drift = (n - 2) / (2.0 * hs * np.where(axis, 1.0, s[i]))  # not used on the axis
     diag = np.where(axis, -cs_p, -2.0 / hs**2) + -2.0 / ht**2
-    t_arm = np.full(m, 1.0 / ht**2)
-    arms = (1.0 / hs**2 - drift, np.where(axis, cs_p, 1.0 / hs**2 + drift), t_arm, t_arm)
+    t_arm = np.full(len(i), 1.0 / ht**2)
+    arms = (1.0 / hs**2 - drift, np.where(axis, cs_p, 1.0 / hs**2 + drift), t_arm, np.where(j == 0, 2.0 / ht**2, t_arm))
     return stencil_matrix(mask, diag, arms), mask
 
 
@@ -236,7 +243,12 @@ def _lu(J, counts: LUCounts):
     return counts.record(splu(J, **LU_OPTIONS))
 
 
-def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_lu):
+def _norms(res):
+    """The sup norm and the 2-norm of the residual vector ``res``."""
+    return float(np.max(np.abs(res))), float(np.linalg.norm(res))
+
+
+def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_lu, norms=_norms):
     """Damped Newton iteration on the unknown vector ``x``.
 
     ``residual(x)`` returns the residual vector and ``jacobian(x)`` its
@@ -246,10 +258,12 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     solving to KRYLOV_RTOL, on the 2D levels above the coarsest.  Each step
     backtracks (halving, Armijo margin 1e-4) until the residual 2-norm, the
     merit, decreases strictly; a trial that leaves x unchanged ends the
-    backtracking as failed.  Convergence is judged in the
-    sup norm.  After a step that cut the merit tenfold the factor is
-    reused (a chord step); a chord step failing at full length is redone with
-    a fresh factor, so only a fresh Jacobian can stagnate.
+    backtracking as failed.  Convergence is judged in the sup norm.
+    ``norms(res)`` returns the sup norm and the merit of the residual just
+    evaluated, by default those of ``res`` itself.  After a step that cut
+    the merit tenfold the factor is reused (a chord step); a chord step
+    failing at full length is redone with a fresh factor, so only a fresh
+    Jacobian can stagnate.
     A start whose residual is not finite, stagnated backtracking, or
     ``max_iter`` steps without reaching ``tol``, raise
     ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
@@ -261,9 +275,8 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     """
     res = residual(x)
     # damping decreases the smooth 2-norm; convergence is in the sup norm
-    merit = float(np.linalg.norm(res))
-    history = [float(np.max(np.abs(res)))]
-    merits = [merit]
+    sup, merit = norms(res)
+    history, merits = [sup], [merit]
     factors = LUCounts()
     lu = last = None
 
@@ -290,7 +303,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
             if np.array_equal(trial, x):
                 break  # the step is below round-off, and so is every shorter one
             trial_res = residual(trial)
-            trial_merit = float(np.linalg.norm(trial_res))
+            trial_sup, trial_merit = norms(trial_res)
             # strictly lower: at lam ~ 1e-12 the Armijo margin rounds away
             if trial_merit < merit and trial_merit <= (1.0 - 1e-4 * lam) * merit:
                 accepted = True
@@ -303,7 +316,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
             raise failure(f"backtracking stagnated at iteration {iterations + 1}", x)
         lu = lu if trial_merit <= 0.1 * merit else None
         x, res, merit = trial, trial_res, trial_merit
-        history.append(float(np.max(np.abs(res))))
+        history.append(trial_sup)
         merits.append(merit)
     return finish(x), history, merits, factors, last
 
@@ -317,10 +330,11 @@ def _prolong(c: np.ndarray) -> np.ndarray:
     return p
 
 
-def _restrict(r: np.ndarray, axis: bool) -> np.ndarray:
+def _restrict(r: np.ndarray, axis: bool, mirror: bool = False) -> np.ndarray:
     """Full weighting onto the every-other-node grid of grid values given
     t-major, ``r[j, i]`` at (s_i, t_j), returned s-major; with ``axis`` the
-    s = 0 column is weighed with its mirror image u(-hs) = u(hs)."""
+    s = 0 column is weighed with its mirror image u(-hs) = u(hs), with
+    ``mirror`` the t = 0 row (the first) with u(-ht) = u(ht)."""
 
     def weigh(a, mirror):
         c = 0.5 * a[::2]
@@ -330,7 +344,7 @@ def _restrict(r: np.ndarray, axis: bool) -> np.ndarray:
             c[0] += 0.25 * a[1]
         return c
 
-    return weigh(weigh(r, False).T, axis)
+    return weigh(weigh(r, mirror).T, axis)
 
 
 def _stencil_slots(mask) -> np.ndarray:
@@ -339,7 +353,7 @@ def _stencil_slots(mask) -> np.ndarray:
     row-major order, each with its s-, t-, diagonal, t+ and s+ entry in that
     order, which is the order of the columns.  Every arm inside the block is
     stored, zero weights included; the arms leaving it are not."""
-    slots = np.ones((int(mask[:, 1].sum()), mask.shape[1] - 2, 5), dtype=bool)
+    slots = np.ones((int(mask[:, -2].sum()), int(mask[-2].sum()), 5), dtype=bool)
     slots[0, :, 0] = slots[-1, :, 4] = False
     slots[:, 0, 1] = slots[:, -1, 3] = False
     return slots
@@ -399,17 +413,20 @@ class _KrylovSolve:
     cycle of the last ``_KrylovSolve`` a level built, in the eigen solve,
     whose LOBPCG runs on the same levels, the one ``_level_cycle`` builds.
     The unknowns are the rectangular block of grid rows 0 (with the axis) or
-    1 to -2 and columns 1 to -2, in row-major order; ``J`` must store every
-    arm inside the block, as ``stencil_matrix`` does, since its line and
-    coupling bands are read off that fixed row layout (``_stencil_slots``),
-    and it must not change while the cycle is in use.  The cycle smooths by
-    zebra line Gauss-Seidel (Trottenberg, Oosterlee and Schueller,
-    *Multigrid*, 2001, section 5.1) in correction form.  From x = 0 it
-    solves the odd s-lines (counted in the block from 0), then the even
-    ones, carrying the residual b - J x through J's coupling diagonals
-    (``_ZebraLines``).  It restricts that residual to the coarser level by
-    full weighting, applies that level's ``coarse`` cycle (its LU solve at
-    the coarsest level) and prolongates the correction bilinearly.  From
+    1 to -2 and columns 0 (with the mirror line t = 0 of a folded level,
+    ``_assemble_laplacian``) or 1 to -2, in row-major order; ``J`` must
+    store every arm inside the block, as ``stencil_matrix`` does, since its
+    line and coupling bands are read off that fixed row layout
+    (``_stencil_slots``), and it must not change while the cycle is in use.
+    The cycle smooths by zebra line Gauss-Seidel (Trottenberg, Oosterlee and
+    Schueller, *Multigrid*, 2001, section 5.1) in correction form.  From
+    x = 0 it solves the odd s-lines (counted from 0 in the block of the
+    unfolded grid, so that a folded level's cycle is the unfolded one on
+    even fields), then the even ones, carrying the residual b - J x through
+    J's coupling diagonals (``_ZebraLines``).  It restricts that residual to
+    the coarser level by full weighting, applies that level's ``coarse``
+    cycle (its LU solve at the coarsest level) and prolongates the
+    correction bilinearly.  From
     the one residual it computes, it then solves the odd t-lines and the
     even t-lines.  Line solves keep the cycle effective where one
     direction's couplings dominate: along s near the axis at large n and
@@ -420,8 +437,12 @@ class _KrylovSolve:
 
     def __init__(self, J, counts: LUCounts, mask, coarse_mask, coarse):
         self.J, self.counts, self.coarse = J, counts, coarse
-        self.axis = bool(mask[0].any())
-        self.block = (slice(1 - self.axis, -1), slice(1, -1))
+        self.axis, self.mirror = bool(mask[0].any()), bool(mask[:, 0].any())
+        self.block = (slice(1 - self.axis, -1), slice(1 - self.mirror, -1))
+        # the odd s-lines of the whole grid's block go first; folded, the
+        # block starts at the mirror line, line nt // 2 - 1 of the whole one
+        first = (mask.shape[1] - 1) % 2 if self.mirror else 1
+        self.parities = (first, 1 - first)
         self.grids = (mask.shape, coarse_mask.shape)
         slots = _stencil_slots(mask)
         self.shape = slots.shape[:2]
@@ -440,14 +461,14 @@ class _KrylovSolve:
         S, T = self.shape
         r = b.reshape(S, T).T.copy()
         x = np.zeros_like(r)
-        for parity in (1, 0):
+        for parity in self.parities:
             self.s_lines.sweep(x, r, parity)
         # the residual is restricted as it lies, t-major; x goes back to
         # row-major once, added to the prolonged correction
         fine, coarse = np.zeros(self.grids[0][::-1]), np.zeros(self.grids[1])
         fine[self.block[::-1]] = r
         c = coarse[self.block]
-        c[...] = self.coarse(_restrict(fine, self.axis)[self.block].ravel()).reshape(c.shape)
+        c[...] = self.coarse(_restrict(fine, self.axis, self.mirror)[self.block].ravel()).reshape(c.shape)
         e = _prolong(coarse)[self.block]
         e += x.T
         x = e.ravel()
@@ -525,11 +546,18 @@ def solve_semilinear(
     as the levels write their start in place.  While both node counts are odd
     and the every-other-node grid keeps 65 or more per direction, that grid
     is solved first and its bilinear prolongation is the start of the finer
-    one.  Each level is a ``_damped_newton`` on Delta_h u - beta(u)/2,
-    evaluated like ``residual_semilinear``, with Jacobian
-    Delta_h - beta'(u)/2.  Only the coarsest level factors its Jacobian
-    (sparse LU); every finer level solves its Newton systems with flexible
-    GMRES right-preconditioned by one V-cycle over the coarser levels.  The
+    one.  When the t nodes are mirror-exact (``GridSpec.axes``), the start
+    is bitwise even in t and every level of that ladder has a t = 0 node
+    (nt = 1 mod 4 on every level above the coarsest, nt odd on the
+    coarsest), the solution is even and every level is folded onto its
+    t >= 0 columns (``_Level``), with the ladder of the whole grid; the
+    reported residuals are those of the whole grid, and the returned field
+    is the whole one, bitwise even.  Otherwise nothing is folded.  Each
+    level is a ``_damped_newton`` on Delta_h u - beta(u)/2, evaluated like
+    ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2.  Only the
+    coarsest level factors its Jacobian (sparse LU); every finer level
+    solves its Newton systems with flexible GMRES right-preconditioned by
+    one V-cycle over the coarser levels.  The
     levels are cascadic (Bornemann and Deuflhard, Numer. Math. 75 (1996)
     135-152): a coarse level supplies only a start and a coarse correction,
     so it stops at sqrt(tol), and only the finest level runs to ``tol``.  A
@@ -554,27 +582,45 @@ class _Level:
     """One grid of the nested solve: Delta_h u - beta(u)/2 on the unknowns of
     ``values`` (boundary values held fixed) and its Jacobian.
 
-    The level keeps one CSR matrix, assembled as Delta_h; ``jacobian``
-    rewrites its diagonal in place and returns it, so a call replaces the
-    matrix the previous call returned."""
+    With ``mirror`` the level is folded: ``values`` is even in t, and the
+    unknowns (``mask`` of ``self.values``, a view of the t >= 0 columns) are
+    those of that half, with the mirror line t = 0 (``_assemble_laplacian``).
+    ``finish`` writes them and unfolds the whole grid, on which the residual
+    is evaluated: its rows on the half are ``residual``, its sup norm and
+    2-norm over every unknown of the grid are ``norms``, so convergence,
+    damping and chord reuse are judged on the whole grid as unfolded.
+    Otherwise ``self.values`` is ``values`` and the norms are those of the
+    rows returned.  The level keeps one CSR matrix, assembled as Delta_h;
+    ``jacobian`` rewrites its diagonal in place and returns it, so a call
+    replaces the matrix the previous call returned."""
 
-    def __init__(self, beta, grid: GridSpec, values: np.ndarray):
-        self.beta = beta
-        self.J, self.mask = _assemble_laplacian(grid)
+    def __init__(self, beta, grid: GridSpec, values: np.ndarray, mirror: bool = False):
+        self.beta, self.mirror = beta, mirror
+        self.J, self.mask = _assemble_laplacian(grid, mirror)
         self.at_diag = _diagonal_positions(self.J, self.mask)
         self.lap_diag = self.J.data[self.at_diag]
         self.field = AxiField(grid.n, *grid.axes(), values)
+        self.values = values[:, grid.nt - self.mask.shape[1] :]  # the t >= 0 columns, or all
+        self.inner = _unknown_mask(values.shape, grid.s_min == 0.0)
 
     def residual(self, vec):
-        self.field.values[self.mask] = vec
-        return apply_axisym_laplacian(self.field).values[self.mask] - 0.5 * np.asarray(self.beta.eval(vec))
+        r = apply_axisym_laplacian(self.finish(vec)).values - 0.5 * np.asarray(self.beta.eval(self.field.values))
+        self.last = r[self.inner]
+        return r[:, -self.mask.shape[1] :][self.mask]
+
+    def norms(self, res):
+        return _norms(self.last)
 
     def jacobian(self, vec):
         self.J.data[self.at_diag] = self.lap_diag - 0.5 * np.asarray(self.beta.deriv(vec))
         return self.J
 
     def finish(self, vec):
-        self.field.values[self.mask] = vec
+        self.values[self.mask] = vec
+        if self.mirror:
+            u = self.field.values
+            h = u.shape[1] // 2  # the mirror line's column
+            u[:, :h] = u[:, :h:-1]
         return self.field
 
 
@@ -608,7 +654,7 @@ class _FirstUse:
     def __call__(self, b):
         if self.apply is None:
             level = self.level
-            J = level.jacobian(level.field.values[level.mask])
+            J = level.jacobian(level.values[level.mask])
             self.apply = getattr(self.factor(J, self.counts), self.method)
         return self.apply(b)
 
@@ -616,17 +662,22 @@ class _FirstUse:
 def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
     """``solve_semilinear`` on the start ``u`` (modified in place), coarsest level first."""
     counts, coarse, below = LUCounts(), None, None
-    for stride in _level_strides(grid.ns, grid.nt):
+    strides = _level_strides(grid.ns, grid.nt)
+    t = grid.axes()[1]
+    # even data on mirror-exact t nodes has an even solution; it folds when
+    # every level has a t = 0 node
+    mirror = np.array_equal(t, -t[::-1]) and (grid.nt - 1) % (2 * strides[0]) == 0 and np.array_equal(u, u[:, ::-1])
+    for stride in strides:
         g = replace(grid, ns=(grid.ns - 1) // stride + 1, nt=(grid.nt - 1) // stride + 1)
-        level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy())
-        mask, values = level.mask, level.field.values
+        level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy(), mirror)
+        mask, values = level.mask, level.values
         if coarse is not None:
             values[mask] = _prolong(below)[mask]
         factor = _lu if coarse is None else partial(_KrylovSolve, mask=mask, coarse_mask=coarse[0], coarse=coarse[1])
         label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
         field, history, _, factors, last = _damped_newton(
             values[mask], level.residual, level.jacobian, level.finish, tol if stride == 1 else math.sqrt(tol),
-            max_iter, label, factor,
+            max_iter, label, factor, level.norms,
         )
         counts.merge(factors)
         if stride > 1:

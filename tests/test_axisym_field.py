@@ -22,6 +22,7 @@ from onephase_lab.axisym_field import (
     _KrylovSolve,
     _Level,
     _prolong,
+    _restrict,
     _unknown_mask,
     apply_axisym_laplacian,
     blow_down,
@@ -221,6 +222,24 @@ def test_1d_solve_rejects_a_nan_start(beta):
 def test_grid_requires_finite_extents(extents):
     with pytest.raises(InvalidParameterError, match="non-finite grid extents"):
         GridSpec(**{"n": 3, "s_max": 2.0, "t_min": -2.0, "t_max": 2.0, "ns": 9, "nt": 9, **extents})
+
+
+@pytest.mark.parametrize("extent", [1e-3, 0.7, 1.0, 1.5, 2.2, 3.0, 2.2 * 1.7])
+def test_symmetric_t_extents_give_mirror_exact_nodes(extent):
+    # linspace misses -t[j] == t[nt - 1 - j] by an ulp at most counts (449 and
+    # 299 on +-1.5 and +-1); the nodes are mirror-exact at every count, equal to
+    # linspace's where those already are and elsewhere at most two ulps of the
+    # extent from them (measured: 1.5 on +-1.5, 2 on +-3.74)
+    for nt in range(3, 1200):
+        t = GridSpec(n=3, s_max=1.0, t_min=-extent, t_max=extent, ns=3, nt=nt).axes()[1]
+        ref = np.linspace(-extent, extent, nt)
+        assert np.array_equal(t, -t[::-1]) and (t[0], t[-1]) == (-extent, extent)
+        if np.array_equal(ref, -ref[::-1]):
+            assert np.array_equal(t, ref)
+        assert np.all(np.abs(t - ref) <= 2.0 * np.spacing(extent))
+    # an extent not symmetric about 0 keeps linspace's nodes
+    off = GridSpec(n=3, s_max=1.0, t_min=-extent, t_max=1.25 * extent, ns=3, nt=449)
+    assert np.array_equal(off.axes()[1], np.linspace(-extent, 1.25 * extent, 449))
 
 
 def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
@@ -435,16 +454,105 @@ def test_reported_residual_is_the_independent_one(beta, nodes):
     assert res.residuals[-1] == residual_semilinear(res.field, beta)  # bitwise
 
 
+def _spy_mirror(monkeypatch):
+    """The ``mirror`` flag of every ``_Level`` built, coarsest first."""
+    flags, init = [], _Level.__init__
+
+    def spy(self, beta, grid, values, mirror=False):
+        flags.append(mirror)
+        init(self, beta, grid, values, mirror)
+
+    monkeypatch.setattr(_Level, "__init__", spy)
+    return flags
+
+
+def test_folded_neck_matches_the_translated_unfolded_neck(beta, monkeypatch):
+    # the 129^2 neck is even in t on mirror-exact nodes and folds; moved up by
+    # c in t, with data g(s, t - c), its extent is no longer symmetric and it
+    # is solved on both halves, to the same field
+    flags = _spy_mirror(monkeypatch)
+    g, data = _neck(beta, 129)
+    folded = solve_semilinear(beta, g, data)
+    assert flags == [True, True]
+    c = 0.25
+    moved_grid = dataclasses.replace(g, t_min=g.t_min + c, t_max=g.t_max + c)
+    moved = solve_semilinear(beta, moved_grid, lambda s, t: data(s, t - c))
+    assert flags[2:] == [False, False]
+    assert np.max(np.abs(folded.field.values - moved.field.values)) <= 1e-12
+    assert folded.iterations == moved.iterations
+    v = folded.field.values
+    assert np.array_equal(v, v[:, ::-1])
+    # the reported residual is the whole grid's, and certified
+    assert folded.residuals[-1] == residual_semilinear(folded.field, beta) <= 1e-10
+    # the coarsest LU factors the 65^2 level's t >= 0 half
+    assert folded.factors.order == 64 * 32 and moved.factors.order == 64 * 63
+
+
+@pytest.mark.parametrize(
+    "grid, odd",
+    [
+        (GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129), 1e-3),
+        # the domain study's 299^2 grid: its 150^2 coarse level has no t = 0 node
+        (GridSpec(n=3, s_max=2.0, t_min=-1.0, t_max=1.0, ns=299, nt=299), 0.0),
+    ],
+    ids=["odd-data", "299"],
+)
+def test_solve_folds_only_even_data_with_a_mirror_line_on_every_level(beta, monkeypatch, grid, odd):
+    flags = _spy_mirror(monkeypatch)
+    catenoid = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
+    res = solve_semilinear(beta, grid, lambda s, t: catenoid(s, t) + odd * t)
+    assert len(flags) == 2 and not any(flags)
+    coarse = dataclasses.replace(grid, ns=(grid.ns + 1) // 2, nt=(grid.nt + 1) // 2)
+    assert res.factors.order == int(_assemble_laplacian(coarse)[1].sum())
+    assert res.residuals[-1] == residual_semilinear(res.field, beta) <= 1e-10
+
+
+@pytest.mark.parametrize("n, s_min", [(2, 0.4), (5, 0.0)])
+def test_folded_level_is_the_unfolded_one_on_even_fields(n, s_min):
+    # 21 x 17 nodes over a 11 x 9 coarse level, nt = 17 = 1 (mod 4): the t = 0
+    # column is the kept half's first and an odd line of the whole block
+    g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=21, nt=17)
+    rng = np.random.default_rng(n)
+
+    def even(shape):
+        a = rng.uniform(0.0, 3.0, shape)
+        return a + a[:, ::-1]
+
+    shift, coarse_shift = even((21, 17)), even((11, 9))
+    systems = []
+    for mirror in (False, True):
+        half = slice(8 if mirror else 0, None)
+        L, mask = _assemble_laplacian(g, mirror)
+        Lc, coarse_mask = _assemble_laplacian(dataclasses.replace(g, ns=11, nt=9), mirror)
+        J = (L - sp.diags(shift[:, half][mask])).tocsr()
+        coarse = splu((Lc - sp.diags(coarse_shift[:, half.start // 2 :][coarse_mask])).tocsc()).solve
+        systems.append((J, mask, _KrylovSolve(J, LUCounts(), mask, coarse_mask, coarse).cycle))
+    (J, mask, cycle), (J_h, mask_h, cycle_h) = systems
+    assert np.array_equal(mask_h, mask[:, 8:])
+    # full weighting of grid values given t-major, the kept half's t = 0 row
+    # weighed with its mirror image
+    r = even((21, 17))
+    assert np.array_equal(_restrict(r[:, 8:].T, s_min == 0.0, True), _restrict(r.T, s_min == 0.0)[:, 4:])
+    b = np.where(mask, even((21, 17)), 0.0)
+    # the kept rows of J b and of one V-cycle on b, an even field
+    for apply, apply_h in ((J.__matmul__, J_h.__matmul__), (cycle, cycle_h)):
+        whole = np.zeros((21, 17))
+        whole[mask] = apply(b[mask])
+        got = apply_h(b[:, 8:][mask_h])
+        assert np.max(np.abs(got - whole[:, 8:][mask_h])) <= 1e-12 * np.max(np.abs(whole))
+
+
 def test_neck_at_513_converges_with_few_factors(beta, monkeypatch):
     # the 513^2 catenoid neck used to cycle between 1.16e-10 and 1.31e-10 and
     # raise after 40 factors; measured 4.7e-11 with 2 factors, both on the
-    # 65^2 coarsest level, and 17 GMRES iterations on 129^2, 257^2 and 513^2
+    # 65^2 coarsest level, and 17 GMRES iterations on 129^2, 257^2 and 513^2.
+    # The data are even in t, so every level is folded onto its t >= 0 half
     factored = []
     monkeypatch.setattr(axisym_field, "splu", lambda J, **kw: factored.append((J.shape, kw)) or splu(J, **kw))
     res = solve_semilinear(beta, *_neck(beta, 513), tol=1e-10)
     assert res.residuals[-1] <= 1e-10
     assert residual_semilinear(res.field, beta) <= 1e-10
-    coarsest = int(_assemble_laplacian(_neck(beta, 65)[0])[1].sum())
+    coarsest = int(_assemble_laplacian(_neck(beta, 65)[0], mirror=True)[1].sum())
     assert {shape for shape, _ in factored} == {(coarsest, coarsest)}
     assert all(kw == LU_OPTIONS for _, kw in factored)
     assert res.factors.factorizations == len(factored) <= 2
@@ -515,7 +623,8 @@ def test_coarse_level_on_its_solution_hands_up_the_factor_at_its_start(beta, mon
     assert spied["lu"] == [coarsest] and res.factors.factorizations == 1
     # the LU is built when the 129^2 level's first V-cycle applies it
     (x,) = [x for k, x in spied["jacobian"] if k == coarsest]
-    assert np.array_equal(x, start[::2, ::2][_unknown_mask((65, 65), True)])
+    # the start is even in t, so the level is folded onto its t >= 0 half
+    assert np.array_equal(x, start[::2, 64::2][_unknown_mask((65, 33), True, True)])
     above = [k for k, _ in spied["jacobian"] if k != coarsest]
     assert all(k == finest for k in above) and len(above) == len(spied["krylov"]) > 0
     assert res.residuals[-1] <= 1e-10
@@ -726,7 +835,7 @@ def test_fine_level_applies_one_cycle_per_gmres_iteration(beta, monkeypatch):
     monkeypatch.setattr(_KrylovSolve, "cycle", count_cycle)
     monkeypatch.setattr(_KrylovSolve, "solve", count_solve)
     res = solve_semilinear(beta, *_neck(beta, 257))
-    finest = int(_assemble_laplacian(_neck(beta, 257)[0])[1].sum())
+    finest = int(_assemble_laplacian(_neck(beta, 257)[0], mirror=True)[1].sum())  # folded
     assert sum(k for _, k in iterations) == res.factors.krylov_iterations
     finest_iterations = sum(k for m, k in iterations if m == finest)
     assert finest_iterations > 0 and cycles.count(finest) == finest_iterations

@@ -374,6 +374,22 @@ def test_solve_command_with_domain_study(tmp_path, runner):
     assert counters["lu_factor_order"] == 32 * 31  # the 33^2 grid's unknowns, axis column included
 
 
+def test_solve_of_the_neck_at_129_factors_folded_halves(tmp_path):
+    # catenoid data are even in t, and both grids have a t = 0 node on every
+    # level, so each factors the t >= 0 half of its coarsest level: the 129^2
+    # grid's 65^2 level (64 x 32 unknowns), the domain study's 87^2 grid
+    # (86 x 43, against 86 x 85 unfolded)
+    cfg = ExperimentConfig(
+        experiment="solve", n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129,
+        boundary_model="catenoid", domain_study=True, out_dir=str(tmp_path),
+    )
+    report = run(cfg)
+    assert report.counters["lu_factor_order"] == 86 * 43 == 3698
+    assert report.results["solve"]["residual"] <= 1e-10
+    field = AxiField.load_binary(tmp_path / "field.bin")
+    assert np.array_equal(field.values, field.values[:, ::-1])
+
+
 def test_stability_command_layer(tmp_path, runner):
     out = tmp_path / "stab"
     cfg = tmp_path / "stab.cfg"
@@ -464,14 +480,14 @@ def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     assert counters["lu_fill_nnz"] >= res["masked_solve"]["unknowns"]
     assert 1 <= counters["lu_refinement_steps"] <= 10
     assert 0.0 <= counters["lu_backward_error"] <= 6.0 * np.finfo(float).eps
-    # the t nodes of resolution 48 are not mirror-exact, so the factor holds
-    # the black unknowns of both halves, about half of the 7865 unknowns
-    assert counters["lu_factor_order"] == 3930
+    # the t nodes are mirror-exact at resolution 48 too, so the factor holds
+    # the black unknowns of the t >= 0 half, about a quarter of the 7865 unknowns
+    assert counters["lu_factor_order"] == 1984
 
 
 @pytest.mark.parametrize(
     "preset, n, ref, order",
-    [("strip_neck", 2, StripNeckExact(), 3542), ("sphere", 3, SphereShellExact(n=3), 16544)],
+    [("strip_neck", 2, StripNeckExact(), 3542), ("sphere", 3, SphereShellExact(n=3), 8291)],
     ids=["strip_neck", "sphere-n3"],
 )
 def test_onephase_runs_on_one_thread_and_reports_the_sup_error_of_its_field(
@@ -482,7 +498,7 @@ def test_onephase_runs_on_one_thread_and_reports_the_sup_error_of_its_field(
     # bit the one recomputed from the written field.
     # The factor's order shows the fold: the neck at resolution 64 factors
     # the black unknowns of its t >= 0 half (14,082 unknowns in all), the
-    # sphere, whose t nodes are not mirror-exact, those of both (33,098)
+    # sphere those of its t >= 0 half too (33,098)
     cfg = ExperimentConfig(
         experiment="onephase", onephase_preset=preset, n=n, onephase_resolution=64, out_dir=str(tmp_path / preset)
     )

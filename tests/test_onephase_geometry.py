@@ -399,12 +399,11 @@ def _spy_on_factors(monkeypatch):
 @pytest.mark.parametrize(
     "grid, shape, black",
     [
-        # strip_neck at resolution 64 is even in t on mirror-exact t nodes, so
-        # only the black unknowns of its kept half are factored; the n = 3
-        # sphere preset at resolution 32 has linspace t nodes that are not
-        # mirror-exact, so its A is not invariant and all its black unknowns are
+        # strip_neck at resolution 64 and the n = 3 sphere preset at
+        # resolution 32 are even in t on mirror-exact t nodes, so only the
+        # black unknowns of their kept halves are factored (of 7,034 and 4,061)
         (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129), _NECK, 3542),
-        (GridSpec(n=3, s_max=2.2, t_min=-2.2, t_max=2.2, ns=71, nt=141), _SHELL3, None),
+        (GridSpec(n=3, s_max=2.2, t_min=-2.2, t_max=2.2, ns=71, nt=141), _SHELL3, 2040),
     ],
     ids=["neck-64", "shell-n3-32"],
 )
@@ -412,8 +411,6 @@ def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape, b
     factored = _spy_on_factors(monkeypatch)
     sol = solve_harmonic_masked(grid, shape.level, shape.u)
     A, rhs, _, unknown, _ = _masked_system(grid, shape.level, shape.u)
-    if black is None:
-        black = np.count_nonzero(~_red(unknown))
     # one float32 factor, of the Schur complement on the black unknowns
     assert factored == [(np.float32, (black, black), LU_OPTIONS)]
     assert sol.factors.order == black
