@@ -195,21 +195,25 @@ def _unknown_mask(shape, axis: bool, mirror: bool = False) -> np.ndarray:
 def _assemble_laplacian(grid: GridSpec, mirror: bool = False):
     """(L, mask): L is the derivative of Delta_h u on the unknown nodes with
     respect to the unknowns, the boundary values held fixed.  With
-    ``mirror`` the unknowns are those of the t >= 0 columns of ``grid``
-    (odd nt), the mirror line t = 0 included, for fields even in t.
+    ``mirror`` the unknowns are those of the last (nt + 1) // 2 columns of
+    ``grid``, for fields even in t: at odd nt the t >= 0 columns, the mirror
+    line t = 0 included; at even nt the columns past the mirror line, which
+    falls between two nodes.
     """
     s, _ = grid.axes()
     hs, ht, n = grid.hs, grid.ht, grid.n
-    mask = _unknown_mask((grid.ns, grid.nt // 2 + 1 if mirror else grid.nt), grid.s_min == 0.0, mirror)
+    mask = _unknown_mask((grid.ns, (grid.nt + 1) // 2 if mirror else grid.nt), grid.s_min == 0.0, mirror)
     i, j = np.nonzero(mask)
     axis = i == 0
-    # the axis column reflects its s- arm onto the s+ one, and the mirror
-    # line, the only unknowns of column 0, its t- arm onto the t+ one
+    # the axis column reflects its s- arm onto the s+ one; column 0, folded,
+    # reflects its t- arm onto the t+ one on the mirror line (odd nt), and
+    # onto itself next to it (even nt)
+    on_line, by_line = (j == 0) & (grid.nt % 2 == 1), (j == 0) & (grid.nt % 2 == 0)
     cs_p = (n - 1) * 2.0 / hs**2
     drift = (n - 2) / (2.0 * hs * np.where(axis, 1.0, s[i]))  # not used on the axis
-    diag = np.where(axis, -cs_p, -2.0 / hs**2) + -2.0 / ht**2
+    diag = np.where(axis, -cs_p, -2.0 / hs**2) + np.where(by_line, -1.0, -2.0) / ht**2
     t_arm = np.full(len(i), 1.0 / ht**2)
-    arms = (1.0 / hs**2 - drift, np.where(axis, cs_p, 1.0 / hs**2 + drift), t_arm, np.where(j == 0, 2.0 / ht**2, t_arm))
+    arms = (1.0 / hs**2 - drift, np.where(axis, cs_p, 1.0 / hs**2 + drift), t_arm, np.where(on_line, 2.0 / ht**2, t_arm))
     return stencil_matrix(mask, diag, arms), mask
 
 
@@ -321,30 +325,43 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     return finish(x), history, merits, factors, last
 
 
-def _prolong(c: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of every-other-node values ``c`` to the full grid."""
+def _prolong(c: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Bilinear interpolation of every-other-node values ``c`` to the full
+    grid.  With ``offset`` 1 the full grid starts one node before c's first
+    column, on a mirror line past which the values are even in t
+    (``_mirror_offset``), where it takes that column's value."""
+    if offset:
+        c = np.concatenate((c[:, :1], c), axis=1)
     p = np.empty((2 * c.shape[0] - 1, 2 * c.shape[1] - 1))
     p[::2, ::2] = c
     p[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
     p[:, 1::2] = 0.5 * (p[:, :-2:2] + p[:, 2::2])
-    return p
+    return p[:, offset:]
 
 
-def _restrict(r: np.ndarray, axis: bool, mirror: bool = False) -> np.ndarray:
+def _mirror_offset(fine_nt: int, coarse_nt: int) -> int:
+    """The t column of a level with ``fine_nt`` t columns (kept ones, when
+    folded) on which the first column of its every-other-node level, with
+    ``coarse_nt``, lies: 1 when both are folded and the fine level's first
+    column, its mirror line t = 0, falls between two coarse nodes (even
+    coarse nt), else 0."""
+    return fine_nt + 1 - 2 * coarse_nt
+
+
+def _restrict(r: np.ndarray, axis: bool, offset: int = 0) -> np.ndarray:
     """Full weighting onto the every-other-node grid of grid values given
-    t-major, ``r[j, i]`` at (s_i, t_j), returned s-major; with ``axis`` the
-    s = 0 column is weighed with its mirror image u(-hs) = u(hs), with
-    ``mirror`` the t = 0 row (the first) with u(-ht) = u(ht)."""
-
-    def weigh(a, mirror):
-        c = 0.5 * a[::2]
-        c[1:] += 0.25 * a[1::2]
-        c[:-1] += 0.25 * a[1::2]
-        if mirror:
-            c[0] += 0.25 * a[1]
-        return c
-
-    return weigh(weigh(r, mirror).T, axis)
+    t-major, ``r[j, i]`` at (s_i, t_j), that are zero on the rows between
+    the coarse ones, returned s-major: in t it is 0.5 r[offset::2], the
+    coarse rows starting at row ``offset`` (``_mirror_offset``); in s, with
+    ``axis``, the s = 0 column is weighed with its mirror image
+    u(-hs) = u(hs)."""
+    c = 0.5 * r[offset::2].T
+    w = 0.5 * c[::2]
+    w[1:] += 0.25 * c[1::2]
+    w[:-1] += 0.25 * c[1::2]
+    if axis:
+        w[0] += 0.25 * c[1]
+    return w
 
 
 def _stencil_slots(mask) -> np.ndarray:
@@ -413,8 +430,8 @@ class _KrylovSolve:
     cycle of the last ``_KrylovSolve`` a level built, in the eigen solve,
     whose LOBPCG runs on the same levels, the one ``_level_cycle`` builds.
     The unknowns are the rectangular block of grid rows 0 (with the axis) or
-    1 to -2 and columns 0 (with the mirror line t = 0 of a folded level,
-    ``_assemble_laplacian``) or 1 to -2, in row-major order; ``J`` must
+    1 to -2 and columns 0 (of a folded level, ``_assemble_laplacian``) or 1
+    to -2, in row-major order; ``J`` must
     store every arm inside the block, as ``stencil_matrix`` does, since its
     line and coupling bands are read off that fixed row layout
     (``_stencil_slots``), and it must not change while the cycle is in use.
@@ -424,9 +441,14 @@ class _KrylovSolve:
     unfolded grid, so that a folded level's cycle is the unfolded one on
     even fields), then the even ones, carrying the residual b - J x through
     J's coupling diagonals (``_ZebraLines``).  It restricts that residual to
-    the coarser level by full weighting, applies that level's ``coarse``
-    cycle (its LU solve at the coarsest level) and prolongates the
-    correction bilinearly.  From
+    the coarser level by full weighting, which in t reads only the coarse
+    rows, since the s-lines between them, solved last, carry no residual;
+    it applies that level's ``coarse`` cycle (its LU solve at the coarsest
+    level) and prolongates the correction bilinearly.  When the mirror line
+    of a folded level falls between two nodes of the coarser one (its nt is
+    even), the coarse half starts one row past the mirror line, and the
+    prolongation takes the mirror line's value from the first coarse row
+    (``_mirror_offset``).  From
     the one residual it computes, it then solves the odd t-lines and the
     even t-lines.  Line solves keep the cycle effective where one
     direction's couplings dominate: along s near the axis at large n and
@@ -444,6 +466,7 @@ class _KrylovSolve:
         first = (mask.shape[1] - 1) % 2 if self.mirror else 1
         self.parities = (first, 1 - first)
         self.grids = (mask.shape, coarse_mask.shape)
+        self.offset = _mirror_offset(mask.shape[1], coarse_mask.shape[1])
         slots = _stencil_slots(mask)
         self.shape = slots.shape[:2]
         # J's arms, read off its fixed row layout; an arm leaving the block is 0
@@ -468,8 +491,8 @@ class _KrylovSolve:
         fine, coarse = np.zeros(self.grids[0][::-1]), np.zeros(self.grids[1])
         fine[self.block[::-1]] = r
         c = coarse[self.block]
-        c[...] = self.coarse(_restrict(fine, self.axis, self.mirror)[self.block].ravel()).reshape(c.shape)
-        e = _prolong(coarse)[self.block]
+        c[...] = self.coarse(_restrict(fine, self.axis, self.offset)[self.block].ravel()).reshape(c.shape)
+        e = _prolong(coarse, self.offset)[self.block]
         e += x.T
         x = e.ravel()
         r = b - self.J @ x
@@ -546,13 +569,14 @@ def solve_semilinear(
     as the levels write their start in place.  While both node counts are odd
     and the every-other-node grid keeps 65 or more per direction, that grid
     is solved first and its bilinear prolongation is the start of the finer
-    one.  When the t nodes are mirror-exact (``GridSpec.axes``), the start
-    is bitwise even in t and every level of that ladder has a t = 0 node
-    (nt = 1 mod 4 on every level above the coarsest, nt odd on the
-    coarsest), the solution is even and every level is folded onto its
-    t >= 0 columns (``_Level``), with the ladder of the whole grid; the
-    reported residuals are those of the whole grid, and the returned field
-    is the whole one, bitwise even.  Otherwise nothing is folded.  Each
+    one.  When the t nodes are mirror-exact (``GridSpec.axes``) and the
+    start is bitwise even in t, the solution is even and every level is
+    folded onto its last (nt + 1) // 2 columns (``_Level``), with the ladder
+    of the whole grid: the t >= 0 columns of a level with a t = 0 node, the
+    columns past the mirror line of a coarsest level with even nt, where it
+    falls between two nodes.  The reported residuals are those of the whole
+    grid, and the returned field is the whole one, bitwise even.
+    Otherwise nothing is folded.  Each
     level is a ``_damped_newton`` on Delta_h u - beta(u)/2, evaluated like
     ``residual_semilinear``, with Jacobian Delta_h - beta'(u)/2.  Only the
     coarsest level factors its Jacobian (sparse LU); every finer level
@@ -583,8 +607,9 @@ class _Level:
     ``values`` (boundary values held fixed) and its Jacobian.
 
     With ``mirror`` the level is folded: ``values`` is even in t, and the
-    unknowns (``mask`` of ``self.values``, a view of the t >= 0 columns) are
-    those of that half, with the mirror line t = 0 (``_assemble_laplacian``).
+    unknowns (``mask`` of ``self.values``, a view of the last (nt + 1) // 2
+    columns) are those of that half, with the mirror line t = 0 at odd nt
+    (``_assemble_laplacian``).
     ``finish`` writes them and unfolds the whole grid, on which the residual
     is evaluated: its rows on the half are ``residual``, its sup norm and
     2-norm over every unknown of the grid are ``norms``, so convergence,
@@ -619,8 +644,8 @@ class _Level:
         self.values[self.mask] = vec
         if self.mirror:
             u = self.field.values
-            h = u.shape[1] // 2  # the mirror line's column
-            u[:, :h] = u[:, :h:-1]
+            h = u.shape[1] // 2  # the columns before the kept ones
+            u[:, :h] = u[:, : -h - 1 : -1]
         return self.field
 
 
@@ -664,15 +689,14 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
     counts, coarse, below = LUCounts(), None, None
     strides = _level_strides(grid.ns, grid.nt)
     t = grid.axes()[1]
-    # even data on mirror-exact t nodes has an even solution; it folds when
-    # every level has a t = 0 node
-    mirror = np.array_equal(t, -t[::-1]) and (grid.nt - 1) % (2 * strides[0]) == 0 and np.array_equal(u, u[:, ::-1])
+    # even data on mirror-exact t nodes has an even solution, and folds
+    mirror = np.array_equal(t, -t[::-1]) and np.array_equal(u, u[:, ::-1])
     for stride in strides:
         g = replace(grid, ns=(grid.ns - 1) // stride + 1, nt=(grid.nt - 1) // stride + 1)
         level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy(), mirror)
         mask, values = level.mask, level.values
         if coarse is not None:
-            values[mask] = _prolong(below)[mask]
+            values[mask] = _prolong(below, _mirror_offset(mask.shape[1], below.shape[1]))[mask]
         factor = _lu if coarse is None else partial(_KrylovSolve, mask=mask, coarse_mask=coarse[0], coarse=coarse[1])
         label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
         field, history, _, factors, last = _damped_newton(

@@ -21,6 +21,7 @@ from onephase_lab.axisym_field import (
     _fgmres,
     _KrylovSolve,
     _Level,
+    _mirror_offset,
     _prolong,
     _restrict,
     _unknown_mask,
@@ -488,58 +489,89 @@ def test_folded_neck_matches_the_translated_unfolded_neck(beta, monkeypatch):
     assert folded.factors.order == 64 * 32 and moved.factors.order == 64 * 63
 
 
-@pytest.mark.parametrize(
-    "grid, odd",
-    [
-        (GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129), 1e-3),
-        # the domain study's 299^2 grid: its 150^2 coarse level has no t = 0 node
-        (GridSpec(n=3, s_max=2.0, t_min=-1.0, t_max=1.0, ns=299, nt=299), 0.0),
-    ],
-    ids=["odd-data", "299"],
-)
-def test_solve_folds_only_even_data_with_a_mirror_line_on_every_level(beta, monkeypatch, grid, odd):
+def test_solve_does_not_fold_odd_data(beta, monkeypatch):
     flags = _spy_mirror(monkeypatch)
+    grid = GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129)
     catenoid = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
-    res = solve_semilinear(beta, grid, lambda s, t: catenoid(s, t) + odd * t)
-    assert len(flags) == 2 and not any(flags)
-    coarse = dataclasses.replace(grid, ns=(grid.ns + 1) // 2, nt=(grid.nt + 1) // 2)
+    res = solve_semilinear(beta, grid, lambda s, t: catenoid(s, t) + 1e-3 * t)
+    assert flags == [False, False]
+    coarse = dataclasses.replace(grid, ns=65, nt=65)
     assert res.factors.order == int(_assemble_laplacian(coarse)[1].sum())
     assert res.residuals[-1] == residual_semilinear(res.field, beta) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "grid, levels",
+    [
+        # the domain study's grids: the 150^2 and 86^2 coarsest levels of
+        # 299^2 and 171^2 have their mirror line between two nodes
+        (GridSpec(n=3, s_max=2.0, t_min=-1.0, t_max=1.0, ns=299, nt=299), 2),
+        (GridSpec(n=3, s_max=2.0, t_min=-1.0, t_max=1.0, ns=171, nt=171), 2),
+        # one level, even nt
+        (GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=97, nt=100), 1),
+    ],
+    ids=["299", "171", "97x100"],
+)
+def test_solve_folds_even_data_with_an_even_coarsest_level(beta, monkeypatch, grid, levels):
+    flags = _spy_mirror(monkeypatch)
+    data = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
+    folded = solve_semilinear(beta, grid, data)
+    assert flags == [True] * levels
+    c = 0.25
+    moved_grid = dataclasses.replace(grid, t_min=grid.t_min + c, t_max=grid.t_max + c)
+    moved = solve_semilinear(beta, moved_grid, lambda s, t: data(s, t - c))
+    assert flags[levels:] == [False] * levels
+    assert np.max(np.abs(folded.field.values - moved.field.values)) <= 1e-12
+    assert folded.iterations == moved.iterations
+    assert folded.factors.krylov_iterations == moved.factors.krylov_iterations
+    v = folded.field.values
+    assert np.array_equal(v, v[:, ::-1])
+    assert folded.residuals[-1] == residual_semilinear(folded.field, beta) <= 1e-10
+    # the coarsest LU factors the columns past the mirror line, half of them
+    assert 2 * folded.factors.order == moved.factors.order
 
 
 @pytest.mark.parametrize("n, s_min", [(2, 0.4), (5, 0.0)])
 def test_folded_level_is_the_unfolded_one_on_even_fields(n, s_min):
     # 21 x 17 nodes over a 11 x 9 coarse level, nt = 17 = 1 (mod 4): the t = 0
-    # column is the kept half's first and an odd line of the whole block
-    g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=21, nt=17)
+    # column is the kept half's first, an odd line of the whole block and a
+    # coarse node.  21 x 19 over 11 x 10, nt = 19 = 3 (mod 4): the t = 0
+    # column is an even line and falls between two coarse nodes
     rng = np.random.default_rng(n)
 
     def even(shape):
         a = rng.uniform(0.0, 3.0, shape)
         return a + a[:, ::-1]
 
-    shift, coarse_shift = even((21, 17)), even((11, 9))
-    systems = []
-    for mirror in (False, True):
-        half = slice(8 if mirror else 0, None)
-        L, mask = _assemble_laplacian(g, mirror)
-        Lc, coarse_mask = _assemble_laplacian(dataclasses.replace(g, ns=11, nt=9), mirror)
-        J = (L - sp.diags(shift[:, half][mask])).tocsr()
-        coarse = splu((Lc - sp.diags(coarse_shift[:, half.start // 2 :][coarse_mask])).tocsc()).solve
-        systems.append((J, mask, _KrylovSolve(J, LUCounts(), mask, coarse_mask, coarse).cycle))
-    (J, mask, cycle), (J_h, mask_h, cycle_h) = systems
-    assert np.array_equal(mask_h, mask[:, 8:])
-    # full weighting of grid values given t-major, the kept half's t = 0 row
-    # weighed with its mirror image
-    r = even((21, 17))
-    assert np.array_equal(_restrict(r[:, 8:].T, s_min == 0.0, True), _restrict(r.T, s_min == 0.0)[:, 4:])
-    b = np.where(mask, even((21, 17)), 0.0)
-    # the kept rows of J b and of one V-cycle on b, an even field
-    for apply, apply_h in ((J.__matmul__, J_h.__matmul__), (cycle, cycle_h)):
-        whole = np.zeros((21, 17))
-        whole[mask] = apply(b[mask])
-        got = apply_h(b[:, 8:][mask_h])
-        assert np.max(np.abs(got - whole[:, 8:][mask_h])) <= 1e-12 * np.max(np.abs(whole))
+    for nt in (17, 19):
+        g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=21, nt=nt)
+        g_c = dataclasses.replace(g, ns=11, nt=(nt + 1) // 2)
+        h, h_c = nt // 2, g_c.nt // 2  # the columns before the kept ones
+        shift, coarse_shift = even((21, nt)), even((11, g_c.nt))
+        systems = []
+        for mirror in (False, True):
+            half, half_c = (h, h_c) if mirror else (0, 0)
+            L, mask = _assemble_laplacian(g, mirror)
+            Lc, coarse_mask = _assemble_laplacian(g_c, mirror)
+            J = (L - sp.diags(shift[:, half:][mask])).tocsr()
+            coarse = splu((Lc - sp.diags(coarse_shift[:, half_c:][coarse_mask])).tocsc()).solve
+            systems.append((J, mask, _KrylovSolve(J, LUCounts(), mask, coarse_mask, coarse).cycle))
+        (J, mask, cycle), (J_h, mask_h, cycle_h) = systems
+        assert np.array_equal(mask_h, mask[:, h:])
+        # full weighting of grid values given t-major that vanish between the
+        # coarse rows: the kept half's coarse rows start at its row 0 or 1
+        r = even((21, nt))
+        r[:, 1::2] = 0.0
+        offset = _mirror_offset(mask_h.shape[1], g_c.nt - h_c)
+        assert offset == nt // 2 % 2
+        assert np.array_equal(_restrict(r[:, h:].T, s_min == 0.0, offset), _restrict(r.T, s_min == 0.0)[:, h_c:])
+        b = np.where(mask, even((21, nt)), 0.0)
+        # the kept rows of J b and of one V-cycle on b, an even field
+        for apply, apply_h in ((J.__matmul__, J_h.__matmul__), (cycle, cycle_h)):
+            whole = np.zeros((21, nt))
+            whole[mask] = apply(b[mask])
+            got = apply_h(b[:, h:][mask_h])
+            assert np.max(np.abs(got - whole[:, h:][mask_h])) <= 1e-12 * np.max(np.abs(whole))
 
 
 def test_neck_at_513_converges_with_few_factors(beta, monkeypatch):

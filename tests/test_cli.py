@@ -375,19 +375,23 @@ def test_solve_command_with_domain_study(tmp_path, runner):
 
 
 def test_solve_of_the_neck_at_129_factors_folded_halves(tmp_path):
-    # catenoid data are even in t, and both grids have a t = 0 node on every
-    # level, so each factors the t >= 0 half of its coarsest level: the 129^2
-    # grid's 65^2 level (64 x 32 unknowns), the domain study's 87^2 grid
-    # (86 x 43, against 86 x 85 unfolded)
-    cfg = ExperimentConfig(
-        experiment="solve", n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=129, nt=129,
-        boundary_model="catenoid", domain_study=True, out_dir=str(tmp_path),
-    )
-    report = run(cfg)
-    assert report.counters["lu_factor_order"] == 86 * 43 == 3698
-    assert report.results["solve"]["residual"] <= 1e-10
-    field = AxiField.load_binary(tmp_path / "field.bin")
-    assert np.array_equal(field.values, field.values[:, ::-1])
+    # catenoid data are even in t, so each grid factors the kept half of its
+    # coarsest level: at 129^2 the 65^2 level (64 x 32 unknowns) and the
+    # domain study's 87^2 grid (86 x 43, against 86 x 85 unfolded); at 257^2
+    # the 65^2 level and the 86^2 coarsest level of the domain study's 171^2
+    # grid, whose mirror line falls between two nodes (85 x 42, against
+    # 85 x 84 unfolded)
+    for nodes, order in ((129, 86 * 43), (257, 85 * 42)):
+        out = tmp_path / str(nodes)
+        cfg = ExperimentConfig(
+            experiment="solve", n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=nodes, nt=nodes,
+            boundary_model="catenoid", domain_study=True, out_dir=str(out),
+        )
+        report = run(cfg)
+        assert report.counters["lu_factor_order"] == order
+        assert report.results["solve"]["residual"] <= 1e-10
+        field = AxiField.load_binary(out / "field.bin")
+        assert np.array_equal(field.values, field.values[:, ::-1])
 
 
 def test_stability_command_layer(tmp_path, runner):
