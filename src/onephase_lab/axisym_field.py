@@ -325,43 +325,50 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     return finish(x), history, merits, factors, last
 
 
-def _prolong(c: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Bilinear interpolation of every-other-node values ``c`` to the full
-    grid.  With ``offset`` 1 the full grid starts one node before c's first
-    column, on a mirror line past which the values are even in t
-    (``_mirror_offset``), where it takes that column's value."""
-    if offset:
-        c = np.concatenate((c[:, :1], c), axis=1)
-    p = np.empty((2 * c.shape[0] - 1, 2 * c.shape[1] - 1))
-    p[::2, ::2] = c
-    p[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
-    p[:, 1::2] = 0.5 * (p[:, :-2:2] + p[:, 2::2])
-    return p[:, offset:]
+def _fold(A, kept: np.ndarray, fold: np.ndarray):
+    """R A E: the rows ``kept`` of A, every column j added onto column
+    ``fold[j]`` (``onephase_geometry._mirror_fold``, ``_axis_fold``).  A
+    column and its mirror image stay two entries, unsummed, so a product
+    adds them in the order the unfolded one does."""
+    columns = int(np.max(fold, initial=-1)) + 1
+    return sp.csr_matrix((A.data, fold[A.indices], A.indptr), shape=(A.shape[0], columns))[kept]
 
 
-def _mirror_offset(fine_nt: int, coarse_nt: int) -> int:
-    """The t column of a level with ``fine_nt`` t columns (kept ones, when
-    folded) on which the first column of its every-other-node level, with
-    ``coarse_nt``, lies: 1 when both are folded and the fine level's first
-    column, its mirror line t = 0, falls between two coarse nodes (even
-    coarse nt), else 0."""
-    return fine_nt + 1 - 2 * coarse_nt
+def _axis_fold(n: int, folded: bool):
+    """(kept, fold) of an axis of n nodes for ``_fold``: with ``folded`` the
+    nodes j with 2 j >= n - 1 (t >= 0), each node folded onto itself or its
+    mirror image n - 1 - j; otherwise every node, in place."""
+    j = np.arange(n)
+    keep = 2 * j >= n - 1 if folded else np.full(n, True)
+    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[np.where(keep, j, n - 1 - j)]
 
 
-def _restrict(r: np.ndarray, axis: bool, offset: int = 0) -> np.ndarray:
-    """Full weighting onto the every-other-node grid of grid values given
-    t-major, ``r[j, i]`` at (s_i, t_j), that are zero on the rows between
-    the coarse ones, returned s-major: in t it is 0.5 r[offset::2], the
-    coarse rows starting at row ``offset`` (``_mirror_offset``); in s, with
-    ``axis``, the s = 0 column is weighed with its mirror image
-    u(-hs) = u(hs)."""
-    c = 0.5 * r[offset::2].T
-    w = 0.5 * c[::2]
-    w[1:] += 0.25 * c[1::2]
-    w[:-1] += 0.25 * c[1::2]
-    if axis:
-        w[0] += 0.25 * c[1]
-    return w
+def _axis_transfers(n: int, folded: bool):
+    """(start, P, R) between an axis of n nodes, n odd, and its
+    every-other-node axis: P the bilinear prolongation between their interior
+    nodes, R = P^T / 2 the full weighting, ``start`` P from every coarse node.
+    With ``folded`` each is folded onto the kept nodes (``_axis_fold``), the
+    coarse mirror line mid-cell at an even coarse count (Trottenberg,
+    Oosterlee and Schueller, *Multigrid*, 2001, section 2.8)."""
+    m = (n + 1) // 2
+    odd = np.arange(1, n, 2)
+    rows, cols = np.concatenate((np.arange(0, n, 2), odd, odd)), np.concatenate((np.arange(m), odd // 2, odd // 2 + 1))
+    P = sp.csr_matrix((np.repeat([1.0, 0.5, 0.5], [m, n - m, n - m]), (rows, cols)), shape=(n, m))
+    inner = P[1:-1, 1:-1]
+    kept, fold = _axis_fold(n - 2, folded)
+    coarse_kept, coarse_fold = _axis_fold(m - 2, folded)
+    return (
+        _fold(P[1:-1], kept, _axis_fold(m, folded)[1]),
+        _fold(inner, kept, coarse_fold),
+        _fold((0.5 * inner.T).tocsr(), coarse_kept, fold),
+    )
+
+
+def _grid_transfers(ns: int, nt: int, axis: bool, mirror: bool):
+    """``_axis_transfers`` along s and t of an ns x nt grid whose unknowns are
+    ``_unknown_mask(axis, mirror)``'s; the s axis through s = 0 is continued
+    to negative s, 2 ns - 1 nodes folded at s = 0."""
+    return _axis_transfers(2 * ns - 1 if axis else ns, axis), _axis_transfers(nt, mirror)
 
 
 def _stencil_slots(mask) -> np.ndarray:
@@ -441,14 +448,10 @@ class _KrylovSolve:
     unfolded grid, so that a folded level's cycle is the unfolded one on
     even fields), then the even ones, carrying the residual b - J x through
     J's coupling diagonals (``_ZebraLines``).  It restricts that residual to
-    the coarser level by full weighting, which in t reads only the coarse
-    rows, since the s-lines between them, solved last, carry no residual;
-    it applies that level's ``coarse`` cycle (its LU solve at the coarsest
-    level) and prolongates the correction bilinearly.  When the mirror line
-    of a folded level falls between two nodes of the coarser one (its nt is
-    even), the coarse half starts one row past the mirror line, and the
-    prolongation takes the mirror line's value from the first coarse row
-    (``_mirror_offset``).  From
+    the coarser level, applies that level's ``coarse`` cycle (its LU solve
+    at the coarsest level) and prolongates the correction, both with the
+    per-axis ``transfers`` of ``_grid_transfers``: full weighting in t and
+    then in s, bilinear interpolation in s and then in t.  From
     the one residual it computes, it then solves the odd t-lines and the
     even t-lines.  Line solves keep the cycle effective where one
     direction's couplings dominate: along s near the axis at large n and
@@ -457,16 +460,12 @@ class _KrylovSolve:
     to ``counts``.
     """
 
-    def __init__(self, J, counts: LUCounts, mask, coarse_mask, coarse):
-        self.J, self.counts, self.coarse = J, counts, coarse
-        self.axis, self.mirror = bool(mask[0].any()), bool(mask[:, 0].any())
-        self.block = (slice(1 - self.axis, -1), slice(1 - self.mirror, -1))
+    def __init__(self, J, counts: LUCounts, mask, transfers, coarse):
+        self.J, self.counts, self.transfers, self.coarse = J, counts, transfers, coarse
         # the odd s-lines of the whole grid's block go first; folded, the
         # block starts at the mirror line, line nt // 2 - 1 of the whole one
-        first = (mask.shape[1] - 1) % 2 if self.mirror else 1
+        first = (mask.shape[1] - 1) % 2 if mask[:, 0].any() else 1
         self.parities = (first, 1 - first)
-        self.grids = (mask.shape, coarse_mask.shape)
-        self.offset = _mirror_offset(mask.shape[1], coarse_mask.shape[1])
         slots = _stencil_slots(mask)
         self.shape = slots.shape[:2]
         # J's arms, read off its fixed row layout; an arm leaving the block is 0
@@ -486,15 +485,12 @@ class _KrylovSolve:
         x = np.zeros_like(r)
         for parity in self.parities:
             self.s_lines.sweep(x, r, parity)
-        # the residual is restricted as it lies, t-major; x goes back to
-        # row-major once, added to the prolonged correction
-        fine, coarse = np.zeros(self.grids[0][::-1]), np.zeros(self.grids[1])
-        fine[self.block[::-1]] = r
-        c = coarse[self.block]
-        c[...] = self.coarse(_restrict(fine, self.axis, self.offset)[self.block].ravel()).reshape(c.shape)
-        e = _prolong(coarse, self.offset)[self.block]
-        e += x.T
-        x = e.ravel()
+        # r and x are t-major; the coarse level is s-major
+        (_, P_s, R_s), (_, P_t, R_t) = self.transfers
+        c = self.coarse((R_s @ (R_t @ r).T).ravel()).reshape(P_s.shape[1], P_t.shape[1])
+        e = P_t @ (P_s @ c).T
+        e += x
+        x = e.T.ravel()
         r = b - self.J @ x
         self.t_lines.sweep(x.reshape(S, T), r.reshape(S, T), 1)
         self.t_lines.sweep(x.reshape(S, T), r.reshape(S, T), 0, carry=False)
@@ -572,9 +568,8 @@ def solve_semilinear(
     one.  When the t nodes are mirror-exact (``GridSpec.axes``) and the
     start is bitwise even in t, the solution is even and every level is
     folded onto its last (nt + 1) // 2 columns (``_Level``), with the ladder
-    of the whole grid: the t >= 0 columns of a level with a t = 0 node, the
-    columns past the mirror line of a coarsest level with even nt, where it
-    falls between two nodes.  The reported residuals are those of the whole
+    of the whole grid and its grid transfers folded alike
+    (``_grid_transfers``).  The reported residuals are those of the whole
     grid, and the returned field is the whole one, bitwise even.
     Otherwise nothing is folded.  Each
     level is a ``_damped_newton`` on Delta_h u - beta(u)/2, evaluated like
@@ -608,8 +603,8 @@ class _Level:
 
     With ``mirror`` the level is folded: ``values`` is even in t, and the
     unknowns (``mask`` of ``self.values``, a view of the last (nt + 1) // 2
-    columns) are those of that half, with the mirror line t = 0 at odd nt
-    (``_assemble_laplacian``).
+    columns) are those of that half (``_assemble_laplacian``): the mirror
+    line t = 0 is a node at odd nt and falls mid-cell at even nt.
     ``finish`` writes them and unfolds the whole grid, on which the residual
     is evaluated: its rows on the half are ``residual``, its sup norm and
     2-norm over every unknown of the grid are ``norms``, so convergence,
@@ -661,7 +656,7 @@ def _level_strides(ns: int, nt: int) -> list[int]:
 
 def _level_cycle(J, counts: LUCounts, mask, coarse):
     """The eigen solve's preconditioner on the level with matrix ``J`` on the unknowns ``mask``: its LU
-    solve at the coarsest level (``coarse`` None), else one V-cycle over ``coarse = (mask, cycle)``."""
+    solve at the coarsest level (``coarse`` None), else one V-cycle over ``coarse = (transfers, cycle)``."""
     return _lu(J, counts).solve if coarse is None else _KrylovSolve(J, counts, mask, *coarse).cycle
 
 
@@ -695,9 +690,12 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
         g = replace(grid, ns=(grid.ns - 1) // stride + 1, nt=(grid.nt - 1) // stride + 1)
         level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy(), mirror)
         mask, values = level.mask, level.values
+        factor = _lu
         if coarse is not None:
-            values[mask] = _prolong(below, _mirror_offset(mask.shape[1], below.shape[1]))[mask]
-        factor = _lu if coarse is None else partial(_KrylovSolve, mask=mask, coarse_mask=coarse[0], coarse=coarse[1])
+            transfers = _grid_transfers(g.ns, g.nt, g.s_min == 0.0, mirror)
+            (start_s, _, _), (start_t, _, _) = transfers
+            values[mask] = (start_t @ (start_s @ below).T).T.ravel()
+            factor = partial(_KrylovSolve, mask=mask, transfers=transfers, coarse=coarse)
         label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
         field, history, _, factors, last = _damped_newton(
             values[mask], level.residual, level.jacobian, level.finish, tol if stride == 1 else math.sqrt(tol),
@@ -708,8 +706,7 @@ def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
             # the next level's coarse correction: the factor in hand, or one
             # at the start, built on its first use, when the level took no step
             method = "solve" if coarse is None else "cycle"
-            correction = _FirstUse(level, factor, counts, method) if last is None else getattr(last, method)
-            coarse = (mask, correction)
+            coarse = _FirstUse(level, factor, counts, method) if last is None else getattr(last, method)
             below = values
     return SolveResult(field=field, residuals=history, iterations=len(history) - 1, factors=counts)
 

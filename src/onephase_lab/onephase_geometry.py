@@ -23,7 +23,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .axisym_field import AxiField, GridSpec, _cell_gradient_sq, _cell_measure, _centered_gradient, _unknown_mask
+from .axisym_field import (
+    AxiField,
+    GridSpec,
+    _cell_gradient_sq,
+    _cell_measure,
+    _centered_gradient,
+    _fold,
+    _unknown_mask,
+)
 from .errors import (
     CurvatureSingularityError,
     GeometryMismatchError,
@@ -416,7 +424,8 @@ def _mirror_fold(A, b: np.ndarray, unknown: np.ndarray):
     and ``kept`` lists the unknowns with j >= nt - 1 - j (t >= 0), in order;
     ``fold[k]`` is the position in ``kept`` of unknown k or, if k is not
     kept, of its mirror partner, so x = x_h[fold] unfolds a solution on the
-    kept half.  Otherwise both are the identity.
+    kept half and ``_fold(A, kept, fold)`` is R A E.  Otherwise both are the
+    identity.
     """
     m = A.shape[0]
     number = np.full(unknown.shape, -1)
@@ -427,15 +436,6 @@ def _mirror_fold(A, b: np.ndarray, unknown: np.ndarray):
         return identity, identity
     keep = 2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1
     return np.flatnonzero(keep), (np.cumsum(keep) - 1)[np.where(keep, identity, mirror)]
-
-
-def _fold(A, kept: np.ndarray, fold: np.ndarray):
-    """R A E: the rows ``kept`` of A, every column added onto column
-    ``fold`` of it (see :func:`_mirror_fold`).  On the t = 0 row the equal
-    t- and t+ weights add to exactly twice the weight."""
-    folded = sp.csr_matrix((A.data, fold[A.indices], A.indptr), shape=(A.shape[0], len(kept)))[kept]
-    folded.sum_duplicates()
-    return folded
 
 
 def _residual(A, abs_a, x: np.ndarray, b: np.ndarray):
@@ -513,8 +513,9 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     precision; the system is refined in double (:func:`_refined_solve`).
     When the assembled system is bitwise invariant under the mirror
     t -> -t (:func:`_mirror_fold`), its solution is even, and this is done
-    on the restriction R A E to the kept half t >= 0 (:func:`_fold`), whose
-    solution x_h unfolds to x = E x_h; otherwise E is the identity.
+    on the restriction R A E to the kept half t >= 0 (``_fold``, which
+    also folds the Newton solve's grid transfers), whose solution x_h
+    unfolds to x = E x_h; otherwise E is the identity.
     The certificate is the componentwise backward error of the returned
     unknowns in the whole system, at most 6 eps (NonconvergenceError
     otherwise): they solve exactly a system whose every entry of A and b

@@ -26,9 +26,9 @@ from .axisym_field import (
     AxiField,
     _centered_gradient,
     _diagonal_positions,
+    _grid_transfers,
     _level_cycle,
     _level_strides,
-    _prolong,
     _unknown_mask,
     residual_semilinear,
 )
@@ -285,22 +285,23 @@ def linearized_rayleigh_min(
     unknown = _unknown_mask(u.values.shape, u.has_axis)
     bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[unknown]))
     shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
-    factors, coarse, below, levels = LUCounts(), None, None, []
+    factors, cycle, levels = LUCounts(), None, []
     for k in _level_strides(*u.values.shape):
         f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
         A, w, mask = assemble_operator(f, beta)
         if not np.all(w > 0.0):
             raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
+        coarse = None if cycle is None else (_grid_transfers(*f.values.shape, f.has_axis, False), cycle)
         cycle = _level_cycle(_shifted(A, w, shift, f.hs * f.ht, mask), factors, mask, coarse)
-        coarse = (mask, cycle)
         d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
         B = _symmetrized(A, d)
-        start = np.ones(B.shape[0]) if below is None else sw * _prolong(below)[mask]
+        start = np.ones(B.shape[0])
+        if coarse is not None:
+            (_, P_s, _), (_, P_t, _) = coarse[0]
+            start = sw * (P_t @ (P_s @ below.reshape(P_s.shape[1], -1)).T).T.ravel()
         x, trace, steps = _lobpcg(B, start, lambda y: sw * cycle(sw * y), tol if k == 1 else math.sqrt(tol), max_iter)
         levels.append(steps)
-        if k > 1:
-            below = np.zeros(mask.shape)
-            below[mask] = x * d
+        below = x * d
     x = x * np.sign(x.sum()) / np.linalg.norm(x)
     lam = float(x @ (B @ x))
     for _ in range(SIGN_SWEEPS):

@@ -17,13 +17,13 @@ from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
     _assemble_laplacian,
+    _axis_fold,
+    _axis_transfers,
     _damped_newton,
     _fgmres,
     _KrylovSolve,
+    _grid_transfers,
     _Level,
-    _mirror_offset,
-    _prolong,
-    _restrict,
     _unknown_mask,
     apply_axisym_laplacian,
     blow_down,
@@ -531,6 +531,19 @@ def test_solve_folds_even_data_with_an_even_coarsest_level(beta, monkeypatch, gr
     assert 2 * folded.factors.order == moved.factors.order
 
 
+def _assert_folded_transfers_are_the_whole_ones(n, rng):
+    """On even vectors, each folded transfer of an axis of n nodes gives the
+    kept rows of the whole axis's, bit for bit."""
+    for whole, folded in zip(_axis_transfers(n, False), _axis_transfers(n, True)):
+        for matrix in (whole, folded):
+            matrix.check_format(full_check=True)
+        a = rng.standard_normal(whole.shape[1])
+        v = a + a[::-1]
+        rows, cols = _axis_fold(whole.shape[0], True)[0], _axis_fold(whole.shape[1], True)[0]
+        assert folded.shape == (len(rows), len(cols))
+        assert np.array_equal(folded @ v[cols], (whole @ v)[rows])
+
+
 @pytest.mark.parametrize("n, s_min", [(2, 0.4), (5, 0.0)])
 def test_folded_level_is_the_unfolded_one_on_even_fields(n, s_min):
     # 21 x 17 nodes over a 11 x 9 coarse level, nt = 17 = 1 (mod 4): the t = 0
@@ -543,7 +556,14 @@ def test_folded_level_is_the_unfolded_one_on_even_fields(n, s_min):
         a = rng.uniform(0.0, 3.0, shape)
         return a + a[:, ::-1]
 
+    # the transfers of the s axis through s = 0, 2 ns - 1 = 41 nodes
+    _assert_folded_transfers_are_the_whole_ones(41, rng)
     for nt in (17, 19):
+        # a node mirror (coarse nt 9) and a mid-cell mirror (coarse nt 10);
+        # an even fine count has no every-other-node axis
+        _assert_folded_transfers_are_the_whole_ones(nt, rng)
+        with pytest.raises(ValueError):
+            _axis_transfers(nt + 1, True)
         g = GridSpec(n=n, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.0, ns=21, nt=nt)
         g_c = dataclasses.replace(g, ns=11, nt=(nt + 1) // 2)
         h, h_c = nt // 2, g_c.nt // 2  # the columns before the kept ones
@@ -555,16 +575,10 @@ def test_folded_level_is_the_unfolded_one_on_even_fields(n, s_min):
             Lc, coarse_mask = _assemble_laplacian(g_c, mirror)
             J = (L - sp.diags(shift[:, half:][mask])).tocsr()
             coarse = splu((Lc - sp.diags(coarse_shift[:, half_c:][coarse_mask])).tocsc()).solve
-            systems.append((J, mask, _KrylovSolve(J, LUCounts(), mask, coarse_mask, coarse).cycle))
+            transfers = _grid_transfers(21, nt, s_min == 0.0, mirror)
+            systems.append((J, mask, _KrylovSolve(J, LUCounts(), mask, transfers, coarse).cycle))
         (J, mask, cycle), (J_h, mask_h, cycle_h) = systems
         assert np.array_equal(mask_h, mask[:, h:])
-        # full weighting of grid values given t-major that vanish between the
-        # coarse rows: the kept half's coarse rows start at its row 0 or 1
-        r = even((21, nt))
-        r[:, 1::2] = 0.0
-        offset = _mirror_offset(mask_h.shape[1], g_c.nt - h_c)
-        assert offset == nt // 2 % 2
-        assert np.array_equal(_restrict(r[:, h:].T, s_min == 0.0, offset), _restrict(r.T, s_min == 0.0)[:, h_c:])
         b = np.where(mask, even((21, nt)), 0.0)
         # the kept rows of J b and of one V-cycle on b, an even field
         for apply, apply_h in ((J.__matmul__, J_h.__matmul__), (cycle, cycle_h)):
@@ -693,7 +707,8 @@ def test_krylov_level_matches_a_direct_lu_newton(beta, n, s_min, extent, model):
     res = solve_semilinear(beta, g, data, tol=tol)
     coarse = solve_semilinear(beta, dataclasses.replace(g, ns=65, nt=65), data, tol=tol).field
     level = _Level(beta, g, from_function(g, data).values)
-    level.field.values[level.mask] = _prolong(coarse.values)[level.mask]
+    (start_s, _, _), (start_t, _, _) = _grid_transfers(129, 129, s_min == 0.0, False)
+    level.values[level.mask] = (start_t @ (start_s @ coarse.values).T).T.ravel()
     ref, history, _, factors, _ = _damped_newton(
         level.field.values[level.mask], level.residual, level.jacobian, level.finish, tol, 40, "LU"
     )

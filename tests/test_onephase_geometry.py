@@ -491,6 +491,11 @@ def test_mirror_fold_is_the_restriction_to_the_even_subspace(grid, level_fn, bou
     E[np.arange(m), fold] = 1.0
     dense = A.toarray()
     assert np.array_equal(_fold(A, kept, fold).toarray(), dense[kept] @ E)
+    # a rectangular M, its columns on a 7-node axis folded onto the last 4
+    M = sp.random(m, 7, density=0.5, format="csr", random_state=0)
+    E_7 = np.zeros((7, 4))
+    E_7[np.arange(7), np.abs(np.arange(7) - 3)] = 1.0
+    assert np.array_equal(_fold(M, kept, np.abs(np.arange(7) - 3)).toarray(), M.toarray()[kept] @ E_7)
     x = E @ np.linalg.solve(dense[kept] @ E, rhs[kept])
     assert np.max(np.abs(x - np.linalg.solve(dense, rhs))) <= 1e-12 * np.max(np.abs(x))
 

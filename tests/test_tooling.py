@@ -1,6 +1,7 @@
 """The test suite's own pytest configuration and the hygiene of the sources."""
 
 import ast
+import ctypes.util
 import os
 import subprocess
 import sys
@@ -82,6 +83,40 @@ def test_lab_runs_without_scipy_interpolate_or_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout[-2000:]
+
+
+# One folded 257^2 neck solve, one 129^2 eigen solve and one masked solve
+# at resolution 64: every sparse construction of the three solvers, with
+# the scipy kernels that index through them.
+HEAP_CHECK = '''
+from onephase_lab.axisym_field import GridSpec, solve_semilinear
+from onephase_lab.config import ExperimentConfig
+from onephase_lab.experiments import boundary_data
+from onephase_lab.onephase_geometry import solve_harmonic_masked
+from onephase_lab.reaction_terms import make_polynomial_beta
+from onephase_lab.reference import StripNeckExact
+from onephase_lab.stability import linearized_rayleigh_min
+
+beta = make_polynomial_beta()
+data = boundary_data(ExperimentConfig(boundary_model="catenoid"), beta)
+for nodes in (257, 129):
+    res = solve_semilinear(beta, GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=nodes, nt=nodes), data)
+linearized_rayleigh_min(res.field, beta)
+ref = StripNeckExact()
+solve_harmonic_masked(GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129), ref.level, ref.u)
+'''
+
+
+def test_solvers_keep_the_heap_intact():
+    # glibc's malloc checks, on every allocation of the interpreter too
+    # (PYTHONMALLOC=malloc), report a write past a buffer as a message on
+    # stderr; glibc 2.34 and later reads MALLOC_CHECK_ only with its debug
+    # library preloaded
+    debug = ctypes.util.find_library("c_malloc_debug")
+    env = {**os.environ, "PYTHONMALLOC": "malloc", "MALLOC_CHECK_": "3", **({"LD_PRELOAD": debug} if debug else {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", HEAP_CHECK], capture_output=True, text=True, timeout=300, env=env)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-2000:]
 
 
 def _unused_imports(path):
