@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -219,14 +218,18 @@ def _assemble_laplacian(grid: GridSpec, mirror: bool = False):
 
 @dataclass
 class SolveResult:
-    """Solver outcome: sup-norm residuals per accepted step, the LU factors
-    of the coarsest level's Jacobians and the GMRES iterations of the finer
+    """Solver outcome: the finest level's sup-norm residuals, its start's
+    and one per accepted step (``iterations`` of them), the LU factors of
+    the coarsest level's Jacobians and the GMRES iterations of the finer
     levels."""
 
     field: AxiField
     residuals: list[float]
-    iterations: int
     factors: LUCounts
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals) - 1
 
 
 # Flexible GMRES (``_fgmres``) on the levels above the coarsest: relative
@@ -257,9 +260,10 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
 
     ``residual(x)`` returns the residual vector and ``jacobian(x)`` its
     Jacobian as a sparse matrix.  ``factor(J, counts)`` returns an object
-    whose ``solve`` applies the inverse of J: a sparse LU by default, a
-    flexible GMRES right-preconditioned by one V-cycle (``_KrylovSolve``),
-    solving to KRYLOV_RTOL, on the 2D levels above the coarsest.  Each step
+    whose ``solve`` applies the inverse of J: a sparse LU by default; on a
+    level of the 2D solve, ``_Level.factor``, which above the coarsest
+    level is a flexible GMRES right-preconditioned by one V-cycle
+    (``_KrylovSolve``), solving to KRYLOV_RTOL.  Each step
     backtracks (halving, Armijo margin 1e-4) until the residual 2-norm, the
     merit, decreases strictly; a trial that leaves x unchanged ends the
     backtracking as failed.  Convergence is judged in the sup norm.
@@ -274,15 +278,14 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
     and the sup-norm trace; on a GMRES level the message also names the last
     solve's iteration count and exit status (nonzero when its restarts ran
     out above KRYLOV_RTOL).  Returns (finish(x), sup norms, merits,
-    factors, last): ``last`` is the factor built last, at the iterate of the
-    last fresh Jacobian, or None when the start already met ``tol``.
+    factors).
     """
     res = residual(x)
     # damping decreases the smooth 2-norm; convergence is in the sup norm
     sup, merit = norms(res)
     history, merits = [sup], [merit]
     factors = LUCounts()
-    lu = last = None
+    lu = None
 
     def failure(what, x):
         message = f"{label} {what} (last sup residual {history[-1]:.3e})"
@@ -299,7 +302,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
             raise failure(f"did not reach tol={tol:g} in {max_iter} iterations", x)
         fresh = lu is None
         if fresh:
-            lu = last = factor(jacobian(x), factors)
+            lu = factor(jacobian(x), factors)
         step = lu.solve(-res)
         lam, accepted = 1.0, False
         for _ in range(51 if fresh else 1):
@@ -322,7 +325,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
         x, res, merit = trial, trial_res, trial_merit
         history.append(trial_sup)
         merits.append(merit)
-    return finish(x), history, merits, factors, last
+    return finish(x), history, merits, factors
 
 
 def _fold(A, kept: np.ndarray, fold: np.ndarray):
@@ -433,9 +436,10 @@ class _KrylovSolve:
 
     ``solve`` is the Newton solve's ``_fgmres``, which applies ``cycle``
     once per iteration and stops on the true residual.  ``cycle`` alone is
-    the coarse correction of the next finer level: in the Newton solve the
-    cycle of the last ``_KrylovSolve`` a level built, in the eigen solve,
-    whose LOBPCG runs on the same levels, the one ``_level_cycle`` builds.
+    the coarse correction of the next finer level: in the Newton solve,
+    through ``_Level.correct``, the cycle of the solver a level built last;
+    in the eigen solve, whose LOBPCG runs on the same levels, the one
+    ``_level_cycle`` builds.
     The unknowns are the rectangular block of grid rows 0 (with the axis) or
     1 to -2 and columns 0 (of a folded level, ``_assemble_laplacian``) or 1
     to -2, in row-major order; ``J`` must
@@ -578,15 +582,12 @@ def solve_semilinear(
     solves its Newton systems with flexible GMRES right-preconditioned by
     one V-cycle over the coarser levels.  The
     levels are cascadic (Bornemann and Deuflhard, Numer. Math. 75 (1996)
-    135-152): a coarse level supplies only a start and a coarse correction,
-    so it stops at sqrt(tol), and only the finest level runs to ``tol``.  A
-    coarse level's coarse correction is the factor it built last (its LU
-    solve, or its V-cycle above the coarsest), taken at the iterate of its
-    last fresh Jacobian; a level that took no step factors its start when
-    the next level first applies the correction, and not at all if it never
-    does.  A level that stagnates or misses its tolerance in ``max_iter``
-    steps raises ``NonconvergenceError`` with its last iterate and trace,
-    naming the grid if it is coarse.  ``factors`` counts all levels.
+    135-152): a coarse level supplies only a start and a coarse correction
+    (``_Level.correct``), so it stops at sqrt(tol), and only the finest
+    level runs to ``tol``.  A level that stagnates or misses its tolerance
+    in ``max_iter`` steps raises ``NonconvergenceError`` with its last
+    iterate and trace, naming the grid if it is coarse.  ``factors``
+    counts all levels.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -594,12 +595,36 @@ def solve_semilinear(
     u = np.array(boundary(s[:, None], t[None, :]), dtype=float)
     if u.shape != (grid.ns, grid.nt):
         raise InvalidParameterError("boundary data shape does not match the grid")
-    return _solve_levels(beta, grid, u, tol, max_iter)
+    # even data on mirror-exact t nodes has an even solution, and folds
+    mirror = np.array_equal(t, -t[::-1]) and np.array_equal(u, u[:, ::-1])
+    counts, level = LUCounts(), None
+    for stride in _level_strides(grid.ns, grid.nt):
+        g = replace(grid, ns=(grid.ns - 1) // stride + 1, nt=(grid.nt - 1) // stride + 1)
+        level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy(), mirror, level, counts)
+        label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
+        field, history, _, factors = _damped_newton(
+            level.values[level.mask], level.residual, level.jacobian, level.finish, tol if stride == 1 else math.sqrt(tol),
+            max_iter, label, level.factor, level.norms,
+        )
+        counts.merge(factors)
+    return SolveResult(field=field, residuals=history, factors=counts)
 
 
 class _Level:
     """One grid of the nested solve: Delta_h u - beta(u)/2 on the unknowns of
-    ``values`` (boundary values held fixed) and its Jacobian.
+    ``values`` (boundary values held fixed), its Jacobian and its solver.
+
+    ``below`` is the level one grid coarser, None on the coarsest level.
+    Above it, the level builds its grid transfers (``_grid_transfers``) and
+    writes their prolongation of ``below``'s values as its start.
+    ``factor`` builds the solver ``_damped_newton`` steps with: the sparse
+    LU on the coarsest level, above it a ``_KrylovSolve`` whose coarse
+    correction is ``below.correct``; the level keeps the one built last,
+    at the iterate of its last fresh Jacobian.  ``correct`` is the coarse
+    correction the level lends the level above: that solver's LU solve or
+    V-cycle.  A level that took no step builds the solver at its start,
+    counted in ``counts``, when ``correct`` is first applied, and not at
+    all if it never is.
 
     With ``mirror`` the level is folded: ``values`` is even in t, and the
     unknowns (``mask`` of ``self.values``, a view of the last (nt + 1) // 2
@@ -614,14 +639,18 @@ class _Level:
     ``jacobian`` rewrites its diagonal in place and returns it, so a call
     replaces the matrix the previous call returned."""
 
-    def __init__(self, beta, grid: GridSpec, values: np.ndarray, mirror: bool = False):
-        self.beta, self.mirror = beta, mirror
+    def __init__(self, beta, grid: GridSpec, values: np.ndarray, mirror: bool = False, below=None, counts=None):
+        self.beta, self.mirror, self.below, self.counts, self.solver = beta, mirror, below, counts, None
         self.J, self.mask = _assemble_laplacian(grid, mirror)
         self.at_diag = _diagonal_positions(self.J, self.mask)
         self.lap_diag = self.J.data[self.at_diag]
         self.field = AxiField(grid.n, *grid.axes(), values)
         self.values = values[:, grid.nt - self.mask.shape[1] :]  # the t >= 0 columns, or all
         self.inner = _unknown_mask(values.shape, grid.s_min == 0.0)
+        if below is not None:
+            self.transfers = _grid_transfers(grid.ns, grid.nt, grid.s_min == 0.0, mirror)
+            (start_s, _, _), (start_t, _, _) = self.transfers
+            self.values[self.mask] = (start_t @ (start_s @ below.values).T).T.ravel()
 
     def residual(self, vec):
         r = apply_axisym_laplacian(self.finish(vec)).values - 0.5 * np.asarray(self.beta.eval(self.field.values))
@@ -643,6 +672,18 @@ class _Level:
             u[:, :h] = u[:, : -h - 1 : -1]
         return self.field
 
+    def factor(self, J, counts: LUCounts):
+        if self.below is None:
+            self.solver = _lu(J, counts)
+        else:
+            self.solver = _KrylovSolve(J, counts, self.mask, self.transfers, self.below.correct)
+        return self.solver
+
+    def correct(self, b):
+        if self.solver is None:
+            self.factor(self.jacobian(self.values[self.mask]), self.counts)
+        return self.solver.solve(b) if self.below is None else self.solver.cycle(b)
+
 
 def _level_strides(ns: int, nt: int) -> list[int]:
     """Node strides of the nested levels of an ns x nt grid, coarsest first: a
@@ -658,57 +699,6 @@ def _level_cycle(J, counts: LUCounts, mask, coarse):
     """The eigen solve's preconditioner on the level with matrix ``J`` on the unknowns ``mask``: its LU
     solve at the coarsest level (``coarse`` None), else one V-cycle over ``coarse = (transfers, cycle)``."""
     return _lu(J, counts).solve if coarse is None else _KrylovSolve(J, counts, mask, *coarse).cycle
-
-
-class _FirstUse:
-    """The coarse correction of a level that took no Newton step: ``method``
-    of ``factor`` applied to the level's Jacobian at its solution, which is
-    its start.  The factor is built, and counted in ``counts``, when the
-    next level first applies the correction; a finer level whose start
-    already meets its tolerance never does."""
-
-    def __init__(self, level: "_Level", factor, counts: LUCounts, method: str):
-        self.level, self.factor, self.counts, self.method = level, factor, counts, method
-        self.apply = None
-
-    def __call__(self, b):
-        if self.apply is None:
-            level = self.level
-            J = level.jacobian(level.values[level.mask])
-            self.apply = getattr(self.factor(J, self.counts), self.method)
-        return self.apply(b)
-
-
-def _solve_levels(beta, grid, u, tol, max_iter) -> SolveResult:
-    """``solve_semilinear`` on the start ``u`` (modified in place), coarsest level first."""
-    counts, coarse, below = LUCounts(), None, None
-    strides = _level_strides(grid.ns, grid.nt)
-    t = grid.axes()[1]
-    # even data on mirror-exact t nodes has an even solution, and folds
-    mirror = np.array_equal(t, -t[::-1]) and np.array_equal(u, u[:, ::-1])
-    for stride in strides:
-        g = replace(grid, ns=(grid.ns - 1) // stride + 1, nt=(grid.nt - 1) // stride + 1)
-        level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy(), mirror)
-        mask, values = level.mask, level.values
-        factor = _lu
-        if coarse is not None:
-            transfers = _grid_transfers(g.ns, g.nt, g.s_min == 0.0, mirror)
-            (start_s, _, _), (start_t, _, _) = transfers
-            values[mask] = (start_t @ (start_s @ below).T).T.ravel()
-            factor = partial(_KrylovSolve, mask=mask, transfers=transfers, coarse=coarse)
-        label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
-        field, history, _, factors, last = _damped_newton(
-            values[mask], level.residual, level.jacobian, level.finish, tol if stride == 1 else math.sqrt(tol),
-            max_iter, label, factor, level.norms,
-        )
-        counts.merge(factors)
-        if stride > 1:
-            # the next level's coarse correction: the factor in hand, or one
-            # at the start, built on its first use, when the level took no step
-            method = "solve" if coarse is None else "cycle"
-            coarse = _FirstUse(level, factor, counts, method) if last is None else getattr(last, method)
-            below = values
-    return SolveResult(field=field, residuals=history, iterations=len(history) - 1, factors=counts)
 
 
 def solve_semilinear_1d(

@@ -120,13 +120,17 @@ class SpectralReport:
     rayleigh_min: float
     lhs: float
     rhs: float
-    iterations: int
     eigenvector: AxiField
     # not part of the JSON: the LU factors, every level's LOBPCG steps
     # (coarsest first, the finest last) and the preconditioner's shift
     factors: LUCounts
     level_iterations: list[int]
     shift: float
+
+    @property
+    def iterations(self) -> int:
+        """The finest level's LOBPCG steps."""
+        return self.level_iterations[-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,7 +332,6 @@ def linearized_rayleigh_min(
         rayleigh_min=lam,
         lhs=_raw_form(u, xi, beta),
         rhs=lam * weighted_norm_sq(xi),
-        iterations=steps,
         eigenvector=xi,
         factors=factors,
         level_iterations=levels,

@@ -429,10 +429,12 @@ def test_level_jacobian_rewrites_one_matrix_as_the_sparse_difference(beta, n):
         assert all(np.array_equal(getattr(pruned, a), getattr(ref.tocsc(), a)) for a in ("data", "indices", "indptr"))
 
 
-def test_neck_at_257_keeps_its_traced_memory_under_27_mib(beta):
-    # one CSR per level, whose diagonal each Jacobian rewrites: measured
-    # 25.1 MiB, against 28.7 MiB when every Jacobian was a new matrix
-    # (SuperLU's own memory is not traced)
+def test_neck_at_257_keeps_its_traced_memory_under_16_mib(beta):
+    # one CSR per level, whose diagonal each Jacobian rewrites, every level
+    # folded onto its t >= 0 half: measured 13.9 MiB while a coarse level was
+    # dropped once it had handed up its correction, 14.4 MiB with each level
+    # kept by the one above until the solve returns (SuperLU's own memory is
+    # not traced)
     g, data = _neck(beta, 257)
     tracemalloc.start()
     try:
@@ -440,7 +442,7 @@ def test_neck_at_257_keeps_its_traced_memory_under_27_mib(beta):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 27 * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def _neck(beta, nodes):
@@ -459,9 +461,9 @@ def _spy_mirror(monkeypatch):
     """The ``mirror`` flag of every ``_Level`` built, coarsest first."""
     flags, init = [], _Level.__init__
 
-    def spy(self, beta, grid, values, mirror=False):
+    def spy(self, beta, grid, values, mirror=False, below=None, counts=None):
         flags.append(mirror)
-        init(self, beta, grid, values, mirror)
+        init(self, beta, grid, values, mirror, below, counts)
 
     monkeypatch.setattr(_Level, "__init__", spy)
     return flags
@@ -676,6 +678,40 @@ def test_coarse_level_on_its_solution_hands_up_the_factor_at_its_start(beta, mon
     assert res.residuals[-1] <= 1e-10
 
 
+def test_middle_level_without_a_step_corrects_with_the_cycle_at_its_start(beta, monkeypatch):
+    # the 65^2 and 129^2 levels of the folded 257^2 neck, chained, neither
+    # having taken a step: the 129^2 level's first correction builds its
+    # V-cycle at its start over one LU at the 65^2 level's start
+    g, data = _neck(beta, 257)
+    s, t = g.axes()
+    u = data(s[:, None], t[None, :])
+    grids = [dataclasses.replace(g, ns=m, nt=m) for m in (65, 129)]
+    counts = LUCounts()
+    coarsest = _Level(beta, grids[0], u[::4, ::4].copy(), True, None, counts)
+    middle = _Level(beta, grids[1], u[::2, ::2].copy(), True, coarsest, counts)
+    # the reference, assembled apart: each level's Jacobian at its start
+    starts = [coarsest.values[coarsest.mask].copy(), middle.values[middle.mask].copy()]
+    J_coarse, J = [
+        (_assemble_laplacian(grid, mirror=True)[0] - sp.diags(0.5 * beta.deriv(x))).tocsr()
+        for grid, x in zip(grids, starts)
+    ]
+    lu = splu(J_coarse.tocsc(), **LU_OPTIONS)
+    transfers = _grid_transfers(129, 129, True, True)
+    b = np.random.default_rng(5).standard_normal(len(starts[1]))
+    expected = _KrylovSolve(J, LUCounts(), middle.mask, transfers, lu.solve).cycle(b)
+    spied = _spy_levels(monkeypatch)
+    got = middle.correct(b)
+    assert np.array_equal(got, expected)
+    assert counts.factorizations == 1 and spied["lu"] == [len(starts[0])]
+    assert spied["krylov"] == [len(starts[1])]
+    assert [len(x) for _, x in spied["jacobian"]] == [len(starts[1]), len(starts[0])]
+    assert all(np.array_equal(x, start) for (_, x), start in zip(spied["jacobian"], starts[::-1]))
+    # a second correction reuses both
+    assert np.array_equal(middle.correct(b), got)
+    assert counts.factorizations == 1 and len(spied["jacobian"]) == 2
+    assert (spied["lu"], spied["krylov"]) == ([len(starts[0])], [len(starts[1])])
+
+
 # n, s_min, t-extent (s-extent 3, so ht = 4 hs at 12) and boundary model:
 # every value of each appears, and n = 7 on the axis grid with ht = 4 hs, the
 # case point-Jacobi smoothing could not precondition; measured at most 20
@@ -709,7 +745,7 @@ def test_krylov_level_matches_a_direct_lu_newton(beta, n, s_min, extent, model):
     level = _Level(beta, g, from_function(g, data).values)
     (start_s, _, _), (start_t, _, _) = _grid_transfers(129, 129, s_min == 0.0, False)
     level.values[level.mask] = (start_t @ (start_s @ coarse.values).T).T.ravel()
-    ref, history, _, factors, _ = _damped_newton(
+    ref, history, _, factors = _damped_newton(
         level.field.values[level.mask], level.residual, level.jacobian, level.finish, tol, 40, "LU"
     )
     assert res.residuals[-1] <= tol and history[-1] <= tol
@@ -899,7 +935,7 @@ def test_failed_chord_step_is_redone_with_a_fresh_factor():
         calls.append(x.copy())
         return sp.csc_matrix(np.diag([1.0, 3.0 * x[1] ** 2]))
 
-    x, history, merits, factors, _ = _damped_newton(
+    x, history, merits, factors = _damped_newton(
         np.array([100.0, 0.5]), lambda x: np.array([x[0], x[1] ** 3 - 1.0]), jacobian, lambda x: x, 1e-12, 40, "test"
     )
     assert history[-1] <= 1e-12 and x == pytest.approx([0.0, 1.0])
