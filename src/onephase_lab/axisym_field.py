@@ -219,9 +219,9 @@ def _assemble_laplacian(grid: GridSpec, mirror: bool = False):
 @dataclass
 class SolveResult:
     """Solver outcome: the finest level's sup-norm residuals, its start's
-    and one per accepted step (``iterations`` of them), the LU factors of
-    the coarsest level's Jacobians and the GMRES iterations of the finer
-    levels."""
+    and one per accepted step (``iterations`` of them), and the one
+    ``LUCounts`` every level records into: the LU factors of the coarsest
+    level's Jacobians and the GMRES iterations of the finer levels."""
 
     field: AxiField
     residuals: list[float]
@@ -255,42 +255,43 @@ def _norms(res):
     return float(np.max(np.abs(res))), float(np.linalg.norm(res))
 
 
-def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_lu, norms=_norms):
+def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, counts: LUCounts, factor=_lu):
     """Damped Newton iteration on the unknown vector ``x``.
 
-    ``residual(x)`` returns the residual vector and ``jacobian(x)`` its
-    Jacobian as a sparse matrix.  ``factor(J, counts)`` returns an object
-    whose ``solve`` applies the inverse of J: a sparse LU by default; on a
-    level of the 2D solve, ``_Level.factor``, which above the coarsest
-    level is a flexible GMRES right-preconditioned by one V-cycle
-    (``_KrylovSolve``), solving to KRYLOV_RTOL.  Each step
-    backtracks (halving, Armijo margin 1e-4) until the residual 2-norm, the
-    merit, decreases strictly; a trial that leaves x unchanged ends the
-    backtracking as failed.  Convergence is judged in the sup norm.
-    ``norms(res)`` returns the sup norm and the merit of the residual just
-    evaluated, by default those of ``res`` itself.  After a step that cut
-    the merit tenfold the factor is reused (a chord step); a chord step
-    failing at full length is redone with a fresh factor, so only a fresh
-    Jacobian can stagnate.
+    ``residual(x)`` returns (res, sup, merit): the residual vector the step
+    solves for, and the sup norm and 2-norm by which convergence and damping
+    judge it (those of ``res`` itself, or of a larger residual ``res`` is
+    part of).  ``jacobian(x)`` returns the Jacobian of ``res`` as a sparse
+    matrix.  ``factor(J, counts)`` returns an object whose ``solve``
+    applies the inverse of J: a sparse LU by default; on a level of the 2D
+    solve, ``_Level.factor``'s ``_KrylovSolve``, above the coarsest level a
+    flexible GMRES right-preconditioned by one V-cycle, solving to
+    KRYLOV_RTOL.  Each step backtracks (halving, Armijo margin 1e-4) until
+    the residual 2-norm, the merit, decreases strictly; a trial that leaves
+    x unchanged ends the backtracking as failed.  Convergence is judged in
+    the sup norm.  After a step that cut the merit tenfold the factor is
+    reused (a chord step); a chord step failing at full length is redone
+    with a fresh factor, so only a fresh Jacobian can stagnate.  Factors
+    and GMRES iterations are counted in ``counts``, whose last GMRES solve
+    is cleared on entry.
     A start whose residual is not finite, stagnated backtracking, or
     ``max_iter`` steps without reaching ``tol``, raise
     ``NonconvergenceError`` carrying ``finish(x)`` of the last iterate
-    and the sup-norm trace; on a GMRES level the message also names the last
-    solve's iteration count and exit status (nonzero when its restarts ran
-    out above KRYLOV_RTOL).  Returns (finish(x), sup norms, merits,
-    factors).
+    and the sup-norm trace; on a GMRES level the message also names this
+    loop's last solve: its iteration count and exit status (nonzero when
+    its restarts ran out above KRYLOV_RTOL).  Returns (finish(x), sup
+    norms, merits).
     """
-    res = residual(x)
+    counts.krylov_last = None
     # damping decreases the smooth 2-norm; convergence is in the sup norm
-    sup, merit = norms(res)
+    res, sup, merit = residual(x)
     history, merits = [sup], [merit]
-    factors = LUCounts()
     lu = None
 
     def failure(what, x):
         message = f"{label} {what} (last sup residual {history[-1]:.3e})"
-        if factors.krylov_last is not None:
-            message += "; last GMRES solve: %d iterations, exit status %d" % factors.krylov_last
+        if counts.krylov_last is not None:
+            message += "; last GMRES solve: %d iterations, exit status %d" % counts.krylov_last
         return NonconvergenceError(message, last=finish(x), trace=history)
 
     # an accepted step lowers the merit, so only the start can be non-finite
@@ -302,15 +303,14 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
             raise failure(f"did not reach tol={tol:g} in {max_iter} iterations", x)
         fresh = lu is None
         if fresh:
-            lu = factor(jacobian(x), factors)
+            lu = factor(jacobian(x), counts)
         step = lu.solve(-res)
         lam, accepted = 1.0, False
         for _ in range(51 if fresh else 1):
             trial = x + lam * step
             if np.array_equal(trial, x):
                 break  # the step is below round-off, and so is every shorter one
-            trial_res = residual(trial)
-            trial_sup, trial_merit = norms(trial_res)
+            trial_res, trial_sup, trial_merit = residual(trial)
             # strictly lower: at lam ~ 1e-12 the Armijo margin rounds away
             if trial_merit < merit and trial_merit <= (1.0 - 1e-4 * lam) * merit:
                 accepted = True
@@ -325,7 +325,7 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, factor=_
         x, res, merit = trial, trial_res, trial_merit
         history.append(trial_sup)
         merits.append(merit)
-    return finish(x), history, merits, factors
+    return finish(x), history, merits
 
 
 def _fold(A, kept: np.ndarray, fold: np.ndarray):
@@ -431,15 +431,17 @@ class _ZebraLines:
 
 
 class _KrylovSolve:
-    """Flexible GMRES on a fine-level Jacobian ``J``, right-preconditioned
-    by one V-cycle.
+    """The solver of one level's Jacobian ``J``: flexible GMRES
+    right-preconditioned by one V-cycle, or on the coarsest level
+    (``transfers`` None) the sparse LU of ``J`` (``_lu``), whose solve is
+    both ``solve`` and ``cycle``.
 
     ``solve`` is the Newton solve's ``_fgmres``, which applies ``cycle``
     once per iteration and stops on the true residual.  ``cycle`` alone is
     the coarse correction of the next finer level: in the Newton solve,
     through ``_Level.correct``, the cycle of the solver a level built last;
-    in the eigen solve, whose LOBPCG runs on the same levels, the one
-    ``_level_cycle`` builds.
+    in the eigen solve, whose LOBPCG runs on the same levels, its
+    preconditioner.
     The unknowns are the rectangular block of grid rows 0 (with the axis) or
     1 to -2 and columns 0 (of a folded level, ``_assemble_laplacian``) or 1
     to -2, in row-major order; ``J`` must
@@ -460,11 +462,14 @@ class _KrylovSolve:
     even t-lines.  Line solves keep the cycle effective where one
     direction's couplings dominate: along s near the axis at large n and
     when ht exceeds hs, along t when hs exceeds ht.
-    GMRES iterations, and the last solve's iterations and exit status, go
-    to ``counts``.
+    The LU factor, GMRES iterations, and the last solve's iterations and
+    exit status, go to ``counts``.
     """
 
     def __init__(self, J, counts: LUCounts, mask, transfers, coarse):
+        if transfers is None:
+            self.solve = self.cycle = _lu(J, counts).solve
+            return
         self.J, self.counts, self.transfers, self.coarse = J, counts, transfers, coarse
         # the odd s-lines of the whole grid's block go first; folded, the
         # block starts at the mirror line, line nt // 2 - 1 of the whole one
@@ -587,7 +592,7 @@ def solve_semilinear(
     level runs to ``tol``.  A level that stagnates or misses its tolerance
     in ``max_iter`` steps raises ``NonconvergenceError`` with its last
     iterate and trace, naming the grid if it is coarse.  ``factors``
-    counts all levels.
+    counts all levels in one ``LUCounts``.
     """
     if tol <= 0.0:
         raise InvalidParameterError("tol must be positive")
@@ -602,11 +607,10 @@ def solve_semilinear(
         g = replace(grid, ns=(grid.ns - 1) // stride + 1, nt=(grid.nt - 1) // stride + 1)
         level = _Level(beta, g, u if stride == 1 else u[::stride, ::stride].copy(), mirror, level, counts)
         label = "Newton" if stride == 1 else f"Newton on the coarse {g.ns}x{g.nt} grid"
-        field, history, _, factors = _damped_newton(
+        field, history, _ = _damped_newton(
             level.values[level.mask], level.residual, level.jacobian, level.finish, tol if stride == 1 else math.sqrt(tol),
-            max_iter, label, level.factor, level.norms,
+            max_iter, label, counts, level.factor,
         )
-        counts.merge(factors)
     return SolveResult(field=field, residuals=history, factors=counts)
 
 
@@ -617,12 +621,12 @@ class _Level:
     ``below`` is the level one grid coarser, None on the coarsest level.
     Above it, the level builds its grid transfers (``_grid_transfers``) and
     writes their prolongation of ``below``'s values as its start.
-    ``factor`` builds the solver ``_damped_newton`` steps with: the sparse
-    LU on the coarsest level, above it a ``_KrylovSolve`` whose coarse
-    correction is ``below.correct``; the level keeps the one built last,
-    at the iterate of its last fresh Jacobian.  ``correct`` is the coarse
-    correction the level lends the level above: that solver's LU solve or
-    V-cycle.  A level that took no step builds the solver at its start,
+    ``factor`` builds the solver ``_damped_newton`` steps with, a
+    ``_KrylovSolve`` over those transfers and ``below.correct`` (the sparse
+    LU on the coarsest level, which has neither); the level keeps the one
+    built last, at the iterate of its last fresh Jacobian.  ``correct`` is
+    the coarse correction the level lends the level above: that solver's
+    ``cycle``.  A level that took no step builds the solver at its start,
     counted in ``counts``, when ``correct`` is first applied, and not at
     all if it never is.
 
@@ -631,16 +635,17 @@ class _Level:
     columns) are those of that half (``_assemble_laplacian``): the mirror
     line t = 0 is a node at odd nt and falls mid-cell at even nt.
     ``finish`` writes them and unfolds the whole grid, on which the residual
-    is evaluated: its rows on the half are ``residual``, its sup norm and
-    2-norm over every unknown of the grid are ``norms``, so convergence,
-    damping and chord reuse are judged on the whole grid as unfolded.
-    Otherwise ``self.values`` is ``values`` and the norms are those of the
-    rows returned.  The level keeps one CSR matrix, assembled as Delta_h;
+    is evaluated: ``residual`` returns its rows on the half with its sup
+    norm and 2-norm over every unknown of the grid, so convergence, damping
+    and chord reuse are judged on the whole grid as unfolded.  Otherwise
+    ``self.values`` is ``values`` and the norms are those of the rows
+    returned.  The level keeps one CSR matrix, assembled as Delta_h;
     ``jacobian`` rewrites its diagonal in place and returns it, so a call
     replaces the matrix the previous call returned."""
 
     def __init__(self, beta, grid: GridSpec, values: np.ndarray, mirror: bool = False, below=None, counts=None):
-        self.beta, self.mirror, self.below, self.counts, self.solver = beta, mirror, below, counts, None
+        self.beta, self.mirror, self.counts, self.solver = beta, mirror, counts, None
+        self.transfers = self.coarse = None
         self.J, self.mask = _assemble_laplacian(grid, mirror)
         self.at_diag = _diagonal_positions(self.J, self.mask)
         self.lap_diag = self.J.data[self.at_diag]
@@ -648,17 +653,13 @@ class _Level:
         self.values = values[:, grid.nt - self.mask.shape[1] :]  # the t >= 0 columns, or all
         self.inner = _unknown_mask(values.shape, grid.s_min == 0.0)
         if below is not None:
-            self.transfers = _grid_transfers(grid.ns, grid.nt, grid.s_min == 0.0, mirror)
+            self.transfers, self.coarse = _grid_transfers(grid.ns, grid.nt, grid.s_min == 0.0, mirror), below.correct
             (start_s, _, _), (start_t, _, _) = self.transfers
             self.values[self.mask] = (start_t @ (start_s @ below.values).T).T.ravel()
 
     def residual(self, vec):
         r = apply_axisym_laplacian(self.finish(vec)).values - 0.5 * np.asarray(self.beta.eval(self.field.values))
-        self.last = r[self.inner]
-        return r[:, -self.mask.shape[1] :][self.mask]
-
-    def norms(self, res):
-        return _norms(self.last)
+        return r[:, -self.mask.shape[1] :][self.mask], *_norms(r[self.inner])
 
     def jacobian(self, vec):
         self.J.data[self.at_diag] = self.lap_diag - 0.5 * np.asarray(self.beta.deriv(vec))
@@ -673,16 +674,13 @@ class _Level:
         return self.field
 
     def factor(self, J, counts: LUCounts):
-        if self.below is None:
-            self.solver = _lu(J, counts)
-        else:
-            self.solver = _KrylovSolve(J, counts, self.mask, self.transfers, self.below.correct)
+        self.solver = _KrylovSolve(J, counts, self.mask, self.transfers, self.coarse)
         return self.solver
 
     def correct(self, b):
         if self.solver is None:
             self.factor(self.jacobian(self.values[self.mask]), self.counts)
-        return self.solver.solve(b) if self.below is None else self.solver.cycle(b)
+        return self.solver.cycle(b)
 
 
 def _level_strides(ns: int, nt: int) -> list[int]:
@@ -693,12 +691,6 @@ def _level_strides(ns: int, nt: int) -> list[int]:
     while ns % 2 == nt % 2 == 1 and min(ns, nt) >= 129:
         ns, nt, strides = (ns + 1) // 2, (nt + 1) // 2, [2 * strides[0], *strides]
     return strides
-
-
-def _level_cycle(J, counts: LUCounts, mask, coarse):
-    """The eigen solve's preconditioner on the level with matrix ``J`` on the unknowns ``mask``: its LU
-    solve at the coarsest level (``coarse`` None), else one V-cycle over ``coarse = (transfers, cycle)``."""
-    return _lu(J, counts).solve if coarse is None else _KrylovSolve(J, counts, mask, *coarse).cycle
 
 
 def solve_semilinear_1d(
@@ -735,7 +727,8 @@ def solve_semilinear_1d(
 
     def res_of(w):
         lap = (np.concatenate((w[1:], [right])) - 2.0 * w + np.concatenate(([left], w[:-1]))) / ht**2
-        return lap - 0.5 * np.asarray(beta.eval(w))
+        r = lap - 0.5 * np.asarray(beta.eval(w))
+        return r, *_norms(r)
 
     def jacobian(w):
         return sp.diags([off, main - 0.5 * np.asarray(beta.deriv(w)), off], offsets=[-1, 0, 1])
@@ -745,7 +738,7 @@ def solve_semilinear_1d(
         return v
 
     try:
-        return _damped_newton(v[1:-1].copy(), res_of, jacobian, finish, tol, max_iter, "1D Newton")[0]
+        return _damped_newton(v[1:-1].copy(), res_of, jacobian, finish, tol, max_iter, "1D Newton", LUCounts())[0]
     except NonconvergenceError as err:
         floor = 4.0 * np.finfo(float).eps * float(np.max(np.abs(err.last))) / ht**2
         if err.trace[-1] <= floor:

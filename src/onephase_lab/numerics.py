@@ -70,10 +70,12 @@ class LUCounts:
     largest order among them, the GMRES iterations of its preconditioned
     solves with the (iterations, exit status) of the last one, and the
     iterative-refinement steps of its single-precision factors with the
-    largest final backward error.  The masked solve factors only the Schur
-    complement of its black unknowns, on one mirror half when the system is
-    mirror-symmetric, so its ``fill_nnz`` and ``order`` are that reduced
-    system's, not the whole system's."""
+    largest final backward error.  A cascadic solve keeps one for all its
+    levels; each level's Newton loop clears the last GMRES solve on entry,
+    so a failure names only its own.  The masked solve factors only the
+    Schur complement of its black unknowns, on one mirror half when the
+    system is mirror-symmetric, so its ``fill_nnz`` and ``order`` are that
+    reduced system's, not the whole system's."""
 
     factorizations: int = 0
     fill_nnz: int = 0
@@ -89,13 +91,6 @@ class LUCounts:
         self.fill_nnz = max(self.fill_nnz, int(lu.nnz))
         self.order = max(self.order, int(lu.shape[0]))
         return lu
-
-    def merge(self, other: "LUCounts") -> None:
-        """Add the factors and GMRES iterations of ``other``."""
-        self.factorizations += other.factorizations
-        self.fill_nnz = max(self.fill_nnz, other.fill_nnz)
-        self.order = max(self.order, other.order)
-        self.krylov_iterations += other.krylov_iterations
 
 
 def gl5_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

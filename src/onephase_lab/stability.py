@@ -27,7 +27,7 @@ from .axisym_field import (
     _centered_gradient,
     _diagonal_positions,
     _grid_transfers,
-    _level_cycle,
+    _KrylovSolve,
     _level_strides,
     _unknown_mask,
     residual_semilinear,
@@ -295,13 +295,13 @@ def linearized_rayleigh_min(
         A, w, mask = assemble_operator(f, beta)
         if not np.all(w > 0.0):
             raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
-        coarse = None if cycle is None else (_grid_transfers(*f.values.shape, f.has_axis, False), cycle)
-        cycle = _level_cycle(_shifted(A, w, shift, f.hs * f.ht, mask), factors, mask, coarse)
+        transfers = None if cycle is None else _grid_transfers(*f.values.shape, f.has_axis, False)
+        cycle = _KrylovSolve(_shifted(A, w, shift, f.hs * f.ht, mask), factors, mask, transfers, cycle).cycle
         d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
         B = _symmetrized(A, d)
         start = np.ones(B.shape[0])
-        if coarse is not None:
-            (_, P_s, _), (_, P_t, _) = coarse[0]
+        if transfers is not None:
+            (_, P_s, _), (_, P_t, _) = transfers
             start = sw * (P_t @ (P_s @ below.reshape(P_s.shape[1], -1)).T).T.ravel()
         x, trace, steps = _lobpcg(B, start, lambda y: sw * cycle(sw * y), tol if k == 1 else math.sqrt(tol), max_iter)
         levels.append(steps)

@@ -25,8 +25,6 @@ def _run_script(script, out, args):
 @pytest.mark.parametrize(
     "script, args, reports",
     [
-        ("profile_gallery.py", ["--halfwidth", "10"], 1),
-        ("layer_energy_gap.py", ["--epsilons", "1,0.5"], 1),
         ("stability_sweep.py", ["--dims", "3", "--nodes", "33"], 1),
         # at resolution 16 the neck misses the |grad u| = 1 precondition
         ("interface_identity_refinement.py", ["--resolutions", "24,32"], 2),
