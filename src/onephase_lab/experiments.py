@@ -276,6 +276,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
     spectral = linearized_rayleigh_min(f, beta, tol=cfg.tolerances["eigen"])
     _count_factors(counters, *newton, spectral.factors, krylov=bool(newton))
     counters["eigen_iterations"] = spectral.level_iterations
+    counters["eigen_values"] = spectral.level_values
     counters["eigen_shift"] = spectral.shift
     outputs["spectral.json"] = lambda path: spectral.save_json(path)
     outputs["eigenvector.bin"] = lambda path: spectral.eigenvector.save_binary(path)

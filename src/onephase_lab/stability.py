@@ -51,6 +51,12 @@ VERDICT_UNSTABLE = "unstable-direction-found"
 # at n = 14, one at n = 18-25, three at n = 33-40 and six at n = 60.
 SIGN_SWEEPS = 16
 
+# How many coarse-level drifts |lam_2h - lam_4h| the preconditioner's shift
+# keeps below lam_2h.  In the second-order model lam_h ~ lam_2h +- drift / 4
+# that is far below every finer eigenvalue; on the 257^2 tiled layer 10
+# drifts fail at n = 40 (sign) and n = 60 (600 steps), 30 certify.
+SHIFT_DRIFTS = 100.0
+
 
 @dataclass(frozen=True)
 class StabilityProbe:
@@ -121,10 +127,12 @@ class SpectralReport:
     lhs: float
     rhs: float
     eigenvector: AxiField
-    # not part of the JSON: the LU factors, every level's LOBPCG steps
-    # (coarsest first, the finest last) and the preconditioner's shift
+    # not part of the JSON: the LU factors (one per shift), every level's
+    # LOBPCG steps and Rayleigh quotient (coarsest first, the finest last)
+    # and the finest level's preconditioner shift
     factors: LUCounts
     level_iterations: list[int]
+    level_values: list[float]
     shift: float
 
     @property
@@ -264,20 +272,29 @@ def linearized_rayleigh_min(
     """Smallest Rayleigh quotient of the second variation at a solution.
 
     LOBPCG on the symmetrized problem B = D A D, D = diag(w)^(-1/2),
-    preconditioned by the Newton solve's multilevel layer on A - shift W with
-    a shift below the form's lower bound min beta'(u)/2: one V-cycle over
-    u's every-other-node levels, one LU at the coarsest.  The solve is
-    cascadic: the coarsest level starts from the all-ones vector and stops at
-    sqrt(tol); every finer level starts from the eigenvector of the level
-    below, prolonged bilinearly as grid values x D, and the finest one runs
-    to ``tol``.  The eigenpair is certified by its residual
+    preconditioned by the Newton solve's multilevel layer on A - shift W:
+    one V-cycle over u's every-other-node levels, one LU at the coarsest.
+    The solve is cascadic: the coarsest level starts from the all-ones
+    vector and stops at sqrt(tol); every finer level starts from the
+    eigenvector of the level below, prolonged bilinearly as grid values x D,
+    and the finest one runs to ``tol``.  The two coarsest levels shift below
+    the form's lower bound min beta'(u)/2.  A level with two coarser ones
+    raises the shift to ``SHIFT_DRIFTS`` drifts |lam_2h - lam_4h| below
+    lam_2h, their Rayleigh quotients x B x / x x, if that is higher; a
+    raised shift rebuilds the coarser chain, so each shift costs one LU of
+    the coarsest level (on the 257^2 tiled layer at n = 3 two LUs, and the
+    finest level's steps fall from 11 to 7).  A bad shift can only cost
+    steps or certification, never certify a wrong pair: the eigenpair is
+    certified by its residual
     ||(B - lambda) x|| <= tol and by one sign throughout x, which on the
     irreducible Z-matrix B only the ground state has (Perron-Frobenius).
     LOBPCG resolves x only to round-off of its largest entry, so while x has
     an entry <= 0, up to ``SIGN_SWEEPS`` line sweeps
     (:func:`_inward_line_sweep`) first rebuild the entries near the axis
     from the eigen-equation.  ``iterations`` counts the finest level's
-    LOBPCG steps, ``level_iterations`` every level's, coarsest first.  On a
+    LOBPCG steps, ``level_iterations`` every level's and ``level_values``
+    every level's Rayleigh quotient, coarsest first; ``shift`` is the
+    finest level's.  On a
     grid with ``s_min > 0`` every side is a Dirichlet boundary.
     """
     res = residual_semilinear(u, beta)
@@ -289,22 +306,39 @@ def linearized_rayleigh_min(
     unknown = _unknown_mask(u.values.shape, u.has_axis)
     bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[unknown]))
     shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
-    factors, cycle, levels = LUCounts(), None, []
+    factors, cycle, levels, values, ops = LUCounts(), None, [], [], []
+
+    def level_cycle(A, w, area, mask, transfers, coarse):
+        return _KrylovSolve(_shifted(A, w, shift, area, mask), factors, mask, transfers, coarse).cycle
+
     for k in _level_strides(*u.values.shape):
+        if len(values) >= 2:
+            # below lam_2h by SHIFT_DRIFTS times its drift from lam_4h, never
+            # below the bound; a raised shift rebuilds the coarser chain
+            raised = max(shift, values[-1] - SHIFT_DRIFTS * abs(values[-1] - values[-2]))
+            if raised != shift:
+                shift, cycle = raised, None
+                for op in ops:
+                    cycle = level_cycle(*op, cycle)
         f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
         A, w, mask = assemble_operator(f, beta)
         if not np.all(w > 0.0):
             raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
         transfers = None if cycle is None else _grid_transfers(*f.values.shape, f.has_axis, False)
-        cycle = _KrylovSolve(_shifted(A, w, shift, f.hs * f.ht, mask), factors, mask, transfers, cycle).cycle
+        ops.append((A, w, f.hs * f.ht, mask, transfers))
+        cycle = level_cycle(*ops[-1], cycle)
         d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
         B = _symmetrized(A, d)
+        del A
+        if k == 1:
+            ops.clear()  # no finer level rebuilds the chain: let every A go
         start = np.ones(B.shape[0])
         if transfers is not None:
             (_, P_s, _), (_, P_t, _) = transfers
             start = sw * (P_t @ (P_s @ below.reshape(P_s.shape[1], -1)).T).T.ravel()
         x, trace, steps = _lobpcg(B, start, lambda y: sw * cycle(sw * y), tol if k == 1 else math.sqrt(tol), max_iter)
         levels.append(steps)
+        values.append(float(x @ (B @ x)) / float(x @ x))
         below = x * d
     x = x * np.sign(x.sum()) / np.linalg.norm(x)
     lam = float(x @ (B @ x))
@@ -335,6 +369,7 @@ def linearized_rayleigh_min(
         eigenvector=xi,
         factors=factors,
         level_iterations=levels,
+        level_values=values,
         shift=shift,
     )
 

@@ -279,16 +279,20 @@ def test_stale_threads_line_is_rejected(tmp_path):
 def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=False):
     """The run's LU (after a 2D Newton solve also GMRES, after the masked
     solve also refinement, after the eigen solve also its per-level LOBPCG
-    iterations and shift) counters, which live in ``meta`` and nowhere else."""
+    iterations, Rayleigh quotients and shift) counters, which live in
+    ``meta`` and nowhere else; an eigen run uses the default tolerances."""
     counters = report["meta"]["counters"]
     expected = ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz", "lu_factor_order"]
     expected += ["lu_backward_error", "lu_refinement_steps"] * refined
-    expected += ["eigen_iterations", "eigen_shift"] * eigen
+    expected += ["eigen_iterations", "eigen_values", "eigen_shift"] * eigen
     assert sorted(counters) == sorted(expected)
     if eigen:
         # one entry per level, coarsest first: the last is the finest level's
-        assert counters["eigen_iterations"][-1] == report["results"]["rayleigh"]["iterations"]
-        assert counters["eigen_shift"] < report["results"]["rayleigh"]["min"]
+        rayleigh = report["results"]["rayleigh"]
+        assert counters["eigen_iterations"][-1] == rayleigh["iterations"]
+        assert len(counters["eigen_values"]) == len(counters["eigen_iterations"])
+        assert abs(counters["eigen_values"][-1] - rayleigh["min"]) <= ExperimentConfig().tolerances["eigen"]
+        assert counters["eigen_shift"] < rayleigh["min"]
     for key in ("lu_", "krylov", "eigen_"):
         assert key not in json.dumps(report["results"])
         for name in artifacts:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,12 +253,17 @@ def _radial_mu(n, s):
     return _lowest_tridiagonal((stiff[:-1] + stiff[1:])[first:], -edge[first:-1], cs[first:-1])
 
 
-def _coarsest_lu_fill(u, beta):
-    """nnz(L + U) of the LU of (A - shift W) / (hs ht) on the 65^2
-    every-other-node level of ``u``, at the eigen solve's shift."""
+def _bound_shift(u, beta):
+    """The eigen solve's shift below the form's lower bound min beta'(u)/2."""
     _, _, mask = assemble_operator(u, beta)
     bound = float(np.min(0.5 * beta.deriv(u.values)[mask]))
-    shift = bound - 1e-3 * (1.0 + abs(bound))
+    return bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
+
+
+def _coarsest_lu_fill(u, beta):
+    """nnz(L + U) of the LU of (A - shift W) / (hs ht) on the 65^2
+    every-other-node level of ``u``, at the eigen solve's bound shift."""
+    shift = _bound_shift(u, beta)
     k = (len(u.s) - 1) // 64
     c = AxiField(n=u.n, s=u.s[::k], t=u.t[::k], values=u.values[::k, ::k])
     A, w, _ = assemble_operator(c, beta)
@@ -290,7 +296,9 @@ def test_eigen_operators_are_scipy_sparse_algebra_bit_for_bit(beta, layer_profil
     assert _same_csr(A, before)  # A itself is left as it was
 
 
-# 129^2 has two levels and 257^2 three; both factor only the 65^2 one
+# 129^2 has two levels and 257^2 three; both factor only the 65^2 one, at
+# the bound shift and, on 257^2, once more at the shift the two coarser
+# levels raise the finest one's to
 @pytest.mark.parametrize(
     "n, ns", [pytest.param(3, 129, id="3"), pytest.param(4, 129, id="4"), pytest.param(5, 129, id="5"),
               pytest.param(3, 257, id="3-257")]
@@ -312,7 +320,9 @@ def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_pro
     mu_t = _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
 
     assert abs(rep.rayleigh_min - (mu_s + mu_t)) <= tol
-    assert rep.factors.factorizations == 1
+    assert rep.factors.factorizations == (2 if ns == 257 else 1)
+    if ns == 129:
+        assert rep.shift == _bound_shift(u, beta)
     assert rep.factors.fill_nnz == _coarsest_lu_fill(u, beta)
 
 
@@ -436,20 +446,52 @@ def _spy_lobpcg(monkeypatch):
     return calls
 
 
+def _tiled_257(beta, layer_profile, n):
+    g = GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=257, nt=257)
+    return tiled_layer(beta, layer_profile, g)
+
+
 def test_cascadic_eigen_solve_starts_each_level_from_the_one_below(beta, layer_profile, monkeypatch):
     # 257^2 has the levels 65^2, 129^2 and 257^2; a level of k^2 nodes has
     # (k - 1)(k - 2) unknowns (the axis column in, the outer rim out)
     calls = _spy_lobpcg(monkeypatch)
-    g = GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=257, nt=257)
-    u = tiled_layer(beta, layer_profile, g)
+    u = _tiled_257(beta, layer_profile, 3)
     tol = 1e-8
     rep = linearized_rayleigh_min(u, beta, tol=tol)
     assert [X.shape for X, _ in calls] == [((k - 1) * (k - 2), 1) for k in (65, 129, 257)]
     assert [bool(np.all(X == 1.0)) for X, _ in calls] == [True, False, False]
     assert [level_tol for _, level_tol in calls] == [math.sqrt(tol), math.sqrt(tol), tol]
     assert len(rep.level_iterations) == 3 and rep.level_iterations[-1] == rep.iterations
-    assert rep.iterations <= 14  # measured 11; 27 from the ones vector
-    assert rep.factors.factorizations == 1
+    assert rep.iterations <= 14  # measured 7; 27 from the ones vector
+    assert rep.factors.factorizations == 2  # one LU per shift
+
+
+# finest-level steps measured 7, 9 and 29 (11, 23 and 41 at the bound shift);
+# a shift 10 coarse drifts below lam_129 fails to certify n = 40
+@pytest.mark.parametrize("n, most", [(3, 8), (20, 12), (40, 32)])
+def test_finest_shift_sits_a_hundred_coarse_drifts_below_the_coarse_eigenvalue(beta, layer_profile, n, most):
+    u = _tiled_257(beta, layer_profile, n)
+    rep = linearized_rayleigh_min(u, beta, tol=1e-8)
+    lam_65, lam_129, lam_257 = rep.level_values
+    assert rep.shift == max(_bound_shift(u, beta), lam_129 - 100.0 * abs(lam_129 - lam_65))
+    assert rep.shift < lam_257 and rep.verdict == VERDICT_STABLE
+    assert rep.level_iterations[-1] <= most
+    assert rep.factors.factorizations == 2
+
+
+def test_eigen_solve_at_257_keeps_its_traced_memory_under_29_mib(beta, layer_profile):
+    # B, the finest preconditioner's CSR and zebra line factors and LOBPCG's
+    # blocks (SuperLU's own memory is not traced): measured 29.6 MiB while
+    # the finest level kept A beside them, 27.8 MiB since it drops A once B
+    # and the preconditioner are built
+    u = _tiled_257(beta, layer_profile, 3)
+    tracemalloc.start()
+    try:
+        linearized_rayleigh_min(u, beta, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 29 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_single_level_eigen_solve_starts_from_ones(beta, layer_profile, monkeypatch):
@@ -461,6 +503,7 @@ def test_single_level_eigen_solve_starts_from_ones(beta, layer_profile, monkeypa
     X, level_tol = calls[0]
     assert X.shape == (32 * 31, 1) and np.all(X == 1.0) and level_tol == 1e-9
     assert rep.level_iterations == [rep.iterations]
+    assert rep.shift == _bound_shift(u, beta)
 
 
 # ---------------------------------------------------------------- radial derivative
