@@ -330,11 +330,18 @@ def _damped_newton(x, residual, jacobian, finish, tol, max_iter, label, counts: 
 
 def _fold(A, kept: np.ndarray, fold: np.ndarray):
     """R A E: the rows ``kept`` of A, every column j added onto column
-    ``fold[j]`` (``onephase_geometry._mirror_fold``, ``_axis_fold``).  A
-    column and its mirror image stay two entries, unsummed, so a product
-    adds them in the order the unfolded one does."""
+    ``fold[j]`` (``_fold_map``).  A column and its mirror image stay two
+    entries, unsummed, so a product adds them in the order the unfolded one
+    does."""
     columns = int(np.max(fold, initial=-1)) + 1
     return sp.csr_matrix((A.data, fold[A.indices], A.indptr), shape=(A.shape[0], columns))[kept]
+
+
+def _fold_map(keep: np.ndarray, image: np.ndarray):
+    """(kept, fold) for ``_fold``: the indices where ``keep`` holds, and for
+    each j the position among them of j, or of ``image[j]`` if j is not kept."""
+    j = np.arange(len(keep))
+    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[np.where(keep, j, image)]
 
 
 def _axis_fold(n: int, folded: bool):
@@ -342,8 +349,7 @@ def _axis_fold(n: int, folded: bool):
     nodes j with 2 j >= n - 1 (t >= 0), each node folded onto itself or its
     mirror image n - 1 - j; otherwise every node, in place."""
     j = np.arange(n)
-    keep = 2 * j >= n - 1 if folded else np.full(n, True)
-    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[np.where(keep, j, n - 1 - j)]
+    return _fold_map(2 * j >= n - 1 if folded else np.full(n, True), n - 1 - j)
 
 
 def _axis_transfers(n: int, folded: bool):
@@ -374,22 +380,18 @@ def _grid_transfers(ns: int, nt: int, axis: bool, mirror: bool):
     return _axis_transfers(2 * ns - 1 if axis else ns, axis), _axis_transfers(nt, mirror)
 
 
-def _stencil_slots(mask) -> np.ndarray:
-    """Flags of the entries ``stencil_matrix`` stores on the block of unknowns
-    ``mask`` (``_unknown_mask``), shape (S, T, 5): the S x T unknowns in
-    row-major order, each with its s-, t-, diagonal, t+ and s+ entry in that
-    order, which is the order of the columns.  Every arm inside the block is
-    stored, zero weights included; the arms leaving it are not."""
-    slots = np.ones((int(mask[:, -2].sum()), int(mask[-2].sum()), 5), dtype=bool)
-    slots[0, :, 0] = slots[-1, :, 4] = False
-    slots[:, 0, 1] = slots[:, -1, 3] = False
-    return slots
+def _diagonal_positions(J) -> np.ndarray:
+    """Where each row of the CSR matrix ``J`` stores its one diagonal entry in ``J.data``."""
+    return np.flatnonzero(J.indices == np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)))
 
 
-def _diagonal_positions(J, mask) -> np.ndarray:
-    """Where each row of the stencil matrix ``J`` on the unknowns ``mask`` stores its diagonal in ``J.data``."""
-    slots = _stencil_slots(mask)
-    return J.indptr[:-1] + slots[..., 0].ravel() + slots[..., 1].ravel()
+def _band(J, k: int, shape) -> np.ndarray:
+    """J[i, i + k] in entry i, 0 where J stores none: ``J.diagonal(k)`` padded
+    with zeros, in ``shape``.  On a 5-point stencil of an S x T block, bands
+    -T, -1, 0, 1 and T are the s-, t-, diagonal, t+ and s+ weights."""
+    band = np.zeros(J.shape[0])
+    band[max(-k, 0) : J.shape[0] - max(k, 0)] = J.diagonal(k)
+    return band.reshape(shape)
 
 
 class _ZebraLines:
@@ -430,6 +432,15 @@ class _ZebraLines:
         other[parity:k] -= prev[parity:k] * d[: k - parity]
 
 
+def _zebra_lines(J, S: int, T: int):
+    """The s-line and t-line ``_ZebraLines`` of the 5-point matrix ``J`` on an
+    S x T block in row-major order: the rows of its (T, S) and (S, T) layouts."""
+    s_m, t_m, diag, t_p, s_p = (_band(J, k, (S, T)) for k in (-T, -1, 0, 1, T))
+    # a line's coupling of entry k + 1 to entry k, J[k + 1, k], is a band of J^T
+    below_s, below_t = _band(J.T, T, (S, T)), _band(J.T, 1, (S, T))
+    return _ZebraLines(below_s.T, diag.T, s_p.T, t_p.T, t_m.T), _ZebraLines(below_t, diag, t_p, s_p, s_m)
+
+
 class _KrylovSolve:
     """The solver of one level's Jacobian ``J``: flexible GMRES
     right-preconditioned by one V-cycle, or on the coarsest level
@@ -442,17 +453,15 @@ class _KrylovSolve:
     through ``_Level.correct``, the cycle of the solver a level built last;
     in the eigen solve, whose LOBPCG runs on the same levels, its
     preconditioner.
-    The unknowns are the rectangular block of grid rows 0 (with the axis) or
-    1 to -2 and columns 0 (of a folded level, ``_assemble_laplacian``) or 1
-    to -2, in row-major order; ``J`` must
-    store every arm inside the block, as ``stencil_matrix`` does, since its
-    line and coupling bands are read off that fixed row layout
-    (``_stencil_slots``), and it must not change while the cycle is in use.
+    ``J`` is any 5-point CSR (zero arms stored or not) on the S x T block of
+    unknowns, S and T the rows of the transfers' s and t prolongations, and
+    must not change while the cycle is in use.
     The cycle smooths by zebra line Gauss-Seidel (Trottenberg, Oosterlee and
     Schueller, *Multigrid*, 2001, section 5.1) in correction form.  From
     x = 0 it solves the odd s-lines (counted from 0 in the block of the
     unfolded grid, so that a folded level's cycle is the unfolded one on
-    even fields), then the even ones, carrying the residual b - J x through
+    even fields: parity T % 2, as every level with transfers has odd nt),
+    then the even ones, carrying the residual b - J x through
     J's coupling diagonals (``_ZebraLines``).  It restricts that residual to
     the coarser level, applies that level's ``coarse`` cycle (its LU solve
     at the coarsest level) and prolongates the correction, both with the
@@ -466,27 +475,15 @@ class _KrylovSolve:
     exit status, go to ``counts``.
     """
 
-    def __init__(self, J, counts: LUCounts, mask, transfers, coarse):
+    def __init__(self, J, counts: LUCounts, transfers, coarse):
         if transfers is None:
             self.solve = self.cycle = _lu(J, counts).solve
             return
         self.J, self.counts, self.transfers, self.coarse = J, counts, transfers, coarse
-        # the odd s-lines of the whole grid's block go first; folded, the
-        # block starts at the mirror line, line nt // 2 - 1 of the whole one
-        first = (mask.shape[1] - 1) % 2 if mask[:, 0].any() else 1
-        self.parities = (first, 1 - first)
-        slots = _stencil_slots(mask)
-        self.shape = slots.shape[:2]
-        # J's arms, read off its fixed row layout; an arm leaving the block is 0
-        arms = np.zeros(slots.shape)
-        arms[slots] = J.data
-        s_m, t_m, diag, t_p, s_p = np.moveaxis(arms, -1, 0)
-        # a line's coupling of entry k + 1 to entry k is the minus arm of k + 1
-        below_s, below_t = np.zeros(self.shape), np.zeros(self.shape)
-        below_s[:-1], below_t[:, :-1] = s_m[1:], t_m[:, 1:]
-        # s-lines are the rows of the transposed (T, S) layout, t-lines those of (S, T)
-        self.s_lines = _ZebraLines(below_s.T, diag.T, s_p.T, t_p.T, t_m.T)
-        self.t_lines = _ZebraLines(below_t, diag, t_p, s_p, s_m)
+        (_, P_s, _), (_, P_t, _) = transfers
+        S, T = self.shape = P_s.shape[0], P_t.shape[0]
+        self.parities = (T % 2, 1 - T % 2)
+        self.s_lines, self.t_lines = _zebra_lines(J, S, T)
 
     def cycle(self, b):
         S, T = self.shape
@@ -647,7 +644,7 @@ class _Level:
         self.beta, self.mirror, self.counts, self.solver = beta, mirror, counts, None
         self.transfers = self.coarse = None
         self.J, self.mask = _assemble_laplacian(grid, mirror)
-        self.at_diag = _diagonal_positions(self.J, self.mask)
+        self.at_diag = _diagonal_positions(self.J)
         self.lap_diag = self.J.data[self.at_diag]
         self.field = AxiField(grid.n, *grid.axes(), values)
         self.values = values[:, grid.nt - self.mask.shape[1] :]  # the t >= 0 columns, or all
@@ -674,7 +671,7 @@ class _Level:
         return self.field
 
     def factor(self, J, counts: LUCounts):
-        self.solver = _KrylovSolve(J, counts, self.mask, self.transfers, self.coarse)
+        self.solver = _KrylovSolve(J, counts, self.transfers, self.coarse)
         return self.solver
 
     def correct(self, b):

@@ -30,6 +30,7 @@ from .axisym_field import (
     _cell_measure,
     _centered_gradient,
     _fold,
+    _fold_map,
     _unknown_mask,
 )
 from .errors import (
@@ -434,8 +435,7 @@ def _mirror_fold(A, b: np.ndarray, unknown: np.ndarray):
     identity = np.arange(m)
     if np.any(mirror < 0) or not np.array_equal(b[mirror], b) or (A[mirror][:, mirror] != A).nnz:
         return identity, identity
-    keep = 2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1
-    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[np.where(keep, identity, mirror)]
+    return _fold_map(2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1, mirror)
 
 
 def _residual(A, abs_a, x: np.ndarray, b: np.ndarray):

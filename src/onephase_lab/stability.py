@@ -24,6 +24,7 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .axisym_field import (
     AxiField,
+    _band,
     _centered_gradient,
     _diagonal_positions,
     _grid_transfers,
@@ -308,8 +309,8 @@ def linearized_rayleigh_min(
     shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
     factors, cycle, levels, values, ops = LUCounts(), None, [], [], []
 
-    def level_cycle(A, w, area, mask, transfers, coarse):
-        return _KrylovSolve(_shifted(A, w, shift, area, mask), factors, mask, transfers, coarse).cycle
+    def level_cycle(A, w, area, transfers, coarse):
+        return _KrylovSolve(_shifted(A, w, shift, area), factors, transfers, coarse).cycle
 
     for k in _level_strides(*u.values.shape):
         if len(values) >= 2:
@@ -325,7 +326,7 @@ def linearized_rayleigh_min(
         if not np.all(w > 0.0):
             raise InvalidParameterError(f"node weights s^(n-2) underflow to zero at n = {u.n}")
         transfers = None if cycle is None else _grid_transfers(*f.values.shape, f.has_axis, False)
-        ops.append((A, w, f.hs * f.ht, mask, transfers))
+        ops.append((A, w, f.hs * f.ht, transfers))
         cycle = level_cycle(*ops[-1], cycle)
         d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
         B = _symmetrized(A, d)
@@ -374,12 +375,12 @@ def linearized_rayleigh_min(
     )
 
 
-def _shifted(A, w: np.ndarray, shift: float, area: float, mask) -> sp.csr_matrix:
+def _shifted(A, w: np.ndarray, shift: float, area: float) -> sp.csr_matrix:
     """(A - shift diag(w)) / area on A's pattern, rounded as scipy's sparse
     algebra rounds it: a_ii - (shift w_i), then every entry times 1 / area.
     Divided by the cell area, every level has the Newton Jacobian's scaling."""
     data = A.data.copy()
-    data[_diagonal_positions(A, mask)] -= shift * w
+    data[_diagonal_positions(A)] -= shift * w
     data *= 1.0 / area
     return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
 
@@ -397,7 +398,8 @@ def _lobpcg(B, start: np.ndarray, precondition, tol: float, max_iter: int):
 
     Every step preconditions the one residual once, so the steps are counted
     there: when LOBPCG stops without converging, scipy returns its best
-    iterate and cuts the trace there."""
+    iterate and cuts the trace there.  Below 5 unknowns scipy solves B
+    densely instead, with no step and no trace."""
     steps = 0
 
     def matvec(y):
@@ -409,10 +411,10 @@ def _lobpcg(B, start: np.ndarray, precondition, tol: float, max_iter: int):
     with warnings.catch_warnings():
         # the certificates judge the result, not LOBPCG's own exit
         warnings.simplefilter("ignore", UserWarning)
-        _, X, history = lobpcg(  # scipy's loop makes maxiter + 1 steps
+        _, X, *history = lobpcg(  # scipy's loop makes maxiter + 1 steps
             B, start[:, None], M=M, tol=tol, maxiter=max_iter - 1, largest=False, retLambdaHistory=True
         )
-    return X[:, 0], [float(lam) for lam in history[1:-1]], steps
+    return X[:, 0], [float(lam) for lam in history[0][1:-1]] if history else [], steps
 
 
 def _inward_line_sweep(B, x: np.ndarray, lam: float, m: int) -> np.ndarray:
@@ -421,26 +423,26 @@ def _inward_line_sweep(B, x: np.ndarray, lam: float, m: int) -> np.ndarray:
 
     The unknowns come in columns of ``m`` (one s each, in increasing s), so
     B couples a column to itself through its tridiagonal t-stencil and to
-    its neighbour columns through the diagonals at offset +-m.  Each column
-    is solved exactly against the swept column outside it and the old column
-    inside it.  LOBPCG leaves every entry with an error near eps max|x|,
-    while near the axis the ground state is of size s^((n-2)/2) and falls
-    below that for large n; the column blocks of B - lam are M-matrices
-    (their diagonals carry both s-edges, far above lam), so each solve
-    rebuilds such a column from its positive outer neighbour to full
-    relative accuracy, up to the round-off it read from the inner column.
+    its neighbour columns through its bands +-m (``_band``, one row per
+    column).  Each column is solved exactly against the swept column outside
+    it and the old column inside it.  LOBPCG leaves every entry with an
+    error near eps max|x|, while near the axis the ground state is of size
+    s^((n-2)/2) and falls below that for large n; the column blocks of
+    B - lam are M-matrices (their diagonals carry both s-edges, far above
+    lam), so each solve rebuilds such a column from its positive outer
+    neighbour to full relative accuracy, up to the round-off it read from
+    the inner column.
     """
-    x = x.copy()
-    out, inn = B.diagonal(m), B.diagonal(-m)
-    diag, up, lo = B.diagonal() - lam, B.diagonal(1), B.diagonal(-1)
-    for a in range(len(x) - m, -1, -m):
-        col, rhs = slice(a, a + m), np.zeros(m)
-        if a + m < len(x):
-            rhs -= out[col] * x[a + m : a + 2 * m]
-        if a > 0:
-            rhs -= inn[a - m : a] * x[a - m : a]
-        x[col] = dgtsv(lo[a : a + m - 1], diag[col], up[a : a + m - 1], rhs)[3]
-    return x
+    x = x.reshape(-1, m).copy()
+    inn, lo, diag, up, out = (_band(B, k, x.shape) for k in (-m, -1, 0, 1, m))
+    for c in range(len(x) - 1, -1, -1):
+        rhs = np.zeros(m)
+        if c + 1 < len(x):
+            rhs -= out[c] * x[c + 1]
+        if c > 0:
+            rhs -= inn[c] * x[c - 1]
+        x[c] = dgtsv(lo[c, 1:], diag[c] - lam, up[c, :-1], rhs)[3]
+    return x.ravel()
 
 
 def us_derivative(u: AxiField) -> AxiField:

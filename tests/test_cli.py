@@ -421,6 +421,27 @@ def test_stability_command_layer(tmp_path, runner):
     assert counters["lu_factor_order"] == 32 * 31
 
 
+def test_stability_command_on_a_3x3_catenoid_grid_reports_a_result(tmp_path, runner):
+    # 2 unknowns: scipy's LOBPCG answers densely, with no step and no trace;
+    # measured rayleigh.min 0.78576
+    out = tmp_path / "stab3"
+    cfg = tmp_path / "stab3.cfg"
+    cfg.write_text(
+        "[experiment]\nname = stability\n\n"
+        "[grid]\nn = 3\ns_max = 3.0\nt_min = -3.0\nt_max = 3.0\nns = 3\nnt = 3\n\n"
+        "[boundary]\nmodel = catenoid\n"
+    )
+    result = runner.invoke(main, ["stability", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    rayleigh = report["results"]["rayleigh"]
+    assert rayleigh["verdict"] == "stable-on-grid" and rayleigh["iterations"] == 0
+    assert abs(rayleigh["min"] - 0.78576) <= 1e-5
+    # the catenoid data are first solved for: GMRES counters too
+    counters = _lu_counters(report, out, ["spectral.json", "eigenvector.bin"], krylov=True, eigen=True)
+    assert counters["eigen_iterations"] == [0] and counters["lu_factor_order"] == 2
+
+
 def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner):
     # near the axis the ground state is of size s^9, below LOBPCG's round-off
     # of its largest entry; the certified eigenvector must still be positive

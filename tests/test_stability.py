@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros
 
@@ -291,7 +291,7 @@ def test_eigen_operators_are_scipy_sparse_algebra_bit_for_bit(beta, layer_profil
     d = 1.0 / np.sqrt(w)
     shift = float(np.min(0.5 * beta.deriv(u.values)[mask])) - 1e-3
     assert _same_csr(stability._symmetrized(A, d), (sp.diags(d) @ A @ sp.diags(d)).tocsr())
-    shifted = stability._shifted(A, w, shift, u.hs * u.ht, mask)
+    shifted = stability._shifted(A, w, shift, u.hs * u.ht)
     assert _same_csr(shifted, ((A - shift * sp.diags(w)) / (u.hs * u.ht)).tocsr())
     assert _same_csr(A, before)  # A itself is left as it was
 
@@ -504,6 +504,21 @@ def test_single_level_eigen_solve_starts_from_ones(beta, layer_profile, monkeypa
     assert X.shape == (32 * 31, 1) and np.all(X == 1.0) and level_tol == 1e-9
     assert rep.level_iterations == [rep.iterations]
     assert rep.shift == _bound_shift(u, beta)
+
+
+# 2, 3 and 4 unknowns: below 5, scipy's LOBPCG solves B densely and returns
+# no trace; measured rayleigh_min 3.5790, 3.6202 and 1.0415
+@pytest.mark.parametrize("ns, nt", [(3, 3), (4, 3), (3, 4)])
+def test_eigen_solve_below_five_unknowns_certifies_the_dense_answer(beta, layer_profile, ns, nt):
+    g = GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=nt)
+    u = tiled_layer(beta, layer_profile, g)
+    rep = linearized_rayleigh_min(u, beta)
+    A, w, mask = assemble_operator(u, beta)
+    assert A.shape[0] < 5
+    lam = eigh(A.toarray(), np.diag(w), eigvals_only=True)[0]
+    assert rep.verdict == VERDICT_STABLE and rep.level_iterations == [0] and rep.iterations == 0
+    assert rep.rayleigh_min == pytest.approx(lam, rel=1e-12)
+    assert np.all(rep.eigenvector.values[mask] > 0.0)
 
 
 # ---------------------------------------------------------------- radial derivative
