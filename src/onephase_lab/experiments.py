@@ -382,6 +382,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     boundary = curvature_of_revolution(gen, n=n)
 
     _count_factors(counters, sol.factors, refined=True)
+    counters["cut_edges"] = sol.cut_edges
     identity = normal_derivative_identity(boundary, sol.field)
 
     # interface stability form with the bulk probe's xi = u_s * eta, its border zeroed

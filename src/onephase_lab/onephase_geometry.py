@@ -316,6 +316,7 @@ class MaskedSolveResult:
     residual: float
     unknowns: int
     factors: LUCounts
+    cut_edges: int
 
 
 def crossing_fractions(level_fn, s0, t0, s1, t1) -> np.ndarray:
@@ -340,66 +341,75 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn):
     """Shortley-Weller system (A, rhs) on the unknown nodes of {level_fn > 0}.
 
     Also returns the grid values holding the border data (zero elsewhere),
-    the unknown-node mask and the positivity mask.
+    the unknown-node mask, the positivity mask and the number of cut arms,
+    those :func:`crossing_fractions` bisects.  The arms (s-, s+, t-, t+)
+    are gathered one at a time; one (4, m) buffer holds their fractions,
+    then their weights.
     """
     s, t = grid.axes()
-    hs, ht, n = grid.hs, grid.ht, grid.n
+    nt = grid.nt
     S, T = np.meshgrid(s, t, indexing="ij")
     pos = np.asarray(level_fn(S, T), dtype=float) > 0.0
 
     # the axis is a symmetry line, not data
     border = ~_unknown_mask(pos.shape, grid.s_min == 0.0)
-    g = np.zeros((grid.ns, grid.nt))
+    g = np.zeros((grid.ns, nt))
     fill = border & pos
     g[fill] = np.asarray(boundary_fn(S[fill], T[fill]), dtype=float)
+    del S, T
 
     unknown = pos & ~border
-    m = int(unknown.sum())
+    flat = np.flatnonzero(unknown)
+    m = len(flat)
     if m == 0:
         raise InvalidParameterError("no unknown nodes inside the positivity set")
-    i, j = np.nonzero(unknown)
-    axis = i == 0  # row 0 holds unknowns only when it is the axis
+    axis = flat < nt  # row 0 holds unknowns only when it is the axis
 
-    # the four arms (s-, s+, t-, t+) of every unknown node, one row each, and
-    # their flat grid indices; an arm is 1 cell long, or the bisected fraction
-    # where it leaves the set
+    # each arm is 1 cell long, or the bisected fraction where it leaves the
+    # set; an arm that reaches border data moves it to rhs.  The axis
+    # reflects its s- arm onto s+ (its flat s- index wraps)
+    offsets = (-nt, nt, -1, 1)
+    has_arm = (~axis, True, True, True)
+    cut, to_data = [], []
+    for k, offset in enumerate(offsets):
+        near = flat + offset
+        cut.append(k * m + np.flatnonzero(has_arm[k] & ~pos.ravel()[near]))
+        to_data.append(np.flatnonzero(has_arm[k] & fill.ravel()[near]))
+    cut = np.concatenate(cut)
+    arm, node = np.divmod(cut, m)
     di, dj = np.array([-1, 1, 0, 0]), np.array([0, 0, -1, 1])
-    near = (i * grid.nt + j) + (di * grid.nt + dj)[:, None]
-    has_arm = np.ones((4, m), dtype=bool)
-    has_arm[0] = ~axis  # the axis reflects its s- arm onto s+ (its flat s- index wraps)
-    near_pos = pos.ravel()[near]
-    cut = has_arm & ~near_pos
-    arm, node = np.nonzero(cut)
     th = np.ones((4, m))
-    th[cut] = crossing_fractions(level_fn, s[i[node]], t[j[node]], s[i[node] + di[arm]], t[j[node] + dj[arm]])
-    th_m, th_p, tt_m, tt_p = th
+    i, j = np.divmod(flat[node], nt)
+    th.ravel()[cut] = crossing_fractions(level_fn, s[i], t[j], s[i + di[arm]], t[j + dj[arm]])
+    diag = _shortley_weller(th, axis, s[flat // nt], grid)
 
+    A = stencil_matrix(unknown, diag, th)
+    rhs = np.zeros(m)
+    for k, at in enumerate(to_data):  # arms in order s-, s+, t-, t+
+        rhs[at] -= th[k, at] * g.ravel()[flat[at] + offsets[k]]
+    return A, rhs, g, unknown, pos, len(cut)
+
+
+def _shortley_weller(th: np.ndarray, axis: np.ndarray, s_node: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Overwrite the arm fractions ``th`` (rows s-, s+, t-, t+) of nodes at
+    radii ``s_node`` with their Laplacian weights; return the diagonal."""
+    hs, ht, n = grid.hs, grid.ht, grid.n
+    th_m, th_p, tt_m, tt_p = th
     # radial: second and first derivatives on the same three irregular points;
     # on the axis the even reflection gives Delta = (n-1) u_ss + u_tt
-    cm = 2.0 / (th_m * (th_m + th_p) * hs**2)
-    cp = 2.0 / (th_p * (th_m + th_p) * hs**2)
-    cc = -2.0 / (th_m * th_p * hs**2)
-    dm = -th_p / (th_m * (th_m + th_p) * hs)
-    dp = th_m / (th_p * (th_m + th_p) * hs)
-    dc = (th_p - th_m) / (th_m * th_p * hs)
-    fac = (n - 2) / np.where(axis, 1.0, s[i])  # not used on the axis
+    fac = (n - 2) / np.where(axis, 1.0, s_node)  # not used on the axis
     c_axis = 2.0 * (n - 1) / (th_p**2 * hs**2)
-    weights = np.stack(
-        (
-            cm + fac * dm,
-            np.where(axis, c_axis, cp + fac * dp),
-            2.0 / (tt_m * (tt_m + tt_p) * ht**2),
-            2.0 / (tt_p * (tt_m + tt_p) * ht**2),
-        )
-    )
-    diag = np.where(axis, -c_axis, cc + fac * dc) + -2.0 / (tt_m * tt_p * ht**2)
-
-    A = stencil_matrix(unknown, diag, weights)
-    rhs = np.zeros(m)
-    to_data = has_arm & near_pos & ~unknown.ravel()[near]
-    for term in np.where(to_data, weights * g.ravel()[near], 0.0):  # arms in order s-, s+, t-, t+
-        rhs -= term
-    return A, rhs, g, unknown, pos
+    diag = np.where(axis, -c_axis, -2.0 / (th_m * th_p * hs**2) + fac * ((th_p - th_m) / (th_m * th_p * hs)))
+    diag += -2.0 / (tt_m * tt_p * ht**2)
+    span = th_m + th_p
+    s_m = 2.0 / (th_m * span * hs**2) + fac * (-th_p / (th_m * span * hs))
+    th[1] = np.where(axis, c_axis, 2.0 / (th_p * span * hs**2) + fac * (th_m / (th_p * span * hs)))
+    th[0] = s_m
+    span = tt_m + tt_p
+    t_m = 2.0 / (tt_m * span * ht**2)
+    th[3] = 2.0 / (tt_p * span * ht**2)
+    th[2] = t_m
+    return diag
 
 
 def _schur_complement(A, red: np.ndarray):
@@ -438,6 +448,13 @@ def _mirror_fold(A, b: np.ndarray, unknown: np.ndarray):
     return _fold_map(2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1, mirror)
 
 
+def _magnitudes(A):
+    """|A| on A's own index arrays.  scipy's ``abs(A)`` first sums A's
+    duplicate entries in place, which would merge the mirror pairs that
+    ``_fold`` keeps apart."""
+    return sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+
+
 def _residual(A, abs_a, x: np.ndarray, b: np.ndarray):
     """r = b - A x and the componentwise backward error of x,
     omega = max_i |r_i| / (|A||x| + |b|)_i; ``abs_a`` is |A|."""
@@ -464,7 +481,7 @@ def _refined_solve(A, b: np.ndarray, red: np.ndarray, factors: LUCounts) -> np.n
     lu = factors.record(splu(_schur_complement(A, red).astype(np.float32).tocsc(), **LU_OPTIONS))
     at_red, at_black = np.flatnonzero(red), np.flatnonzero(~red)  # index arrays gather faster than masks
     inv_r = 1.0 / A.diagonal()[at_red]
-    abs_a = abs(A)
+    abs_a = _magnitudes(A)
     x = np.zeros_like(b)
     r = b
     omega = float(np.any(b != 0.0))  # the backward error of x = 0
@@ -525,12 +542,12 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     value.
     """
     s, t = grid.axes()
-    A, rhs, values, unknown, pos = _masked_system(grid, level_fn, boundary_fn)
+    A, rhs, values, unknown, pos, cut_edges = _masked_system(grid, level_fn, boundary_fn)
     kept, fold = _mirror_fold(A, rhs, unknown)
     factors = LUCounts()
     i, j = np.nonzero(unknown)
     x = _refined_solve(_fold(A, kept, fold), rhs[kept], ((i + j) % 2 == 0)[kept], factors)[fold]
-    _, omega = _residual(A, abs(A), x, rhs)
+    _, omega = _residual(A, _magnitudes(A), x, rhs)
     if omega > _REFINE_FLOOR:
         raise NonconvergenceError(
             f"the unfolded masked solve has backward error {omega:.3e} above its floor {_REFINE_FLOOR:.3e}",
@@ -541,4 +558,4 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     out = AxiField(n=grid.n, s=s, t=t, values=values)
     mask = _positive_interior_mask(pos)
     residual = _harmonic_residual(out, mask) if mask.any() else float("nan")
-    return MaskedSolveResult(field=out, residual=residual, unknowns=A.shape[0], factors=factors)
+    return MaskedSolveResult(field=out, residual=residual, unknowns=A.shape[0], factors=factors, cut_edges=cut_edges)

@@ -278,12 +278,13 @@ def test_stale_threads_line_is_rejected(tmp_path):
 
 def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=False):
     """The run's LU (after a 2D Newton solve also GMRES, after the masked
-    solve also refinement, after the eigen solve also its per-level LOBPCG
-    iterations, Rayleigh quotients and shift) counters, which live in
-    ``meta`` and nowhere else; an eigen run uses the default tolerances."""
+    solve also refinement and its bisected arms, after the eigen solve also
+    its per-level LOBPCG iterations, Rayleigh quotients and shift) counters,
+    which live in ``meta`` and nowhere else; an eigen run uses the default
+    tolerances."""
     counters = report["meta"]["counters"]
     expected = ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz", "lu_factor_order"]
-    expected += ["lu_backward_error", "lu_refinement_steps"] * refined
+    expected += ["lu_backward_error", "lu_refinement_steps", "cut_edges"] * refined
     expected += ["eigen_iterations", "eigen_values", "eigen_shift"] * eigen
     assert sorted(counters) == sorted(expected)
     if eigen:
@@ -293,7 +294,7 @@ def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=Fals
         assert len(counters["eigen_values"]) == len(counters["eigen_iterations"])
         assert abs(counters["eigen_values"][-1] - rayleigh["min"]) <= ExperimentConfig().tolerances["eigen"]
         assert counters["eigen_shift"] < rayleigh["min"]
-    for key in ("lu_", "krylov", "eigen_"):
+    for key in ("lu_", "krylov", "eigen_", "cut_edges"):
         assert key not in json.dumps(report["results"])
         for name in artifacts:
             assert key.encode() not in (out / name).read_bytes()
@@ -512,6 +513,9 @@ def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):
     # the t nodes are mirror-exact at resolution 48 too, so the factor holds
     # the black unknowns of the t >= 0 half, about a quarter of the 7865 unknowns
     assert counters["lu_factor_order"] == 1984
+    # the interface cuts the s+ arm of each of the 95 inner columns and 24
+    # t arms on either side of the mirror line, each bisected once
+    assert counters["cut_edges"] == 95 + 2 * 24
 
 
 @pytest.mark.parametrize(
