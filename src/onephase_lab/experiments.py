@@ -30,7 +30,7 @@ from .axisym_field import (
     solve_semilinear_1d,
 )
 from .config import ExperimentConfig
-from .errors import LabError
+from .errors import InvalidParameterError, LabError
 from .numerics import csv_lines
 from .onephase_geometry import (
     curvature_of_revolution,
@@ -277,6 +277,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
     _count_factors(counters, *newton, spectral.factors, krylov=bool(newton))
     counters["eigen_iterations"] = spectral.level_iterations
     counters["eigen_values"] = spectral.level_values
+    counters["eigen_level_residuals"] = spectral.level_residuals
     counters["eigen_shift"] = spectral.shift
     outputs["spectral.json"] = lambda path: spectral.save_json(path)
     outputs["eigenvector.bin"] = lambda path: spectral.eigenvector.save_binary(path)
@@ -357,8 +358,20 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
     }
 
 
-def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
-    # the preset picks the exact reference, the dimension, the box and the interface samples
+def _even_on_grid(fn, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Grid values of ``fn(s, t)``, a function even in t bit for bit, from
+    one call on the columns t >= 0, mirrored onto the others.  The t nodes
+    must be mirror-exact about a t = 0 node, t[::-1] == -t at odd count, as
+    ``GridSpec.axes`` makes them on every symmetric extent."""
+    nt = len(t)
+    if nt % 2 == 0 or not np.array_equal(t[::-1], -t):
+        raise InvalidParameterError("the t nodes are not mirror-exact about a t = 0 node")
+    half = fn(s[:, None], t[None, nt // 2 :])
+    return np.concatenate((half[:, :0:-1], half), axis=1)
+
+
+def _onephase_case(cfg: ExperimentConfig):
+    """The preset's exact reference, its grid (dimension and box) and its interface samples."""
     if cfg.onephase_preset == "strip_neck":
         ref, n, s_lo, s_hi, t_hi = StripNeckExact(), 2, 1.0, 3.3, 1.0
         gen = ref.boundary_generator(np.linspace(-0.75, 0.75, 101))
@@ -376,9 +389,15 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
         ns=int(round((s_hi - s_lo) / h)) + 1,
         nt=2 * int(round(t_hi / h)) + 1,
     )
+    return ref, grid, gen
+
+
+def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
+    ref, grid, gen = _onephase_case(cfg)
+    n = grid.n
     s, t = grid.axes()
     sol = solve_harmonic_masked(grid, ref.level, ref.u)
-    sup_err = float(np.max(np.abs(sol.field.values - ref.u(s[:, None], t[None, :]))))
+    sup_err = float(np.max(np.abs(sol.field.values - _even_on_grid(ref.u, s, t))))
     boundary = curvature_of_revolution(gen, n=n)
 
     _count_factors(counters, sol.factors, refined=True)

@@ -338,11 +338,13 @@ def crossing_fractions(level_fn, s0, t0, s1, t1) -> np.ndarray:
 
 
 def _masked_system(grid: GridSpec, level_fn, boundary_fn):
-    """Shortley-Weller system (A, rhs) on the unknown nodes of {level_fn > 0}.
+    """Shortley-Weller stencil (diag, arms) and rhs on the unknown nodes of {level_fn > 0}.
 
-    Also returns the grid values holding the border data (zero elsewhere),
-    the unknown-node mask, the positivity mask and the number of cut arms,
-    those :func:`crossing_fractions` bisects.  The arms (s-, s+, t-, t+)
+    ``diag`` holds each unknown's diagonal and ``arms`` (4, m) its arm
+    weights (s-, s+, t-, t+), from which ``stencil_matrix(unknown, diag,
+    arms)`` builds A.  Also returns the grid values holding the border data
+    (zero elsewhere), the unknown-node mask, the positivity mask and the
+    number of cut arms, those :func:`crossing_fractions` bisects.  The arms
     are gathered one at a time; one (4, m) buffer holds their fractions,
     then their weights.
     """
@@ -383,11 +385,10 @@ def _masked_system(grid: GridSpec, level_fn, boundary_fn):
     th.ravel()[cut] = crossing_fractions(level_fn, s[i], t[j], s[i + di[arm]], t[j + dj[arm]])
     diag = _shortley_weller(th, axis, s[flat // nt], grid)
 
-    A = stencil_matrix(unknown, diag, th)
     rhs = np.zeros(m)
     for k, at in enumerate(to_data):  # arms in order s-, s+, t-, t+
         rhs[at] -= th[k, at] * g.ravel()[flat[at] + offsets[k]]
-    return A, rhs, g, unknown, pos, len(cut)
+    return diag, th, rhs, g, unknown, pos, len(cut)
 
 
 def _shortley_weller(th: np.ndarray, axis: np.ndarray, s_node: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -426,24 +427,30 @@ def _schur_complement(A, red: np.ndarray):
     return rows[:, black] - rows[:, red] @ sp.diags(1.0 / A.diagonal()[red]) @ A[red][:, black]
 
 
-def _mirror_fold(A, b: np.ndarray, unknown: np.ndarray):
+def _mirror_fold(unknown: np.ndarray, diag: np.ndarray, arms: np.ndarray, b: np.ndarray):
     """Kept unknowns and fold map of the masked system's mirror t -> -t.
 
     The mirror P sends the unknown in grid column j to the one in column
-    nt - 1 - j.  When ``unknown`` maps onto itself and the assembled system
-    is bitwise invariant, P A P^T == A and P b == b, the solution is even,
-    and ``kept`` lists the unknowns with j >= nt - 1 - j (t >= 0), in order;
+    nt - 1 - j.  The test is made on the coefficients A is built from: when
+    ``unknown`` maps onto itself, ``diag`` and the s- and s+ rows of
+    ``arms`` are invariant under P, P swaps the t- and t+ rows, and P b == b,
+    then ``stencil_matrix``, which writes each of them into A entry by
+    entry, gives P A P^T == A bit for bit, and the solution is even.  Then
+    ``kept`` lists the unknowns with j >= nt - 1 - j (t >= 0), in order;
     ``fold[k]`` is the position in ``kept`` of unknown k or, if k is not
     kept, of its mirror partner, so x = x_h[fold] unfolds a solution on the
     kept half and ``_fold(A, kept, fold)`` is R A E.  Otherwise both are the
     identity.
     """
-    m = A.shape[0]
+    identity = np.arange(len(b))
+    if not np.array_equal(unknown[:, ::-1], unknown):
+        return identity, identity
     number = np.full(unknown.shape, -1)
-    number[unknown] = np.arange(m)
+    number[unknown] = identity
     mirror = number[:, ::-1][unknown]
-    identity = np.arange(m)
-    if np.any(mirror < 0) or not np.array_equal(b[mirror], b) or (A[mirror][:, mirror] != A).nnz:
+    s_m, s_p, t_m, t_p = arms
+    pairs = ((diag, diag), (s_m, s_m), (s_p, s_p), (t_m, t_p), (b, b))
+    if not all(np.array_equal(v[mirror], w) for v, w in pairs):
         return identity, identity
     return _fold_map(2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1, mirror)
 
@@ -528,8 +535,10 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     unknowns are eliminated exactly, and only the Schur complement on the
     odd (black) ones, about half of them, is factored, once, in single
     precision; the system is refined in double (:func:`_refined_solve`).
-    When the assembled system is bitwise invariant under the mirror
-    t -> -t (:func:`_mirror_fold`), its solution is even, and this is done
+    When the stencil coefficients and rhs are bitwise invariant under the
+    mirror t -> -t, which swaps the t- and t+ arms (:func:`_mirror_fold`,
+    tested before A is built), so is the assembled system, its solution is
+    even, and this is done
     on the restriction R A E to the kept half t >= 0 (``_fold``, which
     also folds the Newton solve's grid transfers), whose solution x_h
     unfolds to x = E x_h; otherwise E is the identity.
@@ -542,8 +551,10 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     value.
     """
     s, t = grid.axes()
-    A, rhs, values, unknown, pos, cut_edges = _masked_system(grid, level_fn, boundary_fn)
-    kept, fold = _mirror_fold(A, rhs, unknown)
+    diag, arms, rhs, values, unknown, pos, cut_edges = _masked_system(grid, level_fn, boundary_fn)
+    kept, fold = _mirror_fold(unknown, diag, arms, rhs)
+    A = stencil_matrix(unknown, diag, arms)
+    del diag, arms  # A holds them now; freed before the factor (9 MB at resolution 256)
     factors = LUCounts()
     i, j = np.nonzero(unknown)
     x = _refined_solve(_fold(A, kept, fold), rhs[kept], ((i + j) % 2 == 0)[kept], factors)[fold]

@@ -66,10 +66,17 @@ class StripNeckExact:
         return w
 
     def u(self, s, t):
+        """Re cosh(w(t + i s)) inside the neck, 0 outside.
+
+        u is even in t by construction, u(s, -t) == u(s, t) bit for bit:
+        the map is inverted at |t| + i s.  z = w + sinh(w) is odd and
+        conjugate-symmetric, so w(-conj z) = -conj w(z) and Re cosh takes
+        the same value at both.
+        """
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         inside = self.level(s, t) > 0.0
         vals = np.zeros(s.shape)
-        vals[inside] = np.real(np.cosh(self._invert(t[inside] + 1j * s[inside])))
+        vals[inside] = np.real(np.cosh(self._invert(np.abs(t[inside]) + 1j * s[inside])))
         return vals
 
     def boundary_generator(self, t_vals) -> Generator:

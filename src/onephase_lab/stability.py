@@ -129,11 +129,12 @@ class SpectralReport:
     rhs: float
     eigenvector: AxiField
     # not part of the JSON: the LU factors (one per shift), every level's
-    # LOBPCG steps and Rayleigh quotient (coarsest first, the finest last)
-    # and the finest level's preconditioner shift
+    # LOBPCG steps, Rayleigh quotient and final residual (coarsest first, the
+    # finest last) and the finest level's preconditioner shift
     factors: LUCounts
     level_iterations: list[int]
     level_values: list[float]
+    level_residuals: list[float]
     shift: float
 
     @property
@@ -293,9 +294,11 @@ def linearized_rayleigh_min(
     an entry <= 0, up to ``SIGN_SWEEPS`` line sweeps
     (:func:`_inward_line_sweep`) first rebuild the entries near the axis
     from the eigen-equation.  ``iterations`` counts the finest level's
-    LOBPCG steps, ``level_iterations`` every level's and ``level_values``
-    every level's Rayleigh quotient, coarsest first; ``shift`` is the
-    finest level's.  On a
+    LOBPCG steps, ``level_iterations`` every level's, ``level_values``
+    every level's Rayleigh quotient and ``level_residuals`` every level's
+    final residual ||B x - lam x|| / ||x||, coarsest first (a coarse level
+    that hits ``max_iter`` shows there above its sqrt(tol)); ``shift`` is
+    the finest level's.  On a
     grid with ``s_min > 0`` every side is a Dirichlet boundary.
     """
     res = residual_semilinear(u, beta)
@@ -307,7 +310,7 @@ def linearized_rayleigh_min(
     unknown = _unknown_mask(u.values.shape, u.has_axis)
     bound = float(np.min(0.5 * np.asarray(beta.deriv(u.values))[unknown]))
     shift = bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
-    factors, cycle, levels, values, ops = LUCounts(), None, [], [], []
+    factors, cycle, levels, values, residuals, ops = LUCounts(), None, [], [], [], []
 
     def level_cycle(A, w, area, transfers, coarse):
         return _KrylovSolve(_shifted(A, w, shift, area), factors, transfers, coarse).cycle
@@ -339,7 +342,9 @@ def linearized_rayleigh_min(
             start = sw * (P_t @ (P_s @ below.reshape(P_s.shape[1], -1)).T).T.ravel()
         x, trace, steps = _lobpcg(B, start, lambda y: sw * cycle(sw * y), tol if k == 1 else math.sqrt(tol), max_iter)
         levels.append(steps)
-        values.append(float(x @ (B @ x)) / float(x @ x))
+        Bx = B @ x
+        values.append(float(x @ Bx) / float(x @ x))
+        residuals.append(float(np.linalg.norm(Bx - values[-1] * x)) / float(np.linalg.norm(x)))
         below = x * d
     x = x * np.sign(x.sum()) / np.linalg.norm(x)
     lam = float(x @ (B @ x))
@@ -371,6 +376,7 @@ def linearized_rayleigh_min(
         factors=factors,
         level_iterations=levels,
         level_values=values,
+        level_residuals=residuals,
         shift=shift,
     )
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import onephase_lab
 from onephase_lab import cli, experiments
-from onephase_lab.axisym_field import AxiField
+from onephase_lab.axisym_field import AxiField, _unknown_mask
 from onephase_lab.cli import main
 from onephase_lab.config import (
     _KEYS,
@@ -279,19 +279,22 @@ def test_stale_threads_line_is_rejected(tmp_path):
 def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=False):
     """The run's LU (after a 2D Newton solve also GMRES, after the masked
     solve also refinement and its bisected arms, after the eigen solve also
-    its per-level LOBPCG iterations, Rayleigh quotients and shift) counters,
+    its per-level LOBPCG iterations, Rayleigh quotients and residuals and
+    its shift) counters,
     which live in ``meta`` and nowhere else; an eigen run uses the default
     tolerances."""
     counters = report["meta"]["counters"]
     expected = ["krylov_iterations"] * krylov + ["lu_factorizations", "lu_fill_nnz", "lu_factor_order"]
     expected += ["lu_backward_error", "lu_refinement_steps", "cut_edges"] * refined
-    expected += ["eigen_iterations", "eigen_values", "eigen_shift"] * eigen
+    expected += ["eigen_iterations", "eigen_values", "eigen_level_residuals", "eigen_shift"] * eigen
     assert sorted(counters) == sorted(expected)
     if eigen:
         # one entry per level, coarsest first: the last is the finest level's
         rayleigh = report["results"]["rayleigh"]
         assert counters["eigen_iterations"][-1] == rayleigh["iterations"]
         assert len(counters["eigen_values"]) == len(counters["eigen_iterations"])
+        assert len(counters["eigen_level_residuals"]) == len(counters["eigen_iterations"])
+        assert counters["eigen_level_residuals"][-1] <= ExperimentConfig().tolerances["eigen"]
         assert abs(counters["eigen_values"][-1] - rayleigh["min"]) <= ExperimentConfig().tolerances["eigen"]
         assert counters["eigen_shift"] < rayleigh["min"]
     for key in ("lu_", "krylov", "eigen_", "cut_edges"):
@@ -527,8 +530,9 @@ def test_onephase_runs_on_one_thread_and_reports_the_sup_error_of_its_field(
     tmp_path, monkeypatch, preset, n, ref, order
 ):
     # the run starts no thread: the exact field is evaluated once, on the
-    # whole grid, after the masked solve, and the sup error must be bit for
-    # bit the one recomputed from the written field.
+    # t >= 0 columns, after the masked solve, and mirrored onto the others;
+    # the sup error must be bit for bit the one recomputed over the whole
+    # grid from the written field.
     # The factor's order shows the fold: the neck at resolution 64 factors
     # the black unknowns of its t >= 0 half (14,082 unknowns in all), the
     # sphere those of its t >= 0 half too (33,098)
@@ -546,6 +550,35 @@ def test_onephase_runs_on_one_thread_and_reports_the_sup_error_of_its_field(
     exact = ref.u(field.s[:, None], field.t[None, :])
     assert report.results["masked_solve"]["sup_error_vs_exact"] == float(np.max(np.abs(field.values - exact)))
     assert report.counters["lu_factor_order"] == order
+
+
+def test_onephase_inverts_the_neck_map_on_the_kept_half_and_the_border_only(tmp_path, monkeypatch):
+    # a count, not a timing: the exact field is inverted at the inside nodes
+    # of the columns j >= nt // 2 and, as boundary data, at the border nodes
+    points, invert = [], StripNeckExact._invert
+
+    def counted(self, z):
+        points.append(np.size(z))
+        return invert(self, z)
+
+    monkeypatch.setattr(StripNeckExact, "_invert", counted)
+    cfg = ExperimentConfig(experiment="onephase", onephase_resolution=128, out_dir=str(tmp_path))
+    run(cfg)
+    ref, grid, _ = experiments._onephase_case(cfg)
+    s, t = grid.axes()
+    inside = ref.level(s[:, None], t[None, :]) > 0.0
+    border = inside & ~_unknown_mask(inside.shape, grid.s_min == 0.0)
+    assert sum(points) <= np.count_nonzero(inside[:, grid.nt // 2 :]) + np.count_nonzero(border)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [np.linspace(-1.0, 1.0, 6), np.array([-1.0, -0.5, 0.0, 0.5, np.nextafter(1.0, 2.0)])],
+    ids=["even-count", "one-ulp-off"],
+)
+def test_the_reference_needs_mirror_exact_t_nodes(t):
+    with pytest.raises(LabError, match="not mirror-exact"):
+        experiments._even_on_grid(StripNeckExact().u, np.linspace(1.0, 3.3, 5), t)
 
 
 # value text that survives an INI line: no whitespace and no comment prefixes,

@@ -8,8 +8,9 @@ from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onephase_lab import onephase_geometry, reference
-from onephase_lab.axisym_field import GridSpec
+from onephase_lab import experiments, onephase_geometry, reference
+from onephase_lab.axisym_field import GridSpec, _fold_map
+from onephase_lab.config import ExperimentConfig
 from onephase_lab.errors import (
     CurvatureSingularityError,
     GeometryMismatchError,
@@ -17,7 +18,14 @@ from onephase_lab.errors import (
     NonconvergenceError,
     PreconditionViolationError,
 )
-from onephase_lab.numerics import LU_OPTIONS, LUCounts, smoothstep_quintic, smoothstep_quintic_deriv, unit_sphere_area
+from onephase_lab.numerics import (
+    LU_OPTIONS,
+    LUCounts,
+    smoothstep_quintic,
+    smoothstep_quintic_deriv,
+    stencil_matrix,
+    unit_sphere_area,
+)
 from onephase_lab.onephase_geometry import (
     Generator,
     _fold,
@@ -302,6 +310,20 @@ _SYSTEM_GRIDS = pytest.mark.parametrize(
 )
 
 
+def _system(grid, level_fn, boundary_fn):
+    """The masked system as the solve assembles it: A built from the stencil
+    coefficients, rhs, border data, both masks and the bisected arms."""
+    diag, arms, rhs, g, unknown, pos, cut_edges = _masked_system(grid, level_fn, boundary_fn)
+    return stencil_matrix(unknown, diag, arms), rhs, g, unknown, pos, cut_edges
+
+
+def _folded_system(grid, level_fn, boundary_fn):
+    """A, rhs and the unknown mask of the masked system, with the (kept, fold)
+    its coefficient mirror test gives."""
+    diag, arms, rhs, _, unknown, _, _ = _masked_system(grid, level_fn, boundary_fn)
+    return stencil_matrix(unknown, diag, arms), rhs, unknown, *_mirror_fold(unknown, diag, arms, rhs)
+
+
 def _red(unknown):
     """The even checkerboard colour of the unknowns, as the masked solve eliminates it."""
     i, j = np.nonzero(unknown)
@@ -310,7 +332,7 @@ def _red(unknown):
 
 @_SYSTEM_GRIDS
 def test_masked_system_matches_loop_reference(grid, level_fn, boundary_fn):
-    A, rhs, g, unknown, pos, cut_edges = _masked_system(grid, level_fn, boundary_fn)
+    A, rhs, g, unknown, pos, cut_edges = _system(grid, level_fn, boundary_fn)
     A0, rhs0, g0, bisected = _loop_masked_system(grid, level_fn, boundary_fn)
     assert A.shape == A0.shape
     assert np.array_equal(A.indptr, A0.indptr) and np.array_equal(A.indices, A0.indices)
@@ -322,7 +344,7 @@ def test_masked_system_matches_loop_reference(grid, level_fn, boundary_fn):
 
 @_SYSTEM_GRIDS
 def test_masked_system_couples_only_the_two_colours(grid, level_fn, boundary_fn):
-    A, _, _, unknown, _, _ = _masked_system(grid, level_fn, boundary_fn)
+    A, _, _, unknown, _, _ = _system(grid, level_fn, boundary_fn)
     red = _red(unknown)
     assert red.any() and not red.all()
     for colour in (red, ~red):
@@ -340,7 +362,7 @@ def test_masked_system_couples_only_the_two_colours(grid, level_fn, boundary_fn)
     ids=["neck-16", "shell-n3-8"],
 )
 def test_schur_complement_matches_dense_elimination(grid, shape):
-    A, _, _, unknown, _, _ = _masked_system(grid, shape.level, shape.u)
+    A, _, _, unknown, _, _ = _system(grid, shape.level, shape.u)
     red = _red(unknown)
     S = _schur_complement(A, red)
     dense = A.toarray()
@@ -380,7 +402,7 @@ def test_masked_factor_holds_at_most_0_6_of_colamd_fill():
     neck = StripNeckExact()
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
     sol = solve_harmonic_masked(g, neck.level, neck.u)
-    A = _masked_system(g, neck.level, neck.u)[0].tocsc()
+    A = _system(g, neck.level, neck.u)[0].tocsc()
     colamd = splu(A, permc_spec="COLAMD").nnz
     assert sol.factors.factorizations == 1
     assert splu(A, **LU_OPTIONS).nnz <= 0.6 * colamd
@@ -416,7 +438,7 @@ def _spy_on_factors(monkeypatch):
 def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape, black):
     factored = _spy_on_factors(monkeypatch)
     sol = solve_harmonic_masked(grid, shape.level, shape.u)
-    A, rhs, _, unknown, _, _ = _masked_system(grid, shape.level, shape.u)
+    A, rhs, _, unknown, _, _ = _system(grid, shape.level, shape.u)
     # one float32 factor, of the Schur complement on the black unknowns
     assert factored == [(np.float32, (black, black), LU_OPTIONS)]
     assert sol.factors.order == black
@@ -431,7 +453,7 @@ def test_refined_masked_solve_matches_float64_factor(monkeypatch, grid, shape, b
 def test_mirror_folded_neck_solve_matches_the_whole_float64_factor(ns, nt):
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=ns, nt=nt)
     sol = solve_harmonic_masked(g, _NECK.level, _NECK.u)
-    A, rhs, _, unknown, _, _ = _masked_system(g, _NECK.level, _NECK.u)
+    A, rhs, _, unknown, _, _ = _system(g, _NECK.level, _NECK.u)
     kept = 2 * np.nonzero(unknown)[1] >= nt - 1
     assert sol.factors.order == np.count_nonzero(~_red(unknown) & kept)
     values = sol.field.values
@@ -448,8 +470,7 @@ def test_refinement_leaves_the_folded_matrix_unmerged():
     # mirror pairs _fold keeps apart, or every later product adds them in
     # another order than the unfolded one (measured 7.3e-12 apart)
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
-    A, rhs, _, unknown, _, _ = _masked_system(g, _NECK.level, _NECK.u)
-    kept, fold = _mirror_fold(A, rhs, unknown)
+    A, rhs, unknown, kept, fold = _folded_system(g, _NECK.level, _NECK.u)
     Af = _fold(A, kept, fold)
     nnz = Af.nnz
     _refined_solve(Af, rhs[kept], _red(unknown)[kept], LUCounts())
@@ -475,14 +496,8 @@ def test_masked_solve_at_128_keeps_its_traced_memory_under_15_mib():
 
 
 def test_one_ulp_off_the_mirror_solves_the_whole_system(monkeypatch):
-    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
-    t_off = g.axes()[1][100]  # t = 0.5625: one border node, on the t > 0 side only
-
-    def data(s, t):
-        u = _NECK.u(s, t)
-        return np.where((s == g.s_min) & (t == t_off), np.nextafter(u, np.inf), u)
-
-    A, rhs, _, unknown, _, _ = _masked_system(g, _NECK.level, data)
+    g, _, data = _off_mirror_data()
+    A, rhs, _, unknown, _, _ = _system(g, _NECK.level, data)
     mirror = np.full(unknown.shape, -1)
     mirror[unknown] = np.arange(A.shape[0])
     assert not np.array_equal(rhs[mirror[:, ::-1][unknown]], rhs)
@@ -506,6 +521,7 @@ def test_the_certificate_is_the_whole_systems(monkeypatch):
 
 
 _EVEN_LEVEL = lambda s, t: 7.3 + 0.05 * t * t - s
+_EVEN_NT = GridSpec(n=2, s_min=1.0, s_max=9.0, t_min=-7.5, t_max=7.5, ns=9, nt=16)
 
 
 @pytest.mark.parametrize(
@@ -515,13 +531,12 @@ _EVEN_LEVEL = lambda s, t: 7.3 + 0.05 * t * t - s
         (GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33), _NECK.level, _NECK.u),
         # an even column count on exact unit steps: the two middle columns
         # are mirror partners, so each one's inner t arm folds onto itself
-        (GridSpec(n=2, s_min=1.0, s_max=9.0, t_min=-7.5, t_max=7.5, ns=9, nt=16), _EVEN_LEVEL, _EVEN_LEVEL),
+        (_EVEN_NT, _EVEN_LEVEL, _EVEN_LEVEL),
     ],
     ids=["neck-16", "even-nt"],
 )
 def test_mirror_fold_is_the_restriction_to_the_even_subspace(grid, level_fn, boundary_fn):
-    A, rhs, _, unknown, _, _ = _masked_system(grid, level_fn, boundary_fn)
-    kept, fold = _mirror_fold(A, rhs, unknown)
+    A, rhs, unknown, kept, fold = _folded_system(grid, level_fn, boundary_fn)
     m = A.shape[0]
     assert 2 * len(kept) - m == np.count_nonzero(unknown[:, (grid.nt - 1) // 2]) * (grid.nt % 2)
     E = np.zeros((m, len(kept)))
@@ -535,6 +550,97 @@ def test_mirror_fold_is_the_restriction_to_the_even_subspace(grid, level_fn, bou
     assert np.array_equal(_fold(M, kept, np.abs(np.arange(7) - 3)).toarray(), M.toarray()[kept] @ E_7)
     x = E @ np.linalg.solve(dense[kept] @ E, rhs[kept])
     assert np.max(np.abs(x - np.linalg.solve(dense, rhs))) <= 1e-12 * np.max(np.abs(x))
+
+
+def _matrix_mirror_fold(A, b, unknown):
+    """The oracle of ``_mirror_fold``: its (kept, fold) when the assembled
+    system is bitwise invariant under the mirror P, P A P^T == A and
+    P b == b, and the identity otherwise."""
+    number = np.full(unknown.shape, -1)
+    number[unknown] = np.arange(A.shape[0])
+    mirror = number[:, ::-1][unknown]
+    identity = np.arange(A.shape[0])
+    if np.any(mirror < 0) or not np.array_equal(b[mirror], b) or (A[mirror][:, mirror] != A).nnz:
+        return identity, identity
+    return _fold_map(2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1, mirror)
+
+
+def _onephase(preset, n, resolution):
+    """The exact reference and grid of an ``onephase`` run."""
+    cfg = ExperimentConfig(experiment="onephase", onephase_preset=preset, n=n, onephase_resolution=resolution)
+    ref, grid, _ = experiments._onephase_case(cfg)
+    return ref, grid
+
+
+@pytest.mark.parametrize(
+    "preset, n, resolution",
+    [("strip_neck", 2, r) for r in (16, 48, 64, 128, 256)] + [("sphere", n, r) for n in (2, 3, 5) for r in (16, 64)],
+)
+def test_the_references_are_bitwise_even_on_the_onephase_grids(preset, n, resolution):
+    # onephase evaluates its reference on the t >= 0 columns and mirrors them
+    ref, grid = _onephase(preset, n, resolution)
+    s, t = grid.axes()
+    u = ref.u(s[:, None], t[None, :])
+    assert np.array_equal(ref.u(s[:, None], -t[None, :]).view(np.int64), u.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "preset, n, resolution",
+    # the grids the masked solve's fold was first checked on, and an even column count
+    [("strip_neck", 2, r) for r in (16, 32, 64, 128, 256)]
+    + [("sphere", n, r) for n in (2, 3, 5) for r in (16, 64)]
+    + [("even-nt", 2, None)],
+)
+def test_the_coefficient_mirror_test_matches_the_matrix_oracle(preset, n, resolution):
+    if preset == "even-nt":
+        grid, level_fn, boundary_fn = _EVEN_NT, _EVEN_LEVEL, _EVEN_LEVEL
+    else:
+        ref, grid = _onephase(preset, n, resolution)
+        level_fn, boundary_fn = ref.level, ref.u
+    A, rhs, unknown, kept, fold = _folded_system(grid, level_fn, boundary_fn)
+    assert len(kept) < A.shape[0]  # it folds
+    oracle = _matrix_mirror_fold(A, rhs, unknown)
+    assert np.array_equal(kept, oracle[0]) and np.array_equal(fold, oracle[1])
+
+
+def _off_mirror_data():
+    """A neck grid at resolution 64, its border data one ulp off at one node on the t > 0 side."""
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
+    t_off = g.axes()[1][100]  # t = 0.5625
+
+    def data(s, t):
+        u = _NECK.u(s, t)
+        return np.where((s == g.s_min) & (t == t_off), np.nextafter(u, np.inf), u)
+
+    return g, _NECK.level, data
+
+
+def _shifted_level():
+    """A neck grid at resolution 64, its level set moved by 1e-3 h in t."""
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
+    return g, lambda s, t: _NECK.level(s, t - 1e-3 * g.ht), _NECK.u
+
+
+@pytest.mark.parametrize("case", [_off_mirror_data, _shifted_level], ids=["one-ulp-data", "shifted-level"])
+def test_both_mirror_tests_fold_nothing_off_the_mirror(case):
+    A, rhs, unknown, kept, fold = _folded_system(*case())
+    identity = np.arange(A.shape[0])
+    for got in ((kept, fold), _matrix_mirror_fold(A, rhs, unknown)):
+        assert np.array_equal(got[0], identity) and np.array_equal(got[1], identity)
+
+
+def test_both_mirror_tests_see_t_arms_left_unswapped():
+    # one node on the t > 0 side with a cut t arm gets its two t arm
+    # weights exchanged: the mask, the diagonal, the s arms and rhs stay
+    # mirror-invariant, only the t arms no longer swap under the mirror
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=148, nt=129)
+    diag, arms, rhs, _, unknown, _, _ = _masked_system(g, _NECK.level, _NECK.u)
+    k = np.flatnonzero((arms[2] != arms[3]) & (2 * np.nonzero(unknown)[1] > g.nt - 1))[0]
+    arms[2, k], arms[3, k] = arms[3, k], arms[2, k]
+    identity = np.arange(len(rhs))
+    A = stencil_matrix(unknown, diag, arms)
+    for got in (_mirror_fold(unknown, diag, arms, rhs), _matrix_mirror_fold(A, rhs, unknown)):
+        assert np.array_equal(got[0], identity) and np.array_equal(got[1], identity)
 
 
 def test_refinement_of_an_ill_conditioned_system_raises():

@@ -479,6 +479,20 @@ def test_finest_shift_sits_a_hundred_coarse_drifts_below_the_coarse_eigenvalue(b
     assert rep.factors.factorizations == 2
 
 
+def test_a_capped_coarse_level_reports_its_residual_above_sqrt_tol(beta, layer_profile):
+    # the 65^2 level needs 9 steps to reach sqrt(tol) = 1e-4 (residual
+    # 4.9e-5); capped at 7 it stops at 2.6e-3 and says so, while the finer
+    # levels still certify (measured [7, 6, 7] steps)
+    u = _tiled_257(beta, layer_profile, 3)
+    tol = 1e-8
+    full = linearized_rayleigh_min(u, beta, tol=tol)
+    assert len(full.level_residuals) == 3
+    assert max(full.level_residuals[:-1]) <= math.sqrt(tol) and full.level_residuals[-1] <= tol
+    capped = linearized_rayleigh_min(u, beta, tol=tol, max_iter=7)
+    assert capped.level_iterations[0] == 7 and capped.level_residuals[0] > 10.0 * math.sqrt(tol)
+    assert capped.level_residuals[-1] <= tol and capped.verdict == VERDICT_STABLE
+
+
 def test_eigen_solve_at_257_keeps_its_traced_memory_under_29_mib(beta, layer_profile):
     # B, the finest preconditioner's CSR and zebra line factors and LOBPCG's
     # blocks (SuperLU's own memory is not traced): measured 29.6 MiB while
