@@ -12,12 +12,11 @@ import configparser
 import hashlib
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 
+from .axisym_field import GridSpec
 from .errors import ConfigError, InvalidParameterError
-from .numerics import log_max_node_weight, log_min_node_weight
-from .stability import StabilityProbe
+from .stability import StabilityProbe, require_representable_weights
 
 EXPERIMENTS = ("profile", "solve", "stability", "onephase", "blowdown", "window", "figure1")
 BOUNDARY_MODELS = ("profile", "affine", "catenoid")
@@ -37,11 +36,6 @@ _DEFAULT_TOLERANCES = {
 # below about 1.1e-308.  Below about 5e-4 the layer is narrower than one of
 # the 8193 t cells, so a row's gap and residual measure the grid
 MIN_EPSILON = 1e-12
-
-# logs of the smallest positive and the largest finite double: a quadrature
-# weight below the one is zero, above the other infinite
-_LOG_TINY = math.log(math.ulp(0.0))
-_LOG_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -126,23 +120,11 @@ class ExperimentConfig:
             raise ConfigError(f"[window] dims must be >= 2, got {_render(self.dims)}")
         if self.boundary_model not in BOUNDARY_MODELS:
             raise ConfigError(f"unknown boundary model {self.boundary_model!r}")
-        if (
-            self.experiment == "stability"
-            and 0.0 <= self.s_min < self.s_max
-            and self.t_max > self.t_min
-            and min(self.ns, self.nt) > 1
-        ):
-            hs, ht = (self.s_max - self.s_min) / (self.ns - 1), (self.t_max - self.t_min) / (self.nt - 1)
-            if log_max_node_weight(self.n, self.s_max, hs, ht) >= _LOG_HUGE:
-                raise ConfigError(
-                    f"stability at n = {self.n} needs finite node weights, but on this grid (s_max = {self.s_max:g}, "
-                    f"hs = {hs:.6g}, ht = {ht:.6g}) the weight |S^(n-2)| s^(n-2) hs ht overflows"
-                )
-            if self.s_min == 0.0 and (hs / 2.0 == 0.0 or log_min_node_weight(self.n, hs, ht) < _LOG_TINY):
-                raise ConfigError(
-                    f"stability at n = {self.n} needs node weights s^(n-2) above zero, but on this grid "
-                    f"(hs = {hs:.6g}) the axis-column weight |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2 underflows"
-                )
+        if self.experiment == "stability":
+            try:
+                require_representable_weights(self.n, *_grid(self).axes())
+            except InvalidParameterError as exc:
+                raise ConfigError(str(exc)) from None
 
     def canonical_text(self) -> str:
         """Normalized key=value rendering used for hashing and the report echo."""
@@ -158,6 +140,18 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+
+def _grid(cfg: ExperimentConfig) -> GridSpec:
+    return GridSpec(
+        n=cfg.n,
+        s_min=cfg.s_min,
+        s_max=cfg.s_max,
+        t_min=cfg.t_min,
+        t_max=cfg.t_max,
+        ns=cfg.ns,
+        nt=cfg.nt,
+    )
 
 
 def _get(parser, section, key, cast):

@@ -29,7 +29,7 @@ from .axisym_field import (
     solve_semilinear,
     solve_semilinear_1d,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _grid
 from .errors import InvalidParameterError, LabError
 from .numerics import csv_lines
 from .onephase_geometry import (
@@ -80,18 +80,6 @@ class ExperimentReport:
             },
             "config": self.config_text,
         }
-
-
-def _grid(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(
-        n=cfg.n,
-        s_min=cfg.s_min,
-        s_max=cfg.s_max,
-        t_min=cfg.t_min,
-        t_max=cfg.t_max,
-        ns=cfg.ns,
-        nt=cfg.nt,
-    )
 
 
 def _probe(cfg: ExperimentConfig) -> StabilityProbe:

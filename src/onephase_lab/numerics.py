@@ -241,37 +241,6 @@ def unit_sphere_area(d: int) -> float:
         raise InvalidParameterError(f"the area of the unit {d}-sphere is not representable in floating point") from None
 
 
-def _log_sphere_area(d: int) -> float:
-    """log of :func:`unit_sphere_area` (d), finite where the area is not."""
-    return math.log(2.0) + (d + 1) / 2.0 * math.log(math.pi) - math.lgamma((d + 1) / 2.0)
-
-
-def log_min_node_weight(n: int, hs: float, ht: float) -> float:
-    """log of the smallest second-variation node weight on a grid with an axis.
-
-    That is the axis node of a first or last row: ``|S^(n-2)|`` times the
-    axis-column weight ``(hs/2)^(n-1)/(n-1)`` (the exact half-cell integral
-    of s^(n-2)) times the half row ``ht/2``, as ``stability.node_weights``
-    builds it.  Summed in logs, so it stays finite where the weight itself
-    underflows; ``hs/2`` must not round to 0.
-    """
-    m = n - 1
-    return _log_sphere_area(n - 2) + m * math.log(hs / 2.0) - math.log(m) + math.log(ht / 2.0)
-
-
-def log_max_node_weight(n: int, s_max: float, hs: float, ht: float) -> float:
-    """A bound on the log of every second-variation node weight on a grid
-    that reaches out to ``s_max``, and of every partial product
-    ``stability.node_weights`` forms on the way.
-
-    The weights multiply ``|S^(n-2)|``, s^(n-2) (or the axis column's
-    (hs/2)^(n-1)/(n-1), at most s_max^(n-2) hs), hs and ht; the bound takes
-    each factor as at least 1, so no partial product exceeds it.
-    """
-    log_s, log_hs, log_ht = (math.log(max(x, 1.0)) for x in (s_max, hs, ht))
-    return max(_log_sphere_area(n - 2), 0.0) + (n - 2) * log_s + log_hs + log_ht
-
-
 def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms) -> sp.csr_matrix:
     """CSR matrix of a 5-point stencil restricted to the ``unknown`` nodes of a grid.
 

@@ -172,13 +172,15 @@ def _harmonic_residual(u: AxiField, mask: np.ndarray) -> float:
     return float(np.nanmax(np.abs(np.where(mask, lap, 0.0))))
 
 
-def _check_harmonic(u: AxiField) -> None:
+def _check_harmonic(u: AxiField) -> np.ndarray:
+    """Reject u unless it is harmonic on its positive interior; return that mask."""
     mask = _positive_interior_mask(u.values)
     if not mask.any():
         raise PreconditionViolationError("positivity set too thin to verify harmonicity")
     res = _harmonic_residual(u, mask)
     if res > 1e-6:
         raise PreconditionViolationError(f"field is not harmonic in its positivity set (residual {res:.3e})")
+    return mask
 
 
 def _require_on_zero_level(u: AxiField, points: np.ndarray, h: float) -> None:
@@ -290,7 +292,7 @@ def onephase_stability_form(
     if not u.same_grid(xi):
         raise InvalidParameterError("field and test function live on different grids")
     _require_vanishing_border(xi, 1e-12)
-    _check_harmonic(u)
+    core = _check_harmonic(u)
 
     pts = np.stack((boundary.s, boundary.t), axis=1)
     h = max(u.hs, u.ht)
@@ -301,8 +303,8 @@ def onephase_stability_form(
     # Bulk quadrature over cells at least two nodes inside the positivity set:
     # nodal values of xi built from centered stencils are contaminated in a
     # two-cell band around the interface (the gradient of u jumps across it),
-    # so the band is dropped; its continuum contribution is O(h).
-    core = _positive_interior_mask(u.values)
+    # so the band is dropped; its continuum contribution is O(h).  ``core``
+    # is the positive interior mask the harmonic check read.
     if u.has_axis:
         core[0, 1:-1] = core[1, 1:-1]
     cell_ok = core[1:, 1:] & core[:-1, 1:] & core[1:, :-1] & core[:-1, :-1]

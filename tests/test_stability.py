@@ -3,7 +3,9 @@ import json
 import math
 import re
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from onephase_lab.axisym_field import (
     solve_semilinear,
     solve_semilinear_1d,
 )
-from onephase_lab.errors import InvalidParameterError, NonconvergenceError
-from onephase_lab.numerics import LU_OPTIONS, log_min_node_weight
+from onephase_lab.config import ExperimentConfig, _grid, parse_config
+from onephase_lab.errors import ConfigError, InvalidParameterError, NonconvergenceError
+from onephase_lab.numerics import LU_OPTIONS
 from onephase_lab.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
@@ -141,14 +144,54 @@ def test_assembled_operator_matches_loop_reference(beta, n, s_min, off_axis):
     assert np.array_equal(w, node_weights(u)[mask])
 
 
-@pytest.mark.parametrize("n", [3, 5, 20, 60])
-@pytest.mark.parametrize("ns, nt, s_max", [(19, 23, 2.0), (129, 129, 4.0), (33, 17, 9.0)])
-def test_log_min_node_weight_is_the_log_of_the_smallest_node_weight(n, ns, nt, s_max):
-    # the bound ExperimentConfig.validate checks up front against the weights the eigen solve builds
-    g = GridSpec(n=n, s_max=s_max, t_min=-2.0, t_max=3.0, ns=ns, nt=nt)
-    w = node_weights(from_function(g, lambda s, t: 0.0 * s))
-    assert w.min() == w[0, 0] == w[0, -1] > 0.0
-    assert log_min_node_weight(n, g.hs, g.ht) == pytest.approx(math.log(w.min()), rel=1e-13, abs=1e-12)
+_STABILITY_N3 = Path(__file__).parents[1] / "configs" / "stability_n3.cfg"
+
+
+@pytest.mark.parametrize(
+    "cfg, admitted",
+    [
+        *(
+            (ExperimentConfig(experiment="stability", n=n, s_max=s_max, t_min=-2.0, t_max=3.0, ns=ns, nt=nt), True)
+            for n in (3, 5, 20, 60)
+            for ns, nt, s_max in ((19, 23, 2.0), (129, 129, 4.0), (33, 17, 9.0))
+        ),
+        # on the 129^2 grid the axis weight of a first or last row is 0 in float64 from n = 136 on
+        (dataclasses.replace(parse_config(_STABILITY_N3), n=135), True),
+        (dataclasses.replace(parse_config(_STABILITY_N3), n=136), False),
+        # off the axis the inner column's 0.01^198 is 0 in float64
+        (ExperimentConfig(experiment="stability", n=200, s_min=0.01, s_max=1.0, ns=9, nt=9), False),
+        (ExperimentConfig(experiment="stability", s_max=1e155, ns=9, nt=9), False),
+    ],
+    ids=lambda p: f"n{p.n}-{p.ns}x{p.nt}-s{p.s_min:g}-{p.s_max:g}" if isinstance(p, ExperimentConfig) else str(p),
+)
+def test_validate_admits_a_stability_grid_exactly_when_its_node_weights_are_finite_and_positive(cfg, admitted):
+    # the check validate runs up front against the weights the eigen solve builds
+    with np.errstate(over="ignore"):
+        w = node_weights(from_function(_grid(cfg), lambda s, t: 0.0 * s))
+    assert admitted == bool(np.all(np.isfinite(w)) and w.min() > 0.0)
+    if admitted:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match=f"^stability at n = {cfg.n} needs .* (over|under)flows$"):
+            cfg.validate()
+
+
+def test_validate_checks_the_node_weights_in_linear_time():
+    # a 100001^2 grid holds 1e10 nodes; its weights are judged from 2e5 column and row weights
+    cfg = ExperimentConfig(experiment="stability", ns=100001, nt=100001)
+    start = time.perf_counter()
+    cfg.validate()
+    assert time.perf_counter() - start < 0.2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s_max", [1e300, 1e155])
+def test_eigen_solve_rejects_node_weights_that_overflow(beta, s_max):
+    # 1e300 overflowed the axis weight's Python power (an OverflowError);
+    # 1e155 made the outer weights inf and SuperLU's factor singular
+    g = GridSpec(n=3, s_max=s_max, t_min=-3.0, t_max=3.0, ns=9, nt=9)
+    with pytest.raises(InvalidParameterError, match=r"s\^\(n-2\) hs ht overflows"):
+        linearized_rayleigh_min(from_function(g, lambda s, t: 0.0 * s), beta)
 
 
 def test_form_requires_matching_grids(beta):
