@@ -51,10 +51,12 @@ from .reaction_terms import rescale, resolve_reaction
 from .reference import SphereShellExact, StripNeckExact
 from .stability import (
     StabilityProbe,
+    _raw_form,
     admissible_alpha,
     epsilon_schedule,
     linearized_rayleigh_min,
     probe_inequality,
+    weighted_norm_sq,
 )
 
 
@@ -279,7 +281,8 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
         except LabError:
             eps = base.eps_inner
         probe = StabilityProbe(alpha=base.alpha, R=R, eps_inner=min(eps, 0.5), eps0=base.eps0)
-        rep = probe_inequality(f, probe, beta)
+        rep = probe_inequality(f, probe)
+        norm_sq = weighted_norm_sq(rep.xi)
         probes.append(
             {
                 "alpha": probe.alpha,
@@ -290,7 +293,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
                 "defect": rep.defect,
                 "cutoff_inside_grid": 2.0 * R <= r_box,
                 "verdict": rep.verdict,
-                "rayleigh_quotient": rep.rayleigh,
+                "rayleigh_quotient": _raw_form(f, rep.xi, beta) / norm_sq if norm_sq > 0.0 else 0.0,
             }
         )
     return {
@@ -393,7 +396,7 @@ def _run_onephase(cfg: ExperimentConfig, outputs: dict, counters: dict):
     identity = normal_derivative_identity(boundary, sol.field)
 
     # interface stability form with the bulk probe's xi = u_s * eta, its border zeroed
-    bulk = probe_inequality(sol.field, _probe(cfg), resolve_reaction(cfg.reaction))
+    bulk = probe_inequality(sol.field, _probe(cfg))
     xi_vals = bulk.xi.values.copy()
     xi_vals[~_unknown_mask(xi_vals.shape, sol.field.has_axis)] = 0.0
     form = onephase_stability_form(boundary, sol.field, sol.field.with_values(xi_vals))

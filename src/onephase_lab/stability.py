@@ -111,10 +111,8 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class ProbeReport(InequalityReport):
-    """An inequality probe with its test direction ``xi`` and that direction's
-    Rayleigh quotient of the second variation."""
+    """An inequality probe with its test direction ``xi``."""
 
-    rayleigh: float
     xi: AxiField
 
 
@@ -514,13 +512,13 @@ def _eta_and_gradsq(probe: StabilityProbe, f: AxiField):
     return eta, gradsq
 
 
-def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> ProbeReport:
+def probe_inequality(u: AxiField, probe: StabilityProbe) -> ProbeReport:
     """Test (n-2) int u_s^2 eta^2 / s^2 <= int u_s^2 |grad eta|^2 on the grid.
 
-    A negative defect certifies that xi = u_s eta violates stability on this
-    grid; the probe's own Rayleigh quotient of the second variation is
-    reported alongside.  Exponents alpha >= (n-1)/2 make the uncapped weight
-    non-integrable near the axis; the cap regularizes this.
+    The inequality reads u alone, so no reaction term enters.  A negative
+    defect certifies that xi = u_s eta violates stability on this grid.
+    Exponents alpha >= (n-1)/2 make the uncapped weight non-integrable near
+    the axis; the cap regularizes this.
     """
     c = us_derivative(u).values
     eta, gradsq = _eta_and_gradsq(probe, u)
@@ -530,11 +528,7 @@ def probe_inequality(u: AxiField, probe: StabilityProbe, beta: ReactionTerm) -> 
         inv_s2 = np.where(s > 0.0, 1.0 / np.where(s > 0, s, 1.0) ** 2, 0.0)
     lhs = (u.n - 2) * float(np.sum(c * c * eta * eta * inv_s2 * w))
     rhs = float(np.sum(c * c * gradsq * w))
-
-    xi = u.with_values(c * eta)
-    norm_sq = weighted_norm_sq(xi)
-    rayleigh = _raw_form(u, xi, beta) / norm_sq if norm_sq > 0.0 else 0.0
-    return ProbeReport(lhs=lhs, rhs=rhs, rayleigh=rayleigh, xi=xi)
+    return ProbeReport(lhs=lhs, rhs=rhs, xi=u.with_values(c * eta))
 
 
 def admissible_alpha(n: int) -> tuple[float, float] | None:

@@ -151,7 +151,7 @@ def test_criterion_06_layer_extension_stability(n):
         StabilityProbe(alpha=lo + 0.1 * (hi - lo), R=1.5, eps_inner=0.2),
         StabilityProbe(alpha=0.0, R=2.5, eps_inner=0.01),
     ):
-        rep = probe_inequality(u, probe, BETA)
+        rep = probe_inequality(u, probe)
         worst = min(worst, rep.defect)
     elapsed = time.perf_counter() - t0
     assert worst >= -1e-10

@@ -571,6 +571,34 @@ def test_onephase_inverts_the_neck_map_on_the_kept_half_and_the_border_only(tmp_
     assert sum(points) <= np.count_nonzero(inside[:, grid.nt // 2 :]) + np.count_nonzero(border)
 
 
+def _onephase_results(tmp_path, name, **kw):
+    cfg = ExperimentConfig(experiment="onephase", onephase_resolution=48, out_dir=str(tmp_path / name), **kw)
+    return json.dumps(run(cfg).results)
+
+
+def test_onephase_never_resolves_a_reaction_term(tmp_path, monkeypatch):
+    # the radial probe and the interface form read the field alone
+    expected = _onephase_results(tmp_path, "poly2")
+
+    def unused(name):
+        raise AssertionError(f"onephase resolved the reaction term {name!r}")
+
+    monkeypatch.setattr(experiments, "resolve_reaction", unused)
+    assert _onephase_results(tmp_path, "patched") == expected
+
+
+def test_onephase_runs_on_a_reaction_table_that_violates_a1(tmp_path):
+    # the table that stops a profile run on the nonnegative clause: onephase
+    # reads no reaction term, so it neither checks nor uses the table
+    t = np.linspace(0.0, 1.0, 2001)
+    values = make_polynomial_beta().eval(t)
+    values[999] = -5.0
+    table = tmp_path / "beta.csv"
+    table.write_text("t,beta\n" + csv_lines(t, values))
+    expected = _onephase_results(tmp_path, "poly2")
+    assert _onephase_results(tmp_path, "table", reaction=f"table:{table}") == expected
+
+
 @pytest.mark.parametrize(
     "t",
     [np.linspace(-1.0, 1.0, 6), np.array([-1.0, -0.5, 0.0, 0.5, np.nextafter(1.0, 2.0)])],

@@ -918,7 +918,6 @@ def test_dual_path_agreement_on_grid():
     shell = SphereShellExact(n=n, r0=1.0)
     ext = 2.2
     _, d_exact = _sphere_dual_path(n, 1.0, alpha, R, eps_inner)
-    from onephase_lab.reaction_terms import make_polynomial_beta
     from onephase_lab.stability import _eta_and_gradsq
 
     gaps, bulk_errors = [], []
@@ -933,7 +932,7 @@ def test_dual_path_agreement_on_grid():
         xi_vals[:, 0] = xi_vals[:, -1] = 0.0
         xi = sol.field.with_values(xi_vals)
         form = onephase_stability_form(boundary, sol.field, xi)
-        bulk = probe_inequality(sol.field, probe, make_polynomial_beta())
+        bulk = probe_inequality(sol.field, probe)
         bulk_defect = bulk.defect
         gaps.append(abs(form.defect - bulk_defect))
         bulk_errors.append(abs(bulk_defect - d_exact))

@@ -623,7 +623,7 @@ def test_us_equation_residual_second_order(beta, layer_profile):
 def test_probe_on_axial_field_is_exactly_balanced(beta, layer_profile):
     g = GridSpec(n=4, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
     u = tiled_layer(beta, layer_profile, g)
-    rep = probe_inequality(u, StabilityProbe(alpha=1.1, R=1.5, eps_inner=0.05), beta)
+    rep = probe_inequality(u, StabilityProbe(alpha=1.1, R=1.5, eps_inner=0.05))
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
     assert rep.verdict == "stable-on-grid"
@@ -647,13 +647,13 @@ def synthetic_compact_radial_field(grid):
 
 
 @pytest.mark.parametrize("n,alpha", [(3, 0.7), (4, 1.2), (5, 1.6)])
-def test_probe_defect_matches_direct_quadrature(n, alpha, beta):
+def test_probe_defect_matches_direct_quadrature(n, alpha):
     # with the outer cutoff identically 1 on the support and the cap below it,
     # the defect reduces exactly to (alpha^2 - (n-2)) * int u_s^2 s^(-2a-2)
     g = GridSpec(n=n, s_max=4.0, t_min=-4.0, t_max=4.0, ns=129, nt=129)
     u = synthetic_compact_radial_field(g)
     probe = StabilityProbe(alpha=alpha, R=8.0, eps_inner=0.5)
-    rep = probe_inequality(u, probe, beta)
+    rep = probe_inequality(u, probe)
     c = us_derivative(u).values
     w = node_weights(u)
     s = u.s[:, None]
@@ -666,11 +666,11 @@ def test_probe_defect_matches_direct_quadrature(n, alpha, beta):
     assert rep.verdict == "unstable-direction-found"
 
 
-def test_probe_alpha_zero_reduces_to_collar(beta):
+def test_probe_alpha_zero_reduces_to_collar():
     g = GridSpec(n=3, s_max=4.0, t_min=-4.0, t_max=4.0, ns=65, nt=65)
     u = synthetic_compact_radial_field(g)
     probe = StabilityProbe(alpha=0.0, R=2.5, eps_inner=0.05)
-    rep = probe_inequality(u, probe, beta)
+    rep = probe_inequality(u, probe)
     # the radial factor is constant, so only the outer cutoff gradient remains
     from onephase_lab.stability import _eta_and_gradsq
 
