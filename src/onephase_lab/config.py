@@ -60,8 +60,6 @@ class ExperimentConfig:
     nt: int = 65
     # boundary model
     boundary_model: str = "profile"
-    boundary_slope: float = 1.0
-    boundary_offset: float = 0.0
     # stability probe
     alpha: float = 0.7
     R: float = 2.0
@@ -195,8 +193,6 @@ _KEYS = (
     ("grid", "t_min", "t_min", float),
     ("grid", "t_max", "t_max", float),
     ("boundary", "model", "boundary_model", str),
-    ("boundary", "slope", "boundary_slope", float),
-    ("boundary", "offset", "boundary_offset", float),
     ("probe", "alpha", "alpha", float),
     ("probe", "R", "R", float),
     ("probe", "eps_inner", "eps_inner", float),

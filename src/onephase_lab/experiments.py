@@ -111,8 +111,8 @@ def tiled_layer_field(beta, grid: GridSpec) -> AxiField:
 def boundary_data(cfg: ExperimentConfig, beta):
     """Dirichlet data callable for the configured far-field model."""
     if cfg.boundary_model == "affine":
-        slope, offset = cfg.boundary_slope, cfg.boundary_offset
-        return lambda s, t: np.maximum(0.0, slope * t + offset) + 0.0 * s
+        # the one-phase ramp, the 1D Alt-Caffarelli solution every blow-down reaches
+        return lambda s, t: np.maximum(0.0, t) + 0.0 * s
     prof = unique_increasing_profile(beta)
     if cfg.boundary_model == "profile":
         return lambda s, t: prof.sample(0.0 * s + t)
@@ -318,6 +318,9 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
         # each row is the exact blow-down of its own source grid over [0, 1/eps] x [-2/eps, 2/eps]
         src = GridSpec(n=2, s_max=1.0 / eps, t_min=-2.0 / eps, t_max=2.0 / eps, ns=3, nt=8193)
         field = blow_down(extend_to_nd(prof, src), eps)
+        # the layer is nonnegative, and sample()'s affine continuation left of
+        # u_lo is a tangent below it that turns negative far out: clamp at 0
+        np.maximum(field.values, 0.0, out=field.values)
         # the planar energy: the n = 2 measure is exactly |S^0| = 2 times it
         layer = energy(field, beta=beta, epsilon=eps).total / 2.0
         lim = np.maximum(0.0, field.t)[None, :]

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import axisym_field
 from .axisym_field import (
     AxiField,
     GridSpec,
@@ -164,11 +165,7 @@ def _positive_interior_mask(values: np.ndarray) -> np.ndarray:
 
 def _harmonic_residual(u: AxiField, mask: np.ndarray) -> float:
     """Sup of |Delta_h u| over the nodes of ``mask``."""
-    # imported per call: perfbench's tracer wraps axisym_field.apply_axisym_laplacian,
-    # and the masked solve reaches that hook only here
-    from .axisym_field import apply_axisym_laplacian
-
-    lap = apply_axisym_laplacian(u).values
+    lap = axisym_field.apply_axisym_laplacian(u).values
     return float(np.nanmax(np.abs(np.where(mask, lap, 0.0))))
 
 

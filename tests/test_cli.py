@@ -276,6 +276,22 @@ def test_stale_threads_line_is_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key", ["slope", "offset"])
+def test_stale_boundary_slope_line_is_rejected(tmp_path, runner, key):
+    # the affine model is the one-phase ramp max(0, t); it has no slope or offset
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[experiment]\nname = solve\n\n[boundary]\nmodel = affine\n{key} = 2.0\n")
+    with pytest.raises(ConfigError, match=rf"unknown config key \[boundary\] {key} .*choose from \('model',\)"):
+        parse_config(path)
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["solve", "--config", str(path), "--out", str(out)])
+    assert result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:") and f"[boundary] {key}" in lines[0]
+    assert not out.exists()
+    assert not hasattr(ExperimentConfig(), f"boundary_{key}")
+
+
 def _lu_counters(report, out, artifacts, krylov=False, refined=False, eigen=False):
     """The run's LU (after a 2D Newton solve also GMRES, after the masked
     solve also refinement and its bisected arms, after the eigen solve also
@@ -353,6 +369,20 @@ def test_blowdown_unit_row_does_not_depend_on_the_other_epsilons(tmp_path):
     ]
     assert all(json.dumps(row) == json.dumps(rows[0]) for row in rows)
     assert rows[0]["epsilon"] == 1.0
+
+
+def test_blowdown_rows_past_the_profile_stay_on_the_nonnegative_layer(tmp_path):
+    # a source grid of eps <= 1e-8 reaches t = -2e8, far past the profile's first
+    # sample; its affine continuation there once read -63 at t = -2e10, setting
+    # every such row's sup distance to 6.3e-9 instead of u(0) eps = 0.2691 eps
+    cfg = ExperimentConfig(experiment="blowdown", epsilons=(1.0, 1e-6, 1e-8, 1e-10), out_dir=str(tmp_path))
+    results = run(cfg).results
+    rows = results["family"]
+    at_zero = rows[0]["sup_distance_to_ramp"]
+    assert 0.26 < at_zero < 0.28
+    for row in rows:
+        assert abs(row["sup_distance_to_ramp"] - at_zero * row["epsilon"]) <= 1e-12 * at_zero * row["epsilon"]
+    assert results["sup_distance_decreasing"]
 
 
 def test_solve_command_with_domain_study(tmp_path, runner):
@@ -668,11 +698,11 @@ def test_canonical_text_round_trips_through_parse_config(tmp_path, cfg, table):
 @pytest.mark.parametrize(
     "name, digest",
     [
-        (None, "d33523a4dae2bb7608953830eec9f59a7f9295e9c59551c376bd7cb1d51bc65b"),
-        ("onephase_strip_neck.cfg", "4e0e17be44418e14a6a9ad28e2e1fa61b4ef3847db622128323bdf8ad1bd57f3"),
-        ("profile_steep.cfg", "7d4c6f7fce005ad5cc35a505770eb2ee12568b9bee366be48a991d1de3892802"),
-        ("solve_neck_n3.cfg", "7a40dfe3407db0ce7a7723a04d450573d7ee2bde8eb1e4afc114afba6cb8676e"),
-        ("stability_n3.cfg", "d95102ebabb96b63d7525c5fdc875a5d065501afa7b8ee1ecaabfc3d6c269835"),
+        (None, "4942b17c7ee0d461c4582cdae08e1b527c10adb8ac9a43cd703f8cf9f02a7794"),
+        ("onephase_strip_neck.cfg", "7e83f288e79974b51f02df256c16ad233f218e7c89392a34ec2bf54955a1f75f"),
+        ("profile_steep.cfg", "3f95509b9490ea1c919cf01b3247d7f865c2b9cc66f439fb5bafccb594767c77"),
+        ("solve_neck_n3.cfg", "430d6402fb86c9b92e0edb6f156742d4fe78489af01bb3a1ef7e5b83ce7a0d5d"),
+        ("stability_n3.cfg", "bce76192ae3b917df6915a705ae982606c7f9fdc485807af34ce178809901bc1"),
     ],
 )
 def test_config_hashes_are_pinned(name, digest):
