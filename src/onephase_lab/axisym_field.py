@@ -332,7 +332,9 @@ def _fold(A, kept: np.ndarray, fold: np.ndarray):
     """R A E: the rows ``kept`` of A, every column j added onto column
     ``fold[j]`` (``_fold_map``).  A column and its mirror image stay two
     entries, unsummed, so a product adds them in the order the unfolded one
-    does."""
+    does.  It folds the grid transfers; the masked solve assembles its R A E
+    directly (``stencil_matrix`` with ``rows`` and ``fold``), which is bit
+    for bit this fold of the whole matrix."""
     columns = int(np.max(fold, initial=-1)) + 1
     return sp.csr_matrix((A.data, fold[A.indices], A.indptr), shape=(A.shape[0], columns))[kept]
 

@@ -30,7 +30,6 @@ from .axisym_field import (
     _cell_gradient_sq,
     _cell_measure,
     _centered_gradient,
-    _fold,
     _fold_map,
     _unknown_mask,
 )
@@ -438,8 +437,8 @@ def _mirror_fold(unknown: np.ndarray, diag: np.ndarray, arms: np.ndarray, b: np.
     ``kept`` lists the unknowns with j >= nt - 1 - j (t >= 0), in order;
     ``fold[k]`` is the position in ``kept`` of unknown k or, if k is not
     kept, of its mirror partner, so x = x_h[fold] unfolds a solution on the
-    kept half and ``_fold(A, kept, fold)`` is R A E.  Otherwise both are the
-    identity.
+    kept half and ``stencil_matrix(unknown, diag[kept], arms[:, kept],
+    rows=kept, fold=fold)`` is R A E.  Otherwise both are the identity.
     """
     identity = np.arange(len(b))
     if not np.array_equal(unknown[:, ::-1], unknown):
@@ -454,10 +453,27 @@ def _mirror_fold(unknown: np.ndarray, diag: np.ndarray, arms: np.ndarray, b: np.
     return _fold_map(2 * np.nonzero(unknown)[1] >= unknown.shape[1] - 1, mirror)
 
 
+def _unfold_system(diag: np.ndarray, arms: np.ndarray, b: np.ndarray, kept: np.ndarray, fold: np.ndarray):
+    """The whole system's (diag, arms, b) from those of its ``kept`` unknowns.
+
+    Under the mirror test of :func:`_mirror_fold` an unknown that is not
+    kept has its partner's diagonal, s arms and b, and its partner's t- and
+    t+ arms swapped, so each is gathered through ``fold`` bit for bit.
+    """
+    half = len(kept)
+    # the kept t- arms, then the t+ arms: an unknown not kept reads each one
+    # half along, which swaps them
+    t_arms = arms[2:].ravel()
+    shift = np.full(len(fold), half)
+    shift[kept] = 0
+    arms = np.stack((arms[0][fold], arms[1][fold], t_arms[fold + shift], t_arms[fold + (half - shift)]))
+    return diag[fold], arms, b[fold]
+
+
 def _magnitudes(A):
     """|A| on A's own index arrays.  scipy's ``abs(A)`` first sums A's
     duplicate entries in place, which would merge the mirror pairs that
-    ``_fold`` keeps apart."""
+    the folded system keeps apart."""
     return sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
 
 
@@ -537,26 +553,42 @@ def solve_harmonic_masked(grid: GridSpec, level_fn, boundary_fn) -> MaskedSolveR
     When the stencil coefficients and rhs are bitwise invariant under the
     mirror t -> -t, which swaps the t- and t+ arms (:func:`_mirror_fold`,
     tested before A is built), so is the assembled system, its solution is
-    even, and this is done
-    on the restriction R A E to the kept half t >= 0 (``_fold``, which
-    also folds the Newton solve's grid transfers), whose solution x_h
-    unfolds to x = E x_h; otherwise E is the identity.
+    even, and this is done on the restriction R A E to the kept half
+    t >= 0, whose solution x_h unfolds to x = E x_h; otherwise E is the
+    identity.  R A E is assembled from the kept unknowns' coefficients
+    (``stencil_matrix`` with ``rows`` and ``fold``, bit for bit
+    ``axisym_field._fold`` of A) and only that half of the coefficients and
+    rhs is held while the factor lives: the whole A is never built before it.
     The certificate is the componentwise backward error of the returned
     unknowns in the whole system, at most 6 eps (NonconvergenceError
     otherwise): they solve exactly a system whose every entry of A and b
     differs from the assembled one by at most that relative amount, the
-    rounding a float64 evaluation of the residual makes anyway.
+    rounding a float64 evaluation of the residual makes anyway.  The whole
+    system it is measured in is rebuilt from the kept half
+    (:func:`_unfold_system`) once the factor is dropped.
     ``factors`` records the factor, its fill and order, the steps and that
     value.
     """
     s, t = grid.axes()
     diag, arms, rhs, values, unknown, pos, cut_edges = _masked_system(grid, level_fn, boundary_fn)
     kept, fold = _mirror_fold(unknown, diag, arms, rhs)
-    A = stencil_matrix(unknown, diag, arms)
-    del diag, arms  # A holds them now; freed before the factor (9 MB at resolution 256)
+    red = (np.add(*np.nonzero(unknown)) % 2 == 0)[kept]
+    folded = len(kept) < len(fold)
+    if folded:
+        diag, arms, rhs = diag[kept], arms[:, kept], rhs[kept]
+        A = stencil_matrix(unknown, diag, arms, rows=kept, fold=fold)
+    else:
+        A = stencil_matrix(unknown, diag, arms)
+        del diag, arms  # A holds them now; freed before the factor
     factors = LUCounts()
-    i, j = np.nonzero(unknown)
-    x = _refined_solve(_fold(A, kept, fold), rhs[kept], ((i + j) % 2 == 0)[kept], factors)[fold]
+    x = _refined_solve(A, rhs, red, factors)
+    if folded:
+        # the factor is gone: only now is the whole system built, for the certificate
+        del A
+        diag, arms, rhs = _unfold_system(diag, arms, rhs, kept, fold)
+        A = stencil_matrix(unknown, diag, arms)
+        del diag, arms
+        x = x[fold]
     _, omega = _residual(A, _magnitudes(A), x, rhs)
     if omega > _REFINE_FLOOR:
         raise NonconvergenceError(

@@ -704,6 +704,7 @@ def test_canonical_text_round_trips_through_parse_config(tmp_path, cfg, table):
         ("solve_neck_n3.cfg", "430d6402fb86c9b92e0edb6f156742d4fe78489af01bb3a1ef7e5b83ce7a0d5d"),
         ("stability_n3.cfg", "bce76192ae3b917df6915a705ae982606c7f9fdc485807af34ce178809901bc1"),
     ],
+    ids=["default", "onephase_strip_neck.cfg", "profile_steep.cfg", "solve_neck_n3.cfg", "stability_n3.cfg"],
 )
 def test_config_hashes_are_pinned(name, digest):
     cfg = ExperimentConfig() if name is None else parse_config(CONFIGS / name)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onephase_lab import experiments, onephase_geometry, reference
-from onephase_lab.axisym_field import GridSpec, _fold_map
+from onephase_lab.axisym_field import GridSpec, _fold, _fold_map
 from onephase_lab.config import ExperimentConfig
 from onephase_lab.errors import (
     CurvatureSingularityError,
@@ -28,11 +28,11 @@ from onephase_lab.numerics import (
 )
 from onephase_lab.onephase_geometry import (
     Generator,
-    _fold,
     _masked_system,
     _mirror_fold,
     _refined_solve,
     _schur_complement,
+    _unfold_system,
     crossing_fractions,
     curvature_of_revolution,
     normal_derivative_identity,
@@ -479,6 +479,27 @@ def test_refinement_leaves_the_folded_matrix_unmerged():
     assert np.array_equal((Af @ v).view(np.int64), (A @ v[fold])[kept].view(np.int64))
 
 
+def test_masked_solve_at_128_starts_its_factor_holding_at_most_7_mib(monkeypatch):
+    # the strip neck at resolution 128, traced memory held when the float32
+    # factor starts: 9.2 MiB while the whole system, its coefficients and
+    # the fold's column map were held, 5.5 MiB with only the folded system
+    # and the kept half of its coefficients (SuperLU's own memory is not traced)
+    g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=295, nt=257)
+    held = []
+
+    def spy(A, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(onephase_geometry, "splu", spy)
+    tracemalloc.start()
+    try:
+        solve_harmonic_masked(g, _NECK.level, _NECK.u)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] <= 7 * 2**20, f"{held[0] / 2**20:.1f} MiB"
+
+
 def test_masked_solve_at_128_keeps_its_traced_memory_under_15_mib():
     # the strip neck at resolution 128: the assembly's buffers, then the
     # system, its Schur complement and the refinement's vectors (SuperLU's
@@ -513,8 +534,13 @@ def test_one_ulp_off_the_mirror_solves_the_whole_system(monkeypatch):
 def test_the_certificate_is_the_whole_systems(monkeypatch):
     # a folded matrix 1e-10 off the restriction still refines on its half, but
     # its unfolded solution misses the whole system's backward-error floor
-    fold = onephase_geometry._fold
-    monkeypatch.setattr(onephase_geometry, "_fold", lambda A, kept, f: fold(A, kept, f) * (1.0 + 1e-10))
+    assemble = onephase_geometry.stencil_matrix
+
+    def off(unknown, diag, arms, rows=None, fold=None):
+        A = assemble(unknown, diag, arms, rows, fold)
+        return A if rows is None else A * (1.0 + 1e-10)
+
+    monkeypatch.setattr(onephase_geometry, "stencil_matrix", off)
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33)
     with pytest.raises(NonconvergenceError, match=r"unfolded masked solve has backward error \d\.\d{3}e-1\d above"):
         solve_harmonic_masked(g, _NECK.level, _NECK.u)
@@ -572,6 +598,14 @@ def _onephase(preset, n, resolution):
     return ref, grid
 
 
+def _case(preset, n, resolution):
+    """(grid, level_fn, boundary_fn) of an ``onephase`` run, or of ``_EVEN_NT`` for "even-nt"."""
+    if preset == "even-nt":
+        return _EVEN_NT, _EVEN_LEVEL, _EVEN_LEVEL
+    ref, grid = _onephase(preset, n, resolution)
+    return grid, ref.level, ref.u
+
+
 @pytest.mark.parametrize(
     "preset, n, resolution",
     [("strip_neck", 2, r) for r in (16, 48, 64, 128, 256)] + [("sphere", n, r) for n in (2, 3, 5) for r in (16, 64)],
@@ -592,15 +626,50 @@ def test_the_references_are_bitwise_even_on_the_onephase_grids(preset, n, resolu
     + [("even-nt", 2, None)],
 )
 def test_the_coefficient_mirror_test_matches_the_matrix_oracle(preset, n, resolution):
-    if preset == "even-nt":
-        grid, level_fn, boundary_fn = _EVEN_NT, _EVEN_LEVEL, _EVEN_LEVEL
-    else:
-        ref, grid = _onephase(preset, n, resolution)
-        level_fn, boundary_fn = ref.level, ref.u
-    A, rhs, unknown, kept, fold = _folded_system(grid, level_fn, boundary_fn)
+    A, rhs, unknown, kept, fold = _folded_system(*_case(preset, n, resolution))
     assert len(kept) < A.shape[0]  # it folds
     oracle = _matrix_mirror_fold(A, rhs, unknown)
     assert np.array_equal(kept, oracle[0]) and np.array_equal(fold, oracle[1])
+
+
+def _bits(a):
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+_FOLDED_GRIDS = pytest.mark.parametrize(
+    "preset, n, resolution",
+    [("strip_neck", 2, r) for r in (16, 48, 64, 256)]
+    + [("sphere", n, r) for n in (2, 3) for r in (33, 64)]
+    + [("even-nt", 2, None)],
+)
+
+
+def _folded_coefficients(preset, n, resolution):
+    """The masked system's (unknown, diag, arms, rhs, kept, fold) on a grid that folds."""
+    diag, arms, rhs, _, unknown, _, _ = _masked_system(*_case(preset, n, resolution))
+    kept, fold = _mirror_fold(unknown, diag, arms, rhs)
+    assert len(kept) < len(fold)
+    return unknown, diag, arms, rhs, kept, fold
+
+
+@_FOLDED_GRIDS
+def test_fold_at_assembly_is_the_fold_of_the_whole_matrix(preset, n, resolution):
+    unknown, diag, arms, _, kept, fold = _folded_coefficients(preset, n, resolution)
+    want = _fold(stencil_matrix(unknown, diag, arms), kept, fold)
+    got = stencil_matrix(unknown, diag[kept], arms[:, kept], rows=kept, fold=fold)
+    assert got.shape == want.shape
+    # bit for bit, the mirror pairs left unsummed
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
+
+
+@_FOLDED_GRIDS
+def test_the_kept_half_unfolds_to_the_whole_coefficients(preset, n, resolution):
+    unknown, diag, arms, rhs, kept, fold = _folded_coefficients(preset, n, resolution)
+    got = _unfold_system(diag[kept], arms[:, kept], rhs[kept], kept, fold)
+    for a, b in zip(got, (diag, arms, rhs)):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def _off_mirror_data():
