@@ -333,8 +333,8 @@ def _fold(A, kept: np.ndarray, fold: np.ndarray):
     ``fold[j]`` (``_fold_map``).  A column and its mirror image stay two
     entries, unsummed, so a product adds them in the order the unfolded one
     does.  It folds the grid transfers; the masked solve assembles its R A E
-    directly (``stencil_matrix`` with ``rows`` and ``fold``), which is bit
-    for bit this fold of the whole matrix."""
+    directly (``stencil_matrix`` with ``fold``), bit for bit this fold of
+    the whole matrix."""
     columns = int(np.max(fold, initial=-1)) + 1
     return sp.csr_matrix((A.data, fold[A.indices], A.indptr), shape=(A.shape[0], columns))[kept]
 

@@ -241,7 +241,7 @@ def unit_sphere_area(d: int) -> float:
         raise InvalidParameterError(f"the area of the unit {d}-sphere is not representable in floating point") from None
 
 
-def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms, rows=None, fold=None) -> sp.csr_matrix:
+def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms, fold=None) -> sp.csr_matrix:
     """CSR matrix of a 5-point stencil restricted to the ``unknown`` nodes of a grid.
 
     Unknowns are numbered in row-major (``np.nonzero``) order.  ``diag``
@@ -251,22 +251,22 @@ def stencil_matrix(unknown: np.ndarray, diag: np.ndarray, arms, rows=None, fold=
     included.  Each row lists its columns in ascending order: s-, t-, the
     diagonal, t+, s+.
 
-    Given both, ``rows`` (increasing unknown numbers) and ``fold`` (a column
-    for every unknown, ``axisym_field._fold_map``) build only those rows,
-    from ``diag`` and ``arms`` given for them alone, and put the entry of
-    unknown k in column ``fold[k]``: bit for bit ``_fold`` of the whole
-    matrix, R A E, a column and its mirror image left two entries, without
-    building A.
+    ``fold``, a pair ``(kept, columns)`` (``axisym_field._fold_map``),
+    builds only the rows of the unknowns ``kept`` (increasing unknown
+    numbers), from ``diag`` and ``arms`` given for them alone, and puts the
+    entry of unknown k in column ``columns[k]``: bit for bit ``_fold`` of
+    the whole matrix, R A E, a column and its mirror image left two
+    entries, without building A.
     """
     m = len(diag)
     # unknown numbers (or their columns) on the grid padded by one node, -1 elsewhere, flat
     width = unknown.shape[1] + 2
     index = np.full((unknown.shape[0] + 2, width), -1, dtype=np.int32)
-    index[1:-1, 1:-1][unknown] = np.arange(m, dtype=np.int32) if fold is None else fold
+    index[1:-1, 1:-1][unknown] = np.arange(m, dtype=np.int32) if fold is None else fold[1]
     index = index.ravel()
     at = np.flatnonzero(index >= 0)
-    if rows is not None:
-        at = at[rows]
+    if fold is not None:
+        at = at[fold[0]]
     s_m, s_p, t_m, t_p = arms
     cols, vals = np.empty((m, 5), dtype=np.int32), np.empty((m, 5))
     for k, (offset, weights) in enumerate(((-width, s_m), (-1, t_m), (0, diag), (1, t_p), (width, s_p))):

@@ -481,9 +481,10 @@ def test_refinement_leaves_the_folded_matrix_unmerged():
 
 def test_masked_solve_at_128_starts_its_factor_holding_at_most_7_mib(monkeypatch):
     # the strip neck at resolution 128, traced memory held when the float32
-    # factor starts: 9.2 MiB while the whole system, its coefficients and
-    # the fold's column map were held, 5.5 MiB with only the folded system
-    # and the kept half of its coefficients (SuperLU's own memory is not traced)
+    # factor starts: 9.2 MiB while the whole system, its coefficients, the
+    # grid values and the fold's column map were held, 4.6 MiB with only the
+    # folded system, the kept half of its coefficients, int32 fold indices
+    # and the border data (SuperLU's own memory is not traced)
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=295, nt=257)
     held = []
 
@@ -536,9 +537,9 @@ def test_the_certificate_is_the_whole_systems(monkeypatch):
     # its unfolded solution misses the whole system's backward-error floor
     assemble = onephase_geometry.stencil_matrix
 
-    def off(unknown, diag, arms, rows=None, fold=None):
-        A = assemble(unknown, diag, arms, rows, fold)
-        return A if rows is None else A * (1.0 + 1e-10)
+    def off(unknown, diag, arms, fold=None):
+        A = assemble(unknown, diag, arms, fold)
+        return A if fold is None else A * (1.0 + 1e-10)
 
     monkeypatch.setattr(onephase_geometry, "stencil_matrix", off)
     g = GridSpec(n=2, s_min=1.0, s_max=3.3, t_min=-1.0, t_max=1.0, ns=38, nt=33)
@@ -656,7 +657,7 @@ def _folded_coefficients(preset, n, resolution):
 def test_fold_at_assembly_is_the_fold_of_the_whole_matrix(preset, n, resolution):
     unknown, diag, arms, _, kept, fold = _folded_coefficients(preset, n, resolution)
     want = _fold(stencil_matrix(unknown, diag, arms), kept, fold)
-    got = stencil_matrix(unknown, diag[kept], arms[:, kept], rows=kept, fold=fold)
+    got = stencil_matrix(unknown, diag[kept], arms[:, kept], (kept, fold))
     assert got.shape == want.shape
     # bit for bit, the mirror pairs left unsummed
     for name in ("indptr", "indices", "data"):
