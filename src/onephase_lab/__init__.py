@@ -19,6 +19,7 @@ from .axisym_field import (
     energy,
     lipschitz_monitor,
     max_principle_defect,
+    one_phase_energy,
     residual_semilinear,
     solve_semilinear,
     solve_semilinear_1d,

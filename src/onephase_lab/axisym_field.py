@@ -90,13 +90,7 @@ class AxiField:
         return self.s[0] == 0.0
 
     def same_grid(self, other: "AxiField") -> bool:
-        return (
-            self.n == other.n
-            and len(self.s) == len(other.s)
-            and len(self.t) == len(other.t)
-            and np.array_equal(self.s, other.s)
-            and np.array_equal(self.t, other.t)
-        )
+        return self.n == other.n and np.array_equal(self.s, other.s) and np.array_equal(self.t, other.t)
 
     def with_values(self, values: np.ndarray) -> "AxiField":
         return replace(self, values=values)
@@ -696,31 +690,30 @@ def solve_semilinear_1d(
     beta: ReactionTerm,
     t_min: float,
     t_max: float,
-    nt: int,
-    left: float,
-    right: float,
     init,
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> np.ndarray:
     """Newton solve of the discrete two-point problem v_tt = beta(v)/2.
 
-    Dirichlet values ``left``/``right`` at the interval ends; ``init`` is the
-    starting guess, nt nodal values.  The tiling of the returned nodal
-    values along s is an exact discrete solution of the
-    full problem with one-dimensional data, which makes it the right far-field
-    model and the reference for s-independence checks.  Stagnated
+    ``init`` is the starting guess at ``len(init)`` equispaced nodes of
+    [t_min, t_max]; its ends are the Dirichlet values, returned unchanged.
+    The tiling of the returned nodal values along s is an exact discrete
+    solution of the full problem with one-dimensional data, which makes it
+    the right far-field model and the reference for s-independence checks.  Stagnated
     backtracking, or ``max_iter`` damped Newton steps without reaching
     ``tol``, return the last iterate when its sup residual is at or below the
     round-off floor 4 eps max|v| / ht^2 of the grid, and otherwise raise
     ``NonconvergenceError`` naming that floor and carrying the last iterate
     and the sup-norm residual trace.
     """
-    t = np.linspace(t_min, t_max, nt)
-    ht = t[1] - t[0]
     v = np.array(init, dtype=float)
-    v[0], v[-1] = left, right
-    m = nt - 2
+    if v.ndim != 1 or len(v) < 3:
+        raise InvalidParameterError("init must hold at least 3 nodal values in one dimension")
+    left, right = v[0], v[-1]
+    t = np.linspace(t_min, t_max, len(v))
+    ht = t[1] - t[0]
+    m = len(v) - 2
     main = -2.0 / ht**2 * np.ones(m)
     off = 1.0 / ht**2 * np.ones(m - 1)
 
@@ -790,38 +783,33 @@ class EnergyBreakdown:
         return self.dirichlet + self.potential
 
 
-def energy(
-    f: AxiField,
-    beta: ReactionTerm | None = None,
-    epsilon: float | None = None,
-    one_phase: bool = False,
-) -> EnergyBreakdown:
-    """Midpoint-rule energy: gradient square plus layer potential or indicator.
+def _energy(f: AxiField, potential_density) -> EnergyBreakdown:
+    """Midpoint-rule Dirichlet energy plus the integral of
+    ``potential_density`` of the cell-center values.
 
     The quadrature is cell-based (gradient and field value taken at cell
     centers from the bilinear interpolant), which integrates piecewise-affine
-    fields exactly.  With ``one_phase`` the potential is the measure of
-    {u > 0}; otherwise it is the rescaled primitive at width
-    ``epsilon`` (required).  Both parts carry the cylindrical measure
-    s^(n-2) times the unit-sphere area.
+    fields exactly.  Both parts carry the cylindrical measure s^(n-2) times
+    the unit-sphere area.
     """
-    if one_phase == (beta is not None):
-        raise InvalidParameterError("pass exactly one of one_phase or beta")
-    if beta is not None and epsilon is None:
-        raise InvalidParameterError("epsilon is required with a reaction term")
-
     u = f.values
-    gradsq = _cell_gradient_sq(f)
     cell = _cell_measure(f)
     center = 0.25 * (u[1:, 1:] + u[:-1, 1:] + u[1:, :-1] + u[:-1, :-1])
-
-    dirichlet = float(np.sum(np.sum(gradsq * cell, axis=1)))
-    if one_phase:
-        pot_density = (center > 0.0).astype(float)
-    else:
-        pot_density = np.asarray(rescale(beta, epsilon).primitive(center))
-    potential = float(np.sum(np.sum(pot_density * cell, axis=1)))
+    dirichlet = float(np.sum(np.sum(_cell_gradient_sq(f) * cell, axis=1)))
+    potential = float(np.sum(np.sum(potential_density(center) * cell, axis=1)))
     return EnergyBreakdown(dirichlet=dirichlet, potential=potential)
+
+
+def energy(f: AxiField, beta: ReactionTerm, epsilon: float) -> EnergyBreakdown:
+    """Layer energy int |grad u|^2 + Phi(u/eps): the potential is the
+    primitive of ``beta`` rescaled to width ``epsilon``."""
+    return _energy(f, lambda c: np.asarray(rescale(beta, epsilon).primitive(c)))
+
+
+def one_phase_energy(f: AxiField) -> EnergyBreakdown:
+    """One-phase energy int |grad u|^2 + chi{u > 0}: the potential is the
+    measure of the cells whose center value is positive."""
+    return _energy(f, lambda c: (c > 0.0).astype(float))
 
 
 def blow_down(f: AxiField, epsilon: float) -> AxiField:

@@ -25,6 +25,7 @@ from .axisym_field import (
     energy,
     lipschitz_monitor,
     max_principle_defect,
+    one_phase_energy,
     residual_semilinear,
     solve_semilinear,
     solve_semilinear_1d,
@@ -96,15 +97,7 @@ def tiled_layer_field(beta, grid: GridSpec) -> AxiField:
     """
     prof = unique_increasing_profile(beta)
     s, t = grid.axes()
-    v = solve_semilinear_1d(
-        beta,
-        grid.t_min,
-        grid.t_max,
-        grid.nt,
-        float(prof.sample(grid.t_min)),
-        float(prof.sample(grid.t_max)),
-        init=prof.sample(t),
-    )
+    v = solve_semilinear_1d(beta, grid.t_min, grid.t_max, prof.sample(t))
     return AxiField(n=grid.n, s=s, t=t, values=np.tile(v, (grid.ns, 1)))
 
 
@@ -203,8 +196,8 @@ def _run_solve(cfg: ExperimentConfig, outputs: dict, counters: dict):
     data = boundary_data(cfg, beta)
     res = solve_semilinear(beta, grid, data, tol=cfg.tolerances["newton"])
     f = res.field
-    e_layer = energy(f, beta=beta, epsilon=1.0)
-    e_sharp = energy(f, one_phase=True)
+    e_layer = energy(f, beta, 1.0)
+    e_sharp = one_phase_energy(f)
     results = {
         "solve": {
             "newton_iterations": res.iterations,
@@ -322,7 +315,7 @@ def _run_blowdown(cfg: ExperimentConfig, outputs: dict, counters: dict):
         # u_lo is a tangent below it that turns negative far out: clamp at 0
         np.maximum(field.values, 0.0, out=field.values)
         # the planar energy: the n = 2 measure is exactly |S^0| = 2 times it
-        layer = energy(field, beta=beta, epsilon=eps).total / 2.0
+        layer = energy(field, beta, eps).total / 2.0
         lim = np.maximum(0.0, field.t)[None, :]
         rows.append(
             {

@@ -200,6 +200,17 @@ def _inward_trace(f: AxiField, points: np.ndarray, inward: np.ndarray, h: float)
     return (d2 * f1 - d1 * f2) / (d2 - d1), (f2 - f1) / (d2 - d1)
 
 
+def _trace_fits(f: AxiField, points: np.ndarray, inward: np.ndarray, h: float) -> np.ndarray:
+    """Whether both samples of :func:`_inward_trace` at each of ``points``
+    lie on the grid, where ``AxiField.sample`` interpolates rather than
+    extrapolates."""
+    fits = np.ones(len(points), dtype=bool)
+    for d in _TRACE_OFFSETS:
+        p = points + d * h * inward
+        fits &= (p[:, 0] >= f.s[0]) & (p[:, 0] <= f.s[-1]) & (p[:, 1] >= f.t[0]) & (p[:, 1] <= f.t[-1])
+    return fits
+
+
 @dataclass
 class BoundaryIdentityReport:
     """Sampled check of grad(u_s) . nu = H u_s along the interface."""
@@ -233,12 +244,7 @@ def normal_derivative_identity(boundary: RevolutionBoundary, u: AxiField) -> Bou
     p1 = p0 + d1 * m
     p2 = p0 + d2 * m
 
-    inside = (
-        (np.minimum(p1[:, 0], p2[:, 0]) >= u.s[0])
-        & (np.maximum(p1[:, 0], p2[:, 0]) <= u.s[-1])
-        & (np.minimum(p1[:, 1], p2[:, 1]) >= u.t[0])
-        & (np.maximum(p1[:, 1], p2[:, 1]) <= u.t[-1])
-    )
+    inside = _trace_fits(u, p0, m, h)
     if not inside.any():
         raise InvalidParameterError("no boundary sample has its stencil inside the grid")
 
@@ -283,7 +289,8 @@ def onephase_stability_form(
 
     The bulk integral is the cell-midpoint rule restricted to cells whose
     center value is positive, weighted by the cylindrical measure; xi must
-    vanish on the outer grid boundary.
+    vanish on the outer grid boundary, and every interface sample's trace
+    stencil must lie on the grid (an integral cannot drop samples).
     """
     if not u.same_grid(xi):
         raise InvalidParameterError("field and test function live on different grids")
@@ -292,8 +299,12 @@ def onephase_stability_form(
 
     pts = np.stack((boundary.s, boundary.t), axis=1)
     h = max(u.hs, u.ht)
+    inward = -boundary.normals
+    off = int(np.count_nonzero(~_trace_fits(u, pts, inward, h)))
+    if off:
+        raise InvalidParameterError(f"{off} interface samples have their trace stencil off the grid")
     _require_on_zero_level(u, pts, h)
-    xi_b, _ = _inward_trace(xi, pts, -boundary.normals, h)
+    xi_b, _ = _inward_trace(xi, pts, inward, h)
     lhs = surface_integral(boundary, boundary.mean_curv * xi_b**2)
 
     # Bulk quadrature over cells at least two nodes inside the positivity set:

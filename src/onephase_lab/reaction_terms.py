@@ -26,17 +26,15 @@ class ReactionTerm:
     """A reaction nonlinearity with derivative and primitive attached.
 
     ``eval``, ``deriv`` and ``primitive`` are vectorized callables; the
-    primitive is the running integral of ``eval`` from 0.  ``support`` is the
-    closed interval outside which ``eval`` vanishes and ``mass`` the total
-    integral over it.  ``knots`` are the abscissae of a tabulated term's
-    samples, where its interpolant takes its extreme values.
+    primitive is the running integral of ``eval`` from 0 and ``mass`` the
+    total integral of ``eval``.  ``knots`` are the abscissae of a tabulated
+    term's samples, where its interpolant takes its extreme values.
     """
 
     name: str
     eval: object
     deriv: object
     primitive: object
-    support: tuple[float, float]
     mass: float
     knots: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -61,10 +59,6 @@ def make_polynomial_beta() -> ReactionTerm:
         return np.where(inside, v, 0.0)
 
     def _deriv(t):
-        if isinstance(t, float):
-            if t <= 0.0 or t >= 1.0:
-                return 0.0
-            return 2.0 * c * t * (1.0 - t) * (1.0 - 2.0 * t)
         t = np.asarray(t, dtype=float)
         inside = (t > 0.0) & (t < 1.0)
         v = 2.0 * c * t * (1.0 - t) * (1.0 - 2.0 * t)
@@ -81,7 +75,6 @@ def make_polynomial_beta() -> ReactionTerm:
         eval=_eval,
         deriv=_deriv,
         primitive=_primitive,
-        support=(0.0, 1.0),
         mass=1.0,
     )
 
@@ -128,7 +121,6 @@ def make_tabulated_term(
         eval=_eval,
         deriv=_deriv,
         primitive=_primitive,
-        support=(lo, hi),
         mass=total,
         knots=t,
     )
@@ -167,20 +159,18 @@ def require_a1(term: ReactionTerm) -> None:
 def rescale(term: ReactionTerm, epsilon: float) -> ReactionTerm:
     """Width rescaling t -> t/eps with mass preserved; requires eps > 0.
 
-    The scaled term evaluates to term(t/eps)/eps, so its support shrinks to
-    eps times the original while the total mass is unchanged; its primitive
-    is term.primitive(t/eps).
+    The scaled term evaluates to term(t/eps)/eps, so its support and knots
+    shrink to eps times the original while the total mass is unchanged; its
+    primitive is term.primitive(t/eps).
     """
     if not (epsilon > 0.0):
         raise InvalidParameterError("epsilon must be positive")
     eps = float(epsilon)
-    lo, hi = term.support
     return ReactionTerm(
         name=f"{term.name}@eps={eps:g}",
         eval=lambda t: term.eval(np.asarray(t) / eps) / eps,
         deriv=lambda t: term.deriv(np.asarray(t) / eps) / (eps * eps),
         primitive=lambda t: term.primitive(np.asarray(t) / eps),
-        support=(lo * eps, hi * eps),
         mass=term.mass,
         knots=term.knots * eps,
     )

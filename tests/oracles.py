@@ -32,8 +32,9 @@ def from_function(grid: GridSpec, fn) -> AxiField:
 
 
 def save_reaction_csv(term: ReactionTerm, path, samples: int = 2001) -> None:
-    """Write columns t, beta, beta_prime, Phi over the support."""
-    lo, hi = term.support
+    """Write columns t, beta, beta_prime, Phi over [0, 1], or over the knot
+    range of a tabulated term."""
+    lo, hi = (term.knots[0], term.knots[-1]) if term.knots.size else (0.0, 1.0)
     t = np.linspace(lo, hi, samples)
     with open(path, "w") as fh:
         fh.write("t,beta,beta_prime,Phi\n")

@@ -18,6 +18,7 @@ from onephase_lab.axisym_field import (
     apply_axisym_laplacian,
     blow_down,
     energy,
+    one_phase_energy,
     solve_semilinear_1d,
 )
 from onephase_lab.experiments import tiled_layer_field
@@ -135,11 +136,7 @@ def test_criterion_06_layer_extension_stability(n):
     grid = GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=129, nt=129)
     layer = unique_increasing_profile(BETA)
     s, t = grid.axes()
-    v = solve_semilinear_1d(
-        BETA, grid.t_min, grid.t_max, grid.nt,
-        float(layer.sample(grid.t_min)), float(layer.sample(grid.t_max)),
-        init=layer.sample(t),
-    )
+    v = solve_semilinear_1d(BETA, grid.t_min, grid.t_max, layer.sample(t))
     u = AxiField(n=n, s=s, t=t, values=np.tile(v, (grid.ns, 1)))
     spectral = linearized_rayleigh_min(u, BETA, tol=1e-8)
     assert spectral.rayleigh_min >= -1e-6
@@ -172,7 +169,7 @@ def test_criterion_07_layer_energy_gap_monotone():
         # each row blows down its own source grid, as the blowdown experiment does
         src = GridSpec(n=2, s_max=1.0 / eps, t_min=-2.0 / eps, t_max=2.0 / eps, ns=3, nt=8193)
         field = blow_down(extend_to_nd(layer, src), eps)
-        gaps.append(abs(energy(field, beta=BETA, epsilon=eps).total / 2.0 - sharp_total))
+        gaps.append(abs(energy(field, BETA, eps).total / 2.0 - sharp_total))
     elapsed = time.perf_counter() - t0
     assert all(gaps[i + 1] <= gaps[i] + 1e-4 for i in range(len(gaps) - 1))
     assert elapsed < 10.0
@@ -279,7 +276,7 @@ def test_criterion_11_log_cutoff_law():
     grid_rels = []
     for h_inv in (8, 16, 32, 64):
         fine = GridSpec(n=2, s_max=8.0, t_min=-8.0, t_max=8.0, ns=8 * h_inv + 1, nt=16 * h_inv + 1)
-        dirichlet = energy(log_cutoff_2d(math.e**2, fine).field, one_phase=True).dirichlet
+        dirichlet = one_phase_energy(log_cutoff_2d(math.e**2, fine).field).dirichlet
         grid_rels.append(abs(dirichlet - law) / law)
     assert all(a > b for a, b in zip(grid_rels, grid_rels[1:]))
     assert grid_rels[-1] <= 2e-3

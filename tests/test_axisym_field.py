@@ -31,6 +31,7 @@ from onephase_lab.axisym_field import (
     energy,
     lipschitz_monitor,
     max_principle_defect,
+    one_phase_energy,
     residual_semilinear,
     solve_semilinear,
     solve_semilinear_1d,
@@ -133,7 +134,7 @@ def test_solve_matches_independent_1d_oracle(beta, layer_profile):
     res2d = solve_semilinear(beta, g, lambda s, t: tiled.values, tol=1e-12)
     assert np.max(np.abs(res2d.field.values - tiled.values)) < 1e-6
 
-    helper = solve_semilinear_1d(beta, g.t_min, g.t_max, g.nt, left, right, init=layer_profile.sample(t))
+    helper = solve_semilinear_1d(beta, g.t_min, g.t_max, layer_profile.sample(t))
     assert np.max(np.abs(helper - v)) < 1e-10
 
 
@@ -204,9 +205,25 @@ def test_solver_copies_the_values_of_its_boundary_callable(beta):
     assert not np.array_equal(res.field.values, kept)
 
 
+def test_1d_solve_keeps_the_ends_of_its_start(beta, layer_profile):
+    # the ends of ``init`` are the Dirichlet values, returned bit for bit
+    init = layer_profile.sample(np.linspace(-3.0, 3.0, 65)) + 1e-3
+    kept = init.copy()
+    v = solve_semilinear_1d(beta, -3.0, 3.0, init)
+    assert (v[0], v[-1]) == (kept[0], kept[-1])
+    assert np.array_equal(init, kept) and v is not init
+    assert _sup_residual_1d(beta, v, 6.0 / 64) <= 1e-12
+
+
+@pytest.mark.parametrize("init", [[0.0, 1.0], [[0.0, 0.5, 1.0]]])
+def test_1d_solve_rejects_a_start_of_fewer_than_3_nodes(beta, init):
+    with pytest.raises(InvalidParameterError, match="at least 3 nodal values"):
+        solve_semilinear_1d(beta, -1.0, 1.0, init)
+
+
 def test_1d_solve_rejects_a_nan_start(beta):
     with pytest.raises(NonconvergenceError, match=r"^1D Newton residual is not finite at iteration 0 ") as err:
-        solve_semilinear_1d(beta, -3.0, 3.0, 31, 0.0, 3.0, init=np.full(31, np.nan))
+        solve_semilinear_1d(beta, -3.0, 3.0, np.full(31, np.nan))
     assert len(err.value.trace) == 1 and np.isnan(err.value.trace[0])
 
 
@@ -247,9 +264,7 @@ def test_symmetric_t_extents_give_mirror_exact_nodes(extent):
 def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear_1d(
-            beta, -3.0, 3.0, 65, left, right, init=left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0, max_iter=2
-        )
+        solve_semilinear_1d(beta, -3.0, 3.0, left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0, max_iter=2)
     trace = err.value.trace
     assert len(trace) == 3 and trace[-1] > 1e-12
     assert _last_sup_residual(str(err.value)) == float(f"{trace[-1]:.3e}")
@@ -289,16 +304,15 @@ def test_solver_backtracking_stagnation_carries_last_iterate(beta):
 
 def test_1d_backtracking_stagnation_carries_trace(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
+    init = left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear_1d(
-            _constant_deriv(beta, -20.0), -3.0, 3.0, 65, left, right, init=left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0
-        )
+        solve_semilinear_1d(_constant_deriv(beta, -20.0), -3.0, 3.0, init)
     assert str(err.value).startswith("1D Newton backtracking")
     trace = err.value.trace
     assert _stagnation(str(err.value)) == (1, float(f"{trace[-1]:.3e}"))
     assert len(trace) == 1  # the stall is at the first step
     v = err.value.last
-    assert (v[0], v[-1]) == (left, right)
+    assert (v[0], v[-1]) == (init[0], init[-1])
     lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (6.0 / 64) ** 2
     assert np.max(np.abs(lap - 0.5 * beta.eval(v[1:-1]))) == pytest.approx(trace[-1], rel=1e-12)
 
@@ -336,15 +350,13 @@ def test_1d_solve_at_its_floor_stagnates_without_null_steps(beta, layer_profile,
 
     monkeypatch.setattr(axisym_field, "_damped_newton", newton)
     t = np.linspace(-3.0, 3.0, 385)
-    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
-    v = solve_semilinear_1d(
-        dataclasses.replace(beta, eval=recorded), -3.0, 3.0, 385, left, right, init=layer_profile.sample(t)
-    )
+    init = layer_profile.sample(t)
+    v = solve_semilinear_1d(dataclasses.replace(beta, eval=recorded), -3.0, 3.0, init)
     (err,) = raised
     trace = err.trace
     assert _stagnation(str(err)) == (len(trace), float(f"{trace[-1]:.3e}"))
     assert len(trace) <= 5 and trace[-1] > 1e-12
-    assert v is err.last and (v[0], v[-1]) == (left, right)
+    assert v is err.last and (v[0], v[-1]) == (init[0], init[-1])
     ht = t[1] - t[0]
     assert _sup_residual_1d(beta, v, ht) == pytest.approx(trace[-1], rel=1e-12)
     assert trace[-1] <= _floor_1d(v, ht)
@@ -357,9 +369,9 @@ def test_1d_solve_at_its_floor_stagnates_without_null_steps(beta, layer_profile,
 def test_1d_solve_returns_at_its_floor_on_513_nodes(beta, layer_profile):
     # stuck at 3.23e-12 > tol = 1e-12, a sixth of the floor; this used to raise
     t = np.linspace(-3.0, 3.0, 513)
-    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
-    v = solve_semilinear_1d(beta, -3.0, 3.0, 513, left, right, init=layer_profile.sample(t))
-    assert (v[0], v[-1]) == (left, right)
+    init = layer_profile.sample(t)
+    v = solve_semilinear_1d(beta, -3.0, 3.0, init)
+    assert (v[0], v[-1]) == (init[0], init[-1])
     assert 1e-12 < _sup_residual_1d(beta, v, t[1] - t[0]) <= _floor_1d(v, t[1] - t[0])
 
 
@@ -369,8 +381,7 @@ def test_1d_solve_reaches_tol_or_its_floor(beta, layer_profile, nt, half_width):
     # measured on nt 65-2049 x half-widths 1.5-9: the stuck residuals are
     # 0.08-0.22 of the floor, and 34 of 50 such solves used to raise
     t = np.linspace(-half_width, half_width, nt)
-    left, right = float(layer_profile.sample(-half_width)), float(layer_profile.sample(half_width))
-    v = solve_semilinear_1d(beta, -half_width, half_width, nt, left, right, init=layer_profile.sample(t))
+    v = solve_semilinear_1d(beta, -half_width, half_width, layer_profile.sample(t))
     ht = t[1] - t[0]
     assert _sup_residual_1d(beta, v, ht) <= max(1e-12, _floor_1d(v, ht))
 
@@ -378,9 +389,7 @@ def test_1d_solve_reaches_tol_or_its_floor(beta, layer_profile, nt, half_width):
 def test_1d_nonconvergence_above_the_floor_names_it(beta, layer_profile):
     left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     with pytest.raises(NonconvergenceError) as err:
-        solve_semilinear_1d(
-            beta, -3.0, 3.0, 65, left, right, init=left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0, max_iter=2
-        )
+        solve_semilinear_1d(beta, -3.0, 3.0, left + (right - left) * (np.linspace(-3.0, 3.0, 65) + 3.0) / 6.0, max_iter=2)
     match = re.search(r"; round-off floor ([0-9.e+-]+)$", str(err.value))
     assert match and float(match.group(1)) < err.value.trace[-1]
 
@@ -1019,7 +1028,7 @@ def test_energy_piecewise_affine_exact():
     # in the plane the cylindrical weight is the constant |S^0| = 2
     g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=33, nt=65)
     f = from_function(g, lambda s, t: np.maximum(0.0, t))
-    eb = energy(f, one_phase=True)
+    eb = one_phase_energy(f)
     assert eb.dirichlet == 2.0
     assert eb.potential == 2.0
     assert eb.total == 4.0
@@ -1028,19 +1037,15 @@ def test_energy_piecewise_affine_exact():
 def test_energy_zero_field():
     g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
     f = from_function(g, lambda s, t: 0.0 * s)
-    eb = energy(f, one_phase=True)
+    eb = one_phase_energy(f)
     assert eb.total == 0.0
 
 
-def test_energy_argument_validation(beta):
-    g = GridSpec(n=2, s_max=1.0, t_min=-1.0, t_max=1.0, ns=9, nt=9)
-    f = from_function(g, lambda s, t: 0.0 * s)
-    with pytest.raises(InvalidParameterError):
-        energy(f)
-    with pytest.raises(InvalidParameterError):
-        energy(f, beta=beta, one_phase=True, epsilon=1.0)
-    with pytest.raises(InvalidParameterError):
-        energy(f, beta=beta)  # epsilon required
+@pytest.mark.parametrize("eps", [1.0, 0.25])
+def test_layer_and_one_phase_energies_share_the_dirichlet_part(beta, eps):
+    g = GridSpec(n=3, s_max=1.0, t_min=-1.0, t_max=1.0, ns=17, nt=33)
+    f = from_function(g, lambda s, t: np.sin(2.0 * t) + 0.3 * s * s)
+    assert one_phase_energy(f).dirichlet == energy(f, beta, eps).dirichlet
 
 
 def test_blow_down_identity_is_bitwise(beta):
@@ -1305,10 +1310,6 @@ def test_axis_symmetry_of_solved_fields(beta, layer_profile):
 def test_residual_of_tiled_discrete_solution(beta, layer_profile):
     g = GridSpec(n=5, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
     s, t = g.axes()
-    v = solve_semilinear_1d(
-        beta, g.t_min, g.t_max, g.nt,
-        float(layer_profile.sample(g.t_min)), float(layer_profile.sample(g.t_max)),
-        init=layer_profile.sample(t),
-    )
+    v = solve_semilinear_1d(beta, g.t_min, g.t_max, layer_profile.sample(t))
     f = AxiField(n=5, s=s, t=t, values=np.tile(v, (g.ns, 1)))
     assert residual_semilinear(f, beta) < 1e-12

@@ -860,6 +860,22 @@ def test_interface_form_trivial_cases():
     assert rep2.verdict == "stable-on-grid"
 
 
+def test_interface_form_rejects_trace_stencils_off_the_grid():
+    # over t in [-0.99, 0.99] the neck generator comes within 4h of the box's
+    # top and bottom: four samples would read an extrapolated xi (lhs 0.3912
+    # against 0.3735 over [-0.75, 0.75]), so the integral refuses them
+    cfg = ExperimentConfig(experiment="onephase", onephase_preset="strip_neck", onephase_resolution=64)
+    neck, grid, gen = experiments._onephase_case(cfg)
+    sol = solve_harmonic_masked(grid, neck.level, neck.u)
+    xi_vals = probe_inequality(sol.field, experiments._probe(cfg)).xi.values.copy()
+    xi_vals[[0, -1], :] = xi_vals[:, [0, -1]] = 0.0
+    xi = sol.field.with_values(xi_vals)
+    assert onephase_stability_form(curvature_of_revolution(gen, n=2), sol.field, xi).lhs > 0.0
+    wide = curvature_of_revolution(neck.boundary_generator(np.linspace(-0.99, 0.99, 101)), n=2)
+    with pytest.raises(InvalidParameterError, match="^4 interface samples have their trace stencil off the grid$"):
+        onephase_stability_form(wide, sol.field, xi)
+
+
 @pytest.mark.parametrize("form, rel", [("quadratic_form", 1e-13), ("onephase_stability_form", 1e-12)])
 @pytest.mark.parametrize("edge", ["outer", "bottom", "top"])
 @pytest.mark.parametrize("factor, rejected", [(1.1, True), (0.9, False)])

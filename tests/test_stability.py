@@ -49,11 +49,7 @@ from oracles import from_function, log_cutoff_2d, us_equation_residual
 
 def tiled_layer(beta, layer_profile, grid):
     s, t = grid.axes()
-    v = solve_semilinear_1d(
-        beta, grid.t_min, grid.t_max, grid.nt,
-        float(layer_profile.sample(grid.t_min)), float(layer_profile.sample(grid.t_max)),
-        init=layer_profile.sample(t),
-    )
+    v = solve_semilinear_1d(beta, grid.t_min, grid.t_max, layer_profile.sample(t))
     return AxiField(n=grid.n, s=s, t=t, values=np.tile(v, (grid.ns, 1)))
 
 

@@ -46,10 +46,8 @@ def test_newton_solves_factor_through_axisym_field_splu(calls, beta, layer_profi
     data = lambda s, t: np.maximum(0.0, t) + 0.0 * s
     hit = _hooks_hit(calls, lambda: axisym_field.solve_semilinear(beta, g, data))
     assert "axisym_field.splu" in hit
-    left, right = float(layer_profile.sample(-3.0)), float(layer_profile.sample(3.0))
     hit = _hooks_hit(
-        calls,
-        lambda: axisym_field.solve_semilinear_1d(beta, -3.0, 3.0, 17, left, right, init=layer_profile.sample(np.linspace(-3.0, 3.0, 17))),
+        calls, lambda: axisym_field.solve_semilinear_1d(beta, -3.0, 3.0, layer_profile.sample(np.linspace(-3.0, 3.0, 17)))
     )
     assert "axisym_field.splu" in hit
 
