@@ -10,6 +10,21 @@ of revolution.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# Every run uses one BLAS thread, whatever the caller's environment holds: a
+# threaded BLAS splits its sums by the thread count, and the eigen solve of
+# ``stability`` then differs in its last digits between 1 and 2 threads.
+# numpy and scipy read these variables once, when they load their BLAS, so
+# they are set before the first numpy import below, with ``os.putenv``: the
+# package writes its environment but reads none of it.  ``_BLAS_THREADS`` is
+# None when numpy was imported before this package and kept the caller's count.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+_BLAS_THREADS = None if "numpy" in sys.modules else dict.fromkeys(_THREAD_VARS, "1")
+for _var in _THREAD_VARS:
+    os.putenv(_var, "1")
+
 from .axisym_field import (
     AxiField,
     EnergyBreakdown,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import _BLAS_THREADS, __version__
 from .axisym_field import (
     AxiField,
     GridSpec,
@@ -78,6 +78,7 @@ class ExperimentReport:
             "meta": {
                 "version": self.version,
                 "config_hash": self.config_hash,
+                "blas_threads": _BLAS_THREADS,
                 "timings": self.timings,
                 "counters": self.counters,
             },

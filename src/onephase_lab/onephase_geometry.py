@@ -44,9 +44,10 @@ from .numerics import LU_OPTIONS, LUCounts, csv_lines, stencil_matrix, unit_sphe
 from .stability import InequalityReport, _require_vanishing_border, us_derivative
 
 _AXIS_TOL = 1e-9
-# the interface trace of a nodal field is extrapolated from bilinear samples
-# taken these multiples of max(hs, ht) inside the positivity set
-_TRACE_OFFSETS = (2.5, 4.0)
+# the inward distances, in multiples of max(hs, ht), at which the interface
+# layer reads every field: the interface, then three samples clear of the
+# two-cell band where nodal values see the gradient jump of u
+_RAY = (0.0, 2.5, 4.0, 5.5)
 # smallest arm fraction of a cut edge in the Shortley-Weller stencil
 _THETA_FLOOR = 1e-9
 # componentwise backward error the refined masked solve must reach: the
@@ -179,36 +180,26 @@ def _check_harmonic(u: AxiField) -> np.ndarray:
     return mask
 
 
-def _require_on_zero_level(u: AxiField, points: np.ndarray, h: float) -> None:
-    """Reject interface ``points`` where u samples farther from 0 than one cell of slope."""
-    if float(np.max(np.abs(u.sample(points)))) > 2.0 * h * (1.0 + float(np.max(np.abs(u.values)))):
+def _ray(f: AxiField, points: np.ndarray, inward: np.ndarray, h: float) -> np.ndarray:
+    """Bilinear samples of ``f`` at ``points + d h inward``, one row per d of
+    ``_RAY``.  A point off the grid reads NaN rather than an extrapolated
+    value, as does one whose cell has a NaN corner."""
+    p = points + np.multiply.outer(np.multiply(_RAY, h), inward)
+    s, t = p[..., 0], p[..., 1]
+    return np.where((s >= f.s[0]) & (s <= f.s[-1]) & (t >= f.t[0]) & (t <= f.t[-1]), f.sample(p), np.nan)
+
+
+def _trace(ray: np.ndarray, h: float):
+    """Interface value and inward slope extrapolated from a ray's 2.5h and 4h
+    samples (second order for the value, one-sided for the slope)."""
+    _, d1, d2, _ = np.multiply(_RAY, h)
+    return (d2 * ray[1] - d1 * ray[2]) / (d2 - d1), (ray[2] - ray[1]) / (d2 - d1)
+
+
+def _require_on_zero_level(u: AxiField, at_interface: np.ndarray, h: float) -> None:
+    """Reject interface samples where u reads farther from 0 than one cell of slope."""
+    if float(np.max(np.abs(at_interface))) > 2.0 * h * (1.0 + float(np.max(np.abs(u.values)))):
         raise GeometryMismatchError("boundary does not track the zero level set within one cell")
-
-
-def _inward_trace(f: AxiField, points: np.ndarray, inward: np.ndarray, h: float):
-    """Interface value and inward slope of ``f`` at ``points``.
-
-    Two bilinear samples taken ``_TRACE_OFFSETS`` times h along the unit
-    directions ``inward`` are extrapolated back to the points (second order
-    for the value, one-sided for the slope).  Nodal values in the two-cell
-    band around the interface see the gradient jump of u, so the samples sit
-    inside the clean zone.
-    """
-    d1, d2 = _TRACE_OFFSETS[0] * h, _TRACE_OFFSETS[1] * h
-    f1 = f.sample(points + d1 * inward)
-    f2 = f.sample(points + d2 * inward)
-    return (d2 * f1 - d1 * f2) / (d2 - d1), (f2 - f1) / (d2 - d1)
-
-
-def _trace_fits(f: AxiField, points: np.ndarray, inward: np.ndarray, h: float) -> np.ndarray:
-    """Whether both samples of :func:`_inward_trace` at each of ``points``
-    lie on the grid, where ``AxiField.sample`` interpolates rather than
-    extrapolates."""
-    fits = np.ones(len(points), dtype=bool)
-    for d in _TRACE_OFFSETS:
-        p = points + d * h * inward
-        fits &= (p[:, 0] >= f.s[0]) & (p[:, 0] <= f.s[-1]) & (p[:, 1] >= f.t[0]) & (p[:, 1] <= f.t[-1])
-    return fits
 
 
 @dataclass
@@ -225,44 +216,43 @@ class BoundaryIdentityReport:
 def normal_derivative_identity(boundary: RevolutionBoundary, u: AxiField) -> BoundaryIdentityReport:
     """Evaluate grad(u_s) . nu - H u_s along the interface by one-sided stencils.
 
-    Values of u_s at the interface and its normal derivative are obtained
-    from two bilinear samples taken 2.5 and 4 times max(hs, ht) into the
-    positivity set and extrapolated to the boundary (second-order for the
-    value, one-sided for the derivative, so the defect decays at first
-    order).  Preconditions checked: u harmonic in {u > 0} (residual 1e-6),
-    the interface on the zero level set within a cell, and |grad u| = 1 on
-    it within 1e-2 (a deviation beyond 1e-3 is noted).
+    Each interface sample is read along its inward ray at 0, 2.5, 4 and 5.5
+    times h = max(hs, ht): u at 0, u_s at 2.5h and 4h, extrapolated to the
+    interface (second order for the value, one-sided for the derivative, so
+    the defect decays at first order), and the centered |grad u| at the
+    three inner points.  A read off the grid, or in a cell touching the
+    border ring where the centered gradient is undefined, is NaN; only
+    samples whose reads are all finite are kept.  Preconditions checked: u
+    harmonic in {u > 0} (residual 1e-6), the interface on the zero level set
+    within a cell, and |grad u| = 1 on it within 1e-2 (a deviation beyond
+    1e-3 is noted).
     """
     if boundary.n != u.n:
         raise InvalidParameterError("boundary and field dimensions differ")
     _check_harmonic(u)
 
     h = max(u.hs, u.ht)
-    d1, d2 = _TRACE_OFFSETS[0] * h, _TRACE_OFFSETS[1] * h
     m = -boundary.normals  # into the positivity set
     p0 = np.stack((boundary.s, boundary.t), axis=1)
-    p1 = p0 + d1 * m
-    p2 = p0 + d2 * m
+    u0 = _ray(u, p0, m, h)[0]
+    us = _ray(us_derivative(u), p0, m, h)
+    mags = np.hypot(*(_ray(u.with_values(g), p0, m, h) for g in _centered_gradient(u)))
+    keep = np.isfinite(np.vstack((u0, us[1:3], mags[1:]))).all(axis=0)
+    if not keep.any():
+        raise InvalidParameterError("no boundary sample reads finite values on the grid")
 
-    inside = _trace_fits(u, p0, m, h)
-    if not inside.any():
-        raise InvalidParameterError("no boundary sample has its stencil inside the grid")
-
-    _require_on_zero_level(u, p0[inside], h)
-    us0, dm = _inward_trace(us_derivative(u), p0[inside], m[inside], h)
+    _require_on_zero_level(u, u0[keep], h)
+    us0, dm = _trace(us[:, keep], h)
     lhs = -dm  # grad(u_s) . nu with nu = -m
-    rhs = boundary.mean_curv[inside] * us0
+    rhs = boundary.mean_curv[keep] * us0
 
-    # |grad u| = 1 on the interface, gauged with three inward samples so the
-    # check's own extrapolation error stays below the curvature-driven signal
-    gs, gt = (u.with_values(np.nan_to_num(g)) for g in _centered_gradient(u))
-    d3 = d2 + 1.5 * h
-    p3 = p0 + d3 * m
-    mags = [np.hypot(gs.sample(p[inside]), gt.sample(p[inside])) for p in (p1, p2, p3)]
+    # |grad u| = 1 on the interface, extrapolated from all three inward
+    # samples so the check's own error stays below the curvature-driven signal
+    _, d1, d2, d3 = np.multiply(_RAY, h)
     w1 = d2 * d3 / ((d2 - d1) * (d3 - d1))
     w2 = d1 * d3 / ((d1 - d2) * (d3 - d2))
     w3 = d1 * d2 / ((d1 - d3) * (d2 - d3))
-    g0 = w1 * mags[0] + w2 * mags[1] + w3 * mags[2]
+    g0 = w1 * mags[1, keep] + w2 * mags[2, keep] + w3 * mags[3, keep]
     gradient_defect = float(np.max(np.abs(g0 - 1.0)))
     notes = []
     if gradient_defect > 1e-2:
@@ -289,9 +279,14 @@ def onephase_stability_form(
 
     The bulk integral is the cell-midpoint rule restricted to cells whose
     center value is positive, weighted by the cylindrical measure; xi must
-    vanish on the outer grid boundary, and every interface sample's trace
-    stencil must lie on the grid (an integral cannot drop samples).
+    vanish on the outer grid boundary.  Along each interface sample's inward
+    ray u is read at 0 and xi at 2.5 and 4 times h = max(hs, ht), its trace
+    extrapolated as in :func:`normal_derivative_identity`; a read off the
+    grid is NaN, and every read must be finite (an integral cannot drop
+    samples).
     """
+    if boundary.n != u.n:
+        raise InvalidParameterError("boundary and field dimensions differ")
     if not u.same_grid(xi):
         raise InvalidParameterError("field and test function live on different grids")
     _require_vanishing_border(xi, 1e-12)
@@ -300,11 +295,15 @@ def onephase_stability_form(
     pts = np.stack((boundary.s, boundary.t), axis=1)
     h = max(u.hs, u.ht)
     inward = -boundary.normals
-    off = int(np.count_nonzero(~_trace_fits(u, pts, inward, h)))
-    if off:
-        raise InvalidParameterError(f"{off} interface samples have their trace stencil off the grid")
-    _require_on_zero_level(u, pts, h)
-    xi_b, _ = _inward_trace(xi, pts, inward, h)
+    u0 = _ray(u, pts, inward, h)[0]
+    xi_ray = _ray(xi, pts, inward, h)
+    finite = np.isfinite(np.vstack((u0, xi_ray[1:3]))).all(axis=0)
+    if not finite.all():
+        raise InvalidParameterError(
+            f"{np.count_nonzero(~finite)} interface samples have their trace stencil off the grid"
+        )
+    _require_on_zero_level(u, u0, h)
+    xi_b, _ = _trace(xi_ray, h)
     lhs = surface_integral(boundary, boundary.mean_curv * xi_b**2)
 
     # Bulk quadrature over cells at least two nodes inside the positivity set:

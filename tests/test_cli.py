@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
@@ -124,6 +126,27 @@ def test_environment_is_not_an_input_of_a_run(tmp_path, runner, monkeypatch):
     assert echoed["config"] == report.config_text
     assert "newton = 1e-10" in echoed["config"].splitlines()
     assert json.dumps(echoed["results"], sort_keys=True) == json.dumps(report.results, sort_keys=True)
+
+
+def test_blas_thread_count_of_the_caller_is_not_an_input_of_a_run(tmp_path):
+    # a threaded BLAS sums in an order set by its thread count: at 1 and 2
+    # threads the eigen solve differed in the 15th digit of rayleigh.min
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+    src = str(Path(onephase_lab.__file__).resolve().parent.parent)
+    reports = []
+    for count in ("1", "2"):
+        env = {**os.environ, **dict.fromkeys(threads, count)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = tmp_path / count
+        args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "onephase_lab.cli", *args], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        reports.append(json.loads((out / "report.json").read_text()))
+    first, second = (json.dumps(report["results"], sort_keys=True) for report in reports)
+    assert first == second
+    assert all(report["meta"]["blas_threads"] == dict.fromkeys(threads, "1") for report in reports)
 
 
 def test_unknown_tolerance_name_is_rejected(tmp_path, runner):

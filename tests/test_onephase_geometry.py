@@ -842,6 +842,51 @@ def test_identity_first_order_on_solved_neck():
     assert defects[0] / defects[1] > 1.5
 
 
+@pytest.fixture(scope="module")
+def neck64():
+    """The resolution-64 strip_neck solve of the ``onephase`` preset, its
+    reference and the preset's probe xi with its border zeroed."""
+    cfg = ExperimentConfig(experiment="onephase", onephase_preset="strip_neck", onephase_resolution=64)
+    neck, grid, _ = experiments._onephase_case(cfg)
+    sol = solve_harmonic_masked(grid, neck.level, neck.u)
+    xi_vals = probe_inequality(sol.field, experiments._probe(cfg)).xi.values.copy()
+    xi_vals[[0, -1], :] = xi_vals[:, [0, -1]] = 0.0
+    return neck, sol.field, sol.field.with_values(xi_vals)
+
+
+def _gauge_reads_defined(field, boundary):
+    """Samples whose identity reads are all defined, judged on the axes: the
+    interface point on the grid, and the points 2.5h, 4h and 5.5h inward in
+    cells clear of the border ring where centered differences are undefined
+    (a point on a cell's lower edge takes the cell above it)."""
+    s, t = field.s, field.t
+    h = max(field.hs, field.ht)
+    p0 = np.stack((boundary.s, boundary.t), axis=1)
+    ok = (p0[:, 0] >= s[0]) & (p0[:, 0] <= s[-1]) & (p0[:, 1] >= t[0]) & (p0[:, 1] <= t[-1])
+    for d in (2.5 * h, 4.0 * h, 5.5 * h):
+        p = p0 - d * boundary.normals
+        ok &= (p[:, 0] >= s[1]) & (p[:, 0] < s[-2]) & (p[:, 1] >= t[1]) & (p[:, 1] < t[-2])
+    return ok
+
+
+@pytest.mark.parametrize("reach, kept", [(0.99, 93), (0.95, 97)])
+def test_identity_keeps_exactly_the_samples_whose_reads_are_defined(neck64, reach, kept):
+    # near the box's top and bottom the |grad u| gauge's 5.5h point leaves
+    # the grid, or its cell touches the ring where the centered gradient is
+    # undefined; reading zeros there raised a 1.73 gauge deviation
+    neck, field, _ = neck64
+    gen = neck.boundary_generator(np.linspace(-reach, reach, 101))
+    rep = normal_derivative_identity(curvature_of_revolution(gen, n=2), field)
+    assert len(rep.lhs) == kept
+    assert rep.gradient_defect < 1e-3
+    keep = _gauge_reads_defined(field, curvature_of_revolution(gen, n=2))
+    assert np.count_nonzero(keep) == kept
+    sub = Generator(*(v[keep] for v in (gen.s, gen.t, gen.ds, gen.dt, gen.dss, gen.dtt)))
+    alone = normal_derivative_identity(curvature_of_revolution(sub, n=2), field)
+    assert np.array_equal(alone.lhs, rep.lhs) and np.array_equal(alone.rhs, rep.rhs)
+    assert alone.gradient_defect == rep.gradient_defect
+
+
 # ---------------------------------------------------------------- stability form
 
 
@@ -860,20 +905,27 @@ def test_interface_form_trivial_cases():
     assert rep2.verdict == "stable-on-grid"
 
 
-def test_interface_form_rejects_trace_stencils_off_the_grid():
+def test_interface_form_rejects_trace_stencils_off_the_grid(neck64):
     # over t in [-0.99, 0.99] the neck generator comes within 4h of the box's
     # top and bottom: four samples would read an extrapolated xi (lhs 0.3912
-    # against 0.3735 over [-0.75, 0.75]), so the integral refuses them
-    cfg = ExperimentConfig(experiment="onephase", onephase_preset="strip_neck", onephase_resolution=64)
-    neck, grid, gen = experiments._onephase_case(cfg)
-    sol = solve_harmonic_masked(grid, neck.level, neck.u)
-    xi_vals = probe_inequality(sol.field, experiments._probe(cfg)).xi.values.copy()
-    xi_vals[[0, -1], :] = xi_vals[:, [0, -1]] = 0.0
-    xi = sol.field.with_values(xi_vals)
-    assert onephase_stability_form(curvature_of_revolution(gen, n=2), sol.field, xi).lhs > 0.0
+    # against 0.3735 over [-0.75, 0.75]), so the integral refuses them; over
+    # [-0.95, 0.95] every read of xi is on the grid
+    neck, field, xi = neck64
+    for reach in (0.75, 0.95):
+        gen = neck.boundary_generator(np.linspace(-reach, reach, 101))
+        assert onephase_stability_form(curvature_of_revolution(gen, n=2), field, xi).lhs > 0.0
     wide = curvature_of_revolution(neck.boundary_generator(np.linspace(-0.99, 0.99, 101)), n=2)
     with pytest.raises(InvalidParameterError, match="^4 interface samples have their trace stencil off the grid$"):
-        onephase_stability_form(wide, sol.field, xi)
+        onephase_stability_form(wide, field, xi)
+
+
+def test_interface_form_rejects_a_boundary_of_another_dimension(neck64):
+    neck, field, xi = neck64
+    boundary = curvature_of_revolution(neck.boundary_generator(np.linspace(-0.75, 0.75, 101)), n=3)
+    zero = field.with_values(np.zeros_like(field.values))
+    for test_function in (zero, xi):
+        with pytest.raises(InvalidParameterError, match="dimensions differ"):
+            onephase_stability_form(boundary, field, test_function)
 
 
 @pytest.mark.parametrize("form, rel", [("quadratic_form", 1e-13), ("onephase_stability_form", 1e-12)])

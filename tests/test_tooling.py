@@ -258,3 +258,18 @@ def test_no_module_of_the_package_reads_the_environment():
         for name in _references(ast.parse(path.read_text(), filename=str(path))) & environment
     }
     assert reads == set()
+
+
+def test_the_interface_layer_samples_fields_through_its_ray_alone():
+    # every interface read goes through ``_ray``, which marks a read off the
+    # grid or next to an undefined node as NaN; a second ``.sample(`` call
+    # site would read extrapolated or zero-filled values unseen
+    tree = ast.parse((SRC / "onephase_lab" / "onephase_geometry.py").read_text())
+    sites = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "sample"
+    ]
+    assert sites == ["_ray"]
