@@ -96,12 +96,13 @@ class AxiField:
         return replace(self, values=values)
 
     def sample(self, points) -> np.ndarray:
-        """Bilinear values at ``points``, continued linearly outside the grid.
+        """Bilinear values at ``points``; NaN off the grid.
 
-        ``points`` is an array of (s, t) pairs in its last axis.  A point
-        takes the cell ``s[i] <= s < s[i+1]``, ``t[j] <= t < t[j+1]`` (the
-        last cell also its far edge; points off the grid the nearest edge
-        cell) and the weighted values of that cell's four corners.
+        ``points`` is an array of (s, t) pairs in its last axis.  A point in
+        the closed box [s[0], s[-1]] x [t[0], t[-1]] takes the cell
+        ``s[i] <= s < s[i+1]``, ``t[j] <= t < t[j+1]`` (the last cell also
+        its far edge) and the weighted values of that cell's four corners;
+        any other point reads NaN, as does one whose cell has a NaN corner.
         """
         points = np.asarray(points, dtype=float)
         s, t = points[..., 0], points[..., 1]
@@ -110,7 +111,9 @@ class AxiField:
         nt, v = len(self.t), self.values.ravel()
         k = i * nt + j  # the cell's lower-left corner in the flat values
         zs, zt = 1.0 - ys, 1.0 - yt
-        return v[k] * zs * zt + v[k + 1] * zs * yt + v[k + nt] * ys * zt + v[k + nt + 1] * ys * yt
+        value = v[k] * zs * zt + v[k + 1] * zs * yt + v[k + nt] * ys * zt + v[k + nt + 1] * ys * yt
+        on_grid = (s >= self.s[0]) & (s <= self.s[-1]) & (t >= self.t[0]) & (t <= self.t[-1])
+        return np.where(on_grid, value, np.nan)
 
     def save_binary(self, path) -> None:
         """AXIF block: b"AXIF", int32 n, ns, nt, then little-endian float64
@@ -124,7 +127,9 @@ class AxiField:
 
     @classmethod
     def load_binary(cls, path) -> "AxiField":
-        """Read a ``save_binary`` block, checking its size against its header."""
+        """Read a ``save_binary`` block, checking its size against its header
+        and its grid against ``GridSpec``'s rules: n >= 2, and on each axis at
+        least 3 finite, strictly increasing nodes, s from 0 up."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if len(blob) < 16 or blob[:4] != b"AXIF":
@@ -135,7 +140,11 @@ class AxiField:
                 f"{path}: AXIF header ns={ns}, nt={nt} does not match its {len(blob) - 16} data bytes"
             )
         data = np.frombuffer(blob, dtype="<f8", offset=16).astype(float)
-        return cls(n=n, s=data[:ns], t=data[ns : ns + nt], values=data[ns + nt :].reshape(ns, nt))
+        s, t = data[:ns], data[ns : ns + nt]
+        axes = all(len(x) >= 3 and np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0) for x in (s, t))
+        if n < 2 or not (axes and s[0] >= 0.0):
+            raise InvalidParameterError(f"{path}: AXIF grid n={n}, ns={ns}, nt={nt} breaks the grid rules")
+        return cls(n=n, s=s, t=t, values=data[ns + nt :].reshape(ns, nt))
 
 
 def _cell(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,10 +178,11 @@ def apply_axisym_laplacian(f: AxiField) -> AxiField:
 
 
 def residual_semilinear(f: AxiField, beta: ReactionTerm) -> float:
-    """Sup norm of Delta_h u - beta(u)/2 over the computable nodes."""
-    lap = apply_axisym_laplacian(f).values
-    r = lap - 0.5 * np.asarray(beta.eval(f.values))
-    return float(np.nanmax(np.abs(r)))
+    """Sup norm of Delta_h u - beta(u)/2 over the unknown nodes, where Delta_h
+    is defined (``_unknown_mask``); NaN if any of them reads NaN."""
+    inner = _unknown_mask(f.values.shape, f.has_axis)
+    lap = apply_axisym_laplacian(f).values[inner]
+    return float(np.max(np.abs(lap - 0.5 * np.asarray(beta.eval(f.values[inner])))))
 
 
 def _unknown_mask(shape, axis: bool, mirror: bool = False) -> np.ndarray:

@@ -109,21 +109,13 @@ def gl5_points(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nonuniform_second_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivative of samples ``y(x)`` (three-point, interior only).
-
-    Endpoint values copy their nearest interior neighbour.
-    """
+    """Three-point second derivative of samples ``y(x)`` at the ``len(x) - 2``
+    interior abscissae ``x[1:-1]``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    d = np.empty_like(y)
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
-    d[1:-1] = 2.0 * (
-        y[:-2] / (hm * (hm + hp)) - y[1:-1] / (hm * hp) + y[2:] / (hp * (hm + hp))
-    )
-    d[0] = d[1]
-    d[-1] = d[-2]
-    return d
+    return 2.0 * (y[:-2] / (hm * (hm + hp)) - y[1:-1] / (hm * hp) + y[2:] / (hp * (hm + hp)))
 
 
 def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,7 +159,7 @@ class Pchip:
 
     ``x`` must increase strictly.  On ``x[k] <= p < x[k+1]`` (the last piece
     also takes ``p = x[-1]``) the cubic is c0 + c1 s + c2 s^2 + c3 s^3 in
-    s = p - x[k]; points outside [x[0], x[-1]] continue the end pieces.
+    s = p - x[k]; a point outside [x[0], x[-1]] reads the nearer end.
     ``derivative`` and ``antiderivative`` (the integral from x[0]) are exact
     for the same pieces.  Every piece is summed from its lowest power up, in
     the order of scipy's piecewise-polynomial evaluation, so the lab's results
@@ -188,7 +180,7 @@ class Pchip:
         self.integral = np.concatenate(([0.0], np.cumsum(terms.ravel())[3::4]))
 
     def _piece(self, p):
-        p = np.asarray(p, dtype=float)
+        p = np.clip(p, self.x[0], self.x[-1])
         # searching the interior knots gives the clamped piece index directly
         k = np.searchsorted(self.x[1:-1], p, side="right")
         return k, p - self.x[k]

@@ -58,7 +58,7 @@ class Profile1D:
     def sample(self, x):
         """Evaluate at arbitrary points; affine continuation beyond the ends."""
         x = np.asarray(x, dtype=float)
-        v = self._interp(np.clip(x, self.xs[0], self.xs[-1]))
+        v = self._interp(x)
         v = np.where(x < self.xs[0], self.us[0] + self.dus[0] * (x - self.xs[0]), v)
         v = np.where(x > self.xs[-1], self.us[-1] + self.dus[-1] * (x - self.xs[-1]), v)
         return v
@@ -280,7 +280,7 @@ def first_integral_spread(profile: Profile1D, beta: ReactionTerm) -> float:
 
 def convexity_defect(profile: Profile1D) -> float:
     """Most negative divided second difference (0 for a convex profile)."""
-    d2 = nonuniform_second_derivative(profile.xs, profile.us)[1:-1]
+    d2 = nonuniform_second_derivative(profile.xs, profile.us)
     return float(max(0.0, -np.min(d2)))
 
 

@@ -27,8 +27,9 @@ class ReactionTerm:
 
     ``eval``, ``deriv`` and ``primitive`` are vectorized callables; the
     primitive is the running integral of ``eval`` from 0 and ``mass`` the
-    total integral of ``eval``.  ``knots`` are the abscissae of a tabulated
-    term's samples, where its interpolant takes its extreme values.
+    total integral of ``eval``; all three read NaN at a NaN argument.
+    ``knots`` are the abscissae of a tabulated term's samples, where its
+    interpolant takes its extreme values.
     """
 
     name: str
@@ -54,15 +55,13 @@ def make_polynomial_beta() -> ReactionTerm:
                 return 0.0
             return c * t * t * (1.0 - t) * (1.0 - t)
         t = np.asarray(t, dtype=float)
-        inside = (t > 0.0) & (t < 1.0)
         v = c * t * t * (1.0 - t) * (1.0 - t)
-        return np.where(inside, v, 0.0)
+        return np.where((t <= 0.0) | (t >= 1.0), 0.0, v)
 
     def _deriv(t):
         t = np.asarray(t, dtype=float)
-        inside = (t > 0.0) & (t < 1.0)
         v = 2.0 * c * t * (1.0 - t) * (1.0 - 2.0 * t)
-        return np.where(inside, v, 0.0)
+        return np.where((t <= 0.0) | (t >= 1.0), 0.0, v)
 
     def _primitive(t):
         # expanded coefficients evaluate to exactly 1 at t = 1
@@ -87,9 +86,10 @@ def make_tabulated_term(
     """Reaction term from samples (t, beta) via monotone cubic interpolation.
 
     The interpolant is monotone between knots, so its extreme values are
-    samples: :func:`require_a1` judges nonnegativity at ``knots``.  The
-    primitive is the exact antiderivative of the interpolant, shifted to
-    vanish at the lower support end and held constant above the upper end.
+    samples: :func:`require_a1` judges nonnegativity at ``knots``.  Off the
+    open knot range the term and its derivative are 0; the primitive is the
+    interpolant's exact antiderivative from the first knot, which
+    :class:`Pchip` holds constant past either end.
     """
     t = np.asarray(knots_t, dtype=float)
     b = np.asarray(knots_beta, dtype=float)
@@ -99,29 +99,21 @@ def make_tabulated_term(
         raise InvalidParameterError("knot abscissae must be strictly increasing")
     interp = Pchip(t, b)
     lo, hi = float(t[0]), float(t[-1])
-    total = float(interp.antiderivative(hi))
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
-        v = interp(np.clip(x, lo, hi))
-        return np.where((x > lo) & (x < hi), v, 0.0)
+        return np.where((x <= lo) | (x >= hi), 0.0, interp(x))
 
     def _deriv(x):
         x = np.asarray(x, dtype=float)
-        v = interp.derivative(np.clip(x, lo, hi))
-        return np.where((x > lo) & (x < hi), v, 0.0)
-
-    def _primitive(x):
-        x = np.asarray(x, dtype=float)
-        v = interp.antiderivative(np.clip(x, lo, hi))
-        return np.where(x <= lo, 0.0, np.where(x >= hi, total, v))
+        return np.where((x <= lo) | (x >= hi), 0.0, interp.derivative(x))
 
     return ReactionTerm(
         name=name,
         eval=_eval,
         deriv=_deriv,
-        primitive=_primitive,
-        mass=total,
+        primitive=interp.antiderivative,
+        mass=float(interp.antiderivative(hi)),
         knots=t,
     )
 

@@ -46,6 +46,9 @@ from .reaction_terms import ReactionTerm
 VERDICT_STABLE = "stable-on-grid"
 VERDICT_UNSTABLE = "unstable-direction-found"
 
+# the border values both stability forms allow a test function, relative to 1 + max|xi|
+BORDER_TOL = 1e-13
+
 # Most inward line sweeps spent on an eigenvector with an entry <= 0.  Each
 # multiplies the round-off a column inherits from the one inside it by their
 # coupling ratio, so the count grows with n: the 65^2 tiled layer needs none
@@ -228,8 +231,8 @@ def _edge_weights(f: AxiField):
     return w_s, w_t
 
 
-def _require_vanishing_border(xi: AxiField, rel_tol: float) -> None:
-    """Reject a test function that is not finite, or exceeds rel_tol (1 + max|xi|) on the outer boundary.
+def _require_vanishing_border(xi: AxiField) -> None:
+    """Reject a test function that is not finite, or exceeds BORDER_TOL (1 + max|xi|) on the outer boundary.
 
     The outer boundary is every node that is not an unknown of the grid
     (``_unknown_mask``): every grid edge except the symmetry axis.
@@ -238,7 +241,7 @@ def _require_vanishing_border(xi: AxiField, rel_tol: float) -> None:
     if not np.all(np.isfinite(v)):
         raise InvalidParameterError("test function must be finite")
     border = float(np.max(v[~_unknown_mask(v.shape, xi.has_axis)]))
-    if border > rel_tol * (1.0 + float(np.max(v))):
+    if border > BORDER_TOL * (1.0 + float(np.max(v))):
         raise InvalidParameterError("test function must vanish on the outer boundary")
 
 
@@ -251,7 +254,7 @@ def quadratic_form(u: AxiField, xi: AxiField, beta: ReactionTerm) -> float:
     """
     if not u.same_grid(xi):
         raise InvalidParameterError("field and test function live on different grids")
-    _require_vanishing_border(xi, 1e-13)
+    _require_vanishing_border(xi)
     return _raw_form(u, xi, beta)
 
 
@@ -300,6 +303,8 @@ def linearized_rayleigh_min(
 ) -> SpectralReport:
     """Smallest Rayleigh quotient of the second variation at a solution.
 
+    ``u`` must solve the equation: a ``residual_semilinear`` above 1e-6, or
+    NaN, is refused with ``InvalidParameterError``.
     LOBPCG on the symmetrized problem B = D A D, D = diag(w)^(-1/2),
     preconditioned by the Newton solve's multilevel layer on A - shift W:
     one V-cycle over u's every-other-node levels, one LU at the coarsest.
@@ -329,7 +334,7 @@ def linearized_rayleigh_min(
     grid with ``s_min > 0`` every side is a Dirichlet boundary.
     """
     res = residual_semilinear(u, beta)
-    if res > 1e-6:
+    if not res <= 1e-6:
         raise InvalidParameterError(f"field does not solve the equation (residual {res:.3e})")
 
     # The edge part of A is a sum of weighted squared differences, so every

@@ -1111,26 +1111,31 @@ def test_a_spike_breaks_the_max_principle_and_passes_the_border_check_exactly_on
         f = AxiField(g.n, *g.axes(), spike)
         assert (max_principle_defect(f) > 0.0) == unknown[i, j], (i, j)
         try:
-            _require_vanishing_border(f, 1e-13)
+            _require_vanishing_border(f)
             passed = True
         except InvalidParameterError:
             passed = False
         assert passed == unknown[i, j], (i, j)
 
 
-def test_sample_is_bilinear_inside_the_grid_and_linear_outside(rng):
+def test_sample_is_bilinear_on_the_closed_grid_and_nan_off_it(rng):
     g = GridSpec(n=3, s_min=0.5, s_max=2.0, t_min=-1.0, t_max=1.5, ns=7, nt=9)
     a, b, c, d = rng.uniform(-2.0, 2.0, 4)
     f = from_function(g, lambda s, t: a + b * s + c * t + d * s * t)
     s, t = rng.uniform(0.5, 2.0, 200), rng.uniform(-1.0, 1.5, 200)
+    # the four edges and the four corners of the closed box belong to it
+    s = np.concatenate((s, np.full(20, 0.5), np.full(20, 2.0), s[:40], [0.5, 0.5, 2.0, 2.0]))
+    t = np.concatenate((t, t[:40], np.full(20, -1.0), np.full(20, 1.5), [-1.0, 1.5, -1.0, 1.5]))
     inside = f.sample(np.stack((s, t), axis=-1))
     assert np.max(np.abs(inside - (a + b * s + c * t + d * s * t))) <= 1e-13
-    # affine data continues past every edge and corner
-    affine = from_function(g, lambda s, t: a + b * s + c * t)
+    # every point off the box reads NaN, one ulp past an edge included
     s, t = rng.uniform(-1.0, 3.5, 400), rng.uniform(-2.5, 3.0, 400)
     outside = (s < 0.5) | (s > 2.0) | (t < -1.0) | (t > 1.5)
     assert outside.sum() > 200
-    assert np.max(np.abs(affine.sample(np.stack((s, t), axis=-1)) - (a + b * s + c * t))) <= 1e-13
+    assert np.array_equal(np.isnan(f.sample(np.stack((s, t), axis=-1))), outside)
+    below, above = np.nextafter([0.5, -1.0], -np.inf), np.nextafter([2.0, 1.5], np.inf)
+    ulp = np.array([[below[0], 0.0], [above[0], 0.0], [1.0, below[1]], [1.0, above[1]]])
+    assert np.isnan(f.sample(ulp)).all()
 
 
 def test_monitor_invariant_under_blow_down():
@@ -1290,6 +1295,40 @@ def test_load_binary_rejects_a_block_that_disagrees_with_its_header(tmp_path, cu
     path.write_bytes({"truncated": blob[:-16], "trailing": blob + b"\0" * 8, "magic": b"AXIG" + blob[4:]}[cut])
     with pytest.raises(InvalidParameterError, match=re.escape(str(path))):
         AxiField.load_binary(path)
+
+
+def _axif(n, s, t):
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    header = b"AXIF" + struct.pack("<iii", n, len(s), len(t))
+    return header + np.concatenate((s, t, np.zeros(len(s) * len(t)))).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, s, t",
+    [
+        (-7, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]),
+        (1, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]),
+        (3, [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]),
+        (3, [0.0, 1.0], [0.0, 1.0, 2.0]),
+        (3, [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]),
+        (3, [0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
+        (3, [0.0, 1.0, 2.0], [math.nan, 1.0, 2.0]),
+        (3, [-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]),
+    ],
+    ids=["n-negative", "n-one", "s-repeated", "s-two-nodes", "t-unordered", "s-infinite", "t-nan", "s-negative"],
+)
+def test_load_binary_applies_the_grid_rules_to_its_header(tmp_path, n, s, t):
+    # n = -7 and s = [0, 0, 0] loaded at the parent: the latter with hs = 0,
+    # so that apply_axisym_laplacian read all NaN
+    path = tmp_path / "f.bin"
+    path.write_bytes(_axif(n, s, t))
+    with pytest.raises(InvalidParameterError, match=re.escape(str(path)) + ".*grid rules"):
+        AxiField.load_binary(path)
+    # the same block with the rules kept loads, bit for bit
+    path.write_bytes(_axif(3, [0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]))
+    back = AxiField.load_binary(path)
+    back.save_binary(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_axis_symmetry_of_solved_fields(beta, layer_profile):

@@ -35,9 +35,11 @@ def test_pchip_matches_scipy_value_derivative_and_antiderivative(kind, rng):
     assert _close(ours(p), oracle(p))
     assert _close(ours.derivative(p), oracle.derivative()(p))
     assert _close(ours.antiderivative(p), oracle.antiderivative()(p))
-    # points past the ends continue the end pieces, as scipy's extrapolation does
-    q = np.array([x[0] - 0.3, x[-1] + 0.2])
-    assert _close(ours(q), oracle(q))
+    # the interpolant is defined on its knots: a point past an end reads that
+    # end's value, slope and integral
+    q, ends = np.array([x[0] - 0.3, x[-1] + 0.2]), x[[0, -1]]
+    for read in (ours, ours.derivative, ours.antiderivative):
+        assert np.array_equal(read(q), read(ends))
 
 
 def test_pchip_keeps_monotone_data_monotone_and_two_knots_linear(rng):
@@ -52,13 +54,19 @@ def test_pchip_keeps_monotone_data_monotone_and_two_knots_linear(rng):
 def test_bilinear_sample_matches_regular_grid_interpolator(s_min, rng):
     g = GridSpec(n=3, s_min=s_min, s_max=2.0, t_min=-1.0, t_max=1.5, ns=17, nt=23)
     f = from_function(g, lambda s, t: np.sin(2.0 * s + t) + s * s * t)
-    oracle = RegularGridInterpolator((f.s, f.t), f.values, bounds_error=False, fill_value=None)
+    oracle = RegularGridInterpolator((f.s, f.t), f.values, bounds_error=False, fill_value=np.nan)
     s_in, t_in = rng.uniform(s_min, 2.0, 3000), rng.uniform(-1.0, 1.5, 3000)
     axis = np.stack((np.full(200, s_min), rng.uniform(-1.0, 1.5, 200)), axis=-1)  # the first column exactly
     nodes = np.stack(np.meshgrid(f.s, f.t, indexing="ij"), axis=-1).reshape(-1, 2)
     s_out, t_out = rng.uniform(s_min - 1.0, 3.0, 3000), rng.uniform(-2.5, 3.0, 3000)
-    for pts in (np.stack((s_in, t_in), axis=-1), axis, nodes, np.stack((s_out, t_out), axis=-1)):
+    for pts in (np.stack((s_in, t_in), axis=-1), axis, nodes):
         assert _close(f.sample(pts), oracle(pts))
+    # off the closed box both read NaN
+    out = np.stack((s_out, t_out), axis=-1)
+    got, want = f.sample(out), oracle(out)
+    on = ~np.isnan(want)
+    assert np.array_equal(np.isnan(got), ~on) and 0 < on.sum() < len(on)
+    assert _close(got[on], want[on])
     assert np.array_equal(f.sample(nodes).reshape(f.values.shape), f.values)
     grid_pts = np.stack(np.broadcast_arrays(s_out[:, None], t_out[None, :50]), axis=-1)
     assert f.sample(grid_pts).shape == (3000, 50)

@@ -12,6 +12,7 @@ from onephase_lab.errors import (
     InvalidParameterError,
     NonIntegrableTailError,
 )
+from onephase_lab.numerics import nonuniform_second_derivative
 from onephase_lab.profile1d import (
     CASE_I,
     CASE_I_REFLECTED,
@@ -96,6 +97,15 @@ def test_quadrature_profile_first_integral_exact(beta, layer_profile):
 def test_convexity(beta, shot_cache):
     for a in (0.5, 1.0, 2.0):
         assert convexity_defect(shot_cache(a)) <= 1e-8
+
+
+def test_second_derivative_reads_the_interior_abscissae_alone(rng):
+    # the three-point formula is exact on quadratics at every interior node
+    # and has no value at either end
+    x = np.sort(rng.uniform(-1.0, 2.0, 30))
+    d2 = nonuniform_second_derivative(x, 1.5 * x * x - x + 0.25)
+    assert d2.shape == (len(x) - 2,)
+    assert np.max(np.abs(d2 - 3.0)) <= 1e-9
 
 
 def test_affine_above_one(shot_cache):

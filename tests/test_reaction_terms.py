@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -43,6 +44,21 @@ def test_support_endpoints_vanish(beta):
     assert beta.eval(1.0) == 0.0
     assert beta.deriv(0.0) == 0.0
     assert beta.deriv(1.0) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["poly2", "table"])
+def test_a_nan_argument_reads_nan_not_zero(beta, kind):
+    # a NaN is neither inside nor outside the support: mapping it to 0 would
+    # hide an undefined field value from every residual that reads the term
+    t = np.linspace(0.0, 1.0, 33)
+    term = beta if kind == "poly2" else make_tabulated_term(t, beta.eval(t))
+    args = np.array([-0.5, 0.0, np.nan, 0.5, 1.0, 1.5])
+    for read in (term.eval, term.deriv, term.primitive):
+        got = np.asarray(read(args))
+        assert np.array_equal(np.isnan(got), np.isnan(args))
+        assert np.isnan(read(math.nan))
+    assert np.array_equal(term.eval(args[[0, 1, 4, 5]]), np.zeros(4))
+    assert np.array_equal(term.deriv(args[[0, 1, 4, 5]]), np.zeros(4))
 
 
 def test_primitive_half_mass_by_symmetry(beta):

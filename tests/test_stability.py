@@ -21,6 +21,7 @@ from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
     apply_axisym_laplacian,
+    residual_semilinear,
     solve_semilinear,
     solve_semilinear_1d,
 )
@@ -421,6 +422,18 @@ def test_eigen_requires_solved_field(beta):
     u = from_function(g, lambda s, t: 0.5 + 0.0 * s)  # beta(1/2) != 0
     with pytest.raises(InvalidParameterError):
         linearized_rayleigh_min(u, beta)
+
+
+def test_eigen_solve_refuses_a_field_holding_a_nan(beta, layer_profile):
+    # one NaN node: the reaction term must not read it as 0, nor the residual
+    # skip it, or the clean field's certificate would be issued for it
+    g = GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=65, nt=65)
+    u = tiled_layer(beta, layer_profile, g)
+    assert residual_semilinear(u, beta) < 1e-12
+    u.values[30, 30] = math.nan
+    assert math.isnan(residual_semilinear(u, beta))
+    with pytest.raises(InvalidParameterError, match=r"residual nan\)$"):
+        linearized_rayleigh_min(u, beta, tol=1e-8)
 
 
 def test_sign_changing_eigenvector_is_not_certified(beta, layer_profile, monkeypatch):

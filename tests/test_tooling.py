@@ -260,6 +260,21 @@ def test_no_module_of_the_package_reads_the_environment():
     assert reads == set()
 
 
+def test_no_module_of_the_package_skips_or_zeroes_undefined_values():
+    # an undefined value stays NaN until a check reads it: a NaN-skipping
+    # reduction or nan_to_num would let a field holding a NaN pass its checks
+    skipping = {"nanmax", "nanmin", "nansum", "nanmean", "nan_to_num"}
+    calls = sorted(
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted((SRC / "onephase_lab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+        if name in skipping
+    )
+    assert calls == []
+
+
 def test_the_interface_layer_samples_fields_through_its_ray_alone():
     # every interface read goes through ``_ray``, which marks a read off the
     # grid or next to an undefined node as NaN; a second ``.sample(`` call
@@ -273,3 +288,6 @@ def test_the_interface_layer_samples_fields_through_its_ray_alone():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "sample"
     ]
     assert sites == ["_ray"]
+    # and the ray leaves the grid's bounds to ``AxiField.sample``
+    ray = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_ray")
+    assert not any(isinstance(node, ast.Compare) for node in ast.walk(ray))
