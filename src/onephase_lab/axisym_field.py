@@ -23,6 +23,11 @@ from .numerics import LU_OPTIONS, LUCounts, stencil_matrix, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
 
 
+def _spacing(first, last, count: int) -> float:
+    """The one grid spacing, (x[-1] - x[0]) / (len(x) - 1) on an axis x: the step of ``np.linspace``."""
+    return float(last - first) / (count - 1)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular (s, t) grid descriptor with ambient dimension n."""
@@ -57,11 +62,11 @@ class GridSpec:
 
     @property
     def hs(self) -> float:
-        return (self.s_max - self.s_min) / (self.ns - 1)
+        return _spacing(self.s_min, self.s_max, self.ns)
 
     @property
     def ht(self) -> float:
-        return (self.t_max - self.t_min) / (self.nt - 1)
+        return _spacing(self.t_min, self.t_max, self.nt)
 
 
 @dataclass
@@ -79,11 +84,11 @@ class AxiField:
 
     @property
     def hs(self) -> float:
-        return float(self.s[1] - self.s[0])
+        return _spacing(self.s[0], self.s[-1], len(self.s))
 
     @property
     def ht(self) -> float:
-        return float(self.t[1] - self.t[0])
+        return _spacing(self.t[0], self.t[-1], len(self.t))
 
     @property
     def has_axis(self) -> bool:
@@ -129,7 +134,8 @@ class AxiField:
     def load_binary(cls, path) -> "AxiField":
         """Read a ``save_binary`` block, checking its size against its header
         and its grid against ``GridSpec``'s rules: n >= 2, and on each axis at
-        least 3 finite, strictly increasing nodes, s from 0 up."""
+        least 3 finite, strictly increasing, uniform nodes (each step within
+        4 eps max|x| of ``_spacing``), s from 0 up."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if len(blob) < 16 or blob[:4] != b"AXIF":
@@ -141,7 +147,15 @@ class AxiField:
             )
         data = np.frombuffer(blob, dtype="<f8", offset=16).astype(float)
         s, t = data[:ns], data[ns : ns + nt]
-        axes = all(len(x) >= 3 and np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0) for x in (s, t))
+        with np.errstate(over="ignore", invalid="ignore"):  # a width that overflows is refused, as in GridSpec
+            axes = all(
+                len(x) >= 3
+                and np.all(np.isfinite(x))
+                and np.all(np.diff(x) > 0.0)
+                and np.max(np.abs(np.diff(x) - _spacing(x[0], x[-1], len(x))))
+                <= 4.0 * np.finfo(float).eps * np.max(np.abs(x))
+                for x in (s, t)
+            )
         if n < 2 or not (axes and s[0] >= 0.0):
             raise InvalidParameterError(f"{path}: AXIF grid n={n}, ns={ns}, nt={nt} breaks the grid rules")
         return cls(n=n, s=s, t=t, values=data[ns + nt :].reshape(ns, nt))
@@ -720,12 +734,9 @@ def solve_semilinear_1d(
     v = np.array(init, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise InvalidParameterError("init must hold at least 3 nodal values in one dimension")
-    left, right = v[0], v[-1]
-    t = np.linspace(t_min, t_max, len(v))
-    ht = t[1] - t[0]
-    m = len(v) - 2
-    main = -2.0 / ht**2 * np.ones(m)
-    off = 1.0 / ht**2 * np.ones(m - 1)
+    left, right, ht = v[0], v[-1], _spacing(t_min, t_max, len(v))
+    main = np.full(len(v) - 2, -2.0 / ht**2)
+    off = np.full(len(v) - 3, 1.0 / ht**2)
 
     def res_of(w):
         lap = (np.concatenate((w[1:], [right])) - 2.0 * w + np.concatenate(([left], w[:-1]))) / ht**2

@@ -170,7 +170,9 @@ def _harmonic_residual(u: AxiField, mask: np.ndarray) -> float:
 
 
 def _check_harmonic(u: AxiField) -> np.ndarray:
-    """Reject u unless it is harmonic on its positive interior; return that mask."""
+    """Reject u unless it is finite and harmonic on its positive interior; return that mask."""
+    if not np.all(np.isfinite(u.values)):
+        raise InvalidParameterError("field must be finite")
     mask = _positive_interior_mask(u.values)
     if not mask.any():
         raise PreconditionViolationError("positivity set too thin to verify harmonicity")

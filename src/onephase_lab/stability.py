@@ -30,6 +30,7 @@ from .axisym_field import (
     _grid_transfers,
     _KrylovSolve,
     _level_strides,
+    _spacing,
     _unknown_mask,
     residual_semilinear,
 )
@@ -97,11 +98,16 @@ class InequalityReport:
     (n-2) int u_s^2 eta^2 / s^2 <= int u_s^2 |grad eta|^2 and the interface
     int H xi^2 <= int |grad xi|^2, which grad(u_s) . nu = H u_s makes equal.
     A negative ``defect`` (rhs - lhs) certifies that the tested direction
-    violates stability on the grid.
+    violates stability on the grid.  Both sides must be finite: a NaN side
+    would read as stable.
     """
 
     lhs: float
     rhs: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            raise InvalidParameterError(f"inequality sides must be finite, got lhs={self.lhs!r}, rhs={self.rhs!r}")
 
     @property
     def defect(self) -> float:
@@ -178,16 +184,13 @@ def _column_weights(n: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, n
     takes the exact half-cell integral of s^(n-2).  The axis node of a first
     or last row carries the smallest weight.
     """
-    hs, ht, m = s[1] - s[0], t[1] - t[0], n - 2
+    # a numpy hs, whose power overflows to inf where a float's would raise
+    hs, ht, m = np.float64(_spacing(s[0], s[-1], len(s))), _spacing(t[0], t[-1], len(t)), n - 2
     cs = s**m * hs
     cs[-1] = s[-1] ** m * hs / 2.0
-    if s[0] == 0.0:
-        cs[0] = (hs / 2.0) ** (m + 1) / (m + 1)
-    else:
-        cs[0] = s[0] ** m * hs / 2.0
+    cs[0] = (hs / 2.0) ** (m + 1) / (m + 1) if s[0] == 0.0 else s[0] ** m * hs / 2.0
     ct = np.full(len(t), ht)
-    ct[0] = ht / 2.0
-    ct[-1] = ht / 2.0
+    ct[0] = ct[-1] = ht / 2.0
     return cs, ct
 
 
@@ -206,7 +209,7 @@ def require_representable_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
         cs, ct = _column_weights(n, s, t)
         cs = unit_sphere_area(n - 2) * cs
         largest, smallest = cs.max() * ct.max(), cs.min() * ct.min()
-    hs, ht = s[1] - s[0], t[1] - t[0]
+    hs, ht = _spacing(s[0], s[-1], len(s)), _spacing(t[0], t[-1], len(t))
     if not np.isfinite(largest):
         raise InvalidParameterError(
             f"stability at n = {n} needs finite node weights, but on this grid (s_max = {s[-1]:g}, "

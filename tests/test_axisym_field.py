@@ -41,7 +41,7 @@ from onephase_lab.errors import (
     InvalidParameterError,
     NonconvergenceError,
 )
-from onephase_lab.experiments import boundary_data
+from onephase_lab.experiments import _onephase_case, boundary_data
 from onephase_lab.numerics import LU_OPTIONS, LUCounts
 from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
 from onephase_lab.reaction_terms import make_tabulated_term, rescale
@@ -259,6 +259,45 @@ def test_symmetric_t_extents_give_mirror_exact_nodes(extent):
     # an extent not symmetric about 0 keeps linspace's nodes
     off = GridSpec(n=3, s_max=1.0, t_min=-extent, t_max=1.25 * extent, ns=3, nt=449)
     assert np.array_equal(off.axes()[1], np.linspace(-extent, 1.25 * extent, 449))
+
+
+def _strip_neck_grid(resolution):
+    return _onephase_case(ExperimentConfig(experiment="onephase", onephase_resolution=resolution))[1]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridSpec(n=3, s_max=3.0, t_min=-1.5, t_max=1.5, ns=449, nt=449), *map(_strip_neck_grid, (64, 128, 256))],
+    ids=["neck-449", "strip-neck-64", "strip-neck-128", "strip-neck-256"],
+)
+def test_a_field_reads_the_spacing_its_grid_assembles_with(grid):
+    # the node difference s[1] - s[0] missed (s_max - s_min) / (ns - 1) by
+    # 2.54e-16 in t on the neck and by 4.2e-17, 9.0e-17 and 4.8e-17 in s on
+    # the strip neck, so the residual judging a Newton step read a spacing
+    # its Jacobian was not built with
+    f = AxiField(grid.n, *grid.axes(), np.zeros((grid.ns, grid.nt)))
+    assert (f.hs, f.ht) == (grid.hs, grid.ht)
+
+
+def test_every_grid_axis_is_uniform_within_4_eps_of_its_spacing():
+    # the spacing AxiField reads off its axes is GridSpec's bit for bit, and
+    # every step lies within the 4 eps max|x| that load_binary allows
+    rng = np.random.default_rng(48)
+    for _ in range(2000):
+        t_max = rng.uniform(0.01, 10.0)
+        grid = GridSpec(
+            n=3,
+            s_min=rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+            s_max=5.0 + rng.uniform(0.01, 10.0) * 10.0 ** rng.integers(-3, 4),
+            t_min=rng.choice([-t_max, rng.uniform(-10.0, t_max - 0.01)]),
+            t_max=t_max,
+            ns=int(rng.integers(3, 600)),
+            nt=int(rng.integers(3, 600)),
+        )
+        f = AxiField(grid.n, *grid.axes(), np.zeros((grid.ns, grid.nt)))
+        assert (f.hs, f.ht) == (grid.hs, grid.ht)
+        for x, h in ((f.s, f.hs), (f.t, f.ht)):
+            assert np.max(np.abs(np.diff(x) - h)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(x))
 
 
 def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):
@@ -1314,12 +1353,20 @@ def _axif(n, s, t):
         (3, [0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
         (3, [0.0, 1.0, 2.0], [math.nan, 1.0, 2.0]),
         (3, [-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]),
+        (3, [0.0, 0.1, 0.5, 0.6], [0.0, 1.0, 2.0]),
+        (3, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0 + 1e-12]),
+        (3, [0.0, 1.0, 2.0], [-1.7e308, 0.0, 1.7e308]),
+        (3, [0.0, 1.0, 2.0], [-1.7e308, 1.7e308, 1.75e308]),
     ],
-    ids=["n-negative", "n-one", "s-repeated", "s-two-nodes", "t-unordered", "s-infinite", "t-nan", "s-negative"],
+    ids=[
+        "n-negative", "n-one", "s-repeated", "s-two-nodes", "t-unordered", "s-infinite", "t-nan", "s-negative",
+        "s-not-uniform", "t-not-uniform", "t-width-overflows", "t-step-overflows",
+    ],
 )
 def test_load_binary_applies_the_grid_rules_to_its_header(tmp_path, n, s, t):
-    # n = -7 and s = [0, 0, 0] loaded at the parent: the latter with hs = 0,
-    # so that apply_axisym_laplacian read all NaN
+    # n = -7 and s = [0, 0, 0] loaded once: the latter with hs = 0, so that
+    # apply_axisym_laplacian read all NaN; s = [0, 0.1, 0.5, 0.6] loaded and
+    # read hs = 0.1 for the 0.4 step in its middle
     path = tmp_path / "f.bin"
     path.write_bytes(_axif(n, s, t))
     with pytest.raises(InvalidParameterError, match=re.escape(str(path)) + ".*grid rules"):

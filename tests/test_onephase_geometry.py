@@ -928,6 +928,24 @@ def test_interface_form_rejects_a_boundary_of_another_dimension(neck64):
             onephase_stability_form(boundary, field, test_function)
 
 
+@pytest.mark.parametrize("check", ["normal_derivative_identity", "onephase_stability_form"])
+def test_the_one_phase_checks_refuse_a_field_that_is_not_finite(neck64, check):
+    # values > 0 read the NaN node as zero phase and the two-cell erosion cut
+    # a hole around it: the identity reported the clean field's max_defect
+    # 0.0911 and the form a finite verdict
+    neck, field, xi = neck64
+    boundary = curvature_of_revolution(neck.boundary_generator(np.linspace(-0.75, 0.75, 101)), n=2)
+    values = field.values.copy()
+    values[40, 64] = np.nan
+    broken = field.with_values(values)
+    evaluate = {
+        "normal_derivative_identity": lambda: normal_derivative_identity(boundary, broken),
+        "onephase_stability_form": lambda: onephase_stability_form(boundary, broken, xi),
+    }[check]
+    with pytest.raises(InvalidParameterError, match="^field must be finite$"):
+        evaluate()
+
+
 @pytest.mark.parametrize("form", ["quadratic_form", "onephase_stability_form"])
 @pytest.mark.parametrize("edge", ["outer", "bottom", "top"])
 @pytest.mark.parametrize("factor, rejected", [(1.1, True), (0.9, False)])

@@ -699,6 +699,22 @@ def test_inequality_verdict_is_lhs_above_rhs():
     assert above.defect == -(2.0**-52)
 
 
+@pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+def test_inequality_report_refuses_a_side_that_is_not_finite(lhs, rhs):
+    # lhs > rhs is false for NaN, so a NaN side read as stable-on-grid
+    with pytest.raises(InvalidParameterError, match="^inequality sides must be finite"):
+        InequalityReport(lhs=lhs, rhs=rhs)
+
+
+def test_probe_refuses_a_field_holding_a_nan(beta, layer_profile):
+    # one NaN node made lhs = rhs = nan and the verdict stable-on-grid
+    g = GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=65, nt=65)
+    u = tiled_layer(beta, layer_profile, g)
+    u.values[30, 30] = math.nan
+    with pytest.raises(InvalidParameterError, match=r"^inequality sides must be finite, got lhs=nan, rhs=nan$"):
+        probe_inequality(u, StabilityProbe(alpha=0.75, R=1.4, eps_inner=0.05))
+
+
 def test_probe_invalid_parameters():
     # the error names the one field out of range
     for kwargs, name in (

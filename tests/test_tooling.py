@@ -275,6 +275,24 @@ def test_no_module_of_the_package_skips_or_zeroes_undefined_values():
     assert calls == []
 
 
+def _node(expr, k):
+    """Whether ``expr`` reads entry ``k`` of something, x[k]."""
+    return isinstance(expr, ast.Subscript) and isinstance(expr.slice, ast.Constant) and expr.slice.value == k
+
+
+def test_no_module_of_the_package_differences_two_nodes_for_a_spacing():
+    # the grid spacing has one definition, axisym_field._spacing; a node
+    # difference x[1] - x[0] misses it at round-off on most grids
+    sites = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "onephase_lab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and _node(node.left, 1) and _node(node.right, 0)
+        and ast.dump(node.left.value) == ast.dump(node.right.value)
+    )
+    assert sites == []
+
+
 def test_the_interface_layer_samples_fields_through_its_ray_alone():
     # every interface read goes through ``_ray``, which marks a read off the
     # grid or next to an undefined node as NaN; a second ``.sample(`` call
