@@ -28,6 +28,51 @@ def _spacing(first, last, count: int) -> float:
     return float(last - first) / (count - 1)
 
 
+def _weight_factors(n: int, s: np.ndarray, t: np.ndarray) -> tuple[float, dict]:
+    """|S^(n-2)| and each weight family's (radial, axial) factors on the axes
+    (s, t), the one source of every weight of |S^(n-2)| s^(n-2) ds dt.
+
+    A weight is the rounded product (|S^(n-2)| radial_i) axial_j.  Radially
+    s^(n-2) hs at the nodes (halved on the outer column, the exact half-cell
+    integral (hs/2)^(n-1)/(n-1) on the axis) or s_mid^(n-2) hs at the cell
+    midpoints; axially ht at the nodes (halved on the first and last rows)
+    or ht per cell.
+    """
+    # a numpy hs, whose power overflows to inf where a float's would raise
+    hs, ht, m = np.float64(_spacing(s[0], s[-1], len(s))), _spacing(t[0], t[-1], len(t)), n - 2
+    radial = s**m * hs
+    radial[-1] = s[-1] ** m * hs / 2.0
+    radial[0] = (hs / 2.0) ** (m + 1) / (m + 1) if s[0] == 0.0 else s[0] ** m * hs / 2.0
+    radial_mid = (0.5 * (s[1:] + s[:-1])) ** m * hs
+    axial = np.full(len(t), ht)
+    axial[0] = axial[-1] = ht / 2.0
+    pairs = {"node": (radial, axial), "s-edge": (radial_mid, axial), "t-edge": (radial, ht), "cell": (radial_mid, ht)}
+    return unit_sphere_area(m), pairs
+
+
+def grid_weights(f: AxiField, family: str) -> np.ndarray:
+    """The "node", "s-edge", "t-edge" or "cell" weights of f's grid (t-edges and cells: one column)."""
+    area, pairs = _weight_factors(f.n, f.s, f.t)
+    radial, axial = pairs[family]
+    return area * radial[:, None] * axial
+
+
+def require_representable_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
+    """Reject the axes (s, t) at dimension n unless every weight of every
+    family, and every partial product it forms, is finite.  Rounding is
+    monotone, so a family's largest weight is the rounded product of its
+    largest factors: the check reads the factors alone, in O(ns + nt)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        area, pairs = _weight_factors(n, s, t)
+        overflowed = [name for name, (r, a) in pairs.items() if not np.isfinite(area * r.max() * np.max(a))]
+    if overflowed:
+        hs, ht = _spacing(s[0], s[-1], len(s)), _spacing(t[0], t[-1], len(t))
+        raise InvalidParameterError(
+            f"the {', '.join(overflowed)} weights at n = {n} must be finite, but on this grid (s_max = {s[-1]:g}, "
+            f"hs = {hs:.6g}, ht = {ht:.6g}) the weight |S^(n-2)| s^(n-2) hs ht overflows"
+        )
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular (s, t) grid descriptor with ambient dimension n."""
@@ -769,13 +814,6 @@ def _cell_gradient_sq(f: AxiField) -> np.ndarray:
     return grad_s**2 + grad_t**2
 
 
-def _cell_measure(f: AxiField) -> np.ndarray:
-    """Cylindrical cell measures |S^(n-2)| s_mid^(n-2) hs ht, one row per cell column."""
-    s_mid = 0.5 * (f.s[1:] + f.s[:-1])
-    w = unit_sphere_area(f.n - 2) * s_mid ** (f.n - 2)
-    return f.hs * f.ht * w[:, None]
-
-
 def _centered_gradient(f: AxiField) -> tuple[np.ndarray, np.ndarray]:
     """Centered differences (u_s, u_t) at the nodes.
 
@@ -814,7 +852,7 @@ def _energy(f: AxiField, potential_density) -> EnergyBreakdown:
     the unit-sphere area.
     """
     u = f.values
-    cell = _cell_measure(f)
+    cell = grid_weights(f, "cell")
     center = 0.25 * (u[1:, 1:] + u[:-1, 1:] + u[1:, :-1] + u[:-1, :-1])
     dirichlet = float(np.sum(np.sum(_cell_gradient_sq(f) * cell, axis=1)))
     potential = float(np.sum(np.sum(potential_density(center) * cell, axis=1)))

@@ -14,9 +14,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .axisym_field import GridSpec
+from .axisym_field import GridSpec, require_representable_weights
 from .errors import ConfigError, InvalidParameterError
-from .stability import StabilityProbe, require_representable_weights
+from .stability import StabilityProbe, require_positive_node_weights
 
 EXPERIMENTS = ("profile", "solve", "stability", "onephase", "blowdown", "window", "figure1")
 BOUNDARY_MODELS = ("profile", "affine", "catenoid")
@@ -118,11 +118,14 @@ class ExperimentConfig:
             raise ConfigError(f"[window] dims must be >= 2, got {_render(self.dims)}")
         if self.boundary_model not in BOUNDARY_MODELS:
             raise ConfigError(f"unknown boundary model {self.boundary_model!r}")
-        if self.experiment == "stability":
+        if self.experiment in ("solve", "stability"):
             try:
-                require_representable_weights(self.n, *_grid(self).axes())
+                axes = _grid(self).axes()
+                require_representable_weights(self.n, *axes)
+                if self.experiment == "stability":
+                    require_positive_node_weights(self.n, *axes)
             except InvalidParameterError as exc:
-                raise ConfigError(str(exc)) from None
+                raise ConfigError(f"{self.experiment}: {exc}") from None
 
     def canonical_text(self) -> str:
         """Normalized key=value rendering used for hashing and the report echo."""

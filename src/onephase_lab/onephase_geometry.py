@@ -28,10 +28,10 @@ from .axisym_field import (
     AxiField,
     GridSpec,
     _cell_gradient_sq,
-    _cell_measure,
     _centered_gradient,
     _fold_map,
     _unknown_mask,
+    grid_weights,
 )
 from .errors import (
     CurvatureSingularityError,
@@ -314,7 +314,7 @@ def onephase_stability_form(
     if u.has_axis:
         core[0, 1:-1] = core[1, 1:-1]
     cell_ok = core[1:, 1:] & core[:-1, 1:] & core[1:, :-1] & core[:-1, :-1]
-    rhs = float(np.sum(_cell_gradient_sq(xi) * cell_ok * _cell_measure(xi)))
+    rhs = float(np.sum(_cell_gradient_sq(xi) * cell_ok * grid_weights(xi, "cell")))
     return InequalityReport(lhs=lhs, rhs=rhs)
 
 

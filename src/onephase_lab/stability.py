@@ -32,6 +32,9 @@ from .axisym_field import (
     _level_strides,
     _spacing,
     _unknown_mask,
+    _weight_factors,
+    grid_weights,
+    require_representable_weights,
     residual_semilinear,
 )
 from .errors import InvalidParameterError, NonconvergenceError
@@ -40,7 +43,6 @@ from .numerics import (
     smoothstep_quintic,
     smoothstep_quintic_deriv,
     stencil_matrix,
-    unit_sphere_area,
 )
 from .reaction_terms import ReactionTerm
 
@@ -164,74 +166,28 @@ class SpectralReport:
 
 
 def node_weights(f: AxiField) -> np.ndarray:
-    """Ambient-measure quadrature weight per node.
-
-    The weight is |S^(n-2)| s^(n-2) hs ht: interior columns take the midpoint
-    value, the axis column the exact half-cell integral of s^(n-2) (keeping
-    the norm positive definite), outer columns and first/last rows half
-    cells.  The sphere-area constant cancels in every Rayleigh quotient but
-    makes the reported form values genuine integrals over the ambient space.
-    """
-    cs, ct = _column_weights(f.n, f.s, f.t)
-    return unit_sphere_area(f.n - 2) * cs[:, None] * ct[None, :]
+    """Ambient-measure weight per node; the sphere area cancels in every
+    Rayleigh quotient but makes the form values integrals over R^n."""
+    return grid_weights(f, "node")
 
 
-def _column_weights(n: int, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column s^(n-2) hs and per-row ht node weights on the axes (s, t),
-    without the sphere area.
-
-    Outer columns and the first/last rows take half cells; the axis column
-    takes the exact half-cell integral of s^(n-2).  The axis node of a first
-    or last row carries the smallest weight.
-    """
-    # a numpy hs, whose power overflows to inf where a float's would raise
-    hs, ht, m = np.float64(_spacing(s[0], s[-1], len(s))), _spacing(t[0], t[-1], len(t)), n - 2
-    cs = s**m * hs
-    cs[-1] = s[-1] ** m * hs / 2.0
-    cs[0] = (hs / 2.0) ** (m + 1) / (m + 1) if s[0] == 0.0 else s[0] ** m * hs / 2.0
-    ct = np.full(len(t), ht)
-    ct[0] = ct[-1] = ht / 2.0
-    return cs, ct
-
-
-def require_representable_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
-    """Reject the axes (s, t) at dimension n unless every :func:`node_weights`
-    weight on them, and every partial product it forms, is finite and the
-    smallest weight is above zero.
-
-    The check reads the column and row weights alone, in O(ns + nt): the
-    weights are the rounded products (|S^(n-2)| cs_i) ct_j of nonnegative
-    factors and rounding is monotone, so the largest (smallest) weight is the
-    rounded product of the largest (smallest) factors, and an overflowed
-    partial product stays non-finite through them.
-    """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        cs, ct = _column_weights(n, s, t)
-        cs = unit_sphere_area(n - 2) * cs
-        largest, smallest = cs.max() * ct.max(), cs.min() * ct.min()
-    hs, ht = _spacing(s[0], s[-1], len(s)), _spacing(t[0], t[-1], len(t))
-    if not np.isfinite(largest):
-        raise InvalidParameterError(
-            f"stability at n = {n} needs finite node weights, but on this grid (s_max = {s[-1]:g}, "
-            f"hs = {hs:.6g}, ht = {ht:.6g}) the weight |S^(n-2)| s^(n-2) hs ht overflows"
-        )
-    if smallest == 0.0:
+def require_positive_node_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
+    """Reject the axes (s, t) at dimension n unless the smallest node weight,
+    that of the axis node of a first or last row, is above zero: the eigen
+    solve divides by every node weight.  Read from the factors, in O(ns + nt)."""
+    area, pairs = _weight_factors(n, s, t)
+    radial, axial = pairs["node"]
+    if area * radial.min() * axial.min() == 0.0:
         weight = "axis-column weight |S^(n-2)| (hs/2)^(n-1)/(n-1)" if s[0] == 0.0 else "weight |S^(n-2)| s_min^(n-2) hs/2"
         raise InvalidParameterError(
-            f"stability at n = {n} needs node weights s^(n-2) above zero, but on this grid "
-            f"(hs = {hs:.6g}) the {weight} ht/2 underflows"
+            f"the node weights at n = {n} must be above zero, but on this grid "
+            f"(hs = {_spacing(s[0], s[-1], len(s)):.6g}) the {weight} ht/2 underflows"
         )
 
 
 def _edge_weights(f: AxiField):
     """Weights of s-edges and t-edges for the gradient part of the form."""
-    m = f.n - 2
-    area = unit_sphere_area(m)
-    cs, ct = _column_weights(f.n, f.s, f.t)
-    s_mid = 0.5 * (f.s[1:] + f.s[:-1])
-    w_s = area * (s_mid**m * f.hs)[:, None] * ct[None, :]
-    w_t = area * cs[:, None] * np.full(len(f.t) - 1, f.ht)[None, :]
-    return w_s, w_t
+    return grid_weights(f, "s-edge"), grid_weights(f, "t-edge")
 
 
 def _require_vanishing_border(xi: AxiField) -> None:
@@ -361,6 +317,7 @@ def linearized_rayleigh_min(
                     cycle = level_cycle(*op, cycle)
         f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
         require_representable_weights(f.n, f.s, f.t)
+        require_positive_node_weights(f.n, f.s, f.t)
         A, w, mask = assemble_operator(f, beta)
         transfers = None if cycle is None else _grid_transfers(*f.values.shape, f.has_axis, False)
         ops.append((A, w, f.hs * f.ht, transfers))

@@ -29,6 +29,7 @@ from onephase_lab.axisym_field import (
     apply_axisym_laplacian,
     blow_down,
     energy,
+    grid_weights,
     lipschitz_monitor,
     max_principle_defect,
     one_phase_energy,
@@ -42,7 +43,7 @@ from onephase_lab.errors import (
     NonconvergenceError,
 )
 from onephase_lab.experiments import _onephase_case, boundary_data
-from onephase_lab.numerics import LU_OPTIONS, LUCounts
+from onephase_lab.numerics import LU_OPTIONS, LUCounts, unit_sphere_area
 from onephase_lab.profile1d import extend_to_nd, unique_increasing_profile
 from onephase_lab.reaction_terms import make_tabulated_term, rescale
 from onephase_lab.stability import _require_vanishing_border
@@ -298,6 +299,31 @@ def test_every_grid_axis_is_uniform_within_4_eps_of_its_spacing():
         assert (f.hs, f.ht) == (grid.hs, grid.ht)
         for x, h in ((f.s, f.hs), (f.t, f.ht)):
             assert np.max(np.abs(np.diff(x) - h)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+def test_every_weight_family_sums_to_the_measure_of_the_box(n):
+    # |S^(n-2)| S^(n-1)/(n-1) T: the node weights (a trapezoid rule in s with
+    # the exact axis half cell) are exact at n = 2, the s-edge and cell
+    # weights (a midpoint rule in s) also at n = 3; otherwise all converge at
+    # second order, and the t-edges sum as the nodes do
+    s_max, t_min, t_max = 2.0, -1.5, 1.5
+    box = unit_sphere_area(n - 2) * s_max ** (n - 1) / (n - 1) * (t_max - t_min)
+    errors = {}
+    for nodes in (33, 65, 129):
+        f = AxiField(n, *GridSpec(n, s_max, t_min, t_max, nodes, nodes).axes(), np.zeros((nodes, nodes)))
+        sums = {family: float(np.sum(grid_weights(f, family))) for family in ("node", "s-edge", "t-edge", "cell")}
+        sums["t-edge"] *= nodes - 1  # one column of t-edge weights stands for nodes - 1 edges
+        sums["cell"] *= nodes - 1
+        assert sums["t-edge"] == pytest.approx(sums["node"], rel=1e-14)
+        for family, total in sums.items():
+            errors.setdefault(family, []).append(abs(total - box) / box)
+    exact = {"node": n == 2, "s-edge": n <= 3, "t-edge": n == 2, "cell": n <= 3}
+    for family, (coarse, mid, fine) in errors.items():
+        if exact[family]:
+            assert max(coarse, mid, fine) <= 8.0 * np.finfo(float).eps, family
+        else:
+            assert 1.95 < math.log2(coarse / mid) < 2.05 and 1.95 < math.log2(mid / fine) < 2.05, family
 
 
 def test_1d_nonconvergence_carries_sup_residual_trace(beta, layer_profile):

@@ -709,7 +709,7 @@ def test_canonical_text_round_trips_through_parse_config(tmp_path, cfg, table):
     path.write_text(cfg.canonical_text())
     try:
         cfg.validate()
-    except ConfigError:  # a stability grid whose axis weight underflows: its file is rejected too
+    except ConfigError:  # a grid whose weights leave the float range: its file is rejected too
         with pytest.raises(ConfigError):
             parse_config(path)
         return
@@ -872,11 +872,14 @@ def test_stability_rejects_an_underflowing_axis_weight_before_it_runs(tmp_path, 
     "s_max, s_min, what",
     [
         # (hs/2)^2 overflowed a Python float in the axis weight: an OverflowError traceback
-        ("1e300", "0.0", "the weight |S^(n-2)| s^(n-2) hs ht overflows"),
+        ("1e300", "0.0", "the node, s-edge, t-edge, cell weights at n = 3 must be finite"),
         # s_max hs = 1.25e309 made the outer weights inf: SuperLU's singular factor
-        ("1e155", "0.0", "the weight |S^(n-2)| s^(n-2) hs ht overflows"),
+        ("1e155", "0.0", "the node, s-edge, t-edge, cell weights at n = 3 must be finite"),
         # off the axis the outer weights overflow the same way
-        ("1e300", "1.0", "the weight |S^(n-2)| s^(n-2) hs ht overflows"),
+        ("1e300", "1.0", "the node, s-edge, t-edge, cell weights at n = 3 must be finite"),
+        # the node weights are finite, but |S^1| s_mid hs of the outer s-edges
+        # overflowed: SuperLU's singular factor
+        ("1.59e154", "0.0", "the s-edge, cell weights at n = 3 must be finite"),
         # hs = 0 made log_min_node_weight's math.log raise a ValueError
         ("5e-324", "0.0", "(hs = 0) the axis-column weight |S^(n-2)| (hs/2)^(n-1)/(n-1) ht/2 underflows"),
     ],
@@ -889,12 +892,31 @@ def test_stability_rejects_a_grid_whose_node_weights_leave_the_float_range(tmp_p
     result = runner.invoke(main, ["stability", "--config", str(path), "--out", str(out)])
     assert isinstance(result.exception, SystemExit) and result.exit_code != 0
     lines = result.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("Error: stability at n = 3 needs "), result.output
+    assert len(lines) == 1 and lines[0].startswith("Error: stability: the "), result.output
     assert what in lines[0]
-    if "overflows" in what:
-        assert f"s_max = {float(s_max):g}" in lines[0]
+    if "finite" in what:
+        assert f"s_max = {float(s_max):g}" in lines[0] and "the weight |S^(n-2)| s^(n-2) hs ht overflows" in lines[0]
     assert not out.exists()
     replace(parse_config(path), experiment="stability", s_max=1e100).validate()  # 1e100 runs
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_rejects_a_grid_whose_cell_weights_overflow(tmp_path, runner, monkeypatch):
+    # the Newton solve converged, then |S^298| s_mid^298 hs ht overflowed in
+    # the energy: a numpy warning and Infinity for all six energy values
+    monkeypatch.setattr(experiments, "_RUNNERS", {})  # any run would raise KeyError
+    path = tmp_path / "wide.cfg"
+    path.write_text("[grid]\nn = 300\ns_max = 20\nt_min = -1.5\nt_max = 1.5\nns = 33\nnt = 33\n\n[boundary]\nmodel = catenoid\n")
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["solve", "--config", str(path), "--out", str(out)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: solve: the "), result.output
+    assert "cell weights at n = 300 must be finite" in lines[0] and "s_max = 20" in lines[0]
+    assert "the weight |S^(n-2)| s^(n-2) hs ht overflows" in lines[0]
+    assert not out.exists()
+    # nothing in solve divides by a weight: a grid whose axis weight underflows runs
+    replace(parse_config(path), n=200, s_max=1.0).validate()
 
 
 def test_runaway_profile_exits_with_the_truncation_error(tmp_path, runner):

@@ -21,6 +21,7 @@ from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
     apply_axisym_laplacian,
+    grid_weights,
     residual_semilinear,
     solve_semilinear,
     solve_semilinear_1d,
@@ -106,6 +107,7 @@ def _loop_operator(u, beta):
     m = int(mask.sum())
     index[mask] = np.arange(m)
     w_s, w_t = _edge_weights(u)
+    w_t = np.broadcast_to(w_t, (ns, nt - 1))  # uniform in t: one column
     rows, cols, vals = [], [], []
 
     def edge(a, b, w):
@@ -158,18 +160,21 @@ _STABILITY_N3 = Path(__file__).parents[1] / "configs" / "stability_n3.cfg"
         # off the axis the inner column's 0.01^198 is 0 in float64
         (ExperimentConfig(experiment="stability", n=200, s_min=0.01, s_max=1.0, ns=9, nt=9), False),
         (ExperimentConfig(experiment="stability", s_max=1e155, ns=9, nt=9), False),
+        # the node weights are finite, the outer s-edges' |S^1| s_mid hs ht is not
+        (ExperimentConfig(experiment="stability", s_max=1.59e154, t_min=-3.0, t_max=3.0, ns=9, nt=9), False),
     ],
     ids=lambda p: f"n{p.n}-{p.ns}x{p.nt}-s{p.s_min:g}-{p.s_max:g}" if isinstance(p, ExperimentConfig) else str(p),
 )
-def test_validate_admits_a_stability_grid_exactly_when_its_node_weights_are_finite_and_positive(cfg, admitted):
-    # the check validate runs up front against the weights the eigen solve builds
+def test_validate_admits_a_stability_grid_exactly_when_its_weights_are_finite_and_its_node_weights_positive(cfg, admitted):
+    # the check validate runs up front against every weight the lab builds
+    f = from_function(_grid(cfg), lambda s, t: 0.0 * s)
     with np.errstate(over="ignore"):
-        w = node_weights(from_function(_grid(cfg), lambda s, t: 0.0 * s))
-    assert admitted == bool(np.all(np.isfinite(w)) and w.min() > 0.0)
+        w, (w_s, w_t), cells = node_weights(f), _edge_weights(f), grid_weights(f, "cell")
+    assert admitted == bool(all(np.all(np.isfinite(x)) for x in (w, w_s, w_t, cells)) and w.min() > 0.0)
     if admitted:
         cfg.validate()
     else:
-        with pytest.raises(ConfigError, match=f"^stability at n = {cfg.n} needs .* (over|under)flows$"):
+        with pytest.raises(ConfigError, match=f"^stability: the .* weights at n = {cfg.n} must be .* (over|under)flows$"):
             cfg.validate()
 
 

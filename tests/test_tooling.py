@@ -293,6 +293,21 @@ def test_no_module_of_the_package_differences_two_nodes_for_a_spacing():
     assert sites == []
 
 
+def test_the_sphere_area_enters_the_grid_weights_in_one_place():
+    # every grid weight is a product of axisym_field._weight_factors; another
+    # unit_sphere_area call (besides the interface measure) writes the
+    # weight rule a second time
+    sites = sorted(
+        f"{path.name}: {getattr(statement, 'name', '<module>')}"
+        for path in sorted((SRC / "onephase_lab").glob("*.py"))
+        if path.name != "numerics.py"
+        for statement in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unit_sphere_area"
+    )
+    assert sites == ["axisym_field.py: _weight_factors", "onephase_geometry.py: surface_integral"]
+
+
 def test_the_interface_layer_samples_fields_through_its_ray_alone():
     # every interface read goes through ``_ray``, which marks a read off the
     # grid or next to an undefined node as NaN; a second ``.sample(`` call
