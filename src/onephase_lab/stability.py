@@ -172,9 +172,9 @@ def node_weights(f: AxiField) -> np.ndarray:
 
 
 def require_positive_node_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
-    """Reject the axes (s, t) at dimension n unless the smallest node weight,
-    that of the axis node of a first or last row, is above zero: the eigen
-    solve divides by every node weight.  Read from the factors, in O(ns + nt)."""
+    """Reject the axes (s, t) at dimension n unless the smallest node weight
+    is above zero, since the eigen solve divides by every node weight.  Like
+    ``require_representable_weights`` it reads the factors, in O(ns + nt)."""
     area, pairs = _weight_factors(n, s, t)
     radial, axial = pairs["node"]
     if area * radial.min() * axial.min() == 0.0:

@@ -915,7 +915,7 @@ def test_solve_rejects_a_grid_whose_cell_weights_overflow(tmp_path, runner, monk
     assert "cell weights at n = 300 must be finite" in lines[0] and "s_max = 20" in lines[0]
     assert "the weight |S^(n-2)| s^(n-2) hs ht overflows" in lines[0]
     assert not out.exists()
-    # nothing in solve divides by a weight: a grid whose axis weight underflows runs
+    # nothing in solve divides by a weight: a grid whose axis weight underflows is admitted
     replace(parse_config(path), n=200, s_max=1.0).validate()
 
 
