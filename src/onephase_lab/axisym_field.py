@@ -501,8 +501,10 @@ def _zebra_lines(J, S: int, T: int):
     """The s-line and t-line ``_ZebraLines`` of the 5-point matrix ``J`` on an
     S x T block in row-major order: the rows of its (T, S) and (S, T) layouts."""
     s_m, t_m, diag, t_p, s_p = (_band(J, k, (S, T)) for k in (-T, -1, 0, 1, T))
-    # a line's coupling of entry k + 1 to entry k, J[k + 1, k], is a band of J^T
-    below_s, below_t = _band(J.T, T, (S, T)), _band(J.T, 1, (S, T))
+    # a line's coupling of entry k + 1 to entry k, J[k + 1, k], is the s- or
+    # t- arm of entry k + 1: one line or one entry on, 0 past the line's end
+    below_s, below_t = np.zeros((S, T)), np.zeros((S, T))
+    below_s[:-1], below_t[:, :-1] = s_m[1:], t_m[:, 1:]
     return _ZebraLines(below_s.T, diag.T, s_p.T, t_p.T, t_m.T), _ZebraLines(below_t, diag, t_p, s_p, s_m)
 
 

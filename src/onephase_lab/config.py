@@ -12,7 +12,7 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .axisym_field import GridSpec, require_representable_weights
 from .errors import ConfigError, InvalidParameterError
@@ -38,44 +38,40 @@ _DEFAULT_TOLERANCES = {
 MIN_EPSILON = 1e-12
 
 
+def _key(section: str, default, key: str | None = None):
+    """A field that is also the config key ``[section] key`` (the field's own
+    name when ``key`` is None); the fields' order is the canonical one."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved parameters of one experiment run."""
 
-    experiment: str = "profile"
-    out_dir: str = "runs/out"
-    # reaction term
-    reaction: str = "poly2"
-    # 1D profile parameters
-    a: float = 1.0
-    halfwidth: float = 30.0
-    step: float = 0.002
-    # grid
-    n: int = 3
-    s_min: float = 0.0
-    s_max: float = 3.0
-    t_min: float = -3.0
-    t_max: float = 3.0
-    ns: int = 65
-    nt: int = 65
-    # boundary model
-    boundary_model: str = "profile"
-    # stability probe
-    alpha: float = 0.7
-    R: float = 2.0
-    eps_inner: float = 0.05
-    eps0: float = 0.1
-    # blow-down family
-    epsilons: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125, 0.0625)
-    # window sweep
-    dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
-    # one-phase preset
-    onephase_preset: str = "strip_neck"
-    onephase_resolution: int = 64
-    r0: float = 1.0
-    # solve extras
-    domain_study: bool = False
-    # tolerances
+    experiment: str = _key("experiment", "profile", "name")
+    out_dir: str = _key("experiment", "runs/out")
+    reaction: str = _key("reaction", "poly2", "kind")
+    a: float = _key("profile", 1.0)
+    halfwidth: float = _key("profile", 30.0)
+    step: float = _key("profile", 0.002)
+    n: int = _key("grid", 3)
+    ns: int = _key("grid", 65)
+    nt: int = _key("grid", 65)
+    s_min: float = _key("grid", 0.0)
+    s_max: float = _key("grid", 3.0)
+    t_min: float = _key("grid", -3.0)
+    t_max: float = _key("grid", 3.0)
+    boundary_model: str = _key("boundary", "profile", "model")
+    alpha: float = _key("probe", 0.7)
+    R: float = _key("probe", 2.0)
+    eps_inner: float = _key("probe", 0.05)
+    eps0: float = _key("probe", 0.1)
+    epsilons: tuple[float, ...] = _key("blowdown", (1.0, 0.5, 0.25, 0.125, 0.0625))
+    dims: tuple[int, ...] = _key("window", (2, 3, 4, 5, 6, 7))
+    onephase_preset: str = _key("onephase", "strip_neck", "preset")
+    onephase_resolution: int = _key("onephase", 64, "resolution")
+    r0: float = _key("onephase", 1.0)
+    domain_study: bool = _key("solve", False)
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
 
     def validate(self) -> None:
@@ -124,7 +120,7 @@ class ExperimentConfig:
                 require_representable_weights(self.n, *axes)
                 if self.experiment == "stability":
                     require_positive_node_weights(self.n, *axes)
-            except InvalidParameterError as exc:
+            except (InvalidParameterError, MemoryError) as exc:  # axes too long to allocate
                 raise ConfigError(f"{self.experiment}: {exc}") from None
 
     def canonical_text(self) -> str:
@@ -180,32 +176,20 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split(",") if x.strip())
 
 
+# the parser of each field type, as the annotations spell it
+_PARSERS = {
+    "str": str,
+    "float": float,
+    "int": int,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[int, ...]": _parse_ints,
+}
 # (section, key, field, parser) of every config key, in canonical order
-_KEYS = (
-    ("experiment", "name", "experiment", str),
-    ("experiment", "out_dir", "out_dir", str),
-    ("reaction", "kind", "reaction", str),
-    ("profile", "a", "a", float),
-    ("profile", "halfwidth", "halfwidth", float),
-    ("profile", "step", "step", float),
-    ("grid", "n", "n", int),
-    ("grid", "ns", "ns", int),
-    ("grid", "nt", "nt", int),
-    ("grid", "s_min", "s_min", float),
-    ("grid", "s_max", "s_max", float),
-    ("grid", "t_min", "t_min", float),
-    ("grid", "t_max", "t_max", float),
-    ("boundary", "model", "boundary_model", str),
-    ("probe", "alpha", "alpha", float),
-    ("probe", "R", "R", float),
-    ("probe", "eps_inner", "eps_inner", float),
-    ("probe", "eps0", "eps0", float),
-    ("blowdown", "epsilons", "epsilons", _parse_floats),
-    ("window", "dims", "dims", _parse_ints),
-    ("onephase", "preset", "onephase_preset", str),
-    ("onephase", "resolution", "onephase_resolution", int),
-    ("onephase", "r0", "r0", float),
-    ("solve", "domain_study", "domain_study", _parse_bool),
+_KEYS = tuple(
+    (f.metadata["section"], f.metadata["key"] or f.name, f.name, _PARSERS[f.type])
+    for f in fields(ExperimentConfig)
+    if "section" in f.metadata
 )
 
 _SECTIONS = tuple(dict.fromkeys(sec for sec, *_ in _KEYS)) + ("tolerances",)

@@ -165,12 +165,6 @@ class SpectralReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def node_weights(f: AxiField) -> np.ndarray:
-    """Ambient-measure weight per node; the sphere area cancels in every
-    Rayleigh quotient but makes the form values integrals over R^n."""
-    return grid_weights(f, "node")
-
-
 def require_positive_node_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
     """Reject the axes (s, t) at dimension n unless the smallest node weight
     is above zero, since the eigen solve divides by every node weight.  Like
@@ -183,11 +177,6 @@ def require_positive_node_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
             f"the node weights at n = {n} must be above zero, but on this grid "
             f"(hs = {_spacing(s[0], s[-1], len(s)):.6g}) the {weight} ht/2 underflows"
         )
-
-
-def _edge_weights(f: AxiField):
-    """Weights of s-edges and t-edges for the gradient part of the form."""
-    return grid_weights(f, "s-edge"), grid_weights(f, "t-edge")
 
 
 def _require_vanishing_border(xi: AxiField) -> None:
@@ -218,17 +207,17 @@ def quadratic_form(u: AxiField, xi: AxiField, beta: ReactionTerm) -> float:
 
 
 def _raw_form(u: AxiField, xi: AxiField, beta: ReactionTerm) -> float:
-    w_s, w_t = _edge_weights(xi)
+    w_s, w_t = grid_weights(xi, "s-edge"), grid_weights(xi, "t-edge")
     v = xi.values
     ds = (v[1:, :] - v[:-1, :]) / xi.hs
     dt = (v[:, 1:] - v[:, :-1]) / xi.ht
     grad = float(np.sum(ds * ds * w_s)) + float(np.sum(dt * dt * w_t))
-    pot = float(np.sum(0.5 * np.asarray(beta.deriv(u.values)) * v * v * node_weights(xi)))
+    pot = float(np.sum(0.5 * np.asarray(beta.deriv(u.values)) * v * v * grid_weights(xi, "node")))
     return grad + pot
 
 
 def weighted_norm_sq(xi: AxiField) -> float:
-    return float(np.sum(xi.values**2 * node_weights(xi)))
+    return float(np.sum(xi.values**2 * grid_weights(xi, "node")))
 
 
 def assemble_operator(u: AxiField, beta: ReactionTerm):
@@ -240,12 +229,12 @@ def assemble_operator(u: AxiField, beta: ReactionTerm):
     """
     ns, nt = u.values.shape
     mask = _unknown_mask((ns, nt), u.has_axis)
-    w_s, w_t = _edge_weights(u)
+    w_s, w_t = grid_weights(u, "s-edge"), grid_weights(u, "t-edge")
     es = np.zeros((ns + 1, nt))  # es[i] weights the s-edge from i - 1 to i
     es[1:-1] = w_s / u.hs**2
     et = np.zeros((ns, nt + 1))  # et[:, j] weights the t-edge from j - 1 to j
     et[:, 1:-1] = w_t / u.ht**2
-    weights = node_weights(u)
+    weights = grid_weights(u, "node")
     pot = 0.5 * np.asarray(beta.deriv(u.values)) * weights
     i, j = np.nonzero(mask)
     # the diagonal sums its edges in the order s-, s+, t-, t+, then the potential
@@ -487,7 +476,7 @@ def probe_inequality(u: AxiField, probe: StabilityProbe) -> ProbeReport:
     """
     c = us_derivative(u).values
     eta, gradsq = _eta_and_gradsq(probe, u)
-    w = node_weights(u)
+    w = grid_weights(u, "node")
     s = u.s[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_s2 = np.where(s > 0.0, 1.0 / np.where(s > 0, s, 1.0) ** 2, 0.0)

@@ -19,6 +19,7 @@ from onephase_lab.axisym_field import (
     _assemble_laplacian,
     _axis_fold,
     _axis_transfers,
+    _band,
     _damped_newton,
     _fgmres,
     _KrylovSolve,
@@ -853,6 +854,43 @@ def test_zebra_half_sweeps_carry_the_residual(axis, ns, nt):
             exact = layout(b - J @ (X.T if flip else X).ravel())
             assert np.linalg.norm(R - exact) <= 1e-14 * np.linalg.norm(exact)
             assert np.all(R[parity::2] == 0.0)
+
+
+def _five_point_case(beta, case):
+    """(J, S, T): a 5-point CSR on an S x T block of unknowns."""
+    if case in ("stored-zeros", "pruned"):
+        g = GridSpec(n=5, s_max=2.0, t_min=-1.0, t_max=1.5, ns=9, nt=12)
+        L, mask = _assemble_laplacian(g)
+        rng = np.random.default_rng(5)
+        J = (L - sp.diags(rng.uniform(0.0, 3.0, L.shape[0]))).tocsr()
+        arms = np.flatnonzero(J.indices != np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)))
+        J.data[rng.choice(arms, len(arms) // 4, replace=False)] = 0.0
+        if case == "pruned":
+            J.eliminate_zeros()
+    else:
+        # a level folded at t = 0, and an n = 4 level, whose drift cancels
+        # the s- arm of the column s = hs and which stores that zero
+        g = GridSpec(n=4 if case == "n4" else 3, s_max=2.0, t_min=-1.0, t_max=1.0, ns=17, nt=17)
+        level = _Level(beta, g, np.full((17, 17), 0.5), case == "folded")
+        J, mask = level.jacobian(np.linspace(0.1, 0.9, level.mask.sum())), level.mask
+    S, T = int(mask.sum(axis=0).max()), int(mask.sum(axis=1).max())
+    assert S * T == J.shape[0]
+    return J, S, T
+
+
+@pytest.mark.parametrize("case", ["stored-zeros", "pruned", "folded", "n4"])
+def test_zebra_lines_read_each_below_coupling_off_the_minus_arms(beta, monkeypatch, case):
+    # J[k + 1, k] of an s-line or t-line is the s- or t- arm one line or one
+    # entry on; the bands of J^T are the oracle, bit for bit
+    J, S, T = _five_point_case(beta, case)
+    pruned = J.copy()
+    pruned.eliminate_zeros()
+    assert (pruned.nnz < J.nnz) == (case in ("stored-zeros", "n4"))
+    lowers = []
+    monkeypatch.setattr(axisym_field, "_ZebraLines", lambda lower, *bands: lowers.append(lower))
+    _zebra_lines(J, S, T)
+    oracle = (_band(J.T, T, (S, T)).T, _band(J.T, 1, (S, T)))
+    assert [lower.tobytes() for lower in lowers] == [band.tobytes() for band in oracle]
 
 
 def test_coarsest_krylov_solve_is_the_pruned_lu(beta):

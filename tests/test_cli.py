@@ -900,6 +900,20 @@ def test_stability_rejects_a_grid_whose_node_weights_leave_the_float_range(tmp_p
     replace(parse_config(path), experiment="stability", s_max=1e100).validate()  # 1e100 runs
 
 
+@pytest.mark.parametrize("experiment", ["solve", "stability"])
+def test_a_grid_whose_axes_cannot_be_allocated_ends_in_one_error_line(tmp_path, runner, monkeypatch, experiment):
+    # validate builds both axes: 10^12 s nodes raised a MemoryError traceback
+    monkeypatch.setattr(experiments, "_RUNNERS", {})  # any run would raise KeyError
+    path = tmp_path / "long.cfg"
+    path.write_text("[grid]\nns = 1000000000000\n")
+    out = tmp_path / "never"
+    result = runner.invoke(main, [experiment, "--config", str(path), "--out", str(out)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: {experiment}: Unable to allocate"), result.output
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_solve_rejects_a_grid_whose_cell_weights_overflow(tmp_path, runner, monkeypatch):
     # the Newton solve converged, then |S^298| s_mid^298 hs ht overflowed in

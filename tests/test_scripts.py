@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(script, out, args):
+def _run_script(script, out, args, cwd=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
@@ -17,6 +17,7 @@ def _run_script(script, out, args):
         capture_output=True,
         text=True,
         timeout=300,
+        cwd=cwd,
     )
 
 
@@ -39,3 +40,17 @@ def test_script_ends_a_lab_error_in_one_error_line(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:"), proc.stderr
     assert "|grad u| deviates from 1" in lines[0]
+
+
+def test_bench_ladder_writes_one_row_per_fresh_process(tmp_path):
+    # the smallest rungs that solve: 33^2 for solve and stability, resolution 24 for onephase
+    args = ["--tag", "smoke", "--nodes", "33", "--resolutions", "24"]
+    proc = _run_script("bench_ladder.py", tmp_path / "runs", args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert bench["machine"]["nproc"] >= 1
+    assert list(bench["runs"]) == ["solve-33", "stability-33", "onephase-24"]
+    for row in bench["runs"].values():
+        assert row["exit_status"] == 0
+        assert row["wall_s"] > row["run_seconds"] > 0.0 and row["peak_rss_mb"] > 0.0
+        assert row["counters"]["lu_factorizations"] >= 1

@@ -34,12 +34,10 @@ from onephase_lab.stability import (
     VERDICT_UNSTABLE,
     InequalityReport,
     StabilityProbe,
-    _edge_weights,
     admissible_alpha,
     assemble_operator,
     epsilon_schedule,
     linearized_rayleigh_min,
-    node_weights,
     probe_inequality,
     quadratic_form,
     us_derivative,
@@ -106,7 +104,7 @@ def _loop_operator(u, beta):
     index = -np.ones((ns, nt), dtype=int)
     m = int(mask.sum())
     index[mask] = np.arange(m)
-    w_s, w_t = _edge_weights(u)
+    w_s, w_t = grid_weights(u, "s-edge"), grid_weights(u, "t-edge")
     w_t = np.broadcast_to(w_t, (ns, nt - 1))  # uniform in t: one column
     rows, cols, vals = [], [], []
 
@@ -123,7 +121,7 @@ def _loop_operator(u, beta):
         for j in range(nt - 1):
             if mask[i, j] or mask[i, j + 1]:
                 edge(index[i, j], index[i, j + 1], w_t[i, j] / u.ht**2)
-    pot = 0.5 * np.asarray(beta.deriv(u.values)) * node_weights(u)
+    pot = 0.5 * np.asarray(beta.deriv(u.values)) * grid_weights(u, "node")
     rows.extend(index[mask].tolist()), cols.extend(index[mask].tolist()), vals.extend(pot[mask].tolist())
     return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
@@ -140,7 +138,7 @@ def test_assembled_operator_matches_loop_reference(beta, n, s_min, off_axis):
     ref = _loop_operator(u, beta)
     assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
-    assert np.array_equal(w, node_weights(u)[mask])
+    assert np.array_equal(w, grid_weights(u, "node")[mask])
 
 
 _STABILITY_N3 = Path(__file__).parents[1] / "configs" / "stability_n3.cfg"
@@ -169,7 +167,7 @@ def test_validate_admits_a_stability_grid_exactly_when_its_weights_are_finite_an
     # the check validate runs up front against every weight the lab builds
     f = from_function(_grid(cfg), lambda s, t: 0.0 * s)
     with np.errstate(over="ignore"):
-        w, (w_s, w_t), cells = node_weights(f), _edge_weights(f), grid_weights(f, "cell")
+        w, w_s, w_t, cells = (grid_weights(f, family) for family in ("node", "s-edge", "t-edge", "cell"))
     assert admitted == bool(all(np.all(np.isfinite(x)) for x in (w, w_s, w_t, cells)) and w.min() > 0.0)
     if admitted:
         cfg.validate()
@@ -225,7 +223,7 @@ def test_integration_by_parts_identity_second_order(beta, layer_profile):
         eta_vals = np.exp(-(s[:, None] ** 2) - t[None, :] ** 2)
         c = u.with_values(c_vals)
         lap_c = apply_axisym_laplacian(c).values
-        w = node_weights(u)
+        w = grid_weights(u, "node")
         inner = np.zeros_like(c_vals)
         sl = np.s_[1:-1, 1:-1] if g.s_min > 0 else np.s_[:-1, 1:-1]
         inner[sl] = 1.0
@@ -669,7 +667,7 @@ def test_probe_defect_matches_direct_quadrature(n, alpha):
     probe = StabilityProbe(alpha=alpha, R=8.0, eps_inner=0.5)
     rep = probe_inequality(u, probe)
     c = us_derivative(u).values
-    w = node_weights(u)
+    w = grid_weights(u, "node")
     s = u.s[:, None]
     with np.errstate(divide="ignore"):
         base = np.where(s > 0, c**2 * np.where(s > 0, s, 1.0) ** (-2 * alpha - 2) * w, 0.0)
@@ -690,7 +688,7 @@ def test_probe_alpha_zero_reduces_to_collar():
 
     eta, gradsq = _eta_and_gradsq(probe, u)
     c = us_derivative(u).values
-    w = node_weights(u)
+    w = grid_weights(u, "node")
     rhs_direct = float(np.sum(c**2 * gradsq * w))
     assert abs(rep.rhs - rhs_direct) < 1e-13 * (1 + abs(rhs_direct))
     r = np.hypot(u.s[:, None], u.t[None, :])

@@ -5,6 +5,7 @@ import ctypes.util
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -324,3 +325,24 @@ def test_the_interface_layer_samples_fields_through_its_ray_alone():
     # and the ray leaves the grid's bounds to ``AxiField.sample``
     ray = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_ray")
     assert not any(isinstance(node, ast.Compare) for node in ast.walk(ray))
+
+
+def test_no_band_is_read_off_a_transposed_matrix():
+    # ``.T`` of a CSR matrix is a transposed copy; a line's below-coupling
+    # J[k + 1, k] is the minus arm of the entry after it, a band of J itself
+    sites = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "onephase_lab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_band"
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "T" for arg in node.args)
+    )
+    assert sites == []
+
+
+def test_every_config_field_declares_its_key():
+    # the file parser and the canonical text read the keys off the fields, so
+    # a field without a section would be a run input no config file can set
+    from onephase_lab.config import ExperimentConfig
+
+    assert [f.name for f in fields(ExperimentConfig) if "section" not in f.metadata] == ["tolerances"]
