@@ -67,6 +67,7 @@ from .stability import (
     StabilityProbe,
     admissible_alpha,
     epsilon_schedule,
+    layer_rayleigh_min,
     linearized_rayleigh_min,
     probe_inequality,
     quadratic_form,

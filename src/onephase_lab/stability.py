@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .axisym_field import (
@@ -63,6 +64,11 @@ SIGN_SWEEPS = 16
 # that is far below every finer eigenvalue; on the 257^2 tiled layer 10
 # drifts fail at n = 40 (sign) and n = 60 (600 steps), 30 certify.
 SHIFT_DRIFTS = 100.0
+
+# Inverse-iteration solves for each ground state of a separable field, and
+# how far below its stemr eigenvalue mu they shift: GROUND_GAP (1 + |mu|).
+GROUND_SOLVES = 3
+GROUND_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,16 +136,22 @@ class ProbeReport(InequalityReport):
 @dataclass
 class SpectralReport:
     """Outcome of the eigen-solve: ``lhs`` is Q at the eigenvector and ``rhs``
-    the eigenvalue times its weighted norm (equal up to round-off)."""
+    the eigenvalue times its weighted norm (equal up to round-off).
+
+    Both solves certify the pair the same way; the counters, not part of
+    the JSON, tell them apart.  The cascade (:func:`linearized_rayleigh_min`)
+    keeps its LU factors (one per shift), every level's LOBPCG steps,
+    Rayleigh quotient and final residual (coarsest first, the finest last)
+    and the finest level's preconditioner shift.  The separable solve
+    (:func:`layer_rayleigh_min`) factors no LU and runs no step: one level
+    of 0 steps, its certified eigenvalue and residual, and the sum of its
+    two inverse-iteration shifts."""
 
     verdict: str
     rayleigh_min: float
     lhs: float
     rhs: float
     eigenvector: AxiField
-    # not part of the JSON: the LU factors (one per shift), every level's
-    # LOBPCG steps, Rayleigh quotient and final residual (coarsest first, the
-    # finest last) and the finest level's preconditioner shift
     factors: LUCounts
     level_iterations: list[int]
     level_values: list[float]
@@ -148,7 +160,7 @@ class SpectralReport:
 
     @property
     def iterations(self) -> int:
-        """The finest level's LOBPCG steps."""
+        """The finest level's LOBPCG steps (0 on the separable solve)."""
         return self.level_iterations[-1]
 
     def to_json_dict(self) -> dict:
@@ -177,6 +189,14 @@ def require_positive_node_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
             f"the node weights at n = {n} must be above zero, but on this grid "
             f"(hs = {_spacing(s[0], s[-1], len(s)):.6g}) the {weight} ht/2 underflows"
         )
+
+
+def _require_solution(u: AxiField, beta: ReactionTerm) -> None:
+    """Reject a field whose ``residual_semilinear`` is above 1e-6, or NaN:
+    the second variation is taken at a solution."""
+    res = residual_semilinear(u, beta)
+    if not res <= 1e-6:
+        raise InvalidParameterError(f"field does not solve the equation (residual {res:.3e})")
 
 
 def _require_vanishing_border(xi: AxiField) -> None:
@@ -281,9 +301,7 @@ def linearized_rayleigh_min(
     the finest level's.  On a
     grid with ``s_min > 0`` every side is a Dirichlet boundary.
     """
-    res = residual_semilinear(u, beta)
-    if not res <= 1e-6:
-        raise InvalidParameterError(f"field does not solve the equation (residual {res:.3e})")
+    _require_solution(u, beta)
 
     # The edge part of A is a sum of weighted squared differences, so every
     # Rayleigh quotient of B is at least the smallest potential beta'(u)/2.
@@ -333,16 +351,122 @@ def linearized_rayleigh_min(
             break
         x = _inward_line_sweep(B, x, lam, u.values.shape[1] - 2)
         x /= np.linalg.norm(x)
-    Bx = B @ x
-    lam = float(x @ Bx)
-    cert = float(np.linalg.norm(Bx - lam * x))
-    if not (cert <= tol and np.all(x > 0.0)):
-        what = "the residual" if cert > tol else "one sign of the ground state"
+    lam, cert, what = _certificate(B, x, tol)
+    if what:
         raise NonconvergenceError(
             f"LOBPCG did not certify {what} after {steps} iterations (last residual {cert:.3e}, shift {shift:.6g})",
             trace=trace,
         )
+    return _report(
+        u, beta, x, d, mask, lam, tol,
+        factors=factors, level_iterations=levels, level_values=values, level_residuals=residuals, shift=shift,
+    )
 
+
+def layer_rayleigh_min(u: AxiField, beta: ReactionTerm, tol: float = 1e-10) -> SpectralReport:
+    """Smallest Rayleigh quotient of the second variation at an s-independent
+    solution, by separation of variables.
+
+    ``u`` must equal its first column on every column, bit for bit, and
+    solve the equation as :func:`linearized_rayleigh_min` requires; any
+    other field is refused with ``InvalidParameterError``.  On such a field
+    every weight is a product of a radial and an axial factor
+    (``_weight_factors``), so the form is Ks (x) Mt + Ms (x) (Kt + P)
+    against Ms (x) Mt: the radial pencil (Ks, Ms) of the s-edges on the
+    unknown columns (the first is a Dirichlet boundary when s_min > 0) and
+    the axial pencil (Kt + P, Mt) of the t-edges and beta'(u)/2 on the
+    interior rows.  Its smallest eigenvalue is mu_s + mu_t with the ground
+    state a (x) b.  Each mu is LAPACK stemr's, which keeps the relative
+    accuracy the graded radial pencil needs at large n, and each vector is
+    ``GROUND_SOLVES`` inverse-iteration solves of its symmetrized pencil at
+    ``GROUND_GAP`` (1 + |mu|) below mu (:func:`_ground_state`).  The pair is
+    certified on the whole operator B = D A D exactly as
+    :func:`linearized_rayleigh_min` certifies its own: residual
+    ||B x - lam x|| <= tol and x > 0.  No LU is built: ``level_iterations``
+    is [0], ``level_values`` [lam], ``level_residuals`` that residual and
+    ``shift`` the sum of the two inverse-iteration shifts.
+    """
+    if not np.all(u.values == u.values[:1]):
+        raise InvalidParameterError("field is not s-independent: a column differs from the first")
+    _require_solution(u, beta)
+    require_representable_weights(u.n, u.s, u.t)
+    require_positive_node_weights(u.n, u.s, u.t)
+
+    _, pairs = _weight_factors(u.n, u.s, u.t)
+    (radial, axial), (mid, _), (_, t_edge) = pairs["node"], pairs["s-edge"], pairs["t-edge"]
+    first = 0 if u.has_axis else 1
+    ks = mid / u.hs**2  # ks[i] joins columns i and i + 1
+    mu_s, shift_s, a = _ground_state(
+        np.concatenate(([0.0], ks))[first:-1] + ks[first:], -ks[first:-1], radial[first:-1]
+    )
+    kt = t_edge / u.ht**2
+    pot = 0.5 * np.asarray(beta.deriv(u.values[0, 1:-1])) * axial[1:-1]
+    mu_t, shift_t, b = _ground_state(2.0 * kt + pot, np.full(len(pot) - 1, -kt), axial[1:-1])
+
+    A, w, mask = assemble_operator(u, beta)
+    d = 1.0 / np.sqrt(w)
+    B = _symmetrized(A, d)
+    del A
+    x = np.kron(a, b)
+    x /= np.linalg.norm(x)
+    lam, cert, what = _certificate(B, x, tol)
+    shift = shift_s + shift_t
+    if what:
+        raise NonconvergenceError(
+            f"separation of variables did not certify {what} of mu_s + mu_t = {mu_s:.12g} + {mu_t:.12g} "
+            f"(residual {cert:.3e}, shift {shift:.6g})"
+        )
+    return _report(
+        u, beta, x, d, mask, lam, tol,
+        factors=LUCounts(), level_iterations=[0], level_values=[lam], level_residuals=[cert], shift=shift,
+    )
+
+
+def _ground_state(diag: np.ndarray, off: np.ndarray, mass: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Lowest eigenvalue mu of the pencil tridiag(off, diag, off) y = mu diag(mass) y,
+    the inverse-iteration shift below it, and its unit ground state in the
+    symmetrized coordinates sqrt(mass) y.
+
+    mu is LAPACK stemr's on the symmetrized tridiagonal T.  The vector is
+    ``GROUND_SOLVES`` solves of T - shift from the ones vector on one dpttrf
+    factor: with off <= 0 and T - shift positive definite, every step of
+    dpttrs adds positive terms, so every entry, however small, comes out
+    positive and to full relative accuracy.
+    """
+    r = 1.0 / np.sqrt(mass)
+    diag, off = diag * r * r, off * r[:-1] * r[1:]
+    mu = float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0), lapack_driver="stemr")[0])
+    shift = mu - GROUND_GAP * (1.0 + abs(mu))
+    y = np.ones(len(diag))
+    if len(y) == 1:  # one unknown: the ground state is itself (dpttrf takes no empty off-diagonal)
+        return mu, shift, y
+    dd, ee, info = dpttrf(diag - shift, off)
+    if info != 0:
+        raise NonconvergenceError(
+            f"the inverse-iteration shift {shift:.6g} is not below the pencil's spectrum (dpttrf info {info})"
+        )
+    for _ in range(GROUND_SOLVES):
+        y = dpttrs(dd, ee, y)[0]
+        y /= np.linalg.norm(y)
+    return mu, shift, y
+
+
+def _certificate(B, x: np.ndarray, tol: float) -> tuple[float, float, str]:
+    """The Rayleigh quotient lam = x B x of the unit vector x, its residual
+    ||B x - lam x||, and what of the ground state fails its certificate
+    (residual <= tol and x > 0): "" when nothing does."""
+    Bx = B @ x
+    lam = float(x @ Bx)
+    cert = float(np.linalg.norm(Bx - lam * x))
+    if not cert <= tol:
+        return lam, cert, "the residual"
+    return lam, cert, "" if np.all(x > 0.0) else "one sign of the ground state"
+
+
+def _report(u, beta, x, d, mask, lam, tol, **counters) -> SpectralReport:
+    """The report on the certified ground state x of B = D A D with
+    eigenvalue lam, with the solve's ``counters`` (its LU factors, levels
+    and shift)."""
     xi_vals = np.zeros_like(u.values)
     xi_vals[mask] = x * d
     xi = u.with_values(xi_vals)
@@ -353,11 +477,7 @@ def linearized_rayleigh_min(
         lhs=_raw_form(u, xi, beta),
         rhs=lam * weighted_norm_sq(xi),
         eigenvector=xi,
-        factors=factors,
-        level_iterations=levels,
-        level_values=values,
-        level_residuals=residuals,
-        shift=shift,
+        **counters,
     )
 
 

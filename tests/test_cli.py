@@ -472,8 +472,35 @@ def test_stability_command_layer(tmp_path, runner):
     assert (out / "spectral.json").exists()
     _check_field_artifact(out, "eigenvector.bin", experiments._grid(parse_config(cfg)))
     counters = _lu_counters(report, out, ["spectral.json", "eigenvector.bin"], eigen=True)
-    assert counters["lu_factorizations"] == 1  # one LU: the eigen solve factors its coarsest level only
+    # the tiled layer separates: two tridiagonal ground states, no LU and no LOBPCG step
+    assert counters["lu_factorizations"] == counters["lu_fill_nnz"] == counters["lu_factor_order"] == 0
+    assert counters["eigen_iterations"] == [0]
+    assert counters["eigen_values"] == [report["results"]["rayleigh"]["min"]]
+
+
+def test_stability_command_on_a_solved_field_takes_the_cascade(tmp_path, runner):
+    # the catenoid field is solved for, not tiled: the Newton solve's LUs
+    # (two on 33^2, on the folded half), then the eigen solve's one LU of
+    # its only level, the whole grid's 32 x 31 unknowns
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text(
+        "[experiment]\nname = stability\n\n"
+        "[grid]\nn = 3\ns_max = 2.0\nt_min = -2.0\nt_max = 2.0\nns = 33\nnt = 33\n\n"
+        "[boundary]\nmodel = catenoid\n"
+    )
+    reports = {}
+    for experiment in ("solve", "stability"):
+        out = tmp_path / experiment
+        result = runner.invoke(main, [experiment, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports[experiment] = json.loads((out / "report.json").read_text())
+    assert reports["stability"]["results"]["rayleigh"]["verdict"] == "stable-on-grid"
+    artifacts = ["spectral.json", "eigenvector.bin"]
+    counters = _lu_counters(reports["stability"], tmp_path / "stability", artifacts, krylov=True, eigen=True)
+    assert reports["solve"]["meta"]["counters"]["lu_factorizations"] == 2
+    assert counters["lu_factorizations"] == 2 + 1
     assert len(counters["eigen_iterations"]) == 1  # 33^2 has no coarser level
+    assert counters["eigen_iterations"][0] >= 1
     assert counters["lu_fill_nnz"] >= 32 * 31
     assert counters["lu_factor_order"] == 32 * 31
 
@@ -513,18 +540,43 @@ def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner):
 
 
 def test_stability_config_certifies_n20_from_the_coarse_eigenvector(tmp_path, runner):
-    # 129^2 has two levels; started from the 65^2 level's eigenvector the
-    # finest LOBPCG certifies in 25 iterations, 321 from the ones vector
-    out = tmp_path / "stab20"
-    args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", "20", "--out", str(out)]
+    # the tiled layer at 129^2 separates, with no LOBPCG step; the catenoid
+    # field at 129^2 takes the cascade over its two levels, and started from
+    # the 65^2 level's eigenvector the finest LOBPCG certifies in 23 steps
+    # (measured)
+    tol = parse_config(CONFIGS / "stability_n3.cfg").tolerances["eigen"]
+    reports = {}
+    for model in ("profile", "catenoid"):
+        out = tmp_path / model
+        args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", "20", "--boundary", model]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports[model] = json.loads((out / "report.json").read_text())
+        assert reports[model]["results"]["rayleigh"]["verdict"] == "stable-on-grid"
+    layer, neck = (reports[m]["results"]["rayleigh"] for m in ("profile", "catenoid"))
+    assert abs(layer["min"] - 18.54026922905267) <= tol
+    assert layer["iterations"] == 0 and reports["profile"]["meta"]["counters"]["eigen_iterations"] == [0]
+    assert reports["profile"]["meta"]["counters"]["lu_factorizations"] == 0
+    assert abs(neck["min"] - 18.43373664296758) <= tol
+    assert 1 <= neck["iterations"] <= 40
+    assert len(reports["catenoid"]["meta"]["counters"]["eigen_iterations"]) == 2
+
+
+def test_stability_config_certifies_n100(tmp_path, runner):
+    # near the axis the radial ground state is of size s^49, far below
+    # LOBPCG's round-off; the separable solve certifies the value that
+    # counting the negative pivots of LDL^T factors of B - sigma brackets
+    # in [347.6088545, 347.6088548]
+    out = tmp_path / "stab100"
+    args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", "100", "--out", str(out)]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     report = json.loads((out / "report.json").read_text())
     rayleigh = report["results"]["rayleigh"]
     assert rayleigh["verdict"] == "stable-on-grid"
-    assert rayleigh["iterations"] <= 40
-    assert abs(rayleigh["min"] - 18.54026922905267) <= parse_config(CONFIGS / "stability_n3.cfg").tolerances["eigen"]
-    assert len(report["meta"]["counters"]["eigen_iterations"]) == 2
+    assert abs(rayleigh["min"] - 347.608854585808) <= 1e-8
+    tol = parse_config(CONFIGS / "stability_n3.cfg").tolerances["eigen"]
+    assert report["meta"]["counters"]["eigen_level_residuals"][0] <= tol
 
 
 # measured 28 finest-level iterations at n = 25 and 45 at n = 40; the

@@ -53,4 +53,8 @@ def test_bench_ladder_writes_one_row_per_fresh_process(tmp_path):
     for row in bench["runs"].values():
         assert row["exit_status"] == 0
         assert row["wall_s"] > row["run_seconds"] > 0.0 and row["peak_rss_mb"] > 0.0
-        assert row["counters"]["lu_factorizations"] >= 1
+    # the solves factor; the tiled layer's stability separates, with no LU and no LOBPCG step
+    assert bench["runs"]["solve-33"]["counters"]["lu_factorizations"] >= 1
+    assert bench["runs"]["onephase-24"]["counters"]["lu_factorizations"] >= 1
+    stability = bench["runs"]["stability-33"]["counters"]
+    assert stability["lu_factorizations"] == 0 and stability["eigen_iterations"] == [0]

@@ -37,6 +37,7 @@ from onephase_lab.stability import (
     admissible_alpha,
     assemble_operator,
     epsilon_schedule,
+    layer_rayleigh_min,
     linearized_rayleigh_min,
     probe_inequality,
     quadratic_form,
@@ -279,7 +280,11 @@ def test_negative_potential_dirichlet_oracle_is_unstable(beta):
 def _lowest_tridiagonal(diag, off, weight):
     """Lowest eigenvalue of tridiag(off, diag, off) x = mu diag(weight) x."""
     r = 1.0 / np.sqrt(weight)
-    low = eigh_tridiagonal(diag * r * r, off * r[:-1] * r[1:], eigvals_only=True, select="i", select_range=(0, 0))
+    # stemr keeps the relative accuracy of the graded radial pencil, which
+    # the default stebz's absolute tolerance loses at large n
+    low = eigh_tridiagonal(
+        diag * r * r, off * r[:-1] * r[1:], eigvals_only=True, select="i", select_range=(0, 0), lapack_driver="stemr"
+    )
     return float(low[0])
 
 
@@ -339,34 +344,111 @@ def test_eigen_operators_are_scipy_sparse_algebra_bit_for_bit(beta, layer_profil
     assert _same_csr(A, before)  # A itself is left as it was
 
 
-# 129^2 has two levels and 257^2 three; both factor only the 65^2 one, at
-# the bound shift and, on 257^2, once more at the shift the two coarser
-# levels raise the finest one's to
-@pytest.mark.parametrize(
+def _separable_lambda_min(u, beta):
+    """mu_s + mu_t of the s-independent field u.  On such a field the form
+    is Ks (x) Mt + Ms (x) (Kt + P) against Ms (x) Mt, so its smallest
+    eigenvalue is mu_s + mu_t exactly.  Off the axis the first column is a
+    Dirichlet boundary too."""
+    mu_s, ht = _radial_mu(u.n, u.s), u.ht
+    # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
+    pot = 0.5 * beta.deriv(u.values[0, 1:-1])
+    return mu_s + _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
+
+
+_TILED_GRIDS = pytest.mark.parametrize(
     "n, ns", [pytest.param(3, 129, id="3"), pytest.param(4, 129, id="4"), pytest.param(5, 129, id="5"),
               pytest.param(3, 257, id="3-257")]
 )
-@pytest.mark.parametrize("off_axis", [False, True])
-def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, off_axis):
-    # On an s-independent field the form is Ks (x) Mt + Ms (x) (Kt + P) against
-    # Ms (x) Mt, so its smallest eigenvalue is mu_s + mu_t exactly.  Off the
-    # axis (s in [1, 4]) the first column is a Dirichlet boundary too.
+
+
+def _tiled_box(beta, layer_profile, n, ns, off_axis):
+    """The tiled layer on [0, 3] x [-3, 3], or off the axis on [1, 4] x [-3, 3]."""
     s_min = 1.0 if off_axis else 0.0
     g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=ns)
-    u = tiled_layer(beta, layer_profile, g)
+    return tiled_layer(beta, layer_profile, g)
+
+
+# 129^2 has two levels and 257^2 three; both factor only the 65^2 one, at
+# the bound shift and, on 257^2, once more at the shift the two coarser
+# levels raise the finest one's to
+@_TILED_GRIDS
+@pytest.mark.parametrize("off_axis", [False, True])
+def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, off_axis):
+    u = _tiled_box(beta, layer_profile, n, ns, off_axis)
     tol = 1e-8
     rep = linearized_rayleigh_min(u, beta, tol=tol)
 
-    mu_s, ht = _radial_mu(n, u.s), g.ht
-    # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
-    pot = 0.5 * beta.deriv(u.values[0, 1:-1])
-    mu_t = _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
-
-    assert abs(rep.rayleigh_min - (mu_s + mu_t)) <= tol
+    assert abs(rep.rayleigh_min - _separable_lambda_min(u, beta)) <= tol
     assert rep.factors.factorizations == (2 if ns == 257 else 1)
     if ns == 129:
         assert rep.shift == _bound_shift(u, beta)
     assert rep.factors.fill_nnz == _coarsest_lu_fill(u, beta)
+
+
+@_TILED_GRIDS
+@pytest.mark.parametrize("off_axis", [False, True])
+def test_layer_rayleigh_min_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, off_axis):
+    u = _tiled_box(beta, layer_profile, n, ns, off_axis)
+    tol = 1e-8
+    rep = layer_rayleigh_min(u, beta, tol=tol)
+    assert abs(rep.rayleigh_min - _separable_lambda_min(u, beta)) <= tol
+    assert abs(rep.rayleigh_min - linearized_rayleigh_min(u, beta, tol=tol).rayleigh_min) <= tol
+    assert rep.verdict == VERDICT_STABLE
+    # no LU and no LOBPCG step; the residual certified on the whole operator
+    assert rep.factors.factorizations == 0 and rep.level_iterations == [0] and rep.iterations == 0
+    assert rep.level_values == [rep.rayleigh_min] and rep.level_residuals[0] <= tol
+    assert rep.shift < rep.rayleigh_min
+    _, _, mask = assemble_operator(u, beta)
+    xi = rep.eigenvector.values
+    assert np.all(xi[mask] > 0.0) and np.all(xi[~mask] == 0.0)
+    assert abs(rep.lhs - rep.rhs) <= 1e-9 * abs(rep.rhs)
+
+
+@pytest.mark.parametrize("s_min", [0.0, 1.0])
+def test_layer_rayleigh_min_on_a_3x3_grid_is_the_dense_lowest_eigenvalue(beta, layer_profile, s_min):
+    # on the axis two unknown columns of one row, off it a single unknown
+    g = GridSpec(n=3, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=3, nt=3)
+    u = tiled_layer(beta, layer_profile, g)
+    A, w, mask = assemble_operator(u, beta)
+    d = sp.diags(1.0 / np.sqrt(w))
+    lowest = np.linalg.eigvalsh((d @ A @ d).toarray())[0]
+    rep = layer_rayleigh_min(u, beta, tol=1e-10)
+    assert abs(rep.rayleigh_min - lowest) <= 1e-10 * abs(lowest)
+    assert rep.eigenvector.values[mask].size == (2 if s_min == 0.0 else 1)
+    assert np.all(rep.eigenvector.values[mask] > 0.0)
+
+
+@pytest.fixture()
+def tiled_33(beta, layer_profile):
+    return tiled_layer(beta, layer_profile, GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33))
+
+
+def test_layer_rayleigh_min_refuses_a_field_that_is_not_s_independent(beta, tiled_33):
+    layer_rayleigh_min(tiled_33, beta)
+    vals = tiled_33.values.copy()
+    vals[16, 16] = np.nextafter(vals[16, 16], np.inf)  # one node, one ulp: still a solution
+    assert residual_semilinear(tiled_33.with_values(vals), beta) <= 1e-6
+    with pytest.raises(InvalidParameterError, match="not s-independent"):
+        layer_rayleigh_min(tiled_33.with_values(vals), beta)
+
+
+def test_layer_rayleigh_min_refuses_a_field_that_does_not_solve(beta, tiled_33):
+    with pytest.raises(InvalidParameterError, match="does not solve"):
+        layer_rayleigh_min(tiled_33.with_values(tiled_33.values + 0.01), beta)
+
+
+# with no inverse-iteration solve each ground state is the ones vector:
+# positive, but no eigenvector, so the residual on the whole operator
+# refuses it; a shift above mu leaves T - shift indefinite, and dpttrf
+# meets a pivot <= 0
+@pytest.mark.parametrize(
+    "name, value, message",
+    [("GROUND_SOLVES", 0, "did not certify the residual"), ("GROUND_GAP", -1e-3, "not below the pencil's spectrum")],
+)
+def test_layer_rayleigh_min_refuses_a_pair_it_cannot_certify(beta, tiled_33, monkeypatch, name, value, message):
+    monkeypatch.setattr(stability, name, value)
+    with pytest.raises(NonconvergenceError, match=message):
+        layer_rayleigh_min(tiled_33, beta)
 
 
 @pytest.mark.parametrize("n, zero", [(3, jn_zeros(0, 1)[0]), (4, math.pi), (5, jn_zeros(1, 1)[0])])
