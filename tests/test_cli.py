@@ -526,15 +526,22 @@ def test_stability_command_on_a_3x3_catenoid_grid_reports_a_result(tmp_path, run
     assert counters["eigen_iterations"] == [0] and counters["lu_factor_order"] == 2
 
 
-def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner):
-    # near the axis the ground state is of size s^9, below LOBPCG's round-off
-    # of its largest entry; the certified eigenvector must still be positive
+@pytest.mark.parametrize(
+    "model, expected", [("profile", 18.55897098842118), ("catenoid", 18.45141074328808)]
+)
+def test_stability_command_certifies_the_default_layer_at_n20(tmp_path, runner, model, expected):
+    # the catenoid field takes the cascade: in the symmetrized form LOBPCG
+    # solves, the ground state near the axis is of size s^9, below its
+    # round-off of the largest entry, and one sign sweep (measured) rebuilds
+    # it; the certified eigenvector must still be positive.  The tiled layer
+    # separates, positive by construction, with no LOBPCG step
     out = tmp_path / "stab20"
-    result = runner.invoke(main, ["stability", "--n", "20", "--out", str(out)])
+    result = runner.invoke(main, ["stability", "--n", "20", "--boundary", model, "--out", str(out)])
     assert result.exit_code == 0, result.output
     rayleigh = json.loads((out / "report.json").read_text())["results"]["rayleigh"]
     assert rayleigh["verdict"] == "stable-on-grid"
-    assert abs(rayleigh["min"] - 18.55897098842118) <= 1e-9
+    assert abs(rayleigh["min"] - expected) <= 1e-9
+    assert (rayleigh["iterations"] >= 1) == (model == "catenoid")
     eigenvector = AxiField.load_binary(out / "eigenvector.bin")
     assert np.all(eigenvector.values[:, 1:-1][:-1] > 0.0)
 
@@ -579,18 +586,27 @@ def test_stability_config_certifies_n100(tmp_path, runner):
     assert report["meta"]["counters"]["eigen_level_residuals"][0] <= tol
 
 
-# measured 28 finest-level iterations at n = 25 and 45 at n = 40; the
-# n = 25 value was certified with an earlier smoother, damped line Jacobi
-@pytest.mark.parametrize("n, most, expected", [(25, 40, 27.377792755546075), (40, 60, 63.40078466453723)])
-def test_stability_config_certifies_large_n(tmp_path, runner, n, most, expected):
-    out = tmp_path / f"stab{n}"
-    args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", str(n), "--out", str(out)]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    rayleigh = json.loads((out / "report.json").read_text())["results"]["rayleigh"]
-    assert rayleigh["verdict"] == "stable-on-grid"
-    assert rayleigh["iterations"] <= most
-    assert abs(rayleigh["min"] - expected) <= parse_config(CONFIGS / "stability_n3.cfg").tolerances["eigen"]
+# the tiled layer at 129^2 separates, with no LOBPCG step; the catenoid
+# field takes the cascade, measured at levels [21, 25] at n = 25 and
+# [30, 36] at n = 40
+@pytest.mark.parametrize(
+    "n, most, layer_min, neck_min",
+    [(25, 40, 27.377792755546075, 27.28295391041724), (40, 60, 63.40078466453723, 63.323615416403335)],
+)
+def test_stability_config_certifies_large_n(tmp_path, runner, n, most, layer_min, neck_min):
+    tol = parse_config(CONFIGS / "stability_n3.cfg").tolerances["eigen"]
+    for model, expected in (("profile", layer_min), ("catenoid", neck_min)):
+        out = tmp_path / model
+        args = ["stability", "--config", str(CONFIGS / "stability_n3.cfg"), "--n", str(n), "--boundary", model]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rayleigh = json.loads((out / "report.json").read_text())["results"]["rayleigh"]
+        assert rayleigh["verdict"] == "stable-on-grid"
+        assert abs(rayleigh["min"] - expected) <= tol
+        if model == "profile":
+            assert rayleigh["iterations"] == 0
+        else:
+            assert 1 <= rayleigh["iterations"] <= most
 
 
 def test_onephase_command_strip_neck(tmp_path, runner, monkeypatch):

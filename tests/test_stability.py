@@ -344,64 +344,47 @@ def test_eigen_operators_are_scipy_sparse_algebra_bit_for_bit(beta, layer_profil
     assert _same_csr(A, before)  # A itself is left as it was
 
 
-def _separable_lambda_min(u, beta):
-    """mu_s + mu_t of the s-independent field u.  On such a field the form
-    is Ks (x) Mt + Ms (x) (Kt + P) against Ms (x) Mt, so its smallest
-    eigenvalue is mu_s + mu_t exactly.  Off the axis the first column is a
-    Dirichlet boundary too."""
-    mu_s, ht = _radial_mu(u.n, u.s), u.ht
-    # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
-    pot = 0.5 * beta.deriv(u.values[0, 1:-1])
-    return mu_s + _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
-
-
-_TILED_GRIDS = pytest.mark.parametrize(
+# 129^2 has two levels and 257^2 three; both factor only the 65^2 one, at
+# the bound shift and, on 257^2, once more at the shift the two coarser
+# levels raise the finest one's to.  The separable solve takes neither an
+# LU nor a LOBPCG step, and certifies its residual on the whole operator.
+@pytest.mark.parametrize(
     "n, ns", [pytest.param(3, 129, id="3"), pytest.param(4, 129, id="4"), pytest.param(5, 129, id="5"),
               pytest.param(3, 257, id="3-257")]
 )
-
-
-def _tiled_box(beta, layer_profile, n, ns, off_axis):
-    """The tiled layer on [0, 3] x [-3, 3], or off the axis on [1, 4] x [-3, 3]."""
-    s_min = 1.0 if off_axis else 0.0
-    g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=ns)
-    return tiled_layer(beta, layer_profile, g)
-
-
-# 129^2 has two levels and 257^2 three; both factor only the 65^2 one, at
-# the bound shift and, on 257^2, once more at the shift the two coarser
-# levels raise the finest one's to
-@_TILED_GRIDS
 @pytest.mark.parametrize("off_axis", [False, True])
 def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, off_axis):
-    u = _tiled_box(beta, layer_profile, n, ns, off_axis)
+    # On an s-independent field the form is Ks (x) Mt + Ms (x) (Kt + P) against
+    # Ms (x) Mt, so its smallest eigenvalue is mu_s + mu_t exactly.  Off the
+    # axis (s in [1, 4]) the first column is a Dirichlet boundary too.
+    s_min = 1.0 if off_axis else 0.0
+    g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=ns)
+    u = tiled_layer(beta, layer_profile, g)
     tol = 1e-8
     rep = linearized_rayleigh_min(u, beta, tol=tol)
+    layer = layer_rayleigh_min(u, beta, tol=tol)
 
-    assert abs(rep.rayleigh_min - _separable_lambda_min(u, beta)) <= tol
+    mu_s, ht = _radial_mu(n, u.s), g.ht
+    # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
+    pot = 0.5 * beta.deriv(u.values[0, 1:-1])
+    mu_t = _lowest_tridiagonal(2.0 / ht**2 + pot, np.full(len(pot) - 1, -1.0 / ht**2), np.ones_like(pot))
+
+    assert abs(rep.rayleigh_min - (mu_s + mu_t)) <= tol
     assert rep.factors.factorizations == (2 if ns == 257 else 1)
     if ns == 129:
         assert rep.shift == _bound_shift(u, beta)
     assert rep.factors.fill_nnz == _coarsest_lu_fill(u, beta)
 
-
-@_TILED_GRIDS
-@pytest.mark.parametrize("off_axis", [False, True])
-def test_layer_rayleigh_min_is_the_sum_of_two_tridiagonal_ones(beta, layer_profile, n, ns, off_axis):
-    u = _tiled_box(beta, layer_profile, n, ns, off_axis)
-    tol = 1e-8
-    rep = layer_rayleigh_min(u, beta, tol=tol)
-    assert abs(rep.rayleigh_min - _separable_lambda_min(u, beta)) <= tol
-    assert abs(rep.rayleigh_min - linearized_rayleigh_min(u, beta, tol=tol).rayleigh_min) <= tol
-    assert rep.verdict == VERDICT_STABLE
-    # no LU and no LOBPCG step; the residual certified on the whole operator
-    assert rep.factors.factorizations == 0 and rep.level_iterations == [0] and rep.iterations == 0
-    assert rep.level_values == [rep.rayleigh_min] and rep.level_residuals[0] <= tol
-    assert rep.shift < rep.rayleigh_min
+    assert abs(layer.rayleigh_min - (mu_s + mu_t)) <= tol
+    assert abs(layer.rayleigh_min - rep.rayleigh_min) <= tol
+    assert layer.verdict == VERDICT_STABLE
+    assert layer.factors.factorizations == 0 and layer.level_iterations == [0] and layer.iterations == 0
+    assert layer.level_values == [layer.rayleigh_min] and layer.level_residuals[0] <= tol
+    assert layer.shift < layer.rayleigh_min
     _, _, mask = assemble_operator(u, beta)
-    xi = rep.eigenvector.values
+    xi = layer.eigenvector.values
     assert np.all(xi[mask] > 0.0) and np.all(xi[~mask] == 0.0)
-    assert abs(rep.lhs - rep.rhs) <= 1e-9 * abs(rep.rhs)
+    assert abs(layer.lhs - layer.rhs) <= 1e-9 * abs(layer.rhs)
 
 
 @pytest.mark.parametrize("s_min", [0.0, 1.0])
