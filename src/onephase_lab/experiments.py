@@ -52,13 +52,12 @@ from .reaction_terms import rescale, resolve_reaction
 from .reference import SphereShellExact, StripNeckExact
 from .stability import (
     StabilityProbe,
-    _raw_form,
+    _Probes,
     admissible_alpha,
     epsilon_schedule,
     layer_rayleigh_min,
     linearized_rayleigh_min,
     probe_inequality,
-    weighted_norm_sq,
 )
 
 
@@ -268,6 +267,11 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
     outputs["spectral.json"] = lambda path: spectral.save_json(path)
     outputs["eigenvector.bin"] = lambda path: spectral.eigenvector.save_binary(path)
 
+    # the three probes share what does not depend on R, and their Rayleigh
+    # quotients read the coefficients the spectral solve built, its node
+    # weights with them
+    form = spectral.form
+    field_probes = _Probes(f, form.weights)
     probes = []
     base = _probe(cfg)
     r_box = min(grid.s_max, grid.t_max, -grid.t_min)
@@ -277,8 +281,8 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
         except LabError:
             eps = base.eps_inner
         probe = StabilityProbe(alpha=base.alpha, R=R, eps_inner=min(eps, 0.5), eps0=base.eps0)
-        rep = probe_inequality(f, probe)
-        norm_sq = weighted_norm_sq(rep.xi)
+        rep = field_probes.report(probe)
+        norm_sq = form.norm_sq(rep.xi.values)
         probes.append(
             {
                 "alpha": probe.alpha,
@@ -289,7 +293,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
                 "defect": rep.defect,
                 "cutoff_inside_grid": 2.0 * R <= r_box,
                 "verdict": rep.verdict,
-                "rayleigh_quotient": _raw_form(f, rep.xi, beta) / norm_sq if norm_sq > 0.0 else 0.0,
+                "rayleigh_quotient": form.value(rep.xi.values) / norm_sq if norm_sq > 0.0 else 0.0,
             }
         )
     return {
@@ -299,7 +303,7 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
             "verdict": spectral.verdict,
         },
         "probes": probes,
-        "residual": residual_semilinear(f, beta),
+        "residual": spectral.residual,
     }
 
 

@@ -15,7 +15,8 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +27,6 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 from .axisym_field import (
     AxiField,
     _band,
-    _centered_gradient,
     _diagonal_positions,
     _grid_transfers,
     _KrylovSolve,
@@ -145,7 +145,15 @@ class SpectralReport:
     and the finest level's preconditioner shift.  The separable solve
     (:func:`layer_rayleigh_min`) factors no LU and runs no step: one level
     of 0 steps, its certified eigenvalue and residual, and the sum of its
-    two inverse-iteration shifts."""
+    two inverse-iteration shifts.  ``residual`` is the field's
+    ``residual_semilinear``, which both solves refuse above 1e-6.
+
+    The separable solve's certificate applies D A D from the field's
+    coefficients, so no solver's matrix is involved; the cascade certifies
+    with the matrix its LOBPCG steps used.  ``form`` holds those
+    coefficients (:class:`_FieldForm`): ``lhs`` and ``rhs`` are read off
+    it, and so can be Q and the weighted norm of other directions at the
+    same field."""
 
     verdict: str
     rayleigh_min: float
@@ -157,6 +165,8 @@ class SpectralReport:
     level_values: list[float]
     level_residuals: list[float]
     shift: float
+    residual: float
+    form: _FieldForm = field(repr=False, compare=False)
 
     @property
     def iterations(self) -> int:
@@ -191,12 +201,13 @@ def require_positive_node_weights(n: int, s: np.ndarray, t: np.ndarray) -> None:
         )
 
 
-def _require_solution(u: AxiField, beta: ReactionTerm) -> None:
-    """Reject a field whose ``residual_semilinear`` is above 1e-6, or NaN:
+def _require_solution(u: AxiField, beta: ReactionTerm) -> float:
+    """The ``residual_semilinear`` of a field, refused above 1e-6 or NaN:
     the second variation is taken at a solution."""
     res = residual_semilinear(u, beta)
     if not res <= 1e-6:
         raise InvalidParameterError(f"field does not solve the equation (residual {res:.3e})")
+    return res
 
 
 def _require_vanishing_border(xi: AxiField) -> None:
@@ -223,21 +234,90 @@ def quadratic_form(u: AxiField, xi: AxiField, beta: ReactionTerm) -> float:
     if not u.same_grid(xi):
         raise InvalidParameterError("field and test function live on different grids")
     _require_vanishing_border(xi)
-    return _raw_form(u, xi, beta)
-
-
-def _raw_form(u: AxiField, xi: AxiField, beta: ReactionTerm) -> float:
-    w_s, w_t = grid_weights(xi, "s-edge"), grid_weights(xi, "t-edge")
-    v = xi.values
-    ds = (v[1:, :] - v[:-1, :]) / xi.hs
-    dt = (v[:, 1:] - v[:, :-1]) / xi.ht
-    grad = float(np.sum(ds * ds * w_s)) + float(np.sum(dt * dt * w_t))
-    pot = float(np.sum(0.5 * np.asarray(beta.deriv(u.values)) * v * v * grid_weights(xi, "node")))
-    return grad + pot
+    return _FieldForm(u, beta).value(xi.values)
 
 
 def weighted_norm_sq(xi: AxiField) -> float:
     return float(np.sum(xi.values**2 * grid_weights(xi, "node")))
+
+
+class _FieldForm:
+    """The second variation's coefficients at a field u, built once per field.
+
+    The unknown nodes (``_unknown_mask``) are a rectangle of the grid:
+    ``mask`` marks them, ``block`` is their (rows, columns) slice pair and
+    ``w`` their node weights in row-major order.  ``weights`` holds every
+    node's weight, ``w_s`` and ``w_t`` the edge weights, ``half_deriv``
+    beta'(u)/2 at every node and ``d`` the diagonal of D = diag(w)^(-1/2).
+    Q(xi) and |xi|^2_w (:meth:`value`, :meth:`norm_sq`) read them as
+    :func:`quadratic_form` and :func:`weighted_norm_sq` do, and so do both
+    products of the operator: A as a CSR matrix (:meth:`matrix`) and D A D x
+    without a matrix (:meth:`apply`).
+    """
+
+    def __init__(self, u: AxiField, beta: ReactionTerm):
+        ns, nt = u.values.shape
+        self.hs, self.ht = u.hs, u.ht
+        self.mask = _unknown_mask((ns, nt), u.has_axis)
+        self.block = (slice(1 - int(u.has_axis), ns - 1), slice(1, nt - 1))
+        self.weights = grid_weights(u, "node")
+        self.w_s, self.w_t = grid_weights(u, "s-edge"), grid_weights(u, "t-edge")
+        self.half_deriv = 0.5 * np.asarray(beta.deriv(u.values))
+        self.w = self.weights[self.block].ravel()
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return 1.0 / np.sqrt(self.w)
+
+    def value(self, v: np.ndarray) -> float:
+        """Q(xi) of the grid values v: squared edge differences against the
+        edge weights, then the potential against the node weights."""
+        ds = (v[1:, :] - v[:-1, :]) / self.hs
+        dt = (v[:, 1:] - v[:, :-1]) / self.ht
+        grad = float(np.sum(ds * ds * self.w_s)) + float(np.sum(dt * dt * self.w_t))
+        return grad + float(np.sum(self.half_deriv * v * v * self.weights))
+
+    def norm_sq(self, v: np.ndarray) -> float:
+        return float(np.sum(v**2 * self.weights))
+
+    def _stencil(self):
+        """A on the block of unknowns: the weights over h^2 of the s-edges
+        below and above each unknown (s-, s+), of its t-edges (one column:
+        every t-edge of a row weighs the same) and A's diagonal, which sums
+        its edges in the order s-, s+, t-, t+, then the potential
+        beta'(u)/2 w.  A's arms are these weights negated."""
+        rows, cols = self.block
+        ks = np.zeros((self.mask.shape[0] + 1, cols.stop - cols.start))  # ks[i]: the s-edge from i - 1 to i
+        ks[1:-1] = self.w_s[:, cols] / self.hs**2
+        s_m, s_p = ks[rows], ks[rows.start + 1 : rows.stop + 1]
+        kt = self.w_t[rows] / self.ht**2
+        diag = s_m + s_p
+        diag += kt
+        diag += kt
+        diag += self.half_deriv[self.block] * self.weights[self.block]
+        return s_m, s_p, kt, diag
+
+    def matrix(self) -> sp.csr_matrix:
+        """A on the unknowns (``stencil_matrix``)."""
+        s_m, s_p, kt, diag = self._stencil()
+        t_arm = np.broadcast_to(-kt, diag.shape).ravel()
+        return stencil_matrix(self.mask, diag.ravel(), (-s_m.ravel(), -s_p.ravel(), t_arm, t_arm))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """D A D x, rounded bit for bit as the CSR product
+        ``_symmetrized(A, d) @ x`` rounds it: each entry (d_i a_ij) d_j times
+        x_j, summed from 0 in the row's column order s-, t-, the diagonal,
+        t+, s+.  An arm's entry is an edge weight negated, and rounding is
+        symmetric in sign, so its term is subtracted."""
+        s_m, s_p, kt, diag = self._stencil()
+        D, X = self.d.reshape(diag.shape), x.reshape(diag.shape)
+        y = np.zeros_like(X)
+        y[1:] -= D[1:] * s_m[1:] * D[:-1] * X[:-1]
+        y[:, 1:] -= D[:, 1:] * kt * D[:, :-1] * X[:, :-1]
+        y += D * diag * D * X
+        y[:, :-1] -= D[:, :-1] * kt * D[:, 1:] * X[:, 1:]
+        y[:-1] -= D[:-1] * s_p[:-1] * D[1:] * X[1:]
+        return y.ravel()
 
 
 def assemble_operator(u: AxiField, beta: ReactionTerm):
@@ -245,22 +325,13 @@ def assemble_operator(u: AxiField, beta: ReactionTerm):
 
     x^T A x equals the quadratic form of x embedded by ``mask`` (boundary
     zeros) and w holds the node weights, so the generalized problem
-    A x = lambda diag(w) x discretizes the Rayleigh quotient.
+    A x = lambda diag(w) x discretizes the Rayleigh quotient.  A is
+    ``stencil_matrix`` over the field's coefficients (:class:`_FieldForm`);
+    the cascade (:func:`linearized_rayleigh_min`) solves with it, while
+    :func:`layer_rayleigh_min` builds no matrix at all.
     """
-    ns, nt = u.values.shape
-    mask = _unknown_mask((ns, nt), u.has_axis)
-    w_s, w_t = grid_weights(u, "s-edge"), grid_weights(u, "t-edge")
-    es = np.zeros((ns + 1, nt))  # es[i] weights the s-edge from i - 1 to i
-    es[1:-1] = w_s / u.hs**2
-    et = np.zeros((ns, nt + 1))  # et[:, j] weights the t-edge from j - 1 to j
-    et[:, 1:-1] = w_t / u.ht**2
-    weights = grid_weights(u, "node")
-    pot = 0.5 * np.asarray(beta.deriv(u.values)) * weights
-    i, j = np.nonzero(mask)
-    # the diagonal sums its edges in the order s-, s+, t-, t+, then the potential
-    diag = es[i, j] + es[i + 1, j] + et[i, j] + et[i, j + 1] + pot[i, j]
-    A = stencil_matrix(mask, diag, (-es[i, j], -es[i + 1, j], -et[i, j], -et[i, j + 1]))
-    return A, weights[mask], mask
+    form = _FieldForm(u, beta)
+    return form.matrix(), form.w, form.mask
 
 
 def linearized_rayleigh_min(
@@ -301,7 +372,7 @@ def linearized_rayleigh_min(
     the finest level's.  On a
     grid with ``s_min > 0`` every side is a Dirichlet boundary.
     """
-    _require_solution(u, beta)
+    residual = _require_solution(u, beta)
 
     # The edge part of A is a sum of weighted squared differences, so every
     # Rayleigh quotient of B is at least the smallest potential beta'(u)/2.
@@ -325,7 +396,7 @@ def linearized_rayleigh_min(
         f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
         require_representable_weights(f.n, f.s, f.t)
         require_positive_node_weights(f.n, f.s, f.t)
-        A, w, mask = assemble_operator(f, beta)
+        A, w, _ = assemble_operator(f, beta)
         transfers = None if cycle is None else _grid_transfers(*f.values.shape, f.has_axis, False)
         ops.append((A, w, f.hs * f.ht, transfers))
         cycle = level_cycle(*ops[-1], cycle)
@@ -351,14 +422,15 @@ def linearized_rayleigh_min(
             break
         x = _inward_line_sweep(B, x, lam, u.values.shape[1] - 2)
         x /= np.linalg.norm(x)
-    lam, cert, what = _certificate(B, x, tol)
+    lam, cert, what = _certificate(B.dot, x, tol)
     if what:
         raise NonconvergenceError(
             f"LOBPCG did not certify {what} after {steps} iterations (last residual {cert:.3e}, shift {shift:.6g})",
             trace=trace,
         )
+    del B  # the report reads a form of u built now: held through LOBPCG it would raise the solve's peak
     return _report(
-        u, beta, x, d, mask, lam, tol,
+        _FieldForm(u, beta), u, x, lam, tol, residual,
         factors=factors, level_iterations=levels, level_values=values, level_residuals=residuals, shift=shift,
     )
 
@@ -380,15 +452,17 @@ def layer_rayleigh_min(u: AxiField, beta: ReactionTerm, tol: float = 1e-10) -> S
     accuracy the graded radial pencil needs at large n, and each vector is
     ``GROUND_SOLVES`` inverse-iteration solves of its symmetrized pencil at
     ``GROUND_GAP`` (1 + |mu|) below mu (:func:`_ground_state`).  The pair is
-    certified on the whole operator B = D A D exactly as
+    certified on the whole 2D operator B = D A D exactly as
     :func:`linearized_rayleigh_min` certifies its own: residual
-    ||B x - lam x|| <= tol and x > 0.  No LU is built: ``level_iterations``
-    is [0], ``level_values`` [lam], ``level_residuals`` that residual and
-    ``shift`` the sum of the two inverse-iteration shifts.
+    ||B x - lam x|| <= tol and x > 0.  B x is applied from the field's
+    coefficients (:meth:`_FieldForm.apply`), bit for bit the CSR product of
+    B, so no sparse matrix is built and no LU: ``level_iterations`` is [0],
+    ``level_values`` [lam], ``level_residuals`` that residual and ``shift``
+    the sum of the two inverse-iteration shifts.
     """
     if not np.all(u.values == u.values[:1]):
         raise InvalidParameterError("field is not s-independent: a column differs from the first")
-    _require_solution(u, beta)
+    residual = _require_solution(u, beta)
     require_representable_weights(u.n, u.s, u.t)
     require_positive_node_weights(u.n, u.s, u.t)
 
@@ -403,13 +477,10 @@ def layer_rayleigh_min(u: AxiField, beta: ReactionTerm, tol: float = 1e-10) -> S
     pot = 0.5 * np.asarray(beta.deriv(u.values[0, 1:-1])) * axial[1:-1]
     mu_t, shift_t, b = _ground_state(2.0 * kt + pot, np.full(len(pot) - 1, -kt), axial[1:-1])
 
-    A, w, mask = assemble_operator(u, beta)
-    d = 1.0 / np.sqrt(w)
-    B = _symmetrized(A, d)
-    del A
+    form = _FieldForm(u, beta)
     x = np.kron(a, b)
     x /= np.linalg.norm(x)
-    lam, cert, what = _certificate(B, x, tol)
+    lam, cert, what = _certificate(form.apply, x, tol)
     shift = shift_s + shift_t
     if what:
         raise NonconvergenceError(
@@ -417,7 +488,7 @@ def layer_rayleigh_min(u: AxiField, beta: ReactionTerm, tol: float = 1e-10) -> S
             f"(residual {cert:.3e}, shift {shift:.6g})"
         )
     return _report(
-        u, beta, x, d, mask, lam, tol,
+        form, u, x, lam, tol, residual,
         factors=LUCounts(), level_iterations=[0], level_values=[lam], level_residuals=[cert], shift=shift,
     )
 
@@ -451,11 +522,14 @@ def _ground_state(diag: np.ndarray, off: np.ndarray, mass: np.ndarray) -> tuple[
     return mu, shift, y
 
 
-def _certificate(B, x: np.ndarray, tol: float) -> tuple[float, float, str]:
+def _certificate(apply, x: np.ndarray, tol: float) -> tuple[float, float, str]:
     """The Rayleigh quotient lam = x B x of the unit vector x, its residual
     ||B x - lam x||, and what of the ground state fails its certificate
-    (residual <= tol and x > 0): "" when nothing does."""
-    Bx = B @ x
+    (residual <= tol and x > 0): "" when nothing does.  ``apply`` is the
+    product x -> B x: the cascade's matrix, or on the separable solve D A D
+    applied from the field's coefficients (:meth:`_FieldForm.apply`), where
+    no solver's matrix is involved."""
+    Bx = apply(x)
     lam = float(x @ Bx)
     cert = float(np.linalg.norm(Bx - lam * x))
     if not cert <= tol:
@@ -463,20 +537,22 @@ def _certificate(B, x: np.ndarray, tol: float) -> tuple[float, float, str]:
     return lam, cert, "" if np.all(x > 0.0) else "one sign of the ground state"
 
 
-def _report(u, beta, x, d, mask, lam, tol, **counters) -> SpectralReport:
+def _report(form: _FieldForm, u, x, lam, tol, residual, **counters) -> SpectralReport:
     """The report on the certified ground state x of B = D A D with
-    eigenvalue lam, with the solve's ``counters`` (its LU factors, levels
+    eigenvalue lam, Q and the weighted norm read off u's ``form``, with the
+    field's residual and the solve's ``counters`` (its LU factors, levels
     and shift)."""
     xi_vals = np.zeros_like(u.values)
-    xi_vals[mask] = x * d
-    xi = u.with_values(xi_vals)
+    xi_vals[form.block] = (x * form.d).reshape(xi_vals[form.block].shape)
     verdict = VERDICT_STABLE if lam >= -tol else VERDICT_UNSTABLE
     return SpectralReport(
         verdict=verdict,
         rayleigh_min=lam,
-        lhs=_raw_form(u, xi, beta),
-        rhs=lam * weighted_norm_sq(xi),
-        eigenvector=xi,
+        lhs=form.value(xi_vals),
+        rhs=lam * form.norm_sq(xi_vals),
+        eigenvector=u.with_values(xi_vals),
+        residual=residual,
+        form=form,
         **counters,
     )
 
@@ -557,33 +633,73 @@ def us_derivative(u: AxiField) -> AxiField:
         raise InvalidParameterError("need at least 3 radial nodes")
     v = u.values
     hs = u.hs
-    out, _ = _centered_gradient(u)
+    out = np.empty_like(v)  # every row is set below
+    out[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2.0 * hs)
     # difference form of the one-sided stencils: exactly zero on constant data
-    if not u.has_axis:
+    if u.has_axis:
+        out[0, :] = 0.0
+    else:
         out[0, :] = (3.0 * (v[1, :] - v[0, :]) + (v[1, :] - v[2, :])) / (2.0 * hs)
     out[-1, :] = (3.0 * (v[-1, :] - v[-2, :]) + (v[-3, :] - v[-2, :])) / (2.0 * hs)
     return u.with_values(out)
 
 
-def _eta_and_gradsq(probe: StabilityProbe, f: AxiField):
-    """The capped test function and its analytic squared gradient on the grid."""
-    s = f.s[:, None]
-    t = f.t[None, :]
+def _rays(f: AxiField):
+    """r = hypot(s, t) on f's grid, and s/r and t/r (0 where r = 0)."""
+    s, t = f.s[:, None], f.t[None, :]
     r = np.hypot(s, t)
-    x = (r - probe.R) / probe.R
-    rho = 1.0 - smoothstep_quintic(x)
-    drho = -smoothstep_quintic_deriv(x) / probe.R
+    positive = r > 0
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the origin
+        return r, np.where(positive, s / r, 0.0), np.where(positive, t / r, 0.0)
 
+
+def _eta_and_gradsq(probe: StabilityProbe, f: AxiField, rays):
+    """The capped test function and its analytic squared gradient on the
+    grid; ``rays`` is f's :func:`_rays`."""
+    r, s_r, t_r = rays
+    s = f.s[:, None]
     capped = s <= probe.eps_inner
     with np.errstate(divide="ignore"):
         f_rad = np.where(capped, probe.eps_inner ** (-probe.alpha), np.where(s > 0, s, 1.0) ** (-probe.alpha))
         df_rad = np.where(capped, 0.0, -probe.alpha * np.where(s > 0, s, 1.0) ** (-probe.alpha - 1.0))
-    eta = f_rad * rho
+    # each grid array is dropped, or overwritten in place, once read: the
+    # probe's peak memory is a few grids
+    x = (r - probe.R) / probe.R
+    rho = 1.0 - smoothstep_quintic(x)
+    g_t = -smoothstep_quintic_deriv(x) / probe.R  # rho's derivative in r
+    del x
     with np.errstate(invalid="ignore"):
-        g_s = df_rad * rho + f_rad * drho * np.where(r > 0, s / np.where(r > 0, r, 1.0), 0.0)
-        g_t = f_rad * drho * np.where(r > 0, t / np.where(r > 0, r, 1.0), 0.0)
-    gradsq = g_s * g_s + g_t * g_t
-    return eta, gradsq
+        g_t *= f_rad
+        g_s = g_t * s_r
+        g_s += df_rad * rho
+        g_t *= t_r
+    eta = f_rad * rho
+    del rho
+    g_s *= g_s  # |grad eta|^2 = g_s^2 + g_t^2
+    g_t *= g_t
+    g_s += g_t
+    return eta, g_s
+
+
+class _Probes:
+    """Radial probes of one field u.  What does not depend on the probe is
+    built once: u_s and u_s^2, 1/s^2 and the rays (:func:`_rays`); the node
+    ``weights`` are the caller's."""
+
+    def __init__(self, u: AxiField, weights: np.ndarray):
+        self.u, self.weights = u, weights
+        self.c = us_derivative(u).values
+        self.cc = self.c * self.c
+        s = u.s[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.inv_s2 = np.where(s > 0.0, 1.0 / np.where(s > 0, s, 1.0) ** 2, 0.0)
+        self.rays = _rays(u)
+
+    def report(self, probe: StabilityProbe) -> ProbeReport:
+        eta, gradsq = _eta_and_gradsq(probe, self.u, self.rays)
+        lhs = (self.u.n - 2) * float(np.sum(self.cc * eta * eta * self.inv_s2 * self.weights))
+        rhs = float(np.sum(self.cc * gradsq * self.weights))
+        return ProbeReport(lhs=lhs, rhs=rhs, xi=self.u.with_values(self.c * eta))
 
 
 def probe_inequality(u: AxiField, probe: StabilityProbe) -> ProbeReport:
@@ -594,15 +710,7 @@ def probe_inequality(u: AxiField, probe: StabilityProbe) -> ProbeReport:
     Exponents alpha >= (n-1)/2 make the uncapped weight non-integrable near
     the axis; the cap regularizes this.
     """
-    c = us_derivative(u).values
-    eta, gradsq = _eta_and_gradsq(probe, u)
-    w = grid_weights(u, "node")
-    s = u.s[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_s2 = np.where(s > 0.0, 1.0 / np.where(s > 0, s, 1.0) ** 2, 0.0)
-    lhs = (u.n - 2) * float(np.sum(c * c * eta * eta * inv_s2 * w))
-    rhs = float(np.sum(c * c * gradsq * w))
-    return ProbeReport(lhs=lhs, rhs=rhs, xi=u.with_values(c * eta))
+    return _Probes(u, grid_weights(u, "node")).report(probe)
 
 
 def admissible_alpha(n: int) -> tuple[float, float] | None:

@@ -1074,7 +1074,7 @@ def test_dual_path_agreement_on_grid():
     shell = SphereShellExact(n=n, r0=1.0)
     ext = 2.2
     _, d_exact = _sphere_dual_path(n, 1.0, alpha, R, eps_inner)
-    from onephase_lab.stability import _eta_and_gradsq
+    from onephase_lab.stability import _eta_and_gradsq, _rays
 
     gaps, bulk_errors = [], []
     for ns, nt in ((177, 353), (353, 705)):
@@ -1082,7 +1082,7 @@ def test_dual_path_agreement_on_grid():
         sol = solve_harmonic_masked(g, shell.level, shell.u)
         boundary = curvature_of_revolution(shell.boundary_generator(513), n=n)
         probe = StabilityProbe(alpha=alpha, R=R, eps_inner=eps_inner)
-        eta, _ = _eta_and_gradsq(probe, sol.field)
+        eta, _ = _eta_and_gradsq(probe, sol.field, _rays(sol.field))
         xi_vals = us_derivative(sol.field).values * eta
         xi_vals[0, :] = xi_vals[-1, :] = 0.0
         xi_vals[:, 0] = xi_vals[:, -1] = 0.0

@@ -16,7 +16,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros
 
-from onephase_lab import stability
+from onephase_lab import experiments, stability
 from onephase_lab.axisym_field import (
     AxiField,
     GridSpec,
@@ -28,7 +28,7 @@ from onephase_lab.axisym_field import (
 )
 from onephase_lab.config import ExperimentConfig, _grid, parse_config
 from onephase_lab.errors import ConfigError, InvalidParameterError, NonconvergenceError
-from onephase_lab.numerics import LU_OPTIONS
+from onephase_lab.numerics import LU_OPTIONS, smoothstep_quintic, smoothstep_quintic_deriv
 from onephase_lab.stability import (
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
@@ -93,6 +93,26 @@ def test_form_matches_assembled_matrix(beta, layer_profile):
     x = xi_vals[mask]
     q_matrix = float(x @ (A @ x))
     assert abs(q_direct - q_matrix) < 1e-8 * (1.0 + abs(q_direct))
+
+
+def _edge_and_node_sums(u, xi, beta):
+    """Q(xi) summed as quadratic_form sums it, every array built afresh."""
+    w_s, w_t = grid_weights(xi, "s-edge"), grid_weights(xi, "t-edge")
+    v = xi.values
+    ds = (v[1:, :] - v[:-1, :]) / xi.hs
+    dt = (v[:, 1:] - v[:, :-1]) / xi.ht
+    grad = float(np.sum(ds * ds * w_s)) + float(np.sum(dt * dt * w_t))
+    return grad + float(np.sum(0.5 * np.asarray(beta.deriv(u.values)) * v * v * grid_weights(xi, "node")))
+
+
+@pytest.mark.parametrize("n, s_min", [(3, 0.0), (5, 0.7)])
+def test_field_form_reads_q_and_the_norm_as_fresh_sums_bit_for_bit(beta, n, s_min):
+    g = GridSpec(n=n, s_min=s_min, s_max=s_min + 2.0, t_min=-2.0, t_max=2.0, ns=33, nt=29)
+    u = from_function(g, lambda s, t: np.tanh(t + 0.3 * s) + 0.2 * np.cos(3.0 * s * t))
+    xi = u.with_values(interior_bump(g) * (1.0 + 0.5 * np.sin(7.0 * u.values)))
+    form = stability._FieldForm(u, beta)
+    assert form.value(xi.values) == _edge_and_node_sums(u, xi, beta) == quadratic_form(u, xi, beta)
+    assert form.norm_sq(xi.values) == weighted_norm_sq(xi)
 
 
 def _loop_operator(u, beta):
@@ -381,10 +401,69 @@ def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_pro
     assert layer.factors.factorizations == 0 and layer.level_iterations == [0] and layer.iterations == 0
     assert layer.level_values == [layer.rayleigh_min] and layer.level_residuals[0] <= tol
     assert layer.shift < layer.rayleigh_min
-    _, _, mask = assemble_operator(u, beta)
+    A, w, mask = assemble_operator(u, beta)
     xi = layer.eigenvector.values
     assert np.all(xi[mask] > 0.0) and np.all(xi[~mask] == 0.0)
     assert abs(layer.lhs - layer.rhs) <= 1e-9 * abs(layer.rhs)
+    # the certificate's matrix-free product is the CSR product of B, bit for bit
+    x = xi[mask] * np.sqrt(w)
+    assert _same_bits(layer.form.apply(x), stability._symmetrized(A, 1.0 / np.sqrt(w)) @ x)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal float64 arrays, bit for bit: the sign of a zero counts."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# The tiled layer at n = 3, 4, 5 and 20, each on 3x3 (two unknowns), on 65^2
+# off the axis (s >= 0.5) and on 257^2, and solved catenoid fields at 129^2
+# and, with rows and columns of unknowns unequal in count, at 97 x 65 off the axis
+_PRODUCT_FIELDS = [
+    *(
+        pytest.param("tiled", n, s_min, ns, ns, id=f"tiled-n{n}-{ns}")
+        for n in (3, 4, 5, 20)
+        for s_min, ns in ((0.0, 3), (0.5, 65), (0.0, 257))
+    ),
+    pytest.param("neck", 3, 0.0, 129, 129, id="neck-n3-129"),
+    pytest.param("neck", 4, 0.4, 97, 65, id="neck-n4-97x65"),
+]
+
+
+@pytest.mark.parametrize("model, n, s_min, ns, nt", _PRODUCT_FIELDS)
+def test_matrix_free_product_is_the_csr_product_bit_for_bit(beta, layer_profile, model, n, s_min, ns, nt):
+    # D A D x from the field's coefficients rounds each entry (d_i a_ij) d_j
+    # and sums the row from 0 in the CSR's column order s-, t-, diagonal,
+    # t+, s+, exactly as the product of the assembled, symmetrized matrix
+    g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=nt)
+    if model == "tiled":
+        u = tiled_layer(beta, layer_profile, g)
+    else:
+        u = solve_semilinear(beta, g, lambda s, t: layer_profile.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)).field
+    form = stability._FieldForm(u, beta)
+    A, w, _ = assemble_operator(u, beta)
+    assert _same_bits(form.w, w) and _same_bits(form.d, 1.0 / np.sqrt(w))
+    B = stability._symmetrized(A, form.d)
+    m = B.shape[0]
+    signed = np.random.default_rng(ns + n).standard_normal(m)
+    signed[::7] = -0.0
+    signed[3::7] = 0.0
+    ground = np.sqrt(w) * np.abs(np.random.default_rng(n).standard_normal(m))
+    for x in (np.ones(m), signed, ground):
+        assert _same_bits(form.apply(x), B @ x)
+
+
+def test_layer_rayleigh_min_builds_no_sparse_matrix(beta, layer_profile, monkeypatch):
+    u = _tiled_257(beta, layer_profile, 3)
+    want = layer_rayleigh_min(u, beta, tol=1e-8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the separable solve built a sparse matrix")
+
+    monkeypatch.setattr(stability, "stencil_matrix", refuse)
+    monkeypatch.setattr(stability, "_symmetrized", refuse)
+    got = layer_rayleigh_min(u, beta, tol=1e-8)
+    assert got.verdict == VERDICT_STABLE and got.level_residuals[0] <= 1e-8
+    assert got.to_json_dict() == want.to_json_dict() and _same_bits(got.eigenvector.values, want.eigenvector.values)
 
 
 @pytest.mark.parametrize("s_min", [0.0, 1.0])
@@ -432,6 +511,71 @@ def test_layer_rayleigh_min_refuses_a_pair_it_cannot_certify(beta, tiled_33, mon
     monkeypatch.setattr(stability, name, value)
     with pytest.raises(NonconvergenceError, match=message):
         layer_rayleigh_min(tiled_33, beta)
+
+
+def _direct_probe(u, probe):
+    """(lhs, rhs, eta, |grad eta|^2) of probe_inequality, every array built
+    afresh in the order the probe's formula reads."""
+    c = us_derivative(u).values
+    s, t = u.s[:, None], u.t[None, :]
+    r = np.hypot(s, t)
+    x = (r - probe.R) / probe.R
+    rho = 1.0 - smoothstep_quintic(x)
+    drho = -smoothstep_quintic_deriv(x) / probe.R
+    capped = s <= probe.eps_inner
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_rad = np.where(capped, probe.eps_inner ** (-probe.alpha), np.where(s > 0, s, 1.0) ** (-probe.alpha))
+        df_rad = np.where(capped, 0.0, -probe.alpha * np.where(s > 0, s, 1.0) ** (-probe.alpha - 1.0))
+        g_s = df_rad * rho + f_rad * drho * np.where(r > 0, s / np.where(r > 0, r, 1.0), 0.0)
+        g_t = f_rad * drho * np.where(r > 0, t / np.where(r > 0, r, 1.0), 0.0)
+        inv_s2 = np.where(s > 0.0, 1.0 / np.where(s > 0, s, 1.0) ** 2, 0.0)
+    eta, gradsq, w = f_rad * rho, g_s * g_s + g_t * g_t, grid_weights(u, "node")
+    lhs = (u.n - 2) * float(np.sum(c * c * eta * eta * inv_s2 * w))
+    return lhs, float(np.sum(c * c * gradsq * w)), eta, gradsq
+
+
+@pytest.mark.parametrize("n, s_min", [(3, 0.0), (4, 0.0), (3, 0.4)])
+def test_probe_reads_as_its_formula_bit_for_bit(beta, layer_profile, n, s_min):
+    # the probe builds r, s/r, t/r, 1/s^2 and u_s^2 once for every R; each
+    # product keeps the formula's order, so every report is the direct one.
+    # The sums hide a one-ulp slip in an entry: eta and |grad eta|^2 are
+    # compared entry for entry
+    g = GridSpec(n=n, s_min=s_min, s_max=3.0, t_min=-3.0, t_max=3.0, ns=65, nt=65)
+    u = solve_semilinear(beta, g, lambda s, t: layer_profile.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)).field
+    probes = stability._Probes(u, grid_weights(u, "node"))
+    for R, eps_inner in ((1.2, 0.05), (2.4, 0.3), (4.8, 0.6)):
+        probe = StabilityProbe(alpha=0.7, R=R, eps_inner=eps_inner)
+        lhs, rhs, eta, gradsq = _direct_probe(u, probe)
+        got_eta, got_gradsq = stability._eta_and_gradsq(probe, u, probes.rays)
+        assert _same_bits(got_eta, eta) and _same_bits(got_gradsq, gradsq)
+        rep = probes.report(probe)
+        assert (rep.lhs, rep.rhs) == (lhs, rhs) and _same_bits(rep.xi.values, probes.c * eta)
+        assert lhs > 0.0
+
+
+@pytest.mark.parametrize("model", ["catenoid", "profile"])
+def test_stability_run_reads_its_field_once_and_reports_the_independent_probes(tmp_path, monkeypatch, model):
+    # the residual the eigen solve's precheck computed is the reported one;
+    # the three probes share what does not depend on R, and must read as
+    # independent calls do.  On the tiled layer u_s = 0 and every probe reads
+    # 0, so the solved catenoid field is the one that can show an ordering slip
+    cfg = dataclasses.replace(parse_config(_STABILITY_N3), boundary_model=model, out_dir=str(tmp_path / "run"))
+    seen = []
+    for module in (stability, experiments):
+        real = module.residual_semilinear
+        monkeypatch.setattr(module, "residual_semilinear", lambda f, b, real=real: seen.append(f) or real(f, b))
+    results = experiments.run(cfg).results
+    assert len(seen) == 1
+    f, beta = seen[0], experiments.resolve_reaction(cfg.reaction)
+    assert results["residual"] == residual_semilinear(f, beta)
+    for entry in results["probes"]:
+        probe = StabilityProbe(alpha=entry["alpha"], R=entry["R"], eps_inner=entry["eps_inner"], eps0=cfg.eps0)
+        rep = probe_inequality(f, probe)
+        norm_sq = weighted_norm_sq(rep.xi)
+        quotient = stability._FieldForm(f, beta).value(rep.xi.values) / norm_sq if norm_sq > 0.0 else 0.0
+        assert (entry["lhs"], entry["rhs"], entry["defect"]) == (rep.lhs, rep.rhs, rep.defect)
+        assert entry["rayleigh_quotient"] == quotient
+        assert (rep.lhs > 0.0 and quotient != 0.0) if model == "catenoid" else rep.lhs == rep.rhs == quotient == 0.0
 
 
 @pytest.mark.parametrize("n, zero", [(3, jn_zeros(0, 1)[0]), (4, math.pi), (5, jn_zeros(1, 1)[0])])
@@ -749,9 +893,9 @@ def test_probe_alpha_zero_reduces_to_collar():
     probe = StabilityProbe(alpha=0.0, R=2.5, eps_inner=0.05)
     rep = probe_inequality(u, probe)
     # the radial factor is constant, so only the outer cutoff gradient remains
-    from onephase_lab.stability import _eta_and_gradsq
+    from onephase_lab.stability import _eta_and_gradsq, _rays
 
-    eta, gradsq = _eta_and_gradsq(probe, u)
+    eta, gradsq = _eta_and_gradsq(probe, u, _rays(u))
     c = us_derivative(u).values
     w = grid_weights(u, "node")
     rhs_direct = float(np.sum(c**2 * gradsq * w))

@@ -149,6 +149,9 @@ _UNREACHED_ON_PURPOSE = {
     # the paper's second variation Q(xi) as a function of a test direction:
     # public API that the tests hold the assembled eigen operator against
     "quadratic_form",
+    # its weighted norm |xi|^2_w, the Rayleigh quotient's denominator: the
+    # runs read both off the field's coefficients (stability._FieldForm)
+    "weighted_norm_sq",
     # the tags classify builds as CASE_I + REFLECTED and CASE_II + REFLECTED,
     # named for callers that compare against them
     "CASE_I_REFLECTED",
