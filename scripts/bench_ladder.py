@@ -2,7 +2,10 @@
 """Benchmark ladder: each CLI experiment on a fixed ladder of grids, one fresh process per run.
 
 Runs ``solve`` (``configs/solve_neck_n3.cfg``) and ``stability``
-(``configs/stability_n3.cfg``) at ns = nt on each of ``--nodes``, and
+(``configs/stability_n3.cfg``) at ns = nt on each of ``--nodes``, the
+latter twice: on its tiled layer, which the eigen solve separates, and
+with ``--boundary catenoid`` (rows ``stability-catenoid-<nodes>``), whose
+solved neck goes through the LOBPCG cascade; and
 ``onephase`` (``configs/onephase_strip_neck.cfg``, strip_neck) at each of
 ``--resolutions``.  Each run is ``python -m onephase_lab.cli`` on this
 checkout's ``src``, started fresh, so its import, its run and its artifacts
@@ -96,12 +99,17 @@ def main():
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plan = [
-        (f"{experiment}-{nodes}", [experiment, "--config", str(rung_config(name, nodes, out / f"{experiment}-{nodes}.cfg"))],
-         {"config": name, "nodes": nodes})
-        for experiment, name in (("solve", "solve_neck_n3.cfg"), ("stability", "stability_n3.cfg"))
-        for nodes in args.nodes
-    ]
+    ladder = (
+        ("solve", "solve", "solve_neck_n3.cfg", {}),
+        ("stability", "stability", "stability_n3.cfg", {}),
+        ("stability-catenoid", "stability", "stability_n3.cfg", {"boundary": "catenoid"}),
+    )
+    plan = []
+    for label, experiment, name, flags in ladder:
+        for nodes in args.nodes:
+            cli_args = [experiment, "--config", str(rung_config(name, nodes, out / f"{label}-{nodes}.cfg"))]
+            cli_args += [arg for key, value in flags.items() for arg in (f"--{key}", value)]
+            plan.append((f"{label}-{nodes}", cli_args, {"config": name, "nodes": nodes, **flags}))
     strip_neck = "onephase_strip_neck.cfg"
     plan += [
         (f"onephase-{res}", ["onephase", "--config", str(ROOT / "configs" / strip_neck), "--resolution", str(res)],

@@ -67,7 +67,6 @@ from .stability import (
     StabilityProbe,
     admissible_alpha,
     epsilon_schedule,
-    layer_rayleigh_min,
     linearized_rayleigh_min,
     probe_inequality,
     quadratic_form,

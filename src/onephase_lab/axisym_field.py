@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dlartg
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidParameterError, NonconvergenceError
-from .numerics import LU_OPTIONS, LUCounts, stencil_matrix, unit_sphere_area
+from .numerics import LU_OPTIONS, LUCounts, require_tolerance, stencil_matrix, unit_sphere_area
 from .reaction_terms import ReactionTerm, rescale
 
 
@@ -656,10 +656,10 @@ def solve_semilinear(
     level runs to ``tol``.  A level that stagnates or misses its tolerance
     in ``max_iter`` steps raises ``NonconvergenceError`` with its last
     iterate and trace, naming the grid if it is coarse.  ``factors``
-    counts all levels in one ``LUCounts``.
+    counts all levels in one ``LUCounts``.  A ``tol`` that is not positive
+    and finite is refused with ``InvalidParameterError``.
     """
-    if tol <= 0.0:
-        raise InvalidParameterError("tol must be positive")
+    require_tolerance(tol)
     s, t = grid.axes()
     u = np.array(boundary(s[:, None], t[None, :]), dtype=float)
     if u.shape != (grid.ns, grid.nt):
@@ -776,8 +776,9 @@ def solve_semilinear_1d(
     ``tol``, return the last iterate when its sup residual is at or below the
     round-off floor 4 eps max|v| / ht^2 of the grid, and otherwise raise
     ``NonconvergenceError`` naming that floor and carrying the last iterate
-    and the sup-norm residual trace.
+    and the sup-norm residual trace.  ``tol`` must be positive and finite.
     """
+    require_tolerance(tol)
     v = np.array(init, dtype=float)
     if v.ndim != 1 or len(v) < 3:
         raise InvalidParameterError("init must hold at least 3 nodal values in one dimension")

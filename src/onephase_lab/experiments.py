@@ -55,7 +55,6 @@ from .stability import (
     _Probes,
     admissible_alpha,
     epsilon_schedule,
-    layer_rayleigh_min,
     linearized_rayleigh_min,
     probe_inequality,
 )
@@ -251,14 +250,12 @@ def _run_stability(cfg: ExperimentConfig, outputs: dict, counters: dict):
     beta = resolve_reaction(cfg.reaction)
     grid = _grid(cfg)
     if cfg.boundary_model == "profile":
-        # the tiled layer is s-independent: its spectrum separates
-        f = tiled_layer_field(beta, grid)
-        newton = []
-        spectral = layer_rayleigh_min(f, beta, tol=cfg.tolerances["eigen"])
+        # the tiled layer is s-independent, so the eigen solve separates it
+        f, newton = tiled_layer_field(beta, grid), []
     else:
         sol = solve_semilinear(beta, grid, boundary_data(cfg, beta), tol=cfg.tolerances["newton"])
         f, newton = sol.field, [sol.factors]
-        spectral = linearized_rayleigh_min(f, beta, tol=cfg.tolerances["eigen"])
+    spectral = linearized_rayleigh_min(f, beta, tol=cfg.tolerances["eigen"])
     _count_factors(counters, *newton, spectral.factors, krylov=bool(newton))
     counters["eigen_iterations"] = spectral.level_iterations
     counters["eigen_values"] = spectral.level_values

@@ -64,6 +64,13 @@ _GL5_WEIGHTS = np.array(
 )
 
 
+def require_tolerance(tol: float) -> None:
+    """Reject a solve's ``tol`` unless it is positive and finite: a NaN or
+    infinite one would end its convergence loop before the first step."""
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol!r}", name="tol")
+
+
 @dataclass
 class LUCounts:
     """Sparse LU factors a solve built, the largest nnz(L + U) and the

@@ -41,6 +41,7 @@ from .axisym_field import (
 from .errors import InvalidParameterError, NonconvergenceError
 from .numerics import (
     LUCounts,
+    require_tolerance,
     smoothstep_quintic,
     smoothstep_quintic_deriv,
     stencil_matrix,
@@ -135,25 +136,22 @@ class ProbeReport(InequalityReport):
 
 @dataclass
 class SpectralReport:
-    """Outcome of the eigen-solve: ``lhs`` is Q at the eigenvector and ``rhs``
-    the eigenvalue times its weighted norm (equal up to round-off).
+    """Outcome of the one eigen solve (:func:`linearized_rayleigh_min`):
+    ``lhs`` is Q at the eigenvector and ``rhs`` the eigenvalue times its
+    weighted norm (equal up to round-off).
 
-    Both solves certify the pair the same way; the counters, not part of
-    the JSON, tell them apart.  The cascade (:func:`linearized_rayleigh_min`)
-    keeps its LU factors (one per shift), every level's LOBPCG steps,
-    Rayleigh quotient and final residual (coarsest first, the finest last)
-    and the finest level's preconditioner shift.  The separable solve
-    (:func:`layer_rayleigh_min`) factors no LU and runs no step: one level
-    of 0 steps, its certified eigenvalue and residual, and the sum of its
-    two inverse-iteration shifts.  ``residual`` is the field's
-    ``residual_semilinear``, which both solves refuse above 1e-6.
-
-    The separable solve's certificate applies D A D from the field's
-    coefficients, so no solver's matrix is involved; the cascade certifies
-    with the matrix its LOBPCG steps used.  ``form`` holds those
-    coefficients (:class:`_FieldForm`): ``lhs`` and ``rhs`` are read off
-    it, and so can be Q and the weighted norm of other directions at the
-    same field."""
+    The solve picks one of two methods from the field, and the counters,
+    not part of the JSON, tell them apart.  The LOBPCG cascade keeps its LU
+    factors (one per shift), every level's LOBPCG steps, Rayleigh quotient
+    and final residual (coarsest first, the finest last) and the finest
+    level's preconditioner shift.  Separation of variables, on an
+    s-independent field, factors no LU and runs no step: one level of 0
+    steps, its certified eigenvalue and residual, and the sum of its two
+    inverse-iteration shifts.  ``residual`` is the field's
+    ``residual_semilinear``, refused above 1e-6.  ``form`` holds the
+    field's coefficients (:class:`_FieldForm`), from which separation
+    certifies without a solver's matrix: ``lhs`` and ``rhs`` are read off
+    it, and so can be Q and the weighted norm of other directions."""
 
     verdict: str
     rayleigh_min: float
@@ -320,20 +318,6 @@ class _FieldForm:
         return y.ravel()
 
 
-def assemble_operator(u: AxiField, beta: ReactionTerm):
-    """Sparse matrices (A, w, mask) of the form and norm on unknown nodes.
-
-    x^T A x equals the quadratic form of x embedded by ``mask`` (boundary
-    zeros) and w holds the node weights, so the generalized problem
-    A x = lambda diag(w) x discretizes the Rayleigh quotient.  A is
-    ``stencil_matrix`` over the field's coefficients (:class:`_FieldForm`);
-    the cascade (:func:`linearized_rayleigh_min`) solves with it, while
-    :func:`layer_rayleigh_min` builds no matrix at all.
-    """
-    form = _FieldForm(u, beta)
-    return form.matrix(), form.w, form.mask
-
-
 def linearized_rayleigh_min(
     u: AxiField,
     beta: ReactionTerm,
@@ -342,10 +326,33 @@ def linearized_rayleigh_min(
 ) -> SpectralReport:
     """Smallest Rayleigh quotient of the second variation at a solution.
 
-    ``u`` must solve the equation: a ``residual_semilinear`` above 1e-6, or
-    NaN, is refused with ``InvalidParameterError``.
-    LOBPCG on the symmetrized problem B = D A D, D = diag(w)^(-1/2),
-    preconditioned by the Newton solve's multilevel layer on A - shift W:
+    ``tol`` must be positive and finite, ``u`` must solve the equation (a
+    ``residual_semilinear`` above 1e-6, or NaN, is refused) and its grid's
+    weights must be finite, its node weights above zero: each failure
+    raises ``InvalidParameterError``.  A field whose columns all equal the
+    first, bit for bit, separates (:func:`_separable_rayleigh_min`); any
+    other goes through the LOBPCG cascade (:func:`_cascade_rayleigh_min`),
+    the only one ``max_iter`` binds.  Both certify the ground state of
+    B = D A D, D = diag(w)^(-1/2), by its residual ||B x - lam x|| <= tol
+    and one sign throughout x, which on the irreducible Z-matrix B only the
+    ground state has (Perron-Frobenius).  On a grid with ``s_min > 0``
+    every side is a Dirichlet boundary.
+    """
+    require_tolerance(tol)
+    residual = _require_solution(u, beta)
+    require_representable_weights(u.n, u.s, u.t)
+    require_positive_node_weights(u.n, u.s, u.t)
+    if np.all(u.values == u.values[:1]):
+        return _separable_rayleigh_min(u, beta, tol, residual)
+    return _cascade_rayleigh_min(u, beta, max_iter, tol, residual)
+
+
+def _cascade_rayleigh_min(u: AxiField, beta: ReactionTerm, max_iter: int, tol: float, residual: float) -> SpectralReport:
+    """The smallest Rayleigh quotient of any solved field u, whose
+    ``residual_semilinear`` is ``residual``, by LOBPCG.
+
+    LOBPCG runs on the symmetrized problem B = D A D, preconditioned by the
+    Newton solve's multilevel layer on A - shift W:
     one V-cycle over u's every-other-node levels, one LU at the coarsest.
     The solve is cascadic: the coarsest level starts from the all-ones
     vector and stops at sqrt(tol); every finer level starts from the
@@ -357,10 +364,7 @@ def linearized_rayleigh_min(
     raised shift rebuilds the coarser chain, so each shift costs one LU of
     the coarsest level (on the 257^2 tiled layer at n = 3 two LUs, and the
     finest level's steps fall from 11 to 7).  A bad shift can only cost
-    steps or certification, never certify a wrong pair: the eigenpair is
-    certified by its residual
-    ||(B - lambda) x|| <= tol and by one sign throughout x, which on the
-    irreducible Z-matrix B only the ground state has (Perron-Frobenius).
+    steps or certification, never certify a wrong pair.
     LOBPCG resolves x only to round-off of its largest entry, so while x has
     an entry <= 0, up to ``SIGN_SWEEPS`` line sweeps
     (:func:`_inward_line_sweep`) first rebuild the entries near the axis
@@ -369,11 +373,8 @@ def linearized_rayleigh_min(
     every level's Rayleigh quotient and ``level_residuals`` every level's
     final residual ||B x - lam x|| / ||x||, coarsest first (a coarse level
     that hits ``max_iter`` shows there above its sqrt(tol)); ``shift`` is
-    the finest level's.  On a
-    grid with ``s_min > 0`` every side is a Dirichlet boundary.
+    the finest level's.
     """
-    residual = _require_solution(u, beta)
-
     # The edge part of A is a sum of weighted squared differences, so every
     # Rayleigh quotient of B is at least the smallest potential beta'(u)/2.
     unknown = _unknown_mask(u.values.shape, u.has_axis)
@@ -394,15 +395,17 @@ def linearized_rayleigh_min(
                 for op in ops:
                     cycle = level_cycle(*op, cycle)
         f = AxiField(u.n, u.s[::k], u.t[::k], u.values[::k, ::k])
-        require_representable_weights(f.n, f.s, f.t)
-        require_positive_node_weights(f.n, f.s, f.t)
-        A, w, _ = assemble_operator(f, beta)
+        if k > 1:  # the entry checked u's grid
+            require_representable_weights(f.n, f.s, f.t)
+            require_positive_node_weights(f.n, f.s, f.t)
+        form = _FieldForm(f, beta)
+        A, w, d = form.matrix(), form.w, form.d
         transfers = None if cycle is None else _grid_transfers(*f.values.shape, f.has_axis, False)
         ops.append((A, w, f.hs * f.ht, transfers))
         cycle = level_cycle(*ops[-1], cycle)
-        d, sw = 1.0 / np.sqrt(w), np.sqrt(w)
+        sw = np.sqrt(w)
         B = _symmetrized(A, d)
-        del A
+        del A, form
         if k == 1:
             ops.clear()  # no finer level rebuilds the chain: let every A go
         start = np.ones(B.shape[0])
@@ -435,15 +438,12 @@ def linearized_rayleigh_min(
     )
 
 
-def layer_rayleigh_min(u: AxiField, beta: ReactionTerm, tol: float = 1e-10) -> SpectralReport:
-    """Smallest Rayleigh quotient of the second variation at an s-independent
-    solution, by separation of variables.
-
-    ``u`` must equal its first column on every column, bit for bit, and
-    solve the equation as :func:`linearized_rayleigh_min` requires; any
-    other field is refused with ``InvalidParameterError``.  On such a field
-    every weight is a product of a radial and an axial factor
-    (``_weight_factors``), so the form is Ks (x) Mt + Ms (x) (Kt + P)
+def _separable_rayleigh_min(u: AxiField, beta: ReactionTerm, tol: float, residual: float) -> SpectralReport:
+    """The smallest Rayleigh quotient of an s-independent solved field u,
+    whose ``residual_semilinear`` is ``residual``, by separation of
+    variables.  On such a field every weight is a product of a radial and
+    an axial factor (``_weight_factors``), so the form is
+    Ks (x) Mt + Ms (x) (Kt + P)
     against Ms (x) Mt: the radial pencil (Ks, Ms) of the s-edges on the
     unknown columns (the first is a Dirichlet boundary when s_min > 0) and
     the axial pencil (Kt + P, Mt) of the t-edges and beta'(u)/2 on the
@@ -452,20 +452,13 @@ def layer_rayleigh_min(u: AxiField, beta: ReactionTerm, tol: float = 1e-10) -> S
     accuracy the graded radial pencil needs at large n, and each vector is
     ``GROUND_SOLVES`` inverse-iteration solves of its symmetrized pencil at
     ``GROUND_GAP`` (1 + |mu|) below mu (:func:`_ground_state`).  The pair is
-    certified on the whole 2D operator B = D A D exactly as
-    :func:`linearized_rayleigh_min` certifies its own: residual
-    ||B x - lam x|| <= tol and x > 0.  B x is applied from the field's
+    certified on the whole 2D operator B = D A D exactly as the cascade
+    certifies its own.  B x is applied from the field's
     coefficients (:meth:`_FieldForm.apply`), bit for bit the CSR product of
     B, so no sparse matrix is built and no LU: ``level_iterations`` is [0],
     ``level_values`` [lam], ``level_residuals`` that residual and ``shift``
     the sum of the two inverse-iteration shifts.
     """
-    if not np.all(u.values == u.values[:1]):
-        raise InvalidParameterError("field is not s-independent: a column differs from the first")
-    residual = _require_solution(u, beta)
-    require_representable_weights(u.n, u.s, u.t)
-    require_positive_node_weights(u.n, u.s, u.t)
-
     _, pairs = _weight_factors(u.n, u.s, u.t)
     (radial, axial), (mid, _), (_, t_edge) = pairs["node"], pairs["s-edge"], pairs["t-edge"]
     first = 0 if u.has_axis else 1

@@ -172,6 +172,23 @@ def test_solver_nonconvergence_carries_last_iterate(beta):
     assert err.value.last.values.shape == (17, 17)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_newton_solves_refuse_a_tolerance_that_is_not_positive_and_finite(beta, layer_profile, monkeypatch, tol):
+    # a NaN or infinite tol used to end the loop before its first step: the
+    # 33^2 catenoid start came back as converged with sup residual 7.52
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve started before its tol was checked")
+
+    monkeypatch.setattr(axisym_field, "_damped_newton", refuse)
+    g, data = _neck(beta, 33)
+    with pytest.raises(InvalidParameterError, match="^tol must be positive and finite") as err:
+        solve_semilinear(beta, g, lambda s, t: refuse(), tol=tol)
+    assert err.value.name == "tol"
+    with pytest.raises(InvalidParameterError, match="^tol must be positive and finite") as err:
+        solve_semilinear_1d(beta, -3.0, 3.0, layer_profile.sample(np.linspace(-3.0, 3.0, 33)), tol=tol)
+    assert err.value.name == "tol"
+
+
 def _last_sup_residual(message):
     match = re.search(r"in 2 iterations \(last sup residual ([0-9.e+-]+)\)", message)
     assert match, message

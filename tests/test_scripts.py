@@ -49,7 +49,7 @@ def test_bench_ladder_writes_one_row_per_fresh_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert bench["machine"]["nproc"] >= 1
-    assert list(bench["runs"]) == ["solve-33", "stability-33", "onephase-24"]
+    assert list(bench["runs"]) == ["solve-33", "stability-33", "stability-catenoid-33", "onephase-24"]
     for row in bench["runs"].values():
         assert row["exit_status"] == 0
         assert row["wall_s"] > row["run_seconds"] > 0.0 and row["peak_rss_mb"] > 0.0
@@ -58,3 +58,7 @@ def test_bench_ladder_writes_one_row_per_fresh_process(tmp_path):
     assert bench["runs"]["onephase-24"]["counters"]["lu_factorizations"] >= 1
     stability = bench["runs"]["stability-33"]["counters"]
     assert stability["lu_factorizations"] == 0 and stability["eigen_iterations"] == [0]
+    # the solved neck is not s-independent: the cascade factors and steps
+    catenoid = bench["runs"]["stability-catenoid-33"]
+    assert catenoid["boundary"] == "catenoid"
+    assert catenoid["counters"]["lu_factorizations"] >= 1 and catenoid["counters"]["eigen_iterations"][-1] > 0

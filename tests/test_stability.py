@@ -35,9 +35,7 @@ from onephase_lab.stability import (
     InequalityReport,
     StabilityProbe,
     admissible_alpha,
-    assemble_operator,
     epsilon_schedule,
-    layer_rayleigh_min,
     linearized_rayleigh_min,
     probe_inequality,
     quadratic_form,
@@ -52,6 +50,12 @@ def tiled_layer(beta, layer_profile, grid):
     s, t = grid.axes()
     v = solve_semilinear_1d(beta, grid.t_min, grid.t_max, layer_profile.sample(t))
     return AxiField(n=grid.n, s=s, t=t, values=np.tile(v, (grid.ns, 1)))
+
+
+def cascade(u, beta, max_iter=600, tol=1e-10):
+    """The LOBPCG cascade on any solved field, the s-independent tiled layer
+    too, which ``linearized_rayleigh_min`` would separate instead."""
+    return stability._cascade_rayleigh_min(u, beta, max_iter, tol, residual_semilinear(u, beta))
 
 
 def interior_bump(grid):
@@ -89,9 +93,9 @@ def test_form_matches_assembled_matrix(beta, layer_profile):
     xi_vals = interior_bump(g)
     xi = u.with_values(xi_vals)
     q_direct = quadratic_form(u, xi, beta)
-    A, w, mask = assemble_operator(u, beta)
-    x = xi_vals[mask]
-    q_matrix = float(x @ (A @ x))
+    form = stability._FieldForm(u, beta)
+    x = xi_vals[form.mask]
+    q_matrix = float(x @ (form.matrix() @ x))
     assert abs(q_direct - q_matrix) < 1e-8 * (1.0 + abs(q_direct))
 
 
@@ -116,7 +120,7 @@ def test_field_form_reads_q_and_the_norm_as_fresh_sums_bit_for_bit(beta, n, s_mi
 
 
 def _loop_operator(u, beta):
-    """The per-edge assembly loop, kept as the reference of assemble_operator."""
+    """The per-edge assembly loop, kept as the reference of ``_FieldForm.matrix``."""
     ns, nt = u.values.shape
     mask = np.zeros((ns, nt), dtype=bool)
     mask[1:-1, 1:-1] = True
@@ -155,11 +159,11 @@ def test_assembled_operator_matches_loop_reference(beta, n, s_min, off_axis):
     shift = 1.0 if off_axis else 0.0
     g = GridSpec(n=n, s_min=s_min + shift, s_max=2.0 + shift, t_min=-2.0, t_max=2.0, ns=19, nt=23)
     u = from_function(g, lambda s, t: np.tanh(t + 0.3 * s) + 0.2 * np.cos(3.0 * s * t))
-    A, w, mask = assemble_operator(u, beta)
-    ref = _loop_operator(u, beta)
+    form = stability._FieldForm(u, beta)
+    A, ref = form.matrix(), _loop_operator(u, beta)
     assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
-    assert np.array_equal(w, grid_weights(u, "node")[mask])
+    assert np.array_equal(form.w, grid_weights(u, "node")[form.mask])
 
 
 _STABILITY_N3 = Path(__file__).parents[1] / "configs" / "stability_n3.cfg"
@@ -268,14 +272,15 @@ def test_integration_by_parts_identity_second_order(beta, layer_profile):
 def test_dirichlet_laplacian_oracle(beta):
     # zero field, planar weight: the smallest eigenvalue of the five-point
     # Dirichlet Laplacian on a unit square has a separable closed form; off
-    # the axis (s in [1, 2]) every side is a Dirichlet boundary
+    # the axis (s in [1, 2]) every side is a Dirichlet boundary.  The zero
+    # field separates, and the cascade must find the same value
     g = GridSpec(n=2, s_min=1.0, s_max=2.0, t_min=0.0, t_max=1.0, ns=49, nt=49)
     z = from_function(g, lambda s, t: 0.0 * s)
-    rep = linearized_rayleigh_min(z, beta, tol=1e-10)
     h = g.hs
     exact = 2.0 * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
-    assert abs(rep.rayleigh_min - exact) < 1e-9
-    assert abs(rep.rayleigh_min - 2.0 * math.pi**2) < 0.02
+    for rep in (linearized_rayleigh_min(z, beta, tol=1e-10), cascade(z, beta, tol=1e-10)):
+        assert abs(rep.rayleigh_min - exact) < 1e-9
+        assert abs(rep.rayleigh_min - 2.0 * math.pi**2) < 0.02
 
 
 def test_negative_potential_dirichlet_oracle_is_unstable(beta):
@@ -289,12 +294,13 @@ def test_negative_potential_dirichlet_oracle_is_unstable(beta):
         deriv=lambda v: np.full_like(np.asarray(v, dtype=float), -k),
     )
     tol = 1e-10
-    rep = linearized_rayleigh_min(z, dip, tol=tol)
     h = g.hs
     exact = 2.0 * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
-    assert abs(rep.rayleigh_min - (exact - k / 2.0)) < tol
-    assert rep.verdict == "unstable-direction-found"
-    assert rep.factors.factorizations == 1
+    layer, rep = linearized_rayleigh_min(z, dip, tol=tol), cascade(z, dip, tol=tol)
+    for r in (layer, rep):
+        assert abs(r.rayleigh_min - (exact - k / 2.0)) < tol
+        assert r.verdict == "unstable-direction-found"
+    assert rep.factors.factorizations == 1 and layer.factors.factorizations == 0
 
 
 def _lowest_tridiagonal(diag, off, weight):
@@ -322,19 +328,20 @@ def _radial_mu(n, s):
 
 
 def _bound_shift(u, beta):
-    """The eigen solve's shift below the form's lower bound min beta'(u)/2."""
-    _, _, mask = assemble_operator(u, beta)
+    """The cascade's shift below the form's lower bound min beta'(u)/2."""
+    mask = stability._FieldForm(u, beta).mask
     bound = float(np.min(0.5 * beta.deriv(u.values)[mask]))
     return bound - max(1e-8, 1e-3 * (1.0 + abs(bound)))
 
 
 def _coarsest_lu_fill(u, beta):
     """nnz(L + U) of the LU of (A - shift W) / (hs ht) on the 65^2
-    every-other-node level of ``u``, at the eigen solve's bound shift."""
+    every-other-node level of ``u``, at the cascade's bound shift."""
     shift = _bound_shift(u, beta)
     k = (len(u.s) - 1) // 64
     c = AxiField(n=u.n, s=u.s[::k], t=u.t[::k], values=u.values[::k, ::k])
-    A, w, _ = assemble_operator(c, beta)
+    form = stability._FieldForm(c, beta)
+    A, w = form.matrix(), form.w
     return splu(((A - shift * sp.diags(w)) / (c.hs * c.ht)).tocsc(), **LU_OPTIONS).nnz
 
 
@@ -354,7 +361,8 @@ def test_eigen_operators_are_scipy_sparse_algebra_bit_for_bit(beta, layer_profil
         u = tiled_layer(beta, layer_profile, g)
     else:
         u = solve_semilinear(beta, g, lambda s, t: layer_profile.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)).field
-    A, w, mask = assemble_operator(u, beta)
+    form = stability._FieldForm(u, beta)
+    A, w, mask = form.matrix(), form.w, form.mask
     before = A.copy()
     d = 1.0 / np.sqrt(w)
     shift = float(np.min(0.5 * beta.deriv(u.values)[mask])) - 1e-3
@@ -366,8 +374,9 @@ def test_eigen_operators_are_scipy_sparse_algebra_bit_for_bit(beta, layer_profil
 
 # 129^2 has two levels and 257^2 three; both factor only the 65^2 one, at
 # the bound shift and, on 257^2, once more at the shift the two coarser
-# levels raise the finest one's to.  The separable solve takes neither an
-# LU nor a LOBPCG step, and certifies its residual on the whole operator.
+# levels raise the finest one's to.  The eigen solve separates the field:
+# it takes neither an LU nor a LOBPCG step, and certifies its residual on
+# the whole operator.
 @pytest.mark.parametrize(
     "n, ns", [pytest.param(3, 129, id="3"), pytest.param(4, 129, id="4"), pytest.param(5, 129, id="5"),
               pytest.param(3, 257, id="3-257")]
@@ -381,8 +390,8 @@ def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_pro
     g = GridSpec(n=n, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=ns)
     u = tiled_layer(beta, layer_profile, g)
     tol = 1e-8
-    rep = linearized_rayleigh_min(u, beta, tol=tol)
-    layer = layer_rayleigh_min(u, beta, tol=tol)
+    rep = cascade(u, beta, tol=tol)
+    layer = linearized_rayleigh_min(u, beta, tol=tol)
 
     mu_s, ht = _radial_mu(n, u.s), g.ht
     # mu_t: -d_tt + beta'(U)/2 on the interior rows against ct = ht
@@ -401,7 +410,8 @@ def test_tiled_layer_spectrum_is_the_sum_of_two_tridiagonal_ones(beta, layer_pro
     assert layer.factors.factorizations == 0 and layer.level_iterations == [0] and layer.iterations == 0
     assert layer.level_values == [layer.rayleigh_min] and layer.level_residuals[0] <= tol
     assert layer.shift < layer.rayleigh_min
-    A, w, mask = assemble_operator(u, beta)
+    form = stability._FieldForm(u, beta)
+    A, w, mask = form.matrix(), form.w, form.mask
     xi = layer.eigenvector.values
     assert np.all(xi[mask] > 0.0) and np.all(xi[~mask] == 0.0)
     assert abs(layer.lhs - layer.rhs) <= 1e-9 * abs(layer.rhs)
@@ -440,9 +450,9 @@ def test_matrix_free_product_is_the_csr_product_bit_for_bit(beta, layer_profile,
     else:
         u = solve_semilinear(beta, g, lambda s, t: layer_profile.sample(np.sqrt(1.0 + s * s) - np.cosh(t) + 1.0)).field
     form = stability._FieldForm(u, beta)
-    A, w, _ = assemble_operator(u, beta)
+    w = grid_weights(u, "node")[form.mask]
     assert _same_bits(form.w, w) and _same_bits(form.d, 1.0 / np.sqrt(w))
-    B = stability._symmetrized(A, form.d)
+    B = stability._symmetrized(form.matrix(), form.d)
     m = B.shape[0]
     signed = np.random.default_rng(ns + n).standard_normal(m)
     signed[::7] = -0.0
@@ -452,29 +462,29 @@ def test_matrix_free_product_is_the_csr_product_bit_for_bit(beta, layer_profile,
         assert _same_bits(form.apply(x), B @ x)
 
 
-def test_layer_rayleigh_min_builds_no_sparse_matrix(beta, layer_profile, monkeypatch):
+def test_separable_solve_builds_no_sparse_matrix(beta, layer_profile, monkeypatch):
     u = _tiled_257(beta, layer_profile, 3)
-    want = layer_rayleigh_min(u, beta, tol=1e-8)
+    want = linearized_rayleigh_min(u, beta, tol=1e-8)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the separable solve built a sparse matrix")
 
     monkeypatch.setattr(stability, "stencil_matrix", refuse)
     monkeypatch.setattr(stability, "_symmetrized", refuse)
-    got = layer_rayleigh_min(u, beta, tol=1e-8)
+    got = linearized_rayleigh_min(u, beta, tol=1e-8)
     assert got.verdict == VERDICT_STABLE and got.level_residuals[0] <= 1e-8
     assert got.to_json_dict() == want.to_json_dict() and _same_bits(got.eigenvector.values, want.eigenvector.values)
 
 
 @pytest.mark.parametrize("s_min", [0.0, 1.0])
-def test_layer_rayleigh_min_on_a_3x3_grid_is_the_dense_lowest_eigenvalue(beta, layer_profile, s_min):
+def test_separable_solve_on_a_3x3_grid_is_the_dense_lowest_eigenvalue(beta, layer_profile, s_min):
     # on the axis two unknown columns of one row, off it a single unknown
     g = GridSpec(n=3, s_min=s_min, s_max=s_min + 3.0, t_min=-3.0, t_max=3.0, ns=3, nt=3)
     u = tiled_layer(beta, layer_profile, g)
-    A, w, mask = assemble_operator(u, beta)
-    d = sp.diags(1.0 / np.sqrt(w))
-    lowest = np.linalg.eigvalsh((d @ A @ d).toarray())[0]
-    rep = layer_rayleigh_min(u, beta, tol=1e-10)
+    form = stability._FieldForm(u, beta)
+    mask, d = form.mask, sp.diags(form.d)
+    lowest = np.linalg.eigvalsh((d @ form.matrix() @ d).toarray())[0]
+    rep = linearized_rayleigh_min(u, beta, tol=1e-10)
     assert abs(rep.rayleigh_min - lowest) <= 1e-10 * abs(lowest)
     assert rep.eigenvector.values[mask].size == (2 if s_min == 0.0 else 1)
     assert np.all(rep.eigenvector.values[mask] > 0.0)
@@ -485,18 +495,33 @@ def tiled_33(beta, layer_profile):
     return tiled_layer(beta, layer_profile, GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33))
 
 
-def test_layer_rayleigh_min_refuses_a_field_that_is_not_s_independent(beta, tiled_33):
-    layer_rayleigh_min(tiled_33, beta)
-    vals = tiled_33.values.copy()
-    vals[16, 16] = np.nextafter(vals[16, 16], np.inf)  # one node, one ulp: still a solution
-    assert residual_semilinear(tiled_33.with_values(vals), beta) <= 1e-6
-    with pytest.raises(InvalidParameterError, match="not s-independent"):
-        layer_rayleigh_min(tiled_33.with_values(vals), beta)
+def _one_ulp_column(u):
+    """u with one interior column moved up by one ulp: still a solution, no longer s-independent."""
+    vals = u.values.copy()
+    vals[len(vals) // 2] = np.nextafter(vals[len(vals) // 2], np.inf)
+    return u.with_values(vals)
 
 
-def test_layer_rayleigh_min_refuses_a_field_that_does_not_solve(beta, tiled_33):
+def test_eigen_solve_separates_exactly_the_s_independent_field(beta, layer_profile, monkeypatch):
+    # the one-ulp field goes through the cascade: measured residual 4.5e-13,
+    # one LU, 18 steps, and a value 5.1e-15 from the separated one
+    u = tiled_layer(beta, layer_profile, GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=65, nt=65))
+    built = []
+    real = stability.stencil_matrix
+    monkeypatch.setattr(stability, "stencil_matrix", lambda *a, **k: built.append(1) or real(*a, **k))
+    tol = 1e-10
+    layer = linearized_rayleigh_min(u, beta, tol=tol)
+    assert layer.factors.factorizations == 0 and layer.level_iterations == [0] and not built
+    bumped = _one_ulp_column(u)
+    assert residual_semilinear(bumped, beta) <= 1e-6
+    rep = linearized_rayleigh_min(bumped, beta, tol=tol)
+    assert rep.factors.factorizations >= 1 and rep.iterations >= 1 and built
+    assert abs(rep.rayleigh_min - layer.rayleigh_min) <= tol
+
+
+def test_eigen_solve_refuses_an_s_independent_field_that_does_not_solve(beta, tiled_33):
     with pytest.raises(InvalidParameterError, match="does not solve"):
-        layer_rayleigh_min(tiled_33.with_values(tiled_33.values + 0.01), beta)
+        linearized_rayleigh_min(tiled_33.with_values(tiled_33.values + 0.01), beta)
 
 
 # with no inverse-iteration solve each ground state is the ones vector:
@@ -507,10 +532,10 @@ def test_layer_rayleigh_min_refuses_a_field_that_does_not_solve(beta, tiled_33):
     "name, value, message",
     [("GROUND_SOLVES", 0, "did not certify the residual"), ("GROUND_GAP", -1e-3, "not below the pencil's spectrum")],
 )
-def test_layer_rayleigh_min_refuses_a_pair_it_cannot_certify(beta, tiled_33, monkeypatch, name, value, message):
+def test_separable_solve_refuses_a_pair_it_cannot_certify(beta, tiled_33, monkeypatch, name, value, message):
     monkeypatch.setattr(stability, name, value)
     with pytest.raises(NonconvergenceError, match=message):
-        layer_rayleigh_min(tiled_33, beta)
+        linearized_rayleigh_min(tiled_33, beta)
 
 
 def _direct_probe(u, probe):
@@ -591,33 +616,31 @@ def test_radial_eigenvalue_converges_to_the_bessel_value_at_second_order(n, zero
 def test_rayleigh_quotient_consistency(beta, layer_profile):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=49, nt=49)
     u = tiled_layer(beta, layer_profile, g)
-    rep = linearized_rayleigh_min(u, beta, tol=1e-9)
-    xi = rep.eigenvector
-    q = quadratic_form(u, xi, beta)
-    assert abs(q / weighted_norm_sq(xi) - rep.rayleigh_min) < 1e-10
+    for rep in (linearized_rayleigh_min(u, beta, tol=1e-9), cascade(u, beta, tol=1e-9)):
+        xi = rep.eigenvector
+        q = quadratic_form(u, xi, beta)
+        assert abs(q / weighted_norm_sq(xi) - rep.rayleigh_min) < 1e-10
 
 
 def test_eigen_certificate(beta, layer_profile):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
     u = tiled_layer(beta, layer_profile, g)
     tol = 1e-9
-    rep = linearized_rayleigh_min(u, beta, tol=tol)
-    A, w, mask = assemble_operator(u, beta)
-    import scipy.sparse as sp
-
-    d = 1.0 / np.sqrt(w)
-    B = (sp.diags(d) @ A @ sp.diags(d)).tocsr()
-    x = rep.eigenvector.values[mask] / d
-    x /= np.linalg.norm(x)
-    assert np.linalg.norm(B @ x - rep.rayleigh_min * x) <= tol * 1.01
+    form = stability._FieldForm(u, beta)
+    mask, d = form.mask, form.d
+    B = (sp.diags(d) @ form.matrix() @ sp.diags(d)).tocsr()
+    for rep in (linearized_rayleigh_min(u, beta, tol=tol), cascade(u, beta, tol=tol)):
+        x = rep.eigenvector.values[mask] / d
+        x /= np.linalg.norm(x)
+        assert np.linalg.norm(B @ x - rep.rayleigh_min * x) <= tol * 1.01
 
 
 def test_layer_extension_is_stable_and_beats_random_probes(beta, layer_profile, rng):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=49, nt=49)
     u = tiled_layer(beta, layer_profile, g)
-    rep = linearized_rayleigh_min(u, beta, tol=1e-9)
-    assert rep.rayleigh_min >= -1e-6
-    assert rep.verdict == "stable-on-grid"
+    rep, layer = cascade(u, beta, tol=1e-9), linearized_rayleigh_min(u, beta, tol=1e-9)
+    assert rep.rayleigh_min >= -1e-6 and abs(layer.rayleigh_min - rep.rayleigh_min) <= 1e-9
+    assert rep.verdict == layer.verdict == "stable-on-grid"
     # the eigenvalue is a lower bound over 10^3 random directions
     best = math.inf
     for _ in range(1000):
@@ -634,6 +657,20 @@ def test_eigen_requires_solved_field(beta):
     u = from_function(g, lambda s, t: 0.5 + 0.0 * s)  # beta(1/2) != 0
     with pytest.raises(InvalidParameterError):
         linearized_rayleigh_min(u, beta)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_eigen_solve_refuses_a_tolerance_that_is_not_positive_and_finite(beta, tiled_33, monkeypatch, tol):
+    # -1 used to die in math.sqrt, NaN to report an uncertified residual;
+    # either way after the field's residual was computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the eigen solve read the field before its tol was checked")
+
+    monkeypatch.setattr(stability, "residual_semilinear", refuse)
+    for field in (tiled_33, _one_ulp_column(tiled_33)):
+        with pytest.raises(InvalidParameterError, match="^tol must be positive and finite") as err:
+            linearized_rayleigh_min(field, beta, tol=tol)
+        assert err.value.name == "tol"
 
 
 def test_eigen_solve_refuses_a_field_holding_a_nan(beta, layer_profile):
@@ -653,14 +690,14 @@ def test_sign_changing_eigenvector_is_not_certified(beta, layer_profile, monkeyp
     # so it cannot be the ground state of the irreducible Z-matrix B
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
     u = tiled_layer(beta, layer_profile, g)
-    A, w, _ = assemble_operator(u, beta)
-    d = sp.diags(1.0 / np.sqrt(w))
-    lams, vecs = np.linalg.eigh((d @ A @ d).toarray())
+    form = stability._FieldForm(u, beta)
+    d = sp.diags(form.d)
+    lams, vecs = np.linalg.eigh((d @ form.matrix() @ d).toarray())
     # scipy's history: the start, one iteration, the post-processing
     second = lambda *args, **kwargs: (lams[1:2], vecs[:, 1:2], [lams[0], lams[1], lams[1]])
     monkeypatch.setattr(stability, "lobpcg", second)
     with pytest.raises(NonconvergenceError, match="one sign") as err:
-        linearized_rayleigh_min(u, beta, tol=1e-9)
+        cascade(u, beta, tol=1e-9)
     assert len(err.value.trace) == 1
 
 
@@ -668,7 +705,7 @@ def test_eigen_nonconvergence_trace(beta, layer_profile):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
     u = tiled_layer(beta, layer_profile, g)
     with pytest.raises(NonconvergenceError) as err:
-        linearized_rayleigh_min(u, beta, max_iter=2, tol=1e-14)
+        cascade(u, beta, max_iter=2, tol=1e-14)
     assert len(err.value.trace) == 2
 
 
@@ -676,13 +713,13 @@ def test_eigen_nonconvergence_names_count_residual_and_shift(beta, layer_profile
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
     u = tiled_layer(beta, layer_profile, g)
     with pytest.raises(NonconvergenceError) as err:
-        linearized_rayleigh_min(u, beta, max_iter=3, tol=1e-14)
+        cascade(u, beta, max_iter=3, tol=1e-14)
     match = re.search(r"after (\d+) iterations \(last residual ([0-9.e+-]+), shift ([0-9.e+-]+)\)", str(err.value))
     assert match, str(err.value)
     assert int(match.group(1)) == len(err.value.trace) == 3
     assert float(match.group(2)) > 1e-14
     # the shift sits just below the form's lower bound min beta'(u)/2
-    _, _, mask = assemble_operator(u, beta)
+    mask = stability._FieldForm(u, beta).mask
     bound = float(np.min(0.5 * beta.deriv(u.values)[mask]))
     assert float(match.group(3)) == pytest.approx(bound - 1e-3 * (1.0 + abs(bound)), rel=1e-5)
 
@@ -693,13 +730,13 @@ def test_eigen_nonconvergence_counts_every_step_it_ran(beta, layer_profile):
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=17, nt=17)
     u = tiled_layer(beta, layer_profile, g)
     with pytest.raises(NonconvergenceError) as err:
-        linearized_rayleigh_min(u, beta, max_iter=40, tol=1e-16)
+        cascade(u, beta, max_iter=40, tol=1e-16)
     assert "did not certify the residual after 40 iterations" in str(err.value)
     assert len(err.value.trace) < 40
 
 
 def _spy_lobpcg(monkeypatch):
-    """Every LOBPCG call of the eigen solve as (start block, tol), in call order."""
+    """Every LOBPCG call of the cascade as (start block, tol), in call order."""
     calls, original = [], stability.lobpcg
 
     def spy(B, X, **kwargs):
@@ -721,7 +758,7 @@ def test_cascadic_eigen_solve_starts_each_level_from_the_one_below(beta, layer_p
     calls = _spy_lobpcg(monkeypatch)
     u = _tiled_257(beta, layer_profile, 3)
     tol = 1e-8
-    rep = linearized_rayleigh_min(u, beta, tol=tol)
+    rep = cascade(u, beta, tol=tol)
     assert [X.shape for X, _ in calls] == [((k - 1) * (k - 2), 1) for k in (65, 129, 257)]
     assert [bool(np.all(X == 1.0)) for X, _ in calls] == [True, False, False]
     assert [level_tol for _, level_tol in calls] == [math.sqrt(tol), math.sqrt(tol), tol]
@@ -735,7 +772,7 @@ def test_cascadic_eigen_solve_starts_each_level_from_the_one_below(beta, layer_p
 @pytest.mark.parametrize("n, most", [(3, 8), (20, 12), (40, 32)])
 def test_finest_shift_sits_a_hundred_coarse_drifts_below_the_coarse_eigenvalue(beta, layer_profile, n, most):
     u = _tiled_257(beta, layer_profile, n)
-    rep = linearized_rayleigh_min(u, beta, tol=1e-8)
+    rep = cascade(u, beta, tol=1e-8)
     lam_65, lam_129, lam_257 = rep.level_values
     assert rep.shift == max(_bound_shift(u, beta), lam_129 - 100.0 * abs(lam_129 - lam_65))
     assert rep.shift < lam_257 and rep.verdict == VERDICT_STABLE
@@ -749,10 +786,10 @@ def test_a_capped_coarse_level_reports_its_residual_above_sqrt_tol(beta, layer_p
     # levels still certify (measured [7, 6, 7] steps)
     u = _tiled_257(beta, layer_profile, 3)
     tol = 1e-8
-    full = linearized_rayleigh_min(u, beta, tol=tol)
+    full = cascade(u, beta, tol=tol)
     assert len(full.level_residuals) == 3
     assert max(full.level_residuals[:-1]) <= math.sqrt(tol) and full.level_residuals[-1] <= tol
-    capped = linearized_rayleigh_min(u, beta, tol=tol, max_iter=7)
+    capped = cascade(u, beta, tol=tol, max_iter=7)
     assert capped.level_iterations[0] == 7 and capped.level_residuals[0] > 10.0 * math.sqrt(tol)
     assert capped.level_residuals[-1] <= tol and capped.verdict == VERDICT_STABLE
 
@@ -765,7 +802,7 @@ def test_eigen_solve_at_257_keeps_its_traced_memory_under_29_mib(beta, layer_pro
     u = _tiled_257(beta, layer_profile, 3)
     tracemalloc.start()
     try:
-        linearized_rayleigh_min(u, beta, tol=1e-8)
+        cascade(u, beta, tol=1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -776,7 +813,7 @@ def test_single_level_eigen_solve_starts_from_ones(beta, layer_profile, monkeypa
     calls = _spy_lobpcg(monkeypatch)
     g = GridSpec(n=3, s_max=2.0, t_min=-2.0, t_max=2.0, ns=33, nt=33)
     u = tiled_layer(beta, layer_profile, g)
-    rep = linearized_rayleigh_min(u, beta, tol=1e-9)
+    rep = cascade(u, beta, tol=1e-9)
     assert len(calls) == 1
     X, level_tol = calls[0]
     assert X.shape == (32 * 31, 1) and np.all(X == 1.0) and level_tol == 1e-9
@@ -790,8 +827,9 @@ def test_single_level_eigen_solve_starts_from_ones(beta, layer_profile, monkeypa
 def test_eigen_solve_below_five_unknowns_certifies_the_dense_answer(beta, layer_profile, ns, nt):
     g = GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=ns, nt=nt)
     u = tiled_layer(beta, layer_profile, g)
-    rep = linearized_rayleigh_min(u, beta)
-    A, w, mask = assemble_operator(u, beta)
+    rep = cascade(u, beta)
+    form = stability._FieldForm(u, beta)
+    A, w, mask = form.matrix(), form.w, form.mask
     assert A.shape[0] < 5
     lam = eigh(A.toarray(), np.diag(w), eigvals_only=True)[0]
     assert rep.verdict == VERDICT_STABLE and rep.level_iterations == [0] and rep.iterations == 0

@@ -53,10 +53,16 @@ def test_newton_solves_factor_through_axisym_field_splu(calls, beta, layer_profi
 
 
 def test_eigen_solve_factors_once_through_axisym_field_splu(calls, beta):
-    # the eigen solve's one factor is the multilevel layer's coarsest LU
+    # the cascade's one factor is the multilevel layer's coarsest LU; the
+    # tiled layer separates with none, so one column moved up by one ulp
+    # sends the field to the cascade
     u = tiled_layer_field(beta, GridSpec(n=3, s_max=2.0, t_min=-3.0, t_max=3.0, ns=9, nt=17))
     before = calls["axisym_field.splu"]
-    hit = _hooks_hit(calls, lambda: stability.linearized_rayleigh_min(u, beta, tol=1e-8))
+    stability.linearized_rayleigh_min(u, beta, tol=1e-8)
+    assert calls["axisym_field.splu"] == before
+    vals = u.values.copy()
+    vals[4] = np.nextafter(vals[4], np.inf)
+    hit = _hooks_hit(calls, lambda: stability.linearized_rayleigh_min(u.with_values(vals), beta, tol=1e-8))
     assert {"axisym_field.splu", "axisym_field.apply_axisym_laplacian"} <= hit
     assert calls["axisym_field.splu"] - before == 1
 
