@@ -6,6 +6,7 @@ stencil-to-CSR builder and the sparse LU policy."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,14 @@ def require_tolerance(tol: float) -> None:
     infinite one would end its convergence loop before the first step."""
     if not 0.0 < tol < math.inf:
         raise InvalidParameterError(f"tol must be positive and finite, got {tol!r}", name="tol")
+
+
+def require_iterations(max_iter, least: int) -> None:
+    """Reject a solve's ``max_iter`` unless it is an integer (not a bool) of
+    at least ``least``: a float, a negative count or too few steps would
+    otherwise fail deep inside the solve, or be reported as a nonconvergence."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < least:
+        raise InvalidParameterError(f"max_iter must be an integer >= {least}, got {max_iter!r}", name="max_iter")
 
 
 @dataclass

@@ -41,6 +41,7 @@ from .axisym_field import (
 from .errors import InvalidParameterError, NonconvergenceError
 from .numerics import (
     LUCounts,
+    require_iterations,
     require_tolerance,
     smoothstep_quintic,
     smoothstep_quintic_deriv,
@@ -97,6 +98,20 @@ class StabilityProbe:
         ):
             if not admissible:
                 raise InvalidParameterError(f"{name} must be {bound}, got {getattr(self, name)!r}", name=name)
+        if _cap_height(self.eps_inner, self.alpha) == math.inf:
+            raise InvalidParameterError(
+                f"eps_inner must be large enough that eps_inner^(-alpha) is finite, got {self.eps_inner!r} "
+                f"at alpha = {self.alpha!r}",
+                name="eps_inner",
+            )
+
+
+def _cap_height(eps_inner: float, alpha: float) -> float:
+    """eps_inner^(-alpha), the capped test function's value on s <= eps_inner; inf where it overflows."""
+    try:
+        return eps_inner ** (-alpha)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -332,13 +347,15 @@ def linearized_rayleigh_min(
     raises ``InvalidParameterError``.  A field whose columns all equal the
     first, bit for bit, separates (:func:`_separable_rayleigh_min`); any
     other goes through the LOBPCG cascade (:func:`_cascade_rayleigh_min`),
-    the only one ``max_iter`` binds.  Both certify the ground state of
+    the only one ``max_iter`` binds; both refuse a ``max_iter`` that is not
+    an integer >= 1.  Both certify the ground state of
     B = D A D, D = diag(w)^(-1/2), by its residual ||B x - lam x|| <= tol
     and one sign throughout x, which on the irreducible Z-matrix B only the
     ground state has (Perron-Frobenius).  On a grid with ``s_min > 0``
     every side is a Dirichlet boundary.
     """
     require_tolerance(tol)
+    require_iterations(max_iter, 1)
     residual = _require_solution(u, beta)
     require_representable_weights(u.n, u.s, u.t)
     require_positive_node_weights(u.n, u.s, u.t)
@@ -677,11 +694,21 @@ def _eta_and_gradsq(probe: StabilityProbe, f: AxiField, rays):
 class _Probes:
     """Radial probes of one field u.  What does not depend on the probe is
     built once: u_s and u_s^2, 1/s^2 and the rays (:func:`_rays`); the node
-    ``weights`` are the caller's."""
+    ``weights`` are the caller's.
+
+    A u_s with no nonzero entry (the tiled layer's, bit for bit) builds
+    nothing more, and each probe reports the zero direction without
+    evaluating eta: every product with u_s = +0.0 is +0.0 and u_s eta is
+    u_s (eta >= 0), so that is the formula's report whenever eta,
+    |grad eta|^2 and the weights are finite.  A NaN counts as nonzero, so a non-finite
+    field still reaches :class:`InequalityReport`'s refusal."""
 
     def __init__(self, u: AxiField, weights: np.ndarray):
         self.u, self.weights = u, weights
         self.c = us_derivative(u).values
+        self.zero = not self.c.any()
+        if self.zero:
+            return
         self.cc = self.c * self.c
         s = u.s[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -689,6 +716,8 @@ class _Probes:
         self.rays = _rays(u)
 
     def report(self, probe: StabilityProbe) -> ProbeReport:
+        if self.zero:
+            return ProbeReport(lhs=(self.u.n - 2) * 0.0, rhs=0.0, xi=self.u.with_values(self.c))
         eta, gradsq = _eta_and_gradsq(probe, self.u, self.rays)
         lhs = (self.u.n - 2) * float(np.sum(self.cc * eta * eta * self.inv_s2 * self.weights))
         rhs = float(np.sum(self.cc * gradsq * self.weights))
@@ -701,8 +730,12 @@ def probe_inequality(u: AxiField, probe: StabilityProbe) -> ProbeReport:
     The inequality reads u alone, so no reaction term enters.  A negative
     defect certifies that xi = u_s eta violates stability on this grid.
     Exponents alpha >= (n-1)/2 make the uncapped weight non-integrable near
-    the axis; the cap regularizes this.
+    the axis; the cap regularizes this.  A grid whose weights overflow is
+    refused (``require_representable_weights``).  On a field whose u_s is
+    zero bit for bit (the tiled layer) the report is the zero direction,
+    lhs = rhs = 0, with no grid work beyond u_s (:class:`_Probes`).
     """
+    require_representable_weights(u.n, u.s, u.t)
     return _Probes(u, grid_weights(u, "node")).report(probe)
 
 
@@ -724,7 +757,8 @@ def epsilon_schedule(n: int, alpha: float, eps0: float, R: float) -> float:
 
     A rate outside the normal float range is refused: flushed to 0 (or
     rounded as a subnormal) it would no longer be a positive, strictly
-    decreasing cap radius.
+    decreasing cap radius.  So is a rate whose cap height eps^(-alpha)
+    overflows, which no :class:`StabilityProbe` accepts.
     """
     denom = n - 1 - 2.0 * alpha - eps0
     if denom <= 0.0:
@@ -737,4 +771,6 @@ def epsilon_schedule(n: int, alpha: float, eps0: float, R: float) -> float:
         eps = math.inf
     if not sys.float_info.min <= eps < math.inf:
         raise InvalidParameterError(f"R^(-1/{denom:g}) leaves the normal float range")
+    if _cap_height(eps, alpha) == math.inf:
+        raise InvalidParameterError(f"the cap height eps^(-alpha) at eps = R^(-1/{denom:g}) = {eps!r} overflows")
     return float(eps)

@@ -189,6 +189,23 @@ def test_newton_solves_refuse_a_tolerance_that_is_not_positive_and_finite(beta, 
     assert err.value.name == "tol"
 
 
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True, None, "3"])
+def test_newton_solves_refuse_a_step_count_they_cannot_use(beta, layer_profile, monkeypatch, max_iter):
+    # -1 was reported as "did not reach tol=1e-10 in -1 iterations"; 0 stays
+    # allowed, as it reads the start's residual
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve started before its max_iter was checked")
+
+    monkeypatch.setattr(axisym_field, "_damped_newton", refuse)
+    g, _ = _neck(beta, 33)
+    with pytest.raises(InvalidParameterError, match=r"^max_iter must be an integer >= 0, got ") as err:
+        solve_semilinear(beta, g, lambda s, t: refuse(), max_iter=max_iter)
+    assert err.value.name == "max_iter"
+    with pytest.raises(InvalidParameterError, match=r"^max_iter must be an integer >= 0, got ") as err:
+        solve_semilinear_1d(beta, -3.0, 3.0, layer_profile.sample(np.linspace(-3.0, 3.0, 33)), max_iter=max_iter)
+    assert err.value.name == "max_iter"
+
+
 def _last_sup_residual(message):
     match = re.search(r"in 2 iterations \(last sup residual ([0-9.e+-]+)\)", message)
     assert match, message

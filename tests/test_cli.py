@@ -887,6 +887,22 @@ def test_out_of_range_probe_exits_naming_its_key_before_any_solve(tmp_path, runn
     assert not out.exists()
 
 
+def test_probe_whose_cap_height_overflows_exits_naming_eps_inner(tmp_path, runner, monkeypatch):
+    # 1e-300 ** -2.0 once crashed the probe with a bare OverflowError traceback
+    monkeypatch.setattr(experiments, "_RUNNERS", {})  # any run would raise KeyError
+    text = (CONFIGS / "stability_n3.cfg").read_text()
+    path = tmp_path / "cap.cfg"
+    path.write_text(text.replace("alpha = 0.75", "alpha = 2.0").replace("eps_inner = 0.05", "eps_inner = 1e-300"))
+    with pytest.raises(ConfigError, match=r"^\[probe\] eps_inner is out of range: eps_inner must be "):
+        parse_config(path)
+    out = tmp_path / "never"
+    result = runner.invoke(main, ["stability", "--config", str(path), "--out", str(out)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: [probe] eps_inner is out of range: "), result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r0", ["0", "-1.0"])
 def test_non_positive_sphere_radius_exits_naming_r0(tmp_path, runner, r0):
     path = tmp_path / "sphere.cfg"

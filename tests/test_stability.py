@@ -519,6 +519,20 @@ def test_eigen_solve_separates_exactly_the_s_independent_field(beta, layer_profi
     assert abs(rep.rayleigh_min - layer.rayleigh_min) <= tol
 
 
+@pytest.mark.parametrize("max_iter", [-5, 0, 2.5, True, None])
+@pytest.mark.parametrize("bumped", [False, True], ids=["separable", "cascade"])
+def test_eigen_solve_refuses_a_step_count_it_cannot_use(beta, tiled_33, monkeypatch, max_iter, bumped):
+    # the separable solve ignored -5, the cascade died of a bare ValueError or
+    # TypeError, and 0 was reported as a residual left after 0 iterations
+    def refuse(*args):
+        raise AssertionError("the solve started before its max_iter was checked")
+
+    monkeypatch.setattr(stability, "residual_semilinear", refuse)
+    with pytest.raises(InvalidParameterError, match=r"^max_iter must be an integer >= 1, got ") as err:
+        linearized_rayleigh_min(_one_ulp_column(tiled_33) if bumped else tiled_33, beta, max_iter=max_iter)
+    assert err.value.name == "max_iter"
+
+
 def test_eigen_solve_refuses_an_s_independent_field_that_does_not_solve(beta, tiled_33):
     with pytest.raises(InvalidParameterError, match="does not solve"):
         linearized_rayleigh_min(tiled_33.with_values(tiled_33.values + 0.01), beta)
@@ -578,6 +592,65 @@ def test_probe_reads_as_its_formula_bit_for_bit(beta, layer_profile, n, s_min):
         assert lhs > 0.0
 
 
+def _formula_report(u, weights, probe):
+    """(lhs, rhs, xi) of the probe formula on every node, eta and |grad eta|^2
+    from ``_eta_and_gradsq``, whatever u_s is."""
+    c = us_derivative(u).values
+    eta, gradsq = stability._eta_and_gradsq(probe, u, stability._rays(u))
+    s = u.s[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_s2 = np.where(s > 0.0, 1.0 / np.where(s > 0, s, 1.0) ** 2, 0.0)
+    lhs = (u.n - 2) * float(np.sum(c * c * eta * eta * inv_s2 * weights))
+    return lhs, float(np.sum(c * c * gradsq * weights)), c * eta
+
+
+def _run_probes(n, alpha, R, eps_inner, eps0=0.1):
+    """The three probes a stability run draws from one [probe] section."""
+    for radius in (R, 2.0 * R, 4.0 * R):
+        try:
+            eps = epsilon_schedule(n, alpha, eps0, radius)
+        except InvalidParameterError:
+            eps = eps_inner
+        yield StabilityProbe(alpha=alpha, R=radius, eps_inner=min(eps, 0.5), eps0=eps0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_probe_of_the_tiled_layer_reads_as_its_formula_without_evaluating_eta(beta, monkeypatch, n):
+    # the tiled layer's u_s is +0.0 on every node, so each probe is the zero
+    # direction: the corners of the benchmark's probe box, every R a run draws
+    u = experiments.tiled_layer_field(beta, GridSpec(n=n, s_max=3.0, t_min=-3.0, t_max=3.0, ns=65, nt=65))
+    weights = grid_weights(u, "node")
+    lo, hi = (n - 2) / 2.0, math.sqrt(n - 2)
+    cases = [
+        (probe, _formula_report(u, weights, probe))
+        for alpha in (lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo))
+        for R in (1.5, 2.5)
+        for eps_inner in (0.03, 0.08)
+        for probe in _run_probes(n, alpha, R, eps_inner)
+    ]
+    calls = []
+    monkeypatch.setattr(stability, "_eta_and_gradsq", lambda *args: calls.append(args))
+    probes = stability._Probes(u, weights)
+    for probe, (lhs, rhs, xi) in cases:
+        rep = probes.report(probe)
+        assert _same_bits(np.array([rep.lhs, rep.rhs]), np.array([lhs, rhs])) and lhs == 0.0
+        assert _same_bits(rep.xi.values, xi)
+    assert not calls
+
+
+def test_probe_of_a_field_moved_by_one_ulp_takes_the_full_path(beta, monkeypatch):
+    # one column up by one ulp gives u_s = +-ulp / (2 hs) on its two neighbours
+    u = _one_ulp_column(experiments.tiled_layer_field(beta, GridSpec(n=3, s_max=3.0, t_min=-3.0, t_max=3.0, ns=65, nt=65)))
+    assert np.count_nonzero(us_derivative(u).values) > 0
+    weights, probe = grid_weights(u, "node"), StabilityProbe(alpha=0.75, R=2.0, eps_inner=0.05)
+    lhs, rhs, xi = _formula_report(u, weights, probe)
+    calls, real = [], stability._eta_and_gradsq
+    monkeypatch.setattr(stability, "_eta_and_gradsq", lambda *args: calls.append(args[0]) or real(*args))
+    rep = stability._Probes(u, weights).report(probe)
+    assert calls == [probe]
+    assert (rep.lhs, rep.rhs) == (lhs, rhs) and _same_bits(rep.xi.values, xi) and lhs > 0.0
+
+
 @pytest.mark.parametrize("model", ["catenoid", "profile"])
 def test_stability_run_reads_its_field_once_and_reports_the_independent_probes(tmp_path, monkeypatch, model):
     # the residual the eigen solve's precheck computed is the reported one;
@@ -601,6 +674,34 @@ def test_stability_run_reads_its_field_once_and_reports_the_independent_probes(t
         assert (entry["lhs"], entry["rhs"], entry["defect"]) == (rep.lhs, rep.rhs, rep.defect)
         assert entry["rayleigh_quotient"] == quotient
         assert (rep.lhs > 0.0 and quotient != 0.0) if model == "catenoid" else rep.lhs == rep.rhs == quotient == 0.0
+
+
+@pytest.mark.parametrize("model, calls", [("profile", 0), ("catenoid", 3)])
+def test_stability_run_evaluates_eta_only_where_us_is_nonzero(tmp_path, monkeypatch, model, calls):
+    # the tiled layer's u_s is zero bit for bit, the solved neck's is not
+    cfg = dataclasses.replace(parse_config(_STABILITY_N3), boundary_model=model, out_dir=str(tmp_path / "run"))
+    seen, real = [], stability._eta_and_gradsq
+    monkeypatch.setattr(stability, "_eta_and_gradsq", lambda *args: seen.append(args[0]) or real(*args))
+    results = experiments.run(cfg).results
+    assert len(seen) == calls
+    assert [entry["R"] for entry in results["probes"]] == [2.0, 4.0, 8.0]
+
+
+@pytest.mark.parametrize("model", ["profile", "catenoid"])
+def test_stability_run_falls_back_from_a_schedule_whose_cap_height_overflows(tmp_path, model):
+    # at n = 4, alpha = 1.2 the schedule's eps = R^-2 is normal up to R ~ 1e154,
+    # but eps^(-1.2) overflows from R ~ 1e129 on: the probe's Python power
+    # raised a bare OverflowError on both fields
+    cfg = dataclasses.replace(
+        parse_config(_STABILITY_N3), n=4, alpha=1.2, R=1e140, ns=33, nt=33, boundary_model=model,
+        out_dir=str(tmp_path / "run"),
+    )
+    for R in (1e140, 2e140, 4e140):
+        with pytest.raises(InvalidParameterError, match="cap height"):
+            epsilon_schedule(cfg.n, cfg.alpha, cfg.eps0, R)
+    probes = experiments.run(cfg).results["probes"]
+    assert [entry["eps_inner"] for entry in probes] == [cfg.eps_inner] * 3
+    assert all(math.isfinite(entry["lhs"]) and math.isfinite(entry["rhs"]) for entry in probes)
 
 
 @pytest.mark.parametrize("n, zero", [(3, jn_zeros(0, 1)[0]), (4, math.pi), (5, jn_zeros(1, 1)[0])])
@@ -965,6 +1066,15 @@ def test_probe_refuses_a_field_holding_a_nan(beta, layer_profile):
         probe_inequality(u, StabilityProbe(alpha=0.75, R=1.4, eps_inner=0.05))
 
 
+@pytest.mark.filterwarnings("error")
+def test_probe_refuses_node_weights_that_overflow():
+    # a zero u_s reports lhs = rhs = 0 without reading the weights, where
+    # 0 * inf once read as a NaN side; the grid is refused before either path
+    g = GridSpec(n=3, s_max=1e155, t_min=-3.0, t_max=3.0, ns=9, nt=9)
+    with pytest.raises(InvalidParameterError, match=r"s\^\(n-2\) hs ht overflows"):
+        probe_inequality(from_function(g, lambda s, t: 0.0 * s), StabilityProbe(alpha=0.75, R=2.0, eps_inner=0.05))
+
+
 def test_probe_invalid_parameters():
     # the error names the one field out of range
     for kwargs, name in (
@@ -979,6 +1089,7 @@ def test_probe_invalid_parameters():
         ({"alpha": math.inf}, "alpha"),
         ({"R": math.inf}, "R"),
         ({"R": math.nan}, "R"),
+        ({"alpha": 2.0, "eps_inner": 1e-300}, "eps_inner"),  # 1e-300 ** -2.0 raised OverflowError
     ):
         with pytest.raises(InvalidParameterError, match=f"^{name} must be ") as err:
             StabilityProbe(**{"alpha": 0.5, "R": 2.0, "eps_inner": 0.05, **kwargs})
@@ -1042,6 +1153,14 @@ def test_schedule_refuses_underflow():
     with pytest.raises(InvalidParameterError):
         epsilon_schedule(3, 0.94921875, 0.1, 0.25)  # (1/4)^-640 = 2^1280 overflows
     assert epsilon_schedule(3, 0.94921875, 0.1, 2.0 ** (1.0 / 64)) == pytest.approx(2.0**-10)
+
+
+def test_schedule_refuses_a_rate_whose_cap_height_overflows():
+    # n = 4, alpha = 1.2: eps = R^-2 is a normal float, eps^(-1.2) is not finite
+    with pytest.raises(InvalidParameterError, match="cap height"):
+        epsilon_schedule(4, 1.2, 0.1, 1e140)
+    eps = epsilon_schedule(4, 1.2, 0.1, 1e100)
+    assert eps == pytest.approx(1e-200) and StabilityProbe(alpha=1.2, R=1e100, eps_inner=eps).eps_inner == eps
 
 
 def test_schedule_rejects_bad_exponent():
